@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-json
+.PHONY: build test race vet staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-json bench-smoke
 
 build:
 	$(GO) build ./...
@@ -106,7 +106,15 @@ BENCH_PRESETS ?= default
 bench-json:
 	$(GO) run ./cmd/ditabench -bench $(BENCH_PRESETS) -bench-json $(BENCH_DIR)
 
-check: vet staticcheck race chaos knn snap ingest serve rebalance autopilot fuzz
+# The repository benchmark (bench/) is a nested module that `go test
+# ./...` skips, yet it compiles against internal/... and counts spans by
+# name: its own smoke test (all four workloads at N=4 000, answers checked
+# against brute force, ~6 s) is what catches an internal rename or a wrong
+# answer before the benchmark driver does.
+bench-smoke:
+	$(GO) test -C bench .
+
+check: vet staticcheck race chaos knn snap ingest serve rebalance autopilot fuzz bench-smoke
 
 # 30-second soak: dita-net's cancelled-query churn workload against
 # in-process workers running under fault injection (-chaos). Exits

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"dita/internal/gen"
@@ -69,4 +71,47 @@ func BenchmarkTrieFilterPerQuery(b *testing.B) {
 			p.Index.Search(q.Points, e.opts.Measure, 0.003, nil)
 		}
 	}
+}
+
+// BenchmarkKNNScanPartition times the per-partition kNN scan both network
+// roles run it in, on one 1.5 k-member partition at k=10: tauInf is the
+// pilot (or the engine's first visit) — an empty accumulator and no cap, so
+// the scan must find its own top-k; tauFinite is a fan-out visit — an empty
+// accumulator capped at a τ another partition already established (here the
+// query's own k-th distance, the tightest cap that keeps all k answers).
+// verified/op is the number of exact or threshold distance computations.
+func BenchmarkKNNScanPartition(b *testing.B) {
+	const k = 10
+	opts := DefaultOptions()
+	opts.NG = 1
+	e, err := NewEngine(gen.Generate(gen.BeijingLike(1500, 7)), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, m, ctx := e.parts[0], e.opts.Measure, context.Background()
+	qs := gen.Queries(e.dataset, 64, 8)
+	kth := make([]float64, len(qs))
+	for i, q := range qs {
+		acc := NewKNNAcc(k)
+		if _, err := KNNScanPartition(ctx, m, q.Points, p.Index, p.Trajs, p.meta, nil, e.cellD, acc, math.Inf(1)); err != nil {
+			b.Fatal(err)
+		}
+		kth[i] = acc.Tau()
+	}
+	run := func(b *testing.B, capTau func(qi int) float64) {
+		var verified int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			qi := i % len(qs)
+			f, err := KNNScanPartition(ctx, m, qs[qi].Points, p.Index, p.Trajs, p.meta, nil, e.cellD, NewKNNAcc(k), capTau(qi))
+			if err != nil {
+				b.Fatal(err)
+			}
+			verified += f.Verified
+		}
+		b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
+	}
+	b.Run("tauInf", func(b *testing.B) { run(b, func(int) float64 { return math.Inf(1) }) })
+	b.Run("tauFinite", func(b *testing.B) { run(b, func(qi int) float64 { return kth[qi] }) })
 }

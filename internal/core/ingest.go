@@ -351,9 +351,7 @@ func (e *Engine) Insert(t *traj.T) error {
 		}
 	}
 	e.mu.Lock()
-	e.applyInsertLocal(st, p, t)
-	if nf, nl := p.MBRf.Extend(t.First()), p.MBRl.Extend(t.Last()); nf != p.MBRf || nl != p.MBRl {
-		p.MBRf, p.MBRl = nf, nl
+	if e.applyInsertLocal(st, p, t) {
 		e.buildGlobalIndex()
 	}
 	if e.met != nil {
@@ -483,9 +481,13 @@ func (e *Engine) routePartition(t *traj.T) *Partition {
 // applyInsertLocal applies an upsert to one partition's overlay: the
 // partition's old visible copy of the id (delta, frozen or base) is
 // removed or masked, the new version joins the delta, and the location
-// map is updated. Used both by live Insert and by WAL replay — the two
-// must stay byte-for-byte identical for recovery to be exact.
-func (e *Engine) applyInsertLocal(st *ingestState, p *Partition, t *traj.T) {
+// map is updated, and the partition's endpoint MBRs are extended to cover
+// the new version — without that, global pruning and the kNN visit bound
+// would be unsound for it. Reports whether a box grew, in which case the
+// caller rebuilds the global index. Used both by live Insert and by WAL
+// replay — the two must stay byte-for-byte identical for recovery to be
+// exact.
+func (e *Engine) applyInsertLocal(st *ingestState, p *Partition, t *traj.T) (grew bool) {
 	if !p.delta.Remove(t.ID) {
 		if p.frozen != nil && p.frozen.Has(t.ID) && !p.tomb[t.ID] {
 			p.tomb[t.ID] = true
@@ -495,6 +497,10 @@ func (e *Engine) applyInsertLocal(st *ingestState, p *Partition, t *traj.T) {
 	}
 	p.delta.Insert(t, e.cellD)
 	st.loc[t.ID] = locEntry{pid: p.ID, t: t}
+	nf, nl := p.MBRf.Extend(t.First()), p.MBRl.Extend(t.Last())
+	grew = nf != p.MBRf || nl != p.MBRl
+	p.MBRf, p.MBRl = nf, nl
+	return grew
 }
 
 // applyDeleteLocal applies a delete to one partition's overlay. The

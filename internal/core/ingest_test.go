@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
 	"testing"
 
 	"dita/internal/gen"
+	"dita/internal/geom"
 	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/wal"
@@ -482,6 +484,64 @@ func TestIngestWALRecovery(t *testing.T) {
 	}
 	cold2, _ := coldStart(t, snapStore, walStore, smallOpts(4))
 	checkVisible(t, cold2, want, queries, "recovered-twice")
+}
+
+// TestIngestReplayExtendsBounds: a replayed insert must grow its
+// partition's endpoint MBRs exactly as the live Insert did. With the boxes
+// left at their snapshot extent, a recovered trajectory lying outside them
+// was pruned by every search with τ below the gap, and its partition's kNN
+// visit bound was too high, so a best-first scan could stop before it.
+func TestIngestReplayExtendsBounds(t *testing.T) {
+	dir := t.TempDir()
+	snapStore, err := snap.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walStore, err := wal.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := smallDataset(250, 55)
+	e, err := NewEngine(d, smallOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealAll(t, e, snapStore)
+	if _, err := e.EnableIngest(IngestConfig{WAL: walStore, Snap: snapStore}); err != nil {
+		t.Fatal(err)
+	}
+	// Both endpoints far outside every partition's boxes.
+	all := geom.EmptyMBR()
+	for _, p := range e.Partitions() {
+		all = all.Union(p.MBRf).Union(p.MBRl)
+	}
+	span := math.Max(all.Max.X-all.Min.X, all.Max.Y-all.Min.Y)
+	far := &traj.T{ID: 99999, Points: []geom.Point{
+		{X: all.Max.X + span, Y: all.Max.Y + span},
+		{X: all.Max.X + 1.5*span, Y: all.Max.Y + span},
+		{X: all.Max.X + 2*span, Y: all.Max.Y + 2*span},
+	}}
+	if err := e.Insert(far); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, e *Engine) {
+		t.Helper()
+		got := e.Search(far, 0, nil)
+		if len(got) != 1 || got[0].Traj.ID != far.ID || got[0].Distance != 0 {
+			t.Fatalf("%s: Search(τ=0) on the member's own points = %v, want it at distance 0", label, got)
+		}
+		nn := e.SearchKNN(far, 1)
+		if len(nn) != 1 || nn[0].Traj.ID != far.ID || nn[0].Distance != 0 {
+			t.Fatalf("%s: SearchKNN(k=1) on the member's own points = %v, want it at distance 0", label, nn)
+		}
+	}
+	check("live", e)
+	// Hard stop, then recovery from the snapshots plus the one-record WAL.
+	cold, csum := coldStart(t, snapStore, walStore, smallOpts(4))
+	if csum.Records != 1 {
+		t.Fatalf("replayed %d records, want 1", csum.Records)
+	}
+	check("recovered", cold)
 }
 
 // TestIngestSeqResumesPastWatermark: after a merge truncates every log

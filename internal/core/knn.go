@@ -113,21 +113,25 @@ type knnVisit struct {
 	lb  float64
 }
 
-// knnBestFirst runs the incremental best-first top-k engine: seed τ from
-// a sample (or the caller's primed warm-start trajectories), then visit
+// knnBestFirst runs the incremental best-first top-k engine: visit
 // partitions in ascending lower-bound order, each visit tightening τ
-// through the shared accumulator, until the next partition's bound
-// exceeds τ. Visits run inline on the driver — the scan is inherently
-// sequential (τ mutates between candidates) — but query shipping is still
-// charged to the simulated cluster. funnel accumulates the whole query's
-// pruning stages; funnel.Relevant counts partitions actually visited.
+// through the shared accumulator, until the next partition's bound exceeds
+// τ. The lowest-bound partition is the seed: its best-first scan fills the
+// accumulator from the leaves nearest the query, so every later visit
+// starts at a finite τ (the kNN join instead warm-starts from prime).
+// Visits run inline on the driver — the scan is inherently sequential (τ
+// mutates between candidates) — but query shipping is still charged to the
+// simulated cluster. funnel accumulates the whole query's pruning stages;
+// funnel.Relevant counts partitions actually visited.
 func (e *Engine) knnBestFirst(ctx context.Context, q *traj.T, k int, prime []*traj.T, funnel *obs.Funnel, tr *obs.Trace) ([]SearchResult, error) {
 	acc := NewKNNAcc(k)
 	planDone := tr.StartSpan("knn-plan", -1)
 	order := e.knnOrder(q.Points)
 	planDone(nil)
-	if err := e.knnSeed(ctx, q, k, prime, acc, funnel, tr); err != nil {
-		return nil, err
+	if len(prime) > 0 {
+		if err := e.knnPrime(ctx, q, prime, acc, funnel); err != nil {
+			return nil, err
+		}
 	}
 	const driver = 0
 	for _, po := range order {
@@ -207,72 +211,39 @@ func (e *Engine) knnVisit(ctx context.Context, p *Partition, q []geom.Point, acc
 	return f, nil
 }
 
-// knnSeed primes the accumulator so partition visits start with a finite
-// τ: either from the caller's warm-start trajectories (kNN join passes a
-// partition neighbor's resolved answer set) or from a deterministic
-// stride sample of the dataset. The first k seeds are verified with the
-// exact kernel, the rest early-abandon against the live τ; every primed
-// distance is exact, so τ is sound from the first partition visit on. The
-// seeds' verification work is merged into the funnel as a flat stage.
-func (e *Engine) knnSeed(ctx context.Context, q *traj.T, k int, prime []*traj.T, acc *KNNAcc, funnel *obs.Funnel, tr *obs.Trace) error {
-	seedDone := tr.StartSpan("knn-seed", -1)
-	seeds := prime
-	if len(seeds) == 0 {
-		n := e.dataset.Len()
-		want := 2 * k
-		if want < 32 {
-			want = 32
-		}
-		step := n / want
-		if step < 1 {
-			step = 1
-		}
-		for i := 0; i < n; i += step {
-			seeds = append(seeds, e.dataset.Trajs[i])
-		}
-	}
+// knnPrime warm-starts the accumulator from trajectories the caller
+// expects to be near q (kNN join passes a partition neighbor's resolved
+// answer set, all still visible under the engines' read locks). The first
+// k are verified with the exact kernel, the rest early-abandon against the
+// live τ and, like a scan's candidates, enter the heap at their exact
+// distance; τ is sound from the first partition visit on, and the resolved
+// set keeps the scans from verifying the primes again. Their verification work is merged into the funnel as a
+// flat stage.
+func (e *Engine) knnPrime(ctx context.Context, q *traj.T, prime []*traj.T, acc *KNNAcc, funnel *obs.Funnel) error {
+	acc.resolved = make(map[*traj.T]struct{}, len(prime))
 	m := e.opts.Measure
-	var considered, verified, matched int64
-	for si, t := range seeds {
-		if si%knnScanCtxEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				seedDone(err)
-				return err
-			}
+	var matched int64
+	for _, t := range prime {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if t == nil || len(t.Points) == 0 || acc.Resolved(t) {
-			continue
-		}
-		// With ingest enabled the dataset slice is stale: seed only
-		// trajectories that are still the current visible version (a
-		// deleted or superseded seed must never enter the answer heap).
-		// Skipping seeds is always safe — they only prime τ.
-		if e.ing != nil {
-			if le, ok := e.ing.loc[t.ID]; !ok || le.t != t {
-				continue
-			}
-		}
-		considered++
 		tau := acc.Tau()
 		if math.IsInf(tau, 1) {
 			// Threshold kernels must never see τ=+Inf (the banded edit DP
 			// sizes its band from τ); the heap isn't full yet, so pay for
 			// the exact kernel.
-			verified++
 			acc.Add(t, m.Distance(t.Points, q.Points))
 			matched++
 			continue
 		}
-		verified++
-		d, ok := m.DistanceThreshold(t.Points, q.Points, tau)
+		_, ok := m.DistanceThreshold(t.Points, q.Points, knnFilterTau(tau))
 		acc.Resolve(t)
-		if ok {
-			acc.Offer(t, d)
+		if ok && acc.Offer(t, m.Distance(t.Points, q.Points)) {
 			matched++
 		}
 	}
-	funnel.Merge(obs.Funnel{Considered: considered, TrieCands: considered,
-		AfterLength: considered, AfterCoverage: considered, Verified: verified, Matched: matched})
-	seedDone(nil)
+	n := int64(len(prime))
+	funnel.Merge(obs.Funnel{Considered: n, TrieCands: n,
+		AfterLength: n, AfterCoverage: n, Verified: n, Matched: matched})
 	return nil
 }

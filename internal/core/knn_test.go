@@ -186,7 +186,11 @@ func TestKNNAllMeasuresMatchesBruteForce(t *testing.T) {
 
 // TestKNNTiesAtKth cuts k through groups of byte-identical trajectories:
 // every member of a tie group has the same distance, so the ID ordering
-// must decide — exactly as brute force does.
+// must decide — exactly as brute force does. The second query is not a
+// member, so its tie groups sit at non-zero distances, where the exact and
+// the early-abandoning kernels may disagree in the last ulp: the answer's
+// distances must be the exact kernel's, bit for bit, or members of one
+// group met by different kernels would order by rounding noise, not by ID.
 func TestKNNTiesAtKth(t *testing.T) {
 	base := smallDataset(15, 42)
 	var trajs []*traj.T
@@ -203,17 +207,28 @@ func TestKNNTiesAtKth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := trajs[8] // a member: its whole tie group sits at distance 0
-	for _, k := range []int{1, 2, 3, 5, 6, 10, 59} {
-		want := bruteKNN(d, measure.DTW{}, q, k)
-		got := e.SearchKNN(q, k)
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: got %d results, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Traj.ID != want[i] {
-				t.Fatalf("k=%d: result %d = traj %d, want %d (tie broken wrong)",
-					k, i, got[i].Traj.ID, want[i])
+	member := trajs[8] // its whole tie group sits at distance 0
+	shifted := &traj.T{ID: -1}
+	for _, p := range member.Points {
+		shifted.Points = append(shifted.Points, geom.Point{X: p.X + 0.0123, Y: p.Y - 0.0077})
+	}
+	m := measure.DTW{}
+	for qi, q := range []*traj.T{member, shifted} {
+		for k := 1; k <= len(trajs); k++ {
+			want := bruteKNN(d, m, q, k)
+			got := e.SearchKNN(q, k)
+			if len(got) != len(want) {
+				t.Fatalf("query %d k=%d: got %d results, want %d", qi, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Traj.ID != want[i] {
+					t.Fatalf("query %d k=%d: result %d = traj %d, want %d (tie broken wrong)",
+						qi, k, i, got[i].Traj.ID, want[i])
+				}
+				if exact := m.Distance(got[i].Traj.Points, q.Points); got[i].Distance != exact {
+					t.Fatalf("query %d k=%d: result %d distance %v, exact kernel %v",
+						qi, k, i, got[i].Distance, exact)
+				}
 			}
 		}
 	}

@@ -81,18 +81,20 @@ func worse(a, b knnEntry) bool {
 // the global top-k state of the incremental best-first kNN. It is a
 // k-bounded max-heap ordered by (distance, trajectory ID), so the root is
 // always the current k-th best and Tau() is the live pruning threshold.
-// It also tracks which trajectories have been resolved (verified exactly,
-// or ruled out at a threshold no looser than the final one) so no
-// candidate is ever verified twice. Not safe for concurrent use.
+// Partitions and their overlay layers are disjoint, so a scan meets every
+// trajectory at most once; only a warm-started accumulator (knnPrime)
+// records which trajectories it has already resolved, so the ones it was
+// primed with are not verified again when their partition is scanned.
+// Not safe for concurrent use.
 type KNNAcc struct {
 	k        int
 	heap     []knnEntry
-	resolved map[*traj.T]struct{}
+	resolved map[*traj.T]struct{} // nil unless primed
 }
 
 // NewKNNAcc returns an empty accumulator for k results. k must be >= 1.
 func NewKNNAcc(k int) *KNNAcc {
-	return &KNNAcc{k: k, heap: make([]knnEntry, 0, k), resolved: make(map[*traj.T]struct{})}
+	return &KNNAcc{k: k, heap: make([]knnEntry, 0, k)}
 }
 
 // Full reports whether k results have been accumulated.
@@ -112,7 +114,7 @@ func (a *KNNAcc) Tau() float64 {
 	return a.heap[0].d
 }
 
-// Resolved reports whether t has already been resolved.
+// Resolved reports whether a primed accumulator has already resolved t.
 func (a *KNNAcc) Resolved(t *traj.T) bool {
 	_, ok := a.resolved[t]
 	return ok
@@ -121,7 +123,11 @@ func (a *KNNAcc) Resolved(t *traj.T) bool {
 // Resolve marks t resolved: it was verified exactly or ruled out at the
 // current threshold. Since Tau only shrinks, a candidate pruned at the
 // threshold of its resolution stays pruned forever.
-func (a *KNNAcc) Resolve(t *traj.T) { a.resolved[t] = struct{}{} }
+func (a *KNNAcc) Resolve(t *traj.T) {
+	if a.resolved != nil {
+		a.resolved[t] = struct{}{}
+	}
+}
 
 // Add resolves t and offers its exact distance in one step.
 func (a *KNNAcc) Add(t *traj.T, d float64) {
@@ -197,13 +203,10 @@ func (a *KNNAcc) Results() []SearchResult {
 // scan loop (the verification step itself is the abort granularity).
 const knnScanCtxEvery = 32
 
-// KNNScanPartition runs the best-first candidate scan of one partition:
-// a bound-aware trie descent at the current threshold, candidates sorted
-// by their trie lower bound, then verification in bound order with the
-// threshold re-read from acc before every candidate (early abandoning
-// against the live k-th best) and an exact cut as soon as the next bound
-// exceeds it. Already-resolved trajectories are skipped, and every
-// processed candidate is marked resolved.
+// knnScan is the verification state one partition-layer scan threads
+// through its candidates: the live threshold min(capTau, acc.Tau()) is
+// re-read before every candidate (early abandoning against the live k-th
+// best), and the cascade's counters are collected for the scan's funnel.
 //
 // capTau caps the threshold (the network mode passes the coordinator's
 // round τ; the local engine passes +Inf). While acc is not yet full and
@@ -211,6 +214,79 @@ const knnScanCtxEvery = 32
 // verified with the exact Distance kernel, never DistanceThreshold
 // (threshold kernels must not see an infinite τ — the banded edit DP
 // sizes its band from it).
+type knnScan struct {
+	m      measure.Measure
+	q      []geom.Point
+	cellD  float64
+	acc    *KNNAcc
+	capTau float64
+
+	v    *Verifier
+	vTau float64
+	// The exact-Distance path bypasses the Verifier, so its counts are
+	// tracked by hand and merged with the verifier's in funnel.
+	exactVerified, matched int64
+}
+
+func (s *knnScan) tau() float64 { return math.Min(s.capTau, s.acc.Tau()) }
+
+// knnFilterTau widens a finite threshold by a relative 1e-9 before it is
+// handed to a threshold kernel. The early-abandoning kernels sum the DP in
+// a different order than the exact kernel and may differ from it in the
+// last ulp; the margin — orders of magnitude above that noise, and far
+// below any distance gap that matters — keeps a candidate whose exact
+// distance ties the k-th best from being abandoned on rounding alone.
+func knnFilterTau(tau float64) float64 { return tau + tau*1e-9 }
+
+// verify resolves one candidate at threshold tau and offers it to acc.
+// The threshold cascade only filters: what enters the heap is always the
+// exact kernel's distance, so an answer's (distance, ID) order — ties
+// between identical geometries included — does not depend on which
+// partition, round or kernel happened to meet a candidate first, and is
+// exactly brute force's.
+func (s *knnScan) verify(t *traj.T, meta VerifyMeta, tau float64) {
+	if math.IsInf(tau, 1) {
+		s.exactVerified++
+		s.matched++
+		s.acc.Add(t, s.m.Distance(t.Points, s.q))
+		return
+	}
+	if s.v == nil {
+		s.v = NewVerifier(s.m, s.q, knnFilterTau(tau), s.cellD)
+	} else if tau != s.vTau {
+		s.v.SetTau(knnFilterTau(tau))
+	}
+	s.vTau = tau
+	_, ok := s.v.Verify(t, meta)
+	s.acc.Resolve(t)
+	if ok && s.acc.Offer(t, s.m.Distance(t.Points, s.q)) {
+		s.matched++
+	}
+}
+
+// funnel completes f (Considered and TrieCands set by the caller) from the
+// verifier's cascade counters plus the exact-Distance path's counts.
+func (s *knnScan) funnel(f obs.Funnel) obs.Funnel {
+	var lenPruned, covPruned, verified int64
+	if s.v != nil {
+		lenPruned = s.v.LengthPruned.Load()
+		covPruned = s.v.CoveragePruned.Load()
+		verified = s.v.Verified.Load()
+	}
+	f.AfterLength = f.TrieCands - lenPruned
+	f.AfterCoverage = f.AfterLength - covPruned
+	f.Verified = verified + s.exactVerified
+	f.Matched = s.matched
+	return f
+}
+
+// KNNScanPartition runs the best-first candidate scan of one partition: an
+// incremental best-first trie traversal hands over leaf buckets in
+// ascending lower-bound order, pruned against the live threshold as it
+// expands, and the scan verifies them in that order, cutting exactly when
+// the next bound exceeds the threshold. The part of the trie the final
+// threshold rules out is never descended. Already-resolved trajectories
+// are skipped, and every processed candidate is marked resolved.
 //
 // This exact function backs both the local engine and the network-mode
 // worker, which is what makes dnet kNN results identical to local ones.
@@ -218,97 +294,61 @@ const knnScanCtxEvery = 32
 //
 // masked, when non-nil, hides base members superseded or deleted by a
 // partition's ingest overlay (the overlay's own live members are scanned
-// by KNNScanLive).
+// by KNNScanLive). The funnel's TrieCands counts the unmasked candidates
+// the traversal handed over before the cut.
 func KNNScanPartition(ctx context.Context, m measure.Measure, q []geom.Point,
 	idx *trie.Trie, trajs []*traj.T, meta []VerifyMeta, masked func(id int) bool,
 	cellD float64, acc *KNNAcc, capTau float64) (obs.Funnel, error) {
 
 	f := obs.Funnel{Considered: int64(len(trajs))}
-	entryTau := math.Min(capTau, acc.Tau())
-	cands, err := idx.SearchBoundsContext(ctx, q, m, entryTau, nil)
-	if masked != nil && len(cands) > 0 {
-		kept := cands[:0]
-		for _, c := range cands {
-			if !masked(trajs[c.Idx].ID) {
-				kept = append(kept, c)
+	s := knnScan{m: m, q: q, cellD: cellD, acc: acc, capTau: capTau}
+	bf := idx.BestFirst(ctx, q, m)
+	seen := 0
+scan:
+	for {
+		idxs, lb, ok := bf.Next(s.tau())
+		if !ok {
+			break
+		}
+		for _, i := range idxs {
+			if seen%knnScanCtxEvery == 0 && ctx.Err() != nil {
+				break scan
 			}
-		}
-		cands = kept
-	}
-	f.TrieCands = int64(len(cands))
-	if err != nil || len(cands) == 0 {
-		// An empty candidate list still narrows monotonically.
-		return f, err
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].LB != cands[j].LB {
-			return cands[i].LB < cands[j].LB
-		}
-		return cands[i].Idx < cands[j].Idx
-	})
-	var v *Verifier
-	vTau := math.Inf(-1)
-	// The exact-Distance path bypasses the Verifier, so its counts are
-	// tracked by hand and merged with the verifier's below.
-	var exactVerified, matched int64
-	for ci, c := range cands {
-		if ci%knnScanCtxEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return knnScanFunnel(f, v, exactVerified, matched), err
+			seen++
+			tau := s.tau()
+			if lb > tau {
+				break scan // buckets come in bound order: the rest are pruned too
 			}
-		}
-		tau := math.Min(capTau, acc.Tau())
-		if acc.Full() && c.LB > tau {
-			break // candidates are bound-sorted: the rest are pruned too
-		}
-		t := trajs[c.Idx]
-		if acc.Resolved(t) {
-			continue
-		}
-		if math.IsInf(tau, 1) {
-			d := m.Distance(t.Points, q)
-			exactVerified++
-			acc.Add(t, d)
-			matched++
-			continue
-		}
-		if v == nil {
-			v = NewVerifier(m, q, tau, cellD)
-			vTau = tau
-		} else if tau != vTau {
-			v.SetTau(tau)
-			vTau = tau
-		}
-		d, ok := v.Verify(t, meta[c.Idx])
-		acc.Resolve(t)
-		if ok {
-			// Within τ means within the current k-th best (or losing only
-			// the ID tie at exactly that distance); the heap sorts it out.
-			acc.Offer(t, d)
-			matched++
+			t := trajs[i]
+			if masked != nil && masked(t.ID) {
+				continue
+			}
+			f.TrieCands++
+			if acc.Resolved(t) {
+				continue
+			}
+			s.verify(t, meta[i], tau)
 		}
 	}
-	return knnScanFunnel(f, v, exactVerified, matched), nil
+	return s.funnel(f), bf.Err()
 }
 
 // KNNScanLive brute-forces an ingest overlay's live list into the
 // accumulator: no trie exists over a delta, so every unmasked member
 // goes straight to the verification cascade with the threshold re-read
 // from acc before each candidate, exactly like KNNScanPartition's
-// post-trie loop. masked, when non-nil, hides superseded frozen members.
+// verification loop. masked, when non-nil, hides superseded frozen members.
 // Shared by the local engine and the network-mode worker.
 func KNNScanLive(ctx context.Context, m measure.Measure, q []geom.Point,
 	live []*traj.T, meta []VerifyMeta, masked func(id int) bool,
 	cellD float64, acc *KNNAcc, capTau float64) (obs.Funnel, error) {
 
 	f := obs.Funnel{Considered: int64(len(live)), TrieCands: int64(len(live))}
-	var v *Verifier
-	vTau := math.Inf(-1)
-	var exactVerified, matched int64
+	s := knnScan{m: m, q: q, cellD: cellD, acc: acc, capTau: capTau}
 	for ci, t := range live {
 		if ci%knnScanCtxEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return knnScanFunnel(f, v, exactVerified, matched), err
+				return s.funnel(f), err
 			}
 		}
 		if masked != nil && masked(t.ID) {
@@ -317,46 +357,7 @@ func KNNScanLive(ctx context.Context, m measure.Measure, q []geom.Point,
 		if acc.Resolved(t) {
 			continue
 		}
-		tau := math.Min(capTau, acc.Tau())
-		if math.IsInf(tau, 1) {
-			d := m.Distance(t.Points, q)
-			exactVerified++
-			acc.Add(t, d)
-			matched++
-			continue
-		}
-		if v == nil {
-			v = NewVerifier(m, q, tau, cellD)
-			vTau = tau
-		} else if tau != vTau {
-			v.SetTau(tau)
-			vTau = tau
-		}
-		d, ok := v.Verify(t, meta[ci])
-		acc.Resolve(t)
-		if ok {
-			acc.Offer(t, d)
-			matched++
-		}
+		s.verify(t, meta[ci], s.tau())
 	}
-	return knnScanFunnel(f, v, exactVerified, matched), nil
-}
-
-// knnScanFunnel assembles the scan's pruning funnel from the verifier's
-// cascade counters plus the exact-Distance path's manual counts. Unvisited
-// bound-sorted tail candidates (cut by the τ bound) count as surviving the
-// length/coverage stages they never reached, which keeps the funnel
-// monotone.
-func knnScanFunnel(f obs.Funnel, v *Verifier, exactVerified, matched int64) obs.Funnel {
-	var lenPruned, covPruned, verified int64
-	if v != nil {
-		lenPruned = v.LengthPruned.Load()
-		covPruned = v.CoveragePruned.Load()
-		verified = v.Verified.Load()
-	}
-	f.AfterLength = f.TrieCands - lenPruned
-	f.AfterCoverage = f.AfterLength - covPruned
-	f.Verified = verified + exactVerified
-	f.Matched = matched
-	return f
+	return s.funnel(f), nil
 }

@@ -232,7 +232,10 @@ type dispatchedDataset struct {
 type partBounds struct {
 	mbrF, mbrL geom.MBR
 	trajs      int
-	retired    bool
+	// live is the partition's visible member count (dd.live) — how many
+	// answers a kNN pilot can expect from it.
+	live    int
+	retired bool
 }
 
 // ddView is a query's consistent picture of the dataset's global index.
@@ -253,7 +256,7 @@ func (dd *dispatchedDataset) boundsView() ddView {
 	v := ddView{bounds: make([]partBounds, len(dd.parts)), rtF: dd.rtF, rtL: dd.rtL}
 	for i := range dd.parts {
 		p := &dd.parts[i]
-		v.bounds[i] = partBounds{mbrF: p.mbrF, mbrL: p.mbrL, trajs: p.trajs, retired: p.retired}
+		v.bounds[i] = partBounds{mbrF: p.mbrF, mbrL: p.mbrL, trajs: p.trajs, live: dd.live[i], retired: p.retired}
 		v.visible += dd.live[i]
 	}
 	return v

@@ -90,15 +90,45 @@ func (g *knnMerger) results() []SearchHit {
 	return out
 }
 
+// knnVisit is one partition of a kNN plan with its global-index lower
+// bound on the distance from the query to any member.
+type knnVisit struct {
+	pid int
+	lb  float64
+}
+
+// knnOrder is the visit order of a kNN over the view: ascending
+// (global-index lower bound, partition id) — the same bound TrajRelevant
+// prunes with. Retired partitions own nothing and may not even be loadable
+// on any worker; visiting one would burn a round (or fail the query) for a
+// guaranteed-empty contribution.
+func (c *Coordinator) knnOrder(v ddView, q *traj.T) []knnVisit {
+	order := make([]knnVisit, 0, len(v.bounds))
+	for i, p := range v.bounds {
+		if !p.retired {
+			order = append(order, knnVisit{pid: i, lb: core.PartitionLowerBound(c.m, q.Points, p.mbrF, p.mbrL)})
+		}
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if order[a].lb != order[b].lb {
+			return order[a].lb < order[b].lb
+		}
+		return order[a].pid < order[b].pid
+	})
+	return order
+}
+
 // SearchKNN returns the k trajectories of the dispatched dataset nearest
 // to q, ordered by ascending (distance, ID) — the network mode of the
-// engine's incremental best-first kNN. The coordinator visits partitions
-// in ascending global-index lower bound order in rounds of one batch per
-// round (at most one in-flight partition per worker), tightening the
-// global k-th distance τ between rounds and stopping exactly when the
-// next partition's bound exceeds it. Workers run the same per-partition
-// scan as the local engine, so results are identical to core.SearchKNN
-// over the same data.
+// engine's incremental best-first kNN. The coordinator orders partitions
+// by ascending global-index lower bound and prunes before it fans out:
+// the first round is a pilot — the shortest prefix of that order whose
+// visible members cover k, normally the one partition nearest the query —
+// and once k answers exist every partition whose bound is within their
+// k-th distance τ is scanned at τ in one parallel round; the search stops
+// exactly when the next partition's bound exceeds τ. Workers run the same
+// per-partition scan as the local engine, so results are identical to
+// core.SearchKNN over the same data.
 func (c *Coordinator) SearchKNN(name string, q *traj.T, k int) ([]SearchHit, error) {
 	hits, _, err := c.SearchKNNPartialContext(context.Background(), name, q, k)
 	return hits, err
@@ -172,12 +202,6 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 	if err != nil {
 		return nil, report, err
 	}
-	// Round size: one partition per worker per round keeps every worker
-	// busy without racing ahead of the tightening τ.
-	roundSize := len(c.addrs)
-	if roundSize < 1 {
-		roundSize = 1
-	}
 	var merger *knnMerger
 	var funnel obs.Funnel
 	var totalAttempts, totalFailovers int
@@ -197,29 +221,8 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 		if kq > v.visible {
 			kq = v.visible
 		}
-		// Visit order: ascending (global-index lower bound, partition id) —
-		// the same bound TrajRelevant prunes with.
 		planDone := tr.StartSpan("knn-plan", -1)
-		type visit struct {
-			pid int
-			lb  float64
-		}
-		order := make([]visit, 0, len(v.bounds))
-		for i, p := range v.bounds {
-			// Retired partitions own nothing and may not even be loadable on
-			// any worker; visiting one would burn a round (or fail the query)
-			// for a guaranteed-empty contribution.
-			if p.retired {
-				continue
-			}
-			order = append(order, visit{pid: i, lb: core.PartitionLowerBound(c.m, q.Points, p.mbrF, p.mbrL)})
-		}
-		sort.Slice(order, func(a, b int) bool {
-			if order[a].lb != order[b].lb {
-				return order[a].lb < order[b].lb
-			}
-			return order[a].pid < order[b].pid
-		})
+		order := c.knnOrder(v, q)
 		planDone(nil)
 
 		merger = newKNNMerger(kq)
@@ -229,21 +232,32 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 			if err := ctx.Err(); err != nil {
 				return nil, report, err
 			}
-			// Round-start τ: an upper bound on the final k-th distance (τ only
+			// Round-start τ: the exact k-th distance over the partitions
+			// answered so far, hence an upper bound on the final one (τ only
 			// shrinks), so pruning against it inside the round stays sound
 			// even as other partitions in the batch tighten it further.
 			tau := merger.tau()
-			batch := make([]visit, 0, roundSize)
-			for next < len(order) && len(batch) < roundSize {
+			var batch []knnVisit
+			if !merger.full() {
+				// Pilot: scanning at τ=+∞ costs a partition its own top-k, so
+				// send only as many partitions, nearest first, as it takes
+				// to cover the answers still missing. A pilot partition that
+				// could not be reached leaves the merger short, and the next
+				// round pilots the next partition in its place.
+				for need := kq - len(merger.heap); next < len(order) && need > 0; next++ {
+					batch = append(batch, order[next])
+					need -= v.bounds[order[next].pid].live
+				}
+			} else {
+				// Fan-out: everything the pilot's τ cannot rule out, at once.
 				// Termination bound: at lb == τ a partition may still improve
 				// the result through an ID tie, so only a strictly greater
-				// bound ends the search.
-				if merger.full() && order[next].lb > tau {
-					next = len(order)
-					break
+				// bound ends the search — and the order is ascending, so it
+				// ends it for every later partition too.
+				for next < len(order) && order[next].lb <= tau {
+					batch = append(batch, order[next])
+					next++
 				}
-				batch = append(batch, order[next])
-				next++
 			}
 			if len(batch) == 0 {
 				break

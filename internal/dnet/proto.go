@@ -242,7 +242,7 @@ type KNNArgs struct {
 	// the coordinator's merge can never miss a global answer.
 	K int
 	// Tau caps the scan's threshold: the coordinator's current global
-	// k-th distance at round start (+Inf on the first round, before k
+	// k-th distance at round start (+Inf in a pilot round, before k
 	// answers exist). Candidates provably beyond it are never verified.
 	Tau float64
 	// TimeoutMillis / TraceID / SpanID: as in SearchArgs.

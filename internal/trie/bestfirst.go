@@ -1,0 +1,163 @@
+package trie
+
+import (
+	"context"
+	"math"
+
+	"dita/internal/geom"
+	"dita/internal/measure"
+)
+
+// BestFirst is an incremental best-first traversal of one trie: Next yields
+// leaf buckets in ascending accumulated lower bound, and takes the caller's
+// live threshold on every call, so a top-k scan that tightens τ while it
+// verifies never descends — let alone sorts — the part of the trie its final
+// τ rules out. The bounds are the ones SearchBoundsContext accumulates (the
+// same level distances, Lemma 5.1 suffix advance and sum/max/edit
+// accumulation); draining at a fixed τ yields exactly its candidates.
+// Not safe for concurrent use.
+type BestFirst struct {
+	s    searcher
+	heap []bfItem
+}
+
+// bfItem is a frontier node with the lower bound its path accumulated and
+// the Lemma 5.1 query-suffix start that path narrowed to.
+type bfItem struct {
+	n   *node
+	lb  float64
+	suf int
+}
+
+// BestFirst starts a traversal for query q under measure m. Nothing is
+// visited until the first Next.
+func (t *Trie) BestFirst(ctx context.Context, q []geom.Point, m measure.Measure) *BestFirst {
+	b := &BestFirst{s: *newSearcher(ctx, t, q, m, math.Inf(1), nil)}
+	if len(q) > 0 && t.root != nil {
+		b.heap = append(make([]bfItem, 0, 64), bfItem{n: t.root})
+	}
+	return b
+}
+
+// Next returns the trajectory indices of the next leaf bucket and the lower
+// bound of its path, or ok=false once no remaining bucket has a bound ≤ tau
+// (or the context ended — see Err). tau must not grow between calls: a
+// subtree is dropped for good when its bound exceeds the tau of the call
+// that reached it, which is sound for the caller's final threshold exactly
+// because every earlier tau was at least as large. Buckets come in
+// non-decreasing bound order; among equal bounds deeper nodes first, so a
+// query that sits inside nested MBRs reaches its own leaf before its
+// neighbours' subtrees are expanded.
+func (b *BestFirst) Next(tau float64) (idxs []int, lb float64, ok bool) {
+	s := &b.s
+	for s.err == nil && len(b.heap) > 0 && b.heap[0].lb <= tau {
+		if s.visits++; s.visits%ctxCheckEvery == 0 {
+			if s.err = s.ctx.Err(); s.err != nil {
+				break
+			}
+		}
+		it := b.pop()
+		if !it.n.isLeaf() {
+			b.expand(it, tau)
+		} else if len(it.n.leafIdx) > 0 {
+			return it.n.leafIdx, it.lb, true
+		}
+	}
+	return nil, 0, false
+}
+
+// Err reports the context error that ended the traversal, if any (a
+// context's error, once set, never changes).
+func (b *BestFirst) Err() error { return b.s.ctx.Err() }
+
+// expand pushes the children of it whose accumulated bound is within tau —
+// the per-level tests of searcher.visitChild with the remaining budget
+// derived from the live tau instead of threaded down a recursion.
+func (b *BestFirst) expand(it bfItem, tau float64) {
+	s := &b.s
+	q := s.q
+	for _, c := range it.n.children {
+		if c.isLeaf() && c.mbr.IsEmpty() {
+			// Exhausted bucket: no level point to test; its members stay
+			// candidates at the bound accumulated so far.
+			b.push(bfItem{n: c, lb: it.lb, suf: it.suf})
+			continue
+		}
+		lb, nsuf := it.lb, it.suf
+		if s.accum == measure.AccumEdit {
+			// Every level is matched against the whole query; one farther
+			// than ε from every query point costs one edit.
+			if d, _ := s.pivotMinDist(c.mbr, math.Inf(1), 0); d > s.eps {
+				lb++
+			}
+			nsuf = 0
+		} else {
+			rem := tau // max semantics: the budget is not consumed
+			if s.accum == measure.AccumSum {
+				rem = tau - it.lb
+			}
+			var d float64
+			if s.anchored && c.level == 0 {
+				d = c.mbr.MinDist(q[0])
+			} else if s.anchored && c.level == 1 {
+				d = c.mbr.MinDist(q[len(q)-1])
+			} else {
+				d, nsuf = s.pivotMinDist(c.mbr, rem, it.suf)
+			}
+			if s.accum == measure.AccumSum {
+				lb += d
+			} else {
+				lb = math.Max(lb, d)
+			}
+		}
+		if lb <= tau {
+			b.push(bfItem{n: c, lb: lb, suf: nsuf})
+		}
+	}
+}
+
+func bfLess(a, b bfItem) bool {
+	if a.lb != b.lb {
+		return a.lb < b.lb
+	}
+	return a.n.level > b.n.level
+}
+
+func (b *BestFirst) push(it bfItem) {
+	h := append(b.heap, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !bfLess(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	b.heap = h
+}
+
+func (b *BestFirst) pop() bfItem {
+	h := b.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		best := i
+		if l < n && bfLess(h[l], h[best]) {
+			best = l
+		}
+		if r < n && bfLess(h[r], h[best]) {
+			best = r
+		}
+		if best == i {
+			break
+		}
+		h[i], h[best] = h[best], h[i]
+		i = best
+	}
+	b.heap = h
+	return top
+}
