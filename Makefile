@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-json bench-smoke
+.PHONY: build test race vet staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-json bench-smoke bench-kernels
 
 build:
 	$(GO) build ./...
@@ -85,7 +85,8 @@ autopilot:
 
 # Short coverage-guided fuzz smoke of every parser that takes untrusted
 # input (CSV trajectory loader, SQL lexer/parser, snapshot decoder, WAL
-# replay). -run='^$$' skips the unit tests so only the fuzz engine runs.
+# replay) and of the threshold-DTW kernel's accept ⇔ Distance <= tau
+# contract. -run='^$$' skips the unit tests so only the fuzz engine runs.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/traj
@@ -95,6 +96,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz='FuzzWALReplayRaw$$' -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzRepartitionPlan -fuzztime=$(FUZZTIME) ./internal/str
+	$(GO) test -run='^$$' -fuzz=FuzzDTWThreshold -fuzztime=$(FUZZTIME) ./internal/measure
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
@@ -113,6 +115,15 @@ bench-json:
 # answer before the benchmark driver does.
 bench-smoke:
 	$(GO) test -C bench .
+
+# Micro-benchmarks of the verification hot path on pairs shaped like its
+# real input (gen.VerifyWorkloads): the four threshold-DTW kernels and the
+# Verifier cascade around the one in production. EXPERIMENTS.md records the
+# numbers per kernel change.
+KERNEL_BENCHTIME ?= 20000x
+bench-kernels:
+	$(GO) test -run='^$$' -bench='DTWThreshold' -benchmem -benchtime=$(KERNEL_BENCHTIME) ./internal/measure
+	$(GO) test -run='^$$' -bench='VerifyFullCascade' -benchmem -benchtime=$(KERNEL_BENCHTIME) ./internal/core
 
 check: vet staticcheck race chaos knn snap ingest serve rebalance autopilot fuzz bench-smoke
 

@@ -8,7 +8,7 @@
 //   - first/last-point STR partitioning with a global R-tree index and a
 //     per-partition pivot-point trie index,
 //   - a filter–verification pipeline (pivot lower bounds, MBR-coverage
-//     filtering, cell-compression bounds, double-direction threshold DTW),
+//     filtering, band-limited threshold DTW),
 //   - a cost-based distributed join with greedy bi-graph orientation and
 //     division-based load balancing,
 //   - SQL and DataFrame front ends.

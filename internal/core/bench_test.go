@@ -11,7 +11,8 @@ import (
 )
 
 // Ablation benchmarks for the verification cascade (Section 5.3.3): raw
-// threshold DTW on every candidate vs the full coverage→cell→DTW pipeline.
+// threshold DTW on every candidate vs the full length→coverage→DTW
+// pipeline, one query against a whole dataset.
 
 func benchCandidates(b *testing.B) (*traj.Dataset, *traj.T, []trajMeta) {
 	b.Helper()
@@ -19,7 +20,7 @@ func benchCandidates(b *testing.B) (*traj.Dataset, *traj.T, []trajMeta) {
 	q := gen.Queries(d, 1, 4)[0]
 	meta := make([]trajMeta, d.Len())
 	for i, t := range d.Trajs {
-		meta[i] = newTrajMeta(t, 0.01)
+		meta[i] = newTrajMeta(t)
 	}
 	return d, q, meta
 }
@@ -35,14 +36,30 @@ func BenchmarkVerifyRawDTW(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyFullCascade runs Verifier.Verify over the pair sets of
+// measure's BenchmarkDTWThreshold (gen.VerifyWorkloads), so the cascade's
+// cost reads against the bare kernel's on the same input. One Verifier per
+// query, as in a search.
 func BenchmarkVerifyFullCascade(b *testing.B) {
-	d, q, meta := benchCandidates(b)
-	v := NewVerifier(measure.DTW{}, q.Points, 0.003, 0.01)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % d.Len()
-		v.Verify(d.Trajs[j], meta[j])
+	for _, w := range gen.VerifyWorkloads {
+		ts, qs := w.Pairs(4096)
+		meta := make([]trajMeta, len(ts))
+		vs := make([]*Verifier, len(ts))
+		for i, t := range ts {
+			meta[i] = newTrajMeta(t)
+			if i > 0 && qs[i] == qs[i-1] {
+				vs[i] = vs[i-1]
+			} else {
+				vs[i] = NewVerifier(measure.DTW{}, qs[i].Points, w.Tau, 0)
+			}
+		}
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := i % len(ts)
+				vs[j].Verify(ts[j], meta[j])
+			}
+		})
 	}
 }
 
@@ -93,7 +110,7 @@ func BenchmarkKNNScanPartition(b *testing.B) {
 	kth := make([]float64, len(qs))
 	for i, q := range qs {
 		acc := NewKNNAcc(k)
-		if _, err := KNNScanPartition(ctx, m, q.Points, p.Index, p.Trajs, p.meta, nil, e.cellD, acc, math.Inf(1)); err != nil {
+		if _, err := KNNScanPartition(ctx, m, q.Points, p.Index, p.Trajs, p.meta, nil, acc, math.Inf(1)); err != nil {
 			b.Fatal(err)
 		}
 		kth[i] = acc.Tau()
@@ -104,7 +121,7 @@ func BenchmarkKNNScanPartition(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			qi := i % len(qs)
-			f, err := KNNScanPartition(ctx, m, qs[qi].Points, p.Index, p.Trajs, p.meta, nil, e.cellD, NewKNNAcc(k), capTau(qi))
+			f, err := KNNScanPartition(ctx, m, qs[qi].Points, p.Index, p.Trajs, p.meta, nil, NewKNNAcc(k), capTau(qi))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -28,8 +28,10 @@ type Options struct {
 	Trie trie.Config
 	// Measure is the similarity function; DTW when nil.
 	Measure measure.Measure
-	// CellD is the cell side length for the compression filter; <= 0
+	// CellD is the cell side length of the retired Lemma 5.6 filter; <= 0
 	// derives it from the data extent (1% of the larger dimension).
+	// Nothing reads it on a query path any more: it is carried because
+	// the snapshot format and fingerprint record it (ROADMAP item 4c).
 	CellD float64
 	// Cluster is the execution substrate; a fresh 4-worker cluster is
 	// created when nil.
@@ -194,8 +196,7 @@ func NewEngine(d *traj.Dataset, opts Options) (*Engine, error) {
 }
 
 // defaultCellD picks a cell side length from the data extent: 1% of the
-// larger dimension keeps cell lists short while preserving pruning power
-// at the paper's τ scales.
+// larger dimension.
 func defaultCellD(d *traj.Dataset) float64 {
 	ext := d.Stats().Extent
 	if ext.IsEmpty() {
@@ -295,7 +296,7 @@ func (e *Engine) buildLocalIndexes() {
 			p.Index = trie.Build(p.Trajs, e.opts.Trie)
 			p.meta = make([]trajMeta, len(p.Trajs))
 			for i, t := range p.Trajs {
-				p.meta[i] = newTrajMeta(t, e.cellD)
+				p.meta[i] = newTrajMeta(t)
 			}
 		}})
 	}
@@ -314,7 +315,8 @@ func (e *Engine) Measure() measure.Measure { return e.opts.Measure }
 // Dataset returns the indexed dataset.
 func (e *Engine) Dataset() *traj.Dataset { return e.dataset }
 
-// CellD returns the cell side length used for verification metadata.
+// CellD returns the cell side length recorded in the engine's snapshots
+// (see Options.CellD).
 func (e *Engine) CellD() float64 { return e.cellD }
 
 // VerifyParallelism returns the engine's resolved verification fan-out

@@ -51,9 +51,9 @@ type Delta struct {
 }
 
 // Insert appends a trajectory to the overlay.
-func (d *Delta) Insert(t *traj.T, cellD float64) {
+func (d *Delta) Insert(t *traj.T) {
 	d.Live = append(d.Live, t)
-	d.Meta = append(d.Meta, NewVerifyMeta(t, cellD))
+	d.Meta = append(d.Meta, newTrajMeta(t))
 	d.Bytes += t.Bytes()
 }
 
@@ -260,6 +260,7 @@ func (e *Engine) openLogs(st *ingestState, cfg IngestConfig, sum *ReplaySummary)
 			}
 		}
 	}
+	replayed := make(map[int]struct{})
 	for _, p := range e.parts {
 		if !cfg.Replay {
 			if err := cfg.WAL.Remove(name, p.ID); err != nil {
@@ -290,6 +291,7 @@ func (e *Engine) openLogs(st *ingestState, cfg IngestConfig, sum *ReplaySummary)
 			if r.Seq <= p.watermark {
 				continue // already folded into the snapshot base
 			}
+			replayed[r.ID] = struct{}{}
 			switch r.Op {
 			case wal.OpInsert:
 				e.applyInsertLocal(st, p, &traj.T{ID: r.ID, Points: r.Points})
@@ -303,9 +305,49 @@ func (e *Engine) openLogs(st *ingestState, cfg IngestConfig, sum *ReplaySummary)
 		}
 	}
 	if sum.Records > 0 {
+		e.relocateReplayed(st, replayed)
 		e.buildGlobalIndex()
 	}
 	return nil
+}
+
+// relocateReplayed settles where each replayed id lives once every log
+// has been applied. Replay restores each partition's own visible set
+// exactly, but it runs in pid order, not seq order, so the location map
+// it leaves is the last log's opinion: an id deleted from a high pid and
+// re-inserted into a lower one would be unmapped by the older delete. So
+// the map is re-derived here from what the partitions actually show. A
+// live engine shows an id in one partition only; the one durable state
+// that shows it in two is a crash between sealing a cutover's pieces and
+// tombstoning the old partitions, where an old log's insert also sits in
+// a piece's base (the base-vs-base masking in EnableIngest cannot see
+// it). The two copies are the same version and the old (snapshot, log)
+// pair is authoritative, so the overlay copy stays and the base copy is
+// masked.
+func (e *Engine) relocateReplayed(st *ingestState, ids map[int]struct{}) {
+	for id := range ids {
+		delete(st.loc, id)
+	}
+	// At cold start the overlays hold replayed inserts and nothing else.
+	for _, p := range e.parts {
+		for _, t := range p.delta.Live {
+			st.loc[t.ID] = locEntry{pid: p.ID, t: t}
+		}
+	}
+	for id := range ids {
+		_, inDelta := st.loc[id]
+		for _, p := range e.parts {
+			i, ok := p.baseIdx[id]
+			if !ok || p.maskedBase(id) {
+				continue
+			}
+			if inDelta {
+				p.tomb[id] = true
+			} else {
+				st.loc[id] = locEntry{pid: p.ID, t: p.Trajs[i]}
+			}
+		}
+	}
 }
 
 // Insert adds (or, for an existing id, replaces) a trajectory. The
@@ -495,7 +537,7 @@ func (e *Engine) applyInsertLocal(st *ingestState, p *Partition, t *traj.T) (gre
 			p.tomb[t.ID] = true
 		}
 	}
-	p.delta.Insert(t, e.cellD)
+	p.delta.Insert(t)
 	st.loc[t.ID] = locEntry{pid: p.ID, t: t}
 	nf, nl := p.MBRf.Extend(t.First()), p.MBRl.Extend(t.Last())
 	grew = nf != p.MBRf || nl != p.MBRl
@@ -666,7 +708,7 @@ func (e *Engine) MergePartition(pid int) (bool, error) {
 	idx := trie.Build(merged, e.opts.Trie)
 	meta := make([]trajMeta, len(merged))
 	for i, t := range merged {
-		meta[i] = newTrajMeta(t, e.cellD)
+		meta[i] = newTrajMeta(t)
 	}
 
 	e.mu.Lock()

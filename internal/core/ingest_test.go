@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -40,13 +41,14 @@ func visibleDataset(want map[int]*traj.T) *traj.Dataset {
 	return traj.NewDataset("visible", trajs)
 }
 
-// checkVisible compares the engine's search and kNN answers against
+// checkVisible compares the engine's search, kNN and join answers against
 // brute force over the model's visible set — the strongest oracle the
 // repo has (a rebuilt engine is itself tested against brute force).
 func checkVisible(t *testing.T, e *Engine, want map[int]*traj.T, queries []*traj.T, label string) {
 	t.Helper()
 	vis := visibleDataset(want)
 	m := e.Measure()
+	checkVisibleJoins(t, e, vis, label)
 	for _, q := range queries {
 		bs := bruteSearch(vis, m, q, 0.05)
 		got := e.Search(q, 0.05, nil)
@@ -81,6 +83,44 @@ func checkVisible(t *testing.T, e *Engine, want map[int]*traj.T, queries []*traj
 			}
 		}
 	}
+}
+
+// checkVisibleJoins joins the engine with itself and, in both orientations,
+// with a static engine holding clones of its highest-id visible members
+// (ingested ones have the highest ids, so an unmerged overlay is hit from
+// both sides), and compares each pair set against brute force.
+func checkVisibleJoins(t *testing.T, e *Engine, vis *traj.Dataset, label string) {
+	t.Helper()
+	const tau = 0.05
+	m, jo := e.Measure(), DefaultJoinOptions()
+	var clones []*traj.T
+	for i := vis.Len() - 1; i >= 0 && len(clones) < 10; i-- {
+		c := vis.Trajs[i].Clone()
+		c.ID += 1 << 20
+		clones = append(clones, c)
+	}
+	static := traj.NewDataset("static", clones)
+	se, err := NewEngine(static, e.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The self-join oracle is bruteJoin(vis, vis) minus the pairs an
+	// endpoint-anchored measure cannot accept (distance >= dist of the first
+	// points): all n² exact DPs at every round would be most of the suite's time.
+	self := map[[2]int]bool{}
+	for _, a := range vis.Trajs {
+		for _, b := range vis.Trajs {
+			if m.AlignsEndpoints() && a.First().Dist(b.First()) > tau {
+				continue
+			}
+			if m.Distance(a.Points, b.Points) <= tau {
+				self[[2]int{a.ID, b.ID}] = true
+			}
+		}
+	}
+	checkJoin(t, e.Join(e, tau, jo, nil), self, label+": self-join")
+	checkJoin(t, e.Join(se, tau, jo, nil), bruteJoin(vis, static, m, tau), label+": join with static")
+	checkJoin(t, se.Join(e, tau, jo, nil), bruteJoin(static, vis, m, tau), label+": static join with")
 }
 
 // TestIngestDifferential is the tentpole's core contract: an engine
@@ -542,6 +582,95 @@ func TestIngestReplayExtendsBounds(t *testing.T) {
 		t.Fatalf("replayed %d records, want 1", csum.Records)
 	}
 	check("recovered", cold)
+}
+
+// TestIngestReplayReinsertAcrossPartitions: logs replay in pid order, not
+// seq order, and an id that was deleted and inserted again is routed
+// anew. When the second home has the lower pid its log replays first, and
+// the first home's older insert+delete must neither hide the newer copy
+// nor unmap it — whether that copy is still in the overlay or already
+// folded into a base whose watermark is past the older records.
+func TestIngestReplayReinsertAcrossPartitions(t *testing.T) {
+	for _, merged := range []bool{false, true} {
+		merged := merged
+		t.Run(fmt.Sprintf("merged=%v", merged), func(t *testing.T) {
+			dir := t.TempDir()
+			snapStore, err := snap.NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walStore, err := wal.NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := smallDataset(250, 57)
+			e, err := NewEngine(d, smallOpts(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealAll(t, e, snapStore)
+			if _, err := e.EnableIngest(IngestConfig{WAL: walStore, Snap: snapStore}); err != nil {
+				t.Fatal(err)
+			}
+			want := map[int]*traj.T{}
+			for _, tr := range d.Trajs {
+				want[tr.ID] = tr
+			}
+			// A copy of a member routes to a partition whose boxes hold
+			// both its endpoints: find two members that route apart.
+			const id = 424242
+			var hi, lo *traj.T
+			for _, a := range d.Trajs {
+				pa := e.routePartition(a).ID
+				for _, b := range d.Trajs {
+					if e.routePartition(b).ID < pa {
+						hi, lo = a, b
+						break
+					}
+				}
+				if hi != nil {
+					break
+				}
+			}
+			if hi == nil {
+				t.Fatal("every member routes to the same partition")
+			}
+			if err := e.Insert(&traj.T{ID: id, Points: hi.Points}); err != nil {
+				t.Fatal(err)
+			}
+			first := e.ing.loc[id].pid
+			if ok, err := e.Delete(id); err != nil || !ok {
+				t.Fatalf("delete: ok=%v err=%v", ok, err)
+			}
+			again := &traj.T{ID: id, Points: lo.Points}
+			if err := e.Insert(again); err != nil {
+				t.Fatal(err)
+			}
+			want[id] = again
+			second := e.ing.loc[id].pid
+			if second >= first {
+				t.Fatalf("re-insert landed in partition %d, first home was %d", second, first)
+			}
+			if merged {
+				if ok, err := e.MergePartition(second); err != nil || !ok {
+					t.Fatalf("merge: ok=%v err=%v", ok, err)
+				}
+			}
+			queries := append(gen.Queries(d, 3, 58), again)
+			checkVisible(t, e, want, queries, "live")
+
+			cold, _ := coldStart(t, snapStore, walStore, smallOpts(4))
+			checkVisible(t, cold, want, queries, "recovered")
+			if le, ok := cold.ing.loc[id]; !ok || le.pid != second {
+				t.Fatalf("recovered location of %d = %+v (found=%v), want partition %d", id, le, ok, second)
+			}
+			if ok, err := cold.Delete(id); err != nil || !ok {
+				t.Fatalf("delete after recovery: ok=%v err=%v", ok, err)
+			}
+			delete(want, id)
+			checkVisible(t, cold, want, queries, "recovered, deleted")
+		})
+	}
 }
 
 // TestIngestSeqResumesPastWatermark: after a merge truncates every log

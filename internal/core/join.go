@@ -747,9 +747,9 @@ func localJoin(ctx context.Context, dstEngine *Engine, dst *Partition, shipped [
 	for _, h := range hits {
 		t, d := ts[h.Pair.Shipped], h.Pair.Local
 		if flip {
-			out = append(out, Pair{T: dst.Trajs[d], Q: t, Distance: h.Distance})
+			out = append(out, Pair{T: dstTrajs[d], Q: t, Distance: h.Distance})
 		} else {
-			out = append(out, Pair{T: t, Q: dst.Trajs[d], Distance: h.Distance})
+			out = append(out, Pair{T: t, Q: dstTrajs[d], Distance: h.Distance})
 		}
 	}
 	return out, f, nil

@@ -188,13 +188,13 @@ func (e *Engine) knnVisit(ctx context.Context, p *Partition, q []geom.Point, acc
 	if p.hasOverlay() {
 		masked = p.maskedBase
 	}
-	f, err = KNNScanPartition(ctx, e.opts.Measure, q, p.Index, p.Trajs, p.meta, masked, e.cellD, acc, math.Inf(1))
+	f, err = KNNScanPartition(ctx, e.opts.Measure, q, p.Index, p.Trajs, p.meta, masked, acc, math.Inf(1))
 	if err != nil || !p.hasOverlay() {
 		return f, err
 	}
 	if p.frozen != nil && len(p.frozen.Live) > 0 {
 		ff, err := KNNScanLive(ctx, e.opts.Measure, q, p.frozen.Live, p.frozen.Meta,
-			func(id int) bool { return p.tomb[id] }, e.cellD, acc, math.Inf(1))
+			func(id int) bool { return p.tomb[id] }, acc, math.Inf(1))
 		f.Merge(ff)
 		if err != nil {
 			return f, err
@@ -202,7 +202,7 @@ func (e *Engine) knnVisit(ctx context.Context, p *Partition, q []geom.Point, acc
 	}
 	if p.delta != nil && len(p.delta.Live) > 0 {
 		df, err := KNNScanLive(ctx, e.opts.Measure, q, p.delta.Live, p.delta.Meta,
-			nil, e.cellD, acc, math.Inf(1))
+			nil, acc, math.Inf(1))
 		f.Merge(df)
 		if err != nil {
 			return f, err
@@ -236,9 +236,9 @@ func (e *Engine) knnPrime(ctx context.Context, q *traj.T, prime []*traj.T, acc *
 			matched++
 			continue
 		}
-		_, ok := m.DistanceThreshold(t.Points, q.Points, knnFilterTau(tau))
+		d, ok := m.DistanceThreshold(t.Points, q.Points, tau)
 		acc.Resolve(t)
-		if ok && acc.Offer(t, m.Distance(t.Points, q.Points)) {
+		if ok && acc.Offer(t, d) {
 			matched++
 		}
 	}

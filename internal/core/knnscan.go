@@ -217,7 +217,6 @@ const knnScanCtxEvery = 32
 type knnScan struct {
 	m      measure.Measure
 	q      []geom.Point
-	cellD  float64
 	acc    *KNNAcc
 	capTau float64
 
@@ -230,20 +229,13 @@ type knnScan struct {
 
 func (s *knnScan) tau() float64 { return math.Min(s.capTau, s.acc.Tau()) }
 
-// knnFilterTau widens a finite threshold by a relative 1e-9 before it is
-// handed to a threshold kernel. The early-abandoning kernels sum the DP in
-// a different order than the exact kernel and may differ from it in the
-// last ulp; the margin — orders of magnitude above that noise, and far
-// below any distance gap that matters — keeps a candidate whose exact
-// distance ties the k-th best from being abandoned on rounding alone.
-func knnFilterTau(tau float64) float64 { return tau + tau*1e-9 }
-
 // verify resolves one candidate at threshold tau and offers it to acc.
-// The threshold cascade only filters: what enters the heap is always the
-// exact kernel's distance, so an answer's (distance, ID) order — ties
-// between identical geometries included — does not depend on which
-// partition, round or kernel happened to meet a candidate first, and is
-// exactly brute force's.
+// Every threshold kernel accepts exactly when Distance <= tau and returns
+// Distance's bits (the Measure contract), so what enters the heap is the
+// exact kernel's distance whichever path computed it: an answer's
+// (distance, ID) order — ties between identical geometries included — does
+// not depend on which partition, round or kernel happened to meet a
+// candidate first, and is exactly brute force's.
 func (s *knnScan) verify(t *traj.T, meta VerifyMeta, tau float64) {
 	if math.IsInf(tau, 1) {
 		s.exactVerified++
@@ -252,14 +244,14 @@ func (s *knnScan) verify(t *traj.T, meta VerifyMeta, tau float64) {
 		return
 	}
 	if s.v == nil {
-		s.v = NewVerifier(s.m, s.q, knnFilterTau(tau), s.cellD)
+		s.v = NewVerifier(s.m, s.q, tau, 0)
 	} else if tau != s.vTau {
-		s.v.SetTau(knnFilterTau(tau))
+		s.v.SetTau(tau)
 	}
 	s.vTau = tau
-	_, ok := s.v.Verify(t, meta)
+	d, ok := s.v.Verify(t, meta)
 	s.acc.Resolve(t)
-	if ok && s.acc.Offer(t, s.m.Distance(t.Points, s.q)) {
+	if ok && s.acc.Offer(t, d) {
 		s.matched++
 	}
 }
@@ -298,10 +290,10 @@ func (s *knnScan) funnel(f obs.Funnel) obs.Funnel {
 // the traversal handed over before the cut.
 func KNNScanPartition(ctx context.Context, m measure.Measure, q []geom.Point,
 	idx *trie.Trie, trajs []*traj.T, meta []VerifyMeta, masked func(id int) bool,
-	cellD float64, acc *KNNAcc, capTau float64) (obs.Funnel, error) {
+	acc *KNNAcc, capTau float64) (obs.Funnel, error) {
 
 	f := obs.Funnel{Considered: int64(len(trajs))}
-	s := knnScan{m: m, q: q, cellD: cellD, acc: acc, capTau: capTau}
+	s := knnScan{m: m, q: q, acc: acc, capTau: capTau}
 	bf := idx.BestFirst(ctx, q, m)
 	seen := 0
 scan:
@@ -341,10 +333,10 @@ scan:
 // Shared by the local engine and the network-mode worker.
 func KNNScanLive(ctx context.Context, m measure.Measure, q []geom.Point,
 	live []*traj.T, meta []VerifyMeta, masked func(id int) bool,
-	cellD float64, acc *KNNAcc, capTau float64) (obs.Funnel, error) {
+	acc *KNNAcc, capTau float64) (obs.Funnel, error) {
 
 	f := obs.Funnel{Considered: int64(len(live)), TrieCands: int64(len(live))}
-	s := knnScan{m: m, q: q, cellD: cellD, acc: acc, capTau: capTau}
+	s := knnScan{m: m, q: q, acc: acc, capTau: capTau}
 	for ci, t := range live {
 		if ci%knnScanCtxEvery == 0 {
 			if err := ctx.Err(); err != nil {

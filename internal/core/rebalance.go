@@ -34,8 +34,10 @@ import (
 //  2. Seal the pieces' snapshots, ascending pid. A crash here leaves
 //     the old partitions' (snapshot, WAL) pairs authoritative; any
 //     already-sealed piece duplicates old content and is masked
-//     deterministically at the next EnableIngest (lowest pid wins), so
-//     recovery sees exactly the old layout.
+//     deterministically at the next EnableIngest — base members when
+//     the bases are loaded (lowest pid wins), the old logs' inserts
+//     once every log is replayed (relocateReplayed: the overlay copy
+//     wins) — so recovery sees exactly the old layout.
 //  3. Seal an empty tombstone snapshot over each old partition (its
 //     watermark = the cut sequence, so a leftover WAL suffix replays as
 //     a no-op), then remove its WAL. A crash between tombstones leaves
@@ -352,7 +354,7 @@ func (e *Engine) buildPiece(id, workers int, members []*traj.T, watermark uint64
 	p.baseIdx = make(map[int]int, len(members))
 	p.MBRf, p.MBRl = geom.EmptyMBR(), geom.EmptyMBR()
 	for i, t := range members {
-		p.meta[i] = newTrajMeta(t, e.cellD)
+		p.meta[i] = newTrajMeta(t)
 		p.baseIdx[t.ID] = i
 		p.bytes += t.Bytes()
 		p.MBRf = p.MBRf.Extend(t.First())

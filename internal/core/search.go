@@ -29,7 +29,7 @@ type SearchStats struct {
 	// Results is the answer count.
 	Results int
 	// Funnel is the full pruning funnel, one stage per filter of the
-	// cascade (global index → trie → length → coverage → cell → exact).
+	// cascade (global index → trie → length → coverage → exact).
 	Funnel obs.Funnel
 	// Trace, when non-nil, receives per-stage spans (global-prune, per-
 	// partition trie descent and verification, merge). Setting it enables

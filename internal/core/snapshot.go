@@ -141,7 +141,7 @@ func NewEngineFromSnapshots(snaps []*snap.Snapshot, opts Options) (*Engine, erro
 		tasks = append(tasks, cluster.Task{Worker: p.Worker, Fn: func() {
 			p.meta = make([]trajMeta, len(p.Trajs))
 			for i, t := range p.Trajs {
-				p.meta[i] = newTrajMeta(t, e.cellD)
+				p.meta[i] = newTrajMeta(t)
 			}
 		}})
 	}

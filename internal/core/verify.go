@@ -9,149 +9,28 @@ import (
 	"dita/internal/traj"
 )
 
-// Cell is one cell of the compressed trajectory representation
-// (Section 5.3.3, cell-based compression): a square of side Size (stored
-// on the CellList) centered at Center, covering Count of the trajectory's
-// points.
-type Cell struct {
-	Center geom.Point
-	Count  int
-}
-
-// CellList is a trajectory's cell compression with its side length D.
-type CellList struct {
-	D     float64
-	Cells []Cell
-}
-
-// CompressCells builds the cell list for a trajectory: the first point
-// opens a cell centered on itself; each subsequent point increments the
-// first existing cell whose square contains it, or opens a new cell
-// centered on itself.
-func CompressCells(pts []geom.Point, d float64) CellList {
-	cl := CellList{D: d}
-	if d <= 0 {
-		return cl
-	}
-	half := d / 2
-	for _, p := range pts {
-		placed := false
-		for i := range cl.Cells {
-			c := cl.Cells[i].Center
-			if math.Abs(p.X-c.X) <= half && math.Abs(p.Y-c.Y) <= half {
-				cl.Cells[i].Count++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			cl.Cells = append(cl.Cells, Cell{Center: p, Count: 1})
-		}
-	}
-	return cl
-}
-
-// square returns the cell's square as an MBR.
-func (c Cell) square(d float64) geom.MBR {
-	half := d / 2
-	return geom.MBR{
-		Min: geom.Point{X: c.Center.X - half, Y: c.Center.Y - half},
-		Max: geom.Point{X: c.Center.X + half, Y: c.Center.Y + half},
-	}
-}
-
-// CellLowerBoundSum computes Lemma 5.6's lower bound on DTW:
-//
-//	Cell(T,Q) = Σ_{cT} (min_{cQ} dist(cT,cQ)) · |cT|
-//
-// where dist between cells is the minimum distance between their squares.
-// Both lists must use the same D for the geometry to be meaningful, but
-// the bound is sound for any D since squares only widen point sets.
-// The accumulation abandons once the partial sum exceeds tau (a partial
-// sum of non-negative terms is itself a lower bound); pass +Inf for the
-// exact bound.
-func CellLowerBoundSum(t, q CellList, tau float64) float64 {
-	if len(t.Cells) == 0 || len(q.Cells) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, ct := range t.Cells {
-		sq := ct.square(t.D)
-		best := math.Inf(1)
-		for _, cq := range q.Cells {
-			if d := sq.MinDistMBR(cq.square(q.D)); d < best {
-				best = d
-				if best == 0 {
-					break
-				}
-			}
-		}
-		sum += best * float64(ct.Count)
-		if sum > tau {
-			return sum
-		}
-	}
-	return sum
-}
-
-// CellLowerBoundMax computes the Fréchet form of the cell bound:
-// Fréchet(T,Q) >= max_{cT} min_{cQ} dist(cT,cQ).
-func CellLowerBoundMax(t, q CellList) float64 {
-	if len(t.Cells) == 0 || len(q.Cells) == 0 {
-		return 0
-	}
-	worst := 0.0
-	for _, ct := range t.Cells {
-		sq := ct.square(t.D)
-		best := math.Inf(1)
-		for _, cq := range q.Cells {
-			if d := sq.MinDistMBR(cq.square(q.D)); d < best {
-				best = d
-				if best == 0 {
-					break
-				}
-			}
-		}
-		if best > worst {
-			worst = best
-		}
-	}
-	return worst
-}
-
-// cellFilterWorthwhile is the cost gate for the cell filter: the bound
-// costs O(cT·cQ) square-to-square distances, the exact verification
-// O(m·n) point distances with early abandoning; the filter pays off only
-// when the DP is several times larger.
-func cellFilterWorthwhile(cT, cQ, m, n int) bool {
-	return 8*cT*cQ < m*n
-}
-
-// trajMeta caches the per-trajectory verification inputs, computed once at
-// index-build time ("computing MBRs and cells is pre-processed during
-// creating the index", Section 5.3.3).
+// trajMeta caches the per-trajectory verification input, computed once at
+// index-build time ("computing MBRs ... is pre-processed during creating
+// the index", Section 5.3.3).
 type trajMeta struct {
-	mbr   geom.MBR
-	cells CellList
+	mbr geom.MBR
 }
 
-func newTrajMeta(t *traj.T, cellD float64) trajMeta {
-	return trajMeta{mbr: t.MBR(), cells: CompressCells(t.Points, cellD)}
-}
+func newTrajMeta(t *traj.T) trajMeta { return trajMeta{mbr: t.MBR()} }
 
 // VerifyMeta is the exported form of the per-trajectory verification
 // metadata, for callers (like the network-mode worker) that manage their
 // own partition storage.
 type VerifyMeta = trajMeta
 
-// NewVerifyMeta computes a trajectory's verification metadata with the
-// given cell side length.
-func NewVerifyMeta(t *traj.T, cellD float64) VerifyMeta { return newTrajMeta(t, cellD) }
+// NewVerifyMeta computes a trajectory's verification metadata. The cell
+// side length is unused: it is part of the signature the benchmark and the
+// worker compile against, like Options.CellD in the snapshot format.
+func NewVerifyMeta(t *traj.T, _ float64) VerifyMeta { return newTrajMeta(t) }
 
-// Verifier runs the paper's verification cascade for one query: MBR
-// coverage filtering (Lemma 5.4) → cell-based lower bound (Lemma 5.6) →
-// threshold distance with double-direction early abandoning. It caches
-// the query-side MBR, expanded MBR and cells.
+// Verifier runs the verification cascade for one query: length filter
+// (edit measures) → MBR coverage filtering (Lemma 5.4) → threshold distance
+// with early abandoning. It caches the query-side MBR and expanded MBR.
 //
 // The cached query-side state is read-only after construction and the
 // stats counters are atomic, so one Verifier may be shared by the worker
@@ -163,45 +42,32 @@ type Verifier struct {
 	q     []geom.Point
 	qMBR  geom.MBR
 	qEMBR geom.MBR
-	qCell CellList
 	// Stats
 	CoveragePruned atomic.Int64
-	CellPruned     atomic.Int64
 	LengthPruned   atomic.Int64
 	Verified       atomic.Int64
 	Accepted       atomic.Int64
 }
 
-// NewVerifier prepares a verifier for query q at threshold tau. cellD is
-// the cell side length used for the candidate metadata (the query's cells
-// are computed with the same D).
-func NewVerifier(m measure.Measure, q []geom.Point, tau, cellD float64) *Verifier {
-	v := &Verifier{m: m, tau: tau, q: q, qMBR: geom.MBROf(q)}
-	v.qEMBR = v.qMBR.Expand(tau)
-	if m.SupportsCellFilter() && cellD > 0 {
-		v.qCell = CompressCells(q, cellD)
-	}
-	return v
+// NewVerifier prepares a verifier for query q at threshold tau. The cell
+// side length is unused (see NewVerifyMeta).
+func NewVerifier(m measure.Measure, q []geom.Point, tau, _ float64) *Verifier {
+	return NewVerifierFromMeta(m, q, tau, trajMeta{mbr: geom.MBROf(q)})
 }
 
-// NewVerifierFromMeta is NewVerifier with the query's MBR and cells
-// already computed (the join reuses the shipping side's index-time
-// metadata instead of recompressing every shipped trajectory per edge).
+// NewVerifierFromMeta is NewVerifier with the query's MBR already computed
+// (the join reuses the shipping side's index-time metadata).
 func NewVerifierFromMeta(m measure.Measure, q []geom.Point, tau float64, meta trajMeta) *Verifier {
 	v := &Verifier{m: m, tau: tau, q: q, qMBR: meta.mbr}
 	v.qEMBR = v.qMBR.Expand(tau)
-	if m.SupportsCellFilter() {
-		v.qCell = meta.cells
-	}
 	return v
 }
 
 // SetTau re-targets the verifier to a tighter threshold, recomputing the
-// cached expanded query MBR. The best-first kNN scan shrinks τ as better
-// neighbors land, and rebuilding a Verifier per candidate would recompress
-// the query's cells every time. NOT safe to call while VerifyAll workers
-// are running — the kNN scan verifies sequentially precisely because τ
-// mutates between candidates. tau must be finite.
+// cached expanded query MBR; the best-first kNN scan shrinks τ as better
+// neighbors land. NOT safe to call while VerifyAll workers are running —
+// the kNN scan verifies sequentially precisely because τ mutates between
+// candidates. tau must be finite.
 func (v *Verifier) SetTau(tau float64) {
 	v.tau = tau
 	v.qEMBR = v.qMBR.Expand(tau)
@@ -223,27 +89,7 @@ func (v *Verifier) Verify(t *traj.T, meta trajMeta) (float64, bool) {
 			return math.Inf(1), false
 		}
 	}
-	// Cell-based compression, Lemma 5.6, both directions. The filter is
-	// only worthwhile when the exact DP is large relative to the cell
-	// lists (the paper's trajectories run to 3000 points; for short pairs
-	// the early-abandoning DP is cheaper than the bound itself).
-	if v.m.SupportsCellFilter() && len(v.qCell.Cells) > 0 && len(meta.cells.Cells) > 0 &&
-		cellFilterWorthwhile(len(meta.cells.Cells), len(v.qCell.Cells), len(t.Points), len(v.q)) {
-		var lb float64
-		if v.m.Accumulation() == measure.AccumMax {
-			lb = math.Max(CellLowerBoundMax(meta.cells, v.qCell), CellLowerBoundMax(v.qCell, meta.cells))
-		} else {
-			lb = CellLowerBoundSum(meta.cells, v.qCell, v.tau)
-			if lb <= v.tau {
-				lb = math.Max(lb, CellLowerBoundSum(v.qCell, meta.cells, v.tau))
-			}
-		}
-		if lb > v.tau {
-			v.CellPruned.Add(1)
-			return lb, false
-		}
-	}
-	// Exact threshold verification (double-direction for DTW).
+	// Exact threshold verification (band-limited for DTW).
 	v.Verified.Add(1)
 	d, ok := v.m.DistanceThreshold(t.Points, v.q, v.tau)
 	if ok {

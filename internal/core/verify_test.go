@@ -54,7 +54,7 @@ func TestPaperExample55Coverage(t *testing.T) {
 	// The verifier must prune this pair without an exact computation.
 	v := NewVerifier(measure.DTW{}, q, tau, 2)
 	tr := &traj.T{ID: 5, Points: figT5}
-	if _, ok := v.Verify(tr, newTrajMeta(tr, 2)); ok {
+	if _, ok := v.Verify(tr, newTrajMeta(tr)); ok {
 		t.Error("verifier accepted the paper's pruned pair")
 	}
 	if v.CoveragePruned.Load() != 1 {
@@ -143,7 +143,7 @@ func TestVerifierExact(t *testing.T) {
 			}
 			v := NewVerifier(m, b, tau, 1)
 			tr := &traj.T{Points: a}
-			_, ok := v.Verify(tr, newTrajMeta(tr, 1))
+			_, ok := v.Verify(tr, newTrajMeta(tr))
 			if want := exact <= tau; ok != want {
 				t.Fatalf("%s: verifier decision %v, want %v (exact=%v tau=%v)",
 					m.Name(), ok, want, exact, tau)
@@ -164,7 +164,7 @@ func TestVerifierFiltersFire(t *testing.T) {
 			far[j] = geom.Point{X: 1000 + rng.Float64(), Y: 1000 + rng.Float64()}
 		}
 		tr := &traj.T{Points: far}
-		if _, ok := v.Verify(tr, newTrajMeta(tr, 1)); ok {
+		if _, ok := v.Verify(tr, newTrajMeta(tr)); ok {
 			t.Fatal("far candidate accepted")
 		}
 	}

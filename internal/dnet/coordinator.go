@@ -31,8 +31,9 @@ type Config struct {
 	Trie trie.Config
 	// Measure names the similarity function.
 	Measure MeasureSpec
-	// CellD is the verification cell side length; <= 0 derives it from
-	// the data extent like the in-process engine.
+	// CellD is the cell side length recorded in snapshots (see
+	// core.Options.CellD); <= 0 derives it from the data extent like the
+	// in-process engine.
 	CellD float64
 	// Replicas is the partition replication factor: each partition is
 	// shipped to this many distinct workers (default 2, clamped to the

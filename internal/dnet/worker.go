@@ -670,14 +670,14 @@ func (s *workerService) KNN(args *KNNArgs, reply *KNNReply) (err error) {
 		masked = func(id int) bool { return tomb[id] }
 	}
 	acc := core.NewKNNAcc(args.K)
-	f, err := core.KNNScanPartition(ctx, p.m, args.Query, pv.index, pv.trajs, pv.meta, masked, p.cellD, acc, args.Tau)
+	f, err := core.KNNScanPartition(ctx, p.m, args.Query, pv.index, pv.trajs, pv.meta, masked, acc, args.Tau)
 	if err != nil {
 		return err
 	}
 	if len(pv.delta) > 0 {
 		// Delta members are unindexed until the next merge: the linear
 		// best-first scan resolves them exactly against the same accumulator.
-		lf, err := core.KNNScanLive(ctx, p.m, args.Query, pv.delta, pv.deltaMeta, nil, p.cellD, acc, args.Tau)
+		lf, err := core.KNNScanLive(ctx, p.m, args.Query, pv.delta, pv.deltaMeta, nil, acc, args.Tau)
 		if err != nil {
 			return err
 		}

@@ -366,3 +366,57 @@ func Queries(d *traj.Dataset, k int, seed int64) []*traj.T {
 	}
 	return qs
 }
+
+// VerifyWorkload is one pair set of the threshold-kernel and verify-cascade
+// micro-benchmarks (measure's BenchmarkDTWThreshold, core's
+// BenchmarkVerifyFullCascade). It exists for those benchmarks only — it
+// lives here because measure cannot import core and the two must time the
+// same pairs; no query path filters with it.
+type VerifyWorkload struct {
+	Name   string
+	Cfg    Config
+	Tau    float64
+	MinLen int // members shorter than this are left out, on both sides
+}
+
+// VerifyWorkloads are the repository benchmark's corpus shape at its search
+// and join thresholds, and long OSM-like traces — the paper's regime, where
+// a DP that fills all m·n cells hurts most.
+var VerifyWorkloads = []VerifyWorkload{
+	{"beijing_tau0.003", BeijingLike(20000, 1), 0.003, 0},
+	{"beijing_tau0.01", BeijingLike(20000, 1), 0.01, 0},
+	{"osm_long_tau0.01", OSMLike(6000, 1), 0.01, 150},
+}
+
+// Pairs returns up to max (candidate, query) pairs shaped like the input of
+// a threshold search's exact verification: the queries are the dataset's
+// first members, and a member is a query's candidate when it passes the two
+// O(1) tests every index candidate has passed — the aligned endpoint bound
+// dist(t1,q1)+dist(tm,qn) <= tau and mutual MBR coverage (Lemma 5.4). What
+// is left is route mates (true matches, the query itself among them) and
+// near misses, the mix the threshold DP is actually run on; unrelated random
+// walks, which it never sees, are not.
+func (w VerifyWorkload) Pairs(max int) (ts, qs []*traj.T) {
+	d := Generate(w.Cfg)
+	mbrs := make([]geom.MBR, d.Len())
+	for i, t := range d.Trajs {
+		mbrs[i] = t.MBR()
+	}
+	for qi, q := range d.Trajs {
+		if q.Len() < w.MinLen {
+			continue
+		}
+		qe := mbrs[qi].Expand(w.Tau)
+		for ti, t := range d.Trajs {
+			if t.Len() < w.MinLen || t.First().Dist(q.First())+t.Last().Dist(q.Last()) > w.Tau ||
+				!qe.Covers(mbrs[ti]) || !mbrs[ti].Expand(w.Tau).Covers(mbrs[qi]) {
+				continue
+			}
+			ts, qs = append(ts, t), append(qs, q)
+			if len(ts) == max {
+				return ts, qs
+			}
+		}
+	}
+	return ts, qs
+}

@@ -209,3 +209,27 @@ func TestRouteSharingProducesSimilarPairs(t *testing.T) {
 		t.Errorf("route sharing had no effect: %d vs %d", mates, freeMates)
 	}
 }
+
+// A verify workload's pairs are what the O(1) filters let through: capped at
+// max, every query paired with itself, and no pair the endpoint bound rejects.
+func TestVerifyWorkloadPairs(t *testing.T) {
+	w := VerifyWorkload{Name: "small", Cfg: BeijingLike(600, 23), Tau: 0.003}
+	ts, qs := w.Pairs(500)
+	if len(ts) == 0 || len(ts) > 500 || len(ts) != len(qs) {
+		t.Fatalf("got %d candidates for %d queries, want 1..500 of each", len(ts), len(qs))
+	}
+	self, mates := 0, 0
+	for i := range ts {
+		if ts[i] == qs[i] {
+			self++
+		} else {
+			mates++
+		}
+		if d := ts[i].First().Dist(qs[i].First()) + ts[i].Last().Dist(qs[i].Last()); d > w.Tau {
+			t.Fatalf("pair %d: endpoint bound %v > tau", i, d)
+		}
+	}
+	if self == 0 || mates == 0 {
+		t.Errorf("%d self pairs and %d route mates; want both", self, mates)
+	}
+}

@@ -27,9 +27,6 @@ func (e EDR) Epsilon() float64 { return e.Eps }
 // than matched, so Lemma 5.4 does not hold for EDR.
 func (EDR) SupportsCoverageFilter() bool { return false }
 
-// SupportsCellFilter implements Measure.
-func (EDR) SupportsCellFilter() bool { return false }
-
 // LengthLowerBound implements Measure: every surplus point costs one edit,
 // so EDR(T,Q) >= |m-n| (the paper's length filtering, Appendix A).
 func (EDR) LengthLowerBound(m, n int) float64 {
@@ -117,9 +114,6 @@ func (l LCSS) Epsilon() float64 { return l.Eps }
 
 // SupportsCoverageFilter implements Measure.
 func (LCSS) SupportsCoverageFilter() bool { return false }
-
-// SupportsCellFilter implements Measure.
-func (LCSS) SupportsCellFilter() bool { return false }
 
 // LengthLowerBound implements Measure: LCSS(T,Q) >= |m-n| since matches
 // consume one point from each side.

@@ -30,10 +30,6 @@ func (ERP) Epsilon() float64 { return 0 }
 // trajectory's MBR, so Lemma 5.4 is unsound for ERP.
 func (ERP) SupportsCoverageFilter() bool { return false }
 
-// SupportsCellFilter implements Measure: the cell bound's min-over-other-
-// trajectory term likewise ignores the gap option.
-func (ERP) SupportsCellFilter() bool { return false }
-
 // LengthLowerBound implements Measure.
 func (ERP) LengthLowerBound(m, n int) float64 { return 0 }
 

@@ -28,10 +28,6 @@ func (Frechet) Epsilon() float64 { return 0 }
 // point of each trajectory within τ of the other, so Lemma 5.4 applies.
 func (Frechet) SupportsCoverageFilter() bool { return true }
 
-// SupportsCellFilter implements Measure: Fréchet(T,Q) >= max_t min_q
-// dist(t,q), so a max-form cell bound applies (see core.cellLowerBound).
-func (Frechet) SupportsCellFilter() bool { return true }
-
 // LengthLowerBound implements Measure.
 func (Frechet) LengthLowerBound(m, n int) float64 { return 0 }
 

@@ -29,10 +29,6 @@ func (Hausdorff) Epsilon() float64 { return 0 }
 // point of each trajectory within τ of the other, so Lemma 5.4 applies.
 func (Hausdorff) SupportsCoverageFilter() bool { return true }
 
-// SupportsCellFilter implements Measure: the max-form cell bound is a
-// valid lower bound of max_t min_q dist.
-func (Hausdorff) SupportsCellFilter() bool { return true }
-
 // LengthLowerBound implements Measure.
 func (Hausdorff) LengthLowerBound(m, n int) float64 { return 0 }
 
@@ -67,10 +63,10 @@ func (h Hausdorff) DistanceThreshold(t, q []geom.Point, tau float64) (float64, b
 
 // directedHausdorff returns max_{a in as} min_{b in bs} dist(a,b),
 // abandoning (returning a value > tau) once any point's nearest neighbor
-// provably exceeds tau.
+// exceeds tau. The abandon test compares the rooted value, the same number
+// the full pass would return, so it fires exactly when that exceeds tau.
 func directedHausdorff(as, bs []geom.Point, tau float64) float64 {
 	worst := 0.0
-	tauSq := tau * tau
 	for _, a := range as {
 		best := math.Inf(1)
 		for _, b := range bs {
@@ -83,8 +79,8 @@ func directedHausdorff(as, bs []geom.Point, tau float64) float64 {
 		}
 		if best > worst {
 			worst = best
-			if worst > tauSq {
-				return math.Sqrt(worst)
+			if d := math.Sqrt(worst); d > tau {
+				return d
 			}
 		}
 	}

@@ -7,8 +7,8 @@
 //
 // Each function comes in two flavors: an exact O(mn) dynamic program and a
 // threshold-aware variant that abandons early once the distance provably
-// exceeds τ (the paper's optimized DTW(T,Q,τ) with double-direction
-// verification, Section 5.3.3).
+// exceeds τ (the paper's optimized DTW(T,Q,τ), Section 5.3.3 — here a DP
+// limited to the band of cells still within τ).
 //
 // The Measure interface abstracts what the DITA index needs to know about a
 // function: how thresholds accumulate down the trie levels (sum for
@@ -51,9 +51,11 @@ type Measure interface {
 	Name() string
 	// Distance computes the exact distance between two trajectories.
 	Distance(t, q []geom.Point) float64
-	// DistanceThreshold computes the distance with early abandoning: the
-	// returned bool is true iff distance <= tau, and when it is false the
-	// returned value is only guaranteed to exceed tau.
+	// DistanceThreshold computes the distance with early abandoning. The
+	// returned bool is true exactly when Distance(t, q) <= tau — ties
+	// included — and the value is then Distance's, bit for bit, so callers
+	// that rank by distance (kNN) need no exact recomputation; when it is
+	// false the value is only guaranteed to exceed tau.
 	DistanceThreshold(t, q []geom.Point, tau float64) (float64, bool)
 	// Accumulation reports the trie threshold-accumulation semantics.
 	Accumulation() Accumulation
@@ -65,9 +67,6 @@ type Measure interface {
 	// (every point must align within τ); false for edit-based measures
 	// where points may remain unmatched.
 	SupportsCoverageFilter() bool
-	// SupportsCellFilter reports whether the cell-compression lower bound
-	// (Lemma 5.6) is sound for this measure.
-	SupportsCellFilter() bool
 	// LengthLowerBound returns a lower bound on the distance implied by
 	// the two lengths alone (|m-n| for EDR/LCSS, 0 otherwise).
 	LengthLowerBound(m, n int) float64
@@ -83,23 +82,33 @@ type Measure interface {
 	GapPoint() (geom.Point, bool)
 }
 
+// registry is every measure ByName can resolve — which is every measure
+// the engine, dnet's MeasureSpec and the snapshot loader can run. The
+// threshold-contract test iterates it, so a measure added here cannot
+// skip the exactness kNN relies on.
+var registry = []struct {
+	names []string
+	make  func(epsilon float64, delta int) Measure
+}{
+	{[]string{"DTW"}, func(float64, int) Measure { return DTW{} }},
+	{[]string{"FRECHET", "FRÉCHET"}, func(float64, int) Measure { return Frechet{} }},
+	{[]string{"EDR"}, func(eps float64, _ int) Measure { return EDR{Eps: eps} }},
+	{[]string{"LCSS"}, func(eps float64, delta int) Measure { return LCSS{Eps: eps, Delta: delta} }},
+	{[]string{"ERP"}, func(float64, int) Measure { return ERP{} }},
+	{[]string{"HAUSDORFF"}, func(float64, int) Measure { return Hausdorff{} }},
+}
+
 // ByName returns the measure registered under the given (case-insensitive)
 // name. Edit-based measures are constructed with the provided epsilon and
 // (for LCSS) delta.
 func ByName(name string, epsilon float64, delta int) (Measure, error) {
-	switch upper(name) {
-	case "DTW":
-		return DTW{}, nil
-	case "FRECHET", "FRÉCHET":
-		return Frechet{}, nil
-	case "EDR":
-		return EDR{Eps: epsilon}, nil
-	case "LCSS":
-		return LCSS{Eps: epsilon, Delta: delta}, nil
-	case "ERP":
-		return ERP{}, nil
-	case "HAUSDORFF":
-		return Hausdorff{}, nil
+	u := upper(name)
+	for _, r := range registry {
+		for _, n := range r.names {
+			if n == u {
+				return r.make(epsilon, delta), nil
+			}
+		}
 	}
 	return nil, fmt.Errorf("measure: unknown distance function %q", name)
 }
@@ -139,9 +148,6 @@ func (DTW) Epsilon() float64 { return 0 }
 // at least one aligned pair to the DTW sum, so if DTW(T,Q) <= τ then every
 // point of T is within τ of some point of Q (hence of MBR_Q).
 func (DTW) SupportsCoverageFilter() bool { return true }
-
-// SupportsCellFilter implements Measure.
-func (DTW) SupportsCellFilter() bool { return true }
 
 // LengthLowerBound implements Measure.
 func (DTW) LengthLowerBound(m, n int) float64 { return 0 }
@@ -185,19 +191,97 @@ func (DTW) Distance(t, q []geom.Point) float64 {
 	return prev[n]
 }
 
-// DistanceThreshold implements Measure using double-direction verification
-// (Section 5.3.3): the DP is split at the middle row, computed forward from
-// (1,1) and backward from (m,n) simultaneously, abandoning as soon as the
-// sum of the two frontiers' minima exceeds tau. The exact distance is
-// recovered by joining the frontiers when no abandon triggers.
+// DistanceThreshold implements Measure with the pruned DP below: on accept
+// the value is Distance's, bit for bit, and accept ⇔ Distance(t, q) <= tau.
 func (DTW) DistanceThreshold(t, q []geom.Point, tau float64) (float64, bool) {
-	d, ok := dtwDoubleDirection(t, q, tau)
-	return d, ok
+	return dtwPruned(t, q, tau)
 }
 
-// dtwEarlyAbandon is the classic single-direction threshold DTW: abandon
-// when an entire DP row exceeds tau. Kept for benchmarking the
-// double-direction optimization (Figure ablations) and as a cross-check.
+// dtwPruned is threshold DTW over the band of cells that can still lie on a
+// warping path of cost <= tau: O((m+n)·w) for a band w columns wide instead
+// of Distance's O(m·n).
+//
+// A cell is live when its value plus what every path through it has yet to
+// pay — dist(t_m, q_n) on the rows above the last, nothing on row m — is
+// within tau. Row i is computed from the first live column of row i-1 to one
+// past its last (the cells with a live up or diagonal predecessor), then
+// rightwards for as long as the left neighbour is live; every other cell
+// reads as +Inf, and a row without a live cell abandons.
+//
+// Why this is exact. Point distances are non-negative and float addition is
+// monotone, so values never decrease along a warping path, a pruned cell is
+// never below its true value, and a cell on a path into (m, n) satisfies
+// value + dist(t_m, q_n) <= Distance in floating point. If Distance <= tau,
+// every cell of the optimal path therefore passes the liveness test — which
+// is that very inequality, with no tolerance — and by induction along the
+// path each is computed from its true minimum predecessor by the same
+// `d + min(diag, up, left)` as in Distance. If Distance > tau, cell (m, n)
+// is either never reached or holds a value >= Distance. Ties (tau = 0,
+// tau = Distance) decide exactly as `Distance <= tau` does.
+func dtwPruned(t, q []geom.Point, tau float64) (float64, bool) {
+	m, n := len(t), len(q)
+	inf := math.Inf(1)
+	if m == 0 || n == 0 {
+		return inf, false
+	}
+	// Rows are n+2 wide: column 0 is the DP's left border, and the column
+	// after the last one computed (at most n+1) takes a +Inf sentinel, so
+	// the next row never reads a stale cell.
+	w := n + 2
+	scratch := dppool.GetFloats(2 * w)
+	defer scratch.Release()
+	prev, cur := scratch.S[:w], scratch.S[w:]
+	prev[0], prev[1] = 0, inf // row 0: only the origin is live
+	lo, hi := 0, 0            // first and last live column of prev
+	rest := t[m-1].Dist(q[n-1])
+	for i := 1; i <= m; i++ {
+		if i == m {
+			rest = 0
+		}
+		ti := t[i-1]
+		j, end := max(lo, 1), min(hi+1, n)
+		cur[j-1] = inf
+		lo, hi = 0, 0 // now row i's; columns start at 1, so 0 means none yet
+		for ; j <= end; j++ {
+			best := prev[j-1]
+			if prev[j] < best {
+				best = prev[j]
+			}
+			if cur[j-1] < best {
+				best = cur[j-1]
+			}
+			v := ti.Dist(q[j-1]) + best
+			cur[j] = v
+			if v+rest <= tau {
+				if lo == 0 {
+					lo = j
+				}
+				hi = j
+			}
+		}
+		for ; j <= n && hi == j-1; j++ {
+			v := ti.Dist(q[j-1]) + cur[j-1]
+			cur[j] = v
+			if v+rest <= tau {
+				hi = j
+			}
+		}
+		if hi == 0 {
+			return inf, false
+		}
+		cur[j] = inf
+		prev, cur = cur, prev
+	}
+	if hi < n {
+		return inf, false
+	}
+	return prev[n], true
+}
+
+// dtwEarlyAbandon is the classic single-direction threshold DTW: every cell
+// of every row, abandoning when an entire row exceeds tau. Not on any query
+// path: kept as the reference the pruned kernel's differential tests and
+// the §5.3.3 ablation benchmarks compare against.
 func dtwEarlyAbandon(t, q []geom.Point, tau float64) (float64, bool) {
 	m, n := len(t), len(q)
 	if m == 0 || n == 0 {
@@ -236,7 +320,11 @@ func dtwEarlyAbandon(t, q []geom.Point, tau float64) (float64, bool) {
 	return prev[n], prev[n] <= tau
 }
 
-// dtwDoubleDirection computes threshold DTW from both ends at once.
+// dtwDoubleDirection computes threshold DTW from both ends at once — the
+// paper's §5.3.3 kernel, and like dtwEarlyAbandon a reference for tests and
+// ablation benchmarks only: it fills all m·n cells, and its join sums in
+// another order than Distance, so its accepted value may differ in the last
+// ulp.
 //
 // Let F[i][j] = DTW(T^i, Q^j) (prefixes, inclusive) and
 // B[i][j] = DTW(T_{i..m}, Q_{j..n}) (suffixes, inclusive). A warping path

@@ -37,8 +37,8 @@ type Funnel struct {
 	// AfterCoverage is candidates surviving the MBR coverage filter
 	// (Lemma 5.4).
 	AfterCoverage int64 `json:"after_coverage"`
-	// Verified is candidates that survived the cell lower bound
-	// (Lemma 5.6) and ran the exact threshold DP.
+	// Verified is candidates that ran the exact threshold DP: every
+	// coverage survivor, so it equals AfterCoverage.
 	Verified int64 `json:"verified"`
 	// Matched is final results within the threshold.
 	Matched int64 `json:"matched"`

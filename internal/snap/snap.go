@@ -80,7 +80,8 @@ type BuildOptions struct {
 	Delta   int
 	// Trie configuration (trie.Config with Strategy as an int).
 	K, NLAlign, NLPivot, MinNode, Strategy int
-	// CellD is the verification cell side length.
+	// CellD is the cell side length of the retired Lemma 5.6 filter; the
+	// field stays because the format and the fingerprint include it.
 	CellD float64
 }
 
