@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-json bench-smoke bench-kernels
+.PHONY: build test race vet staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-json bench-smoke bench-kernels bench-diff
 
 build:
 	$(GO) build ./...
@@ -118,12 +118,28 @@ bench-smoke:
 
 # Micro-benchmarks of the verification hot path on pairs shaped like its
 # real input (gen.VerifyWorkloads): the four threshold-DTW kernels and the
-# Verifier cascade around the one in production. EXPERIMENTS.md records the
-# numbers per kernel change.
+# Verifier cascade around the one in production — and of the join that runs
+# it most, the repository benchmark's 12 k self-join, with the symmetric
+# plan (self) and without (twoEngines). EXPERIMENTS.md records the numbers
+# per kernel change.
 KERNEL_BENCHTIME ?= 20000x
+JOIN_BENCHTIME ?= 10x
 bench-kernels:
 	$(GO) test -run='^$$' -bench='DTWThreshold' -benchmem -benchtime=$(KERNEL_BENCHTIME) ./internal/measure
 	$(GO) test -run='^$$' -bench='VerifyFullCascade' -benchmem -benchtime=$(KERNEL_BENCHTIME) ./internal/core
+	$(GO) test -run='^$$' -bench='SelfJoin' -benchmem -benchtime=$(JOIN_BENCHTIME) ./internal/core
+
+# The measurement behind a performance claim: N alternating pairs of the
+# repository benchmark on two refs, each extracted into its own tree under
+# .bench_build/diff/, printed as the median / quartiles / pairs-won table
+# EXPERIMENTS.md and BENCH_HISTORY.jsonl are filled from (cmd/benchdiff).
+# A and B are any tree-ish: B=$$(git write-tree) after `git add -A`
+# measures a change that is staged but not yet committed.
+N ?= 10
+SEED ?= 501
+bench-diff:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-diff A=<parent ref> B=<change ref> [N=10] [SEED=501] [WORKLOADS=w,...]"; exit 2; }
+	$(GO) run ./cmd/benchdiff -a $(A) -b $(B) -n $(N) -seed $(SEED) -workload "$(WORKLOADS)"
 
 check: vet staticcheck race chaos knn snap ingest serve rebalance autopilot fuzz bench-smoke
 

@@ -373,16 +373,13 @@ func main() {
 	}
 
 	if *doJoin {
-		if err := coord.Dispatch("trips2", data); err != nil {
-			fatal(err)
-		}
 		start = time.Now()
 		jctx, cancel := queryContext(ctx, *deadline)
 		var qstats *dnet.QueryStats
 		if *trace {
 			qstats = &dnet.QueryStats{Trace: obs.NewTrace("join")}
 		}
-		pairs, rep, err := coord.JoinTraced(jctx, "trips", "trips2", *tau, qstats)
+		pairs, rep, err := coord.JoinTraced(jctx, "trips", "trips", *tau, qstats)
 		cancel()
 		if qstats != nil && err == nil {
 			qstats.Trace.Write(os.Stdout)

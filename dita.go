@@ -18,7 +18,7 @@
 //	data := dita.Generate(dita.BeijingLike(10000, 1))
 //	eng, _ := dita.NewEngine(data, dita.DefaultOptions())
 //	results := eng.Search(data.Trajs[0], 0.005, nil)
-//	pairs := eng.Join(eng2, 0.005, dita.DefaultJoinOptions(), nil)
+//	pairs := eng.Join(eng, 0.005, dita.DefaultJoinOptions(), nil) // or another engine
 //
 // or through SQL:
 //

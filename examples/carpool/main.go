@@ -21,11 +21,7 @@ func main() {
 
 	opts := dita.DefaultOptions()
 	opts.Cluster = dita.NewCluster(4)
-	left, err := dita.NewEngine(trips, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	right, err := dita.NewEngine(trips, opts)
+	eng, err := dita.NewEngine(trips, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +29,8 @@ func main() {
 	// Two trips are poolable when their DTW distance is within ~200 m
 	// (0.002 degrees) accumulated over the aligned route.
 	const tau = 0.002
-	pairs := left.Join(right, tau, dita.DefaultJoinOptions(), nil)
+	// Joining the engine with itself verifies each pair of trips once.
+	pairs := eng.Join(eng, tau, dita.DefaultJoinOptions(), nil)
 
 	// Keep each unordered pair once, drop self-pairs.
 	poolable := map[int][]int{}

@@ -49,13 +49,11 @@ func main() {
 		fmt.Printf("  traj %-6d DTW=%.5f\n", r.Traj.ID, r.Distance)
 	}
 
-	// 5. Self-join: all similar pairs at a tight threshold.
-	engine2, err := dita.NewEngine(data, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 5. Self-join: all similar pairs at a tight threshold. Joining the
+	// engine with itself verifies each unordered pair once; pass a second
+	// engine to join two collections.
 	var jstats dita.JoinStats
-	pairs := engine.Join(engine2, 0.001, dita.DefaultJoinOptions(), &jstats)
+	pairs := engine.Join(engine, 0.001, dita.DefaultJoinOptions(), &jstats)
 	fmt.Printf("self-join τ=0.001: %d pairs (%d partition edges, %d trajectories shuffled, load ratio %.2f)\n",
 		len(pairs), jstats.Edges, jstats.TrajsSent, jstats.LoadRatio)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"dita/internal/cluster"
 	"dita/internal/gen"
 	"dita/internal/measure"
 	"dita/internal/traj"
@@ -131,4 +132,37 @@ func BenchmarkKNNScanPartition(b *testing.B) {
 	}
 	b.Run("tauInf", func(b *testing.B) { run(b, func(int) float64 { return math.Inf(1) }) })
 	b.Run("tauFinite", func(b *testing.B) { run(b, func(qi int) float64 { return kth[qi] }) })
+}
+
+// BenchmarkSelfJoin is the repository benchmark's join (12 k BeijingLike
+// members, τ = 0.003, sequential verification, one virtual worker): self
+// joins an engine with itself, twoEngines with a second engine over the
+// same dataset — the same answer without the symmetric plan. verified/op is
+// the number of exact threshold DPs a join ran.
+func BenchmarkSelfJoin(b *testing.B) {
+	d := gen.Generate(gen.BeijingLike(12000, 1))
+	build := func() *Engine {
+		opts := DefaultOptions()
+		opts.VerifyParallelism = 1
+		opts.Cluster = cluster.New(cluster.DefaultConfig(1))
+		e, err := NewEngine(d, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	e := build()
+	run := func(b *testing.B, other *Engine) {
+		var verified int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var js JoinStats
+			e.Join(other, 0.003, DefaultJoinOptions(), &js)
+			verified += js.Funnel.Verified
+		}
+		b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
+	}
+	b.Run("self", func(b *testing.B) { run(b, e) })
+	b.Run("twoEngines", func(b *testing.B) { run(b, build()) })
 }

@@ -118,7 +118,9 @@ func checkVisibleJoins(t *testing.T, e *Engine, vis *traj.Dataset, label string)
 			}
 		}
 	}
-	checkJoin(t, e.Join(e, tau, jo, nil), self, label+": self-join")
+	selfPairs := e.Join(e, tau, jo, nil)
+	checkJoin(t, selfPairs, self, label+": self-join")
+	checkSelfJoinExact(t, selfPairs, m, label+": self-join")
 	checkJoin(t, e.Join(se, tau, jo, nil), bruteJoin(vis, static, m, tau), label+": join with static")
 	checkJoin(t, se.Join(e, tau, jo, nil), bruteJoin(static, vis, m, tau), label+": static join with")
 }

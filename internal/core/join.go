@@ -14,6 +14,7 @@ import (
 	"dita/internal/measure"
 	"dita/internal/obs"
 	"dita/internal/traj"
+	"dita/internal/trie"
 )
 
 // Pair is one join answer: a similar (T, Q) pair and its distance.
@@ -62,7 +63,7 @@ type JoinStats struct {
 	BytesSent int
 	// CandPairs counts candidate pairs produced by local tries.
 	CandPairs int
-	// Results is the answer count.
+	// Results is the answer count: ordered pairs, also for a self-join.
 	Results int
 	// LoadRatio is the cluster's max/min worker-time ratio after the join.
 	LoadRatio float64
@@ -71,6 +72,10 @@ type JoinStats struct {
 	// level pruning, Considered the candidate pairs the shipped
 	// trajectories were probed against (|shipped|·|dst| per edge), and the
 	// remaining stages the verification cascade over candidate pairs.
+	// A self-join (both sides one engine) plans and verifies each unordered
+	// partition pair and trajectory pair once, so there every stage — and
+	// Edges, CandPairs — counts unordered work; only Results counts the
+	// ordered pairs returned.
 	Funnel obs.Funnel
 	// Trace, when non-nil, receives spans for bigraph construction,
 	// orientation, balancing, selection, per-edge local joins, and merge.
@@ -92,6 +97,11 @@ type edge struct {
 	// division-based balancing (the receiving side's worker, or a replica
 	// worker).
 	execWorker int
+	// mirror marks an edge of a self-join's symmetric plan, which holds
+	// only the partition pairs ti <= qj: every pair the edge verifies is
+	// returned as (a,b) and (b,a). diagonal marks a partition joined with
+	// itself, where each unordered pair of members must be taken once.
+	mirror, diagonal bool
 }
 
 // Join computes the distributed similarity join T ⋈_τ Q between two built
@@ -126,9 +136,19 @@ func (e *Engine) JoinContext(ctx context.Context, other *Engine, tau float64, op
 
 // JoinPartialContext is JoinContext plus partial-result semantics: an
 // edge whose selection or local-join task panics is dropped and its
-// destination partition recorded in the SkipReport, while pairs from the
-// surviving edges are still returned. Cancellation is never partial: a
+// destination partition recorded in the SkipReport — both partitions of a
+// self-join edge, whose pairs have their T in either — while pairs from
+// the surviving edges are still returned. Cancellation is never partial: a
 // done context returns ctx.Err().
+//
+// Joining an engine with itself is planned symmetrically: the bi-graph
+// holds each unordered partition pair once, an off-diagonal edge returns
+// every verified pair in both orientations, and a partition joined with
+// itself verifies only the pairs (a,b) where a does not follow b in the
+// partition's view (JoinView) — a total order over visible members, not
+// over ids, so members sharing an id are still paired. One threshold DP
+// decides (a,b) and (b,a); every measure is bitwise symmetric (the Measure
+// contract), so the answer is the two-sided join's, pair for pair.
 func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau float64, opts JoinOptions, stats *JoinStats) ([]Pair, *SkipReport, error) {
 	report := &SkipReport{}
 	unlock := rlockPair(e, other)
@@ -153,7 +173,12 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 		qStart = time.Now()
 	}
 	planDone := tr.StartSpan("bigraph", -1)
-	edges, err := e.buildBigraph(ctx, other, tau, opts)
+	jv := joinViews{e: e, other: other, left: e.partitionViews()}
+	jv.right = jv.left
+	if other != e {
+		jv.right = other.partitionViews()
+	}
+	edges, err := jv.buildBigraph(ctx, tau, opts)
 	planDone(err)
 	if err != nil {
 		return nil, report, err
@@ -194,42 +219,131 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 		stats.Oriented = flips
 		stats.Divisions = divisions
 	}
-	pairs, err := e.executeJoin(ctx, other, tau, edges, stats, tr, &funnel, report)
+	perEdge, err := jv.executeJoin(ctx, tau, edges, stats, tr, &funnel, report)
 	if err != nil {
 		return nil, report, err
 	}
+	mergeDone := tr.StartSpan("merge", -1)
+	n := 0
+	for _, ps := range perEdge {
+		n += len(ps)
+	}
+	pairs := make([]Pair, 0, n)
+	for _, ps := range perEdge {
+		pairs = append(pairs, ps...)
+	}
+	pairs = SortByIDPair(pairs, func(p *Pair) (int, int) { return p.T.ID, p.Q.ID })
+	mergeDone(nil)
 	if stats != nil {
 		stats.Results = len(pairs)
 		stats.LoadRatio = e.cl.LoadRatio()
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].T.ID != pairs[b].T.ID {
-			return pairs[a].T.ID < pairs[b].T.ID
-		}
-		return pairs[a].Q.ID < pairs[b].Q.ID
-	})
 	return pairs, report, nil
+}
+
+// JoinView is one side of a join edge as one query sees its partition:
+// the trie over Trajs[:Base] and, past Base, the overlay members visible
+// to the query (unindexed until the next merge). Masked hides base members
+// deleted or superseded since the trie was built; it is nil when there are
+// none. A member's index in Trajs is its slot: the canonical order by
+// which a partition joined with itself takes each pair of members once.
+// Exported for the network-mode worker, which keeps its own partitions.
+type JoinView struct {
+	Index  *trie.Trie
+	Trajs  []*traj.T
+	Meta   []VerifyMeta
+	Base   int
+	Masked func(id int) bool
+
+	part *Partition // the engine partition viewed; nil on a worker
+}
+
+// visible reports whether the member in slot i is one the query sees.
+func (v *JoinView) visible(i int) bool {
+	return i >= v.Base || v.Masked == nil || !v.Masked(v.Trajs[i].ID)
+}
+
+// Select returns the visible members keep accepts (all of them when keep
+// is nil) with their metadata and slots, in slot order. The context is
+// checked once per member.
+func (v *JoinView) Select(ctx context.Context, keep func(*traj.T) bool) (ts []*traj.T, meta []VerifyMeta, slots []int, err error) {
+	for i, t := range v.Trajs {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, nil, err
+		}
+		if v.visible(i) && (keep == nil || keep(t)) {
+			ts, meta, slots = append(ts, t), append(meta, v.Meta[i]), append(slots, i)
+		}
+	}
+	return ts, meta, slots, nil
+}
+
+// joinView captures the partition for one join. Callers hold the engine's
+// read lock for as long as they use the view.
+func (p *Partition) joinView() *JoinView {
+	v := &JoinView{Index: p.Index, Trajs: p.Trajs, Meta: p.meta, Base: len(p.Trajs), part: p}
+	if !p.hasOverlay() {
+		return v
+	}
+	v.Masked = p.maskedBase
+	// Capped, so that appending the overlay copies the base slices instead
+	// of writing into their spare capacity.
+	v.Trajs, v.Meta = p.Trajs[:v.Base:v.Base], p.meta[:v.Base:v.Base]
+	if p.frozen != nil {
+		for i, t := range p.frozen.Live {
+			if !p.tomb[t.ID] {
+				v.Trajs, v.Meta = append(v.Trajs, t), append(v.Meta, p.frozen.Meta[i])
+			}
+		}
+	}
+	if p.delta != nil {
+		v.Trajs, v.Meta = append(v.Trajs, p.delta.Live...), append(v.Meta, p.delta.Meta...)
+	}
+	return v
+}
+
+// partitionViews captures every live partition (nil for retired ones),
+// indexed like e.parts: a partition with an overlay is flattened once per
+// join, not once per edge it takes part in.
+func (e *Engine) partitionViews() []*JoinView {
+	vs := make([]*JoinView, len(e.parts))
+	for i, p := range e.parts {
+		if !p.retired {
+			vs[i] = p.joinView()
+		}
+	}
+	return vs
+}
+
+// joinViews is one join's picture of both sides: left[i] views e.parts[i],
+// right[j] other.parts[j]; for a self-join they are the same slice.
+type joinViews struct {
+	e, other    *Engine
+	left, right []*JoinView
 }
 
 // buildBigraph finds candidate partition pairs and estimates edge weights
 // by sampling (Section 6.2). Cancellation is checked per candidate pair
-// (weight estimation runs trie searches, the expensive part).
-func (e *Engine) buildBigraph(ctx context.Context, other *Engine, tau float64, opts JoinOptions) ([]*edge, error) {
-	m := e.opts.Measure
+// (weight estimation runs trie searches, the expensive part). A self-join
+// keeps only the pairs ti <= qj.
+func (jv *joinViews) buildBigraph(ctx context.Context, tau float64, opts JoinOptions) ([]*edge, error) {
+	m := jv.e.opts.Measure
 	anchored := m.AlignsEndpoints()
+	self := jv.e == jv.other
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var edges []*edge
-	for ti, pt := range e.parts {
-		if pt.retired {
+	for ti, vt := range jv.left {
+		if vt == nil {
 			continue
 		}
-		for qj, pq := range other.parts {
-			if pq.retired {
+		for qj, vq := range jv.right {
+			if vq == nil || (self && qj < ti) {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
+			pt, pq := vt.part, vq.part
 			if anchored {
 				// Partition-level pruning: the cheapest possible pair
 				// between the partitions must be within τ.
@@ -246,28 +360,33 @@ func (e *Engine) buildBigraph(ctx context.Context, other *Engine, tau float64, o
 					continue
 				}
 			}
-			ed := &edge{ti: ti, qj: qj}
-			e.estimateEdge(other, ed, tau, opts, rng)
+			ed := &edge{ti: ti, qj: qj, mirror: self, diagonal: self && ti == qj}
+			// Both orientations are estimated by sampling; a diagonal edge
+			// has only one.
+			ed.transTQ, ed.compTQ = estimateDirection(m, vt, vq, tau, opts.SampleRate, rng)
+			ed.transQT, ed.compQT = ed.transTQ, ed.compTQ
+			if !ed.diagonal {
+				ed.transQT, ed.compQT = estimateDirection(m, vq, vt, tau, opts.SampleRate, rng)
+			}
 			edges = append(edges, ed)
 		}
 	}
 	return edges, nil
 }
 
-// estimateEdge samples both partitions to estimate trans and comp for both
-// orientations, scaled up by the inverse sample rate.
-func (e *Engine) estimateEdge(other *Engine, ed *edge, tau float64, opts JoinOptions, rng *rand.Rand) {
-	pt := e.parts[ed.ti]
-	pq := other.parts[ed.qj]
-	ed.transTQ, ed.compTQ = estimateDirection(pt, pq, other, tau, opts.SampleRate, rng)
-	ed.transQT, ed.compQT = estimateDirection(pq, pt, e, tau, opts.SampleRate, rng)
-}
-
-// estimateDirection estimates sending src's trajectories to dst: trans is
-// the expected bytes shipped (trajectories of src with candidates in dst),
-// comp the expected candidate pairs produced by dst's trie.
-func estimateDirection(src, dst *Partition, dstEngine *Engine, tau float64, rate float64, rng *rand.Rand) (trans, comp float64) {
+// estimateDirection estimates sending src's trajectories to dst, scaled up
+// by the inverse sample rate: trans is the expected bytes shipped
+// (trajectories of src with candidates in dst), comp the expected candidate
+// pairs on dst. It samples slots of src's view, overlay included; a slot
+// whose base member is masked contributes nothing, which keeps the
+// estimate unbiased over the visible members however few of the slots they
+// fill. comp counts what the local join will verify: unmasked trie
+// candidates plus dst's unindexed overlay.
+func estimateDirection(m measure.Measure, src, dst *JoinView, tau float64, rate float64, rng *rand.Rand) (trans, comp float64) {
 	n := len(src.Trajs)
+	if n == 0 {
+		return 0, 0
+	}
 	k := int(float64(n)*rate + 0.5)
 	if k < 1 {
 		k = 1
@@ -277,29 +396,30 @@ func estimateDirection(src, dst *Partition, dstEngine *Engine, tau float64, rate
 	}
 	scale := float64(n) / float64(k)
 	for s := 0; s < k; s++ {
-		t := src.Trajs[rng.Intn(n)]
-		if !dstEngine.trajRelevantToPartition(t, dst, tau) {
+		i := rng.Intn(n)
+		t := src.Trajs[i]
+		if !src.visible(i) || !TrajRelevant(m, t.Points, dst.part.MBRf, dst.part.MBRl, tau) {
 			continue
 		}
 		trans += float64(t.Bytes()) * scale
-		cands := dst.Index.Search(t.Points, dstEngine.opts.Measure, tau, nil)
-		comp += float64(len(cands)) * scale
+		cands := len(dst.Trajs) - dst.Base
+		for _, c := range dst.Index.Search(t.Points, m, tau, nil) {
+			if dst.visible(c) {
+				cands++
+			}
+		}
+		comp += float64(cands) * scale
 	}
 	return trans, comp
-}
-
-// trajRelevantToPartition is the per-trajectory global-index check used
-// both for weight estimation and for the shuffle itself ("we only send
-// the trajectory T ∈ Ti that has candidates in Qj").
-func (e *Engine) trajRelevantToPartition(t *traj.T, p *Partition, tau float64) bool {
-	return TrajRelevant(e.opts.Measure, t.Points, p.MBRf, p.MBRl, tau)
 }
 
 // TrajRelevant reports whether a trajectory may have answers in a
 // partition described by its first/last-point MBRs (Section 5.2's global
 // pruning, generalized per measure). It is defined as the partition's
 // lower bound being within τ, so threshold pruning and the best-first kNN
-// visit order share one bound. Exported for the network-mode worker.
+// visit order share one bound. The join uses it both to estimate edge
+// weights and for the shuffle itself ("we only send the trajectory T ∈ Ti
+// that has candidates in Qj"). Exported for the network-mode worker.
 func TrajRelevant(m measure.Measure, q []geom.Point, mbrF, mbrL geom.MBR, tau float64) bool {
 	return PartitionLowerBound(m, q, mbrF, mbrL) <= tau
 }
@@ -483,20 +603,21 @@ func balance(edges []*edge, e, other *Engine, opts JoinOptions) int {
 // local joins (Algorithm 3 lines 4–9) in two stages: (1) on each sending
 // worker, select the trajectories that have candidates in the destination
 // partition via the global-index check; (2) shuffle them to the executing
-// worker and probe the destination's trie there. An edge whose task
-// panics is recorded in report (attributed to its destination partition)
-// and the other edges proceed.
-func (e *Engine) executeJoin(ctx context.Context, other *Engine, tau float64, edges []*edge, stats *JoinStats, tr *obs.Trace, funnel *obs.Funnel, report *SkipReport) ([]Pair, error) {
-	var mu sync.Mutex
-	var pairs []Pair
+// worker and probe the destination's trie there. It returns each edge's
+// pairs, a mirror edge's in both orientations. An edge whose task panics
+// is recorded in report (attributed to its destination partition, and to
+// its source too when the edge is mirrored) and the other edges proceed.
+func (jv *joinViews) executeJoin(ctx context.Context, tau float64, edges []*edge, stats *JoinStats, tr *obs.Trace, funnel *obs.Funnel, report *SkipReport) ([][]Pair, error) {
+	e := jv.e
 	trajsSent, bytesSent := 0, 0
-	timed := tr != nil || e.met != nil
 	tasks := make([]cluster.Task, 0, len(edges))
 	type edgeState struct {
 		ed      *edge
-		shipped []*traj.T    // selected source trajectories (base + overlay)
+		shipped []*traj.T    // selected source members (base + overlay)
 		smeta   []VerifyMeta // their verification metadata
-		funnel  obs.Funnel
+		slots   []int        // their slots in the partition's view; diagonal edges only
+		pairs   []Pair
+		stats   EdgeStats
 		elapsed time.Duration
 		err     error
 	}
@@ -506,44 +627,19 @@ func (e *Engine) executeJoin(ctx context.Context, other *Engine, tau float64, ed
 	}
 	selectDone := tr.StartSpan("select", -1)
 	for _, st := range states {
-		st := st
-		src, dst, dstEngine, _ := e.edgeSides(other, st.ed)
-		tasks = append(tasks, cluster.Task{Worker: src.Worker, Fn: func() {
+		src, dst, dstEngine, _ := jv.edgeSides(st.ed)
+		tasks = append(tasks, cluster.Task{Worker: src.part.Worker, Fn: func() {
 			defer func() {
 				if r := recover(); r != nil {
 					st.err = fmt.Errorf("panic: %v", r)
 				}
 			}()
-			overlay := src.hasOverlay()
-			pick := func(t *traj.T, m VerifyMeta) {
-				if dstEngine.trajRelevantToPartition(t, dst, tau) {
-					st.shipped = append(st.shipped, t)
-					st.smeta = append(st.smeta, m)
-				}
-			}
-			for i, t := range src.Trajs {
-				if st.err = ctx.Err(); st.err != nil {
-					return
-				}
-				if overlay && src.maskedBase(t.ID) {
-					continue
-				}
-				pick(t, src.meta[i])
-			}
-			if !overlay {
-				return
-			}
-			if src.frozen != nil {
-				for i, t := range src.frozen.Live {
-					if !src.tomb[t.ID] {
-						pick(t, src.frozen.Meta[i])
-					}
-				}
-			}
-			if src.delta != nil {
-				for i, t := range src.delta.Live {
-					pick(t, src.delta.Meta[i])
-				}
+			var slots []int
+			st.shipped, st.smeta, slots, st.err = src.Select(ctx, func(t *traj.T) bool {
+				return TrajRelevant(dstEngine.opts.Measure, t.Points, dst.part.MBRf, dst.part.MBRl, tau)
+			})
+			if st.ed.diagonal {
+				st.slots = slots
 			}
 		}})
 	}
@@ -559,63 +655,66 @@ func (e *Engine) executeJoin(ctx context.Context, other *Engine, tau float64, ed
 	tasks = tasks[:0]
 	replicated := map[[2]int]bool{}
 	for _, st := range states {
-		st := st
 		if st.err != nil || len(st.shipped) == 0 {
 			continue
 		}
-		src, dst, dstEngine, flip := e.edgeSides(other, st.ed)
+		src, dst, dstEngine, flip := jv.edgeSides(st.ed)
 		bytes := 0
 		for _, t := range st.shipped {
 			bytes += t.Bytes()
 		}
-		e.cl.Transfer(src.Worker, st.ed.execWorker, bytes)
+		e.cl.Transfer(src.part.Worker, st.ed.execWorker, bytes)
 		trajsSent += len(st.shipped)
 		bytesSent += bytes
-		if st.ed.execWorker != dst.Worker {
-			key := [2]int{boolToInt(flip)*1_000_000 + dst.ID, st.ed.execWorker}
+		if st.ed.execWorker != dst.part.Worker {
+			key := [2]int{boolToInt(flip)*1_000_000 + dst.part.ID, st.ed.execWorker}
 			if !replicated[key] {
 				replicated[key] = true
-				e.cl.Transfer(dst.Worker, st.ed.execWorker, dst.Bytes()+dst.Index.SizeBytes())
+				e.cl.Transfer(dst.part.Worker, st.ed.execWorker, dst.part.Bytes()+dst.Index.SizeBytes())
 			}
 		}
 		tasks = append(tasks, cluster.Task{Worker: st.ed.execWorker, Fn: func() {
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
+			t0 := time.Now()
 			defer func() {
 				if r := recover(); r != nil {
 					st.err = fmt.Errorf("panic: %v", r)
 				}
-				if timed {
-					st.elapsed = time.Since(t0)
-				}
+				st.elapsed = time.Since(t0)
 			}()
-			local, f, err := localJoin(ctx, dstEngine, dst, st.shipped, st.smeta, tau, flip)
-			st.funnel = f
-			if err != nil {
-				st.err = err
-				return
-			}
-			mu.Lock()
-			pairs = append(pairs, local...)
-			mu.Unlock()
+			st.stats, st.err = JoinEdge(ctx, dstEngine.opts.Measure, dst, st.shipped, st.smeta, st.slots,
+				tau, dstEngine.opts.VerifyParallelism, func(hits []JoinHit) {
+					st.pairs = make([]Pair, 0, len(hits)*(1+boolToInt(st.ed.mirror)))
+					for _, h := range hits {
+						p := Pair{T: st.shipped[h.Pair.Shipped], Q: dst.Trajs[h.Pair.Local], Distance: h.Distance}
+						if flip {
+							p.T, p.Q = p.Q, p.T
+						}
+						st.pairs = append(st.pairs, p)
+						// A member paired with itself (its own slot, not merely
+						// its own id) has no second orientation.
+						if st.ed.mirror && !(st.ed.diagonal && h.Pair.Local == st.slots[h.Pair.Shipped]) {
+							st.pairs = append(st.pairs, Pair{T: p.Q, Q: p.T, Distance: p.Distance})
+						}
+					}
+				})
 		}})
 	}
 	if err := e.cl.RunContext(ctx, tasks); err != nil {
 		return nil, err
 	}
-	// Fold edge failures into the skip report, one entry per destination
-	// partition (several edges may target the same partition).
+	// Fold edge failures into the skip report, one entry per partition
+	// (several edges may involve the same partition).
+	perEdge := make([][]Pair, 0, len(states))
 	seen := map[int]bool{}
 	for _, st := range states {
-		_, dst, _, _ := e.edgeSides(other, st.ed)
+		src, dst, _, _ := jv.edgeSides(st.ed)
 		if st.err == nil {
-			funnel.Merge(st.funnel)
+			funnel.Merge(st.stats.Funnel)
+			perEdge = append(perEdge, st.pairs)
 			if tr != nil {
-				f := st.funnel
-				tr.Add(obs.Span{Name: "local-join", Partition: dst.ID,
-					Duration: st.elapsed, Funnel: &f})
+				f := st.stats.Funnel
+				tr.Add(obs.Span{Name: "local-join", Partition: dst.part.ID, Duration: st.elapsed,
+					Probe: st.stats.Probe, Verify: st.stats.Verify, Funnel: &f})
 			}
 			continue
 		}
@@ -624,31 +723,38 @@ func (e *Engine) executeJoin(ctx context.Context, other *Engine, tau float64, ed
 		}
 		class := obs.Classify(st.err)
 		if tr != nil {
-			tr.Add(obs.Span{Name: "local-join", Partition: dst.ID,
+			tr.Add(obs.Span{Name: "local-join", Partition: dst.part.ID,
 				Duration: st.elapsed, Err: st.err.Error(), Class: class})
 		}
-		if !seen[dst.ID] {
-			seen[dst.ID] = true
-			report.Skipped = append(report.Skipped, SkippedPartition{
-				Partition: dst.ID, Err: st.err.Error(), Elapsed: st.elapsed, Class: class})
-			e.met.recordSkip(class)
+		lost := []int{dst.part.ID}
+		if st.ed.mirror {
+			// The edge's pairs have their T in either partition.
+			lost = append(lost, src.part.ID)
+		}
+		for _, pid := range lost {
+			if !seen[pid] {
+				seen[pid] = true
+				report.Skipped = append(report.Skipped, SkippedPartition{
+					Partition: pid, Err: st.err.Error(), Elapsed: st.elapsed, Class: class})
+				e.met.recordSkip(class)
+			}
 		}
 	}
 	if stats != nil {
 		stats.TrajsSent = trajsSent
 		stats.BytesSent = bytesSent
 	}
-	return pairs, nil
+	return perEdge, nil
 }
 
-// edgeSides resolves an edge's (source partition, destination partition,
+// edgeSides resolves an edge's (source view, destination view,
 // destination engine, flip) given its orientation. flip reports that the
 // shipped trajectories are Q-side (so result pairs are (dstTraj, shipped)).
-func (e *Engine) edgeSides(other *Engine, ed *edge) (src, dst *Partition, dstEngine *Engine, flip bool) {
+func (jv *joinViews) edgeSides(ed *edge) (src, dst *JoinView, dstEngine *Engine, flip bool) {
 	if ed.dirTQ {
-		return e.parts[ed.ti], other.parts[ed.qj], other, false
+		return jv.left[ed.ti], jv.right[ed.qj], jv.other, false
 	}
-	return other.parts[ed.qj], e.parts[ed.ti], e, true
+	return jv.right[ed.qj], jv.left[ed.ti], jv.e, true
 }
 
 func boolToInt(b bool) int {
@@ -658,99 +764,101 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-// localJoin probes dst's trie with each shipped trajectory (whose
-// precomputed metadata feeds the verifier) and verifies candidates.
-// flip=false: shipped are T-side, dst holds Q-side. When dst carries an
-// ingest overlay, trie candidates masked by tombstones are dropped and
-// the overlay's live members are paired with every shipped trajectory
-// brute-force — the verification cascade prunes them like any candidate.
+// EdgeStats is what one edge's local join did: its pruning funnel
+// (Considered onward) and the wall time of its two phases.
+type EdgeStats struct {
+	Funnel        obs.Funnel
+	Probe, Verify time.Duration
+}
+
+// edgeScratch holds what a local join fills and drops again: the flattened
+// candidate pairs and the hits among them. Pooled: both are as long as the
+// edge's candidate count, and a join has hundreds of edges to grow them
+// from nothing on.
+type edgeScratch struct {
+	pairs []JoinPair
+	hits  []JoinHit
+}
+
+var edgeScratchPool = sync.Pool{New: func() any { return new(edgeScratch) }}
+
+// JoinEdge is the local join of one edge: it probes dst's trie with each
+// shipped trajectory (whose precomputed metadata feeds its verifier),
+// drops candidates masked by tombstones, pairs the shipped trajectory with
+// dst's unindexed overlay members brute-force — the verification cascade
+// prunes them like any candidate — and verifies the candidate pairs on the
+// verification pool. collect receives the hits, in (shipped, probe) order
+// at every parallelism; they are only valid during the call.
+//
+// slots is nil except when the edge joins a partition with itself: the
+// shipped trajectories are then members of dst, slots[i] is shipped[i]'s
+// slot, and only candidates at that slot or after it are kept, so each
+// unordered pair of members — and each member with itself — is verified
+// once. An overlay member's partners are then all in the overlay, and its
+// trie probe is skipped.
+//
 // Cancellation is checked inside each trie probe and before every
 // verification step. The returned funnel covers the edge: Considered is
-// |shipped|·|visible dst| pairs, TrieCands the candidate pairs probed,
-// and the later stages the verification cascade over those pairs.
-func localJoin(ctx context.Context, dstEngine *Engine, dst *Partition, shipped []*traj.T, smeta []VerifyMeta, tau float64, flip bool) ([]Pair, obs.Funnel, error) {
-	m := dstEngine.opts.Measure
-	// The destination view: base followed by the overlay's visible live
-	// members (indices past len(dst.Trajs) address the overlay).
-	dstTrajs, dstMeta := dst.Trajs, dst.meta
-	var overlayIdx []int
-	overlay := dst.hasOverlay()
-	if overlay {
-		dstTrajs = append([]*traj.T{}, dst.Trajs...)
-		dstMeta = append([]VerifyMeta{}, dst.meta...)
-		if dst.frozen != nil {
-			for i, t := range dst.frozen.Live {
-				if !dst.tomb[t.ID] {
-					overlayIdx = append(overlayIdx, len(dstTrajs))
-					dstTrajs = append(dstTrajs, t)
-					dstMeta = append(dstMeta, dst.frozen.Meta[i])
-				}
-			}
-		}
-		if dst.delta != nil {
-			for i, t := range dst.delta.Live {
-				overlayIdx = append(overlayIdx, len(dstTrajs))
-				dstTrajs = append(dstTrajs, t)
-				dstMeta = append(dstMeta, dst.delta.Meta[i])
-			}
-		}
-	}
-	f := obs.Funnel{Considered: int64(len(shipped)) * int64(len(dstTrajs))}
+// the (shipped, dst slot) pairs the trie filtered, TrieCands the candidate
+// pairs probed, and the later stages the verification cascade over those.
+func JoinEdge(ctx context.Context, m measure.Measure, dst *JoinView, shipped []*traj.T, smeta []VerifyMeta, slots []int,
+	tau float64, parallelism int, collect func(hits []JoinHit)) (EdgeStats, error) {
+	var st EdgeStats
+	sc := edgeScratchPool.Get().(*edgeScratch)
+	defer edgeScratchPool.Put(sc)
 	// Phase 1: sequential trie probes flatten the edge into candidate
 	// pairs, with one verifier per shipped trajectory (the filter stage is
 	// cheap; the DP-heavy cascade below is where the fan-out pays).
-	var (
-		pairs []JoinPair
-		vs    []*Verifier
-		ts    []*traj.T
-		nCand []int
-	)
+	start := time.Now()
+	pairs, vs := sc.pairs[:0], make([]Verifier, len(shipped))
 	for si, t := range shipped {
-		idxs, err := dst.Index.SearchContext(ctx, t.Points, m, tau, nil)
-		if err != nil {
-			return nil, f, err
+		from := 0
+		if slots != nil {
+			from = slots[si]
 		}
-		if overlay {
-			kept := idxs[:0]
+		st.Funnel.Considered += int64(len(dst.Trajs) - from)
+		before := len(pairs)
+		if from < dst.Base {
+			idxs, err := dst.Index.SearchContext(ctx, t.Points, m, tau, nil)
+			if err != nil {
+				return st, err
+			}
 			for _, i := range idxs {
-				if !dst.maskedBase(dst.Trajs[i].ID) {
-					kept = append(kept, i)
+				if i >= from && dst.visible(i) {
+					pairs = append(pairs, JoinPair{Shipped: si, Local: i})
 				}
 			}
-			idxs = append(kept, overlayIdx...)
 		}
-		if len(idxs) == 0 {
-			continue
+		for i := max(from, dst.Base); i < len(dst.Trajs); i++ {
+			pairs = append(pairs, JoinPair{Shipped: si, Local: i})
 		}
-		vi := len(vs)
-		vs = append(vs, NewVerifierFromMeta(m, t.Points, tau, smeta[si]))
-		ts = append(ts, t)
-		nCand = append(nCand, len(idxs))
-		for _, i := range idxs {
-			pairs = append(pairs, JoinPair{Shipped: vi, Local: i})
+		if len(pairs) > before {
+			vs[si].init(m, t.Points, tau, smeta[si])
 		}
 	}
+	sc.pairs = pairs
+	probed := time.Now()
+	st.Probe = probed.Sub(start)
 	// Phase 2: the verification cascade over the flat pair list, fanned
 	// out across the verification pool. Hits come back in pairs order, so
-	// the output matches the old nested sequential loops byte for byte;
-	// the funnel merge is a sum per stage, so it is order-independent too.
-	hits, err := VerifyJoinPairs(ctx, pairs, vs, dstTrajs, dstMeta, dstEngine.opts.VerifyParallelism)
-	for vi, v := range vs {
-		vf := v.Funnel(0, nCand[vi])
-		vf.Considered = 0
-		f.Merge(vf)
+	// the output is the nested sequential loops' byte for byte; the funnel
+	// is a sum per stage, so it is order-independent too.
+	hits, err := VerifyJoinPairs(ctx, pairs, vs, dst.Trajs, dst.Meta, parallelism, sc.hits[:0])
+	st.Verify = time.Since(probed)
+	var lengthPruned, coveragePruned int64
+	for i := range vs {
+		lengthPruned += vs[i].LengthPruned.Load()
+		coveragePruned += vs[i].CoveragePruned.Load()
+		st.Funnel.Verified += vs[i].Verified.Load()
+		st.Funnel.Matched += vs[i].Accepted.Load()
 	}
+	st.Funnel.TrieCands = int64(len(pairs))
+	st.Funnel.AfterLength = st.Funnel.TrieCands - lengthPruned
+	st.Funnel.AfterCoverage = st.Funnel.AfterLength - coveragePruned
 	if err != nil {
-		return nil, f, err
+		return st, err
 	}
-	var out []Pair
-	for _, h := range hits {
-		t, d := ts[h.Pair.Shipped], h.Pair.Local
-		if flip {
-			out = append(out, Pair{T: dstTrajs[d], Q: t, Distance: h.Distance})
-		} else {
-			out = append(out, Pair{T: t, Q: dstTrajs[d], Distance: h.Distance})
-		}
-	}
-	return out, f, nil
+	sc.hits = hits
+	collect(hits)
+	return st, nil
 }

@@ -142,8 +142,8 @@ func (v *Verifier) VerifyAll(ctx context.Context, trajs []*traj.T, meta []Verify
 }
 
 // JoinPair is one (shipped trajectory, local candidate) verification unit
-// of a join edge: Shipped indexes the edge's verifier list, Local the
-// destination partition's trajectory slice.
+// of a join edge: Shipped indexes the edge's shipped list (and its parallel
+// verifier list), Local the destination view's trajectory slice.
 type JoinPair struct {
 	Shipped, Local int
 }
@@ -155,22 +155,21 @@ type JoinHit struct {
 }
 
 // VerifyJoinPairs verifies a join edge's flattened candidate pairs with
-// the same slot-compaction discipline as VerifyAll: hits come back in
-// pairs order whatever the goroutine schedule, and each shipped
+// the same slot-compaction discipline as VerifyAll: hits are appended to
+// dst in pairs order whatever the goroutine schedule, and each shipped
 // trajectory's verifier accumulates its stage counters atomically.
-func VerifyJoinPairs(ctx context.Context, pairs []JoinPair, vs []*Verifier, trajs []*traj.T, meta []VerifyMeta, parallelism int) ([]JoinHit, error) {
+func VerifyJoinPairs(ctx context.Context, pairs []JoinPair, vs []Verifier, trajs []*traj.T, meta []VerifyMeta, parallelism int, dst []JoinHit) ([]JoinHit, error) {
 	par := ResolveParallelism(parallelism)
 	if par <= 1 || len(pairs) < minParallelCands {
-		var out []JoinHit
 		for _, pr := range pairs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			if d, ok := vs[pr.Shipped].Verify(trajs[pr.Local], meta[pr.Local]); ok {
-				out = append(out, JoinHit{Pair: pr, Distance: d})
+				dst = append(dst, JoinHit{Pair: pr, Distance: d})
 			}
 		}
-		return out, nil
+		return dst, nil
 	}
 	dists := make([]float64, len(pairs))
 	ok := make([]bool, len(pairs))
@@ -183,11 +182,10 @@ func VerifyJoinPairs(ctx context.Context, pairs []JoinPair, vs []*Verifier, traj
 	if err != nil {
 		return nil, err
 	}
-	var out []JoinHit
 	for k, hit := range ok {
 		if hit {
-			out = append(out, JoinHit{Pair: pairs[k], Distance: dists[k]})
+			dst = append(dst, JoinHit{Pair: pairs[k], Distance: dists[k]})
 		}
 	}
-	return out, nil
+	return dst, nil
 }

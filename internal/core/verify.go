@@ -52,15 +52,17 @@ type Verifier struct {
 // NewVerifier prepares a verifier for query q at threshold tau. The cell
 // side length is unused (see NewVerifyMeta).
 func NewVerifier(m measure.Measure, q []geom.Point, tau, _ float64) *Verifier {
-	return NewVerifierFromMeta(m, q, tau, trajMeta{mbr: geom.MBROf(q)})
+	v := new(Verifier)
+	v.init(m, q, tau, trajMeta{mbr: geom.MBROf(q)})
+	return v
 }
 
-// NewVerifierFromMeta is NewVerifier with the query's MBR already computed
-// (the join reuses the shipping side's index-time metadata).
-func NewVerifierFromMeta(m measure.Measure, q []geom.Point, tau float64, meta trajMeta) *Verifier {
-	v := &Verifier{m: m, tau: tau, q: q, qMBR: meta.mbr}
+// init prepares a zero Verifier in place, with the query's MBR already
+// computed: a join edge reuses the shipping side's index-time metadata and
+// keeps one verifier per shipped trajectory in a single slice.
+func (v *Verifier) init(m measure.Measure, q []geom.Point, tau float64, meta trajMeta) {
+	v.m, v.tau, v.q, v.qMBR = m, tau, q, meta.mbr
 	v.qEMBR = v.qMBR.Expand(tau)
-	return v
 }
 
 // SetTau re-targets the verifier to a tighter threshold, recomputing the

@@ -514,6 +514,12 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 				members = append(members, t)
 				mbrF = mbrF.Extend(t.First())
 				mbrL = mbrL.Extend(t.Last())
+				if _, dup := dd.loc[t.ID]; dup {
+					// Nothing has been sent yet. The routing table, Fetch and
+					// the self-join's mirrored pairs all identify a member
+					// by its id alone.
+					return nil, fmt.Errorf("dnet: dataset %q: duplicate trajectory id %d", name, t.ID)
+				}
 				dd.loc[t.ID] = pid
 			}
 			args.Fingerprint = snap.Fingerprint(opts, members)
@@ -830,8 +836,11 @@ func (c *Coordinator) SearchTraced(ctx context.Context, name string, q *traj.T, 
 		if timed {
 			gStart = time.Now()
 		}
-		rel := c.relevantPartitions(dd.boundsView(), q.Points, tau)
-		funnel = obs.Funnel{Partitions: int64(len(dd.parts)), Relevant: int64(len(rel))}
+		// The partition count comes from the view too: dd.parts grows under
+		// dd.mu at a rebalance cutover.
+		view := dd.boundsView()
+		rel := c.relevantPartitions(view, q.Points, tau)
+		funnel = obs.Funnel{Partitions: int64(len(view.bounds)), Relevant: int64(len(rel))}
 		if tr != nil {
 			gf := funnel
 			tr.Add(obs.Span{Name: "global-prune", Partition: -1,
@@ -981,6 +990,13 @@ func isPeerUnreachable(err error) bool {
 // of the paper's cost model; the full sampled model lives in the
 // in-process engine). Replica failover applies on both ends of each
 // shipment.
+//
+// Joining a dataset with itself is planned symmetrically, like the
+// engine's self-join (core.Engine.JoinPartialContext): each unordered
+// partition pair is one edge, a partition's edge with itself runs on one
+// live replica of it with nothing shipped, every verified pair crosses the
+// wire in one orientation and is returned in both, and an edge lost to
+// unreachable replicas is reported against both of its partitions.
 func (c *Coordinator) Join(left, right string, tau float64) ([]WirePair, error) {
 	pairs, _, err := c.JoinPartialContext(context.Background(), left, right, tau)
 	return pairs, err
@@ -1065,17 +1081,25 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 		// Destination bounds, captured at plan time so concurrent ingests
 		// growing them can't tear the relevance check on the workers.
 		dstMBRf, dstMBRl geom.MBR
+		// mirror: an edge of a self-join, standing for both orientations of
+		// its partition pair; diagonal: that pair is one partition twice.
+		mirror, diagonal bool
 	}
 	var edges []edge
 	anchored := c.m.AlignsEndpoints()
 	maxForm := c.m.Accumulation() == measure.AccumMax
-	ltV, rtV := lt.boundsView(), rt.boundsView()
+	self := lt == rt
+	ltV := lt.boundsView()
+	rtV := ltV
+	if !self {
+		rtV = rt.boundsView()
+	}
 	for i, pt := range ltV.bounds {
 		if pt.retired {
 			continue
 		}
 		for j, pq := range rtV.bounds {
-			if pq.retired {
+			if pq.retired || (self && j < i) {
 				continue
 			}
 			if anchored {
@@ -1092,19 +1116,19 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 			// Orientation: ship the smaller side.
 			if pt.trajs <= pq.trajs {
 				edges = append(edges, edge{src: i, dst: j, srcName: left, dstName: right, flip: false,
-					dstMBRf: pq.mbrF, dstMBRl: pq.mbrL})
+					dstMBRf: pq.mbrF, dstMBRl: pq.mbrL, mirror: self, diagonal: self && i == j})
 			} else {
 				edges = append(edges, edge{src: j, dst: i, srcName: right, dstName: left, flip: true,
-					dstMBRf: pt.mbrF, dstMBRl: pt.mbrL})
+					dstMBRf: pt.mbrF, dstMBRl: pt.mbrL, mirror: self})
 			}
 		}
 	}
+	funnel := obs.Funnel{Partitions: int64(len(ltV.bounds)) * int64(len(rtV.bounds)), Relevant: int64(len(edges))}
 	if tr != nil {
-		gf := obs.Funnel{Partitions: int64(len(lt.parts)) * int64(len(rt.parts)), Relevant: int64(len(edges))}
+		gf := funnel
 		tr.Add(obs.Span{Name: "global-prune", Partition: -1,
 			Start: gStart.Sub(tr.Begin), Duration: time.Since(gStart), Funnel: &gf})
 	}
-	funnel := obs.Funnel{Partitions: int64(len(lt.parts)) * int64(len(rt.parts)), Relevant: int64(len(edges))}
 	replies := make([]JoinReply, len(edges))
 	skipped := make([]*SkippedPartition, len(edges))
 	attempts := make([]int, len(edges))
@@ -1134,6 +1158,24 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 			if tr != nil {
 				args.TraceID, args.SpanID = tr.ID, obs.NewTraceID()
 			}
+			// One attempt at the edge: the source replica sw selects and
+			// ships to the destination replica dw.
+			call := func(sw, dw int) (int, error) {
+				args.DstAddr, args.TimeoutMillis = c.addrs[dw], remainingMillis(ctx)
+				return c.clients[sw].CallContextN(ctx, "Worker.Ship", args, &replies[i])
+			}
+			if ed.diagonal {
+				// A diagonal edge ships nothing: the replica that would
+				// select the partition's members joins them in place
+				// (Worker.Join on its own view), so its one "destination"
+				// is itself.
+				jargs := &JoinArgs{Dataset: ed.dstName, Partition: ed.dst, Tau: tau, Diagonal: true,
+					TraceID: args.TraceID, SpanID: args.SpanID}
+				call = func(sw, _ int) (int, error) {
+					jargs.TimeoutMillis = remainingMillis(ctx)
+					return c.clients[sw].CallContextN(ctx, "Worker.Join", jargs, &replies[i])
+				}
+			}
 			var lastErr error
 			srcReached := false
 			for _, sw := range c.replicaOrder(srcDD, ed.src) {
@@ -1142,18 +1184,20 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 					break
 				}
 				dstDown := false
-				for _, dw := range c.replicaOrder(dstDD, ed.dst) {
+				dsts := []int{sw}
+				if !ed.diagonal {
+					dsts = c.replicaOrder(dstDD, ed.dst)
+				}
+				for _, dw := range dsts {
 					// Same rule as the search fan-out: a dead query stops
 					// consuming replica attempts immediately.
 					if err := ctx.Err(); err != nil {
 						lastErr = err
 						break
 					}
-					args.DstAddr = c.addrs[dw]
-					args.TimeoutMillis = remainingMillis(ctx)
 					replies[i] = JoinReply{}
 					tried[i]++
-					n, err := c.clients[sw].CallContextN(ctx, "Worker.Ship", args, &replies[i])
+					n, err := call(sw, dw)
 					attempts[i] += n
 					if err == nil {
 						c.health.success(sw)
@@ -1164,6 +1208,8 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 								Partition: ed.dst, Attempts: attempts[i],
 								Start: eStart.Sub(tr.Begin), Duration: time.Since(eStart),
 								Remote: time.Duration(replies[i].ElapsedMicros) * time.Microsecond,
+								Probe:  time.Duration(replies[i].ProbeMicros) * time.Microsecond,
+								Verify: time.Duration(replies[i].VerifyMicros) * time.Microsecond,
 								Funnel: &f})
 						}
 						return
@@ -1232,21 +1278,48 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 		return nil, report, err
 	}
 	mergeDone := tr.StartSpan("merge", -1)
-	var pairs []WirePair
+	total := 0
+	for i, ed := range edges {
+		if n := len(replies[i].Pairs); ed.mirror {
+			total += 2 * n
+		} else {
+			total += n
+		}
+	}
+	pairs := make([]WirePair, 0, total)
 	seen := map[SkippedPartition]bool{}
-	for i := range edges {
+	for i, ed := range edges {
 		c.met.recordRetries(attempts[i], tried[i])
-		if skipped[i] != nil {
-			key := SkippedPartition{Dataset: skipped[i].Dataset, Partition: skipped[i].Partition}
-			if !seen[key] {
-				seen[key] = true
-				report.Skipped = append(report.Skipped, *skipped[i])
-				c.met.recordSkip(skipped[i].Class)
+		if sk := skipped[i]; sk != nil {
+			// A mirror edge's pairs have their T in either partition: both
+			// are missing answers, whichever side was unreachable.
+			lost := []int{sk.Partition}
+			if ed.mirror {
+				lost = []int{ed.src, ed.dst}
+			}
+			for _, pid := range lost {
+				key := SkippedPartition{Dataset: sk.Dataset, Partition: pid}
+				if !seen[key] {
+					seen[key] = true
+					entry := *sk
+					entry.Partition = pid
+					report.Skipped = append(report.Skipped, entry)
+					c.met.recordSkip(sk.Class)
+				}
 			}
 			continue
 		}
 		funnel.Merge(replies[i].Funnel)
 		pairs = append(pairs, replies[i].Pairs...)
+		if ed.mirror {
+			// Ids are unique within a dispatched dataset (Dispatch rejects
+			// duplicates), so equal ids are a member paired with itself.
+			for _, p := range replies[i].Pairs {
+				if p.TID != p.QID {
+					pairs = append(pairs, WirePair{TID: p.QID, QID: p.TID, Distance: p.Distance})
+				}
+			}
+		}
 	}
 	sort.Slice(report.Skipped, func(a, b int) bool {
 		if report.Skipped[a].Dataset != report.Skipped[b].Dataset {
@@ -1254,12 +1327,7 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 		}
 		return report.Skipped[a].Partition < report.Skipped[b].Partition
 	})
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].TID != pairs[b].TID {
-			return pairs[a].TID < pairs[b].TID
-		}
-		return pairs[a].QID < pairs[b].QID
-	})
+	pairs = core.SortByIDPair(pairs, func(p *WirePair) (int, int) { return p.TID, p.QID })
 	mergeDone(nil)
 	if timed {
 		elapsed := time.Since(qStart)

@@ -21,12 +21,12 @@ import (
 	"sync"
 
 	"dita/internal/core"
+	"dita/internal/pivot"
 	"dita/internal/rtree"
 	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/trie"
 	"dita/internal/wal"
-	"dita/internal/pivot"
 )
 
 // overloadedPrefix starts the application error Worker.Ingest returns
@@ -64,6 +64,21 @@ type partView struct {
 // overlay reports whether the view carries any un-merged mutations —
 // when false, query paths run exactly the pre-ingest code.
 func (v partView) overlay() bool { return len(v.delta) > 0 || len(v.tomb) > 0 }
+
+// joinView is the view as a join edge's destination: the delta members
+// follow the base in slot order, the tombstones mask the base.
+func (v partView) joinView() *core.JoinView {
+	jv := &core.JoinView{Index: v.index, Trajs: v.trajs, Meta: v.meta, Base: len(v.trajs)}
+	if len(v.tomb) > 0 {
+		jv.Masked = func(id int) bool { return v.tomb[id] }
+	}
+	if len(v.delta) > 0 {
+		// Capped, so the appends copy the base slices.
+		jv.Trajs = append(v.trajs[:jv.Base:jv.Base], v.delta...)
+		jv.Meta = append(v.meta[:jv.Base:jv.Base], v.deltaMeta...)
+	}
+	return jv
+}
 
 // view captures the partition for one query.
 func (p *workerPartition) view() partView {

@@ -80,13 +80,14 @@ func oracleDataset(oracle map[int]*traj.T) *traj.Dataset {
 	return d
 }
 
-// checkDifferential asserts the cluster answers threshold search and kNN
-// exactly as brute force over the oracle does — the differential contract
-// for a mutated dataset.
+// checkDifferential asserts the cluster answers threshold search, kNN and
+// the self-join exactly as brute force over the oracle does — the
+// differential contract for a mutated dataset.
 func checkDifferential(t *testing.T, c *Coordinator, name string, oracle map[int]*traj.T, qs []*traj.T, tau float64) {
 	t.Helper()
 	od := oracleDataset(oracle)
 	m := measure.DTW{}
+	checkNetSelfJoin(t, c, name, oracle, tau, m)
 	for qi, q := range qs {
 		hits, err := c.Search(name, q, tau)
 		if err != nil {

@@ -226,7 +226,7 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 		planDone(nil)
 
 		merger = newKNNMerger(kq)
-		funnel = obs.Funnel{Partitions: int64(len(dd.parts))}
+		funnel = obs.Funnel{Partitions: int64(len(v.bounds))}
 		next := 0
 		for next < len(order) {
 			if err := ctx.Err(); err != nil {

@@ -307,6 +307,12 @@ type JoinArgs struct {
 	Trajs     []WireTrajectory
 	Tau       float64
 	Flip      bool
+	// Diagonal joins the partition with itself (a self-join's edge (i,i)):
+	// Trajs is empty, the worker probes with its own visible members and
+	// verifies each unordered pair of them once — the coordinator returns
+	// both orientations — and the member with itself. The one call the
+	// coordinator makes to Join directly: nothing is shipped, so no Ship.
+	Diagonal bool
 	// TimeoutMillis bounds the local join; 0 means no deadline.
 	TimeoutMillis int64
 	// TraceID/SpanID correlate the shipment to the coordinator's trace.
@@ -319,7 +325,9 @@ type WirePair struct {
 	Distance float64
 }
 
-// JoinReply returns the verified pairs and candidate counts.
+// JoinReply returns the verified pairs and candidate counts. The pairs of a
+// self-join's edge come back in one orientation only; the coordinator adds
+// the other.
 type JoinReply struct {
 	Pairs      []WirePair
 	Candidates int
@@ -332,6 +340,9 @@ type JoinReply struct {
 	// when the reply passed through Ship — the whole shipment (selection
 	// plus peer join), which subsumes it.
 	ElapsedMicros int64
+	// ProbeMicros and VerifyMicros split the Join handler's local join into
+	// its trie probes and its verification cascade.
+	ProbeMicros, VerifyMicros int64
 }
 
 // PingArgs/PingReply are the heartbeat probe: the coordinator's failure

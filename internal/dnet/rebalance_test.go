@@ -14,11 +14,13 @@ import (
 )
 
 // checkNetDifferentialM is checkDifferential generalized over the
-// measure: threshold search and kNN against the live cluster must agree
-// exactly with brute force over the logical oracle under measure m.
+// measure: threshold search, kNN and the self-join against the live cluster
+// must agree exactly with brute force over the logical oracle under
+// measure m.
 func checkNetDifferentialM(t *testing.T, c *Coordinator, name string, oracle map[int]*traj.T, qs []*traj.T, tau float64, m measure.Measure) {
 	t.Helper()
 	od := oracleDataset(oracle)
+	checkNetSelfJoin(t, c, name, oracle, tau, m)
 	for qi, q := range qs {
 		hits, err := c.Search(name, q, tau)
 		if err != nil {

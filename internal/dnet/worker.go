@@ -115,6 +115,14 @@ type Worker struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
+	// peers are the worker-to-worker shipment clients, one per destination
+	// address for the worker's lifetime (net/rpc multiplexes concurrent
+	// shipments over one connection); Close closes them and sets
+	// peersClosed, after which peer hands out dead clients.
+	peerMu      sync.Mutex
+	peers       map[string]*managedClient
+	peersClosed bool
+
 	// Drain bookkeeping: draining rejects new RPCs; idle is closed when
 	// the last in-flight RPC finishes after draining began.
 	stateMu  sync.Mutex
@@ -181,6 +189,7 @@ func NewWorker() *Worker {
 		parts: map[partKey]*workerPartition{},
 		done:  make(chan struct{}),
 		conns: map[net.Conn]struct{}{},
+		peers: map[string]*managedClient{},
 	}
 	w.queryBase, w.queryCancel = context.WithCancel(context.Background())
 	return w
@@ -379,6 +388,12 @@ func (w *Worker) Close() error {
 		}
 		w.conns = map[net.Conn]struct{}{}
 		w.connMu.Unlock()
+		w.peerMu.Lock()
+		w.peersClosed = true
+		for _, mc := range w.peers {
+			mc.Close()
+		}
+		w.peerMu.Unlock()
 		// Close the WAL handles so an in-process "restart" (tests) can
 		// reopen the files exclusively. An append racing this close fails
 		// like any crashed write: the record was never acked, and the torn
@@ -390,6 +405,26 @@ func (w *Worker) Close() error {
 		w.mu.RUnlock()
 	})
 	return w.closeErr
+}
+
+// peer returns the shipment client for a destination worker, dialled on
+// first use and kept: a join ships along hundreds of edges, and one
+// connection per peer carries them all. A call on a kept connection the
+// peer has since dropped (it restarted) fails at the transport level and
+// the managed client redials within shipRetry, as a fresh one would.
+func (w *Worker) peer(addr string) *managedClient {
+	w.peerMu.Lock()
+	defer w.peerMu.Unlock()
+	mc := w.peers[addr]
+	if mc == nil {
+		mc = newManagedClient(addr, shipRetry)
+		if w.peersClosed {
+			mc.Close() // the worker is gone: calls fail fast, nothing to leak
+			return mc
+		}
+		w.peers[addr] = mc
+	}
+	return mc
 }
 
 // workerService carries the exported RPC surface.
@@ -774,8 +809,7 @@ func (s *workerService) Ship(args *ShipArgs, reply *JoinReply) (err error) {
 	}
 	// Worker-to-worker connection: the data does not pass through the
 	// coordinator.
-	mc := newManagedClient(args.DstAddr, shipRetry)
-	defer mc.Close()
+	mc := s.w.peer(args.DstAddr)
 	jargs := &JoinArgs{
 		Dataset:   args.DstDataset,
 		Partition: args.DstPartition,
@@ -810,9 +844,11 @@ func (s *workerService) Ship(args *ShipArgs, reply *JoinReply) (err error) {
 	return nil
 }
 
-// Join implements the receiving side of the shuffle: probe the local trie
-// with each shipped trajectory and verify candidates. Bounded by the
-// shipment's forwarded deadline; panics are contained to this call.
+// Join implements the receiving side of the shuffle: the local join of one
+// edge (core.JoinEdge, the engine's own) with the shipped trajectories
+// against this partition's view — or, on a self-join's diagonal edge, with
+// the view's own members, nothing shipped. Bounded by the shipment's
+// forwarded deadline; panics are contained to this call.
 func (s *workerService) Join(args *JoinArgs, reply *JoinReply) (err error) {
 	if !s.w.beginRPC() {
 		return errDraining
@@ -828,84 +864,44 @@ func (s *workerService) Join(args *JoinArgs, reply *JoinReply) (err error) {
 	}
 	ctx, cancel := s.w.queryCtx(args.TimeoutMillis)
 	defer cancel()
-	// The destination view: base slices plus — when an ingest overlay is
-	// live — the delta members appended past them, their view indexes kept
-	// so every trie probe can consider them (they are unindexed until the
-	// next merge). Mirrors core.localJoin's overlay handling.
-	pv := p.view()
-	dstTrajs, dstMeta := pv.trajs, pv.meta
-	var overlayIdx []int
-	if pv.overlay() {
-		combined := make([]*traj.T, 0, len(dstTrajs)+len(pv.delta))
-		combined = append(combined, dstTrajs...)
-		combined = append(combined, pv.delta...)
-		cmeta := make([]core.VerifyMeta, 0, len(dstMeta)+len(pv.deltaMeta))
-		cmeta = append(cmeta, dstMeta...)
-		cmeta = append(cmeta, pv.deltaMeta...)
-		for j := range pv.delta {
-			overlayIdx = append(overlayIdx, len(dstTrajs)+j)
-		}
-		dstTrajs, dstMeta = combined, cmeta
-	}
-	// Considered counts every (shipped, local) pair the trie filtered; the
-	// verification stages accumulate per shipped trajectory.
-	reply.Funnel.Considered = int64(len(args.Trajs)) * int64(len(dstTrajs))
-	// Phase 1: sequential trie probes flatten the shipment into candidate
-	// pairs, one verifier per shipped trajectory (mirrors core.localJoin).
+	// One view for both sides of a diagonal edge: every pair of members is
+	// decided against a single instant of the partition.
+	dst := p.view().joinView()
 	var (
-		pairs []core.JoinPair
-		vs    []*core.Verifier
-		wts   []*WireTrajectory
-		nCand []int
+		shipped []*traj.T
+		smeta   []core.VerifyMeta
+		slots   []int
 	)
-	for wi := range args.Trajs {
-		wt := &args.Trajs[wi]
-		reply.BytesReceived += 16*len(wt.Points) + 8
-		idxs, err := pv.index.SearchContext(ctx, wt.Points, p.m, args.Tau, nil)
-		if err != nil {
+	if args.Diagonal {
+		if shipped, smeta, slots, err = dst.Select(ctx, nil); err != nil {
 			return err
 		}
-		if pv.overlay() {
-			kept := idxs[:0]
-			for _, i := range idxs {
-				if !pv.tomb[dstTrajs[i].ID] {
-					kept = append(kept, i)
+	} else {
+		ts := make([]traj.T, len(args.Trajs))
+		shipped, smeta = make([]*traj.T, len(ts)), make([]core.VerifyMeta, len(ts))
+		for i, wt := range args.Trajs {
+			ts[i] = traj.T(wt)
+			shipped[i], smeta[i] = &ts[i], core.NewVerifyMeta(&ts[i], p.cellD)
+			reply.BytesReceived += ts[i].Bytes()
+		}
+	}
+	st, err := core.JoinEdge(ctx, p.m, dst, shipped, smeta, slots, args.Tau, s.w.VerifyParallelism,
+		func(hits []core.JoinHit) {
+			reply.Pairs = make([]WirePair, len(hits))
+			for k, h := range hits {
+				pr := WirePair{TID: shipped[h.Pair.Shipped].ID, QID: dst.Trajs[h.Pair.Local].ID, Distance: h.Distance}
+				if args.Flip {
+					pr.TID, pr.QID = pr.QID, pr.TID
 				}
+				reply.Pairs[k] = pr
 			}
-			idxs = append(kept, overlayIdx...)
-		}
-		reply.Candidates += len(idxs)
-		if len(idxs) == 0 {
-			continue
-		}
-		vi := len(vs)
-		vs = append(vs, core.NewVerifier(p.m, wt.Points, args.Tau, p.cellD))
-		wts = append(wts, wt)
-		nCand = append(nCand, len(idxs))
-		for _, i := range idxs {
-			pairs = append(pairs, core.JoinPair{Shipped: vi, Local: i})
-		}
-	}
-	// Phase 2: verify the flat pair list on the worker's verification
-	// pool. Hits come back in pairs order, so reply.Pairs matches the old
-	// nested loops exactly; the funnel merge is order-independent sums.
-	hits, err := core.VerifyJoinPairs(ctx, pairs, vs, dstTrajs, dstMeta, s.w.VerifyParallelism)
-	for vi, v := range vs {
-		vf := v.Funnel(0, nCand[vi])
-		vf.Considered = 0 // already counted for the whole shipment above
-		reply.Funnel.Merge(vf)
-	}
+		})
 	if err != nil {
 		return err
 	}
-	for _, h := range hits {
-		wt, d := wts[h.Pair.Shipped], h.Pair.Local
-		if args.Flip {
-			reply.Pairs = append(reply.Pairs, WirePair{TID: dstTrajs[d].ID, QID: wt.ID, Distance: h.Distance})
-		} else {
-			reply.Pairs = append(reply.Pairs, WirePair{TID: wt.ID, QID: dstTrajs[d].ID, Distance: h.Distance})
-		}
-	}
+	reply.Funnel = st.Funnel
+	reply.Candidates = int(st.Funnel.TrieCands)
+	reply.ProbeMicros, reply.VerifyMicros = st.Probe.Microseconds(), st.Verify.Microseconds()
 	s.w.bytesIn.Add(int64(reply.BytesReceived))
 	return nil
 }

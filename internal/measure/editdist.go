@@ -247,6 +247,7 @@ func editBandedDP(t, q []geom.Point, tau float64, subCost func(a, b geom.Point) 
 		if hi > n {
 			hi = n
 		}
+		rowMin := inf
 		if lo > 1 {
 			cur[lo-1] = inf
 		} else {
@@ -254,12 +255,15 @@ func editBandedDP(t, q []geom.Point, tau float64, subCost func(a, b geom.Point) 
 			if float64(i) > tau {
 				cur[0] = inf
 			}
+			// Column 0 is a live cell of the row: without substitution
+			// (LCSS) it can be the only one within tau, with the match
+			// that completes the alignment still rows ahead.
+			rowMin = cur[0]
 		}
 		if hi < n {
 			cur[hi+1] = inf
 		}
 		ti := t[i-1]
-		rowMin := inf
 		for j := lo; j <= hi; j++ {
 			best := inf
 			sc := subCost(ti, q[j-1])

@@ -49,13 +49,18 @@ const (
 type Measure interface {
 	// Name returns the canonical upper-case name ("DTW", "FRECHET", ...).
 	Name() string
-	// Distance computes the exact distance between two trajectories.
+	// Distance computes the exact distance between two trajectories. It is
+	// bitwise symmetric: Distance(t, q) and Distance(q, t) are the same
+	// float64. A self-join verifies each unordered pair once and returns
+	// that one distance for both orientations.
 	Distance(t, q []geom.Point) float64
 	// DistanceThreshold computes the distance with early abandoning. The
 	// returned bool is true exactly when Distance(t, q) <= tau — ties
 	// included — and the value is then Distance's, bit for bit, so callers
 	// that rank by distance (kNN) need no exact recomputation; when it is
-	// false the value is only guaranteed to exceed tau.
+	// false the value is only guaranteed to exceed tau. With Distance's
+	// symmetry this makes DistanceThreshold(t, q, tau) and
+	// DistanceThreshold(q, t, tau) accept together, with the same bits.
 	DistanceThreshold(t, q []geom.Point, tau float64) (float64, bool)
 	// Accumulation reports the trie threshold-accumulation semantics.
 	Accumulation() Accumulation
@@ -84,8 +89,8 @@ type Measure interface {
 
 // registry is every measure ByName can resolve — which is every measure
 // the engine, dnet's MeasureSpec and the snapshot loader can run. The
-// threshold-contract test iterates it, so a measure added here cannot
-// skip the exactness kNN relies on.
+// threshold-contract and symmetry tests iterate it, so a measure added
+// here cannot skip the exactness kNN and the self-join rely on.
 var registry = []struct {
 	names []string
 	make  func(epsilon float64, delta int) Measure

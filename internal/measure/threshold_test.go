@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dita/internal/gen"
 	"dita/internal/geom"
 )
 
@@ -172,5 +173,71 @@ func TestThresholdContractAllMeasures(t *testing.T) {
 				checkThresholdContract(t, m, a, b, tau)
 			}
 		}
+	}
+}
+
+// checkSymmetric asserts the half of the Measure contract a self-join's
+// mirrored pairs rely on: both argument orders give the same distance bits,
+// and at the distance and the floats on either side of it the threshold
+// kernel accepts in both orders or in neither, with those bits.
+func checkSymmetric(t testing.TB, m Measure, a, b []geom.Point) {
+	t.Helper()
+	ab, ba := m.Distance(a, b), m.Distance(b, a)
+	if math.Float64bits(ab) != math.Float64bits(ba) {
+		t.Fatalf("%s m=%d n=%d: Distance(a,b) = %v, Distance(b,a) = %v", m.Name(), len(a), len(b), ab, ba)
+	}
+	for _, tau := range []float64{ab, math.Nextafter(ab, math.Inf(-1)), math.Nextafter(ab, math.Inf(1)), ab / 2, ab * 2} {
+		if tau < 0 || math.IsNaN(tau) {
+			continue
+		}
+		d1, ok1 := m.DistanceThreshold(a, b, tau)
+		d2, ok2 := m.DistanceThreshold(b, a, tau)
+		if ok1 != ok2 || (ok1 && math.Float64bits(d1) != math.Float64bits(d2)) {
+			t.Fatalf("%s m=%d n=%d tau=%v: (a,b) -> %v/%v, (b,a) -> %v/%v", m.Name(), len(a), len(b), tau, d1, ok1, d2, ok2)
+		}
+	}
+}
+
+// Every registered measure is bitwise symmetric, on what a join's verifier
+// is really handed (route mates and near misses of gen.VerifyWorkloads) and
+// on the shapes where a DP's two argument orders walk different cells:
+// m = 1, n = 1, unequal lengths, shared prefixes.
+func TestSymmetricContractAllMeasures(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for _, r := range registry {
+		m := r.make(0.5, 3)
+		for i := 0; i < 300; i++ {
+			a := randTraj(rng, 1+rng.Intn(14))
+			b := randTraj(rng, 1+rng.Intn(14))
+			for _, p := range [][2][]geom.Point{
+				{a, b}, {a, jitter(rng, a, 0.4)}, {a, a},
+				{a, b[:1]}, {a[:1], b}, {a[:1], b[:1]},
+				{a, a[:1+rng.Intn(len(a))]}, {a, append(a[:len(a):len(a)], b...)},
+			} {
+				checkSymmetric(t, m, p[0], p[1])
+			}
+		}
+	}
+	for _, w := range gen.VerifyWorkloads {
+		ts, qs := w.Pairs(150)
+		for _, r := range registry {
+			m := r.make(w.Tau, 3) // ε at the workload's scale, so edit measures see matches and misses
+			for i := range ts {
+				checkSymmetric(t, m, ts[i].Points, qs[i].Points)
+			}
+		}
+	}
+}
+
+// The banded edit DP must keep column 0 alive: with no substitution move
+// (LCSS) the skips down it can be the only path within tau, the one match
+// that completes it still rows ahead.
+func TestLCSSThresholdLateMatch(t *testing.T) {
+	m := LCSS{Eps: 0.5, Delta: 3}
+	a := []geom.Point{{X: 5}, {X: 6}, {X: 7}, {X: 0}}
+	b := []geom.Point{{X: 0}}
+	for _, tau := range []float64{2, 3, 4} {
+		checkThresholdContract(t, m, a, b, tau)
+		checkThresholdContract(t, m, b, a, tau)
 	}
 }

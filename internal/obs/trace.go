@@ -81,14 +81,16 @@ func (f Funnel) String() string {
 // and keeps the wire format trivial.
 type Span struct {
 	Name      string        `json:"name"`
-	Worker    string        `json:"worker,omitempty"`    // dnet worker address, if remote
-	Partition int           `json:"partition"`           // -1 when not partition-scoped
-	Attempts  int           `json:"attempts,omitempty"`  // RPC attempts incl. retries and failovers
-	Start     time.Duration `json:"start"`               // offset from trace start
+	Worker    string        `json:"worker,omitempty"`   // dnet worker address, if remote
+	Partition int           `json:"partition"`          // -1 when not partition-scoped
+	Attempts  int           `json:"attempts,omitempty"` // RPC attempts incl. retries and failovers
+	Start     time.Duration `json:"start"`              // offset from trace start
 	Duration  time.Duration `json:"duration"`
-	Remote    time.Duration `json:"remote,omitempty"`    // worker-measured time, when reported
+	Remote    time.Duration `json:"remote,omitempty"` // worker-measured time, when reported
+	Probe     time.Duration `json:"probe,omitempty"`  // join edge: its trie probes
+	Verify    time.Duration `json:"verify,omitempty"` // join edge: its verification cascade
 	Err       string        `json:"err,omitempty"`
-	Class     string        `json:"class,omitempty"`     // error class (see Classify)
+	Class     string        `json:"class,omitempty"` // error class (see Classify)
 	Funnel    *Funnel       `json:"funnel,omitempty"`
 }
 
@@ -187,6 +189,9 @@ func (t *Trace) Write(w io.Writer) {
 		fmt.Fprintf(w, " +%s dur=%s", s.Start.Round(time.Microsecond), s.Duration.Round(time.Microsecond))
 		if s.Remote > 0 {
 			fmt.Fprintf(w, " remote=%s", s.Remote.Round(time.Microsecond))
+		}
+		if s.Probe > 0 || s.Verify > 0 {
+			fmt.Fprintf(w, " probe=%s verify=%s", s.Probe.Round(time.Microsecond), s.Verify.Round(time.Microsecond))
 		}
 		if s.Attempts > 1 {
 			fmt.Fprintf(w, " attempts=%d", s.Attempts)
