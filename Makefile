@@ -33,11 +33,13 @@ race:
 chaos:
 	$(GO) test -race -run Chaos -count=2 ./...
 
-# kNN differential tests (best-first engine vs brute force locally, dnet
-# vs local over live TCP workers incl. a chaos worker kill) rerun under
-# the race detector; -count=2 defeats the cache like the chaos target.
+# kNN differential tests (the best-first traversal and its envelope bound
+# against the recursive descent and the kernels, best-first engine vs brute
+# force locally, dnet vs local over live TCP workers incl. a chaos worker
+# kill) rerun under the race detector; -count=2 defeats the cache like the
+# chaos target.
 knn:
-	$(GO) test -race -run KNN -count=2 ./internal/core ./internal/dnet
+	$(GO) test -race -run 'KNN|BestFirst|Envelope' -count=2 ./internal/trie ./internal/core ./internal/dnet
 
 # Snapshot persistence tests: format round-trip/corruption detection,
 # serialized-trie integrity, engine cold start, and the dnet
@@ -85,8 +87,9 @@ autopilot:
 
 # Short coverage-guided fuzz smoke of every parser that takes untrusted
 # input (CSV trajectory loader, SQL lexer/parser, snapshot decoder, WAL
-# replay) and of the threshold-DTW kernel's accept ⇔ Distance <= tau
-# contract. -run='^$$' skips the unit tests so only the fuzz engine runs.
+# replay), of the threshold-DTW kernel's accept ⇔ Distance <= tau contract
+# and of the kNN envelope bound's bound <= Distance one. -run='^$$' skips the
+# unit tests so only the fuzz engine runs.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/traj
@@ -97,6 +100,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzWALReplayRaw$$' -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzRepartitionPlan -fuzztime=$(FUZZTIME) ./internal/str
 	$(GO) test -run='^$$' -fuzz=FuzzDTWThreshold -fuzztime=$(FUZZTIME) ./internal/measure
+	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeBound -fuzztime=$(FUZZTIME) ./internal/trie
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

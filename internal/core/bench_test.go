@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"dita/internal/cluster"
@@ -132,6 +133,45 @@ func BenchmarkKNNScanPartition(b *testing.B) {
 	}
 	b.Run("tauInf", func(b *testing.B) { run(b, func(int) float64 { return math.Inf(1) }) })
 	b.Run("tauFinite", func(b *testing.B) { run(b, func(qi int) float64 { return kth[qi] }) })
+}
+
+// BenchmarkKNNOutlier is the kNN tail as a unit-level number: the
+// repository benchmark's corpus (100 k BeijingLike members, one virtual
+// worker, sequential verification) and, of its 400-query kNN pool, the ten
+// queries with the largest 10th-neighbour distance — the outliers whose τ
+// the endpoint and pivot bounds cannot use, which are its slowest. Ranking by
+// τ_k rather than by time keeps the ten the same across commits. cands/op
+// and verified/op are the members the tries handed over and the distance
+// computations run, per query.
+func BenchmarkKNNOutlier(b *testing.B) {
+	const k = 10
+	opts := DefaultOptions()
+	opts.VerifyParallelism = 1
+	opts.Cluster = cluster.New(cluster.DefaultConfig(1))
+	d := gen.Generate(gen.BeijingLike(100_000, 20180610))
+	e, err := NewEngine(d, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := append([]*traj.T(nil), d.Trajs[2000:2400]...)
+	kth := make(map[*traj.T]float64, len(pool))
+	for _, q := range pool {
+		res := e.SearchKNN(q, k)
+		kth[q] = res[len(res)-1].Distance
+	}
+	sort.SliceStable(pool, func(i, j int) bool { return kth[pool[i]] > kth[pool[j]] })
+	qs := pool[:10]
+	var cands, verified int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var st SearchStats
+		e.SearchKNNStats(qs[i%len(qs)], k, &st)
+		cands += st.Funnel.TrieCands
+		verified += st.Funnel.Verified
+	}
+	b.ReportMetric(float64(cands)/float64(b.N), "cands/op")
+	b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
 }
 
 // BenchmarkSelfJoin is the repository benchmark's join (12 k BeijingLike

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"dita/internal/gen"
@@ -138,5 +140,57 @@ func TestJoinFunnelMatchesBruteForce(t *testing.T) {
 	}
 	if tf := stats.Trace.Funnel(); tf != f {
 		t.Errorf("trace funnel %+v != stats funnel %+v", tf, f)
+	}
+}
+
+// The kNN funnel on outlier queries, where the whole-trajectory bounds do
+// the pruning: no new stage — the envelope shows as fewer trie candidates
+// than members considered, the box bound is counted under coverage, every
+// coverage survivor reached a distance kernel — and the chain stays
+// monotone, in the engine's scan and in the overlay's brute-force one.
+func TestKNNFunnelOutliers(t *testing.T) {
+	const k = 10
+	d := smallDataset(400, 13)
+	m := measure.DTW{}
+	opts := smallOpts(2)
+	opts.Measure = m
+	e, err := NewEngine(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := make([]VerifyMeta, d.Len())
+	for i, tr := range d.Trajs {
+		meta[i] = NewVerifyMeta(tr, 0)
+	}
+	var boxed, enveloped bool
+	for qi, q := range gen.OutlierQueries(d, 14) {
+		stats := SearchStats{Trace: obs.NewTrace("knn")}
+		got := e.SearchKNNStats(q, k, &stats)
+		checkKNNBitwise(t, "engine", got, d.Trajs, m, q, k)
+		f := stats.Funnel
+		if !f.Monotone() || f.Verified != f.AfterCoverage || f.Matched < k {
+			t.Fatalf("q%d: engine funnel %+v", qi, f)
+		}
+		if tf := stats.Trace.Funnel(); tf.TrieCands != f.TrieCands || tf.AfterCoverage != f.AfterCoverage || tf.Verified != f.Verified {
+			t.Errorf("q%d: knn-visit spans sum to %+v, stats funnel %+v", qi, tf, f)
+		}
+		enveloped = enveloped || f.TrieCands < f.Considered
+		boxed = boxed || f.AfterCoverage < f.AfterLength
+
+		acc := NewKNNAcc(k)
+		lf, err := KNNScanLive(context.Background(), m, q.Points, d.Trajs, meta, nil, acc, math.Inf(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkKNNBitwise(t, "live scan", acc.Results(), d.Trajs, m, q, k)
+		if !lf.Monotone() || lf.Verified != lf.AfterCoverage || lf.TrieCands != int64(d.Len()) {
+			t.Fatalf("q%d: live-scan funnel %+v", qi, lf)
+		}
+		if lf.AfterCoverage == lf.AfterLength {
+			t.Errorf("q%d: live scan of %d members pruned none by box: %+v", qi, d.Len(), lf)
+		}
+	}
+	if !enveloped || !boxed {
+		t.Errorf("outlier queries never pruned by envelope (%v) or box (%v)", enveloped, boxed)
 	}
 }

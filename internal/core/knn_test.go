@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -215,21 +217,107 @@ func TestKNNTiesAtKth(t *testing.T) {
 	m := measure.DTW{}
 	for qi, q := range []*traj.T{member, shifted} {
 		for k := 1; k <= len(trajs); k++ {
-			want := bruteKNN(d, m, q, k)
-			got := e.SearchKNN(q, k)
-			if len(got) != len(want) {
-				t.Fatalf("query %d k=%d: got %d results, want %d", qi, k, len(got), len(want))
+			checkKNNBitwise(t, fmt.Sprintf("query %d", qi), e.SearchKNN(q, k), trajs, m, q, k)
+		}
+	}
+}
+
+// checkKNNBitwise compares one kNN answer with brute force over the visible
+// members in (distance, ID) order, distances bit for bit.
+func checkKNNBitwise(t *testing.T, label string, got []SearchResult, visible []*traj.T, m measure.Measure, q *traj.T, k int) {
+	t.Helper()
+	want := bruteKNN(traj.NewDataset("visible", visible), m, q, k)
+	if len(got) != len(want) {
+		t.Fatalf("%s k=%d: got %d results, want %d", label, k, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Traj.ID != want[i] {
+			t.Fatalf("%s k=%d: result %d = traj %d, want %d", label, k, i, got[i].Traj.ID, want[i])
+		}
+		if exact := m.Distance(got[i].Traj.Points, q.Points); math.Float64bits(got[i].Distance) != math.Float64bits(exact) {
+			t.Fatalf("%s k=%d: result %d distance %v, exact kernel %v", label, k, i, got[i].Distance, exact)
+		}
+	}
+}
+
+// stationary returns n copies of p.
+func stationary(id, n int, p geom.Point) *traj.T {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = p
+	}
+	return &traj.T{ID: id, Points: pts}
+}
+
+// The box bound's sum form is a product, max(m,n)·d, where the kernel adds d
+// max(m,n) times: between two stationary trajectories every step costs the
+// same d, and the rounded product can exceed the rounded sum. Groups of
+// stationary members that tie exactly, stored with the larger ids first, so
+// the smaller ids must enter a full heap through the tie at the k-th
+// distance — which a bound an ulp above that distance would prune.
+func TestKNNStationaryDuplicates(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const groups, copies = 24, 5
+	var trajs []*traj.T
+	for g := 0; g < groups; g++ {
+		p := geom.Point{X: 116 + rng.Float64()*0.8, Y: 39.6 + rng.Float64()*0.6}
+		n := traj.MinLen + rng.Intn(30)
+		for c := 0; c < copies; c++ {
+			trajs = append(trajs, stationary(0, n, p))
+		}
+	}
+	for i, tr := range trajs {
+		tr.ID = len(trajs) - 1 - i // slot order is descending id order
+	}
+	d := traj.NewDataset("stationary", trajs)
+	for _, m := range []measure.Measure{measure.DTW{}, measure.Frechet{}, measure.Hausdorff{}} {
+		opts := smallOpts(2)
+		opts.Measure = m
+		e, err := NewEngine(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := 0; qi < 12; qi++ {
+			q := stationary(-1, 1+rng.Intn(30), geom.Point{X: 116 + rng.Float64()*0.8, Y: 39.6 + rng.Float64()*0.6})
+			if qi%4 == 0 {
+				q = stationary(-1, 1+rng.Intn(30), trajs[rng.Intn(len(trajs))].Points[0]) // on a member
 			}
-			for i := range want {
-				if got[i].Traj.ID != want[i] {
-					t.Fatalf("query %d k=%d: result %d = traj %d, want %d (tie broken wrong)",
-						qi, k, i, got[i].Traj.ID, want[i])
-				}
-				if exact := m.Distance(got[i].Traj.Points, q.Points); got[i].Distance != exact {
-					t.Fatalf("query %d k=%d: result %d distance %v, exact kernel %v",
-						qi, k, i, got[i].Distance, exact)
-				}
+			for k := 1; k <= len(trajs); k++ {
+				checkKNNBitwise(t, fmt.Sprintf("%s query %d", m.Name(), qi), e.SearchKNN(q, k), trajs, m, q, k)
 			}
+		}
+	}
+}
+
+// The product form alone, against the kernel: with the deflation it never
+// exceeds DTW between stationary trajectories, and the bare product does —
+// or this test and the one above would prove nothing.
+func TestBoxBoundUlpSafe(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	dtw := measure.DTW{}
+	bare := 0
+	for i := 0; i < 20000; i++ {
+		a := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+		b := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+		tt, q := stationary(0, 1+rng.Intn(60), a), stationary(1, 1+rng.Intn(60), b)
+		dist := dtw.Distance(tt.Points, q.Points)
+		tm, qm := tt.MBR(), q.MBR()
+		if lb := boxSum.lowerBound(qm, tm, len(q.Points), len(tt.Points)); lb > dist {
+			t.Fatalf("box bound %v above DTW %v (m=%d n=%d)", lb, dist, len(tt.Points), len(q.Points))
+		}
+		if float64(max(len(tt.Points), len(q.Points)))*qm.MinDistMBR(tm) > dist {
+			bare++
+		}
+		if lb := boxMax.lowerBound(qm, tm, len(q.Points), len(tt.Points)); lb > (measure.Frechet{}).Distance(tt.Points, q.Points) {
+			t.Fatalf("box bound %v above Fréchet", lb)
+		}
+	}
+	if bare == 0 {
+		t.Fatal("the undeflated product never exceeded the kernel's sum: the inputs do not exercise the rounding")
+	}
+	for _, m := range []measure.Measure{measure.ERP{}, measure.EDR{Eps: 0.1}, measure.LCSS{Eps: 0.1, Delta: 2}} {
+		if b := boxBoundOf(m); b != boxNone {
+			t.Fatalf("%s: box bound %v, want none (a point may go unmatched)", m.Name(), b)
 		}
 	}
 }

@@ -25,6 +25,8 @@ import (
 //     query point (each costs at least one edit).
 //   - ERP: like DTW but each term may be satisfied by the gap point, and
 //     any query point may align with the partition's endpoints.
+//   - Hausdorff: like Fréchet, but any query point may be the one nearest
+//     an endpoint.
 //
 // TrajRelevant(m, q, mbrF, mbrL, tau) ≡ PartitionLowerBound(...) <= tau,
 // so threshold pruning and best-first kNN ordering can never disagree.
@@ -58,6 +60,9 @@ func PartitionLowerBound(m measure.Measure, q []geom.Point, mbrF, mbrL geom.MBR)
 			cost++
 		}
 		return cost
+	}
+	if m.Accumulation() == measure.AccumMax {
+		return math.Max(df, dl)
 	}
 	return df + dl
 }
@@ -217,17 +222,75 @@ const knnScanCtxEvery = 32
 type knnScan struct {
 	m      measure.Measure
 	q      []geom.Point
+	qMBR   geom.MBR
 	acc    *KNNAcc
 	capTau float64
+	box    boxBound
 
 	v    *Verifier
 	vTau float64
-	// The exact-Distance path bypasses the Verifier, so its counts are
-	// tracked by hand and merged with the verifier's in funnel.
-	exactVerified, matched int64
+	// The exact-Distance path and the box bound bypass the Verifier, so
+	// their counts are tracked by hand and merged with the verifier's in
+	// funnel.
+	exactVerified, boxPruned, matched int64
+}
+
+func newKNNScan(m measure.Measure, q []geom.Point, acc *KNNAcc, capTau float64) knnScan {
+	return knnScan{m: m, q: q, qMBR: geom.MBROf(q), acc: acc, capTau: capTau, box: boxBoundOf(m)}
 }
 
 func (s *knnScan) tau() float64 { return math.Min(s.capTau, s.acc.Tau()) }
+
+// boxBound says which O(1) lower bound the two whole-trajectory MBRs give
+// under a measure: every pair of matched points is at least
+// MinDistMBR(MBR_T, MBR_Q) apart, so a max measure is at least that and a
+// sum measure at least that per step of its path.
+type boxBound int
+
+const (
+	boxNone boxBound = iota // a point may go unmatched (ERP, EDR, LCSS)
+	boxMax
+	boxSum
+)
+
+// boxBoundOf derives the bound from what Measure already says: the premise
+// is Lemma 5.4's — every point aligns with some point of the other side.
+func boxBoundOf(m measure.Measure) boxBound {
+	if !m.SupportsCoverageFilter() {
+		return boxNone
+	}
+	switch m.Accumulation() {
+	case measure.AccumSum:
+		return boxSum
+	case measure.AccumMax:
+		return boxMax
+	}
+	return boxNone
+}
+
+// lowerBound returns the box bound for a candidate of n points with MBR
+// tMBR against a query of len(q) points.
+//
+// For a max measure the box distance is termwise at most every point
+// distance the kernel takes its maximum over, in floating point too. For a
+// sum measure a warping path has N >= max(m, n) steps of at least d each,
+// but fl(N·d) is NOT at most the kernel's sequential sum of N terms >= d:
+// on stationary trajectories every step costs exactly d, and N−1 rounded
+// additions can land an ulp or more below the rounded product — a duplicate
+// tying at the k-th distance would be pruned. The sequential sum is at
+// least N·d·(1−(N−1)u), u = 2⁻⁵³, so the product is deflated by N·2⁻⁵²,
+// which also absorbs its own two roundings.
+func (b boxBound) lowerBound(qMBR, tMBR geom.MBR, qLen, tLen int) float64 {
+	if b == boxNone {
+		return 0
+	}
+	d := qMBR.MinDistMBR(tMBR)
+	if b == boxMax || d == 0 {
+		return d
+	}
+	n := float64(max(qLen, tLen))
+	return n * d * (1 - n*0x1p-52)
+}
 
 // verify resolves one candidate at threshold tau and offers it to acc.
 // Every threshold kernel accepts exactly when Distance <= tau and returns
@@ -243,8 +306,16 @@ func (s *knnScan) verify(t *traj.T, meta VerifyMeta, tau float64) {
 		s.acc.Add(t, s.m.Distance(t.Points, s.q))
 		return
 	}
+	if s.box.lowerBound(s.qMBR, meta.mbr, len(s.q), len(t.Points)) > tau {
+		// Counted under the coverage stage: the same two boxes, asked how
+		// far apart instead of whether within τ.
+		s.boxPruned++
+		s.acc.Resolve(t)
+		return
+	}
 	if s.v == nil {
-		s.v = NewVerifier(s.m, s.q, tau, 0)
+		s.v = new(Verifier)
+		s.v.init(s.m, s.q, tau, trajMeta{mbr: s.qMBR})
 	} else if tau != s.vTau {
 		s.v.SetTau(tau)
 	}
@@ -257,7 +328,8 @@ func (s *knnScan) verify(t *traj.T, meta VerifyMeta, tau float64) {
 }
 
 // funnel completes f (Considered and TrieCands set by the caller) from the
-// verifier's cascade counters plus the exact-Distance path's counts.
+// verifier's cascade counters plus the exact-Distance path's and the box
+// bound's counts.
 func (s *knnScan) funnel(f obs.Funnel) obs.Funnel {
 	var lenPruned, covPruned, verified int64
 	if s.v != nil {
@@ -266,7 +338,7 @@ func (s *knnScan) funnel(f obs.Funnel) obs.Funnel {
 		verified = s.v.Verified.Load()
 	}
 	f.AfterLength = f.TrieCands - lenPruned
-	f.AfterCoverage = f.AfterLength - covPruned
+	f.AfterCoverage = f.AfterLength - covPruned - s.boxPruned
 	f.Verified = verified + s.exactVerified
 	f.Matched = s.matched
 	return f
@@ -293,7 +365,7 @@ func KNNScanPartition(ctx context.Context, m measure.Measure, q []geom.Point,
 	acc *KNNAcc, capTau float64) (obs.Funnel, error) {
 
 	f := obs.Funnel{Considered: int64(len(trajs))}
-	s := knnScan{m: m, q: q, acc: acc, capTau: capTau}
+	s := newKNNScan(m, q, acc, capTau)
 	bf := idx.BestFirst(ctx, q, m)
 	seen := 0
 scan:
@@ -336,7 +408,7 @@ func KNNScanLive(ctx context.Context, m measure.Measure, q []geom.Point,
 	acc *KNNAcc, capTau float64) (obs.Funnel, error) {
 
 	f := obs.Funnel{Considered: int64(len(live)), TrieCands: int64(len(live))}
-	s := knnScan{m: m, q: q, acc: acc, capTau: capTau}
+	s := newKNNScan(m, q, acc, capTau)
 	for ci, t := range live {
 		if ci%knnScanCtxEvery == 0 {
 			if err := ctx.Err(); err != nil {

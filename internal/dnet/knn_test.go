@@ -78,7 +78,7 @@ func TestNetKNNMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := measure.DTW{}
-	for qi, q := range gen.Queries(d, 5, 111) {
+	for qi, q := range append(gen.Queries(d, 5, 111), gen.OutlierQueries(d, 113)...) {
 		for _, k := range []int{1, 3, 10, d.Len() + 5} {
 			want := bruteKNNHits(d, m, q, k)
 			local := e.SearchKNN(q, k)
@@ -478,6 +478,19 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 		}
 		if len(rounds) > 2 {
 			t.Fatalf("k=%d: %d rounds, want a pilot and at most one fan-out", k, len(rounds))
+		}
+	}
+	// Outliers over the same overlay: overlay members get the box bound
+	// from KNNScanLive, masked base members must stay hidden from it.
+	for fi, fq := range gen.OutlierQueries(d, 127) {
+		for _, k := range []int{1, 10, len(oracle) + 2} {
+			hits, rep, _ := tracedKNN(t, c, "trips", fq, k)
+			if rep.Partial() {
+				t.Fatalf("far query %d k=%d: unexpected partial report %+v", fi, k, rep.Skipped)
+			}
+			if !sameHits(hits, bruteKNNHits(od, m, fq, k)) {
+				t.Fatalf("far query %d k=%d: kNN disagrees with brute force over the oracle:\ngot %v", fi, k, hits)
+			}
 		}
 	}
 }

@@ -367,6 +367,31 @@ func Queries(d *traj.Dataset, k int, seed int64) []*traj.T {
 	return qs
 }
 
+// OutlierQueries returns three query trajectories far from every member:
+// members drawn with the given seed and shifted off the dataset's extent —
+// past an edge by most of its width, past another by most of its height,
+// and well outside it. Their k-th neighbour is of the order of the extent
+// away, so endpoint and pivot bounds admit every member of every partition
+// and a kNN answer rests on whole-trajectory bounds; the kNN differential
+// tests of core and dnet run them in every index lifecycle state.
+func OutlierQueries(d *traj.Dataset, seed int64) []*traj.T {
+	rng := rand.New(rand.NewSource(seed))
+	ext := geom.EmptyMBR()
+	for _, t := range d.Trajs {
+		ext = ext.ExtendAll(t.Points)
+	}
+	w, h := ext.Max.X-ext.Min.X, ext.Max.Y-ext.Min.Y
+	var qs []*traj.T
+	for i, off := range []geom.Point{{X: 0.6 * w}, {Y: -0.8 * h}, {X: -3 * w, Y: 2 * h}} {
+		q := &traj.T{ID: -1 - i}
+		for _, p := range d.Trajs[rng.Intn(d.Len())].Points {
+			q.Points = append(q.Points, p.Add(off))
+		}
+		qs = append(qs, q)
+	}
+	return qs
+}
+
 // VerifyWorkload is one pair set of the threshold-kernel and verify-cascade
 // micro-benchmarks (measure's BenchmarkDTWThreshold, core's
 // BenchmarkVerifyFullCascade). It exists for those benchmarks only — it

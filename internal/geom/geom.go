@@ -62,10 +62,26 @@ func NewMBR(p Point) MBR { return MBR{Min: p, Max: p} }
 
 // MBROf returns the MBR covering all given points. It returns EmptyMBR for
 // an empty slice.
-func MBROf(pts []Point) MBR {
-	m := EmptyMBR()
+func MBROf(pts []Point) MBR { return EmptyMBR().ExtendAll(pts) }
+
+// ExtendAll returns the smallest MBR covering m and every given point. It
+// is the loop behind every pass over stored points (per-trajectory MBRs,
+// trie envelopes), so it compares in place instead of going through
+// Extend's math.Min/Max calls (a NaN coordinate is skipped, not propagated).
+func (m MBR) ExtendAll(pts []Point) MBR {
 	for _, p := range pts {
-		m = m.Extend(p)
+		if p.X < m.Min.X {
+			m.Min.X = p.X
+		}
+		if p.X > m.Max.X {
+			m.Max.X = p.X
+		}
+		if p.Y < m.Min.Y {
+			m.Min.Y = p.Y
+		}
+		if p.Y > m.Max.Y {
+			m.Max.Y = p.Y
+		}
 	}
 	return m
 }
@@ -139,8 +155,19 @@ func (m MBR) MinDist(p Point) float64 {
 	if m.IsEmpty() {
 		return math.Inf(1)
 	}
-	dx := math.Max(math.Max(m.Min.X-p.X, 0), p.X-m.Max.X)
-	dy := math.Max(math.Max(m.Min.Y-p.Y, 0), p.Y-m.Max.Y)
+	// Branches, not math.Max: the same bits, and this is the inner loop of
+	// every trie bound.
+	var dx, dy float64
+	if p.X < m.Min.X {
+		dx = m.Min.X - p.X
+	} else if p.X > m.Max.X {
+		dx = p.X - m.Max.X
+	}
+	if p.Y < m.Min.Y {
+		dy = m.Min.Y - p.Y
+	} else if p.Y > m.Max.Y {
+		dy = p.Y - m.Max.Y
+	}
 	return math.Sqrt(dx*dx + dy*dy)
 }
 

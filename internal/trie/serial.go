@@ -33,7 +33,8 @@ import (
 // The trajectories themselves are not part of the encoding: the caller
 // stores them separately (the snapshot's trajectory section) and passes
 // the identical slice to DecodeBinary, preserving the clustered-index
-// property that leaves index into Trie.Trajs.
+// property that leaves index into Trie.Trajs. Nor are the internal nodes'
+// envelopes: DecodeBinary recomputes them from that slice, as Build does.
 
 // AppendBinary appends the trie's canonical binary encoding to buf and
 // returns the extended slice.
@@ -205,6 +206,7 @@ func DecodeBinary(data []byte, trajs []*traj.T) (*Trie, error) {
 		return nil, fmt.Errorf("trie: decode: %d trailing bytes", len(data)-r.off)
 	}
 	t.root = root
+	t.fillEnvelopes()
 	return t, nil
 }
 

@@ -2,6 +2,10 @@ package trie
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,10 +32,21 @@ func serialTrajs(n int, seed int64) []*traj.T {
 	return out
 }
 
+// wantEncoding pins an encoding to the bytes the format produced before
+// envelopes existed: they are derived state, recomputed from Trajs on
+// decode, and must never reach AppendBinary.
+func wantEncoding(t *testing.T, enc []byte, size int, sum string) {
+	t.Helper()
+	if got := sha256.Sum256(enc); len(enc) != size || hex.EncodeToString(got[:]) != sum {
+		t.Fatalf("encoding changed: %d bytes sha256 %x, want %d bytes %s", len(enc), got, size, sum)
+	}
+}
+
 func TestSerialRoundTrip(t *testing.T) {
 	trajs := serialTrajs(120, 42)
 	built := Build(trajs, Config{K: 3, NLAlign: 4, NLPivot: 3, MinNode: 4})
 	enc := built.AppendBinary(nil)
+	wantEncoding(t, enc, 13708, "77033caef10dca283c7a3c1aa693e7e0ca8f3275a31ac6f62e05bff2d76e7263")
 
 	dec, err := DecodeBinary(enc, trajs)
 	if err != nil {
@@ -68,6 +83,60 @@ func TestSerialDeterministic(t *testing.T) {
 	b := Build(trajs, Config{K: 2, NLAlign: 3, NLPivot: 2, MinNode: 8}).AppendBinary(nil)
 	if !bytes.Equal(a, b) {
 		t.Fatal("two builds over identical input encode differently")
+	}
+	wantEncoding(t, a, 5078, "42b766967daeb619707bcf879c6e176459fa2a01bacd5ef16faecabbcdca42bb")
+}
+
+// checkEnvelopes walks a trie: every internal node carries the MBR of every
+// point of every member below it — exactly, not merely a cover —, no leaf
+// carries one, and it returns the subtree's envelope.
+func checkEnvelopes(t *testing.T, tr *Trie, n *node) geom.MBR {
+	t.Helper()
+	env := geom.EmptyMBR()
+	for _, i := range n.leafIdx {
+		env = env.Union(tr.Trajs[i].MBR())
+	}
+	for _, c := range n.children {
+		env = env.Union(checkEnvelopes(t, tr, c))
+	}
+	switch {
+	case n.isLeaf() && n.env != nil:
+		t.Fatalf("leaf at level %d carries an envelope", n.level)
+	case !n.isLeaf() && n.env == nil:
+		t.Fatalf("internal node at level %d has no envelope", n.level)
+	case !n.isLeaf() && *n.env != env:
+		t.Fatalf("internal node at level %d: envelope %v, members span %v", n.level, *n.env, env)
+	}
+	return env
+}
+
+// A decoded trie must come back with its envelopes filled — they are not in
+// the encoding — and must traverse exactly like the trie that was encoded.
+func TestEnvelopeBuiltAndDecoded(t *testing.T) {
+	ctx := context.Background()
+	for _, cfg := range []Config{
+		{K: 3, NLAlign: 4, NLPivot: 3, MinNode: 4},
+		{K: 0, NLAlign: 2, NLPivot: 2, MinNode: 1},
+		DefaultConfig(),
+	} {
+		trajs := serialTrajs(300, 13)
+		built := Build(trajs, cfg)
+		dec, err := DecodeBinary(built.AppendBinary(nil), trajs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEnvelopes(t, built, built.root)
+		checkEnvelopes(t, dec, dec.root)
+		// An outlier query's whole answer lives on the envelope bound.
+		q := []geom.Point{{X: 40, Y: -25}, {X: 41, Y: -25}, {X: 42, Y: -24}}
+		for _, m := range []measure.Measure{measure.DTW{}, measure.Frechet{}} {
+			want, _ := drain(built.BestFirst(ctx, q, m), func(int) float64 { return math.Inf(1) })
+			got, ok := drain(dec.BestFirst(ctx, q, m), func(int) float64 { return math.Inf(1) })
+			if !ok || len(got) != len(trajs) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: decoded trie drained %d of %d members (ok=%v), or in another order than the built one",
+					m.Name(), len(got), len(trajs), ok)
+			}
+		}
 	}
 }
 

@@ -75,6 +75,13 @@ type node struct {
 	mbr      geom.MBR
 	children []*node
 	leafIdx  []int // leaf: indices into Trie.Trajs; nil for internal nodes
+	// env is the envelope of an internal node's subtree: the MBR of every
+	// point of every member below it (nil on leaves — a bucket of one or two
+	// members is bounded by the caller's per-trajectory MBR instead, and a
+	// pointer keeps the node inside its allocation size class). Derived from
+	// Trajs by fillEnvelopes after Build and after DecodeBinary; never
+	// serialized.
+	env *geom.MBR
 }
 
 func (n *node) isLeaf() bool { return n.leafIdx != nil }
@@ -102,7 +109,33 @@ func Build(trajs []*traj.T, cfg Config) *Trie {
 		all[i] = i
 	}
 	t.root = t.build(all, 0)
+	t.fillEnvelopes()
 	return t
+}
+
+// fillEnvelopes derives every internal node's envelope from Trajs.
+func (t *Trie) fillEnvelopes() {
+	env := geom.EmptyMBR()
+	t.extendEnvelope(t.root, &env)
+}
+
+// extendEnvelope extends env by every point of every member below n and, on
+// the way, gives each internal node of the subtree its own envelope. This
+// pass reads every stored point on every build and cold start; a leaf
+// extends its parent's box in place rather than building one of its own.
+func (t *Trie) extendEnvelope(n *node, env *geom.MBR) {
+	if n.isLeaf() {
+		for _, i := range n.leafIdx {
+			*env = env.ExtendAll(t.Trajs[i].Points)
+		}
+		return
+	}
+	own := geom.EmptyMBR()
+	for _, c := range n.children {
+		t.extendEnvelope(c, &own)
+	}
+	n.env = &own
+	*env = env.Union(own)
 }
 
 // build groups the given trajectory indices by their level-th indexing
