@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-json bench-smoke bench-kernels bench-diff
+.PHONY: build test race vet staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-smoke bench-kernels bench-diff
 
 build:
 	$(GO) build ./...
@@ -104,13 +104,6 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
-
-# Machine-readable benchmark: per-workload latency percentiles plus the
-# pruning funnel, written to BENCH_<preset>.json (schema: EXPERIMENTS.md).
-BENCH_DIR ?= .
-BENCH_PRESETS ?= default
-bench-json:
-	$(GO) run ./cmd/ditabench -bench $(BENCH_PRESETS) -bench-json $(BENCH_DIR)
 
 # The repository benchmark (bench/) is a nested module that `go test
 # ./...` skips, yet it compiles against internal/... and counts spans by

@@ -7,18 +7,17 @@
 //	ditabench -exp fig7a                    # one experiment, aligned text
 //	ditabench -exp fig7a,fig9a -tsv         # several, tab-separated
 //	ditabench -exp all -scale 0.2           # full suite at reduced scale
-//	ditabench -bench beijing -bench-json .  # machine-readable BENCH_beijing.json
 //
 // Scale, worker count and query count are adjustable; EXPERIMENTS.md
-// records the reference run and the BENCH_<name>.json schema.
+// records the reference run. Performance over time is the repository
+// benchmark's job (bench/, make bench-diff, BENCH_HISTORY.jsonl), not this
+// command's.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -33,9 +32,6 @@ func main() {
 	queries := flag.Int("queries", 100, "search workload size")
 	seed := flag.Int64("seed", 42, "generation seed")
 	tsv := flag.Bool("tsv", false, "emit tab-separated values instead of aligned text")
-	bench := flag.String("bench", "beijing", "comma-separated dataset presets for -bench-json")
-	benchJSON := flag.String("bench-json", "", "run latency+funnel benchmarks and write BENCH_<preset>.json into this directory")
-	verifyPar := flag.Int("verify-parallelism", 0, "verification goroutines per partition (0 = all cores, 1 = sequential)")
 	flag.Parse()
 
 	if *list {
@@ -49,48 +45,9 @@ func main() {
 	cfg.Workers = *workers
 	cfg.Queries = *queries
 	cfg.Seed = *seed
-	cfg.VerifyParallelism = *verifyPar
 
-	if *benchJSON != "" {
-		for _, kind := range strings.Split(*bench, ",") {
-			kind = strings.TrimSpace(kind)
-			path := filepath.Join(*benchJSON, "BENCH_"+kind+".json")
-			before := knnMeanMS(path)
-			start := time.Now()
-			rep, err := exp.Bench(kind, cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ditabench: %v\n", err)
-				os.Exit(1)
-			}
-			out, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ditabench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "ditabench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d trajectories, %d workloads, %v)\n",
-				path, rep.Trajectories, len(rep.Workloads), time.Since(start).Round(time.Millisecond))
-			if after := knnMeanMS(path); after > 0 {
-				if before > 0 {
-					fmt.Printf("knn mean: %.3f ms -> %.3f ms (%.2fx)\n", before, after, before/after)
-				} else {
-					fmt.Printf("knn mean: %.3f ms (no previous run to compare)\n", after)
-				}
-			}
-			fmt.Printf("delta scan: %.3f ms -> %.3f ms (%+.2f%%)\n",
-				rep.DeltaScanBaseMS, rep.DeltaScanDeltaMS, rep.DeltaScanOverheadPct)
-			fmt.Printf("rebalance: occupancy skew %.2f -> %.2f in %d cutover(s), %.1f ms\n",
-				rep.OccupancySkewBefore, rep.OccupancySkew, rep.RebalanceCutovers, rep.RebalanceMS)
-			fmt.Printf("serve: %.0f qps, %.1f%% cache hits, p99 %.3f ms, %.1f%% shed under overload\n",
-				rep.ServeQPS, rep.CacheHitPct, rep.P99ServedMS, rep.ShedPct)
-		}
-		return
-	}
 	if *expFlag == "" {
-		fmt.Fprintln(os.Stderr, "ditabench: -exp required (or -list, -bench-json); e.g. -exp fig7a or -exp all")
+		fmt.Fprintln(os.Stderr, "ditabench: -exp required (or -list); e.g. -exp fig7a or -exp all")
 		os.Exit(2)
 	}
 
@@ -120,25 +77,4 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// knnMeanMS reads a previously written BENCH_<preset>.json and returns its
-// knn workload's mean latency in milliseconds, or 0 when the file is
-// missing or has no knn workload. Used to print a before/after comparison
-// across bench-json runs.
-func knnMeanMS(path string) float64 {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	var rep exp.BenchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return 0
-	}
-	for _, w := range rep.Workloads {
-		if w.Workload == "knn" {
-			return w.Latency.MeanMS
-		}
-	}
-	return 0
 }

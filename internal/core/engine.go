@@ -115,8 +115,9 @@ type Engine struct {
 	cl      *cluster.Cluster
 	dataset *traj.Dataset
 	parts   []*Partition
-	rtF     *rtree.Tree // global index over partition MBRf
-	rtL     *rtree.Tree // global index over partition MBRl
+	rtF     *rtree.Tree  // global index over partition MBRf
+	rtL     *rtree.Tree  // global index over partition MBRl
+	bounds  []PartBounds // what rtF and rtL were built over, indexed like parts
 	cellD   float64
 	met     *engineMetrics // nil when Options.Obs is nil
 	cost    *CostTracker   // per-partition read-cost EWMAs (timed paths only)
@@ -269,13 +270,17 @@ func (e *Engine) addPartition(group []*traj.T, workers int) {
 }
 
 // buildGlobalIndex builds the two R-trees over partition MBRs
-// (Section 4.2.2). The global index is small (Table 5: ≤ 65 MB even at
-// NG=128) and conceptually replicated to every worker; it lives on the
-// driver here.
+// (Section 4.2.2) and the bounds they index. The global index is small
+// (Table 5: ≤ 65 MB even at NG=128) and conceptually replicated to every
+// worker; it lives on the driver here. Every change to a partition's boxes
+// or to the partition list is followed by a rebuild under mu, so queries
+// prune against one consistent snapshot.
 func (e *Engine) buildGlobalIndex() {
 	ef := make([]rtree.Entry, 0, len(e.parts))
 	el := make([]rtree.Entry, 0, len(e.parts))
-	for _, p := range e.parts {
+	e.bounds = make([]PartBounds, len(e.parts))
+	for i, p := range e.parts {
+		e.bounds[i] = PartBounds{MBRf: p.MBRf, MBRl: p.MBRl, Retired: p.retired}
 		if p.retired {
 			continue
 		}
@@ -335,97 +340,8 @@ func (e *Engine) IndexSizeBytes() (global, local int) {
 	return global, local
 }
 
-// relevantPartitions implements the global pruning of Section 5.2,
-// generalized to all supported measures:
-//
-//   - Endpoint-anchored, sum-accumulating (DTW): partitions with
-//     MinDist(q1, MBRf) + MinDist(qn, MBRl) <= τ.
-//   - Endpoint-anchored, max-accumulating (Fréchet): MinDist(q1, MBRf) <= τ
-//     and MinDist(qn, MBRl) <= τ.
-//   - Edit measures: a partition is pruned only when being far from both
-//     endpoint MBRs costs more edits than τ allows.
-//   - ERP: like DTW but each term may be satisfied by the gap point, and
-//     any query point may align with the partition's endpoints.
+// relevantPartitions is the global pruning of a threshold search over the
+// engine's global index. Callers hold mu.
 func (e *Engine) relevantPartitions(q []geom.Point, tau float64) []int {
-	m := e.opts.Measure
-	if len(q) == 0 {
-		return nil
-	}
-	var out []int
-	if m.AlignsEndpoints() {
-		q1, qn := q[0], q[len(q)-1]
-		cf := e.rtF.WithinDist(q1, tau, nil)
-		inCf := make(map[int]float64, len(cf))
-		for _, en := range cf {
-			inCf[en.ID] = en.MBR.MinDist(q1)
-		}
-		cl := e.rtL.WithinDist(qn, tau, nil)
-		for _, en := range cl {
-			df, ok := inCf[en.ID]
-			if !ok {
-				continue
-			}
-			dl := en.MBR.MinDist(qn)
-			if m.Accumulation() == measure.AccumMax {
-				// Both within τ independently (already guaranteed).
-				out = append(out, en.ID)
-			} else if df+dl <= tau {
-				out = append(out, en.ID)
-			}
-		}
-		return out
-	}
-	// Non-anchored measures: endpoints of the data trajectories may match
-	// any query point (or the gap point, or be edited away).
-	gap, hasGap := m.GapPoint()
-	eps := m.Epsilon()
-	for _, p := range e.parts {
-		if p.retired {
-			// An empty MBR's MinDist is +Inf, which the edit-measure
-			// branch would still count as a finite 2-edit cost — skip
-			// explicitly.
-			continue
-		}
-		df := minDistTrajMBR(q, p.MBRf)
-		dl := minDistTrajMBR(q, p.MBRl)
-		if hasGap {
-			if d := p.MBRf.MinDist(gap); d < df {
-				df = d
-			}
-			if d := p.MBRl.MinDist(gap); d < dl {
-				dl = d
-			}
-		}
-		switch m.Accumulation() {
-		case measure.AccumEdit:
-			cost := 0.0
-			if df > eps {
-				cost++
-			}
-			if dl > eps {
-				cost++
-			}
-			if cost <= tau {
-				out = append(out, p.ID)
-			}
-		default: // AccumSum (ERP)
-			if df+dl <= tau {
-				out = append(out, p.ID)
-			}
-		}
-	}
-	return out
-}
-
-func minDistTrajMBR(q []geom.Point, m geom.MBR) float64 {
-	best := m.MinDist(q[0])
-	for _, p := range q[1:] {
-		if d := m.MinDist(p); d < best {
-			best = d
-			if best == 0 {
-				break
-			}
-		}
-	}
-	return best
+	return RelevantPartitions(e.opts.Measure, e.rtF, e.rtL, e.bounds, q, tau)
 }

@@ -178,7 +178,7 @@ func TestKNNFunnelOutliers(t *testing.T) {
 		boxed = boxed || f.AfterCoverage < f.AfterLength
 
 		acc := NewKNNAcc(k)
-		lf, err := KNNScanLive(context.Background(), m, q.Points, d.Trajs, meta, nil, acc, math.Inf(1))
+		lf, err := KNNScanLive(context.Background(), m, q.Points, d.Trajs, meta, acc, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}

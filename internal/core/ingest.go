@@ -606,29 +606,33 @@ func (p *Partition) hasOverlay() bool {
 	return len(p.tomb) > 0 || len(p.frozenTomb) > 0
 }
 
-// visibleTrajs returns the partition's currently visible members: base
-// minus masks, plus the frozen and delta overlays. The base slice is
-// returned as-is when there is no overlay (the common case) — callers
-// must not mutate the result.
-func (p *Partition) visibleTrajs() []*traj.T {
+// view captures the partition for one query: the base as it stands, the
+// masks, and behind the base the frozen members not since superseded, then
+// the delta. Callers hold the engine's read lock for as long as they use
+// the view — that is what lets it alias the partition's slices, the
+// delta's included, instead of copying them: nothing a view points at
+// changes while any reader is in.
+func (p *Partition) view() *View {
+	v := &View{Index: p.Index, Base: p.Trajs, BaseMeta: p.meta, part: p}
 	if !p.hasOverlay() {
-		return p.Trajs
+		return v
 	}
-	out := make([]*traj.T, 0, len(p.Trajs)+len(p.delta.Live))
-	for _, t := range p.Trajs {
-		if !p.maskedBase(t.ID) {
-			out = append(out, t)
-		}
-	}
+	v.Masked = p.maskedBase
 	if p.frozen != nil {
-		for _, t := range p.frozen.Live {
+		for i, t := range p.frozen.Live {
 			if !p.tomb[t.ID] {
-				out = append(out, t)
+				v.Overlay, v.OverlayMeta = append(v.Overlay, t), append(v.OverlayMeta, p.frozen.Meta[i])
 			}
 		}
 	}
-	out = append(out, p.delta.Live...)
-	return out
+	if p.delta != nil {
+		if v.Overlay == nil {
+			v.Overlay, v.OverlayMeta = p.delta.Live, p.delta.Meta
+		} else {
+			v.Overlay, v.OverlayMeta = append(v.Overlay, p.delta.Live...), append(v.OverlayMeta, p.delta.Meta...)
+		}
+	}
+	return v
 }
 
 // MergePartition folds a partition's overlay into a fresh sealed base:

@@ -10,11 +10,9 @@ import (
 	"time"
 
 	"dita/internal/cluster"
-	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/obs"
 	"dita/internal/traj"
-	"dita/internal/trie"
 )
 
 // Pair is one join answer: a similar (T, Q) pair and its distance.
@@ -145,7 +143,7 @@ func (e *Engine) JoinContext(ctx context.Context, other *Engine, tau float64, op
 // holds each unordered partition pair once, an off-diagonal edge returns
 // every verified pair in both orientations, and a partition joined with
 // itself verifies only the pairs (a,b) where a does not follow b in the
-// partition's view (JoinView) — a total order over visible members, not
+// partition's view (View) — a total order over visible members, not
 // over ids, so members sharing an id are still paired. One threshold DP
 // decides (a,b) and (b,a); every measure is bitwise symmetric (the Measure
 // contract), so the answer is the two-sided join's, pair for pair.
@@ -241,75 +239,13 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 	return pairs, report, nil
 }
 
-// JoinView is one side of a join edge as one query sees its partition:
-// the trie over Trajs[:Base] and, past Base, the overlay members visible
-// to the query (unindexed until the next merge). Masked hides base members
-// deleted or superseded since the trie was built; it is nil when there are
-// none. A member's index in Trajs is its slot: the canonical order by
-// which a partition joined with itself takes each pair of members once.
-// Exported for the network-mode worker, which keeps its own partitions.
-type JoinView struct {
-	Index  *trie.Trie
-	Trajs  []*traj.T
-	Meta   []VerifyMeta
-	Base   int
-	Masked func(id int) bool
-
-	part *Partition // the engine partition viewed; nil on a worker
-}
-
-// visible reports whether the member in slot i is one the query sees.
-func (v *JoinView) visible(i int) bool {
-	return i >= v.Base || v.Masked == nil || !v.Masked(v.Trajs[i].ID)
-}
-
-// Select returns the visible members keep accepts (all of them when keep
-// is nil) with their metadata and slots, in slot order. The context is
-// checked once per member.
-func (v *JoinView) Select(ctx context.Context, keep func(*traj.T) bool) (ts []*traj.T, meta []VerifyMeta, slots []int, err error) {
-	for i, t := range v.Trajs {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
-		}
-		if v.visible(i) && (keep == nil || keep(t)) {
-			ts, meta, slots = append(ts, t), append(meta, v.Meta[i]), append(slots, i)
-		}
-	}
-	return ts, meta, slots, nil
-}
-
-// joinView captures the partition for one join. Callers hold the engine's
-// read lock for as long as they use the view.
-func (p *Partition) joinView() *JoinView {
-	v := &JoinView{Index: p.Index, Trajs: p.Trajs, Meta: p.meta, Base: len(p.Trajs), part: p}
-	if !p.hasOverlay() {
-		return v
-	}
-	v.Masked = p.maskedBase
-	// Capped, so that appending the overlay copies the base slices instead
-	// of writing into their spare capacity.
-	v.Trajs, v.Meta = p.Trajs[:v.Base:v.Base], p.meta[:v.Base:v.Base]
-	if p.frozen != nil {
-		for i, t := range p.frozen.Live {
-			if !p.tomb[t.ID] {
-				v.Trajs, v.Meta = append(v.Trajs, t), append(v.Meta, p.frozen.Meta[i])
-			}
-		}
-	}
-	if p.delta != nil {
-		v.Trajs, v.Meta = append(v.Trajs, p.delta.Live...), append(v.Meta, p.delta.Meta...)
-	}
-	return v
-}
-
 // partitionViews captures every live partition (nil for retired ones),
-// indexed like e.parts: a partition with an overlay is flattened once per
-// join, not once per edge it takes part in.
-func (e *Engine) partitionViews() []*JoinView {
-	vs := make([]*JoinView, len(e.parts))
+// indexed like e.parts, once per join rather than once per edge.
+func (e *Engine) partitionViews() []*View {
+	vs := make([]*View, len(e.parts))
 	for i, p := range e.parts {
 		if !p.retired {
-			vs[i] = p.joinView()
+			vs[i] = p.view()
 		}
 	}
 	return vs
@@ -319,7 +255,7 @@ func (e *Engine) partitionViews() []*JoinView {
 // right[j] other.parts[j]; for a self-join they are the same slice.
 type joinViews struct {
 	e, other    *Engine
-	left, right []*JoinView
+	left, right []*View
 }
 
 // buildBigraph finds candidate partition pairs and estimates edge weights
@@ -382,8 +318,8 @@ func (jv *joinViews) buildBigraph(ctx context.Context, tau float64, opts JoinOpt
 // estimate unbiased over the visible members however few of the slots they
 // fill. comp counts what the local join will verify: unmasked trie
 // candidates plus dst's unindexed overlay.
-func estimateDirection(m measure.Measure, src, dst *JoinView, tau float64, rate float64, rng *rand.Rand) (trans, comp float64) {
-	n := len(src.Trajs)
+func estimateDirection(m measure.Measure, src, dst *View, tau float64, rate float64, rng *rand.Rand) (trans, comp float64) {
+	n := src.Len()
 	if n == 0 {
 		return 0, 0
 	}
@@ -397,12 +333,12 @@ func estimateDirection(m measure.Measure, src, dst *JoinView, tau float64, rate 
 	scale := float64(n) / float64(k)
 	for s := 0; s < k; s++ {
 		i := rng.Intn(n)
-		t := src.Trajs[i]
+		t, _ := src.At(i)
 		if !src.visible(i) || !TrajRelevant(m, t.Points, dst.part.MBRf, dst.part.MBRl, tau) {
 			continue
 		}
 		trans += float64(t.Bytes()) * scale
-		cands := len(dst.Trajs) - dst.Base
+		cands := len(dst.Overlay)
 		for _, c := range dst.Index.Search(t.Points, m, tau, nil) {
 			if dst.visible(c) {
 				cands++
@@ -411,17 +347,6 @@ func estimateDirection(m measure.Measure, src, dst *JoinView, tau float64, rate 
 		comp += float64(cands) * scale
 	}
 	return trans, comp
-}
-
-// TrajRelevant reports whether a trajectory may have answers in a
-// partition described by its first/last-point MBRs (Section 5.2's global
-// pruning, generalized per measure). It is defined as the partition's
-// lower bound being within τ, so threshold pruning and the best-first kNN
-// visit order share one bound. The join uses it both to estimate edge
-// weights and for the shuffle itself ("we only send the trajectory T ∈ Ti
-// that has candidates in Qj"). Exported for the network-mode worker.
-func TrajRelevant(m measure.Measure, q []geom.Point, mbrF, mbrL geom.MBR, tau float64) bool {
-	return PartitionLowerBound(m, q, mbrF, mbrL) <= tau
 }
 
 // orient chooses edge directions to minimize the maximum per-partition
@@ -617,7 +542,7 @@ func (jv *joinViews) executeJoin(ctx context.Context, tau float64, edges []*edge
 		smeta   []VerifyMeta // their verification metadata
 		slots   []int        // their slots in the partition's view; diagonal edges only
 		pairs   []Pair
-		stats   EdgeStats
+		stats   ScanStats
 		elapsed time.Duration
 		err     error
 	}
@@ -685,7 +610,8 @@ func (jv *joinViews) executeJoin(ctx context.Context, tau float64, edges []*edge
 				tau, dstEngine.opts.VerifyParallelism, func(hits []JoinHit) {
 					st.pairs = make([]Pair, 0, len(hits)*(1+boolToInt(st.ed.mirror)))
 					for _, h := range hits {
-						p := Pair{T: st.shipped[h.Pair.Shipped], Q: dst.Trajs[h.Pair.Local], Distance: h.Distance}
+						local, _ := dst.At(h.Pair.Local)
+						p := Pair{T: st.shipped[h.Pair.Shipped], Q: local, Distance: h.Distance}
 						if flip {
 							p.T, p.Q = p.Q, p.T
 						}
@@ -750,7 +676,7 @@ func (jv *joinViews) executeJoin(ctx context.Context, tau float64, edges []*edge
 // edgeSides resolves an edge's (source view, destination view,
 // destination engine, flip) given its orientation. flip reports that the
 // shipped trajectories are Q-side (so result pairs are (dstTraj, shipped)).
-func (jv *joinViews) edgeSides(ed *edge) (src, dst *JoinView, dstEngine *Engine, flip bool) {
+func (jv *joinViews) edgeSides(ed *edge) (src, dst *View, dstEngine *Engine, flip bool) {
 	if ed.dirTQ {
 		return jv.left[ed.ti], jv.right[ed.qj], jv.other, false
 	}
@@ -762,13 +688,6 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// EdgeStats is what one edge's local join did: its pruning funnel
-// (Considered onward) and the wall time of its two phases.
-type EdgeStats struct {
-	Funnel        obs.Funnel
-	Probe, Verify time.Duration
 }
 
 // edgeScratch holds what a local join fills and drops again: the flattened
@@ -801,9 +720,9 @@ var edgeScratchPool = sync.Pool{New: func() any { return new(edgeScratch) }}
 // verification step. The returned funnel covers the edge: Considered is
 // the (shipped, dst slot) pairs the trie filtered, TrieCands the candidate
 // pairs probed, and the later stages the verification cascade over those.
-func JoinEdge(ctx context.Context, m measure.Measure, dst *JoinView, shipped []*traj.T, smeta []VerifyMeta, slots []int,
-	tau float64, parallelism int, collect func(hits []JoinHit)) (EdgeStats, error) {
-	var st EdgeStats
+func JoinEdge(ctx context.Context, m measure.Measure, dst *View, shipped []*traj.T, smeta []VerifyMeta, slots []int,
+	tau float64, parallelism int, collect func(hits []JoinHit)) (ScanStats, error) {
+	var st ScanStats
 	sc := edgeScratchPool.Get().(*edgeScratch)
 	defer edgeScratchPool.Put(sc)
 	// Phase 1: sequential trie probes flatten the edge into candidate
@@ -816,9 +735,9 @@ func JoinEdge(ctx context.Context, m measure.Measure, dst *JoinView, shipped []*
 		if slots != nil {
 			from = slots[si]
 		}
-		st.Funnel.Considered += int64(len(dst.Trajs) - from)
+		st.Funnel.Considered += int64(dst.Len() - from)
 		before := len(pairs)
-		if from < dst.Base {
+		if from < len(dst.Base) {
 			idxs, err := dst.Index.SearchContext(ctx, t.Points, m, tau, nil)
 			if err != nil {
 				return st, err
@@ -829,7 +748,7 @@ func JoinEdge(ctx context.Context, m measure.Measure, dst *JoinView, shipped []*
 				}
 			}
 		}
-		for i := max(from, dst.Base); i < len(dst.Trajs); i++ {
+		for i := max(from, len(dst.Base)); i < dst.Len(); i++ {
 			pairs = append(pairs, JoinPair{Shipped: si, Local: i})
 		}
 		if len(pairs) > before {
@@ -843,7 +762,7 @@ func JoinEdge(ctx context.Context, m measure.Measure, dst *JoinView, shipped []*
 	// out across the verification pool. Hits come back in pairs order, so
 	// the output is the nested sequential loops' byte for byte; the funnel
 	// is a sum per stage, so it is order-independent too.
-	hits, err := VerifyJoinPairs(ctx, pairs, vs, dst.Trajs, dst.Meta, parallelism, sc.hits[:0])
+	hits, err := VerifyJoinPairs(ctx, pairs, vs, dst, parallelism, sc.hits[:0])
 	st.Verify = time.Since(probed)
 	var lengthPruned, coveragePruned int64
 	for i := range vs {

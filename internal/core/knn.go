@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"dita/internal/geom"
@@ -88,31 +87,6 @@ func (e *Engine) SearchKNNContext(ctx context.Context, q *traj.T, k int, stats *
 	return res, err
 }
 
-// knnOrder returns the engine's partitions sorted by ascending
-// (PartitionLowerBound, ID) — the best-first visit order.
-func (e *Engine) knnOrder(q []geom.Point) []knnVisit {
-	m := e.opts.Measure
-	order := make([]knnVisit, 0, len(e.parts))
-	for i, p := range e.parts {
-		if p.retired {
-			continue
-		}
-		order = append(order, knnVisit{pid: i, lb: PartitionLowerBound(m, q, p.MBRf, p.MBRl)})
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].lb != order[b].lb {
-			return order[a].lb < order[b].lb
-		}
-		return order[a].pid < order[b].pid
-	})
-	return order
-}
-
-type knnVisit struct {
-	pid int
-	lb  float64
-}
-
 // knnBestFirst runs the incremental best-first top-k engine: visit
 // partitions in ascending lower-bound order, each visit tightening τ
 // through the shared accumulator, until the next partition's bound exceeds
@@ -126,7 +100,7 @@ type knnVisit struct {
 func (e *Engine) knnBestFirst(ctx context.Context, q *traj.T, k int, prime []*traj.T, funnel *obs.Funnel, tr *obs.Trace) ([]SearchResult, error) {
 	acc := NewKNNAcc(k)
 	planDone := tr.StartSpan("knn-plan", -1)
-	order := e.knnOrder(q.Points)
+	order := KNNOrder(e.opts.Measure, e.bounds, q.Points)
 	planDone(nil)
 	if len(prime) > 0 {
 		if err := e.knnPrime(ctx, q, prime, acc, funnel); err != nil {
@@ -142,11 +116,11 @@ func (e *Engine) knnBestFirst(ctx context.Context, q *traj.T, k int, prime []*tr
 		// bound strictly exceeds the k-th distance cannot improve the
 		// result (at lb == τ it still may, through an ID tie), and the
 		// order is ascending, so neither can any later one.
-		if acc.Full() && po.lb > acc.Tau() {
+		if acc.Full() && po.LB > acc.Tau() {
 			break
 		}
 		funnel.Relevant++
-		p := e.parts[po.pid]
+		p := e.parts[po.PID]
 		e.cl.Transfer(driver, p.Worker, q.Bytes())
 		var vStart time.Time
 		if tr != nil {
@@ -173,42 +147,15 @@ func (e *Engine) knnBestFirst(ctx context.Context, q *traj.T, k int, prime []*tr
 	return acc.Results(), nil
 }
 
-// knnVisit scans one partition with panic isolation (a poisoned partition
-// surfaces as this visit's error, not a process crash). A partition with
-// an ingest overlay is scanned in three layers sharing the accumulator:
-// the trie-backed base (masked members hidden), then the frozen and live
-// deltas brute-forced — the bound-tightening τ carries across layers.
+// knnVisit scans one partition's view (View.KNNScan) with panic isolation:
+// a poisoned partition surfaces as this visit's error, not a process crash.
 func (e *Engine) knnVisit(ctx context.Context, p *Partition, q []geom.Point, acc *KNNAcc) (f obs.Funnel, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	var masked func(int) bool
-	if p.hasOverlay() {
-		masked = p.maskedBase
-	}
-	f, err = KNNScanPartition(ctx, e.opts.Measure, q, p.Index, p.Trajs, p.meta, masked, acc, math.Inf(1))
-	if err != nil || !p.hasOverlay() {
-		return f, err
-	}
-	if p.frozen != nil && len(p.frozen.Live) > 0 {
-		ff, err := KNNScanLive(ctx, e.opts.Measure, q, p.frozen.Live, p.frozen.Meta,
-			func(id int) bool { return p.tomb[id] }, acc, math.Inf(1))
-		f.Merge(ff)
-		if err != nil {
-			return f, err
-		}
-	}
-	if p.delta != nil && len(p.delta.Live) > 0 {
-		df, err := KNNScanLive(ctx, e.opts.Measure, q, p.delta.Live, p.delta.Meta,
-			nil, acc, math.Inf(1))
-		f.Merge(df)
-		if err != nil {
-			return f, err
-		}
-	}
-	return f, nil
+	return p.view().KNNScan(ctx, e.opts.Measure, q, acc, math.Inf(1))
 }
 
 // knnPrime warm-starts the accumulator from trajectories the caller

@@ -69,10 +69,9 @@ func (e *Engine) KNNJoinContext(ctx context.Context, other *Engine, k int, stats
 					errs[i] = fmt.Errorf("left partition %d: panic: %v", p.ID, r)
 				}
 			}()
-			// With an ingest overlay the probe set is the partition's
-			// visible members (masked base hidden, frozen+delta included);
-			// without one visibleTrajs returns p.Trajs unchanged.
-			probes := p.visibleTrajs()
+			// The probe set is the partition's visible members (masked base
+			// hidden, frozen+delta included).
+			probes := p.view().Visible()
 			local := make(map[int][]SearchResult, len(probes))
 			var prime []*traj.T
 			for _, t := range probes {

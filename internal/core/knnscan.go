@@ -12,61 +12,6 @@ import (
 	"dita/internal/trie"
 )
 
-// PartitionLowerBound returns a lower bound on the distance from query q
-// to any trajectory in a partition described by its first/last-point MBRs
-// (the quantitative form of the global pruning of Section 5.2, generalized
-// per measure exactly like TrajRelevant):
-//
-//   - Endpoint-anchored, sum-accumulating (DTW):
-//     MinDist(q1, MBRf) + MinDist(qn, MBRl).
-//   - Endpoint-anchored, max-accumulating (Fréchet):
-//     max(MinDist(q1, MBRf), MinDist(qn, MBRl)).
-//   - Edit measures: the number of endpoint MBRs farther than ε from every
-//     query point (each costs at least one edit).
-//   - ERP: like DTW but each term may be satisfied by the gap point, and
-//     any query point may align with the partition's endpoints.
-//   - Hausdorff: like Fréchet, but any query point may be the one nearest
-//     an endpoint.
-//
-// TrajRelevant(m, q, mbrF, mbrL, tau) ≡ PartitionLowerBound(...) <= tau,
-// so threshold pruning and best-first kNN ordering can never disagree.
-// Exported for the network-mode coordinator's visit ordering.
-func PartitionLowerBound(m measure.Measure, q []geom.Point, mbrF, mbrL geom.MBR) float64 {
-	if m.AlignsEndpoints() {
-		df := mbrF.MinDist(q[0])
-		dl := mbrL.MinDist(q[len(q)-1])
-		if m.Accumulation() == measure.AccumMax {
-			return math.Max(df, dl)
-		}
-		return df + dl
-	}
-	gap, hasGap := m.GapPoint()
-	df := minDistTrajMBR(q, mbrF)
-	dl := minDistTrajMBR(q, mbrL)
-	if hasGap {
-		if d := mbrF.MinDist(gap); d < df {
-			df = d
-		}
-		if d := mbrL.MinDist(gap); d < dl {
-			dl = d
-		}
-	}
-	if m.Accumulation() == measure.AccumEdit {
-		cost := 0.0
-		if df > m.Epsilon() {
-			cost++
-		}
-		if dl > m.Epsilon() {
-			cost++
-		}
-		return cost
-	}
-	if m.Accumulation() == measure.AccumMax {
-		return math.Max(df, dl)
-	}
-	return df + dl
-}
-
 // knnEntry is one heap slot of a KNNAcc.
 type knnEntry struct {
 	t *traj.T
@@ -352,14 +297,12 @@ func (s *knnScan) funnel(f obs.Funnel) obs.Funnel {
 // threshold rules out is never descended. Already-resolved trajectories
 // are skipped, and every processed candidate is marked resolved.
 //
-// This exact function backs both the local engine and the network-mode
-// worker, which is what makes dnet kNN results identical to local ones.
 // It is sequential by design: τ mutates between candidates.
 //
 // masked, when non-nil, hides base members superseded or deleted by a
-// partition's ingest overlay (the overlay's own live members are scanned
-// by KNNScanLive). The funnel's TrieCands counts the unmasked candidates
-// the traversal handed over before the cut.
+// partition's ingest overlay (the overlay's own members are scanned by
+// KNNScanLive; View.KNNScan runs the two). The funnel's TrieCands counts
+// the unmasked candidates the traversal handed over before the cut.
 func KNNScanPartition(ctx context.Context, m measure.Measure, q []geom.Point,
 	idx *trie.Trie, trajs []*traj.T, meta []VerifyMeta, masked func(id int) bool,
 	acc *KNNAcc, capTau float64) (obs.Funnel, error) {
@@ -397,15 +340,12 @@ scan:
 	return s.funnel(f), bf.Err()
 }
 
-// KNNScanLive brute-forces an ingest overlay's live list into the
-// accumulator: no trie exists over a delta, so every unmasked member
-// goes straight to the verification cascade with the threshold re-read
-// from acc before each candidate, exactly like KNNScanPartition's
-// verification loop. masked, when non-nil, hides superseded frozen members.
-// Shared by the local engine and the network-mode worker.
+// KNNScanLive brute-forces a view's overlay into the accumulator: no trie
+// exists over it, so every member goes straight to the verification
+// cascade with the threshold re-read from acc before each candidate,
+// exactly like KNNScanPartition's verification loop.
 func KNNScanLive(ctx context.Context, m measure.Measure, q []geom.Point,
-	live []*traj.T, meta []VerifyMeta, masked func(id int) bool,
-	acc *KNNAcc, capTau float64) (obs.Funnel, error) {
+	live []*traj.T, meta []VerifyMeta, acc *KNNAcc, capTau float64) (obs.Funnel, error) {
 
 	f := obs.Funnel{Considered: int64(len(live)), TrieCands: int64(len(live))}
 	s := newKNNScan(m, q, acc, capTau)
@@ -414,9 +354,6 @@ func KNNScanLive(ctx context.Context, m measure.Measure, q []geom.Point,
 			if err := ctx.Err(); err != nil {
 				return s.funnel(f), err
 			}
-		}
-		if masked != nil && masked(t.ID) {
-			continue
 		}
 		if acc.Resolved(t) {
 			continue

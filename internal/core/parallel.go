@@ -143,7 +143,7 @@ func (v *Verifier) VerifyAll(ctx context.Context, trajs []*traj.T, meta []Verify
 
 // JoinPair is one (shipped trajectory, local candidate) verification unit
 // of a join edge: Shipped indexes the edge's shipped list (and its parallel
-// verifier list), Local the destination view's trajectory slice.
+// verifier list), Local is a slot of the destination view.
 type JoinPair struct {
 	Shipped, Local int
 }
@@ -158,14 +158,14 @@ type JoinHit struct {
 // the same slot-compaction discipline as VerifyAll: hits are appended to
 // dst in pairs order whatever the goroutine schedule, and each shipped
 // trajectory's verifier accumulates its stage counters atomically.
-func VerifyJoinPairs(ctx context.Context, pairs []JoinPair, vs []Verifier, trajs []*traj.T, meta []VerifyMeta, parallelism int, dst []JoinHit) ([]JoinHit, error) {
+func VerifyJoinPairs(ctx context.Context, pairs []JoinPair, vs []Verifier, local *View, parallelism int, dst []JoinHit) ([]JoinHit, error) {
 	par := ResolveParallelism(parallelism)
 	if par <= 1 || len(pairs) < minParallelCands {
 		for _, pr := range pairs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if d, ok := vs[pr.Shipped].Verify(trajs[pr.Local], meta[pr.Local]); ok {
+			if d, ok := vs[pr.Shipped].Verify(local.At(pr.Local)); ok {
 				dst = append(dst, JoinHit{Pair: pr, Distance: d})
 			}
 		}
@@ -175,7 +175,7 @@ func VerifyJoinPairs(ctx context.Context, pairs []JoinPair, vs []Verifier, trajs
 	ok := make([]bool, len(pairs))
 	err := parallelFor(ctx, len(pairs), par, func(k int) {
 		pr := pairs[k]
-		if d, hit := vs[pr.Shipped].Verify(trajs[pr.Local], meta[pr.Local]); hit {
+		if d, hit := vs[pr.Shipped].Verify(local.At(pr.Local)); hit {
 			dists[k], ok[k] = d, true
 		}
 	})

@@ -163,7 +163,7 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 	cutSeq := st.seq
 	var visible []*traj.T
 	for _, p := range group {
-		visible = append(visible, p.visibleTrajs()...)
+		visible = append(visible, p.view().Visible()...)
 	}
 
 	// Re-run the STR boundary cut over the current first points. The
@@ -540,7 +540,7 @@ func (e *Engine) planRebalance(pol RebalancePolicy) (hot int, cold []int, kSplit
 	for i, o := range live {
 		livePids[i] = o.pid
 	}
-	if pid, k := CostHot(e.cost, livePids, pol); pid >= 0 && len(e.parts[pid].visibleTrajs()) > 1 {
+	if pid, k := CostHot(e.cost, livePids, pol); pid >= 0 && len(e.parts[pid].view().Visible()) > 1 {
 		return pid, nil, k
 	}
 	// Cold merge: the coldest partition plus its spatially nearest

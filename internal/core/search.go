@@ -344,101 +344,31 @@ func (e *Engine) SearchBatchContext(ctx context.Context, qs []*traj.T, tau float
 	return out, reports, nil
 }
 
-// localSearchContext runs one partition's trie filter and verification
-// cascade with cancellation checked inside the
-// trie descent and before every verification step ("one verification
-// step" — a single threshold-distance computation — is the abort
-// granularity). When the partition carries an ingest overlay, base
-// candidates masked by tombstones are dropped before verification and
-// the overlay's live members (which bypass the trie) enter the same
-// cascade as extra candidates, so a delta member and a base member are
-// filtered and verified identically. When tr is non-nil, a trie-descend
-// span and a verify span are recorded for this partition, each carrying
-// its funnel stages.
+// localSearchContext runs one partition's local search (View.Search) over
+// the view of it this query holds the read lock for. When tr is non-nil the
+// two phases land on it as a trie-descend and a verify span, each carrying
+// its funnel stages; a failed search leaves its error on the first and no
+// verify span.
 func (e *Engine) localSearchContext(ctx context.Context, p *Partition, q []geom.Point, tau float64, tr *obs.Trace) ([]SearchResult, obs.Funnel, error) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	cands, err := p.Index.SearchContext(ctx, q, e.opts.Measure, tau, nil)
-	overlay := p.hasOverlay()
-	if overlay && len(cands) > 0 {
-		kept := cands[:0]
-		for _, ci := range cands {
-			if !p.maskedBase(p.Trajs[ci].ID) {
-				kept = append(kept, ci)
-			}
-		}
-		cands = kept
-	}
-	considered := len(p.Trajs)
-	var fLive, dLive []*traj.T
-	var fMeta, dMeta []VerifyMeta
-	if overlay {
-		if p.frozen != nil {
-			for i, t := range p.frozen.Live {
-				if !p.tomb[t.ID] {
-					fLive = append(fLive, t)
-					fMeta = append(fMeta, p.frozen.Meta[i])
-				}
-			}
-		}
-		if p.delta != nil {
-			dLive, dMeta = p.delta.Live, p.delta.Meta
-		}
-		considered += len(fLive) + len(dLive)
-	}
-	nCands := len(cands) + len(fLive) + len(dLive)
+	out, st, err := p.view().Search(ctx, e.opts.Measure, q, tau, e.opts.VerifyParallelism, tr != nil)
 	if tr != nil {
+		f := st.Funnel
 		span := obs.Span{Name: "trie-descend", Partition: p.ID,
-			Start: t0.Sub(tr.Begin), Duration: time.Since(t0),
-			Funnel: &obs.Funnel{Considered: int64(considered), TrieCands: int64(nCands)}}
+			Start: t0.Sub(tr.Begin), Duration: st.Probe,
+			Funnel: &obs.Funnel{Considered: f.Considered, TrieCands: f.TrieCands}}
 		if err != nil {
 			span.Err, span.Class = err.Error(), obs.Classify(err)
 		}
 		tr.Add(span)
-	}
-	f := obs.Funnel{Considered: int64(considered), TrieCands: int64(nCands)}
-	if err != nil || nCands == 0 {
-		return nil, f, err
-	}
-	if tr != nil {
-		t0 = time.Now()
-	}
-	v := NewVerifier(e.opts.Measure, q, tau, e.cellD)
-	hits, err := v.VerifyAll(ctx, p.Trajs, p.meta, cands, e.opts.VerifyParallelism)
-	if err != nil {
-		return nil, v.Funnel(considered, nCands), err
-	}
-	var out []SearchResult
-	for _, h := range hits {
-		out = append(out, SearchResult{Traj: p.Trajs[h.Index], Distance: h.Distance})
-	}
-	for _, seg := range [2]struct {
-		live []*traj.T
-		meta []VerifyMeta
-	}{{fLive, fMeta}, {dLive, dMeta}} {
-		if len(seg.live) == 0 {
-			continue
-		}
-		all := make([]int, len(seg.live))
-		for i := range all {
-			all[i] = i
-		}
-		hs, err := v.VerifyAll(ctx, seg.live, seg.meta, all, e.opts.VerifyParallelism)
-		if err != nil {
-			return nil, v.Funnel(considered, nCands), err
-		}
-		for _, h := range hs {
-			out = append(out, SearchResult{Traj: seg.live[h.Index], Distance: h.Distance})
+		if err == nil && f.TrieCands > 0 {
+			f.Considered, f.TrieCands = 0, 0 // already on the trie span
+			tr.Add(obs.Span{Name: "verify", Partition: p.ID,
+				Start: t0.Add(st.Probe).Sub(tr.Begin), Duration: st.Verify, Funnel: &f})
 		}
 	}
-	f = v.Funnel(considered, nCands)
-	if tr != nil {
-		vf := f
-		vf.Considered, vf.TrieCands = 0, 0 // already on the trie span
-		tr.Add(obs.Span{Name: "verify", Partition: p.ID,
-			Start: t0.Sub(tr.Begin), Duration: time.Since(t0), Funnel: &vf})
-	}
-	return out, f, nil
+	return out, st.Funnel, err
 }

@@ -265,7 +265,7 @@ func TestEstimateDirectionSeesOverlay(t *testing.T) {
 	p := e.parts[0]
 	members := append([]*traj.T{}, p.Trajs...)
 	estimate := func() (trans, comp float64) {
-		v := e.parts[0].joinView()
+		v := e.parts[0].view()
 		return estimateDirection(e.opts.Measure, v, v, 0.05, 1, rand.New(rand.NewSource(1)))
 	}
 	baseTrans, baseComp := estimate()

@@ -225,26 +225,16 @@ type dispatchedDataset struct {
 	cost *core.CostTracker
 }
 
-// partBounds is one partition's global-index entry as captured by
-// boundsView. retired marks a partition replaced by a rebalance cutover:
-// its bounds are empty, it owns no data, and every query path must skip
-// it — an empty-MBR check alone is NOT enough, because edit-distance
-// measures convert an infinite MinDist into a finite edit cost.
-type partBounds struct {
-	mbrF, mbrL geom.MBR
-	trajs      int
-	// live is the partition's visible member count (dd.live) — how many
-	// answers a kNN pilot can expect from it.
-	live    int
-	retired bool
-}
-
-// ddView is a query's consistent picture of the dataset's global index.
-// The R-tree pointers are safe to use off-lock: ingest replaces the
-// trees, never mutates them.
+// ddView is a query's consistent picture of the dataset's global index:
+// bounds[pid] is the partition's entry (a retired one keeps its slot, with
+// empty boxes and the flag set), trajs[pid] its dispatch-time size and
+// live[pid] its visible member count (dd.live) — how many answers a kNN
+// pilot can expect from it. The R-tree pointers are safe to use off-lock:
+// ingest replaces the trees, never mutates them.
 type ddView struct {
-	bounds   []partBounds
-	rtF, rtL *rtree.Tree
+	bounds      []core.PartBounds
+	trajs, live []int
+	rtF, rtL    *rtree.Tree
 	// visible is the dataset's live member count: dispatch-time totals
 	// corrected by the acked inserts and deletes since.
 	visible int
@@ -254,10 +244,13 @@ type ddView struct {
 func (dd *dispatchedDataset) boundsView() ddView {
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
-	v := ddView{bounds: make([]partBounds, len(dd.parts)), rtF: dd.rtF, rtL: dd.rtL}
+	n := len(dd.parts)
+	v := ddView{bounds: make([]core.PartBounds, n), trajs: make([]int, n),
+		live: append([]int(nil), dd.live...), rtF: dd.rtF, rtL: dd.rtL}
 	for i := range dd.parts {
 		p := &dd.parts[i]
-		v.bounds[i] = partBounds{mbrF: p.mbrF, mbrL: p.mbrL, trajs: p.trajs, live: dd.live[i], retired: p.retired}
+		v.bounds[i] = core.PartBounds{MBRf: p.mbrF, MBRl: p.mbrL, Retired: p.retired}
+		v.trajs[i] = p.trajs
 		v.visible += dd.live[i]
 	}
 	return v
@@ -655,50 +648,6 @@ func (c *Coordinator) replicaOrder(dd *dispatchedDataset, pid int) []int {
 	return c.health.orderRotated(ws, c.readTick.Add(1))
 }
 
-// relevantPartitions mirrors the engine's global pruning for the
-// dispatched dataset: the R-trees narrow the candidates for anchored
-// measures, the measure-aware check decides. It works on a boundsView
-// snapshot so concurrent ingests (which grow bounds in place) can't
-// tear a partition's MBR pair mid-read.
-func (c *Coordinator) relevantPartitions(v ddView, q []geom.Point, tau float64) []int {
-	var out []int
-	if c.m.AlignsEndpoints() {
-		inF := map[int]bool{}
-		for _, e := range v.rtF.WithinDist(q[0], tau, nil) {
-			inF[e.ID] = true
-		}
-		for _, e := range v.rtL.WithinDist(q[len(q)-1], tau, nil) {
-			if !inF[e.ID] {
-				continue
-			}
-			p := v.bounds[e.ID]
-			// Retired partitions are absent from the rebuilt trees, but a
-			// view captured mid-cutover may still pair older trees with
-			// newer bounds; the explicit check keeps the path airtight.
-			if p.retired {
-				continue
-			}
-			if core.TrajRelevant(c.m, q, p.mbrF, p.mbrL, tau) {
-				out = append(out, e.ID)
-			}
-		}
-		sort.Ints(out)
-		return out
-	}
-	for i, p := range v.bounds {
-		// Skip retired explicitly: edit-distance measures turn the empty
-		// MBR's +Inf MinDist into a finite edit cost, so TrajRelevant can
-		// pass on a partition that owns nothing.
-		if p.retired {
-			continue
-		}
-		if core.TrajRelevant(c.m, q, p.mbrF, p.mbrL, tau) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Search fans the query out to the workers owning relevant partitions
 // and merges the verified hits (ascending id). Per partition it routes
 // to the preferred live replica and fails over to the others; with
@@ -839,7 +788,7 @@ func (c *Coordinator) SearchTraced(ctx context.Context, name string, q *traj.T, 
 		// The partition count comes from the view too: dd.parts grows under
 		// dd.mu at a rebalance cutover.
 		view := dd.boundsView()
-		rel := c.relevantPartitions(view, q.Points, tau)
+		rel := core.RelevantPartitions(c.m, view.rtF, view.rtL, view.bounds, q.Points, tau)
 		funnel = obs.Funnel{Partitions: int64(len(view.bounds)), Relevant: int64(len(rel))}
 		if tr != nil {
 			gf := funnel
@@ -1095,16 +1044,16 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 		rtV = rt.boundsView()
 	}
 	for i, pt := range ltV.bounds {
-		if pt.retired {
+		if pt.Retired {
 			continue
 		}
 		for j, pq := range rtV.bounds {
-			if pq.retired || (self && j < i) {
+			if pq.Retired || (self && j < i) {
 				continue
 			}
 			if anchored {
-				df := pt.mbrF.MinDistMBR(pq.mbrF)
-				dl := pt.mbrL.MinDistMBR(pq.mbrL)
+				df := pt.MBRf.MinDistMBR(pq.MBRf)
+				dl := pt.MBRl.MinDistMBR(pq.MBRl)
 				if maxForm {
 					if df > tau || dl > tau {
 						continue
@@ -1114,12 +1063,12 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 				}
 			}
 			// Orientation: ship the smaller side.
-			if pt.trajs <= pq.trajs {
+			if ltV.trajs[i] <= rtV.trajs[j] {
 				edges = append(edges, edge{src: i, dst: j, srcName: left, dstName: right, flip: false,
-					dstMBRf: pq.mbrF, dstMBRl: pq.mbrL, mirror: self, diagonal: self && i == j})
+					dstMBRf: pq.MBRf, dstMBRl: pq.MBRl, mirror: self, diagonal: self && i == j})
 			} else {
 				edges = append(edges, edge{src: j, dst: i, srcName: right, dstName: left, flip: true,
-					dstMBRf: pt.mbrF, dstMBRl: pt.mbrL, mirror: self})
+					dstMBRf: pt.MBRf, dstMBRl: pt.MBRl, mirror: self})
 			}
 		}
 	}

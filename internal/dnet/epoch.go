@@ -3,6 +3,7 @@ package dnet
 import (
 	"errors"
 
+	"dita/internal/core"
 	"dita/internal/geom"
 )
 
@@ -52,7 +53,8 @@ func (c *Coordinator) RelevantPartitions(name string, q []geom.Point, tau float6
 	if err != nil {
 		return nil, err
 	}
-	return c.relevantPartitions(dd.boundsView(), q, tau), nil
+	v := dd.boundsView()
+	return core.RelevantPartitions(c.m, v.rtF, v.rtL, v.bounds, q, tau), nil
 }
 
 // NumPartitions reports the dataset's partition count, retired slots

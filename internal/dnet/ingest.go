@@ -47,53 +47,25 @@ const (
 	defaultMaxDeltaBytes = 8 << 20
 )
 
-// partView is a query's consistent picture of one partition: the base
-// slices (never mutated in place — a merge installs fresh ones) plus
-// private copies of the overlay, taken under the overlay lock. The
-// mutual exclusion during the copy makes the in-place overlay mutation
+// view captures the partition for one query: the base slices as they are
+// (never mutated in place — a merge installs fresh ones) plus private
+// copies of the delta and the tombstones, taken under the overlay lock.
+// The mutual exclusion during the copy makes the in-place overlay mutation
 // on the ingest path safe for the rest of the query's life.
-type partView struct {
-	trajs     []*traj.T
-	index     *trie.Trie
-	meta      []core.VerifyMeta
-	tomb      map[int]bool
-	delta     []*traj.T
-	deltaMeta []core.VerifyMeta
-}
-
-// overlay reports whether the view carries any un-merged mutations —
-// when false, query paths run exactly the pre-ingest code.
-func (v partView) overlay() bool { return len(v.delta) > 0 || len(v.tomb) > 0 }
-
-// joinView is the view as a join edge's destination: the delta members
-// follow the base in slot order, the tombstones mask the base.
-func (v partView) joinView() *core.JoinView {
-	jv := &core.JoinView{Index: v.index, Trajs: v.trajs, Meta: v.meta, Base: len(v.trajs)}
-	if len(v.tomb) > 0 {
-		jv.Masked = func(id int) bool { return v.tomb[id] }
-	}
-	if len(v.delta) > 0 {
-		// Capped, so the appends copy the base slices.
-		jv.Trajs = append(v.trajs[:jv.Base:jv.Base], v.delta...)
-		jv.Meta = append(v.meta[:jv.Base:jv.Base], v.deltaMeta...)
-	}
-	return jv
-}
-
-// view captures the partition for one query.
-func (p *workerPartition) view() partView {
+func (p *workerPartition) view() *core.View {
 	p.omu.RLock()
 	defer p.omu.RUnlock()
-	v := partView{trajs: p.trajs, index: p.index, meta: p.meta}
+	v := &core.View{Index: p.index, Base: p.trajs, BaseMeta: p.meta}
 	if len(p.tomb) > 0 {
-		v.tomb = make(map[int]bool, len(p.tomb))
+		tomb := make(map[int]bool, len(p.tomb))
 		for id := range p.tomb {
-			v.tomb[id] = true
+			tomb[id] = true
 		}
+		v.Masked = func(id int) bool { return tomb[id] }
 	}
 	if len(p.delta) > 0 {
-		v.delta = append([]*traj.T(nil), p.delta...)
-		v.deltaMeta = append([]core.VerifyMeta(nil), p.deltaMeta...)
+		v.Overlay = append([]*traj.T(nil), p.delta...)
+		v.OverlayMeta = append([]core.VerifyMeta(nil), p.deltaMeta...)
 	}
 	return v
 }

@@ -360,13 +360,7 @@ func visibleState(w *Worker) map[int]*traj.T {
 	}
 	w.mu.RUnlock()
 	for _, p := range parts {
-		pv := p.view()
-		for _, tr := range pv.trajs {
-			if !pv.tomb[tr.ID] {
-				out[tr.ID] = tr
-			}
-		}
-		for _, tr := range pv.delta {
+		for _, tr := range p.view().Visible() {
 			out[tr.ID] = tr
 		}
 	}

@@ -90,34 +90,6 @@ func (g *knnMerger) results() []SearchHit {
 	return out
 }
 
-// knnVisit is one partition of a kNN plan with its global-index lower
-// bound on the distance from the query to any member.
-type knnVisit struct {
-	pid int
-	lb  float64
-}
-
-// knnOrder is the visit order of a kNN over the view: ascending
-// (global-index lower bound, partition id) — the same bound TrajRelevant
-// prunes with. Retired partitions own nothing and may not even be loadable
-// on any worker; visiting one would burn a round (or fail the query) for a
-// guaranteed-empty contribution.
-func (c *Coordinator) knnOrder(v ddView, q *traj.T) []knnVisit {
-	order := make([]knnVisit, 0, len(v.bounds))
-	for i, p := range v.bounds {
-		if !p.retired {
-			order = append(order, knnVisit{pid: i, lb: core.PartitionLowerBound(c.m, q.Points, p.mbrF, p.mbrL)})
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].lb != order[b].lb {
-			return order[a].lb < order[b].lb
-		}
-		return order[a].pid < order[b].pid
-	})
-	return order
-}
-
 // SearchKNN returns the k trajectories of the dispatched dataset nearest
 // to q, ordered by ascending (distance, ID) — the network mode of the
 // engine's incremental best-first kNN. The coordinator orders partitions
@@ -222,7 +194,7 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 			kq = v.visible
 		}
 		planDone := tr.StartSpan("knn-plan", -1)
-		order := c.knnOrder(v, q)
+		order := core.KNNOrder(c.m, v.bounds, q.Points)
 		planDone(nil)
 
 		merger = newKNNMerger(kq)
@@ -237,7 +209,7 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 			// shrinks), so pruning against it inside the round stays sound
 			// even as other partitions in the batch tighten it further.
 			tau := merger.tau()
-			var batch []knnVisit
+			var batch []core.KNNVisit
 			if !merger.full() {
 				// Pilot: scanning at τ=+∞ costs a partition its own top-k, so
 				// send only as many partitions, nearest first, as it takes
@@ -246,7 +218,7 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 				// round pilots the next partition in its place.
 				for need := kq - len(merger.heap); next < len(order) && need > 0; next++ {
 					batch = append(batch, order[next])
-					need -= v.bounds[order[next].pid].live
+					need -= v.live[order[next].PID]
 				}
 			} else {
 				// Fan-out: everything the pilot's τ cannot rule out, at once.
@@ -254,7 +226,7 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 				// the result through an ID tie, so only a strictly greater
 				// bound ends the search — and the order is ascending, so it
 				// ends it for every later partition too.
-				for next < len(order) && order[next].lb <= tau {
+				for next < len(order) && order[next].LB <= tau {
 					batch = append(batch, order[next])
 					next++
 				}
@@ -326,7 +298,7 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 							Attempts: attempts[i], Start: pStart.Sub(tr.Begin), Duration: elapsed,
 							Err: lastErr.Error(), Class: obs.Classify(lastErr)})
 					}
-				}(i, bv.pid)
+				}(i, bv.PID)
 			}
 			wg.Wait()
 			if err := ctx.Err(); err != nil {

@@ -256,14 +256,14 @@ func tracedKNN(t *testing.T, c *Coordinator, name string, q *traj.T, k int) ([]S
 
 // knnPlan is the coordinator's own visit order for q, for tests that need
 // to know which partition a query pilots.
-func knnPlan(t *testing.T, c *Coordinator, name string, q *traj.T) (ddView, []knnVisit) {
+func knnPlan(t *testing.T, c *Coordinator, name string, q *traj.T) (ddView, []core.KNNVisit) {
 	t.Helper()
 	dd, err := c.dataset(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := dd.boundsView()
-	return v, c.knnOrder(v, q)
+	return v, core.KNNOrder(c.m, v.bounds, q.Points)
 }
 
 // TestNetKNNPilotRounds pins the round protocol on a healthy cluster against
@@ -281,7 +281,7 @@ func TestNetKNNPilotRounds(t *testing.T) {
 	m := measure.DTW{}
 	for qi, q := range gen.Queries(d, 4, 121) {
 		v, order := knnPlan(t, c, "trips", q)
-		home := v.bounds[order[0].pid].live
+		home := v.live[order[0].PID]
 		for _, tc := range []struct {
 			k     int
 			pilot int // partitions in the first round
@@ -302,7 +302,7 @@ func TestNetKNNPilotRounds(t *testing.T) {
 			if tc.k == home+1 {
 				// The second-nearest partition may be empty; the prefix then
 				// runs on to the first that covers the missing answer.
-				for tc.pilot < len(order) && v.bounds[order[tc.pilot-1].pid].live == 0 {
+				for tc.pilot < len(order) && v.live[order[tc.pilot-1].PID] == 0 {
 					tc.pilot++
 				}
 			}
@@ -336,10 +336,10 @@ func TestNetKNNDeadPilot(t *testing.T) {
 	for _, cand := range d.Trajs {
 		_, order := knnPlan(t, c, "trips", cand)
 		dd.mu.Lock()
-		first, second := dd.replicas[order[0].pid][0], dd.replicas[order[1].pid][0]
+		first, second := dd.replicas[order[0].PID][0], dd.replicas[order[1].PID][0]
 		dd.mu.Unlock()
 		if first == 1 && second == 0 {
-			q, pilot = cand, order[0].pid
+			q, pilot = cand, order[0].PID
 			break
 		}
 	}
@@ -408,7 +408,7 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 	m := measure.DTW{}
 	q := gen.Queries(d, 1, 124)[0]
 	_, order := knnPlan(t, c, "trips", q)
-	pilot := order[0].pid
+	pilot := order[0].PID
 	dd, err := c.dataset("trips")
 	if err != nil {
 		t.Fatal(err)
@@ -530,7 +530,7 @@ func TestNetKNNCutoverReplan(t *testing.T) {
 	m := measure.DTW{}
 	for qi, q := range gen.Queries(d, 3, 126) {
 		_, order := knnPlan(t, c, "trips", q)
-		pilot := order[0].pid
+		pilot := order[0].PID
 		qs := &QueryStats{Trace: obs.NewTrace("knn")}
 		var splitErr error
 		ctx := &cutoverCtx{Context: context.Background(), tr: qs.Trace, hook: func() {

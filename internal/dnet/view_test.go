@@ -1,0 +1,63 @@
+package dnet
+
+import (
+	"testing"
+
+	"dita/internal/measure"
+	"dita/internal/traj"
+	"dita/internal/viewtest"
+	"dita/internal/wal"
+)
+
+// loadedPartition loads base into a fresh worker through the Load handler
+// and streams ops into it through the Ingest handler — the worker's own
+// write path, minus the sockets.
+func loadedPartition(t *testing.T, m measure.Measure, base []*traj.T, ops []viewtest.Op) *workerPartition {
+	t.Helper()
+	s := &workerService{w: NewWorker()}
+	cfg := testConfig()
+	load := &LoadArgs{Dataset: "view", Measure: MeasureSpec{Name: m.Name(), Eps: 0.002, Delta: 5},
+		K: cfg.Trie.K, NLAlign: cfg.Trie.NLAlign, NLPivot: cfg.Trie.NLPivot, MinNode: cfg.Trie.MinNode}
+	for _, tr := range base {
+		load.Trajs = append(load.Trajs, WireTrajectory{ID: tr.ID, Points: tr.Points})
+	}
+	if err := s.Load(load, &LoadReply{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range ops {
+		rec := WireRecord{Seq: uint64(i + 1), Op: wal.OpDelete, ID: op.ID}
+		if op.T != nil {
+			rec.Op, rec.Points = wal.OpInsert, op.T.Points
+		}
+		if err := s.Ingest(&IngestArgs{Dataset: "view", Records: []WireRecord{rec}}, &IngestReply{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := s.partition("view", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestViewAcrossHosts, worker half (internal/core has the engine's): the
+// same histories, the same model, the same checks.
+func TestViewAcrossHosts(t *testing.T) {
+	base, fresh, queries := viewtest.Fixture()
+	for _, m := range viewtest.Measures(t) {
+		for _, h := range viewtest.Histories(base, fresh) {
+			t.Run(m.Name()+"/"+h.Name, func(t *testing.T) {
+				p := loadedPartition(t, m, base, h.Ops)
+				viewtest.Check(t, m, p.view(), h.Visible(base), queries)
+			})
+		}
+	}
+}
+
+// At the parent a Search RPC over a partition holding an overlay copied
+// every base pointer and every base meta to append the delta behind them.
+func TestViewSearchDoesNotCopyBase(t *testing.T) {
+	base, fresh, queries := viewtest.BigFixture()
+	p := loadedPartition(t, measure.DTW{}, base, []viewtest.Op{{T: fresh, ID: fresh.ID}, {ID: base[0].ID}})
+	viewtest.CheckBaseAliased(t, measure.DTW{}, p.view(), p.trajs, p.meta, queries)
+}

@@ -628,51 +628,21 @@ func (s *workerService) Search(args *SearchArgs, reply *SearchReply) (err error)
 	if err != nil {
 		return err
 	}
-	pv := p.view()
-	cands, err := pv.index.SearchContext(ctx, args.Query, p.m, args.Tau, nil)
+	res, st, err := p.view().Search(ctx, p.m, args.Query, args.Tau, s.w.VerifyParallelism, false)
 	if err != nil {
 		return err
 	}
-	trajs, meta := pv.trajs, pv.meta
-	if pv.overlay() {
-		// Trie candidates masked by the tombstones, delta members appended
-		// unconditionally (they are few and unindexed until the next merge).
-		kept := cands[:0]
-		for _, i := range cands {
-			if !pv.tomb[trajs[i].ID] {
-				kept = append(kept, i)
-			}
-		}
-		cands = kept
-		combined := make([]*traj.T, 0, len(trajs)+len(pv.delta))
-		combined = append(combined, trajs...)
-		combined = append(combined, pv.delta...)
-		cmeta := make([]core.VerifyMeta, 0, len(meta)+len(pv.deltaMeta))
-		cmeta = append(cmeta, meta...)
-		cmeta = append(cmeta, pv.deltaMeta...)
-		for j := range pv.delta {
-			cands = append(cands, len(trajs)+j)
-		}
-		trajs, meta = combined, cmeta
+	for _, r := range res {
+		reply.Hits = append(reply.Hits, SearchHit{ID: r.Traj.ID, Distance: r.Distance})
 	}
-	reply.Candidates = len(cands)
-	v := core.NewVerifier(p.m, args.Query, args.Tau, p.cellD)
-	hits, err := v.VerifyAll(ctx, trajs, meta, cands, s.w.VerifyParallelism)
-	if err != nil {
-		return err
-	}
-	for _, h := range hits {
-		reply.Hits = append(reply.Hits, SearchHit{ID: trajs[h.Index].ID, Distance: h.Distance})
-	}
-	reply.Verified = int(v.Verified.Load())
-	reply.Funnel = v.Funnel(len(trajs), len(cands))
+	reply.Candidates, reply.Verified, reply.Funnel = int(st.Funnel.TrieCands), int(st.Funnel.Verified), st.Funnel
 	sort.Slice(reply.Hits, func(a, b int) bool { return reply.Hits[a].ID < reply.Hits[b].ID })
 	return nil
 }
 
 // KNN implements the per-partition top-k RPC of the network mode's
 // best-first kNN. It runs the exact scan the local engine runs
-// (core.KNNScanPartition), seeded empty and capped by the coordinator's
+// (core.View.KNNScan), seeded empty and capped by the coordinator's
 // round threshold, and replies with the partition-local top-k: any
 // trajectory omitted is beaten by k partition-mates (or provably beyond
 // the round threshold) and can never be a global answer, so the
@@ -698,25 +668,10 @@ func (s *workerService) KNN(args *KNNArgs, reply *KNNReply) (err error) {
 	if err != nil {
 		return err
 	}
-	pv := p.view()
-	var masked func(id int) bool
-	if len(pv.tomb) > 0 {
-		tomb := pv.tomb
-		masked = func(id int) bool { return tomb[id] }
-	}
 	acc := core.NewKNNAcc(args.K)
-	f, err := core.KNNScanPartition(ctx, p.m, args.Query, pv.index, pv.trajs, pv.meta, masked, acc, args.Tau)
+	f, err := p.view().KNNScan(ctx, p.m, args.Query, acc, args.Tau)
 	if err != nil {
 		return err
-	}
-	if len(pv.delta) > 0 {
-		// Delta members are unindexed until the next merge: the linear
-		// best-first scan resolves them exactly against the same accumulator.
-		lf, err := core.KNNScanLive(ctx, p.m, args.Query, pv.delta, pv.deltaMeta, nil, acc, args.Tau)
-		if err != nil {
-			return err
-		}
-		f.Merge(lf)
 	}
 	for _, r := range acc.Results() {
 		reply.Hits = append(reply.Hits, SearchHit{ID: r.Traj.ID, Distance: r.Distance})
@@ -739,18 +694,13 @@ func (s *workerService) Fetch(args *FetchArgs, reply *FetchReply) error {
 	for _, id := range args.IDs {
 		want[id] = true
 	}
-	pv := p.view()
-	for _, t := range pv.trajs {
-		if want[t.ID] && !pv.tomb[t.ID] {
-			reply.Trajs = append(reply.Trajs, WireTrajectory{ID: t.ID, Points: t.Points})
-		}
+	ctx, cancel := s.w.queryCtx(0)
+	defer cancel()
+	ts, _, _, err := p.view().Select(ctx, func(t *traj.T) bool { return want[t.ID] })
+	for _, t := range ts {
+		reply.Trajs = append(reply.Trajs, WireTrajectory{ID: t.ID, Points: t.Points})
 	}
-	for _, t := range pv.delta {
-		if want[t.ID] {
-			reply.Trajs = append(reply.Trajs, WireTrajectory{ID: t.ID, Points: t.Points})
-		}
-	}
-	return nil
+	return err
 }
 
 // peerUnreachablePrefix starts the error Ship returns when the
@@ -783,29 +733,15 @@ func (s *workerService) Ship(args *ShipArgs, reply *JoinReply) (err error) {
 	}
 	ctx, cancel := s.w.queryCtx(args.TimeoutMillis)
 	defer cancel()
-	pv := p.view()
-	var shipped []WireTrajectory
-	for _, t := range pv.trajs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if pv.tomb[t.ID] {
-			continue
-		}
-		if core.TrajRelevant(p.m, t.Points, args.DstMBRf, args.DstMBRl, args.Tau) {
-			shipped = append(shipped, WireTrajectory{ID: t.ID, Points: t.Points})
-		}
+	ts, _, _, err := p.view().Select(ctx, func(t *traj.T) bool {
+		return core.TrajRelevant(p.m, t.Points, args.DstMBRf, args.DstMBRl, args.Tau)
+	})
+	if err != nil || len(ts) == 0 {
+		return err
 	}
-	for _, t := range pv.delta {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if core.TrajRelevant(p.m, t.Points, args.DstMBRf, args.DstMBRl, args.Tau) {
-			shipped = append(shipped, WireTrajectory{ID: t.ID, Points: t.Points})
-		}
-	}
-	if len(shipped) == 0 {
-		return nil
+	shipped := make([]WireTrajectory, len(ts))
+	for i, t := range ts {
+		shipped[i] = WireTrajectory{ID: t.ID, Points: t.Points}
 	}
 	// Worker-to-worker connection: the data does not pass through the
 	// coordinator.
@@ -866,7 +802,7 @@ func (s *workerService) Join(args *JoinArgs, reply *JoinReply) (err error) {
 	defer cancel()
 	// One view for both sides of a diagonal edge: every pair of members is
 	// decided against a single instant of the partition.
-	dst := p.view().joinView()
+	dst := p.view()
 	var (
 		shipped []*traj.T
 		smeta   []core.VerifyMeta
@@ -889,7 +825,8 @@ func (s *workerService) Join(args *JoinArgs, reply *JoinReply) (err error) {
 		func(hits []core.JoinHit) {
 			reply.Pairs = make([]WirePair, len(hits))
 			for k, h := range hits {
-				pr := WirePair{TID: shipped[h.Pair.Shipped].ID, QID: dst.Trajs[h.Pair.Local].ID, Distance: h.Distance}
+				local, _ := dst.At(h.Pair.Local)
+				pr := WirePair{TID: shipped[h.Pair.Shipped].ID, QID: local.ID, Distance: h.Distance}
 				if args.Flip {
 					pr.TID, pr.QID = pr.QID, pr.TID
 				}

@@ -38,12 +38,6 @@ type Config struct {
 	Scale float64
 	// Seed drives all generation.
 	Seed int64
-	// VerifyParallelism bounds each partition's verification goroutine
-	// pool (0 = all cores, 1 = sequential). Results are identical at
-	// every setting; only wall-clock changes, so the figure/table
-	// experiments (simulated time) ignore it and only Bench threads it
-	// through.
-	VerifyParallelism int
 }
 
 // DefaultConfig returns the laptop-scale defaults documented in
@@ -195,12 +189,9 @@ func Run(id string, cfg Config) (*Table, error) {
 // --- shared builders -------------------------------------------------------
 
 // dataset materializes one of the three preset datasets at the config's
-// scale. kind is "beijing", "chengdu" or "osm"; "default" is an alias for
-// the Beijing-like preset (the BENCH_default.json perf-tracking baseline).
+// scale. kind is "beijing", "chengdu" or "osm".
 func (c Config) dataset(kind string) *traj.Dataset {
 	switch kind {
-	case "default":
-		return gen.Generate(gen.BeijingLike(c.n(c.NBeijing), c.Seed))
 	case "beijing":
 		return gen.Generate(gen.BeijingLike(c.n(c.NBeijing), c.Seed))
 	case "chengdu":
