@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-smoke bench-kernels bench-diff
+.PHONY: build test race vet fmt-check staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-smoke bench-kernels bench-diff
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any file is not gofmt-clean. .bench_build/ holds extracted
+# copies of other commits (bench-diff), which are not this tree's to format.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # staticcheck runs only when installed — the build environment is
 # offline, so the tool cannot be fetched on demand.
@@ -101,6 +107,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRepartitionPlan -fuzztime=$(FUZZTIME) ./internal/str
 	$(GO) test -run='^$$' -fuzz=FuzzDTWThreshold -fuzztime=$(FUZZTIME) ./internal/measure
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeBound -fuzztime=$(FUZZTIME) ./internal/trie
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinary -fuzztime=$(FUZZTIME) ./internal/trie
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
@@ -138,7 +145,7 @@ bench-diff:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-diff A=<parent ref> B=<change ref> [N=10] [SEED=501] [WORKLOADS=w,...]"; exit 2; }
 	$(GO) run ./cmd/benchdiff -a $(A) -b $(B) -n $(N) -seed $(SEED) -workload "$(WORKLOADS)"
 
-check: vet staticcheck race chaos knn snap ingest serve rebalance autopilot fuzz bench-smoke
+check: fmt-check vet staticcheck race chaos knn snap ingest serve rebalance autopilot fuzz bench-smoke
 
 # 30-second soak: dita-net's cancelled-query churn workload against
 # in-process workers running under fault injection (-chaos). Exits

@@ -329,11 +329,11 @@ func runDrive(cfg driveConfig) int {
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	var (
-		mu       sync.Mutex
-		rep      driveReport
+		mu        sync.Mutex
+		rep       driveReport
 		latencies []float64
-		rng      = rand.New(rand.NewSource(cfg.seed + 3))
-		rngMu    sync.Mutex
+		rng       = rand.New(rand.NewSource(cfg.seed + 3))
+		rngMu     sync.Mutex
 	)
 	record := func(f func(*driveReport)) {
 		mu.Lock()

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"dita/internal/cluster"
@@ -214,8 +216,12 @@ func TestJoinDisjointDatasets(t *testing.T) {
 	}
 }
 
-// Division-based balancing should reduce the load ratio on skewed
-// workloads (Figure 16's claim), at least not increase it dramatically.
+// Division-based balancing should reduce the load imbalance on skewed
+// workloads (Figure 16's claim), at least not increase it dramatically. The
+// imbalance compared is the plan's: the cost model's receiving-side work per
+// executing worker, max over mean, with and without division over one
+// bi-graph — a count, where JoinStats.LoadRatio is max/min measured worker
+// time and moves with whatever else the machine runs.
 func TestDivisionBalancesSkew(t *testing.T) {
 	// Skewed: all trajectories share nearly identical endpoints, so one
 	// partition pair dominates.
@@ -223,22 +229,53 @@ func TestDivisionBalancesSkew(t *testing.T) {
 	cfg.Hotspots = 1
 	cfg.HotspotStd = 0.001
 	d := gen.Generate(cfg)
+	ea, eb := buildPair(t, d, d, measure.DTW{}, 8)
 
-	run := func(disable bool) (float64, int) {
-		ea, eb := buildPair(t, d, d, measure.DTW{}, 8)
-		opts := DefaultJoinOptions()
-		opts.DisableDivision = disable
-		var stats JoinStats
-		ea.Join(eb, 0.002, opts, &stats)
-		return stats.LoadRatio, stats.Divisions
+	opts := DefaultJoinOptions()
+	opts.Lambda = 1.0 / 250.0
+	jv := joinViews{e: ea, other: eb, left: ea.partitionViews(), right: eb.partitionViews()}
+	edges, err := jv.buildBigraph(context.Background(), 0.002, opts)
+	if err != nil || len(edges) == 0 {
+		t.Fatalf("bigraph: %d edges, err %v", len(edges), err)
 	}
-	balancedRatio, divisions := run(false)
-	naiveRatio, _ := run(true)
-	t.Logf("load ratio: balanced=%.2f naive=%.2f divisions=%d", balancedRatio, naiveRatio, divisions)
+	if _, err := orient(context.Background(), edges, ea, eb, opts); err != nil {
+		t.Fatal(err)
+	}
+	imbalance := func(disable bool) (float64, int) {
+		opts.DisableDivision = disable
+		divisions := balance(edges, ea, eb, opts)
+		load := make([]float64, ea.cl.Workers())
+		total := 0.0
+		for _, ed := range edges {
+			c := opts.Lambda*ed.transQT + ed.compQT
+			if ed.dirTQ {
+				c = opts.Lambda*ed.transTQ + ed.compTQ
+			}
+			load[ed.execWorker] += c
+			total += c
+		}
+		max := 0.0
+		for _, l := range load {
+			max = math.Max(max, l)
+		}
+		return max * float64(len(load)) / total, divisions
+	}
+	naive, _ := imbalance(true)
+	balanced, divisions := imbalance(false)
+	t.Logf("planned max/mean worker load: balanced=%.2f naive=%.2f divisions=%d", balanced, naive, divisions)
 	if divisions == 0 {
 		t.Log("no divisions triggered on this workload (acceptable: quantile threshold not exceeded)")
 	}
-	if balancedRatio > naiveRatio*1.5+1 {
-		t.Errorf("division balancing made skew worse: %v vs %v", balancedRatio, naiveRatio)
+	if balanced > naive*1.5 {
+		t.Errorf("division balancing made the planned skew worse: %v vs %v", balanced, naive)
+	}
+
+	// The executed join reports a ratio of measured worker times; all that
+	// holds of it on any machine is that it is a max over a min.
+	var stats JoinStats
+	opts.DisableDivision = false
+	ea.Join(eb, 0.002, opts, &stats)
+	if stats.LoadRatio < 1 || stats.Divisions != divisions {
+		t.Errorf("executed join: load ratio %v (want >= 1), %d divisions (planned %d)", stats.LoadRatio, stats.Divisions, divisions)
 	}
 }

@@ -197,12 +197,7 @@ func (c *Coordinator) PromoteReplica(name string, pid int) (int, error) {
 		return -1, fmt.Errorf("dnet: promote %s/%d: no such live partition", name, pid)
 	}
 	owners := append([]int(nil), dd.replicas[pid]...)
-	payload, fp := dd.parts[pid].payload, dd.parts[pid].fingerprint
-	if dd.mutated {
-		// Acked writes live only on the workers; the dispatch payload is
-		// stale. Ship worker-to-worker, unpinned, like healing does.
-		payload, fp = nil, 0
-	}
+	payload, fp := healSourceLocked(dd, pid)
 	loads := make([]int, len(c.addrs))
 	for _, ows := range dd.replicas {
 		for _, w := range ows {
@@ -232,27 +227,7 @@ func (c *Coordinator) PromoteReplica(name string, pid int) (int, error) {
 	if target < 0 {
 		return -1, fmt.Errorf("dnet: promote %s/%d: no live non-owner to hold the copy", name, pid)
 	}
-	shipped := false
-	if payload != nil {
-		var reply LoadReply
-		shipped = c.clients[target].Call("Worker.Load", payload, &reply) == nil
-	} else {
-		for _, src := range c.health.order(owners) {
-			if states[src] == Dead {
-				continue
-			}
-			var reply ReplicateReply
-			err := c.clients[target].Call("Worker.Replicate", &ReplicateArgs{
-				Dataset: name, Partition: pid,
-				SrcAddr: c.addrs[src], Fingerprint: fp,
-			}, &reply)
-			if err == nil {
-				shipped = true
-				break
-			}
-		}
-	}
-	if !shipped {
+	if !c.shipReplica(dd, pid, payload, fp, owners, target, states) {
 		return -1, fmt.Errorf("dnet: promote %s/%d: shipping to worker %d failed", name, pid, target)
 	}
 	dd.mu.Lock()

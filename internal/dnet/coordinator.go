@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/rpc"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -162,7 +163,11 @@ type Coordinator struct {
 // under mu, so query paths read the global index through boundsView,
 // never directly.
 type dispatchedDataset struct {
-	name  string
+	name string
+	// opts are the build options Dispatch sealed every partition with — what
+	// a payload heal re-seals with. Zero on a recovered dataset, which has
+	// no payloads.
+	opts  snap.BuildOptions
 	parts []dispatchedPartition
 	rtF   *rtree.Tree
 	rtL   *rtree.Tree
@@ -269,12 +274,14 @@ type dispatchedPartition struct {
 	// build options and trajectories) — how the coordinator recognizes a
 	// worker already holding this exact partition.
 	fingerprint uint64
-	// payload is the retained load request, kept so a dead replica can
-	// be rebuilt on a surviving worker without re-partitioning. It is
-	// released (nil) once enough workers confirm durable snapshots;
-	// healing then transfers snapshots worker-to-worker instead. Guarded
-	// by the dataset's mu after dispatch.
-	payload *LoadArgs
+	// payload is the partition's member slice as dispatched (the pointers
+	// alias the caller's dataset), kept so a dead replica can be rebuilt on
+	// a surviving worker without re-partitioning: the heal re-seals it
+	// (sealPartition, with the dataset's opts) when it needs it, so no image
+	// is ever retained. It is released (nil) once enough workers confirm
+	// durable snapshots; healing then transfers snapshots worker-to-worker
+	// instead. Guarded by the dataset's mu after dispatch.
+	payload []*traj.T
 }
 
 // DispatchReport accounts one dispatch: how many partitions the dataset
@@ -454,19 +461,16 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 		Strategy: int(c.cfg.Trie.Strategy),
 		CellD:    cellD,
 	}
-	dd := &dispatchedDataset{name: name, loc: map[int]int{}, cost: core.NewCostTracker()}
+	dd := &dispatchedDataset{name: name, opts: opts, loc: map[int]int{}, cost: core.NewCostTracker()}
 	trajs := d.Trajs
 	firsts := make([]geom.Point, len(trajs))
 	for i, t := range trajs {
 		firsts[i] = t.First()
 	}
-	type loadCall struct {
-		worker int
-		args   *LoadArgs
-	}
-	var calls []loadCall
+	// jobs[pid] names the owners partition pid must be shipped to.
+	var jobs []sealJob
 	rep := &DispatchReport{}
-	// held[pid] counts owners that already hold the partition durably;
+	// durable[pid] counts owners that already hold the partition durably;
 	// seqFloor[pid] is the highest ingest sequence any worker reports for
 	// the partition — a restarted coordinator must assign numbers past it
 	// or workers would dedupe fresh writes as retransmissions.
@@ -488,22 +492,10 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 				continue
 			}
 			pid := len(dd.parts)
-			args := &LoadArgs{
-				Dataset:   name,
-				Partition: pid,
-				Measure:   c.cfg.Measure,
-				K:         c.cfg.Trie.K,
-				NLAlign:   c.cfg.Trie.NLAlign,
-				NLPivot:   c.cfg.Trie.NLPivot,
-				MinNode:   c.cfg.Trie.MinNode,
-				Strategy:  int(c.cfg.Trie.Strategy),
-				CellD:     cellD,
-			}
 			mbrF, mbrL := geom.EmptyMBR(), geom.EmptyMBR()
 			members := make([]*traj.T, 0, len(sub))
 			for _, k := range sub {
 				t := trajs[bucket[k]]
-				args.Trajs = append(args.Trajs, WireTrajectory{ID: t.ID, Points: t.Points})
 				members = append(members, t)
 				mbrF = mbrF.Extend(t.First())
 				mbrL = mbrL.Extend(t.Last())
@@ -515,11 +507,11 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 				}
 				dd.loc[t.ID] = pid
 			}
-			args.Fingerprint = snap.Fingerprint(opts, members)
+			fp := snap.Fingerprint(opts, members)
 			owners := replicaOwners(pid, c.cfg.Replicas, len(c.clients))
 			dd.parts = append(dd.parts, dispatchedPartition{
 				mbrF: mbrF, mbrL: mbrL,
-				trajs: len(args.Trajs), fingerprint: args.Fingerprint, payload: args,
+				trajs: len(members), fingerprint: fp, payload: members,
 			})
 			dd.replicas = append(dd.replicas, owners)
 			durable = append(durable, 0)
@@ -532,8 +524,9 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 					seqFloor[pid] = held.LastSeq
 				}
 			}
+			job := sealJob{pid: pid, members: members}
 			for _, w := range owners {
-				if held, ok := inv[w][partKey{name, pid}]; ok && held.Fingerprint == args.Fingerprint {
+				if held, ok := inv[w][partKey{name, pid}]; ok && held.Fingerprint == fp {
 					// The worker already holds exactly this content
 					// (cold-started from a snapshot, or surviving from an
 					// earlier dispatch): nothing to ship.
@@ -543,57 +536,21 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 					}
 					continue
 				}
-				calls = append(calls, loadCall{w, args})
+				job.workers = append(job.workers, w)
 			}
+			rep.Loads += len(job.workers)
+			jobs = append(jobs, job)
 		}
 	}
 	rep.Partitions = len(dd.parts)
-	rep.Loads = len(calls)
-	// Load all replicas concurrently through the managed clients
-	// (net/rpc multiplexes on one connection per worker).
-	errs := make([]error, len(calls))
-	replies := make([]LoadReply, len(calls))
-	var wg sync.WaitGroup
-	for i, call := range calls {
-		wg.Add(1)
-		go func(i int, call loadCall) {
-			defer wg.Done()
-			errs[i] = c.clients[call.worker].Call("Worker.Load", call.args, &replies[i])
-		}(i, call)
+	// Reused partitions are left in place by a failed load's roll-back —
+	// they predate this dispatch and will be reused again by the retry.
+	snapped, err := c.loadSealed(name, opts, jobs)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr != nil {
-		// Roll back: unload every partition that did land, best-effort,
-		// so a retried Dispatch starts from a clean slate. Reused
-		// partitions are left in place — they predate this dispatch and
-		// will be reused again by the retry.
-		var uwg sync.WaitGroup
-		for i, call := range calls {
-			if errs[i] != nil {
-				continue
-			}
-			uwg.Add(1)
-			go func(call loadCall) {
-				defer uwg.Done()
-				var reply UnloadReply
-				args := &UnloadArgs{Dataset: call.args.Dataset, Partition: call.args.Partition}
-				c.clients[call.worker].CallOnce("Worker.Unload", args, &reply, c.cfg.Retry.CallTimeout)
-			}(call)
-		}
-		uwg.Wait()
-		return nil, firstErr
-	}
-	for i, call := range calls {
-		if replies[i].Snapshotted {
-			durable[call.args.Partition]++
-		}
+	for pid, n := range snapped {
+		durable[pid] += n
 	}
 	if !c.cfg.RetainPayloads {
 		// Partitions durable on a full replica set no longer need their
@@ -623,6 +580,90 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 		c.met.payloadsDropped.Add(int64(rep.PayloadsDropped))
 	}
 	return rep, nil
+}
+
+// sealJob is one partition to build and ship: members are sealed once
+// (sealPartition) and the image is loaded on every worker listed; with no
+// worker listed nothing is built.
+type sealJob struct {
+	pid     int
+	members []*traj.T
+	workers []int
+}
+
+// loadSealed seals each job's partition and loads the image on the job's
+// workers through the managed clients (net/rpc multiplexes on one connection
+// per worker). The seals run in a pool bounded by GOMAXPROCS and overlap the
+// sends of the partitions sealed before them; an image is referenced by its
+// own sends alone, so it is garbage as soon as its owners have acked. It
+// returns, per job, how many of its workers reported a durable snapshot. On
+// any failure every load that did land is unloaded, best-effort, so the
+// caller's previous layout stays the only one and a retry starts from a
+// clean slate, and the first error is returned.
+func (c *Coordinator) loadSealed(name string, opts snap.BuildOptions, jobs []sealJob) ([]int, error) {
+	type landedLoad struct{ pid, worker int }
+	var (
+		mu       sync.Mutex
+		firstErr error
+		landed   []landedLoad
+		snapped  = make([]int, len(jobs))
+		wg       sync.WaitGroup
+		seals    = make(chan struct{}, runtime.GOMAXPROCS(0))
+	)
+	for ji, job := range jobs {
+		if len(job.workers) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(ji int, job sealJob) {
+			defer wg.Done()
+			seals <- struct{}{}
+			mu.Lock()
+			failed := firstErr != nil
+			mu.Unlock()
+			if failed {
+				<-seals
+				return
+			}
+			args := sealPartition(name, job.pid, opts, job.members)
+			<-seals
+			for _, w := range job.workers {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var reply LoadReply
+					err := c.clients[w].Call("Worker.Load", args, &reply)
+					mu.Lock()
+					defer mu.Unlock()
+					if err != nil {
+						if firstErr == nil {
+							firstErr = err
+						}
+						return
+					}
+					landed = append(landed, landedLoad{job.pid, w})
+					if reply.Snapshotted {
+						snapped[ji]++
+					}
+				}(w)
+			}
+		}(ji, job)
+	}
+	wg.Wait()
+	if firstErr == nil {
+		return snapped, nil
+	}
+	for _, l := range landed {
+		wg.Add(1)
+		go func(l landedLoad) {
+			defer wg.Done()
+			var reply UnloadReply
+			c.clients[l.worker].CallOnce("Worker.Unload",
+				&UnloadArgs{Dataset: name, Partition: l.pid}, &reply, c.cfg.Retry.CallTimeout)
+		}(l)
+	}
+	wg.Wait()
+	return nil, firstErr
 }
 
 func (c *Coordinator) dataset(name string) (*dispatchedDataset, error) {
@@ -1373,6 +1414,48 @@ func (c *Coordinator) removeWorker(dead int) {
 	}
 }
 
+// healSourceLocked says what a new replica of partition pid is made from:
+// the retained dispatch payload and the fingerprint it seals to, or (nil, 0)
+// — pull from a surviving owner, unpinned — once any write was acked. Acked
+// writes live only on the workers: the payload predates them, and the
+// dispatch-time fingerprint no longer names any replica's content once a
+// merge ran, so the copy must come from an export that carries the overlay.
+// Caller holds dd.mu.
+func healSourceLocked(dd *dispatchedDataset, pid int) ([]*traj.T, uint64) {
+	if dd.mutated {
+		return nil, 0
+	}
+	return dd.parts[pid].payload, dd.parts[pid].fingerprint
+}
+
+// shipReplica puts a copy of partition pid on worker target, for healing and
+// promotion alike. With a payload the coordinator seals it now and loads the
+// image (Worker.Load) — sealed per use, so retaining payloads never retains
+// images. Without one (released after durable snapshotting, or stale) the
+// target pulls the snapshot from a surviving owner (Worker.Replicate):
+// sources are tried live-first, and a transfer the target classifies as
+// peer-unreachable or corrupt just moves to the next source.
+func (c *Coordinator) shipReplica(dd *dispatchedDataset, pid int, payload []*traj.T, fp uint64, srcs []int, target int, states []WorkerState) bool {
+	if payload != nil {
+		var reply LoadReply
+		return c.clients[target].Call("Worker.Load", sealPartition(dd.name, pid, dd.opts, payload), &reply) == nil
+	}
+	for _, src := range c.health.order(srcs) {
+		if states[src] == Dead {
+			continue
+		}
+		var reply ReplicateReply
+		err := c.clients[target].Call("Worker.Replicate", &ReplicateArgs{
+			Dataset: dd.name, Partition: pid,
+			SrcAddr: c.addrs[src], Fingerprint: fp,
+		}, &reply)
+		if err == nil {
+			return true
+		}
+	}
+	return false
+}
+
 // rereplicate scans every dispatched partition and rebuilds missing
 // replicas onto the least-loaded eligible live workers until each is back
 // at the configured replication factor (or no eligible worker remains —
@@ -1387,7 +1470,7 @@ func (c *Coordinator) rereplicate() {
 	type healLoad struct {
 		dd      *dispatchedDataset
 		pid     int
-		payload *LoadArgs // nil → snapshot-based healing via srcs
+		payload []*traj.T // nil → snapshot-based healing via srcs
 		fp      uint64
 		srcs    []int // pre-heal owners, the candidate snapshot sources
 		target  int
@@ -1443,15 +1526,7 @@ func (c *Coordinator) rereplicate() {
 				}
 				loads[target]++
 				owners = append(owners, target)
-				payload, fp := dd.parts[pid].payload, dd.parts[pid].fingerprint
-				if dd.mutated {
-					// Acked writes live only on the workers now: the retained
-					// dispatch payload predates them, and the dispatch-time
-					// fingerprint no longer names any replica's content once a
-					// merge ran. Heal worker-to-worker, unpinned, so the
-					// export carries the overlay.
-					payload, fp = nil, 0
-				}
+				payload, fp := healSourceLocked(dd, pid)
 				plan = append(plan, healLoad{
 					dd: dd, pid: pid,
 					payload: payload,
@@ -1471,30 +1546,7 @@ func (c *Coordinator) rereplicate() {
 		wg.Add(1)
 		go func(h healLoad) {
 			defer wg.Done()
-			healed := false
-			if h.payload != nil {
-				var reply LoadReply
-				healed = c.clients[h.target].Call("Worker.Load", h.payload, &reply) == nil
-			} else {
-				// Payload released after durable snapshotting: the target
-				// pulls the snapshot from a surviving replica. Sources are
-				// tried live-first; a transfer the target classifies as
-				// peer-unreachable or corrupt just moves to the next source.
-				for _, src := range c.health.order(h.srcs) {
-					if states[src] == Dead {
-						continue
-					}
-					var reply ReplicateReply
-					err := c.clients[h.target].Call("Worker.Replicate", &ReplicateArgs{
-						Dataset: h.dd.name, Partition: h.pid,
-						SrcAddr: c.addrs[src], Fingerprint: h.fp,
-					}, &reply)
-					if err == nil {
-						healed = true
-						break
-					}
-				}
-			}
+			healed := c.shipReplica(h.dd, h.pid, h.payload, h.fp, h.srcs, h.target, states)
 			if !healed {
 				return // retried on the next CheckHealth
 			}

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"dita/internal/core"
-	"dita/internal/pivot"
 	"dita/internal/rtree"
 	"dita/internal/snap"
 	"dita/internal/traj"
@@ -315,14 +314,7 @@ func (w *Worker) mergePartition(dataset string, pid int, p *workerPartition) boo
 		}
 	}
 	visible = append(visible, p.delta...)
-	cfg := trie.Config{
-		K:        p.opts.K,
-		NLAlign:  p.opts.NLAlign,
-		NLPivot:  p.opts.NLPivot,
-		MinNode:  p.opts.MinNode,
-		Strategy: pivot.Strategy(p.opts.Strategy),
-	}
-	idx := trie.Build(visible, cfg)
+	idx := trie.Build(visible, trieConfig(p.opts))
 	meta := make([]core.VerifyMeta, len(visible))
 	for i, t := range visible {
 		meta[i] = core.NewVerifyMeta(t, p.cellD)

@@ -36,27 +36,24 @@ type MeasureSpec struct {
 	Delta int
 }
 
-// LoadArgs ships one partition to a worker and asks it to index it.
+// LoadArgs ships one partition to a worker as a sealed snapshot image: the
+// sender (sealPartition) built the trie and encoded the image once, and the
+// worker verifies, installs and persists those bytes — it builds nothing.
 type LoadArgs struct {
 	// Dataset distinguishes the two sides of a join ("T", "Q", ...).
 	Dataset string
 	// Partition is the partition id within the dataset.
 	Partition int
-	Trajs     []WireTrajectory
-	// Index configuration.
-	Measure  MeasureSpec
-	K        int
-	NLAlign  int
-	NLPivot  int
-	MinNode  int
-	Strategy int
-	CellD    float64
 	// Fingerprint is the snap.Fingerprint content hash over (build
-	// options, trajectories). The coordinator stamps it so the worker can
-	// recognize an identical partition it already holds (idempotent
-	// reloads skip the trie rebuild) and so snapshots written from this
-	// load carry the same identity the coordinator tracks. 0 = unknown.
+	// options, trajectories) sealed into Image. A worker already holding
+	// content with this fingerprint answers from it without decoding
+	// (idempotent reloads); an image that decodes to any other content is
+	// refused. 0 = unknown: the image is taken as it is.
 	Fingerprint uint64
+	// Image is the snap.Encode image of the partition. The receiver runs the
+	// full snap.Decode verification, as it does for a file or a peer's
+	// export.
+	Image []byte
 }
 
 // LoadReply reports the built index's footprint and durability.

@@ -10,24 +10,24 @@
 // Cutover ordering (repartitionGroup):
 //
 //  1. quiesce   — take every group member's write lock (pmu), in
-//                 ascending pid order, WITHOUT holding dd.mu. Writes to
-//                 the group now block; writes elsewhere proceed.
+//     ascending pid order, WITHOUT holding dd.mu. Writes to
+//     the group now block; writes elsewhere proceed.
 //  2. export    — pull each member's visible image from a live replica
-//                 (Worker.Export, snap.Decode-verified). The all-replica
-//                 write ack plus the held locks make any one replica's
-//                 visible set authoritative.
+//     (Worker.Export, snap.Decode-verified). The all-replica
+//     write ack plus the held locks make any one replica's
+//     visible set authoritative.
 //  3. cut       — str.Cut over the members' first points; assign.
 //  4. load      — ship each piece to Replicas live workers at fresh
-//                 pids. ANY failure unloads the loaded pieces and aborts
-//                 with the old layout fully intact — a worker death
-//                 mid-cutover can only ever produce old-or-new, never a
-//                 mix.
+//     pids. ANY failure unloads the loaded pieces and aborts
+//     with the old layout fully intact — a worker death
+//     mid-cutover can only ever produce old-or-new, never a
+//     mix.
 //  5. install   — under dd.mu: append piece entries, retire the old
-//                 pids (empty bounds, nil replicas, bumped write marks),
-//                 rewrite loc, bump boundsEpoch, rebuild the R-trees.
+//     pids (empty bounds, nil replicas, bumped write marks),
+//     rewrite loc, bump boundsEpoch, rebuild the R-trees.
 //  6. release   — drop the write locks; unload the old pids from their
-//                 former owners, best-effort (a failed unload leaves a
-//                 stale copy that inventory-driven recovery skips).
+//     former owners, best-effort (a failed unload leaves a
+//     stale copy that inventory-driven recovery skips).
 //
 // Queries that captured a boundsView before step 5 may still contact an
 // old pid after its unload in step 6 and see "partition not loaded";
@@ -227,58 +227,35 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 	plan := str.Cut(firsts, k)
 	groups := plan.Assign(firsts)
 	type piece struct {
-		args   *LoadArgs
-		owners []int
-		mbrF   geom.MBR
-		mbrL   geom.MBR
-		ids    []int
+		pid         int
+		members     []*traj.T
+		owners      []int
+		mbrF, mbrL  geom.MBR
+		fingerprint uint64
 	}
 	var pieces []piece
 	for _, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
+		if len(idxs) > 0 {
+			pieces = append(pieces, piece{members: make([]*traj.T, len(idxs))})
+			for j, i := range idxs {
+				pieces[len(pieces)-1].members[j] = members[i]
+			}
 		}
-		pc := piece{mbrF: geom.EmptyMBR(), mbrL: geom.EmptyMBR()}
-		pc.args = &LoadArgs{
-			Dataset:   name,
-			Partition: basePid + len(pieces),
-			Measure:   MeasureSpec{Name: opts.Measure, Eps: opts.Eps, Delta: opts.Delta},
-			K:         opts.K,
-			NLAlign:   opts.NLAlign,
-			NLPivot:   opts.NLPivot,
-			MinNode:   opts.MinNode,
-			Strategy:  opts.Strategy,
-			CellD:     opts.CellD,
-		}
-		mem := make([]*traj.T, 0, len(idxs))
-		for _, i := range idxs {
-			t := members[i]
-			pc.args.Trajs = append(pc.args.Trajs, WireTrajectory{ID: t.ID, Points: t.Points})
-			mem = append(mem, t)
-			pc.mbrF = pc.mbrF.Extend(t.First())
-			pc.mbrL = pc.mbrL.Extend(t.Last())
-			pc.ids = append(pc.ids, t.ID)
-		}
-		pc.args.Fingerprint = snap.Fingerprint(opts, mem)
-		pieces = append(pieces, pc)
 	}
 	if len(pieces) == 0 {
 		// Every visible member was deleted; install one empty piece so
 		// the dataset keeps at least one live partition to route to.
-		pc := piece{mbrF: geom.EmptyMBR(), mbrL: geom.EmptyMBR()}
-		pc.args = &LoadArgs{
-			Dataset:   name,
-			Partition: basePid,
-			Measure:   MeasureSpec{Name: opts.Measure, Eps: opts.Eps, Delta: opts.Delta},
-			K:         opts.K,
-			NLAlign:   opts.NLAlign,
-			NLPivot:   opts.NLPivot,
-			MinNode:   opts.MinNode,
-			Strategy:  opts.Strategy,
-			CellD:     opts.CellD,
+		pieces = []piece{{}}
+	}
+	for pi := range pieces {
+		pc := &pieces[pi]
+		pc.pid = basePid + pi
+		pc.mbrF, pc.mbrL = geom.EmptyMBR(), geom.EmptyMBR()
+		for _, t := range pc.members {
+			pc.mbrF = pc.mbrF.Extend(t.First())
+			pc.mbrL = pc.mbrL.Extend(t.Last())
 		}
-		pc.args.Fingerprint = snap.Fingerprint(opts, nil)
-		pieces = append(pieces, pc)
+		pc.fingerprint = snap.Fingerprint(opts, pc.members)
 	}
 
 	// Place each piece on the Replicas least-loaded live workers.
@@ -320,50 +297,19 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 		}
 		if len(pieces[pi].owners) == 0 {
 			unlock()
-			return nil, fmt.Errorf("dnet: rebalance %s: no live workers to place piece %d", name, pieces[pi].args.Partition)
+			return nil, fmt.Errorf("dnet: rebalance %s: no live workers to place piece %d", name, pieces[pi].pid)
 		}
 	}
 
-	// Ship the pieces. Any failure aborts with the old layout intact:
-	// loaded pieces are unloaded, nothing was installed, the write locks
-	// drop, and ingest/queries continue against the old partitions.
-	type loadCall struct{ pi, w int }
-	var calls []loadCall
-	for pi := range pieces {
-		for _, w := range pieces[pi].owners {
-			calls = append(calls, loadCall{pi, w})
-		}
+	// Ship the pieces, each sealed once for all its owners. Any failure
+	// aborts with the old layout intact: loaded pieces are unloaded, nothing
+	// was installed, the write locks drop, and ingest/queries continue
+	// against the old partitions.
+	jobs := make([]sealJob, len(pieces))
+	for pi, pc := range pieces {
+		jobs[pi] = sealJob{pid: pc.pid, members: pc.members, workers: pc.owners}
 	}
-	errs := make([]error, len(calls))
-	var wg sync.WaitGroup
-	for ci, call := range calls {
-		wg.Add(1)
-		go func(ci int, call loadCall) {
-			defer wg.Done()
-			var reply LoadReply
-			errs[ci] = c.clients[call.w].Call("Worker.Load", pieces[call.pi].args, &reply)
-		}(ci, call)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		var uwg sync.WaitGroup
-		for ci, call := range calls {
-			if errs[ci] != nil {
-				continue
-			}
-			uwg.Add(1)
-			go func(call loadCall) {
-				defer uwg.Done()
-				var ur UnloadReply
-				c.clients[call.w].CallOnce("Worker.Unload",
-					&UnloadArgs{Dataset: name, Partition: pieces[call.pi].args.Partition}, &ur,
-					c.cfg.Retry.CallTimeout)
-			}(call)
-		}
-		uwg.Wait()
+	if _, err := c.loadSealed(name, opts, jobs); err != nil {
 		unlock()
 		return nil, fmt.Errorf("dnet: rebalance %s: piece load failed, cutover aborted: %w", name, err)
 	}
@@ -373,21 +319,18 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 	dd.mu.Lock()
 	for pi := range pieces {
 		pc := &pieces[pi]
-		pid := pc.args.Partition
-		payload := pc.args
-		if !c.cfg.RetainPayloads {
-			payload = nil
-		}
+		// No payload is kept: the cutover marks the dataset mutated below,
+		// and a mutated dataset heals worker-to-worker only.
 		dd.parts = append(dd.parts, dispatchedPartition{
 			mbrF: pc.mbrF, mbrL: pc.mbrL,
-			trajs: len(pc.ids), fingerprint: pc.args.Fingerprint, payload: payload,
+			trajs: len(pc.members), fingerprint: pc.fingerprint,
 		})
 		dd.replicas = append(dd.replicas, pc.owners)
 		dd.nextSeq = append(dd.nextSeq, 0)
-		dd.live = append(dd.live, len(pc.ids))
+		dd.live = append(dd.live, len(pc.members))
 		dd.writeMark = append(dd.writeMark, 0)
 		dd.pmu = append(dd.pmu, new(sync.Mutex))
-		st.Created = append(st.Created, pid)
+		st.Created = append(st.Created, pc.pid)
 	}
 	for _, pid := range group {
 		p := &dd.parts[pid]
@@ -413,10 +356,9 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 			delete(dd.loc, id)
 		}
 	}
-	for pi := range pieces {
-		pid := pieces[pi].args.Partition
-		for _, id := range pieces[pi].ids {
-			dd.loc[id] = pid
+	for _, pc := range pieces {
+		for _, t := range pc.members {
+			dd.loc[t.ID] = pc.pid
 		}
 	}
 	dd.mutated = true

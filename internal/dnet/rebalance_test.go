@@ -1,6 +1,8 @@
 package dnet
 
 import (
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/obs"
+	"dita/internal/snap"
 	"dita/internal/traj"
 )
 
@@ -398,7 +401,7 @@ func TestNetRebalancePolicyReducesSkew(t *testing.T) {
 // later inserts must land and be findable.
 func TestNetRebalanceEmptyMerge(t *testing.T) {
 	d := gen.Generate(gen.BeijingLike(40, 431))
-	_, _, _, c := ingestCluster(t, 2, chaosConfig(), 1<<30, 0)
+	_, _, dirs, c := ingestCluster(t, 2, chaosConfig(), 1<<30, 0)
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
@@ -417,6 +420,26 @@ func TestNetRebalanceEmptyMerge(t *testing.T) {
 	}
 	if st.Trajs != 0 || len(st.Created) != 1 {
 		t.Fatalf("empty merge stats: %+v, want one empty piece", st)
+	}
+	// The empty piece went the way every piece goes — sealed once, shipped
+	// as an image, decoded: each replica holds a file that verifies to zero
+	// members, and the empty layout answers (with nothing) rather than fails.
+	held := 0
+	for _, dir := range dirs {
+		sn, err := snap.LoadFile(filepath.Join(dir, snap.Filename("trips", st.Created[0])))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil || len(sn.Trajs) != 0 {
+			t.Fatalf("empty piece in %s: %d members, err %v", dir, len(sn.Trajs), err)
+		}
+		held++
+	}
+	if held != chaosConfig().Replicas {
+		t.Fatalf("empty piece is on disk at %d workers, want %d", held, chaosConfig().Replicas)
+	}
+	if hits, err := c.Search("trips", d.Trajs[0], 0.01); err != nil || len(hits) != 0 {
+		t.Fatalf("search over the empty layout: %d hits, err %v", len(hits), err)
 	}
 	oracle := map[int]*traj.T{}
 	extra := gen.Generate(gen.BeijingLike(10, 432))

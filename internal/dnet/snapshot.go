@@ -3,7 +3,9 @@ package dnet
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"dita/internal/core"
@@ -15,20 +17,29 @@ import (
 	"dita/internal/wal"
 )
 
-// loadBuildOptions maps a load request's index configuration to the
-// snapshot build options — the content identity both sides fingerprint.
-func loadBuildOptions(args *LoadArgs) snap.BuildOptions {
-	return snap.BuildOptions{
-		Measure:  args.Measure.Name,
-		Eps:      args.Measure.Eps,
-		Delta:    args.Measure.Delta,
-		K:        args.K,
-		NLAlign:  args.NLAlign,
-		NLPivot:  args.NLPivot,
-		MinNode:  args.MinNode,
-		Strategy: args.Strategy,
-		CellD:    args.CellD,
+// trieConfig is the trie configuration a partition's build options name.
+func trieConfig(o snap.BuildOptions) trie.Config {
+	return trie.Config{
+		K:        o.K,
+		NLAlign:  o.NLAlign,
+		NLPivot:  o.NLPivot,
+		MinNode:  o.MinNode,
+		Strategy: pivot.Strategy(o.Strategy),
 	}
+}
+
+// sealPartition builds the partition's trie and encodes its snapshot image,
+// once, on the sending side: every Worker.Load — dispatch, rebalance pieces,
+// payload heals and promotions — ships what this returns, and each receiving
+// replica installs the same bytes instead of building and encoding its own.
+// The members slice is only read.
+func sealPartition(name string, pid int, opts snap.BuildOptions, members []*traj.T) *LoadArgs {
+	sn := &snap.Snapshot{
+		Dataset: name, Partition: pid, Opts: opts,
+		Trajs: members, Index: trie.Build(members, trieConfig(opts)),
+	}
+	image := snap.Encode(sn)
+	return &LoadArgs{Dataset: name, Partition: pid, Fingerprint: sn.Fingerprint, Image: image}
 }
 
 // partitionFromSnapshot rebuilds the in-memory partition state from a
@@ -57,37 +68,77 @@ func partitionFromSnapshot(s *snap.Snapshot) (*workerPartition, error) {
 	return p, nil
 }
 
-// snapshotOf wraps a held partition as a snapshot for Save. Callers own
-// the partition exclusively (it is not yet installed) — published
-// partitions are sealed by mergePartition, which captures its own
-// consistent image under the overlay lock.
-func snapshotOf(dataset string, pid int, p *workerPartition) *snap.Snapshot {
-	return &snap.Snapshot{
-		Dataset:   dataset,
-		Partition: pid,
-		Opts:      p.opts,
-		Trajs:     p.trajs,
-		Index:     p.index,
-		Watermark: p.watermark,
+// holding returns the partition held at (dataset, pid) when its content is
+// exactly fp — a retried load, or content a cold start restored: there is
+// nothing to transfer or decode. nil otherwise, and always for fp 0.
+func (w *Worker) holding(dataset string, pid int, fp uint64) *workerPartition {
+	w.mu.RLock()
+	held := w.parts[partKey{dataset, pid}]
+	w.mu.RUnlock()
+	if held == nil || fp == 0 {
+		return nil
 	}
+	if hfp, _, _, _ := held.identity(); hfp != fp {
+		return nil
+	}
+	return held
 }
 
-// persistPartition saves the partition to the snapshot store, if one is
-// configured. Persistence failure degrades: the partition still serves
-// from memory, the write is counted, and the reply advertises
-// Snapshotted=false so the coordinator keeps other durability.
-func (w *Worker) persistPartition(dataset string, pid int, p *workerPartition) {
-	if w.SnapStore == nil {
-		return
-	}
-	size, err := w.SnapStore.Save(snapshotOf(dataset, pid, p))
+// installImage makes a sealed image this worker's partition (dataset, pid),
+// the one path Load and Replicate share with nothing built on it: the full
+// snap.Decode verification (wire corruption is caught exactly like disk
+// corruption), the identity the caller asked for (fp 0 = unpinned), a new
+// WAL epoch, the received bytes persisted verbatim, then the install. A
+// refused image leaves the worker as it was — nothing installed, nothing
+// persisted, any held partition and its log still serving. Persistence
+// failure degrades: the partition still serves from memory, the write is
+// counted, and the replies advertise Snapshotted=false so the coordinator
+// keeps other durability.
+func (w *Worker) installImage(dataset string, pid int, fp uint64, image []byte) (*workerPartition, error) {
+	sn, err := snap.Decode(image)
 	if err != nil {
-		w.snapWriteErr.Add(1)
-		return
+		return nil, err
 	}
-	w.snapWriteOK.Add(1)
-	p.snapped = true
-	p.snapBytes = size
+	if sn.Dataset != dataset || sn.Partition != pid {
+		return nil, fmt.Errorf("image holds %s/%d", sn.Dataset, sn.Partition)
+	}
+	if fp != 0 && sn.Fingerprint != fp {
+		return nil, fmt.Errorf("content fingerprint %016x, want %016x", sn.Fingerprint, fp)
+	}
+	p, err := partitionFromSnapshot(sn)
+	if err != nil {
+		return nil, err
+	}
+	// The image starts a new WAL epoch: any log this worker kept extends a
+	// base the install replaces wholesale, so replaying it would resurrect
+	// deltas from a dead epoch. (The image's watermark already covers every
+	// mutation folded into it.) Waiting on the old partition's mergeMu fences
+	// any in-flight merge: its seal and WAL truncation land before the epoch
+	// reset below, never on top of the new epoch's files.
+	w.mu.RLock()
+	held := w.parts[partKey{dataset, pid}]
+	w.mu.RUnlock()
+	if held != nil {
+		held.closeLog()
+		held.mergeMu.Lock()
+		defer held.mergeMu.Unlock()
+	}
+	if w.WALStore != nil {
+		w.WALStore.Remove(dataset, pid)
+		if l, _, err := w.WALStore.Open(dataset, pid); err == nil {
+			p.wlog = l
+		}
+	}
+	if w.SnapStore != nil {
+		if size, err := w.SnapStore.SaveImage(dataset, pid, image); err != nil {
+			w.snapWriteErr.Add(1)
+		} else {
+			w.snapWriteOK.Add(1)
+			p.snapped, p.snapBytes = true, size
+		}
+	}
+	w.installPartition(dataset, pid, p)
+	return p, nil
 }
 
 func (w *Worker) installPartition(dataset string, pid int, p *workerPartition) {
@@ -146,8 +197,27 @@ func (w *Worker) LoadSnapshots() (*SnapshotLoadReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	for _, e := range entries {
-		s, err := snap.LoadFile(e.Path)
+	// Reading and verifying a file (snap.LoadFile: CRCs, the trajectory and
+	// trie decode, the envelope pass, the fingerprint) is nearly all of a
+	// cold start and touches nothing shared, so the files decode in a pool
+	// bounded by GOMAXPROCS. Everything with an order or a side effect — WAL
+	// replay, install, counters, the report — stays below, in Scan order.
+	snaps := make([]*snap.Snapshot, len(entries))
+	errs := make([]error, len(entries))
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i, e := range entries {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func(i int, path string) {
+			defer wg.Done()
+			snaps[i], errs[i] = snap.LoadFile(path)
+			<-slots
+		}(i, e.Path)
+	}
+	wg.Wait()
+	for i, e := range entries {
+		s, err := snaps[i], errs[i]
 		if err != nil {
 			class := snap.Classify(err)
 			if class == "io" {
@@ -340,13 +410,7 @@ func exportImage(dataset string, pid int, p *workerPartition) []byte {
 	p.omu.RUnlock()
 	// The trie build runs off-lock: visible is a private slice, and the
 	// trajectories it points to are immutable.
-	idx := trie.Build(visible, trie.Config{
-		K:        opts.K,
-		NLAlign:  opts.NLAlign,
-		NLPivot:  opts.NLPivot,
-		MinNode:  opts.MinNode,
-		Strategy: pivot.Strategy(opts.Strategy),
-	})
+	idx := trie.Build(visible, trieConfig(opts))
 	return snap.Encode(&snap.Snapshot{
 		Dataset: dataset, Partition: pid, Opts: opts,
 		Trajs: visible, Index: idx, Watermark: watermark,
@@ -366,64 +430,23 @@ func (s *workerService) Replicate(args *ReplicateArgs, reply *ReplicateReply) (e
 	defer s.w.endRPC()
 	defer rpcRecover("replicate", &err)
 
-	// Already holding the content? Nothing to transfer.
-	s.w.mu.RLock()
-	held, ok := s.w.parts[partKey{args.Dataset, args.Partition}]
-	s.w.mu.RUnlock()
-	if ok && args.Fingerprint != 0 {
-		if hfp, hsnapped, _, _ := held.identity(); hfp == args.Fingerprint {
-			reply.Trajs, reply.IndexBytes = held.baseStats()
-			reply.Snapshotted = hsnapped
-			return nil
+	p := s.w.holding(args.Dataset, args.Partition, args.Fingerprint)
+	if p == nil {
+		mc := newManagedClient(args.SrcAddr, shipRetry)
+		defer mc.Close()
+		var ex ExportReply
+		if err := mc.Call("Worker.Export", &ExportArgs{Dataset: args.Dataset, Partition: args.Partition}, &ex); err != nil {
+			if retryableError(err) {
+				return fmt.Errorf("%s%s: %v", peerUnreachablePrefix, args.SrcAddr, err)
+			}
+			return err
+		}
+		s.w.bytesIn.Add(int64(len(ex.Data)))
+		if p, err = s.w.installImage(args.Dataset, args.Partition, args.Fingerprint, ex.Data); err != nil {
+			return fmt.Errorf("dnet: replicate %s/%d from %s: %w", args.Dataset, args.Partition, args.SrcAddr, err)
 		}
 	}
-
-	mc := newManagedClient(args.SrcAddr, shipRetry)
-	defer mc.Close()
-	var ex ExportReply
-	if err := mc.Call("Worker.Export", &ExportArgs{Dataset: args.Dataset, Partition: args.Partition}, &ex); err != nil {
-		if retryableError(err) {
-			return fmt.Errorf("%s%s: %v", peerUnreachablePrefix, args.SrcAddr, err)
-		}
-		return err
-	}
-	sn, err := snap.Decode(ex.Data)
-	if err != nil {
-		return fmt.Errorf("dnet: replicate %s/%d from %s: %w", args.Dataset, args.Partition, args.SrcAddr, err)
-	}
-	if sn.Dataset != args.Dataset || sn.Partition != args.Partition {
-		return fmt.Errorf("dnet: replicate: peer sent %s/%d, want %s/%d",
-			sn.Dataset, sn.Partition, args.Dataset, args.Partition)
-	}
-	if args.Fingerprint != 0 && sn.Fingerprint != args.Fingerprint {
-		return fmt.Errorf("dnet: replicate %s/%d: content fingerprint %016x, want %016x",
-			args.Dataset, args.Partition, sn.Fingerprint, args.Fingerprint)
-	}
-	p, err := partitionFromSnapshot(sn)
-	if err != nil {
-		return fmt.Errorf("dnet: replicate %s/%d: %w", args.Dataset, args.Partition, err)
-	}
-	// The transferred image starts a new WAL epoch: any log this worker
-	// kept extends a base the install replaces wholesale. (The image's
-	// watermark already covers every mutation folded into it.) The old
-	// partition's mergeMu fences any in-flight merge so its seal and WAL
-	// truncation cannot land on top of the new epoch's files.
-	if ok {
-		held.closeLog()
-		held.mergeMu.Lock()
-		defer held.mergeMu.Unlock()
-	}
-	if s.w.WALStore != nil {
-		s.w.WALStore.Remove(args.Dataset, args.Partition)
-		if l, _, err := s.w.WALStore.Open(args.Dataset, args.Partition); err == nil {
-			p.wlog = l
-		}
-	}
-	s.w.persistPartition(args.Dataset, args.Partition, p)
-	s.w.installPartition(args.Dataset, args.Partition, p)
-	s.w.bytesIn.Add(int64(len(ex.Data)))
-	reply.Trajs = len(p.trajs)
-	reply.IndexBytes = p.index.SizeBytes()
-	reply.Snapshotted = p.snapped
+	reply.Trajs, reply.IndexBytes = p.baseStats()
+	_, reply.Snapshotted, _, _ = p.identity()
 	return nil
 }

@@ -1,14 +1,19 @@
 package dnet
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"dita/internal/gen"
 	"dita/internal/snap"
+	"dita/internal/trie"
 )
 
 // snapCluster starts n workers, each persisting to dirs[i] (cold-starting
@@ -403,14 +408,33 @@ func TestWorkerSnapshotLifecycle(t *testing.T) {
 	svc := &workerService{w: w}
 
 	d := gen.Generate(gen.BeijingLike(40, 210))
-	args := &LoadArgs{
-		Dataset: "trips", Partition: 3,
-		Measure: MeasureSpec{Name: "DTW"},
-		K:       2, NLAlign: 3, NLPivot: 2, MinNode: 2, CellD: 0.01,
+	opts := snap.BuildOptions{Measure: "DTW", K: 2, NLAlign: 3, NLPivot: 2, MinNode: 2, CellD: 0.01}
+	args := sealPartition("trips", 3, opts, d.Trajs)
+
+	// An image that is not the content the coordinator named is refused
+	// before anything is installed or persisted.
+	wrong := *args
+	wrong.Fingerprint++
+	if err := svc.Load(&wrong, &LoadReply{}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("mismatched fingerprint: err = %v, want a fingerprint refusal", err)
 	}
-	for _, tr := range d.Trajs {
-		args.Trajs = append(args.Trajs, WireTrajectory{ID: tr.ID, Points: tr.Points})
+	elsewhere := *args
+	elsewhere.Partition = 4
+	if err := svc.Load(&elsewhere, &LoadReply{}); err == nil {
+		t.Fatal("image of partition 3 accepted as partition 4")
 	}
+	torn := *args
+	torn.Image = args.Image[:len(args.Image)-9]
+	if err := svc.Load(&torn, &LoadReply{}); !snap.IsCorrupt(err) {
+		t.Fatalf("torn image: err = %v, want a corrupt-snapshot error", err)
+	}
+	w.mu.RLock()
+	installed := len(w.parts)
+	w.mu.RUnlock()
+	if files, _ := os.ReadDir(dir); installed != 0 || len(files) != 0 || w.snapWriteOK.Load() != 0 {
+		t.Fatalf("refused loads left state behind: %d partitions, %d files", installed, len(files))
+	}
+
 	var rep LoadReply
 	if err := svc.Load(args, &rep); err != nil {
 		t.Fatal(err)
@@ -418,14 +442,16 @@ func TestWorkerSnapshotLifecycle(t *testing.T) {
 	if !rep.Snapshotted || rep.SnapshotBytes <= 0 {
 		t.Fatalf("load not persisted: %+v", rep)
 	}
-	if _, err := os.Stat(st.Path("trips", 3)); err != nil {
-		t.Fatalf("snapshot file missing: %v", err)
+	if onDisk, err := os.ReadFile(st.Path("trips", 3)); err != nil || !bytes.Equal(onDisk, args.Image) {
+		t.Fatalf("snapshot file is not the received image verbatim (err %v)", err)
 	}
 	if got := w.snapWriteOK.Load(); got != 1 {
 		t.Fatalf("snap_write_ok = %d, want 1", got)
 	}
 
-	// Identical reload: recognized by fingerprint, index not rebuilt.
+	// Identical reload: recognized by fingerprint before the image is even
+	// decoded (a torn one would fail otherwise), nothing reinstalled.
+	args = &torn
 	w.mu.RLock()
 	before := w.parts[partKey{"trips", 3}]
 	w.mu.RUnlock()
@@ -444,9 +470,8 @@ func TestWorkerSnapshotLifecycle(t *testing.T) {
 	}
 
 	// Changed content at the same key must rebuild.
-	args.Trajs = args.Trajs[:len(args.Trajs)-1]
 	var rep3 LoadReply
-	if err := svc.Load(args, &rep3); err != nil {
+	if err := svc.Load(sealPartition("trips", 3, opts, d.Trajs[:d.Len()-1]), &rep3); err != nil {
 		t.Fatal(err)
 	}
 	w.mu.RLock()
@@ -472,5 +497,200 @@ func TestWorkerSnapshotLifecycle(t *testing.T) {
 	}
 	if len(rep4.Loaded) != 0 {
 		t.Fatalf("cold start resurrected unloaded partitions: %+v", rep4.Loaded)
+	}
+}
+
+// TestDispatchShipsOneSealedImage: the file every replica holds after a
+// dispatch is byte for byte what a worker used to produce by building the
+// partition itself from the shipped members — trie.Build over them, then
+// snap.Encode — and so the same on every replica: sealing at the coordinator
+// changed who builds, not what is stored.
+func TestDispatchShipsOneSealedImage(t *testing.T) {
+	d := gen.Generate(gen.BeijingLike(300, 211))
+	dirs := tempDirs(t, 3)
+	cfg := chaosConfig()
+	cfg.RetainPayloads = true // the members of each partition, for the reference build
+	_, _, _, c := snapCluster(t, dirs, cfg, nil)
+	rep, err := c.DispatchStats("trips", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Loads != rep.Partitions*cfg.Replicas {
+		t.Fatalf("loads = %d, want %d", rep.Loads, rep.Partitions*cfg.Replicas)
+	}
+	dd, _ := c.dataset("trips")
+	dd.mu.Lock()
+	defer dd.mu.Unlock()
+	for pid, part := range dd.parts {
+		want := snap.Encode(&snap.Snapshot{
+			Dataset: "trips", Partition: pid, Opts: dd.opts, Trajs: part.payload,
+			Index: trie.Build(part.payload, cfg.Trie),
+		})
+		for _, w := range dd.replicas[pid] {
+			got, err := os.ReadFile(filepath.Join(dirs[w], snap.Filename("trips", pid)))
+			if err != nil {
+				t.Fatalf("partition %d on worker %d: %v", pid, w, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("partition %d on worker %d: %d stored bytes differ from the %d a worker-built partition encodes to",
+					pid, w, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestLoadSnapshotsReportOrder: the files decode concurrently, the report
+// does not show it. With one bit-rotted and one wrong-version file among
+// many, Loaded and Skipped are what reading the directory file by file, in
+// Scan order, gives — entry for entry, class for class.
+func TestLoadSnapshotsReportOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	d := gen.Generate(gen.BeijingLike(400, 212))
+	dirs := tempDirs(t, 1)
+	cfg := chaosConfig()
+	workers, _, _, c := snapCluster(t, dirs, cfg, nil)
+	if _, err := c.DispatchStats("trips", d); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	workers[0].Close()
+
+	st, err := snap.NewStore(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := st.Scan()
+	if err != nil || len(entries) < 6 {
+		t.Fatalf("%d snapshot files (err %v), want at least 6", len(entries), err)
+	}
+	damage := func(e snap.Entry, f func(data []byte)) {
+		data, err := os.ReadFile(e.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f(data)
+		if err := os.WriteFile(e.Path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	damage(entries[len(entries)/2], func(data []byte) { data[len(data)/2] ^= 0x10 })
+	damage(entries[1], func(data []byte) { binary.LittleEndian.PutUint32(data[len(data)-16:], snap.Version+7) })
+
+	var wantLoaded []SnapshotLoaded
+	var wantSkipped []SnapshotSkipped
+	for _, e := range entries {
+		sn, err := snap.LoadFile(e.Path)
+		if err != nil {
+			wantSkipped = append(wantSkipped, SnapshotSkipped{Path: e.Path, Class: snap.Classify(err), Err: err.Error()})
+			continue
+		}
+		fi, _ := os.Stat(e.Path)
+		wantLoaded = append(wantLoaded, SnapshotLoaded{
+			Dataset: sn.Dataset, Partition: sn.Partition, Trajs: len(sn.Trajs),
+			Bytes: fi.Size(), Fingerprint: sn.Fingerprint,
+		})
+	}
+	if len(wantSkipped) != 2 || wantSkipped[0].Class != "version" || wantSkipped[1].Class != "corrupt" {
+		t.Fatalf("test setup: serial skips = %+v, want one version then one corrupt", wantSkipped)
+	}
+
+	w := NewWorker()
+	w.SnapStore = st
+	rep, err := w.LoadSnapshots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Loaded, wantLoaded) {
+		t.Fatalf("Loaded differs from the file-by-file read:\n got %+v\nwant %+v", rep.Loaded, wantLoaded)
+	}
+	if !reflect.DeepEqual(rep.Skipped, wantSkipped) {
+		t.Fatalf("Skipped differs from the file-by-file read:\n got %+v\nwant %+v", rep.Skipped, wantSkipped)
+	}
+	if ok, bad := w.snapLoadOK.Load(), w.snapLoadCorrupt.Load(); ok != int64(len(wantLoaded)) || bad != 2 {
+		t.Fatalf("snap_load_ok = %d, snap_load_corrupt = %d, want %d and 2", ok, bad, len(wantLoaded))
+	}
+}
+
+// TestFormat1FileSkippedThenHealed: a snapshot file left by a binary from
+// before format 2 costs exactly its own partition on its own worker. The cold
+// start reports it under "version" and loads every other file; the coordinator
+// recovers the dataset from what the workers hold and its heal brings the
+// partition back to full replication from the surviving replica.
+func TestFormat1FileSkippedThenHealed(t *testing.T) {
+	d := gen.Generate(gen.BeijingLike(300, 213))
+	dirs := tempDirs(t, 3)
+	cfg := chaosConfig()
+	workers, _, _, c := snapCluster(t, dirs, cfg, nil)
+	if _, err := c.DispatchStats("trips", d); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	for _, w := range workers {
+		w.Close()
+	}
+
+	st, err := snap.NewStore(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := st.Scan()
+	if err != nil || len(entries) < 2 {
+		t.Fatalf("worker 0 holds %d snapshot files (err %v), want at least 2", len(entries), err)
+	}
+	victim := entries[0]
+	data, err := os.ReadFile(victim.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stamp the image as format 1: header and footer version, body checksum
+	// re-sealed, so the version is the only thing a reader can object to.
+	body := data[:len(data)-24]
+	binary.LittleEndian.PutUint32(body[8:], 1)
+	binary.LittleEndian.PutUint32(data[len(data)-16:], 1)
+	binary.LittleEndian.PutUint32(data[len(data)-12:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(victim.Path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, reports, c2 := snapCluster(t, dirs, cfg, nil)
+	if sk := reports[0].Skipped; len(sk) != 1 || sk[0].Class != "version" || sk[0].Path != victim.Path {
+		t.Fatalf("worker 0 skipped %+v, want exactly %s under \"version\"", sk, victim.Path)
+	}
+	if got := len(reports[0].Loaded); got != len(entries)-1 {
+		t.Fatalf("worker 0 loaded %d of its %d current files", got, len(entries)-1)
+	}
+	if len(reports[1].Skipped)+len(reports[2].Skipped) != 0 {
+		t.Fatalf("undamaged workers skipped files: %+v %+v", reports[1].Skipped, reports[2].Skipped)
+	}
+
+	if _, err := c2.RecoverDataset("trips"); err != nil {
+		t.Fatal(err)
+	}
+	dd, _ := c2.dataset("trips")
+	dd.mu.Lock()
+	before := len(dd.replicas[victim.Partition])
+	dd.mu.Unlock()
+	if before != cfg.Replicas-1 {
+		t.Fatalf("partition %d recovered with %d replicas, want %d (one copy refused)", victim.Partition, before, cfg.Replicas-1)
+	}
+	c2.CheckHealth()
+	dd.mu.Lock()
+	owners := append([]int(nil), dd.replicas[victim.Partition]...)
+	dd.mu.Unlock()
+	if len(owners) != cfg.Replicas {
+		t.Fatalf("partition %d has %d replicas after the heal, want %d", victim.Partition, len(owners), cfg.Replicas)
+	}
+	for _, w := range owners {
+		sn, err := snap.LoadFile(filepath.Join(dirs[w], snap.Filename("trips", victim.Partition)))
+		if err != nil || sn.Partition != victim.Partition {
+			t.Fatalf("replica of partition %d on worker %d: %v", victim.Partition, w, err)
+		}
+	}
+	for _, q := range gen.Queries(d, 5, 214) {
+		hits, err := c2.Search("trips", q, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertExactHits(t, hits, bruteSearch(d, q, 0.01))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dita/internal/measure"
+	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/viewtest"
 	"dita/internal/wal"
@@ -16,11 +17,8 @@ func loadedPartition(t *testing.T, m measure.Measure, base []*traj.T, ops []view
 	t.Helper()
 	s := &workerService{w: NewWorker()}
 	cfg := testConfig()
-	load := &LoadArgs{Dataset: "view", Measure: MeasureSpec{Name: m.Name(), Eps: 0.002, Delta: 5},
-		K: cfg.Trie.K, NLAlign: cfg.Trie.NLAlign, NLPivot: cfg.Trie.NLPivot, MinNode: cfg.Trie.MinNode}
-	for _, tr := range base {
-		load.Trajs = append(load.Trajs, WireTrajectory{ID: tr.ID, Points: tr.Points})
-	}
+	load := sealPartition("view", 0, snap.BuildOptions{Measure: m.Name(), Eps: 0.002, Delta: 5,
+		K: cfg.Trie.K, NLAlign: cfg.Trie.NLAlign, NLPivot: cfg.Trie.NLPivot, MinNode: cfg.Trie.MinNode}, base)
 	if err := s.Load(load, &LoadReply{}); err != nil {
 		t.Fatal(err)
 	}

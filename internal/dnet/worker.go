@@ -14,7 +14,6 @@ import (
 	"dita/internal/core"
 	"dita/internal/measure"
 	"dita/internal/obs"
-	"dita/internal/pivot"
 	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/trie"
@@ -473,84 +472,26 @@ func (s *workerService) Ping(args *PingArgs, reply *PingReply) error {
 	return nil
 }
 
-// Load implements the LoadPartition RPC: store and index a partition.
-// Reloading the same (dataset, partition) replaces it, which makes
-// coordinator retries and re-replication idempotent.
+// Load implements the LoadPartition RPC: install the sealed partition image
+// the sender built (installImage). Reloading the same (dataset, partition)
+// replaces it, and content this worker already holds is answered from the
+// held partition without decoding, which makes coordinator retries and
+// re-replication idempotent.
 func (s *workerService) Load(args *LoadArgs, reply *LoadReply) (err error) {
 	if !s.w.beginRPC() {
 		return errDraining
 	}
 	defer s.w.endRPC()
 	defer rpcRecover("load", &err)
-	m, err := measure.ByName(args.Measure.Name, args.Measure.Eps, args.Measure.Delta)
-	if err != nil {
-		return err
-	}
-	trajs := make([]*traj.T, len(args.Trajs))
-	bytes := 0
-	for i, wt := range args.Trajs {
-		trajs[i] = &traj.T{ID: wt.ID, Points: wt.Points}
-		bytes += trajs[i].Bytes()
-	}
-	opts := loadBuildOptions(args)
-	fp := snap.Fingerprint(opts, trajs)
-	s.w.bytesIn.Add(int64(bytes))
-	// Identical content already held (a retry, or a cold start restored
-	// it): skip the rebuild, answer from the existing partition.
-	s.w.mu.RLock()
-	held, ok := s.w.parts[partKey{args.Dataset, args.Partition}]
-	s.w.mu.RUnlock()
-	if ok {
-		if hfp, hsnapped, hsnapBytes, _ := held.identity(); hfp == fp {
-			reply.Trajs, reply.IndexBytes = held.baseStats()
-			reply.Snapshotted = hsnapped
-			reply.SnapshotBytes = hsnapBytes
-			return nil
+	s.w.bytesIn.Add(int64(len(args.Image)))
+	p := s.w.holding(args.Dataset, args.Partition, args.Fingerprint)
+	if p == nil {
+		if p, err = s.w.installImage(args.Dataset, args.Partition, args.Fingerprint, args.Image); err != nil {
+			return fmt.Errorf("dnet: load %s/%d: %w", args.Dataset, args.Partition, err)
 		}
 	}
-	cfg := trie.Config{
-		K:        args.K,
-		NLAlign:  args.NLAlign,
-		NLPivot:  args.NLPivot,
-		MinNode:  args.MinNode,
-		Strategy: pivot.Strategy(args.Strategy),
-	}
-	p := &workerPartition{
-		trajs:       trajs,
-		index:       trie.Build(trajs, cfg),
-		meta:        make([]core.VerifyMeta, len(trajs)),
-		m:           m,
-		cellD:       args.CellD,
-		opts:        opts,
-		fingerprint: fp,
-	}
-	for i, t := range trajs {
-		p.meta[i] = core.NewVerifyMeta(t, args.CellD)
-	}
-	// A fresh load starts a new WAL epoch: any previous log extended a base
-	// this payload replaces wholesale, so replaying it would resurrect
-	// deltas from a dead epoch. (The fingerprint fast-path above keeps the
-	// held partition — and with it the replayed overlay and open log.)
-	// Waiting on the old partition's mergeMu fences any in-flight merge:
-	// its seal and WAL truncation land before the epoch reset below, never
-	// on top of the new epoch's files.
-	if ok {
-		held.closeLog()
-		held.mergeMu.Lock()
-		defer held.mergeMu.Unlock()
-	}
-	if s.w.WALStore != nil {
-		s.w.WALStore.Remove(args.Dataset, args.Partition)
-		if l, _, err := s.w.WALStore.Open(args.Dataset, args.Partition); err == nil {
-			p.wlog = l
-		}
-	}
-	s.w.persistPartition(args.Dataset, args.Partition, p)
-	s.w.installPartition(args.Dataset, args.Partition, p)
-	reply.Trajs = len(trajs)
-	reply.IndexBytes = p.index.SizeBytes()
-	reply.Snapshotted = p.snapped
-	reply.SnapshotBytes = p.snapBytes
+	reply.Trajs, reply.IndexBytes = p.baseStats()
+	_, reply.Snapshotted, reply.SnapshotBytes, _ = p.identity()
 	return nil
 }
 

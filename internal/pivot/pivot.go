@@ -21,7 +21,7 @@ package pivot
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dita/internal/geom"
 )
@@ -85,8 +85,10 @@ func eq(a, b string) bool {
 }
 
 // Select returns the indices (into pts, strictly increasing) of up to k
-// pivot points chosen from the interior pts[1:len-1] by the strategy.
-// Fewer than k indices are returned when the interior is smaller than k.
+// pivot points chosen from the interior pts[1:len-1] by the strategy: the k
+// largest weights, ties going to the earlier point. Fewer than k indices are
+// returned when the interior is smaller than k. A NaN weight (a NaN or
+// infinite coordinate) ranks below every number.
 func Select(pts []geom.Point, k int, s Strategy) []int {
 	m := len(pts)
 	interior := m - 2
@@ -96,26 +98,41 @@ func Select(pts []geom.Point, k int, s Strategy) []int {
 	if k > interior {
 		k = interior
 	}
+	// top holds the best weights seen so far, best first. The interior is
+	// walked in position order, so a point that ties a kept one is the later
+	// of the two and goes behind it: one strict comparison is the whole order.
 	type wi struct {
 		w float64
 		i int
 	}
-	ws := make([]wi, 0, interior)
+	var buf [8]wi
+	top := buf[:0]
+	if k > len(buf) {
+		top = make([]wi, 0, k)
+	}
 	for i := 1; i < m-1; i++ {
-		ws = append(ws, wi{weight(pts, i, s), i})
-	}
-	// Largest weights first; ties broken by position for determinism.
-	sort.Slice(ws, func(a, b int) bool {
-		if ws[a].w != ws[b].w {
-			return ws[a].w > ws[b].w
+		w := weight(pts, i, s)
+		if math.IsNaN(w) {
+			w = math.Inf(-1)
 		}
-		return ws[a].i < ws[b].i
-	})
-	idx := make([]int, k)
-	for i := 0; i < k; i++ {
-		idx[i] = ws[i].i
+		if len(top) == k {
+			if !(w > top[k-1].w) {
+				continue
+			}
+		} else {
+			top = append(top, wi{})
+		}
+		j := len(top) - 1
+		for ; j > 0 && w > top[j-1].w; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = wi{w, i}
 	}
-	sort.Ints(idx)
+	idx := make([]int, k)
+	for j, e := range top {
+		idx[j] = e.i
+	}
+	slices.Sort(idx)
 	return idx
 }
 
@@ -136,7 +153,10 @@ func IndexingPoints(pts []geom.Point, k int, s Strategy) []geom.Point {
 	m := len(pts)
 	out := make([]geom.Point, 0, k+2)
 	out = append(out, pts[0], pts[m-1])
-	return append(out, Points(pts, k, s)...)
+	for _, j := range Select(pts, k, s) {
+		out = append(out, pts[j])
+	}
+	return out
 }
 
 func weight(pts []geom.Point, i int, s Strategy) float64 {

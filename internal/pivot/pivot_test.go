@@ -1,7 +1,9 @@
 package pivot
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -151,6 +153,110 @@ func TestParseStrategy(t *testing.T) {
 	for _, s := range []Strategy{Neighbor, Inflection, FirstLast, Strategy(99)} {
 		if s.String() == "" {
 			t.Error("empty strategy name")
+		}
+	}
+}
+
+// selectFullSort is Select as it was written before it kept a k-slot top-k:
+// weigh the whole interior, sort all of it, keep k. Kept as the reference
+// TestSelectMatchesFullSort compares against. A NaN weight is ranked last
+// here as it is in Select; the comparator the old code ran was not an order
+// on NaN, so what it chose there depended on the sort's internals.
+func selectFullSort(pts []geom.Point, k int, s Strategy) []int {
+	m := len(pts)
+	interior := m - 2
+	if k <= 0 || interior <= 0 {
+		return nil
+	}
+	if k > interior {
+		k = interior
+	}
+	type wi struct {
+		w float64
+		i int
+	}
+	ws := make([]wi, 0, interior)
+	for i := 1; i < m-1; i++ {
+		w := weight(pts, i, s)
+		if math.IsNaN(w) {
+			w = math.Inf(-1)
+		}
+		ws = append(ws, wi{w, i})
+	}
+	sort.Slice(ws, func(a, b int) bool {
+		if ws[a].w != ws[b].w {
+			return ws[a].w > ws[b].w
+		}
+		return ws[a].i < ws[b].i
+	})
+	idx := make([]int, k)
+	for i := 0; i < k; i++ {
+		idx[i] = ws[i].i
+	}
+	sort.Ints(idx)
+	return idx
+}
+
+// TestSelectMatchesFullSort pins the pivots — the trie is built on them, and
+// the snapshot bytes with it — to the full sort, on the inputs where a top-k
+// could go wrong: tied weights, stretches where the object stands still (zero
+// weights under every strategy), NaN weights, k at and beyond the interior,
+// and k beyond the slots Select keeps on its stack.
+func TestSelectMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	shapes := map[string]func(n int) []geom.Point{
+		"random": func(n int) []geom.Point {
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				pts[i] = geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
+			}
+			return pts
+		},
+		"ties": func(n int) []geom.Point {
+			// Unit steps along a staircase: every Neighbor weight is 1, every
+			// turn the same angle.
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				pts[i] = geom.Point{X: float64((i + 1) / 2), Y: float64(i / 2)}
+			}
+			return pts
+		},
+		"stationary": func(n int) []geom.Point {
+			pts := make([]geom.Point, n)
+			p := geom.Point{}
+			for i := range pts {
+				if rng.Intn(3) == 0 {
+					p = geom.Point{X: rng.Float64(), Y: rng.Float64()}
+				}
+				pts[i] = p
+			}
+			return pts
+		},
+		"nan": func(n int) []geom.Point {
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				pts[i] = geom.Point{X: rng.Float64(), Y: rng.Float64()}
+				switch rng.Intn(5) {
+				case 0:
+					pts[i].X = math.NaN()
+				case 1:
+					pts[i].Y = math.Inf(1)
+				}
+			}
+			return pts
+		},
+	}
+	for name, gen := range shapes {
+		for iter := 0; iter < 200; iter++ {
+			n := 2 + rng.Intn(40)
+			pts := gen(n)
+			for _, s := range []Strategy{Neighbor, Inflection, FirstLast} {
+				for _, k := range []int{1, 4, 8, 9, 20, n - 2, n} {
+					if got, want := Select(pts, k, s), selectFullSort(pts, k, s); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: %v n=%d k=%d: Select = %v, full sort = %v", name, s, n, k, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -178,8 +178,8 @@ func TestCacheKeySeparatesParameters(t *testing.T) {
 	q := q2(1, 2)
 	c.Put(searchKey(q, 0.5), q, []Hit{{ID: 1}}, 48, ev(0, 0), nil)
 	for _, k := range []Key{
-		searchKey(q, 0.6),                                   // different tau
-		{Op: OpKNN, Measure: "DTW", K: 5, QHash: HashQuery(q)},  // different op
+		searchKey(q, 0.6), // different tau
+		{Op: OpKNN, Measure: "DTW", K: 5, QHash: HashQuery(q)},            // different op
 		{Op: OpSearch, Measure: "Frechet", Tau: 0.5, QHash: HashQuery(q)}, // measure
 	} {
 		if _, ok := c.Get(k, q, ev(0, 0)); ok {

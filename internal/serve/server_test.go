@@ -251,7 +251,7 @@ func (f *fakeBackend) Search(ctx context.Context, q []geom.Point, tau float64) (
 	}
 	return nil, nil
 }
-func (f *fakeBackend) KNN(context.Context, []geom.Point, int) ([]Hit, error)   { return nil, nil }
+func (f *fakeBackend) KNN(context.Context, []geom.Point, int) ([]Hit, error)     { return nil, nil }
 func (f *fakeBackend) Join(context.Context, string, float64) ([]JoinPair, error) { return nil, nil }
 func (f *fakeBackend) Ingest(ctx context.Context, t *traj.T) error {
 	if f.ingestFn != nil {
@@ -272,7 +272,7 @@ func (f *fakeBackend) Touched([]geom.Point, float64) ([]int, error) {
 	}
 	return nil, nil
 }
-func (f *fakeBackend) Ready() error                                 { return nil }
+func (f *fakeBackend) Ready() error { return nil }
 
 // The cache dependency set must be computed after the epoch snapshot,
 // not before admission: if a partition's MBR grows while the request

@@ -24,6 +24,10 @@ func FuzzSnapshot(f *testing.F) {
 		mut[len(mut)/3] ^= 0x40
 		f.Add(mut)
 	}
+	// Format 1 — and its trie layout under a current container — are refused.
+	old := testSnapshot(f, 8, 3)
+	f.Add(sealImage(1, old, format1TrieSection(old)))
+	f.Add(sealImage(Version, old, format1TrieSection(old)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return // bound per-input work; the format has no length-dependent logic beyond this

@@ -13,7 +13,7 @@
 //     body length. A torn write has no valid footer; a flipped bit fails
 //     a checksum; a future format version is refused before any payload
 //     is parsed.
-//   - Writes are crash-safe: Store.Save encodes to a temp file, fsyncs,
+//   - Writes are crash-safe: Store.SaveImage writes a temp file, fsyncs,
 //     atomically renames into place, and fsyncs the directory. A crash at
 //     any instant leaves either the old snapshot, the new one, or an
 //     ignorable *.tmp — never a half-visible file at the final path.
@@ -40,7 +40,12 @@ import (
 // change; decoders refuse other versions (the caller rebuilds). The layout
 // is versioned precisely so a compact (succinct-trie) index encoding can
 // land behind the same file format later.
-const Version = 1
+//
+// Version 2 dropped the per-trajectory indexing points from the trie
+// section (trie/serial.go): only Build reads them. There is one reader and
+// one writer; a version-1 file is refused with VersionError like any other
+// foreign version, and its owner re-ships or heals the partition.
+const Version = 2
 
 const (
 	magic     = "DITASNP1" // header magic, 8 bytes

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"dita/internal/geom"
 	"dita/internal/measure"
+	"dita/internal/pivot"
 	"dita/internal/traj"
 	"dita/internal/trie"
 )
@@ -176,6 +178,69 @@ func TestSnapshotVersionBumpRefused(t *testing.T) {
 	if Classify(err) != "version" {
 		t.Fatalf("Classify(version bump) = %q, want %q", Classify(err), "version")
 	}
+}
+
+// sealImage frames the three required sections into a sealed image of the
+// given format version, as Encode does for Version.
+func sealImage(version uint32, s *Snapshot, trieSection []byte) []byte {
+	body := append([]byte(magic), appendU32(appendU32(nil, version), 3)...)
+	body = appendSection(body, kindMeta, encodeMeta(s, Fingerprint(s.Opts, s.Trajs)))
+	body = appendSection(body, kindTrajs, encodeTrajs(s.Trajs))
+	body = appendSection(body, kindTrie, trieSection)
+	out := append(append([]byte(nil), body...), sealMagic...)
+	out = appendU32(out, version)
+	out = appendU32(out, crc32.Checksum(body, castagnoli))
+	return appendU64(out, uint64(len(body)))
+}
+
+// format1TrieSection is the trie section as format 1 laid it out: every
+// member's indexing points (first, last, pivots) sit between the trajectory
+// count and the root marker.
+func format1TrieSection(s *Snapshot) []byte {
+	enc := s.Index.AppendBinary(nil)
+	const head = 6 * 4 // config ×5, trajectory count
+	out := append([]byte(nil), enc[:head]...)
+	for _, t := range s.Trajs {
+		ip := pivot.IndexingPoints(t.Points, s.Opts.K, pivot.Strategy(s.Opts.Strategy))
+		out = appendU32(out, uint32(len(ip)))
+		for _, p := range ip {
+			out = appendF64(appendF64(out, p.X), p.Y)
+		}
+	}
+	return append(out, enc[head:]...)
+}
+
+// TestFormat1ImageRefused: a file written before the indexing points left the
+// format is refused as a foreign version — the one path every other version
+// takes — and its trie layout is not read even when the container claims to
+// be current.
+func TestFormat1ImageRefused(t *testing.T) {
+	s := testSnapshot(t, 40, 6)
+	if got := sealImage(Version, s, s.Index.AppendBinary(nil)); !bytes.Equal(got, Encode(s)) {
+		t.Fatal("test framing drifted from Encode")
+	}
+	old := sealImage(1, s, format1TrieSection(s))
+	if len(old) != len(Encode(s))+len(s.Trajs)*4+16*countIndexingPoints(s) {
+		t.Fatalf("format-1 image is %d bytes against %d now: the old layout was not reproduced", len(old), len(Encode(s)))
+	}
+	_, err := Decode(old)
+	var ve *VersionError
+	if !errors.As(err, &ve) || ve.Got != 1 || Classify(err) != "version" {
+		t.Fatalf("format-1 image: err = %v (class %q), want VersionError{1}", err, Classify(err))
+	}
+	// The same trie bytes under a current, correctly checksummed container:
+	// structural refusal, not a second reader.
+	if _, err := Decode(sealImage(Version, s, format1TrieSection(s))); !IsCorrupt(err) {
+		t.Fatalf("format-1 trie section in a current container: err = %v, want corrupt", err)
+	}
+}
+
+func countIndexingPoints(s *Snapshot) int {
+	n := 0
+	for _, t := range s.Trajs {
+		n += len(pivot.IndexingPoints(t.Points, s.Opts.K, pivot.Strategy(s.Opts.Strategy)))
+	}
+	return n
 }
 
 func TestClassify(t *testing.T) {

@@ -77,16 +77,20 @@ func (st *Store) Path(dataset string, partition int) string {
 	return filepath.Join(st.dir, Filename(dataset, partition))
 }
 
-// Save encodes the snapshot and writes it crash-safely: temp file →
-// fsync → atomic rename → directory fsync. On success the returned size
-// is the snapshot's byte length and the file at Path is complete and
-// sealed; on error the final path is untouched (still holding any
-// previous snapshot). A fault plan may corrupt or abort the write — that
-// is the point of it.
+// Save encodes the snapshot and writes it with SaveImage.
 func (st *Store) Save(s *Snapshot) (int64, error) {
-	data := Encode(s)
+	return st.SaveImage(s.Dataset, s.Partition, Encode(s))
+}
+
+// SaveImage writes an encoded snapshot image (Encode's output, or bytes a
+// Decode has verified) crash-safely: temp file → fsync → atomic rename →
+// directory fsync. On success the returned size is the image's byte length
+// and the file at Path is complete and sealed; on error the final path is
+// untouched (still holding any previous snapshot). A fault plan may corrupt
+// or abort the write — that is the point of it.
+func (st *Store) SaveImage(dataset string, partition int, data []byte) (int64, error) {
 	size := int64(len(data))
-	final := st.Path(s.Dataset, s.Partition)
+	final := st.Path(dataset, partition)
 	tmp := final + ".tmp"
 
 	write := data

@@ -13,8 +13,9 @@
 package str
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"dita/internal/geom"
 )
@@ -39,27 +40,34 @@ func Tile(keys []geom.Point, n int) [][]int {
 	}
 	// S vertical slabs, each split into about n/S tiles.
 	s := int(math.Ceil(math.Sqrt(float64(n))))
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
-		if ka.X != kb.X {
-			return ka.X < kb.X
-		}
-		return ka.Y < kb.Y
+	// Both sorts break key ties by index: idx starts ascending, so this is
+	// the order a stable sort by key gives, without sort.SliceStable's
+	// reflection-based swaps.
+	slices.SortFunc(idx, func(a, b int) int {
+		return order(keys[a].X, keys[b].X, keys[a].Y, keys[b].Y, a, b)
 	})
 	slabs := split(idx, s)
 	tilesPerSlab := int(math.Ceil(float64(n) / float64(len(slabs))))
 	var out [][]int
 	for _, slab := range slabs {
-		sort.SliceStable(slab, func(a, b int) bool {
-			ka, kb := keys[slab[a]], keys[slab[b]]
-			if ka.Y != kb.Y {
-				return ka.Y < kb.Y
-			}
-			return ka.X < kb.X
+		slices.SortFunc(slab, func(a, b int) int {
+			return order(keys[a].Y, keys[b].Y, keys[a].X, keys[b].X, a, b)
 		})
 		out = append(out, split(slab, tilesPerSlab)...)
 	}
 	return out
+}
+
+// order compares two keys by their major coordinate, then their minor one,
+// then their index.
+func order(majA, majB, minA, minB float64, a, b int) int {
+	if c := cmp.Compare(majA, majB); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(minA, minB); c != 0 {
+		return c
+	}
+	return a - b
 }
 
 // split divides items into at most k contiguous, non-empty chunks of

@@ -1,7 +1,10 @@
 package str
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"dita/internal/geom"
@@ -147,6 +150,86 @@ func TestTileDeterministic(t *testing.T) {
 		for j := range a[i] {
 			if a[i][j] != b[i][j] {
 				t.Fatal("tile membership differs")
+			}
+		}
+	}
+}
+
+// tileStable is Tile as it was written before its sorts stopped going through
+// reflection: two sort.SliceStable passes by key alone. Kept as the reference
+// TestTileMatchesStableSort compares against.
+func tileStable(keys []geom.Point, n int) [][]int {
+	if n <= 0 || len(keys) == 0 {
+		return nil
+	}
+	if n > len(keys) {
+		n = len(keys)
+	}
+	idx := make([]int, len(keys))
+	for i := range idx {
+		idx[i] = i
+	}
+	if n == 1 {
+		return [][]int{idx}
+	}
+	s := int(math.Ceil(math.Sqrt(float64(n))))
+	sort.SliceStable(idx, func(a, b int) bool {
+		ka, kb := keys[idx[a]], keys[idx[b]]
+		if ka.X != kb.X {
+			return ka.X < kb.X
+		}
+		return ka.Y < kb.Y
+	})
+	slabs := split(idx, s)
+	tilesPerSlab := int(math.Ceil(float64(n) / float64(len(slabs))))
+	var out [][]int
+	for _, slab := range slabs {
+		sort.SliceStable(slab, func(a, b int) bool {
+			ka, kb := keys[slab[a]], keys[slab[b]]
+			if ka.Y != kb.Y {
+				return ka.Y < kb.Y
+			}
+			return ka.X < kb.X
+		})
+		out = append(out, split(slab, tilesPerSlab)...)
+	}
+	return out
+}
+
+// TestTileMatchesStableSort pins the tiles — order inside a tile included, the
+// trie's leaf order and so the snapshot bytes depend on it — to the stable sort
+// Tile used to run, where ties are what could tell the two apart.
+func TestTileMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shapes := map[string]func(n int) []geom.Point{
+		"random": func(n int) []geom.Point { return randPoints(rng, n) },
+		"duplicates": func(n int) []geom.Point {
+			// A 3x3 grid of values, signed zeros among them: most keys tie on
+			// one coordinate or both.
+			vals := []float64{0, math.Copysign(0, -1), 1}
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				pts[i] = geom.Point{X: vals[rng.Intn(3)], Y: vals[rng.Intn(3)]}
+			}
+			return pts
+		},
+		"all-equal": func(n int) []geom.Point {
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				pts[i] = geom.Point{X: 4, Y: 2}
+			}
+			return pts
+		},
+	}
+	for name, gen := range shapes {
+		for iter := 0; iter < 100; iter++ {
+			n := 1 + rng.Intn(400)
+			keys := gen(n)
+			// k beyond len(keys) exercises the n > len clamp.
+			for _, k := range []int{1, 2, 8, 32, n, n + 5} {
+				if got, want := Tile(keys, k), tileStable(keys, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: n=%d k=%d: tiles differ from the stable-sort reference\n got %v\nwant %v", name, n, k, got, want)
+				}
 			}
 		}
 	}

@@ -21,14 +21,14 @@ func FuzzReadCSV(f *testing.F) {
 		"1,NaN,0,1,1\n",
 		"1,Inf,0,1,1\n",
 		"1,-Inf,0,1,1\n",
-		"1,0,0\n",              // below MinLen
-		"1,0,0,1\n",            // odd coordinate count
-		"x,0,0,1,1\n",          // bad id
-		"1,a,0,1,1\n",          // bad x
-		"1,0,b,1,1\n",          // bad y
-		"1, 0 , 0 , 1 , 1 \n",  // embedded whitespace
+		"1,0,0\n",             // below MinLen
+		"1,0,0,1\n",           // odd coordinate count
+		"x,0,0,1,1\n",         // bad id
+		"1,a,0,1,1\n",         // bad x
+		"1,0,b,1,1\n",         // bad y
+		"1, 0 , 0 , 1 , 1 \n", // embedded whitespace
 		"9007199254740993,1e308,-1e308,2,2\n",
-		"1,1e309,0,1,1\n",      // overflow → +Inf
+		"1,1e309,0,1,1\n", // overflow → +Inf
 		"-5,-0.0,0.0,1,1\n",
 		"1,0,0,1,1", // no trailing newline
 		"",

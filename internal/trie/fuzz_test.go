@@ -1,6 +1,7 @@
 package trie
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // it, a yielded key exceeds a member's Distance only where it is the
 // descent's own path bound (which sums its levels first, last, pivots — not
 // in the DP's order — and so can sit an ulp above a tight Distance; ROADMAP
-// item 7), and a measure that may leave a point unmatched (ERP, EDR, LCSS)
+// item 1), and a measure that may leave a point unmatched (ERP, EDR, LCSS)
 // gets no envelope bound at all: its keys are the path bounds. Coordinates
 // are small multiples of 0.1, so inputs are full of exact duplicates,
 // stationary stretches and ties whose sums round.
@@ -93,6 +94,40 @@ func FuzzEnvelopeBound(f *testing.F) {
 						m.Name(), c.Idx, c.LB, path[c.Idx], dist[c.Idx], b.env)
 				}
 			}
+		}
+	})
+}
+
+// FuzzDecodeBinary drives DecodeBinary with arbitrary bytes over a fixed
+// trajectory slice: it never panics, and what it accepts is the canonical
+// encoding of a trie whose leaves address that slice — the decoder is strict,
+// so accepted input re-encodes to itself. The corpus starts from the current
+// layout, from format 1's (indexing points between the count and the root),
+// and from cuts and extensions of both.
+func FuzzDecodeBinary(f *testing.F) {
+	trajs := serialTrajs(25, 9)
+	built, ip := eagerBuild(trajs, Config{K: 2, NLAlign: 3, NLPivot: 2, MinNode: 4})
+	for _, enc := range [][]byte{built.AppendBinary(nil), appendBinaryFormat1(built, ip)} {
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+		f.Add(enc[:len(enc)-1])
+		f.Add(append(append([]byte(nil), enc...), 0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeBinary(data, trajs)
+		if err != nil {
+			if tr != nil {
+				t.Fatal("DecodeBinary returned both a trie and an error")
+			}
+			return
+		}
+		for _, i := range tr.LeafIndexes() {
+			if i < 0 || i >= len(trajs) {
+				t.Fatalf("accepted a leaf index %d over %d trajectories", i, len(trajs))
+			}
+		}
+		if !bytes.Equal(tr.AppendBinary(nil), data) {
+			t.Fatal("accepted input is not the canonical encoding of what it decoded to")
 		}
 	})
 }

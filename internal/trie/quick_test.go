@@ -134,7 +134,7 @@ func TestQuickTrieMBRInvariant(t *testing.T) {
 		walk = func(n *node, _ []int) {
 			if n.level >= 0 && !n.mbr.IsEmpty() {
 				for _, i := range collect(n) {
-					if n.level < len(tr.ip[i]) && !n.mbr.Contains(tr.ip[i][n.level]) {
+					if ip := pivot.IndexingPoints(w.Trajs[i].Points, tr.cfg.K, tr.cfg.Strategy); n.level < len(ip) && !n.mbr.Contains(ip[n.level]) {
 						ok = false
 					}
 				}

@@ -22,7 +22,7 @@ import (
 //
 //	u32 ×5   Config: K, NLAlign, NLPivot, MinNode, Strategy
 //	u32      trajectory count (must equal len(trajs) at decode)
-//	per trajectory: u32 indexing-point count, then ×2 f64 per point
+//	u8       1 = a root follows (0, "no root", is refused)
 //	node tree, preorder:
 //	  i32    level
 //	  f64 ×4 MBR (Min.X, Min.Y, Max.X, Max.Y; EmptyMBR's ±Inf round-trips)
@@ -30,11 +30,14 @@ import (
 //	  leaf:     u32 index count, then u32 per index (into trajs)
 //	  internal: u32 child count, then children recursively
 //
-// The trajectories themselves are not part of the encoding: the caller
-// stores them separately (the snapshot's trajectory section) and passes
-// the identical slice to DecodeBinary, preserving the clustered-index
-// property that leaves index into Trie.Trajs. Nor are the internal nodes'
-// envelopes: DecodeBinary recomputes them from that slice, as Build does.
+// The encoding holds what a descent reads and nothing else. The
+// trajectories are not part of it: the caller stores them separately (the
+// snapshot's trajectory section) and passes the identical slice to
+// DecodeBinary, preserving the clustered-index property that leaves index
+// into Trie.Trajs. Nor are the internal nodes' envelopes: DecodeBinary
+// recomputes them from that slice, as Build does. Nor are the members'
+// indexing points, which only Build reads; snapshot format 1 stored them
+// here, and a format-1 file is refused by snap's version check, not read.
 
 // AppendBinary appends the trie's canonical binary encoding to buf and
 // returns the extended slice.
@@ -51,13 +54,6 @@ func (t *Trie) AppendBinary(buf []byte) []byte {
 	u32(t.cfg.MinNode)
 	u32(int(t.cfg.Strategy))
 	u32(len(t.Trajs))
-	for i := range t.Trajs {
-		u32(len(t.ip[i]))
-		for _, p := range t.ip[i] {
-			f64(p.X)
-			f64(p.Y)
-		}
-	}
 	var walk func(n *node)
 	walk = func(n *node) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(n.level)))
@@ -165,23 +161,6 @@ func DecodeBinary(data []byte, trajs []*traj.T) (*Trie, error) {
 		return nil, fmt.Errorf("trie: decode: encoded for %d trajectories, caller holds %d", n, len(trajs))
 	}
 	t.Trajs = trajs
-	t.ip = make([][]geom.Point, n)
-	for i := 0; i < n; i++ {
-		np := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
-		}
-		// Each point costs 16 bytes; reject counts the buffer cannot hold
-		// before allocating.
-		if np < 0 || np > (len(r.data)-r.off)/16 {
-			return nil, fmt.Errorf("trie: decode: indexing-point count %d exceeds buffer", np)
-		}
-		pts := make([]geom.Point, np)
-		for j := range pts {
-			pts[j] = geom.Point{X: r.f64(), Y: r.f64()}
-		}
-		t.ip[i] = pts
-	}
 	switch r.u8() {
 	case 0:
 		if r.err == nil && r.off != len(data) {

@@ -32,9 +32,11 @@ func serialTrajs(n int, seed int64) []*traj.T {
 	return out
 }
 
-// wantEncoding pins an encoding to the bytes the format produced before
-// envelopes existed: they are derived state, recomputed from Trajs on
-// decode, and must never reach AppendBinary.
+// wantEncoding pins an encoding. The pinned bytes are the ones snapshot
+// format 1 produced with its per-trajectory indexing-point block cut out
+// (checked against that commit when the block was dropped): header and node
+// section have not changed since before envelopes existed — those are derived
+// state, recomputed from Trajs on decode, and must never reach AppendBinary.
 func wantEncoding(t *testing.T, enc []byte, size int, sum string) {
 	t.Helper()
 	if got := sha256.Sum256(enc); len(enc) != size || hex.EncodeToString(got[:]) != sum {
@@ -46,7 +48,7 @@ func TestSerialRoundTrip(t *testing.T) {
 	trajs := serialTrajs(120, 42)
 	built := Build(trajs, Config{K: 3, NLAlign: 4, NLPivot: 3, MinNode: 4})
 	enc := built.AppendBinary(nil)
-	wantEncoding(t, enc, 13708, "77033caef10dca283c7a3c1aa693e7e0ca8f3275a31ac6f62e05bff2d76e7263")
+	wantEncoding(t, enc, 4236, "d179013eb13ed801fb3d7a5d4c39e90c12419c66749a5da15aaf2e7f4a686bfd")
 
 	dec, err := DecodeBinary(enc, trajs)
 	if err != nil {
@@ -84,7 +86,7 @@ func TestSerialDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two builds over identical input encode differently")
 	}
-	wantEncoding(t, a, 5078, "42b766967daeb619707bcf879c6e176459fa2a01bacd5ef16faecabbcdca42bb")
+	wantEncoding(t, a, 1126, "0ee3349c3fa024b2f0d8ff87e6cb754621c86847af322b50139bcf16416b279b")
 }
 
 // checkEnvelopes walks a trie: every internal node carries the MBR of every

@@ -92,23 +92,49 @@ type Trie struct {
 	// Trajs holds the partition's trajectories, aligned with the indices
 	// stored in leaves (the clustered-index property).
 	Trajs []*traj.T
-	ip    [][]geom.Point // indexing points per trajectory
 	root  *node
 	nodes int
 }
 
 // Build constructs a trie over the trajectories. The slice is retained.
+//
+// A member's indexing points (first, last, K pivots) decide which group it
+// falls into at each level and nothing else: no descent reads them, so they
+// are not part of the Trie, its encoding or a snapshot. The first and last
+// point are read off the trajectory; pivots are selected only for members of
+// a group still larger than MinNode after both align levels — with the
+// default fan-out (36 × 36 STR tiles) and MinNode 16, none below ~20 k
+// members a partition — and memoised in a table that dies with this call.
 func Build(trajs []*traj.T, cfg Config) *Trie {
-	cfg = cfg.sanitized()
-	t := &Trie{cfg: cfg, Trajs: trajs, ip: make([][]geom.Point, len(trajs))}
-	for i, tr := range trajs {
-		t.ip[i] = pivot.IndexingPoints(tr.Points, cfg.K, cfg.Strategy)
+	t := &Trie{cfg: cfg.sanitized(), Trajs: trajs}
+	var ip [][]geom.Point // by trajectory index; nil until a pivot level asks
+	// point returns member i's level-th indexing point, or false when its
+	// sequence is exhausted (fewer interior points than pivot levels above
+	// this one). Every member has a first and a last point, so that can only
+	// happen on a pivot level.
+	point := func(i, level int) (geom.Point, bool) {
+		switch level {
+		case 0:
+			return trajs[i].First(), true
+		case 1:
+			return trajs[i].Last(), true
+		}
+		if ip == nil {
+			ip = make([][]geom.Point, len(trajs))
+		}
+		if ip[i] == nil {
+			ip[i] = pivot.IndexingPoints(trajs[i].Points, t.cfg.K, t.cfg.Strategy)
+		}
+		if level >= len(ip[i]) {
+			return geom.Point{}, false
+		}
+		return ip[i][level], true
 	}
 	all := make([]int, len(trajs))
 	for i := range all {
 		all[i] = i
 	}
-	t.root = t.build(all, 0)
+	t.root = t.build(all, 0, point)
 	t.fillEnvelopes()
 	return t
 }
@@ -139,8 +165,8 @@ func (t *Trie) extendEnvelope(n *node, env *geom.MBR) {
 }
 
 // build groups the given trajectory indices by their level-th indexing
-// point.
-func (t *Trie) build(idxs []int, level int) *node {
+// point, which point supplies.
+func (t *Trie) build(idxs []int, level int, point func(i, level int) (geom.Point, bool)) *node {
 	n := &node{level: level - 1, mbr: geom.EmptyMBR()}
 	if len(idxs) == 0 {
 		n.leafIdx = []int{}
@@ -156,12 +182,15 @@ func (t *Trie) build(idxs []int, level int) *node {
 	// Trajectories whose indexing sequence is exhausted (shorter than
 	// K+2 points) become a leaf child; the rest are STR-tiled by their
 	// level point.
-	var exhausted, alive []int
+	var exhausted []int
+	alive := make([]int, 0, len(idxs))
+	keys := make([]geom.Point, 0, len(idxs))
 	for _, i := range idxs {
-		if level >= len(t.ip[i]) {
-			exhausted = append(exhausted, i)
-		} else {
+		if p, ok := point(i, level); ok {
 			alive = append(alive, i)
+			keys = append(keys, p)
+		} else {
+			exhausted = append(exhausted, i)
 		}
 	}
 	fanout := t.cfg.NLPivot
@@ -177,10 +206,6 @@ func (t *Trie) build(idxs []int, level int) *node {
 		t.nodes++
 	}
 	if len(alive) > 0 {
-		keys := make([]geom.Point, len(alive))
-		for j, i := range alive {
-			keys[j] = t.ip[i][level]
-		}
 		tiles := str.Tile(keys, fanout)
 		for _, tile := range tiles {
 			group := make([]int, len(tile))
@@ -189,7 +214,7 @@ func (t *Trie) build(idxs []int, level int) *node {
 				group[j] = alive[k]
 				m = m.Extend(keys[k])
 			}
-			child := t.build(group, level+1)
+			child := t.build(group, level+1, point)
 			child.level = level
 			child.mbr = m
 			n.children = append(n.children, child)
@@ -219,7 +244,10 @@ func (t *Trie) LeafIndexes() []int {
 }
 
 // SizeBytes estimates the index footprint excluding trajectory data: per
-// node an MBR (32 bytes) plus slice headers, plus leaf index entries.
+// node an MBR (32 bytes) plus slice headers, plus leaf index entries. Nodes
+// are all a trie holds, so the estimate leaves nothing out; it is low by the
+// allocator's size classes and the envelopes — measured, a node costs ~120 B
+// resident (EXPERIMENTS.md, Table 5).
 func (t *Trie) SizeBytes() int {
 	total := 0
 	var walk func(*node)

@@ -33,12 +33,12 @@ func FuzzWALReplay(f *testing.F) {
 		return data
 	}
 
-	f.Add([]byte{}, uint32(0), uint32(1<<30))       // untouched image
-	f.Add([]byte{0xFF}, uint32(0), uint32(1<<30))   // header hit
-	f.Add([]byte{0x01}, uint32(40), uint32(1<<30))  // payload bit
+	f.Add([]byte{}, uint32(0), uint32(1<<30))            // untouched image
+	f.Add([]byte{0xFF}, uint32(0), uint32(1<<30))        // header hit
+	f.Add([]byte{0x01}, uint32(40), uint32(1<<30))       // payload bit
 	f.Add([]byte{7, 7, 7, 7}, uint32(12), uint32(1<<30)) // length prefix
-	f.Add([]byte{}, uint32(0), uint32(20))          // torn tail
-	f.Add([]byte{0x80, 0x01}, uint32(60), uint32(70)) // mangle + tear
+	f.Add([]byte{}, uint32(0), uint32(20))               // torn tail
+	f.Add([]byte{0x80, 0x01}, uint32(60), uint32(70))    // mangle + tear
 
 	f.Fuzz(func(t *testing.T, patch []byte, pos uint32, keep uint32) {
 		data := img(t)
