@@ -1,11 +1,10 @@
 # DITA build/test entry points. `make check` is the CI gate: static
-# analysis plus the full test suite under the race detector (the dnet
-# chaos tests are required to be race-clean), then a repeat run of the
-# chaos tests to shake out order-dependent flakes.
+# analysis, the full test suite under the race detector twice in one
+# process (race2), the fuzz smoke and the benchmark module's own test.
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-smoke bench-kernels bench-diff
+.PHONY: build test race race2 vet fmt-check staticcheck chaos knn snap ingest serve rebalance autopilot fuzz check soak serve-soak bench bench-smoke bench-kernels bench-diff
 
 build:
 	$(GO) build ./...
@@ -33,6 +32,21 @@ staticcheck:
 
 race:
 	$(GO) test -race ./...
+
+# The test pass of `make check`: every test under the race detector, twice
+# in one process. -count=2 defeats the test cache, and the second run is
+# what catches a failure that needs state left over from a prior in-process
+# run — which the chaos, kNN, snapshot, ingest, serving, rebalance and
+# autopilot suites are required to survive. Until PR 30 `check` ran `race`
+# and then those seven targets below, each `-race -run <filter> -count=2`
+# over packages `race` had just run in full: a test ran once, three times,
+# or — matching two filters — five. Measured on the 2-core build box:
+# race 82 s + the seven 142 s = 224 s of a 6 m 06 s `make check`; race2
+# 144 s on the same tree, and `make check` 5 m 10 s with PR 30's own tests
+# in it. The seven stay as a developer's shortcuts to one suite; `check`
+# no longer names them.
+race2:
+	$(GO) test -race -count=2 ./...
 
 # Chaos tests re-run (-count=2 defeats the test cache) to catch failures
 # that only appear with state left over from a prior in-process run.
@@ -145,7 +159,7 @@ bench-diff:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-diff A=<parent ref> B=<change ref> [N=10] [SEED=501] [WORKLOADS=w,...]"; exit 2; }
 	$(GO) run ./cmd/benchdiff -a $(A) -b $(B) -n $(N) -seed $(SEED) -workload "$(WORKLOADS)"
 
-check: fmt-check vet staticcheck race chaos knn snap ingest serve rebalance autopilot fuzz bench-smoke
+check: fmt-check vet staticcheck race2 fuzz bench-smoke
 
 # 30-second soak: dita-net's cancelled-query churn workload against
 # in-process workers running under fault injection (-chaos). Exits

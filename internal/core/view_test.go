@@ -7,6 +7,7 @@ import (
 	"dita/internal/core"
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/viewtest"
 )
@@ -31,6 +32,25 @@ func onePartition(t *testing.T, m measure.Measure, members []*traj.T) (*core.Eng
 	return e, e.Partitions()[0].Trajs
 }
 
+// decodedPartition is onePartition cold-started from its own sealed image:
+// the base members alias one decoded slab instead of the caller's slices.
+func decodedPartition(t *testing.T, m measure.Measure, members []*traj.T) (*core.Engine, []*traj.T) {
+	t.Helper()
+	built, _ := onePartition(t, m, members)
+	img, err := snap.Decode(snap.Encode(built.ExportSnapshot("view", built.Partitions()[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewEngineFromSnapshots([]*snap.Snapshot{img}, core.Options{Cluster: cluster.New(cluster.DefaultConfig(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.EnableIngest(core.IngestConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	return e, e.Partitions()[0].Trajs
+}
+
 func apply(t *testing.T, e *core.Engine, ops []viewtest.Op) {
 	t.Helper()
 	for _, op := range ops {
@@ -48,17 +68,29 @@ func apply(t *testing.T, e *core.Engine, ops []viewtest.Op) {
 
 // TestViewAcrossHosts, engine half (internal/dnet has the worker's): after
 // each history the partition's view shows exactly the model's members in
-// the model's slot order, and every read over it is brute force's.
+// the model's slot order, and every read over it is brute force's — over a
+// base built from the caller's slices and over one decoded from an image,
+// before the overlay is merged into it and after.
 func TestViewAcrossHosts(t *testing.T) {
 	base, fresh, queries := viewtest.Fixture()
+	hosts := map[string]func(*testing.T, measure.Measure, []*traj.T) (*core.Engine, []*traj.T){
+		"built": onePartition, "decoded": decodedPartition,
+	}
 	for _, m := range viewtest.Measures(t) {
 		for _, h := range viewtest.Histories(base, fresh) {
-			t.Run(m.Name()+"/"+h.Name, func(t *testing.T) {
-				e, base := onePartition(t, m, base)
-				apply(t, e, h.Ops)
-				v, _ := core.PartitionView(e, 0)
-				viewtest.Check(t, m, v, h.Visible(base), queries)
-			})
+			for host, start := range hosts {
+				t.Run(m.Name()+"/"+h.Name+"/"+host, func(t *testing.T) {
+					e, base := start(t, m, base)
+					apply(t, e, h.Ops)
+					v, _ := core.PartitionView(e, 0)
+					viewtest.Check(t, m, v, h.Visible(base), queries)
+					if _, err := e.MergePartition(0); err != nil {
+						t.Fatal(err)
+					}
+					v, _ = core.PartitionView(e, 0)
+					viewtest.Check(t, m, v, h.Visible(base), queries)
+				})
+			}
 		}
 	}
 }

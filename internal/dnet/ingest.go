@@ -132,7 +132,7 @@ func (p *workerPartition) applyLocked(r WireRecord) {
 		if i, ok := p.deltaIdx[r.ID]; ok {
 			p.deltaBytes += t.Bytes() - p.delta[i].Bytes()
 			p.delta[i] = t
-			p.deltaMeta[i] = core.NewVerifyMeta(t, p.cellD)
+			p.deltaMeta[i] = core.NewVerifyMeta(t, 0)
 			return
 		}
 		if p.deltaIdx == nil {
@@ -140,7 +140,7 @@ func (p *workerPartition) applyLocked(r WireRecord) {
 		}
 		p.deltaIdx[r.ID] = len(p.delta)
 		p.delta = append(p.delta, t)
-		p.deltaMeta = append(p.deltaMeta, core.NewVerifyMeta(t, p.cellD))
+		p.deltaMeta = append(p.deltaMeta, core.NewVerifyMeta(t, 0))
 		p.deltaBytes += t.Bytes()
 		p.ensureBaseIDsLocked()
 		if p.baseIDs[r.ID] {
@@ -317,7 +317,7 @@ func (w *Worker) mergePartition(dataset string, pid int, p *workerPartition) boo
 	idx := trie.Build(visible, trieConfig(p.opts))
 	meta := make([]core.VerifyMeta, len(visible))
 	for i, t := range visible {
-		meta[i] = core.NewVerifyMeta(t, p.cellD)
+		meta[i] = core.NewVerifyMeta(t, 0)
 	}
 	fp := snap.Fingerprint(p.opts, visible)
 	opts := p.opts

@@ -54,13 +54,12 @@ func partitionFromSnapshot(s *snap.Snapshot) (*workerPartition, error) {
 		trajs:       s.Trajs,
 		index:       s.Index,
 		m:           m,
-		cellD:       s.Opts.CellD,
 		opts:        s.Opts,
 		fingerprint: s.Fingerprint,
 	}
 	p.meta = make([]core.VerifyMeta, len(s.Trajs))
 	for i, t := range s.Trajs {
-		p.meta[i] = core.NewVerifyMeta(t, s.Opts.CellD)
+		p.meta[i] = core.NewVerifyMeta(t, 0)
 	}
 	// The image's watermark is the ingest floor: every logged record at or
 	// below it is already folded into Trajs.

@@ -10,10 +10,11 @@ import (
 	"dita/internal/wal"
 )
 
-// loadedPartition loads base into a fresh worker through the Load handler
-// and streams ops into it through the Ingest handler — the worker's own
-// write path, minus the sockets.
-func loadedPartition(t *testing.T, m measure.Measure, base []*traj.T, ops []viewtest.Op) *workerPartition {
+// loadedPartition loads base into a fresh worker through the Load handler —
+// a sealed image, so the base the worker holds is decoded: one slab — and
+// streams ops into it through the Ingest handler: the worker's own write
+// path, minus the sockets.
+func loadedPartition(t *testing.T, m measure.Measure, base []*traj.T, ops []viewtest.Op) (*Worker, *workerPartition) {
 	t.Helper()
 	s := &workerService{w: NewWorker()}
 	cfg := testConfig()
@@ -35,17 +36,20 @@ func loadedPartition(t *testing.T, m measure.Measure, base []*traj.T, ops []view
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return s.w, p
 }
 
 // TestViewAcrossHosts, worker half (internal/core has the engine's): the
-// same histories, the same model, the same checks.
+// same histories, the same model, the same checks, before the overlay is
+// merged into the decoded base and after.
 func TestViewAcrossHosts(t *testing.T) {
 	base, fresh, queries := viewtest.Fixture()
 	for _, m := range viewtest.Measures(t) {
 		for _, h := range viewtest.Histories(base, fresh) {
 			t.Run(m.Name()+"/"+h.Name, func(t *testing.T) {
-				p := loadedPartition(t, m, base, h.Ops)
+				w, p := loadedPartition(t, m, base, h.Ops)
+				viewtest.Check(t, m, p.view(), h.Visible(base), queries)
+				w.mergePartition("view", 0, p)
 				viewtest.Check(t, m, p.view(), h.Visible(base), queries)
 			})
 		}
@@ -56,6 +60,6 @@ func TestViewAcrossHosts(t *testing.T) {
 // every base pointer and every base meta to append the delta behind them.
 func TestViewSearchDoesNotCopyBase(t *testing.T) {
 	base, fresh, queries := viewtest.BigFixture()
-	p := loadedPartition(t, measure.DTW{}, base, []viewtest.Op{{T: fresh, ID: fresh.ID}, {ID: base[0].ID}})
+	_, p := loadedPartition(t, measure.DTW{}, base, []viewtest.Op{{T: fresh, ID: fresh.ID}, {ID: base[0].ID}})
 	viewtest.CheckBaseAliased(t, measure.DTW{}, p.view(), p.trajs, p.meta, queries)
 }

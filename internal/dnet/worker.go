@@ -146,7 +146,6 @@ type workerPartition struct {
 	index *trie.Trie
 	meta  []core.VerifyMeta
 	m     measure.Measure
-	cellD float64
 	// opts and fingerprint are the partition's content identity
 	// (snap.BuildOptions plus the hash over it and the trajectories);
 	// snapped/snapBytes record whether a durable snapshot of exactly this
@@ -758,7 +757,7 @@ func (s *workerService) Join(args *JoinArgs, reply *JoinReply) (err error) {
 		shipped, smeta = make([]*traj.T, len(ts)), make([]core.VerifyMeta, len(ts))
 		for i, wt := range args.Trajs {
 			ts[i] = traj.T(wt)
-			shipped[i], smeta[i] = &ts[i], core.NewVerifyMeta(&ts[i], p.cellD)
+			shipped[i], smeta[i] = &ts[i], core.NewVerifyMeta(&ts[i], 0)
 			reply.BytesReceived += ts[i].Bytes()
 		}
 	}

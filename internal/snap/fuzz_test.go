@@ -28,6 +28,10 @@ func FuzzSnapshot(f *testing.F) {
 	old := testSnapshot(f, 8, 3)
 	f.Add(sealImage(1, old, format1TrieSection(old)))
 	f.Add(sealImage(Version, old, format1TrieSection(old)))
+	// So are a trie nested past K+2 levels and leaves that are not a
+	// permutation of the members, however well the container checksums.
+	f.Add(sealImage(Version, old, chainTrieSection(old, 64, []uint32{0, 1, 2, 3, 4, 5, 6, 7})))
+	f.Add(sealImage(Version, old, chainTrieSection(old, 1, []uint32{0, 0, 2, 3, 4, 5, 6, 7})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return // bound per-input work; the format has no length-dependent logic beyond this

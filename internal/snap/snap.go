@@ -276,6 +276,11 @@ func encodeTrajs(trajs []*traj.T) []byte {
 	return b
 }
 
+// decodeTrajs reads the trajectory section into three allocations whatever
+// the member count: one []traj.T, one []geom.Point slab every member's Points
+// is carved from, and the pointer slice the trie indexes. Each Points is
+// capped at its own length, so an append to one copies it out instead of
+// running into its neighbour; nobody writes through them (DESIGN.md §10).
 func decodeTrajs(data []byte) ([]*traj.T, error) {
 	r := &reader{data: data}
 	n := int(r.u64())
@@ -286,27 +291,37 @@ func decodeTrajs(data []byte) ([]*traj.T, error) {
 	if n < 0 || n > (len(data)-r.off)/16 {
 		return nil, corruptf("trajectory count %d exceeds buffer", n)
 	}
-	out := make([]*traj.T, n)
-	for i := range out {
-		id := int(int64(r.u64()))
+	// The headers fix the slab's size: whatever they leave of the section is
+	// points. Walk them first; the second pass then cannot run out of slab.
+	start := r.off
+	for i := 0; i < n; i++ {
+		r.u64()
 		np := int(r.u64())
-		if r.err != nil {
-			return nil, r.err
-		}
-		if np < 0 || np > (len(data)-r.off)/16 {
+		if r.err == nil && (np < 0 || np > (len(data)-r.off)/16) {
 			return nil, corruptf("point count %d exceeds buffer", np)
 		}
-		pts := make([]geom.Point, np)
-		for j := range pts {
-			pts[j] = geom.Point{X: r.f64(), Y: r.f64()}
-		}
-		out[i] = &traj.T{ID: id, Points: pts}
+		r.take(16 * np)
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
 	if r.off != len(data) {
 		return nil, corruptf("trajectory section: %d trailing bytes", len(data)-r.off)
+	}
+	slab := make([]geom.Point, (len(data)-start-16*n)/16)
+	ts := make([]traj.T, n)
+	out := make([]*traj.T, n)
+	r.off = start
+	for i := range ts {
+		id := int(int64(r.u64()))
+		np := int(r.u64())
+		pts := slab[:np:np]
+		slab = slab[np:]
+		for j := range pts {
+			pts[j] = geom.Point{X: r.f64(), Y: r.f64()}
+		}
+		ts[i] = traj.T{ID: id, Points: pts}
+		out[i] = &ts[i]
 	}
 	return out, nil
 }

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dita/internal/gen"
 	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/pivot"
@@ -232,6 +233,100 @@ func TestFormat1ImageRefused(t *testing.T) {
 	// structural refusal, not a second reader.
 	if _, err := Decode(sealImage(Version, s, format1TrieSection(s))); !IsCorrupt(err) {
 		t.Fatalf("format-1 trie section in a current container: err = %v, want corrupt", err)
+	}
+}
+
+// chainTrieSection hand-writes a trie section over n trajectories: depth
+// one-child internal nodes, then one leaf listing idxs.
+func chainTrieSection(s *Snapshot, depth int, idxs []uint32) []byte {
+	var b []byte
+	for _, v := range []int{s.Opts.K, s.Opts.NLAlign, s.Opts.NLPivot, s.Opts.MinNode, s.Opts.Strategy, len(s.Trajs)} {
+		b = appendU32(b, uint32(v))
+	}
+	b = append(b, 1) // a root follows
+	e := geom.EmptyMBR()
+	for d := 0; d <= depth; d++ {
+		b = appendU32(b, uint32(int32(d-1)))
+		b = appendF64(appendF64(appendF64(appendF64(b, e.Min.X), e.Min.Y), e.Max.X), e.Max.Y)
+		if d < depth {
+			b = appendU32(append(b, 0), 1)
+		}
+	}
+	b = appendU32(append(b, 1), uint32(len(idxs)))
+	for _, i := range idxs {
+		b = appendU32(b, i)
+	}
+	return b
+}
+
+// TestDecodeRefusesMalformedTrie: the CRCs and the fingerprint cover the
+// trajectories and the options, not the shape of the trie. An image sealed
+// around a trie that nests deeper than Build does, or whose leaves are not a
+// permutation of the members, is corrupt — an error, not a stack overflow and
+// not an index with invisible members.
+func TestDecodeRefusesMalformedTrie(t *testing.T) {
+	s := testSnapshot(t, 6, 8)
+	perm := []uint32{0, 1, 2, 3, 4, 5}
+	if _, err := Decode(sealImage(Version, s, chainTrieSection(s, s.Opts.K+2, perm))); err != nil {
+		t.Fatalf("a hand-written trie as deep as Build goes: %v", err)
+	}
+	for name, section := range map[string][]byte{
+		"one level too deep":             chainTrieSection(s, s.Opts.K+3, perm),
+		"a million levels (41 MB)":       chainTrieSection(s, 1<<20, perm),
+		"member 0 twice, member 1 never": chainTrieSection(s, 1, []uint32{0, 0, 2, 3, 4, 5}),
+		"a member in no leaf":            chainTrieSection(s, 1, perm[:5]),
+	} {
+		got, err := Decode(sealImage(Version, s, section))
+		if got != nil || !IsCorrupt(err) {
+			t.Errorf("%s: snapshot %v, err %v, want a CorruptError", name, got != nil, err)
+		}
+	}
+}
+
+// benchSnapshot is a snapshot at the repository benchmark's shape: n members
+// of the Beijing-like corpus under the default trie configuration.
+func benchSnapshot(n int) *Snapshot {
+	trajs := gen.Generate(gen.BeijingLike(n, 42)).Trajs
+	cfg := trie.DefaultConfig()
+	return &Snapshot{
+		Dataset: "trips",
+		Opts:    BuildOptions{Measure: "DTW", K: cfg.K, NLAlign: cfg.NLAlign, NLPivot: cfg.NLPivot, MinNode: cfg.MinNode},
+		Trajs:   trajs,
+		Index:   trie.Build(trajs, cfg),
+	}
+}
+
+// TestDecodeAllocations: an image decodes into a constant number of
+// allocations — one slab of points, one array of members, the index's arrays
+// — where it took four per member.
+func TestDecodeAllocations(t *testing.T) {
+	for _, n := range []int{1234, 5000} {
+		img := Encode(benchSnapshot(n))
+		if got := testing.AllocsPerRun(10, func() {
+			if _, err := Decode(img); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 16 {
+			t.Errorf("Decode of a %d-member image: %v allocations, want <= 16", n, got)
+		}
+	}
+}
+
+// TestDecodedMembersDoNotShareCapacity: the members of a decoded image are
+// carved from one slab, each capped at its own length — an append to one
+// copies it out and leaves its neighbour's first point alone.
+func TestDecodedMembersDoNotShareCapacity(t *testing.T) {
+	s, err := Decode(Encode(testSnapshot(t, 20, 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range s.Trajs[:len(s.Trajs)-1] {
+		next, want := s.Trajs[i+1], s.Trajs[i+1].Points[0]
+		grown := append(m.Points, geom.Point{X: -1, Y: -1})
+		if cap(m.Points) != len(m.Points) || next.Points[0] != want || &grown[0] == &m.Points[0] {
+			t.Fatalf("member %d (len %d, cap %d): an append wrote into the slab; member %d starts at %v, was %v",
+				i, len(m.Points), cap(m.Points), i+1, next.Points[0], want)
+		}
 	}
 }
 

@@ -42,10 +42,11 @@ type BestFirst struct {
 // (the sum semantics' remaining budget is τ minus this, never the key) and
 // the Lemma 5.1 query-suffix start that path narrowed to.
 type bfItem struct {
-	n    *node
-	key  float64
-	path float64
-	suf  int
+	n     uint32 // index into Trie.nodes
+	level int32  // its level: the tie-break reads nothing else of the node
+	key   float64
+	path  float64
+	suf   int
 }
 
 // BestFirst starts a traversal for query q under measure m. Nothing below
@@ -53,10 +54,10 @@ type bfItem struct {
 func (t *Trie) BestFirst(ctx context.Context, q []geom.Point, m measure.Measure) *BestFirst {
 	b := &BestFirst{s: *newSearcher(ctx, t, q, m, math.Inf(1), nil)}
 	b.env = m.SupportsCoverageFilter() && b.s.accum != measure.AccumEdit
-	if len(q) > 0 && t.root != nil {
-		root := bfItem{n: t.root}
-		if b.env && t.root.env != nil {
-			root.key = b.envBound(t.root.env, math.Inf(1))
+	if len(q) > 0 && len(t.nodes) > 0 {
+		root := bfItem{level: t.nodes[0].level}
+		if b.env && !t.nodes[0].isLeaf() {
+			root.key = b.envBound(t.env(t.nodes[0]), math.Inf(1))
 		}
 		b.heap = append(make([]bfItem, 0, 64), root)
 	}
@@ -71,8 +72,9 @@ func (t *Trie) BestFirst(ctx context.Context, q []geom.Point, m measure.Measure)
 // earlier tau was at least as large. Buckets come in non-decreasing bound
 // order; among equal bounds deeper nodes first, so a query that sits inside
 // nested MBRs reaches its own leaf before its neighbours' subtrees are
-// expanded.
-func (b *BestFirst) Next(tau float64) (idxs []int, lb float64, ok bool) {
+// expanded. idxs aliases the trie's own leaf array: read it, do not keep or
+// write it.
+func (b *BestFirst) Next(tau float64) (idxs []uint32, lb float64, ok bool) {
 	s := &b.s
 	for s.err == nil && len(b.heap) > 0 && b.heap[0].key <= tau {
 		if s.visits++; s.visits%ctxCheckEvery == 0 {
@@ -81,10 +83,10 @@ func (b *BestFirst) Next(tau float64) (idxs []int, lb float64, ok bool) {
 			}
 		}
 		it := b.pop()
-		if !it.n.isLeaf() {
+		if n := s.t.nodes[it.n]; !n.isLeaf() {
 			b.expand(it, tau)
-		} else if len(it.n.leafIdx) > 0 {
-			return it.n.leafIdx, it.key, true
+		} else if n.n > 0 {
+			return s.t.members(n), it.key, true
 		}
 	}
 	return nil, 0, false
@@ -120,19 +122,20 @@ func (b *BestFirst) envBound(env *geom.MBR, tau float64) float64 {
 // internal child that passed them, the envelope bound.
 func (b *BestFirst) expand(it bfItem, tau float64) {
 	s := &b.s
-	q := s.q
-	for _, c := range it.n.children {
-		if c.isLeaf() && c.mbr.IsEmpty() {
+	q, t := s.q, s.t
+	for ci, end := it.n+1, t.nodes[it.n].link; ci < end; ci = t.after(ci) {
+		c, mbr := t.nodes[ci], t.mbrs[ci]
+		if c.isLeaf() && mbr.IsEmpty() {
 			// Exhausted bucket: no level point to test; its members stay
 			// candidates at the bound accumulated so far.
-			b.push(bfItem{n: c, key: it.key, path: it.path, suf: it.suf})
+			b.push(bfItem{n: ci, level: c.level, key: it.key, path: it.path, suf: it.suf})
 			continue
 		}
 		path, nsuf := it.path, it.suf
 		if s.accum == measure.AccumEdit {
 			// Every level is matched against the whole query; one farther
 			// than ε from every query point costs one edit.
-			if d, _ := s.pivotMinDist(c.mbr, math.Inf(1), 0); d > s.eps {
+			if d, _ := s.pivotMinDist(mbr, math.Inf(1), 0); d > s.eps {
 				path++
 			}
 			nsuf = 0
@@ -143,11 +146,11 @@ func (b *BestFirst) expand(it bfItem, tau float64) {
 			}
 			var d float64
 			if s.anchored && c.level == 0 {
-				d = c.mbr.MinDist(q[0])
+				d = mbr.MinDist(q[0])
 			} else if s.anchored && c.level == 1 {
-				d = c.mbr.MinDist(q[len(q)-1])
+				d = mbr.MinDist(q[len(q)-1])
 			} else {
-				d, nsuf = s.pivotMinDist(c.mbr, rem, it.suf)
+				d, nsuf = s.pivotMinDist(mbr, rem, it.suf)
 			}
 			if s.accum == measure.AccumSum {
 				path += d
@@ -156,11 +159,11 @@ func (b *BestFirst) expand(it bfItem, tau float64) {
 			}
 		}
 		key := math.Max(it.key, path)
-		if key <= tau && b.env && c.env != nil {
-			key = math.Max(key, b.envBound(c.env, tau))
+		if key <= tau && b.env && !c.isLeaf() {
+			key = math.Max(key, b.envBound(t.env(c), tau))
 		}
 		if key <= tau {
-			b.push(bfItem{n: c, key: key, path: path, suf: nsuf})
+			b.push(bfItem{n: ci, level: c.level, key: key, path: path, suf: nsuf})
 		}
 	}
 }
@@ -169,7 +172,7 @@ func bfLess(a, b bfItem) bool {
 	if a.key != b.key {
 		return a.key < b.key
 	}
-	return a.n.level > b.n.level
+	return a.level > b.level
 }
 
 func (b *BestFirst) push(it bfItem) {

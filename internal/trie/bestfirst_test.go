@@ -37,7 +37,7 @@ func drain(b *BestFirst, tau func(yielded int) float64) (out []Cand, ok bool) {
 		}
 		prev = lb
 		for _, i := range idxs {
-			out = append(out, Cand{Idx: i, LB: lb})
+			out = append(out, Cand{Idx: int(i), LB: lb})
 		}
 	}
 }

@@ -20,15 +20,13 @@ import (
 // returns the table too, which format 1 serialized.
 func eagerBuild(trajs []*traj.T, cfg Config) (*Trie, [][]geom.Point) {
 	cfg = cfg.sanitized()
-	t := &Trie{cfg: cfg, Trajs: trajs}
 	ip := make([][]geom.Point, len(trajs))
 	for i, tr := range trajs {
 		ip[i] = pivot.IndexingPoints(tr.Points, cfg.K, cfg.Strategy)
 	}
-	var build func(idxs []int, level int) *node
-	build = func(idxs []int, level int) *node {
-		n := &node{level: level - 1, mbr: geom.EmptyMBR()}
-		t.nodes++
+	var build func(idxs []int, level int) *ptrNode
+	build = func(idxs []int, level int) *ptrNode {
+		n := &ptrNode{level: level - 1, mbr: geom.EmptyMBR()}
 		if len(idxs) == 0 {
 			n.leafIdx = []int{}
 			return n
@@ -50,8 +48,7 @@ func eagerBuild(trajs []*traj.T, cfg Config) (*Trie, [][]geom.Point) {
 			fanout = cfg.NLAlign
 		}
 		if len(exhausted) > 0 {
-			n.children = append(n.children, &node{level: level - 1, mbr: geom.EmptyMBR(), leafIdx: exhausted})
-			t.nodes++
+			n.children = append(n.children, &ptrNode{level: level - 1, mbr: geom.EmptyMBR(), leafIdx: exhausted})
 		}
 		if len(alive) > 0 {
 			keys := make([]geom.Point, len(alive))
@@ -77,14 +74,12 @@ func eagerBuild(trajs []*traj.T, cfg Config) (*Trie, [][]geom.Point) {
 	for i := range all {
 		all[i] = i
 	}
-	t.root = build(all, 0)
-	t.fillEnvelopes()
-	return t, ip
+	return fromTree(cfg, trajs, build(all, 0)), ip
 }
 
 // shape reports a trie's deepest node level and whether any exhausted bucket
 // (a leaf with no level point) formed.
-func shape(n *node) (maxLevel int, exhausted bool) {
+func shape(n *ptrNode) (maxLevel int, exhausted bool) {
 	maxLevel = n.level
 	exhausted = n.level >= 0 && n.isLeaf() && n.mbr.IsEmpty()
 	for _, c := range n.children {
@@ -149,13 +144,13 @@ func TestBuildMatchesEagerReference(t *testing.T) {
 			cfg.Strategy = s
 			got := Build(trajs, cfg)
 			want, _ := eagerBuild(trajs, cfg)
-			if lvl, ex := shape(want.root); lvl < 2 || ex != tc.wantExhausted {
+			if lvl, ex := shape(want.tree()); lvl < 2 || ex != tc.wantExhausted {
 				t.Fatalf("%s / %v: reference reaches level %d, exhausted bucket %v — the case does not test a pivot level",
 					tc.name, s, lvl, ex)
 			}
-			if got.nodes != want.nodes || !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+			if got.NodeCount() != want.NodeCount() || !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
 				t.Fatalf("%s / %v: Build's tree (%d nodes) differs from the eager reference's (%d nodes)",
-					tc.name, s, got.nodes, want.nodes)
+					tc.name, s, got.NodeCount(), want.NodeCount())
 			}
 		}
 	}

@@ -53,8 +53,8 @@ func FuzzEnvelopeBound(f *testing.F) {
 				dist[i] = m.Distance(c.Points, q)
 			}
 			if b.env {
-				var walk func(n *node)
-				walk = func(n *node) {
+				var walk func(n *ptrNode)
+				walk = func(n *ptrNode) {
 					if n.isLeaf() {
 						return
 					}
@@ -69,7 +69,7 @@ func FuzzEnvelopeBound(f *testing.F) {
 						walk(c)
 					}
 				}
-				walk(tr.root)
+				walk(tr.tree())
 			}
 			want, err := tr.SearchBoundsContext(ctx, q, m, math.Inf(1), nil)
 			if err != nil {
@@ -103,9 +103,12 @@ func FuzzEnvelopeBound(f *testing.F) {
 // encoding of a trie whose leaves address that slice — the decoder is strict,
 // so accepted input re-encodes to itself. The corpus starts from the current
 // layout, from format 1's (indexing points between the count and the root),
-// and from cuts and extensions of both.
+// from cuts and extensions of both, and from one-child chains at and beyond
+// the depth a trie with K = 2 can have.
 func FuzzDecodeBinary(f *testing.F) {
 	trajs := serialTrajs(25, 9)
+	f.Add(chainEncoding(2, len(trajs), 4, iota32(len(trajs))))
+	f.Add(chainEncoding(2, len(trajs), 64, iota32(len(trajs))))
 	built, ip := eagerBuild(trajs, Config{K: 2, NLAlign: 3, NLPivot: 2, MinNode: 4})
 	for _, enc := range [][]byte{built.AppendBinary(nil), appendBinaryFormat1(built, ip)} {
 		f.Add(enc)

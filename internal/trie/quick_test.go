@@ -91,8 +91,8 @@ func TestQuickTriePartitionsInput(t *testing.T) {
 	f := func(w qworld) bool {
 		tr := Build(w.Trajs, w.Cfg)
 		seen := make([]int, len(w.Trajs))
-		var walk func(n *node)
-		walk = func(n *node) {
+		var walk func(n *ptrNode)
+		walk = func(n *ptrNode) {
 			for _, i := range n.leafIdx {
 				seen[i]++
 			}
@@ -100,7 +100,7 @@ func TestQuickTriePartitionsInput(t *testing.T) {
 				walk(c)
 			}
 		}
-		walk(tr.root)
+		walk(tr.tree())
 		for _, c := range seen {
 			if c != 1 {
 				return false
@@ -118,11 +118,11 @@ func TestQuickTrieMBRInvariant(t *testing.T) {
 	f := func(w qworld) bool {
 		tr := Build(w.Trajs, w.Cfg)
 		ok := true
-		var walk func(n *node, members []int)
-		collect := func(n *node) []int {
+		var walk func(n *ptrNode, members []int)
+		collect := func(n *ptrNode) []int {
 			var out []int
-			var rec func(*node)
-			rec = func(m *node) {
+			var rec func(*ptrNode)
+			rec = func(m *ptrNode) {
 				out = append(out, m.leafIdx...)
 				for _, c := range m.children {
 					rec(c)
@@ -131,7 +131,7 @@ func TestQuickTrieMBRInvariant(t *testing.T) {
 			rec(n)
 			return out
 		}
-		walk = func(n *node, _ []int) {
+		walk = func(n *ptrNode, _ []int) {
 			if n.level >= 0 && !n.mbr.IsEmpty() {
 				for _, i := range collect(n) {
 					if ip := pivot.IndexingPoints(w.Trajs[i].Points, tr.cfg.K, tr.cfg.Strategy); n.level < len(ip) && !n.mbr.Contains(ip[n.level]) {
@@ -143,7 +143,7 @@ func TestQuickTrieMBRInvariant(t *testing.T) {
 				walk(c, nil)
 			}
 		}
-		walk(tr.root, nil)
+		walk(tr.tree(), nil)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

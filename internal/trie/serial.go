@@ -28,7 +28,11 @@ import (
 //	  f64 ×4 MBR (Min.X, Min.Y, Max.X, Max.Y; EmptyMBR's ±Inf round-trips)
 //	  u8     1 = leaf, 0 = internal
 //	  leaf:     u32 index count, then u32 per index (into trajs)
-//	  internal: u32 child count, then children recursively
+//	  internal: u32 child count, then the children
+//
+// which is Trie.nodes, Trie.mbrs and Trie.leaves interleaved: an internal
+// node's link and every leaf's offset are what decoding adds, an internal
+// node's child count what encoding counts back.
 //
 // The encoding holds what a descent reads and nothing else. The
 // trajectories are not part of it: the caller stores them separately (the
@@ -54,35 +58,34 @@ func (t *Trie) AppendBinary(buf []byte) []byte {
 	u32(t.cfg.MinNode)
 	u32(int(t.cfg.Strategy))
 	u32(len(t.Trajs))
-	var walk func(n *node)
-	walk = func(n *node) {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(n.level)))
-		f64(n.mbr.Min.X)
-		f64(n.mbr.Min.Y)
-		f64(n.mbr.Max.X)
-		f64(n.mbr.Max.Y)
-		if n.isLeaf() {
-			buf = append(buf, 1)
-			u32(len(n.leafIdx))
-			for _, i := range n.leafIdx {
-				u32(i)
-			}
-			return
-		}
-		buf = append(buf, 0)
-		u32(len(n.children))
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	if t.root == nil {
+	if len(t.nodes) == 0 {
 		// A trie always has a root after Build; encode an explicit marker
 		// so decode can reject the impossible case instead of guessing.
-		buf = append(buf, 0)
-		return buf
+		return append(buf, 0)
 	}
 	buf = append(buf, 1)
-	walk(t.root)
+	for i, n := range t.nodes { // the arrays are in the encoding's order
+		u32(int(n.level))
+		mbr := t.mbrs[i]
+		f64(mbr.Min.X)
+		f64(mbr.Min.Y)
+		f64(mbr.Max.X)
+		f64(mbr.Max.Y)
+		if !n.isLeaf() {
+			children := 0
+			for c := uint32(i) + 1; c < n.link; c = t.after(c) {
+				children++
+			}
+			buf = append(buf, 0)
+			u32(children)
+			continue
+		}
+		buf = append(buf, 1)
+		u32(int(n.n))
+		for _, m := range t.members(n) {
+			u32(int(m))
+		}
+	}
 	return buf
 }
 
@@ -138,11 +141,18 @@ func (r *serialReader) f64() float64 {
 	return v
 }
 
+// nodeBytes is the encoded size of a node without its leaf indices: level,
+// MBR, marker, count.
+const nodeBytes = 4 + 4*8 + 1 + 4
+
 // DecodeBinary reconstructs a trie from data produced by AppendBinary,
 // over the same trajectory slice the encoded trie indexed. It is strict:
-// any structural inconsistency (out-of-range leaf index, counts that
+// any structural inconsistency (a leaf index out of range or listed twice, a
+// member in no leaf, a node nested deeper than Build nests, counts that
 // outrun the buffer, trailing bytes) is an error, never a panic — the
-// caller treats a failed decode as a corrupt snapshot and rebuilds.
+// caller treats a failed decode as a corrupt snapshot and rebuilds. One pass,
+// no recursion, and no allocation that grows with the node count beyond the
+// arrays themselves.
 func DecodeBinary(data []byte, trajs []*traj.T) (*Trie, error) {
 	r := &serialReader{data: data}
 	t := &Trie{}
@@ -156,6 +166,9 @@ func DecodeBinary(data []byte, trajs []*traj.T) (*Trie, error) {
 	n := int(r.u32())
 	if r.err != nil {
 		return nil, r.err
+	}
+	if t.cfg.K > maxK {
+		return nil, fmt.Errorf("trie: decode: K = %d, Build caps it at %d", t.cfg.K, maxK)
 	}
 	if n != len(trajs) {
 		return nil, fmt.Errorf("trie: decode: encoded for %d trajectories, caller holds %d", n, len(trajs))
@@ -174,72 +187,85 @@ func DecodeBinary(data []byte, trajs []*traj.T) (*Trie, error) {
 	default:
 		return nil, fmt.Errorf("trie: decode: bad root marker")
 	}
-	root, err := decodeNode(r, len(trajs), &t.nodes)
-	if err != nil {
-		return nil, err
+	// The leaves hold each of the n members once, so what is left after n
+	// indices is whole nodes: the arrays are sized before a node is read.
+	body := len(data) - r.off - 4*n
+	if n > math.MaxInt32 || body < nodeBytes || body%nodeBytes != 0 {
+		return nil, fmt.Errorf("trie: decode: %d bytes are not %d leaf indices and whole nodes", len(data)-r.off, n)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("trie: decode: %d trailing bytes", len(data)-r.off)
-	}
-	t.root = root
-	t.fillEnvelopes()
-	return t, nil
-}
-
-// decodeNode reads one preorder-encoded node and its subtree.
-func decodeNode(r *serialReader, nTrajs int, nodes *int) (*node, error) {
-	n := &node{level: int(int32(r.u32()))}
-	n.mbr = geom.MBR{
-		Min: geom.Point{X: r.f64(), Y: r.f64()},
-		Max: geom.Point{X: r.f64(), Y: r.f64()},
-	}
-	leaf := r.u8()
-	cnt := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	*nodes++
-	switch leaf {
-	case 1:
-		if cnt < 0 || cnt > (len(r.data)-r.off)/4 {
-			return nil, fmt.Errorf("trie: decode: leaf count %d exceeds buffer", cnt)
+	t.nodes = make([]node, 0, body/nodeBytes)
+	t.mbrs = make([]geom.MBR, 0, body/nodeBytes)
+	t.leaves = make([]uint32, 0, n)
+	seen := make([]uint64, (n+63)/64) // members some leaf already lists
+	// open is the path of internal nodes with children still to come: root,
+	// then at most one node a level. Build stops splitting at level K+2.
+	type frame struct{ node, left uint32 }
+	var buf [16]frame
+	open := buf[:0]
+	for {
+		level := int32(r.u32())
+		mbr := geom.MBR{
+			Min: geom.Point{X: r.f64(), Y: r.f64()},
+			Max: geom.Point{X: r.f64(), Y: r.f64()},
 		}
-		n.leafIdx = make([]int, cnt)
-		for i := range n.leafIdx {
-			idx := int(r.u32())
-			if idx < 0 || idx >= nTrajs {
-				r.fail("leaf index %d out of range [0,%d)", idx, nTrajs)
-			}
-			n.leafIdx[i] = idx
-		}
-		if cnt == 0 {
-			// Preserve the leaf invariant (leafIdx non-nil) for isLeaf.
-			n.leafIdx = []int{}
-		}
+		marker := r.u8()
+		count := r.u32()
 		if r.err != nil {
 			return nil, r.err
 		}
-		return n, nil
-	case 0:
-		// A child needs at least a level, MBR, marker and count: 41 bytes.
-		if cnt < 0 || cnt > (len(r.data)-r.off)/41 {
-			return nil, fmt.Errorf("trie: decode: child count %d exceeds buffer", cnt)
+		if len(t.nodes) == cap(t.nodes) {
+			return nil, fmt.Errorf("trie: decode: more than %d nodes beside %d leaf indices", cap(t.nodes), n)
 		}
-		for i := 0; i < cnt; i++ {
-			c, err := decodeNode(r, nTrajs, nodes)
-			if err != nil {
-				return nil, err
+		switch marker {
+		case 0:
+			if count == 0 {
+				return nil, fmt.Errorf("trie: decode: internal node with no children")
 			}
-			n.children = append(n.children, c)
+			if len(open) == t.cfg.K+2 {
+				return nil, fmt.Errorf("trie: decode: node nested deeper than K+2 = %d levels", t.cfg.K+2)
+			}
+			open = append(open, frame{node: uint32(t.add(node{level: level, n: -1}, mbr)), left: count})
+			continue
+		case 1:
+			if uint64(count) > uint64(n-len(t.leaves)) {
+				return nil, fmt.Errorf("trie: decode: leaves list more than %d members", n)
+			}
+			t.add(node{level: level, link: uint32(len(t.leaves)), n: int32(count)}, mbr)
+			for j := uint32(0); j < count; j++ {
+				m := r.u32()
+				if int(m) >= n {
+					r.fail("leaf index %d out of range [0,%d)", m, n)
+				} else if seen[m/64]&(1<<(m%64)) != 0 {
+					r.fail("member %d is in two leaves", m)
+				} else {
+					seen[m/64] |= 1 << (m % 64)
+				}
+				t.leaves = append(t.leaves, m)
+			}
+			if r.err != nil {
+				return nil, r.err
+			}
+		default:
+			return nil, fmt.Errorf("trie: decode: bad node marker %d", marker)
 		}
-		if len(n.children) == 0 {
-			return nil, fmt.Errorf("trie: decode: internal node with no children")
+		// A subtree is complete: close every ancestor it was the last child of.
+		for len(open) > 0 {
+			top := &open[len(open)-1]
+			if top.left--; top.left > 0 {
+				break
+			}
+			t.nodes[top.node].link = uint32(len(t.nodes))
+			open = open[:len(open)-1]
 		}
-		return n, nil
-	default:
-		return nil, fmt.Errorf("trie: decode: bad node marker %d", leaf)
+		if len(open) == 0 {
+			break
+		}
 	}
+	// Neither array outgrew its capacity, so once every byte is read both
+	// are full: n indices, none twice, is every member once.
+	if r.off != len(data) {
+		return nil, fmt.Errorf("trie: decode: %d bytes beyond the root's subtree: trailing, or leaves that list fewer than %d members", len(data)-r.off, n)
+	}
+	t.fillEnvelopes()
+	return t, nil
 }

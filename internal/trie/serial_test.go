@@ -58,8 +58,8 @@ func TestSerialRoundTrip(t *testing.T) {
 	if !bytes.Equal(dec.AppendBinary(nil), enc) {
 		t.Fatal("decoded trie does not re-encode to the same bytes")
 	}
-	if dec.nodes != built.nodes {
-		t.Fatalf("node count: decoded %d, built %d", dec.nodes, built.nodes)
+	if dec.NodeCount() != built.NodeCount() {
+		t.Fatalf("node count: decoded %d, built %d", dec.NodeCount(), built.NodeCount())
 	}
 	if dec.cfg != built.cfg {
 		t.Fatalf("config: decoded %+v, built %+v", dec.cfg, built.cfg)
@@ -92,7 +92,7 @@ func TestSerialDeterministic(t *testing.T) {
 // checkEnvelopes walks a trie: every internal node carries the MBR of every
 // point of every member below it — exactly, not merely a cover —, no leaf
 // carries one, and it returns the subtree's envelope.
-func checkEnvelopes(t *testing.T, tr *Trie, n *node) geom.MBR {
+func checkEnvelopes(t *testing.T, tr *Trie, n *ptrNode) geom.MBR {
 	t.Helper()
 	env := geom.EmptyMBR()
 	for _, i := range n.leafIdx {
@@ -127,8 +127,8 @@ func TestEnvelopeBuiltAndDecoded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkEnvelopes(t, built, built.root)
-		checkEnvelopes(t, dec, dec.root)
+		checkEnvelopes(t, built, built.tree())
+		checkEnvelopes(t, dec, dec.tree())
 		// An outlier query's whole answer lives on the envelope bound.
 		q := []geom.Point{{X: 40, Y: -25}, {X: 41, Y: -25}, {X: 42, Y: -24}}
 		for _, m := range []measure.Measure{measure.DTW{}, measure.Frechet{}} {
@@ -168,7 +168,7 @@ func TestSerialDecodeRejectsCorruption(t *testing.T) {
 		if dec == nil {
 			t.Fatalf("flip at byte %d: nil trie without error", i)
 		}
-		for _, n := range collectLeafIdx(dec.root) {
+		for _, n := range collectLeafIdx(dec.tree()) {
 			if n < 0 || n >= len(trajs) {
 				t.Fatalf("flip at byte %d: leaf index %d out of range", i, n)
 			}
@@ -183,7 +183,7 @@ func TestSerialDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func collectLeafIdx(n *node) []int {
+func collectLeafIdx(n *ptrNode) []int {
 	if n == nil {
 		return nil
 	}

@@ -20,6 +20,8 @@ package trie
 import (
 	"context"
 	"math"
+	"slices"
+	"unsafe"
 
 	"dita/internal/geom"
 	"dita/internal/measure"
@@ -51,10 +53,13 @@ func DefaultConfig() Config {
 	return Config{K: 4, NLAlign: 32, NLPivot: 8, MinNode: 16, Strategy: pivot.Neighbor}
 }
 
+// maxK caps Config.K. A trie is at most K+2 levels deep and every walk of it
+// recurses once a level, so DecodeBinary refuses a larger K instead of taking
+// an encoding's word for how deep it may nest.
+const maxK = 1 << 10
+
 func (c Config) sanitized() Config {
-	if c.K < 0 {
-		c.K = 0
-	}
+	c.K = min(max(c.K, 0), maxK)
 	if c.NLAlign < 2 {
 		c.NLAlign = 2
 	}
@@ -67,34 +72,56 @@ func (c Config) sanitized() Config {
 	return c
 }
 
-// node is a trie node. level is the indexing-point position this node's
-// MBR describes: 0 = first point, 1 = last point, 2+i = i-th pivot. The
-// root has level -1 and an empty MBR.
+// node is one entry of a Trie's node array, which holds the tree in preorder;
+// the node's MBR is the entry of Trie.mbrs at the same index. level is the
+// indexing-point position that MBR describes: 0 = first point, 1 = last
+// point, 2+i = i-th pivot. The root has level -1 and an empty MBR.
+//
+// An internal node's children are the entries between it and link: the first
+// child is the next entry, and a child's next sibling is the entry after that
+// child's subtree (Trie.after). A leaf's members are Trie.leaves[link :
+// link+n]. Twelve bytes beside a 32-byte MBR, no pointer: the collector never
+// scans either array.
 type node struct {
-	level    int
-	mbr      geom.MBR
-	children []*node
-	leafIdx  []int // leaf: indices into Trie.Trajs; nil for internal nodes
-	// env is the envelope of an internal node's subtree: the MBR of every
-	// point of every member below it (nil on leaves — a bucket of one or two
-	// members is bounded by the caller's per-trajectory MBR instead, and a
-	// pointer keeps the node inside its allocation size class). Derived from
-	// Trajs by fillEnvelopes after Build and after DecodeBinary; never
-	// serialized.
-	env *geom.MBR
+	level int32
+	link  uint32 // internal: index one past the subtree; leaf: offset into Trie.leaves
+	// n is a leaf's member count, and negative on an internal node: ^n then
+	// indexes Trie.envs. A leaf has no envelope of its own — a bucket of one
+	// or two members is bounded by the caller's per-trajectory MBR instead.
+	n int32
 }
 
-func (n *node) isLeaf() bool { return n.leafIdx != nil }
+func (n node) isLeaf() bool { return n.n >= 0 }
 
-// Trie is the immutable local index of one partition.
+// Trie is the immutable local index of one partition: four pointer-free
+// arrays beside the members they index.
 type Trie struct {
 	cfg Config
 	// Trajs holds the partition's trajectories, aligned with the indices
 	// stored in leaves (the clustered-index property).
-	Trajs []*traj.T
-	root  *node
-	nodes int
+	Trajs  []*traj.T
+	nodes  []node     // preorder; nodes[0] is the root
+	mbrs   []geom.MBR // mbrs[i] is node i's
+	leaves []uint32   // every leaf's members (indices into Trajs), leaf after leaf in preorder
+	// envs holds, per internal node in preorder, the envelope of its subtree:
+	// the MBR of every point of every member below it. Derived from Trajs by
+	// fillEnvelopes after Build and after DecodeBinary; never serialized.
+	envs []geom.MBR
 }
+
+// after returns the index of the entry that follows node i's subtree.
+func (t *Trie) after(i uint32) uint32 {
+	if n := t.nodes[i]; !n.isLeaf() {
+		return n.link
+	}
+	return i + 1
+}
+
+// members returns the member indices of leaf n.
+func (t *Trie) members(n node) []uint32 { return t.leaves[n.link : n.link+uint32(n.n)] }
+
+// env returns internal node n's envelope.
+func (t *Trie) env(n node) *geom.MBR { return &t.envs[^n.n] }
 
 // Build constructs a trie over the trajectories. The slice is retained.
 //
@@ -106,7 +133,7 @@ type Trie struct {
 // default fan-out (36 × 36 STR tiles) and MinNode 16, none below ~20 k
 // members a partition — and memoised in a table that dies with this call.
 func Build(trajs []*traj.T, cfg Config) *Trie {
-	t := &Trie{cfg: cfg.sanitized(), Trajs: trajs}
+	t := &Trie{cfg: cfg.sanitized(), Trajs: trajs, leaves: make([]uint32, 0, len(trajs))}
 	var ip [][]geom.Point // by trajectory index; nil until a pivot level asks
 	// point returns member i's level-th indexing point, or false when its
 	// sequence is exhausted (fewer interior points than pivot levels above
@@ -134,51 +161,70 @@ func Build(trajs []*traj.T, cfg Config) *Trie {
 	for i := range all {
 		all[i] = i
 	}
-	t.root = t.build(all, 0, point)
+	t.build(all, 0, geom.EmptyMBR(), point)
+	// The arrays stay for the partition's life: no spare capacity.
+	t.nodes, t.mbrs = slices.Clone(t.nodes), slices.Clone(t.mbrs)
 	t.fillEnvelopes()
 	return t
 }
 
-// fillEnvelopes derives every internal node's envelope from Trajs.
+// fillEnvelopes numbers the internal nodes and derives each one's envelope
+// from Trajs. Going backwards through a preorder array meets every child
+// before its parent; a leaf extends its parent's box in place rather than
+// building one of its own. This pass reads every stored point on every build
+// and cold start.
 func (t *Trie) fillEnvelopes() {
-	env := geom.EmptyMBR()
-	t.extendEnvelope(t.root, &env)
+	internal := int32(0)
+	for i := range t.nodes {
+		if n := &t.nodes[i]; !n.isLeaf() {
+			n.n = ^internal
+			internal++
+		}
+	}
+	t.envs = make([]geom.MBR, internal)
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		n := t.nodes[i]
+		if n.isLeaf() {
+			continue
+		}
+		own := geom.EmptyMBR()
+		for ci := uint32(i) + 1; ci < n.link; ci = t.after(ci) {
+			if c := t.nodes[ci]; !c.isLeaf() {
+				own = own.Union(*t.env(c))
+			} else {
+				for _, m := range t.members(c) {
+					own = own.ExtendAll(t.Trajs[m].Points)
+				}
+			}
+		}
+		*t.env(n) = own
+	}
 }
 
-// extendEnvelope extends env by every point of every member below n and, on
-// the way, gives each internal node of the subtree its own envelope. This
-// pass reads every stored point on every build and cold start; a leaf
-// extends its parent's box in place rather than building one of its own.
-func (t *Trie) extendEnvelope(n *node, env *geom.MBR) {
-	if n.isLeaf() {
-		for _, i := range n.leafIdx {
-			*env = env.ExtendAll(t.Trajs[i].Points)
-		}
+// add appends one node and returns its index; an internal node's link is set
+// once its subtree is in, its n by fillEnvelopes.
+func (t *Trie) add(n node, mbr geom.MBR) int {
+	t.nodes, t.mbrs = append(t.nodes, n), append(t.mbrs, mbr)
+	return len(t.nodes) - 1
+}
+
+// leaf appends a leaf holding idxs: its node, then its members.
+func (t *Trie) leaf(level int, mbr geom.MBR, idxs []int) {
+	t.add(node{level: int32(level), link: uint32(len(t.leaves)), n: int32(len(idxs))}, mbr)
+	for _, i := range idxs {
+		t.leaves = append(t.leaves, uint32(i))
+	}
+}
+
+// build appends the subtree over the given trajectory indices, grouped by
+// their level-th indexing point, which point supplies; mbr bounds the point
+// that put them in one group a level up.
+func (t *Trie) build(idxs []int, level int, mbr geom.MBR, point func(i, level int) (geom.Point, bool)) {
+	if level >= t.cfg.K+2 || len(idxs) <= t.cfg.MinNode {
+		t.leaf(level-1, mbr, idxs)
 		return
 	}
-	own := geom.EmptyMBR()
-	for _, c := range n.children {
-		t.extendEnvelope(c, &own)
-	}
-	n.env = &own
-	*env = env.Union(own)
-}
-
-// build groups the given trajectory indices by their level-th indexing
-// point, which point supplies.
-func (t *Trie) build(idxs []int, level int, point func(i, level int) (geom.Point, bool)) *node {
-	n := &node{level: level - 1, mbr: geom.EmptyMBR()}
-	if len(idxs) == 0 {
-		n.leafIdx = []int{}
-		t.nodes++
-		return n
-	}
-	maxLevel := t.cfg.K + 2
-	if level >= maxLevel || len(idxs) <= t.cfg.MinNode {
-		n.leafIdx = idxs
-		t.nodes++
-		return n
-	}
+	self := t.add(node{level: int32(level - 1), n: -1}, mbr)
 	// Trajectories whose indexing sequence is exhausted (shorter than
 	// K+2 points) become a leaf child; the rest are STR-tiled by their
 	// level point.
@@ -198,12 +244,10 @@ func (t *Trie) build(idxs []int, level int, point func(i, level int) (geom.Point
 		fanout = t.cfg.NLAlign
 	}
 	if len(exhausted) > 0 {
-		leaf := &node{level: level - 1, mbr: geom.EmptyMBR(), leafIdx: exhausted}
 		// The exhausted leaf inherits the parent's level semantics but has
 		// no level point; its empty MBR is never distance-tested (see
 		// search), so it participates as an always-candidate bucket.
-		n.children = append(n.children, leaf)
-		t.nodes++
+		t.leaf(level-1, geom.EmptyMBR(), exhausted)
 	}
 	if len(alive) > 0 {
 		tiles := str.Tile(keys, fanout)
@@ -214,54 +258,31 @@ func (t *Trie) build(idxs []int, level int, point func(i, level int) (geom.Point
 				group[j] = alive[k]
 				m = m.Extend(keys[k])
 			}
-			child := t.build(group, level+1, point)
-			child.level = level
-			child.mbr = m
-			n.children = append(n.children, child)
+			t.build(group, level+1, m, point)
 		}
 	}
-	t.nodes++
-	return n
+	t.nodes[self].link = uint32(len(t.nodes))
 }
 
 // NodeCount returns the number of trie nodes (Appendix B sizing).
-func (t *Trie) NodeCount() int { return t.nodes }
+func (t *Trie) NodeCount() int { return len(t.nodes) }
 
 // LeafIndexes returns every trajectory index referenced by a leaf, in
 // preorder. Exposed for integrity checks on deserialized tries: each
 // index must address the trajectory slice the trie was decoded against.
 func (t *Trie) LeafIndexes() []int {
-	var out []int
-	var walk func(*node)
-	walk = func(n *node) {
-		out = append(out, n.leafIdx...)
-		for _, c := range n.children {
-			walk(c)
-		}
+	out := make([]int, len(t.leaves))
+	for i, m := range t.leaves {
+		out[i] = int(m)
 	}
-	walk(t.root)
 	return out
 }
 
-// SizeBytes estimates the index footprint excluding trajectory data: per
-// node an MBR (32 bytes) plus slice headers, plus leaf index entries. Nodes
-// are all a trie holds, so the estimate leaves nothing out; it is low by the
-// allocator's size classes and the envelopes — measured, a node costs ~120 B
-// resident (EXPERIMENTS.md, Table 5).
+// SizeBytes is the index footprint excluding trajectory data — exactly: the
+// four arrays are all a trie holds.
 func (t *Trie) SizeBytes() int {
-	total := 0
-	var walk func(*node)
-	walk = func(n *node) {
-		total += 64
-		total += 8 * len(n.leafIdx)
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	if t.root != nil {
-		walk(t.root)
-	}
-	return total
+	const nodeSize, mbrSize = int(unsafe.Sizeof(node{})), int(unsafe.Sizeof(geom.MBR{}))
+	return nodeSize*len(t.nodes) + mbrSize*(len(t.mbrs)+len(t.envs)) + 4*len(t.leaves)
 }
 
 // Stats reports search-cost counters for one query (Appendix C compares
@@ -291,12 +312,12 @@ func (t *Trie) Search(q []geom.Point, m measure.Measure, tau float64, stats *Sta
 // worker past its deadline. The partial candidate list accumulated before
 // the abort is discarded.
 func (t *Trie) SearchContext(ctx context.Context, q []geom.Point, m measure.Measure, tau float64, stats *Stats) ([]int, error) {
-	if len(q) == 0 || t.root == nil {
+	if len(q) == 0 || len(t.nodes) == 0 {
 		return nil, ctx.Err()
 	}
 	s := newSearcher(ctx, t, q, m, tau, stats)
 	var out []int
-	out = s.descend(t.root, tau, 0, 0, out)
+	out = s.descend(0, tau, 0, 0, out)
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -324,12 +345,12 @@ type Cand struct {
 // candidate at its path bound) — the descent is pure float comparison and
 // handles an infinite budget exactly.
 func (t *Trie) SearchBoundsContext(ctx context.Context, q []geom.Point, m measure.Measure, tau float64, stats *Stats) ([]Cand, error) {
-	if len(q) == 0 || t.root == nil {
+	if len(q) == 0 || len(t.nodes) == 0 {
 		return nil, ctx.Err()
 	}
 	s := newSearcher(ctx, t, q, m, tau, stats)
 	s.bounds = true
-	s.descend(t.root, tau, 0, 0, nil)
+	s.descend(0, tau, 0, 0, nil)
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -377,22 +398,23 @@ type searcher struct {
 }
 
 // emit records the candidates of one leaf at the given path lower bound.
-func (s *searcher) emit(idxs []int, lb float64, out []int) []int {
-	if s.bounds {
-		for _, i := range idxs {
-			s.bcands = append(s.bcands, Cand{Idx: i, LB: lb})
+func (s *searcher) emit(idxs []uint32, lb float64, out []int) []int {
+	for _, i := range idxs {
+		if s.bounds {
+			s.bcands = append(s.bcands, Cand{Idx: int(i), LB: lb})
+		} else {
+			out = append(out, int(i))
 		}
-		return out
 	}
-	return append(out, idxs...)
+	return out
 }
 
-// descend visits n's children; rem is the remaining threshold budget (for
-// AccumSum), the full tau (AccumMax), or the remaining edit budget
-// (AccumEdit). suf is the query suffix start for the Lemma 5.1
+// descend visits the children of node i; rem is the remaining threshold
+// budget (for AccumSum), the full tau (AccumMax), or the remaining edit
+// budget (AccumEdit). suf is the query suffix start for the Lemma 5.1
 // optimization. acc is the lower bound accumulated along the path so far
 // (only consumed in bounds mode).
-func (s *searcher) descend(n *node, rem float64, suf int, acc float64, out []int) []int {
+func (s *searcher) descend(i uint32, rem float64, suf int, acc float64, out []int) []int {
 	if s.err != nil {
 		return out
 	}
@@ -402,41 +424,43 @@ func (s *searcher) descend(n *node, rem float64, suf int, acc float64, out []int
 			return out
 		}
 	}
+	t := s.t
+	n := t.nodes[i]
 	if n.isLeaf() {
-		return s.emit(n.leafIdx, acc, out)
+		return s.emit(t.members(n), acc, out)
 	}
-	for _, c := range n.children {
+	for ci := i + 1; ci < n.link; ci = t.after(ci) {
 		if s.err != nil {
 			return out
 		}
-		if c.isLeaf() && c.mbr.IsEmpty() {
+		if c := t.nodes[ci]; c.isLeaf() && t.mbrs[ci].IsEmpty() {
 			// Exhausted bucket: no level point to test; all members stay
 			// candidates at the bound accumulated so far.
-			out = s.emit(c.leafIdx, acc, out)
+			out = s.emit(t.members(c), acc, out)
 			continue
 		}
 		if s.stats != nil {
 			s.stats.NodesVisited++
 		}
-		out = s.visitChild(c, rem, suf, acc, out)
+		out = s.visitChild(ci, rem, suf, acc, out)
 	}
 	return out
 }
 
-// visitChild applies the level-appropriate lower bound to child c and
+// visitChild applies the level-appropriate lower bound to child ci and
 // recurses when it survives.
-func (s *searcher) visitChild(c *node, rem float64, suf int, acc float64, out []int) []int {
-	q := s.q
+func (s *searcher) visitChild(ci uint32, rem float64, suf int, acc float64, out []int) []int {
+	q, level, mbr := s.q, s.t.nodes[ci].level, s.t.mbrs[ci]
 	switch s.accum {
 	case measure.AccumSum:
 		var d float64
 		nsuf := suf
-		if s.anchored && c.level == 0 {
-			d = c.mbr.MinDist(q[0])
-		} else if s.anchored && c.level == 1 {
-			d = c.mbr.MinDist(q[len(q)-1])
+		if s.anchored && level == 0 {
+			d = mbr.MinDist(q[0])
+		} else if s.anchored && level == 1 {
+			d = mbr.MinDist(q[len(q)-1])
 		} else {
-			d, nsuf = s.pivotMinDist(c.mbr, rem, suf)
+			d, nsuf = s.pivotMinDist(mbr, rem, suf)
 		}
 		if d > rem {
 			if s.stats != nil {
@@ -444,17 +468,17 @@ func (s *searcher) visitChild(c *node, rem float64, suf int, acc float64, out []
 			}
 			return out
 		}
-		return s.descend(c, rem-d, nsuf, acc+d, out)
+		return s.descend(ci, rem-d, nsuf, acc+d, out)
 
 	case measure.AccumMax:
 		var d float64
 		nsuf := suf
-		if s.anchored && c.level == 0 {
-			d = c.mbr.MinDist(q[0])
-		} else if s.anchored && c.level == 1 {
-			d = c.mbr.MinDist(q[len(q)-1])
+		if s.anchored && level == 0 {
+			d = mbr.MinDist(q[0])
+		} else if s.anchored && level == 1 {
+			d = mbr.MinDist(q[len(q)-1])
 		} else {
-			d, nsuf = s.pivotMinDist(c.mbr, rem, suf)
+			d, nsuf = s.pivotMinDist(mbr, rem, suf)
 		}
 		if d > s.tau {
 			if s.stats != nil {
@@ -463,13 +487,13 @@ func (s *searcher) visitChild(c *node, rem float64, suf int, acc float64, out []
 			return out
 		}
 		// Max semantics: the budget is not consumed (Appendix A).
-		return s.descend(c, rem, nsuf, math.Max(acc, d), out)
+		return s.descend(ci, rem, nsuf, math.Max(acc, d), out)
 
 	default: // AccumEdit
 		// Every level (endpoints included — they may be edited away) is
 		// matched against the whole query; a level farther than ε from
 		// every query point costs one edit.
-		d, _ := s.pivotMinDist(c.mbr, math.Inf(1), 0)
+		d, _ := s.pivotMinDist(mbr, math.Inf(1), 0)
 		nrem := rem
 		nacc := acc
 		if d > s.eps {
@@ -482,7 +506,7 @@ func (s *searcher) visitChild(c *node, rem float64, suf int, acc float64, out []
 				return out
 			}
 		}
-		return s.descend(c, nrem, 0, nacc, out)
+		return s.descend(ci, nrem, 0, nacc, out)
 	}
 }
 
@@ -533,18 +557,16 @@ func (t *Trie) Candidates() []int {
 
 // Depth returns the maximum node depth (root = 0).
 func (t *Trie) Depth() int {
-	var walk func(*node) int
-	walk = func(n *node) int {
-		d := 0
-		for _, c := range n.children {
-			if cd := walk(c) + 1; cd > d {
-				d = cd
-			}
+	depth := 0
+	var open []uint32 // links of the internal nodes the current entry lies below
+	for i := range t.nodes {
+		for len(open) > 0 && open[len(open)-1] <= uint32(i) {
+			open = open[:len(open)-1]
 		}
-		return d
+		depth = max(depth, len(open))
+		if n := &t.nodes[i]; !n.isLeaf() {
+			open = append(open, n.link)
+		}
 	}
-	if t.root == nil {
-		return 0
-	}
-	return walk(t.root)
+	return depth
 }
