@@ -465,7 +465,7 @@ func runAutopilotWarmup(ctx context.Context, coord *dnet.Coordinator, reg *obs.R
 	rounds := 0
 	for actions() == 0 && time.Now().Before(deadline) && ctx.Err() == nil {
 		for _, q := range qs {
-			if _, _, err := coord.SearchPartialContext(ctx, "trips", q, tau); err != nil {
+			if _, _, err := coord.SearchTraced(ctx, "trips", q, tau, nil); err != nil {
 				break
 			}
 		}
@@ -604,7 +604,7 @@ func runSoak(ctx context.Context, coord *dnet.Coordinator, qs []*traj.T, tau flo
 				c()
 			}(cancel, time.Duration(rng.Intn(10))*time.Millisecond)
 		}
-		_, rep, err := coord.SearchPartialContext(qctx, "trips", q, tau)
+		_, rep, err := coord.SearchTraced(qctx, "trips", q, tau, nil)
 		cancel()
 		switch {
 		case err == nil:

@@ -1,28 +1,25 @@
-// Package admit is a query admission controller: a bounded
-// concurrent-query semaphore with a configurable wait queue and queue
-// timeout. The SQL layer (internal/sqlx) and the network-mode coordinator
-// (internal/dnet) both gate query entry through it, so a burst of
-// expensive queries degrades into fast, typed ErrOverloaded rejections
-// instead of unbounded goroutine/memory growth — the role LocationSpark's
-// query scheduler plays for skewed spatial workloads.
+// Package admit is query admission control: a gate that admits queries
+// against a concurrent budget, with a bounded FIFO wait queue and a queue
+// timeout. The serving layer prices each query by its predicted cost; the
+// SQL layer (internal/sqlx) and the network-mode coordinator
+// (internal/dnet) count queries instead — the same gate at unit cost. A
+// burst of expensive queries degrades into fast, typed ErrOverloaded
+// rejections instead of unbounded goroutine/memory growth — the role
+// LocationSpark's query scheduler plays for skewed spatial workloads.
 package admit
 
 import (
-	"context"
 	"errors"
-	"sync"
 	"time"
-
-	"dita/internal/obs"
 )
 
-// ErrOverloaded reports that the controller is saturated: every execution
-// slot is busy and the wait queue is full (or the queue wait timed out).
-// Callers should surface it verbatim so clients can distinguish overload
-// (retry later, shed load) from query failure.
+// ErrOverloaded reports that the gate is saturated: the budget is spent
+// and the wait queue is full (or the queue wait timed out). Callers should
+// surface it verbatim so clients can distinguish overload (retry later,
+// shed load) from query failure.
 var ErrOverloaded = errors.New("admit: overloaded: concurrent query limit and queue are full")
 
-// Policy bounds concurrent query admission.
+// Policy bounds concurrent query admission by count.
 type Policy struct {
 	// MaxConcurrent is the number of queries allowed to execute at once.
 	// <= 0 disables admission control entirely.
@@ -37,145 +34,13 @@ type Policy struct {
 	QueueTimeout time.Duration
 }
 
-func (p Policy) withDefaults() Policy {
-	if p.MaxQueue < 0 {
-		p.MaxQueue = 0
+// New builds the gate for a count policy: a CostGate with a budget of
+// MaxConcurrent, for callers that acquire every query at cost 1. It is nil
+// — admitting everything — when MaxConcurrent <= 0.
+func New(p Policy) *CostGate {
+	g := NewCostGate(CostPolicy{BudgetUS: int64(p.MaxConcurrent), MaxQueue: p.MaxQueue, QueueTimeout: p.QueueTimeout})
+	if g != nil {
+		g.unit = true
 	}
-	if p.QueueTimeout <= 0 {
-		p.QueueTimeout = time.Second
-	}
-	return p
-}
-
-// Controller is the admission gate. A nil *Controller admits everything,
-// so callers can hold one unconditionally and only construct it when a
-// policy is configured.
-type Controller struct {
-	policy Policy
-	slots  chan struct{}
-	met    *ctrlMetrics // nil until Instrument; nil disables recording
-
-	mu      sync.Mutex
-	waiting int
-}
-
-// ctrlMetrics holds the controller's pre-resolved registry handles.
-type ctrlMetrics struct {
-	admitted  *obs.Counter
-	rejected  *obs.Counter
-	cancelled *obs.Counter
-	wait      *obs.Histogram
-}
-
-// Instrument registers the controller's state on a metrics registry under
-// <prefix>_: queries_inflight and queries_waiting gauges (read on
-// scrape), admitted/rejected/cancelled outcome counters, and a
-// queue-wait histogram in microseconds (observed only for queries that
-// actually queued — the fast path stays clock-free). Call before serving
-// queries; a nil controller or registry is a no-op.
-func (c *Controller) Instrument(r *obs.Registry, prefix string) {
-	if c == nil || r == nil {
-		return
-	}
-	r.GaugeFunc(prefix+"_queries_inflight", func() int64 { return int64(c.InFlight()) })
-	r.GaugeFunc(prefix+"_queries_waiting", func() int64 { return int64(c.Waiting()) })
-	c.met = &ctrlMetrics{
-		admitted:  r.Counter(prefix + "_admitted_total"),
-		rejected:  r.Counter(prefix + "_rejected_total"),
-		cancelled: r.Counter(prefix + "_cancelled_total"),
-		wait:      r.Histogram(prefix + "_queue_wait_us"),
-	}
-}
-
-// New builds a controller for the policy, or nil when the policy disables
-// admission control (MaxConcurrent <= 0).
-func New(p Policy) *Controller {
-	if p.MaxConcurrent <= 0 {
-		return nil
-	}
-	p = p.withDefaults()
-	return &Controller{policy: p, slots: make(chan struct{}, p.MaxConcurrent)}
-}
-
-// Acquire admits one query, blocking in the queue when all slots are
-// busy. It returns a release function that must be called exactly once
-// when the query finishes (it is safe to defer immediately). Errors:
-// ErrOverloaded when the queue is full or the queue wait times out,
-// ctx.Err() when the caller's context ends first.
-func (c *Controller) Acquire(ctx context.Context) (release func(), err error) {
-	if c == nil {
-		return func() {}, nil
-	}
-	// Fast path: a slot is free right now.
-	select {
-	case c.slots <- struct{}{}:
-		if c.met != nil {
-			c.met.admitted.Inc()
-		}
-		return c.releaseFn(), nil
-	default:
-	}
-	// Saturated: join the queue if it has room.
-	c.mu.Lock()
-	if c.waiting >= c.policy.MaxQueue {
-		c.mu.Unlock()
-		if c.met != nil {
-			c.met.rejected.Inc()
-		}
-		return nil, ErrOverloaded
-	}
-	c.waiting++
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.waiting--
-		c.mu.Unlock()
-	}()
-	var qStart time.Time
-	if c.met != nil {
-		qStart = time.Now()
-	}
-	t := time.NewTimer(c.policy.QueueTimeout)
-	defer t.Stop()
-	select {
-	case c.slots <- struct{}{}:
-		if c.met != nil {
-			c.met.admitted.Inc()
-			c.met.wait.Observe(time.Since(qStart).Microseconds())
-		}
-		return c.releaseFn(), nil
-	case <-t.C:
-		if c.met != nil {
-			c.met.rejected.Inc()
-		}
-		return nil, ErrOverloaded
-	case <-ctx.Done():
-		if c.met != nil {
-			c.met.cancelled.Inc()
-		}
-		return nil, ctx.Err()
-	}
-}
-
-func (c *Controller) releaseFn() func() {
-	var once sync.Once
-	return func() { once.Do(func() { <-c.slots }) }
-}
-
-// InFlight reports the number of currently admitted queries.
-func (c *Controller) InFlight() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.slots)
-}
-
-// Waiting reports the number of queries currently queued for a slot.
-func (c *Controller) Waiting() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.waiting
+	return g
 }

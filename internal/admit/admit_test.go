@@ -10,19 +10,19 @@ import (
 	"dita/internal/obs"
 )
 
-// A nil controller (admission disabled) admits everything.
+// A nil gate (admission disabled) admits everything.
 func TestNilController(t *testing.T) {
-	var c *Controller
-	release, err := c.Acquire(context.Background())
+	var c *CostGate
+	release, err := c.Acquire(context.Background(), 1)
 	if err != nil {
-		t.Fatalf("nil controller rejected: %v", err)
+		t.Fatalf("nil gate rejected: %v", err)
 	}
 	release()
 	if c.InFlight() != 0 || c.Waiting() != 0 {
-		t.Fatal("nil controller reported activity")
+		t.Fatal("nil gate reported activity")
 	}
 	if New(Policy{}) != nil || New(Policy{MaxConcurrent: -3}) != nil {
-		t.Fatal("MaxConcurrent <= 0 should build a nil controller")
+		t.Fatal("MaxConcurrent <= 0 should build a nil gate")
 	}
 }
 
@@ -32,7 +32,7 @@ func TestOverloadedFailsFast(t *testing.T) {
 	c := New(Policy{MaxConcurrent: 2, MaxQueue: 1, QueueTimeout: time.Minute})
 	var releases []func()
 	for i := 0; i < 2; i++ {
-		release, err := c.Acquire(context.Background())
+		release, err := c.Acquire(context.Background(), 1)
 		if err != nil {
 			t.Fatalf("query %d rejected below the limit: %v", i, err)
 		}
@@ -41,7 +41,7 @@ func TestOverloadedFailsFast(t *testing.T) {
 	// Query 3 occupies the single queue slot.
 	queued := make(chan error, 1)
 	go func() {
-		release, err := c.Acquire(context.Background())
+		release, err := c.Acquire(context.Background(), 1)
 		if err == nil {
 			release()
 		}
@@ -50,7 +50,7 @@ func TestOverloadedFailsFast(t *testing.T) {
 	waitFor(t, func() bool { return c.Waiting() == 1 })
 	// Query 4 finds slots and queue full: immediate typed rejection.
 	start := time.Now()
-	_, err := c.Acquire(context.Background())
+	_, err := c.Acquire(context.Background(), 1)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-capacity acquire: err = %v, want ErrOverloaded", err)
 	}
@@ -68,13 +68,13 @@ func TestOverloadedFailsFast(t *testing.T) {
 // A queued query gives up with ErrOverloaded after QueueTimeout.
 func TestQueueTimeout(t *testing.T) {
 	c := New(Policy{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 50 * time.Millisecond})
-	release, err := c.Acquire(context.Background())
+	release, err := c.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
 	start := time.Now()
-	_, err = c.Acquire(context.Background())
+	_, err = c.Acquire(context.Background(), 1)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("queued acquire: err = %v, want ErrOverloaded", err)
 	}
@@ -87,7 +87,7 @@ func TestQueueTimeout(t *testing.T) {
 // ErrOverloaded — the caller cancelled, the system is not to blame.
 func TestQueueCancellation(t *testing.T) {
 	c := New(Policy{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Minute})
-	release, err := c.Acquire(context.Background())
+	release, err := c.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestQueueCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Acquire(ctx)
+		_, err := c.Acquire(ctx, 1)
 		done <- err
 	}()
 	waitFor(t, func() bool { return c.Waiting() == 1 })
@@ -108,7 +108,7 @@ func TestQueueCancellation(t *testing.T) {
 // Release is idempotent and frees the slot for the next query.
 func TestReleaseIdempotent(t *testing.T) {
 	c := New(Policy{MaxConcurrent: 1})
-	release, err := c.Acquire(context.Background())
+	release, err := c.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,17 +117,17 @@ func TestReleaseIdempotent(t *testing.T) {
 	if got := c.InFlight(); got != 0 {
 		t.Fatalf("InFlight = %d after release", got)
 	}
-	r2, err := c.Acquire(context.Background())
+	r2, err := c.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2()
-	if _, err := c.Acquire(context.Background()); !errors.Is(err, ErrOverloaded) {
+	if _, err := c.Acquire(context.Background(), 1); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("slot double-freed: second acquire err = %v", err)
 	}
 }
 
-// Hammer the controller: InFlight never exceeds the limit.
+// Hammer the gate: InFlight never exceeds the limit.
 func TestConcurrentAcquireBound(t *testing.T) {
 	const limit = 4
 	c := New(Policy{MaxConcurrent: limit, MaxQueue: 64, QueueTimeout: time.Minute})
@@ -136,7 +136,7 @@ func TestConcurrentAcquireBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			release, err := c.Acquire(context.Background())
+			release, err := c.Acquire(context.Background(), 1)
 			if err != nil {
 				t.Errorf("acquire: %v", err)
 				return
@@ -171,21 +171,24 @@ func TestInstrument(t *testing.T) {
 	reg := obs.New()
 	c := New(Policy{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 20 * time.Millisecond})
 	c.Instrument(reg, "admit")
-	var nilC *Controller
+	var nilC *CostGate
 	nilC.Instrument(reg, "nil") // must not panic
 
 	// Fast-path admit.
-	rel1, err := c.Acquire(context.Background())
+	rel1, err := c.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Gauges["admit_queries_inflight"]; got != 1 {
 		t.Fatalf("inflight gauge = %d, want 1", got)
 	}
+	if _, ok := reg.Snapshot().Gauges["admit_cost_inflight_us"]; ok {
+		t.Fatal("a count gate registered a cost gauge")
+	}
 	// Queued admit: release the slot while a second query waits.
 	done := make(chan error, 1)
 	go func() {
-		rel2, err := c.Acquire(context.Background())
+		rel2, err := c.Acquire(context.Background(), 1)
 		if err == nil {
 			rel2()
 		}
@@ -200,14 +203,14 @@ func TestInstrument(t *testing.T) {
 	}
 	// Saturate to force a rejection: hold the slot, fill the queue, and
 	// have a third query bounce off the full queue.
-	rel3, err := c.Acquire(context.Background())
+	rel3, err := c.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rel3()
 	wait := make(chan error, 1)
 	go func() {
-		rel, err := c.Acquire(context.Background())
+		rel, err := c.Acquire(context.Background(), 1)
 		if err == nil {
 			rel()
 		}
@@ -216,7 +219,7 @@ func TestInstrument(t *testing.T) {
 	for c.Waiting() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := c.Acquire(context.Background()); !errors.Is(err, ErrOverloaded) {
+	if _, err := c.Acquire(context.Background(), 1); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("queue-full acquire = %v, want ErrOverloaded", err)
 	}
 	if err := <-wait; !errors.Is(err, ErrOverloaded) {
@@ -226,7 +229,7 @@ func TestInstrument(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancelDone := make(chan error, 1)
 	go func() {
-		_, err := c.Acquire(ctx)
+		_, err := c.Acquire(ctx, 1)
 		cancelDone <- err
 	}()
 	for c.Waiting() == 0 {

@@ -55,6 +55,9 @@ type costWaiter struct {
 type CostGate struct {
 	policy CostPolicy
 	met    *gateMetrics
+	// unit marks a count gate (New): every query costs 1, so a cost gauge
+	// would only repeat queries_inflight.
+	unit bool
 
 	mu       sync.Mutex
 	used     int64 // sum of admitted queries' predicted costs
@@ -79,28 +82,20 @@ func NewCostGate(p CostPolicy) *CostGate {
 }
 
 // Instrument registers the gate's state on a metrics registry under
-// <prefix>_: cost_inflight_us / queries_inflight / queries_waiting
-// gauges, admitted/rejected/cancelled counters, and a queue-wait
-// histogram (µs, observed only for queries that queued).
+// <prefix>_: queries_inflight / queries_waiting gauges (plus
+// cost_inflight_us on a cost gate), admitted/rejected/cancelled counters,
+// and a queue-wait histogram (µs, observed only for queries that queued —
+// the fast path stays clock-free). Call before serving queries; a nil gate
+// or registry is a no-op.
 func (g *CostGate) Instrument(r *obs.Registry, prefix string) {
 	if g == nil || r == nil {
 		return
 	}
-	r.GaugeFunc(prefix+"_cost_inflight_us", func() int64 {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return g.used
-	})
-	r.GaugeFunc(prefix+"_queries_inflight", func() int64 {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return int64(g.inflight)
-	})
-	r.GaugeFunc(prefix+"_queries_waiting", func() int64 {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return int64(len(g.queue))
-	})
+	if !g.unit {
+		r.GaugeFunc(prefix+"_cost_inflight_us", func() int64 { return g.UsedUS() })
+	}
+	r.GaugeFunc(prefix+"_queries_inflight", func() int64 { return int64(g.InFlight()) })
+	r.GaugeFunc(prefix+"_queries_waiting", func() int64 { return int64(g.Waiting()) })
 	g.met = &gateMetrics{
 		admitted:  r.Counter(prefix + "_admitted_total"),
 		rejected:  r.Counter(prefix + "_rejected_total"),

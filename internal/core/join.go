@@ -264,7 +264,6 @@ type joinViews struct {
 // keeps only the pairs ti <= qj.
 func (jv *joinViews) buildBigraph(ctx context.Context, tau float64, opts JoinOptions) ([]*edge, error) {
 	m := jv.e.opts.Measure
-	anchored := m.AlignsEndpoints()
 	self := jv.e == jv.other
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var edges []*edge
@@ -280,21 +279,8 @@ func (jv *joinViews) buildBigraph(ctx context.Context, tau float64, opts JoinOpt
 				return nil, err
 			}
 			pt, pq := vt.part, vq.part
-			if anchored {
-				// Partition-level pruning: the cheapest possible pair
-				// between the partitions must be within τ.
-				df := pt.MBRf.MinDistMBR(pq.MBRf)
-				dl := pt.MBRl.MinDistMBR(pq.MBRl)
-				prune := false
-				switch m.Accumulation() {
-				case measure.AccumMax:
-					prune = df > tau || dl > tau
-				default:
-					prune = df+dl > tau
-				}
-				if prune {
-					continue
-				}
+			if !PairRelevant(m, pt.MBRf, pt.MBRl, pq.MBRf, pq.MBRl, tau) {
+				continue
 			}
 			ed := &edge{ti: ti, qj: qj, mirror: self, diagonal: self && ti == qj}
 			// Both orientations are estimated by sampling; a diagonal edge

@@ -87,6 +87,24 @@ func TrajRelevant(m measure.Measure, q []geom.Point, mbrF, mbrL geom.MBR, tau fl
 	return PartitionLowerBound(m, q, mbrF, mbrL) <= tau
 }
 
+// PairRelevant reports whether two partitions, each described by its
+// first/last-point MBRs (a's and b's), may hold a member pair within tau —
+// the join's partition-pair pruning, for the engine's bigraph and the
+// coordinator's edge plan alike. Only an endpoint-anchored measure prunes:
+// its distance includes both endpoint alignments, each at least the
+// distance between the partitions' boxes. Every other measure keeps every
+// pair.
+func PairRelevant(m measure.Measure, aF, aL, bF, bL geom.MBR, tau float64) bool {
+	if !m.AlignsEndpoints() {
+		return true
+	}
+	df, dl := aF.MinDistMBR(bF), aL.MinDistMBR(bL)
+	if m.Accumulation() == measure.AccumMax {
+		return df <= tau && dl <= tau
+	}
+	return df+dl <= tau
+}
+
 // PartBounds is one partition's entry in a global index, indexed by
 // partition id. Retired marks a slot emptied by a split or merge: it must
 // be skipped by flag, not by its empty boxes — an edit measure turns their

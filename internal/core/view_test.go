@@ -136,10 +136,12 @@ func TestViewSearchDoesNotCopyBase(t *testing.T) {
 }
 
 // The global prune is one bound for every measure: a partition holding an
-// answer is never pruned. (Until the engine and the coordinator shared it,
-// the engine summed Hausdorff's two endpoint terms and lost answers.)
+// answer is never pruned, and neither is a partition pair holding a join
+// pair. (Until the engine and the coordinator shared it, the engine summed
+// Hausdorff's two endpoint terms and lost answers.)
 func TestRelevantPartitionsSound(t *testing.T) {
 	d := gen.Generate(gen.BeijingLike(400, 2))
+	taus := []float64{0.005, 0.02, 3}
 	for _, m := range viewtest.Measures(t) {
 		opts := core.DefaultOptions()
 		opts.NG, opts.Measure, opts.Cluster = 3, m, cluster.New(cluster.DefaultConfig(2))
@@ -147,8 +149,25 @@ func TestRelevantPartitionsSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		parts := e.Partitions()
+		for _, tau := range taus {
+			for i, a := range parts {
+				for j, b := range parts {
+					if core.PairRelevant(m, a.MBRf, a.MBRl, b.MBRf, b.MBRl, tau) {
+						continue
+					}
+					for _, x := range a.Trajs {
+						for _, y := range b.Trajs {
+							if m.Distance(x.Points, y.Points) <= tau {
+								t.Fatalf("%s τ=%v: partition pair (%d,%d) pruned, members (%d,%d) are a join pair", m.Name(), tau, i, j, x.ID, y.ID)
+							}
+						}
+					}
+				}
+			}
+		}
 		for _, q := range gen.Queries(d, 20, 3) {
-			for _, tau := range []float64{0.005, 0.02, 3} {
+			for _, tau := range taus {
 				rel := map[int]bool{}
 				for _, pid := range core.RelevantPartitionsOf(e, q.Points, tau) {
 					rel[pid] = true

@@ -67,6 +67,26 @@ func BenchmarkNetSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkNetKNN measures end-to-end network kNN latency: the pilot round
+// and the fan-out round it prunes, through the same partition probe as
+// BenchmarkNetSearch.
+func BenchmarkNetKNN(b *testing.B) {
+	d := gen.Generate(gen.BeijingLike(5000, 2))
+	c, stop := benchCluster(b, 3)
+	defer stop()
+	if err := c.Dispatch("bench", d); err != nil {
+		b.Fatal(err)
+	}
+	qs := gen.Queries(d, 64, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.SearchKNN("bench", qs[i%len(qs)], 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNetJoin measures the worker-to-worker shuffle join.
 func BenchmarkNetJoin(b *testing.B) {
 	d := gen.Generate(gen.BeijingLike(600, 4))

@@ -1,6 +1,7 @@
 package dnet
 
 import (
+	"context"
 	"net/rpc"
 	"strings"
 	"testing"
@@ -299,7 +300,7 @@ func TestChaosAllowPartialReport(t *testing.T) {
 
 	// Partial mode: exact surviving results + exact skip report.
 	c.cfg.AllowPartial = true
-	hits, rep, err := c.SearchPartial("T", q, tau)
+	hits, rep, err := c.SearchTraced(context.Background(), "T", q, tau, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestChaosAllowPartialReport(t *testing.T) {
 		}
 	}
 
-	pairs, jrep, err := c.JoinPartial("T", "Q", tau)
+	pairs, jrep, err := c.JoinTraced(context.Background(), "T", "Q", tau, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestChaosHealRetryAfterTotalLoss(t *testing.T) {
 
 	// Empty replica lists: partial queries report, with a real error.
 	q := dT.Trajs[0]
-	hits, rep, err := c.SearchPartial("T", q, tau)
+	hits, rep, err := c.SearchTraced(context.Background(), "T", q, tau, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestChaosHealRetryAfterTotalLoss(t *testing.T) {
 			t.Fatalf("skipped partition %d carries error %q, want a no-replicas error", s.Partition, s.Err)
 		}
 	}
-	pairs, jrep, err := c.JoinPartial("T", "Q", tau)
+	pairs, jrep, err := c.JoinTraced(context.Background(), "T", "Q", tau, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +439,7 @@ func TestChaosHealRetryAfterTotalLoss(t *testing.T) {
 		}
 	}
 	dd.mu.Unlock()
-	hits, rep, err = c.SearchPartial("T", q, tau)
+	hits, rep, err = c.SearchTraced(context.Background(), "T", q, tau, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func TestChaosHealRetryAfterTotalLoss(t *testing.T) {
 	if len(hits) != dT.Len() {
 		t.Fatalf("healed search returned %d hits, want %d", len(hits), dT.Len())
 	}
-	pairs, jrep, err = c.JoinPartial("T", "Q", tau)
+	pairs, jrep, err = c.JoinTraced(context.Background(), "T", "Q", tau, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

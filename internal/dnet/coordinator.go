@@ -1,13 +1,8 @@
 package dnet
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"net/rpc"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,8 +55,8 @@ type Config struct {
 	Retry RetryPolicy
 	// Health configures the failure detector and optional heartbeat loop.
 	Health HealthPolicy
-	// Admission bounds concurrent Search/Join queries; the zero value
-	// (MaxConcurrent <= 0) admits everything. Saturation returns
+	// Admission bounds concurrent queries (search, kNN, join); the zero
+	// value (MaxConcurrent <= 0) admits everything. Saturation returns
 	// ErrOverloaded instead of queueing work without bound.
 	Admission admit.Policy
 	// Obs, when non-nil, receives the coordinator's metrics: query
@@ -77,8 +72,8 @@ type Config struct {
 	Autopilot AutopilotConfig
 }
 
-// ErrOverloaded is returned by Search/Join when the admission controller
-// is saturated (all slots busy and the wait queue full or timed out).
+// ErrOverloaded is returned by a query when the admission gate is
+// saturated (all slots busy and the wait queue full or timed out).
 var ErrOverloaded = admit.ErrOverloaded
 
 // DefaultNetConfig mirrors core.DefaultOptions for the network mode.
@@ -109,12 +104,6 @@ type PartialReport struct {
 // Partial reports whether anything was skipped.
 func (r *PartialReport) Partial() bool { return r != nil && len(r.Skipped) > 0 }
 
-func (r *PartialReport) err(op string) error {
-	s := r.Skipped[0]
-	return fmt.Errorf("dnet: %s: %d partition(s) unreachable (first: %s/%d: %s)",
-		op, len(r.Skipped), s.Dataset, s.Partition, s.Err)
-}
-
 // Coordinator is the network-mode driver: it partitions datasets across
 // the workers, keeps the global index (partition MBRs) locally, and fans
 // queries out over managed RPC clients with retry, failover, and
@@ -130,8 +119,8 @@ type Coordinator struct {
 	pings  []*managedClient
 	addrs  []string
 	health *healthTracker
-	adm    *admit.Controller
-	met    *coordMetrics // nil when Config.Obs is nil
+	adm    *admit.CostGate // nil admits everything
+	met    *coordMetrics   // nil when Config.Obs is nil
 
 	hbStop   chan struct{}
 	hbOnce   sync.Once
@@ -687,660 +676,6 @@ func (c *Coordinator) replicaOrder(dd *dispatchedDataset, pid int) []int {
 	ws := append([]int(nil), dd.replicas[pid]...)
 	dd.mu.Unlock()
 	return c.health.orderRotated(ws, c.readTick.Add(1))
-}
-
-// Search fans the query out to the workers owning relevant partitions
-// and merges the verified hits (ascending id). Per partition it routes
-// to the preferred live replica and fails over to the others; with
-// AllowPartial unreachable partitions are skipped (SearchPartial exposes
-// the report), otherwise they fail the query.
-func (c *Coordinator) Search(name string, q *traj.T, tau float64) ([]SearchHit, error) {
-	hits, _, err := c.SearchPartialContext(context.Background(), name, q, tau)
-	return hits, err
-}
-
-// SearchContext is Search under query-lifecycle control: the query passes
-// admission control, a cancelled context aborts remaining replica
-// attempts and drains the fan-out, and a context deadline travels to the
-// workers in-band so remote work stops when the query's budget runs out.
-func (c *Coordinator) SearchContext(ctx context.Context, name string, q *traj.T, tau float64) ([]SearchHit, error) {
-	hits, _, err := c.SearchPartialContext(ctx, name, q, tau)
-	return hits, err
-}
-
-// SearchPartial is Search plus the partial-result report: the returned
-// report lists exactly the partitions whose every replica was
-// unreachable. Without AllowPartial a non-empty report is an error.
-func (c *Coordinator) SearchPartial(name string, q *traj.T, tau float64) ([]SearchHit, *PartialReport, error) {
-	return c.SearchPartialContext(context.Background(), name, q, tau)
-}
-
-// remainingMillis converts a context deadline into the in-band budget
-// stamped on worker calls; 0 means unbounded. An already-expired deadline
-// still sends 1ms — the caller's next ctx check aborts before the call.
-func remainingMillis(ctx context.Context) int64 {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0
-	}
-	rem := time.Until(dl).Milliseconds()
-	if rem < 1 {
-		rem = 1
-	}
-	return rem
-}
-
-// cutoverReplans bounds how many times one query re-plans after losing
-// the race with a concurrent rebalance cutover (its pinned view named a
-// partition that retired before the probe landed). Each re-plan reads a
-// strictly newer layout, so more than a few only happen under continuous
-// cutover churn — then the query reports the skips like any other.
-const cutoverReplans = 3
-
-// allSkippedRetired reports whether every partition the query skipped is
-// now retired — the signature of probes racing a cutover rather than of
-// unreachable workers, and the trigger for a re-plan against the fresh
-// layout (the moved trajectories are all serveable there).
-func (c *Coordinator) allSkippedRetired(dd *dispatchedDataset, rep *PartialReport) bool {
-	if !rep.Partial() {
-		return false
-	}
-	dd.mu.Lock()
-	defer dd.mu.Unlock()
-	for _, s := range rep.Skipped {
-		if s.Partition < 0 || s.Partition >= len(dd.parts) || !dd.parts[s.Partition].retired {
-			return false
-		}
-	}
-	return true
-}
-
-// SearchPartialContext is SearchContext plus the partial-result report.
-// Cancellation is never partial: a done context fails the query with
-// ctx.Err() after the fan-out goroutines drain.
-func (c *Coordinator) SearchPartialContext(ctx context.Context, name string, q *traj.T, tau float64) ([]SearchHit, *PartialReport, error) {
-	return c.SearchTraced(ctx, name, q, tau, nil)
-}
-
-// SearchTraced is SearchPartialContext plus per-query observability: qs
-// (may be nil) receives the whole-query pruning funnel, attempt/failover
-// totals and timings, and — when qs.Trace is set — a coordinator-assembled
-// trace with one span per partition RPC (worker address, attempts
-// including retries and failovers, remote compute time, partition-local
-// funnel), plus admission, global-prune, skip, and merge spans.
-func (c *Coordinator) SearchTraced(ctx context.Context, name string, q *traj.T, tau float64, qs *QueryStats) ([]SearchHit, *PartialReport, error) {
-	report := &PartialReport{}
-	if q == nil || len(q.Points) == 0 {
-		return nil, report, ctx.Err()
-	}
-	var tr *obs.Trace
-	if qs != nil {
-		tr = qs.Trace
-	}
-	timed := qs != nil || c.met != nil
-	var qStart time.Time
-	if timed {
-		qStart = time.Now()
-	}
-	release, err := c.adm.Acquire(ctx)
-	if timed {
-		wait := time.Since(qStart)
-		if qs != nil {
-			qs.AdmissionWait = wait
-		}
-		if c.met != nil {
-			c.met.admissionWait.Observe(wait.Microseconds())
-		}
-		if tr != nil {
-			s := obs.Span{Name: "admit", Partition: -1, Start: qStart.Sub(tr.Begin), Duration: wait}
-			if err != nil {
-				s.Err, s.Class = err.Error(), obs.Classify(err)
-			}
-			tr.Add(s)
-		}
-	}
-	if err != nil {
-		return nil, report, err
-	}
-	defer release()
-	dd, err := c.dataset(name)
-	if err != nil {
-		return nil, report, err
-	}
-	// A rebalance cutover can retire partitions between this query's view
-	// pin and its partition probes: the probes then fail on every replica
-	// ("not loaded" — the former owners unloaded the retired pid) even
-	// though no worker is unhealthy and every moved trajectory is
-	// serveable in the fresh layout. When ALL skipped partitions turn out
-	// retired, the failure is staleness, not health: re-plan against the
-	// current view, bounded in case cutovers keep landing mid-query. With
-	// the autopilot triggering cutovers on its own schedule this race is
-	// routine, not an operator-window corner case.
-	var out []SearchHit
-	var funnel obs.Funnel
-	var totalAttempts, totalFailovers int
-	for attempt := 0; ; attempt++ {
-		out = nil
-		report = &PartialReport{}
-		var gStart time.Time
-		if timed {
-			gStart = time.Now()
-		}
-		// The partition count comes from the view too: dd.parts grows under
-		// dd.mu at a rebalance cutover.
-		view := dd.boundsView()
-		rel := core.RelevantPartitions(c.m, view.rtF, view.rtL, view.bounds, q.Points, tau)
-		funnel = obs.Funnel{Partitions: int64(len(view.bounds)), Relevant: int64(len(rel))}
-		if tr != nil {
-			gf := funnel
-			tr.Add(obs.Span{Name: "global-prune", Partition: -1,
-				Start: gStart.Sub(tr.Begin), Duration: time.Since(gStart), Funnel: &gf})
-		}
-		replies := make([]SearchReply, len(rel))
-		skipped := make([]*SkippedPartition, len(rel))
-		attempts := make([]int, len(rel))
-		tried := make([]int, len(rel))
-		var wg sync.WaitGroup
-		for i, pid := range rel {
-			wg.Add(1)
-			go func(i, pid int) {
-				defer wg.Done()
-				// Unconditional: a clock read is noise next to the RPC it
-				// brackets, and skip reports must carry timing even with
-				// observability off.
-				pStart := time.Now()
-				args := &SearchArgs{Dataset: name, Partition: pid, Query: q.Points, Tau: tau}
-				if tr != nil {
-					args.TraceID, args.SpanID = tr.ID, obs.NewTraceID()
-				}
-				var lastErr error
-				for _, w := range c.replicaOrder(dd, pid) {
-					// A dead query must not burn failover attempts: the check
-					// runs before every replica, so deadline expiry on one
-					// worker cancels the remaining attempts instead of
-					// retrying them.
-					if err := ctx.Err(); err != nil {
-						lastErr = err
-						break
-					}
-					args.TimeoutMillis = remainingMillis(ctx)
-					replies[i] = SearchReply{}
-					tried[i]++
-					n, err := c.clients[w].CallContextN(ctx, "Worker.Search", args, &replies[i])
-					attempts[i] += n
-					if err != nil {
-						lastErr = err
-						if ctx.Err() != nil {
-							// Cancelled mid-call: not the worker's fault, so
-							// no health verdict either way.
-							break
-						}
-						if retryableError(err) {
-							c.health.failure(w, false)
-						} else {
-							// An application error is proof of life: the
-							// worker answered, it just can't serve this
-							// partition. Don't deprioritize it.
-							c.health.success(w)
-						}
-						continue
-					}
-					c.health.success(w)
-					// Feed the autopilot's cost signal: this partition's share of
-					// the query, as verified candidates and probe wall time.
-					dd.cost.Observe(pid, replies[i].Funnel.Verified, time.Since(pStart))
-					if tr != nil {
-						f := replies[i].Funnel
-						tr.Add(obs.Span{Name: "partition-search", Worker: c.addrs[w],
-							Partition: pid, Attempts: attempts[i],
-							Start: pStart.Sub(tr.Begin), Duration: time.Since(pStart),
-							Remote: time.Duration(replies[i].ElapsedMicros) * time.Microsecond,
-							Funnel: &f})
-					}
-					return
-				}
-				if lastErr == nil {
-					// Healing can drain a replica list to empty (Replicas=1,
-					// or every re-load still failing): nothing to even try.
-					lastErr = fmt.Errorf("dnet: no replicas for partition %s/%d", name, pid)
-				}
-				elapsed := time.Since(pStart)
-				skipped[i] = &SkippedPartition{Dataset: name, Partition: pid, Err: lastErr.Error(),
-					Attempts: attempts[i], Elapsed: elapsed, Class: obs.Classify(lastErr)}
-				if tr != nil {
-					tr.Add(obs.Span{Name: "partition-search", Partition: pid,
-						Attempts: attempts[i], Start: pStart.Sub(tr.Begin), Duration: elapsed,
-						Err: lastErr.Error(), Class: obs.Classify(lastErr)})
-				}
-			}(i, pid)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, report, err
-		}
-		mergeDone := tr.StartSpan("merge", -1)
-		for i := range rel {
-			c.met.recordRetries(attempts[i], tried[i])
-			totalAttempts += attempts[i]
-			if tried[i] > 1 {
-				totalFailovers += tried[i] - 1
-			}
-			if skipped[i] != nil {
-				report.Skipped = append(report.Skipped, *skipped[i])
-				c.met.recordSkip(skipped[i].Class)
-				continue
-			}
-			funnel.Merge(replies[i].Funnel)
-			out = append(out, replies[i].Hits...)
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-		mergeDone(nil)
-		if report.Partial() && attempt < cutoverReplans && c.allSkippedRetired(dd, report) {
-			continue
-		}
-		break
-	}
-	if timed {
-		elapsed := time.Since(qStart)
-		if qs != nil {
-			qs.Funnel = funnel
-			qs.Elapsed = elapsed
-			qs.Attempts = totalAttempts
-			qs.Failovers = totalFailovers
-		}
-		if c.met != nil {
-			c.met.searches.Inc()
-			c.met.searchLatency.Observe(elapsed.Microseconds())
-			c.met.searchFunnel.Record(funnel)
-		}
-	}
-	if report.Partial() && !c.cfg.AllowPartial {
-		return nil, report, report.err(fmt.Sprintf("search %q", name))
-	}
-	return out, report, nil
-}
-
-// isPeerUnreachable detects the Ship-side signal for "the destination
-// worker is down" so the coordinator fails over to another dst replica
-// rather than another src replica. Only an rpc.ServerError that starts
-// with the exact prefix Worker.Ship emits (peerUnreachablePrefix,
-// worker.go) qualifies — never a substring match, which an unrelated
-// application error mentioning the phrase could trip.
-func isPeerUnreachable(err error) bool {
-	var se rpc.ServerError
-	return errors.As(err, &se) && strings.HasPrefix(string(se), peerUnreachablePrefix)
-}
-
-// Join computes the distributed similarity join between two dispatched
-// datasets. For every candidate partition pair (by endpoint-MBR tests),
-// a live replica of the source partition selects and ships its relevant
-// trajectories directly to a live replica of the destination partition,
-// which runs the local join; pairs flow back through the chain. The
-// cheaper direction is chosen per edge by partition size (a size-proxy
-// of the paper's cost model; the full sampled model lives in the
-// in-process engine). Replica failover applies on both ends of each
-// shipment.
-//
-// Joining a dataset with itself is planned symmetrically, like the
-// engine's self-join (core.Engine.JoinPartialContext): each unordered
-// partition pair is one edge, a partition's edge with itself runs on one
-// live replica of it with nothing shipped, every verified pair crosses the
-// wire in one orientation and is returned in both, and an edge lost to
-// unreachable replicas is reported against both of its partitions.
-func (c *Coordinator) Join(left, right string, tau float64) ([]WirePair, error) {
-	pairs, _, err := c.JoinPartialContext(context.Background(), left, right, tau)
-	return pairs, err
-}
-
-// JoinContext is Join under query-lifecycle control: admission, prompt
-// cancellation of the per-edge fan-out, and deadline propagation through
-// both hops of each shipment (source selection and destination join).
-func (c *Coordinator) JoinContext(ctx context.Context, left, right string, tau float64) ([]WirePair, error) {
-	pairs, _, err := c.JoinPartialContext(ctx, left, right, tau)
-	return pairs, err
-}
-
-// JoinPartial is Join plus the partial-result report: skipped entries
-// name exactly the partitions whose every replica was unreachable for
-// some shipment. Without AllowPartial a non-empty report is an error.
-func (c *Coordinator) JoinPartial(left, right string, tau float64) ([]WirePair, *PartialReport, error) {
-	return c.JoinPartialContext(context.Background(), left, right, tau)
-}
-
-// JoinPartialContext is JoinContext plus the partial-result report.
-// Cancellation is never partial: a done context fails the join with
-// ctx.Err() after the fan-out goroutines drain.
-func (c *Coordinator) JoinPartialContext(ctx context.Context, left, right string, tau float64) ([]WirePair, *PartialReport, error) {
-	return c.JoinTraced(ctx, left, right, tau, nil)
-}
-
-// JoinTraced is JoinPartialContext plus per-query observability, the join
-// analogue of SearchTraced: one span per shipment edge (source worker,
-// attempts across both replica loops, whole-shipment remote time,
-// destination-local funnel), plus admission, global-prune, and merge
-// spans. In the funnel, Partitions counts possible partition pairs and
-// Relevant the bigraph edges that survived MBR pruning.
-func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau float64, qs *QueryStats) ([]WirePair, *PartialReport, error) {
-	report := &PartialReport{}
-	var tr *obs.Trace
-	if qs != nil {
-		tr = qs.Trace
-	}
-	timed := qs != nil || c.met != nil
-	var qStart time.Time
-	if timed {
-		qStart = time.Now()
-	}
-	release, err := c.adm.Acquire(ctx)
-	if timed {
-		wait := time.Since(qStart)
-		if qs != nil {
-			qs.AdmissionWait = wait
-		}
-		if c.met != nil {
-			c.met.admissionWait.Observe(wait.Microseconds())
-		}
-		if tr != nil {
-			s := obs.Span{Name: "admit", Partition: -1, Start: qStart.Sub(tr.Begin), Duration: wait}
-			if err != nil {
-				s.Err, s.Class = err.Error(), obs.Classify(err)
-			}
-			tr.Add(s)
-		}
-	}
-	if err != nil {
-		return nil, report, err
-	}
-	defer release()
-	lt, err := c.dataset(left)
-	if err != nil {
-		return nil, report, err
-	}
-	rt, err := c.dataset(right)
-	if err != nil {
-		return nil, report, err
-	}
-	var gStart time.Time
-	if timed {
-		gStart = time.Now()
-	}
-	type edge struct {
-		src, dst         int // partition ids in their datasets
-		srcName, dstName string
-		flip             bool
-		// Destination bounds, captured at plan time so concurrent ingests
-		// growing them can't tear the relevance check on the workers.
-		dstMBRf, dstMBRl geom.MBR
-		// mirror: an edge of a self-join, standing for both orientations of
-		// its partition pair; diagonal: that pair is one partition twice.
-		mirror, diagonal bool
-	}
-	var edges []edge
-	anchored := c.m.AlignsEndpoints()
-	maxForm := c.m.Accumulation() == measure.AccumMax
-	self := lt == rt
-	ltV := lt.boundsView()
-	rtV := ltV
-	if !self {
-		rtV = rt.boundsView()
-	}
-	for i, pt := range ltV.bounds {
-		if pt.Retired {
-			continue
-		}
-		for j, pq := range rtV.bounds {
-			if pq.Retired || (self && j < i) {
-				continue
-			}
-			if anchored {
-				df := pt.MBRf.MinDistMBR(pq.MBRf)
-				dl := pt.MBRl.MinDistMBR(pq.MBRl)
-				if maxForm {
-					if df > tau || dl > tau {
-						continue
-					}
-				} else if df+dl > tau {
-					continue
-				}
-			}
-			// Orientation: ship the smaller side.
-			if ltV.trajs[i] <= rtV.trajs[j] {
-				edges = append(edges, edge{src: i, dst: j, srcName: left, dstName: right, flip: false,
-					dstMBRf: pq.MBRf, dstMBRl: pq.MBRl, mirror: self, diagonal: self && i == j})
-			} else {
-				edges = append(edges, edge{src: j, dst: i, srcName: right, dstName: left, flip: true,
-					dstMBRf: pt.MBRf, dstMBRl: pt.MBRl, mirror: self})
-			}
-		}
-	}
-	funnel := obs.Funnel{Partitions: int64(len(ltV.bounds)) * int64(len(rtV.bounds)), Relevant: int64(len(edges))}
-	if tr != nil {
-		gf := funnel
-		tr.Add(obs.Span{Name: "global-prune", Partition: -1,
-			Start: gStart.Sub(tr.Begin), Duration: time.Since(gStart), Funnel: &gf})
-	}
-	replies := make([]JoinReply, len(edges))
-	skipped := make([]*SkippedPartition, len(edges))
-	attempts := make([]int, len(edges))
-	tried := make([]int, len(edges))
-	var wg sync.WaitGroup
-	for i, ed := range edges {
-		wg.Add(1)
-		go func(i int, ed edge) {
-			defer wg.Done()
-			// Unconditional, like the search fan-out: skip reports carry
-			// timing even with observability off.
-			eStart := time.Now()
-			srcDD, dstDD := lt, rt
-			if ed.flip {
-				srcDD, dstDD = rt, lt
-			}
-			args := &ShipArgs{
-				SrcDataset:   ed.srcName,
-				SrcPartition: ed.src,
-				DstDataset:   ed.dstName,
-				DstPartition: ed.dst,
-				DstMBRf:      ed.dstMBRf,
-				DstMBRl:      ed.dstMBRl,
-				Tau:          tau,
-				Flip:         ed.flip,
-			}
-			if tr != nil {
-				args.TraceID, args.SpanID = tr.ID, obs.NewTraceID()
-			}
-			// One attempt at the edge: the source replica sw selects and
-			// ships to the destination replica dw.
-			call := func(sw, dw int) (int, error) {
-				args.DstAddr, args.TimeoutMillis = c.addrs[dw], remainingMillis(ctx)
-				return c.clients[sw].CallContextN(ctx, "Worker.Ship", args, &replies[i])
-			}
-			if ed.diagonal {
-				// A diagonal edge ships nothing: the replica that would
-				// select the partition's members joins them in place
-				// (Worker.Join on its own view), so its one "destination"
-				// is itself.
-				jargs := &JoinArgs{Dataset: ed.dstName, Partition: ed.dst, Tau: tau, Diagonal: true,
-					TraceID: args.TraceID, SpanID: args.SpanID}
-				call = func(sw, _ int) (int, error) {
-					jargs.TimeoutMillis = remainingMillis(ctx)
-					return c.clients[sw].CallContextN(ctx, "Worker.Join", jargs, &replies[i])
-				}
-			}
-			var lastErr error
-			srcReached := false
-			for _, sw := range c.replicaOrder(srcDD, ed.src) {
-				if err := ctx.Err(); err != nil {
-					lastErr = err
-					break
-				}
-				dstDown := false
-				dsts := []int{sw}
-				if !ed.diagonal {
-					dsts = c.replicaOrder(dstDD, ed.dst)
-				}
-				for _, dw := range dsts {
-					// Same rule as the search fan-out: a dead query stops
-					// consuming replica attempts immediately.
-					if err := ctx.Err(); err != nil {
-						lastErr = err
-						break
-					}
-					replies[i] = JoinReply{}
-					tried[i]++
-					n, err := call(sw, dw)
-					attempts[i] += n
-					if err == nil {
-						c.health.success(sw)
-						if tr != nil {
-							f := replies[i].Funnel
-							tr.Add(obs.Span{Name: "edge-join",
-								Worker:    c.addrs[sw] + ">" + c.addrs[dw],
-								Partition: ed.dst, Attempts: attempts[i],
-								Start: eStart.Sub(tr.Begin), Duration: time.Since(eStart),
-								Remote: time.Duration(replies[i].ElapsedMicros) * time.Microsecond,
-								Probe:  time.Duration(replies[i].ProbeMicros) * time.Microsecond,
-								Verify: time.Duration(replies[i].VerifyMicros) * time.Microsecond,
-								Funnel: &f})
-						}
-						return
-					}
-					lastErr = err
-					if ctx.Err() != nil {
-						break
-					}
-					if isPeerUnreachable(err) {
-						// The src worker answered; the dst replica is
-						// down. Try the next dst replica.
-						srcReached = true
-						c.health.failure(dw, false)
-						dstDown = true
-						continue
-					}
-					if retryableError(err) {
-						// The src replica itself failed at the transport
-						// level; move on to the next src replica.
-						c.health.failure(sw, false)
-					} else {
-						// Application-level refusal: the src worker is
-						// alive, it just can't serve this partition. Try
-						// the next src replica without penalizing it.
-						c.health.success(sw)
-					}
-					break
-				}
-				if dstDown && srcReached {
-					// Every dst replica refused this reachable src;
-					// other src replicas would see the same thing.
-					break
-				}
-			}
-			if lastErr == nil {
-				// A replica list was drained to empty by healing, so the
-				// loops had nothing to try. Attribute the side with no
-				// replicas left.
-				if len(c.replicaOrder(dstDD, ed.dst)) == 0 && len(c.replicaOrder(srcDD, ed.src)) > 0 {
-					srcReached = true
-					lastErr = fmt.Errorf("dnet: no replicas for partition %s/%d", ed.dstName, ed.dst)
-				} else {
-					lastErr = fmt.Errorf("dnet: no replicas for partition %s/%d", ed.srcName, ed.src)
-				}
-			}
-			elapsed := time.Since(eStart)
-			class := obs.Classify(lastErr)
-			// Attribute the skip: if no src replica ever answered, the
-			// src partition is down; otherwise the dst partition is.
-			if srcReached {
-				skipped[i] = &SkippedPartition{Dataset: ed.dstName, Partition: ed.dst, Err: lastErr.Error(),
-					Attempts: attempts[i], Elapsed: elapsed, Class: class}
-			} else {
-				skipped[i] = &SkippedPartition{Dataset: ed.srcName, Partition: ed.src, Err: lastErr.Error(),
-					Attempts: attempts[i], Elapsed: elapsed, Class: class}
-			}
-			if tr != nil {
-				tr.Add(obs.Span{Name: "edge-join", Partition: ed.dst,
-					Attempts: attempts[i], Start: eStart.Sub(tr.Begin), Duration: elapsed,
-					Err: lastErr.Error(), Class: class})
-			}
-		}(i, ed)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, report, err
-	}
-	mergeDone := tr.StartSpan("merge", -1)
-	total := 0
-	for i, ed := range edges {
-		if n := len(replies[i].Pairs); ed.mirror {
-			total += 2 * n
-		} else {
-			total += n
-		}
-	}
-	pairs := make([]WirePair, 0, total)
-	seen := map[SkippedPartition]bool{}
-	for i, ed := range edges {
-		c.met.recordRetries(attempts[i], tried[i])
-		if sk := skipped[i]; sk != nil {
-			// A mirror edge's pairs have their T in either partition: both
-			// are missing answers, whichever side was unreachable.
-			lost := []int{sk.Partition}
-			if ed.mirror {
-				lost = []int{ed.src, ed.dst}
-			}
-			for _, pid := range lost {
-				key := SkippedPartition{Dataset: sk.Dataset, Partition: pid}
-				if !seen[key] {
-					seen[key] = true
-					entry := *sk
-					entry.Partition = pid
-					report.Skipped = append(report.Skipped, entry)
-					c.met.recordSkip(sk.Class)
-				}
-			}
-			continue
-		}
-		funnel.Merge(replies[i].Funnel)
-		pairs = append(pairs, replies[i].Pairs...)
-		if ed.mirror {
-			// Ids are unique within a dispatched dataset (Dispatch rejects
-			// duplicates), so equal ids are a member paired with itself.
-			for _, p := range replies[i].Pairs {
-				if p.TID != p.QID {
-					pairs = append(pairs, WirePair{TID: p.QID, QID: p.TID, Distance: p.Distance})
-				}
-			}
-		}
-	}
-	sort.Slice(report.Skipped, func(a, b int) bool {
-		if report.Skipped[a].Dataset != report.Skipped[b].Dataset {
-			return report.Skipped[a].Dataset < report.Skipped[b].Dataset
-		}
-		return report.Skipped[a].Partition < report.Skipped[b].Partition
-	})
-	pairs = core.SortByIDPair(pairs, func(p *WirePair) (int, int) { return p.TID, p.QID })
-	mergeDone(nil)
-	if timed {
-		elapsed := time.Since(qStart)
-		if qs != nil {
-			qs.Funnel = funnel
-			qs.Elapsed = elapsed
-			for i := range edges {
-				qs.Attempts += attempts[i]
-				if tried[i] > 1 {
-					qs.Failovers += tried[i] - 1
-				}
-			}
-		}
-		if c.met != nil {
-			c.met.joins.Inc()
-			c.met.joinLatency.Observe(elapsed.Microseconds())
-			c.met.joinFunnel.Record(funnel)
-		}
-	}
-	if report.Partial() && !c.cfg.AllowPartial {
-		return nil, report, report.err(fmt.Sprintf("join %q⋈%q", left, right))
-	}
-	return pairs, report, nil
 }
 
 // CheckHealth probes every worker once (Worker.Ping over the dedicated

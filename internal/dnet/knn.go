@@ -2,11 +2,9 @@ package dnet
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"dita/internal/core"
 	"dita/internal/obs"
@@ -90,119 +88,52 @@ func (g *knnMerger) results() []SearchHit {
 	return out
 }
 
-// SearchKNN returns the k trajectories of the dispatched dataset nearest
-// to q, ordered by ascending (distance, ID) — the network mode of the
-// engine's incremental best-first kNN. The coordinator orders partitions
-// by ascending global-index lower bound and prunes before it fans out:
-// the first round is a pilot — the shortest prefix of that order whose
-// visible members cover k, normally the one partition nearest the query —
-// and once k answers exist every partition whose bound is within their
-// k-th distance τ is scanned at τ in one parallel round; the search stops
-// exactly when the next partition's bound exceeds τ. Workers run the same
-// per-partition scan as the local engine, so results are identical to
-// core.SearchKNN over the same data.
+// SearchKNN is SearchKNNTraced without a context, a report or stats.
 func (c *Coordinator) SearchKNN(name string, q *traj.T, k int) ([]SearchHit, error) {
-	hits, _, err := c.SearchKNNPartialContext(context.Background(), name, q, k)
-	return hits, err
+	return noReport(c.SearchKNNTraced(context.Background(), name, q, k, nil))
 }
 
-// SearchKNNContext is SearchKNN under query-lifecycle control (admission,
-// cancellation between rounds and replica attempts, in-band deadlines).
-func (c *Coordinator) SearchKNNContext(ctx context.Context, name string, q *traj.T, k int) ([]SearchHit, error) {
-	hits, _, err := c.SearchKNNPartialContext(ctx, name, q, k)
-	return hits, err
-}
-
-// SearchKNNPartial is SearchKNN plus the partial-result report. Unlike a
-// threshold search, a top-k result missing a partition's contribution is
-// best-effort, not a subset of the true answer: with AllowPartial the
-// returned hits are the exact top-k of the partitions that answered, and
-// the report names the ones that did not.
-func (c *Coordinator) SearchKNNPartial(name string, q *traj.T, k int) ([]SearchHit, *PartialReport, error) {
-	return c.SearchKNNPartialContext(context.Background(), name, q, k)
-}
-
-// SearchKNNPartialContext is SearchKNNContext plus the partial-result
-// report. Cancellation is never partial: a done context fails the query.
-func (c *Coordinator) SearchKNNPartialContext(ctx context.Context, name string, q *traj.T, k int) ([]SearchHit, *PartialReport, error) {
-	return c.SearchKNNTraced(ctx, name, q, k, nil)
-}
-
-// SearchKNNTraced is SearchKNNPartialContext plus per-query observability:
-// qs (may be nil) receives the whole-query pruning funnel and timings,
-// and — when qs.Trace is set — a coordinator-assembled trace with a
-// knn-plan span, one knn-round span per visit round, and one
-// partition-knn span per partition RPC (worker address, attempts
-// including retries and failovers, remote compute time, partition-local
-// funnel).
+// SearchKNNTraced returns the k trajectories of the dispatched dataset
+// nearest to q, ordered by ascending (distance, ID) — the network mode of
+// the engine's incremental best-first kNN. The coordinator orders
+// partitions by ascending global-index lower bound and prunes before it
+// fans out: the first round is a pilot — the shortest prefix of that order
+// whose visible members cover k, normally the one partition nearest the
+// query — and once k answers exist every partition whose bound is within
+// their k-th distance τ is scanned at τ in one parallel round; the search
+// stops exactly when the next partition's bound exceeds τ. Workers run the
+// same per-partition scan as the local engine, so results are identical to
+// core.SearchKNN over the same data.
+//
+// The lifecycle is SearchTraced's, with the context also checked between
+// rounds. A top-k missing a partition is best-effort, not a subset of the
+// answer: under AllowPartial the hits are the exact top-k of the partitions
+// that answered. The trace has a knn-plan span, one knn-round span per
+// round and one partition-knn span per partition RPC.
 func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.T, k int, qs *QueryStats) ([]SearchHit, *PartialReport, error) {
-	report := &PartialReport{}
 	if q == nil || len(q.Points) == 0 || k <= 0 {
-		return nil, report, ctx.Err()
-	}
-	var tr *obs.Trace
-	if qs != nil {
-		tr = qs.Trace
-	}
-	timed := qs != nil || c.met != nil
-	var qStart time.Time
-	if timed {
-		qStart = time.Now()
-	}
-	release, err := c.adm.Acquire(ctx)
-	if timed {
-		wait := time.Since(qStart)
-		if qs != nil {
-			qs.AdmissionWait = wait
-		}
-		if c.met != nil {
-			c.met.admissionWait.Observe(wait.Microseconds())
-		}
-		if tr != nil {
-			s := obs.Span{Name: "admit", Partition: -1, Start: qStart.Sub(tr.Begin), Duration: wait}
-			if err != nil {
-				s.Err, s.Class = err.Error(), obs.Classify(err)
-			}
-			tr.Add(s)
-		}
-	}
-	if err != nil {
-		return nil, report, err
-	}
-	defer release()
-	dd, err := c.dataset(name)
-	if err != nil {
-		return nil, report, err
+		return nil, &PartialReport{}, ctx.Err()
 	}
 	var merger *knnMerger
-	var funnel obs.Funnel
-	var totalAttempts, totalFailovers int
-	// The whole plan re-runs when every skipped partition turns out
-	// retired by a concurrent cutover — same staleness-vs-health
-	// distinction as SearchTraced (see allSkippedRetired).
-	for attempt := 0; ; attempt++ {
-		report = &PartialReport{}
-		// The view pins the global index for the whole query: bounds grown by
+	rep, err := c.query(ctx, opKNN, qs, name, "", func(run *queryRun, dd, _ *dispatchedDataset) (bool, error) {
+		// The view pins the global index for the whole pass: bounds grown by
 		// concurrent ingests (and the visible-count correction from acked
 		// inserts and deletes) land in the next query's plan, not mid-plan.
 		v := dd.boundsView()
-		if v.visible <= 0 {
-			return nil, report, nil
+		kq := min(k, v.visible)
+		merger = newKNNMerger(kq)
+		run.funnel = obs.Funnel{Partitions: int64(len(v.bounds))}
+		if kq <= 0 {
+			return false, nil
 		}
-		kq := k
-		if kq > v.visible {
-			kq = v.visible
-		}
-		planDone := tr.StartSpan("knn-plan", -1)
+		planDone := run.tr.StartSpan("knn-plan", -1)
 		order := core.KNNOrder(c.m, v.bounds, q.Points)
 		planDone(nil)
 
-		merger = newKNNMerger(kq)
-		funnel = obs.Funnel{Partitions: int64(len(v.bounds))}
 		next := 0
 		for next < len(order) {
 			if err := ctx.Err(); err != nil {
-				return nil, report, err
+				return false, err
 			}
 			// Round-start τ: the exact k-th distance over the partitions
 			// answered so far, hence an upper bound on the final one (τ only
@@ -234,118 +165,38 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 			if len(batch) == 0 {
 				break
 			}
-			roundDone := tr.StartSpan("knn-round", -1)
-			replies := make([]KNNReply, len(batch))
-			skipped := make([]*SkippedPartition, len(batch))
-			attempts := make([]int, len(batch))
-			tried := make([]int, len(batch))
+			roundDone := run.tr.StartSpan("knn-round", -1)
+			calls := make([]knnCall, len(batch))
 			var wg sync.WaitGroup
+			wg.Add(len(calls))
 			for i, bv := range batch {
-				wg.Add(1)
-				go func(i, pid int) {
-					defer wg.Done()
-					pStart := time.Now()
-					args := &KNNArgs{Dataset: name, Partition: pid, Query: q.Points, K: kq, Tau: tau}
-					if tr != nil {
-						args.TraceID, args.SpanID = tr.ID, obs.NewTraceID()
-					}
-					var lastErr error
-					for _, w := range c.replicaOrder(dd, pid) {
-						if err := ctx.Err(); err != nil {
-							lastErr = err
-							break
-						}
-						args.TimeoutMillis = remainingMillis(ctx)
-						replies[i] = KNNReply{}
-						tried[i]++
-						n, err := c.clients[w].CallContextN(ctx, "Worker.KNN", args, &replies[i])
-						attempts[i] += n
-						if err != nil {
-							lastErr = err
-							if ctx.Err() != nil {
-								break
-							}
-							if retryableError(err) {
-								c.health.failure(w, false)
-							} else {
-								// Application errors are proof of life.
-								c.health.success(w)
-							}
-							continue
-						}
-						c.health.success(w)
-						// Same read-cost signal as threshold search: the kNN
-						// rounds are partition probes too.
-						dd.cost.Observe(pid, replies[i].Funnel.Verified, time.Since(pStart))
-						if tr != nil {
-							f := replies[i].Funnel
-							tr.Add(obs.Span{Name: "partition-knn", Worker: c.addrs[w],
-								Partition: pid, Attempts: attempts[i],
-								Start: pStart.Sub(tr.Begin), Duration: time.Since(pStart),
-								Remote: time.Duration(replies[i].ElapsedMicros) * time.Microsecond,
-								Funnel: &f})
-						}
-						return
-					}
-					if lastErr == nil {
-						lastErr = fmt.Errorf("dnet: no replicas for partition %s/%d", name, pid)
-					}
-					elapsed := time.Since(pStart)
-					skipped[i] = &SkippedPartition{Dataset: name, Partition: pid, Err: lastErr.Error(),
-						Attempts: attempts[i], Elapsed: elapsed, Class: obs.Classify(lastErr)}
-					if tr != nil {
-						tr.Add(obs.Span{Name: "partition-knn", Partition: pid,
-							Attempts: attempts[i], Start: pStart.Sub(tr.Begin), Duration: elapsed,
-							Err: lastErr.Error(), Class: obs.Classify(lastErr)})
-					}
-				}(i, bv.PID)
+				calls[i].pid = bv.PID
+				calls[i].args = KNNArgs{Dataset: name, Partition: bv.PID, Query: q.Points, K: kq, Tau: tau}
+				calls[i].args.TraceID, calls[i].args.SpanID = run.traceIDs()
+				go run.probe(&wg, dd, &calls[i])
 			}
 			wg.Wait()
 			if err := ctx.Err(); err != nil {
 				roundDone(err)
-				return nil, report, err
+				return false, err
 			}
-			for i := range batch {
-				c.met.recordRetries(attempts[i], tried[i])
-				totalAttempts += attempts[i]
-				if tried[i] > 1 {
-					totalFailovers += tried[i] - 1
-				}
-				if skipped[i] != nil {
-					report.Skipped = append(report.Skipped, *skipped[i])
-					c.met.recordSkip(skipped[i].Class)
+			for i := range calls {
+				if sk := run.account(&calls[i].probeState); sk != nil {
+					run.skip(*sk)
 					continue
 				}
-				funnel.Relevant++
-				funnel.Merge(replies[i].Funnel)
-				for _, h := range replies[i].Hits {
+				run.funnel.Relevant++
+				run.funnel.Merge(calls[i].reply.Funnel)
+				for _, h := range calls[i].reply.Hits {
 					merger.offer(h)
 				}
 			}
 			roundDone(nil)
 		}
-		if report.Partial() && attempt < cutoverReplans && c.allSkippedRetired(dd, report) {
-			continue
-		}
-		break
+		return run.allSkippedRetired(dd), nil
+	})
+	if err != nil {
+		return nil, rep, err
 	}
-	out := merger.results()
-	if timed {
-		elapsed := time.Since(qStart)
-		if qs != nil {
-			qs.Funnel = funnel
-			qs.Elapsed = elapsed
-			qs.Attempts = totalAttempts
-			qs.Failovers = totalFailovers
-		}
-		if c.met != nil {
-			c.met.knns.Inc()
-			c.met.knnLatency.Observe(elapsed.Microseconds())
-			c.met.knnFunnel.Record(funnel)
-		}
-	}
-	if report.Partial() && !c.cfg.AllowPartial {
-		return nil, report, report.err(fmt.Sprintf("knn %q", name))
-	}
-	return out, report, nil
+	return merger.results(), rep, nil
 }

@@ -180,7 +180,7 @@ func TestNetKNNEdgeCases(t *testing.T) {
 	// top-k.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.SearchKNNContext(ctx, "trips", q, 3); err != context.Canceled {
+	if _, _, err := c.SearchKNNTraced(ctx, "trips", q, 3, nil); err != context.Canceled {
 		t.Fatalf("cancelled kNN err = %v, want context.Canceled", err)
 	}
 	if math.IsInf(hits[0].Distance, 1) {
@@ -355,7 +355,7 @@ func TestNetKNNDeadPilot(t *testing.T) {
 	c.cfg.AllowPartial = true
 	// The members that can still answer: a partial search wide enough to
 	// match everything returns exactly the surviving partitions' members.
-	all, srep, err := c.SearchPartial("trips", q, 1e6)
+	all, srep, err := c.SearchTraced(context.Background(), "trips", q, 1e6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,19 +496,22 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 }
 
 // cutoverCtx runs hook once, on the first Err call after the query's trace
-// holds a knn-plan span: the coordinator checks its context at the top of
-// every round, so that call sits between a plan pinned to one layout and the
-// first RPC against it — the window in which a cutover makes the plan stale.
+// holds a span named span — a kNN's knn-plan, a join's global-prune: the
+// coordinator checks its context at the top of every kNN round and before
+// every replica attempt, so that call sits between a plan pinned to one
+// layout and the first RPC against it — the window in which a cutover makes
+// the plan stale.
 type cutoverCtx struct {
 	context.Context
 	tr   *obs.Trace
+	span string
 	once sync.Once
 	hook func()
 }
 
 func (c *cutoverCtx) Err() error {
 	for _, s := range c.tr.Spans() {
-		if s.Name == "knn-plan" {
+		if s.Name == c.span {
 			c.once.Do(c.hook)
 			break
 		}
@@ -533,7 +536,7 @@ func TestNetKNNCutoverReplan(t *testing.T) {
 		pilot := order[0].PID
 		qs := &QueryStats{Trace: obs.NewTrace("knn")}
 		var splitErr error
-		ctx := &cutoverCtx{Context: context.Background(), tr: qs.Trace, hook: func() {
+		ctx := &cutoverCtx{Context: context.Background(), tr: qs.Trace, span: "knn-plan", hook: func() {
 			_, splitErr = c.SplitPartition("trips", pilot, 2)
 		}}
 		const k = 6

@@ -68,7 +68,7 @@ func TestChaosSearchPanicYieldsPartialThenExactRetry(t *testing.T) {
 	q := gen.Queries(d, 1, 91)[0]
 	tau := 0.01
 
-	hits, rep, err := c.SearchPartial("trips", q, tau)
+	hits, rep, err := c.SearchTraced(context.Background(), "trips", q, tau, nil)
 	if err != nil {
 		t.Fatalf("partial search errored: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestChaosSearchPanicYieldsPartialThenExactRetry(t *testing.T) {
 	// Fault clears; the same cluster (nothing restarted, nobody crashed)
 	// answers exactly.
 	poison.Store(false)
-	got, rep, err := c.SearchPartial("trips", q, tau)
+	got, rep, err := c.SearchTraced(context.Background(), "trips", q, tau, nil)
 	if err != nil || rep.Partial() {
 		t.Fatalf("retry: err=%v partial=%v", err, rep.Partial())
 	}
@@ -135,7 +135,7 @@ func TestAdmissionOverloadFailsFast(t *testing.T) {
 	// Query 1 holds the slot, blocked inside the worker RPC.
 	q1done := make(chan error, 1)
 	go func() {
-		_, _, err := c.SearchPartial("trips", q, 0.01)
+		_, _, err := c.SearchTraced(context.Background(), "trips", q, 0.01, nil)
 		q1done <- err
 	}()
 	waitCond(t, func() bool { return c.adm.InFlight() == 1 })
@@ -143,14 +143,14 @@ func TestAdmissionOverloadFailsFast(t *testing.T) {
 	// Query 2 occupies the queue.
 	q2done := make(chan error, 1)
 	go func() {
-		_, _, err := c.SearchPartial("trips", q, 0.01)
+		_, _, err := c.SearchTraced(context.Background(), "trips", q, 0.01, nil)
 		q2done <- err
 	}()
 	waitCond(t, func() bool { return c.adm.Waiting() == 1 })
 
 	// Query 3: slots and queue full — typed fail-fast rejection.
 	start := time.Now()
-	_, _, err := c.SearchPartial("trips", q, 0.01)
+	_, _, err := c.SearchTraced(context.Background(), "trips", q, 0.01, nil)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third query: err = %v, want ErrOverloaded", err)
 	}
@@ -188,13 +188,13 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 
 	q1done := make(chan error, 1)
 	go func() {
-		_, _, err := c.SearchPartial("trips", q, 0.01)
+		_, _, err := c.SearchTraced(context.Background(), "trips", q, 0.01, nil)
 		q1done <- err
 	}()
 	waitCond(t, func() bool { return c.adm.InFlight() == 1 })
 
 	start := time.Now()
-	_, _, err := c.SearchPartial("trips", q, 0.01)
+	_, _, err := c.SearchTraced(context.Background(), "trips", q, 0.01, nil)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("queued query: err = %v, want ErrOverloaded", err)
 	}
@@ -226,7 +226,7 @@ func TestSearchCancelNoGoroutineLeak(t *testing.T) {
 	}
 	q := gen.Queries(d, 1, 97)[0]
 	// Warm up connections and server goroutines before the baseline.
-	if _, _, err := c.SearchPartial("trips", q, 0.01); err != nil {
+	if _, _, err := c.SearchTraced(context.Background(), "trips", q, 0.01, nil); err != nil {
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()
@@ -234,7 +234,7 @@ func TestSearchCancelNoGoroutineLeak(t *testing.T) {
 	slow.Store(true)
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-		_, _, err := c.SearchPartialContext(ctx, "trips", q, 0.01)
+		_, _, err := c.SearchTraced(ctx, "trips", q, 0.01, nil)
 		cancel()
 		if err == nil {
 			t.Fatal("10ms deadline against 50ms-per-RPC workers succeeded")
@@ -260,7 +260,7 @@ func TestSearchCancelNoGoroutineLeak(t *testing.T) {
 	}
 
 	// And the cluster still answers after the churn.
-	if _, _, err := c.SearchPartial("trips", q, 0.01); err != nil {
+	if _, _, err := c.SearchTraced(context.Background(), "trips", q, 0.01, nil); err != nil {
 		t.Fatalf("post-churn search: %v", err)
 	}
 }
@@ -360,7 +360,7 @@ func TestChaosCancelInflightKeepsWorkerAlive(t *testing.T) {
 		// cancellable base (TimeoutMillis > 0 travels in-band).
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		_, _, err := c.SearchPartialContext(ctx, "trips", q, 0.01)
+		_, _, err := c.SearchTraced(ctx, "trips", q, 0.01, nil)
 		done <- err
 	}()
 	// Wait for a handler that has already derived its query context to
@@ -381,7 +381,7 @@ func TestChaosCancelInflightKeepsWorkerAlive(t *testing.T) {
 		t.Fatal("query survived CancelInflight (Replicas=1, no failover possible)")
 	}
 	// The same workers answer new queries (no restart, fresh base ctx).
-	if _, _, err := c.SearchPartial("trips", q, 0.01); err != nil {
+	if _, _, err := c.SearchTraced(context.Background(), "trips", q, 0.01, nil); err != nil {
 		t.Fatalf("post-cancel search: %v", err)
 	}
 }

@@ -37,20 +37,13 @@ type QueryStats struct {
 // coordMetrics is the coordinator's pre-resolved registry handles; nil
 // disables recording and the per-query clock reads feeding it.
 type coordMetrics struct {
-	reg           *obs.Registry
-	searches      *obs.Counter
-	joins         *obs.Counter
-	knns          *obs.Counter
-	searchLatency *obs.Histogram
-	joinLatency   *obs.Histogram
-	knnLatency    *obs.Histogram
+	reg *obs.Registry
+	// ops holds each query kind's count, latency and whole-query funnel.
+	ops           [len(ops)]opMetrics
 	admissionWait *obs.Histogram
 	retries       *obs.Counter
 	failovers     *obs.Counter
 	skips         *obs.Counter
-	searchFunnel  *obs.FunnelCounters
-	joinFunnel    *obs.FunnelCounters
-	knnFunnel     *obs.FunnelCounters
 	// Snapshot economy: replica placements satisfied without shipping,
 	// and raw payloads released because durable snapshots cover them.
 	dispatchReused  *obs.Counter
@@ -79,20 +72,16 @@ func newCoordMetrics(r *obs.Registry) *coordMetrics {
 		return nil
 	}
 	return &coordMetrics{
-		reg:                 r,
-		searches:            r.Counter("coord_searches_total"),
-		joins:               r.Counter("coord_joins_total"),
-		knns:                r.Counter("coord_knn_total"),
-		searchLatency:       r.Histogram("coord_search_latency_us"),
-		joinLatency:         r.Histogram("coord_join_latency_us"),
-		knnLatency:          r.Histogram("coord_knn_latency_us"),
+		reg: r,
+		ops: [...]opMetrics{
+			opSearch: {r.Counter("coord_searches_total"), r.Histogram("coord_search_latency_us"), obs.NewFunnelCounters(r, "coord_search_")},
+			opKNN:    {r.Counter("coord_knn_total"), r.Histogram("coord_knn_latency_us"), obs.NewFunnelCounters(r, "coord_knn_")},
+			opJoin:   {r.Counter("coord_joins_total"), r.Histogram("coord_join_latency_us"), obs.NewFunnelCounters(r, "coord_join_")},
+		},
 		admissionWait:       r.Histogram("coord_admission_wait_us"),
 		retries:             r.Counter("coord_rpc_retries_total"),
 		failovers:           r.Counter("coord_replica_failovers_total"),
 		skips:               r.Counter("coord_partition_skips_total"),
-		searchFunnel:        obs.NewFunnelCounters(r, "coord_search_"),
-		joinFunnel:          obs.NewFunnelCounters(r, "coord_join_"),
-		knnFunnel:           obs.NewFunnelCounters(r, "coord_knn_"),
 		dispatchReused:      r.Counter("coord_dispatch_reused_total"),
 		payloadsDropped:     r.Counter("coord_payloads_dropped_total"),
 		ingests:             r.Counter("coord_ingests_total"),
@@ -106,6 +95,13 @@ func newCoordMetrics(r *obs.Registry) *coordMetrics {
 		autopilotCutovers:   r.Counter("coord_autopilot_cutovers_total"),
 		autopilotPromotions: r.Counter("coord_autopilot_promotions_total"),
 	}
+}
+
+// opMetrics is one query kind's handles.
+type opMetrics struct {
+	count   *obs.Counter
+	latency *obs.Histogram
+	funnel  *obs.FunnelCounters
 }
 
 // rebalanceObserve records one completed cutover and the dataset's

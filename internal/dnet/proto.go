@@ -217,7 +217,10 @@ type SearchHit struct {
 	Distance float64
 }
 
-// SearchReply returns the verified hits plus filter statistics.
+// SearchReply answers a partition probe, Worker.Search's or Worker.KNN's:
+// a threshold search's verified hits (ascending id), or a kNN scan's
+// partition-local top-k (exact distances, ascending (distance, ID)); the
+// candidate counts are the search's.
 type SearchReply struct {
 	Hits       []SearchHit
 	Candidates int
@@ -245,16 +248,6 @@ type KNNArgs struct {
 	// TimeoutMillis / TraceID / SpanID: as in SearchArgs.
 	TimeoutMillis   int64
 	TraceID, SpanID string
-}
-
-// KNNReply returns the partition-local top-k (exact distances, ascending
-// (distance, ID)) plus the scan's pruning funnel.
-type KNNReply struct {
-	Hits []SearchHit
-	// Funnel is the partition-local pruning funnel (Considered onward).
-	Funnel obs.Funnel
-	// ElapsedMicros is the worker-measured handler time.
-	ElapsedMicros int64
 }
 
 // FetchArgs retrieves full trajectories by id from a partition.

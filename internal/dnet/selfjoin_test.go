@@ -281,7 +281,7 @@ func TestChaosSelfJoinPartialNamesBothPartitions(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		workers[1].Close()
 	}()
-	pairs, rep, err := c.JoinPartial("x", "x", tau)
+	pairs, rep, err := c.JoinTraced(context.Background(), "x", "x", tau, nil)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestChaosSelfJoinPartialNamesBothPartitions(t *testing.T) {
 	if len(dead) == 0 {
 		t.Fatal("test setup: worker 1 owns no partitions")
 	}
-	pairs, rep, err = c.JoinPartial("x", "x", tau)
+	pairs, rep, err = c.JoinTraced(context.Background(), "x", "x", tau, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -587,7 +587,7 @@ func (s *workerService) Search(args *SearchArgs, reply *SearchReply) (err error)
 // trajectory omitted is beaten by k partition-mates (or provably beyond
 // the round threshold) and can never be a global answer, so the
 // coordinator's merge is exact.
-func (s *workerService) KNN(args *KNNArgs, reply *KNNReply) (err error) {
+func (s *workerService) KNN(args *KNNArgs, reply *SearchReply) (err error) {
 	if !s.w.beginRPC() {
 		return errDraining
 	}

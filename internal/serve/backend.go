@@ -73,7 +73,7 @@ type CoordBackend struct {
 }
 
 func (b *CoordBackend) Search(ctx context.Context, q []geom.Point, tau float64) ([]Hit, error) {
-	hits, err := b.C.SearchContext(ctx, b.Dataset, &traj.T{ID: -1, Points: q}, tau)
+	hits, _, err := b.C.SearchTraced(ctx, b.Dataset, &traj.T{ID: -1, Points: q}, tau, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +85,7 @@ func (b *CoordBackend) Search(ctx context.Context, q []geom.Point, tau float64) 
 }
 
 func (b *CoordBackend) KNN(ctx context.Context, q []geom.Point, k int) ([]Hit, error) {
-	hits, err := b.C.SearchKNNContext(ctx, b.Dataset, &traj.T{ID: -1, Points: q}, k)
+	hits, _, err := b.C.SearchKNNTraced(ctx, b.Dataset, &traj.T{ID: -1, Points: q}, k, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func (b *CoordBackend) KNN(ctx context.Context, q []geom.Point, k int) ([]Hit, e
 }
 
 func (b *CoordBackend) Join(ctx context.Context, right string, tau float64) ([]JoinPair, error) {
-	pairs, err := b.C.JoinContext(ctx, b.Dataset, right, tau)
+	pairs, _, err := b.C.JoinTraced(ctx, b.Dataset, right, tau, nil)
 	if err != nil {
 		return nil, err
 	}

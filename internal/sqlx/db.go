@@ -18,7 +18,7 @@ import (
 )
 
 // ErrOverloaded is returned by Exec/ExecContext when the admission
-// controller is saturated (see SetAdmission).
+// gate is saturated (see SetAdmission).
 var ErrOverloaded = admit.ErrOverloaded
 
 // DB is the catalog and execution context: named tables, their optional
@@ -31,8 +31,9 @@ type DB struct {
 	Eps   float64
 	Delta int
 
-	// adm gates SELECT execution; nil admits everything.
-	adm *admit.Controller
+	// adm gates SELECT execution, one unit per query; nil admits
+	// everything.
+	adm *admit.CostGate
 
 	mu     sync.Mutex
 	tables map[string]*table
@@ -294,7 +295,7 @@ func (db *DB) engineLocked(t *table, m measure.Measure) (*core.Engine, error) {
 func (db *DB) execSelect(ctx context.Context, s *Select, params []*traj.T, planOnly, analyze bool) (*Result, error) {
 	// EXPLAIN never executes anything; only real queries pass admission.
 	if !planOnly {
-		release, err := db.adm.Acquire(ctx)
+		release, err := db.adm.Acquire(ctx, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -45,13 +45,13 @@ func TestExecContextDeadlineInterruptsScan(t *testing.T) {
 // Admission control on the DB: with MaxConcurrent=1 and no queue, a
 // SELECT arriving while the slot is held is rejected with ErrOverloaded;
 // EXPLAIN and DDL stay exempt. The slot is held directly through the
-// controller (the same gate execSelect acquires) so the test is
+// gate (the same one execSelect acquires) so the test is
 // deterministic regardless of how fast a real query would finish.
 func TestDBAdmissionOverload(t *testing.T) {
 	db, d := newTestDB(t, 100)
 	db.SetAdmission(admit.Policy{MaxConcurrent: 1, MaxQueue: 0})
 
-	release, err := db.adm.Acquire(context.Background())
+	release, err := db.adm.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
