@@ -164,6 +164,22 @@ func BenchmarkEngineSearch(b *testing.B) {
 	}
 }
 
+func BenchmarkEngineKNN(b *testing.B) {
+	d := benchTrajs(5000)
+	opts := dita.DefaultOptions()
+	opts.Cluster = dita.NewCluster(4)
+	e, err := dita.NewEngine(d, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := dita.Queries(d, 100, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.SearchKNN(qs[i%len(qs)], 10)
+	}
+}
+
 func BenchmarkEngineSelfJoin(b *testing.B) {
 	d := benchTrajs(800)
 	opts := dita.DefaultOptions()

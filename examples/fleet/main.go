@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -36,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nn, err := left.KNNJoin(right, 2)
+	nn, err := left.KNNJoinContext(context.Background(), right, 2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

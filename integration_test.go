@@ -6,6 +6,7 @@ package dita_test
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -176,7 +177,7 @@ func TestKNNJoinPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nn, err := e1.KNNJoin(e2, 1)
+	nn, err := e1.KNNJoinContext(context.Background(), e2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ func BenchmarkKNNOutlier(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st SearchStats
-		e.SearchKNNStats(qs[i%len(qs)], k, &st)
+		e.SearchKNNContext(context.Background(), qs[i%len(qs)], k, &st)
 		cands += st.Funnel.TrieCands
 		verified += st.Funnel.Verified
 	}

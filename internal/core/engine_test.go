@@ -125,29 +125,6 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// SearchBatch must agree with Search.
-func TestSearchBatchMatchesSearch(t *testing.T) {
-	d := smallDataset(300, 4)
-	e, err := NewEngine(d, smallOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := gen.Queries(d, 20, 5)
-	tau := 0.03
-	batch := e.SearchBatch(qs, tau)
-	for i, q := range qs {
-		single := e.Search(q, tau, nil)
-		if len(batch[i]) != len(single) {
-			t.Fatalf("query %d: batch %d results, single %d", i, len(batch[i]), len(single))
-		}
-		for j := range single {
-			if batch[i][j].Traj.ID != single[j].Traj.ID {
-				t.Fatalf("query %d result %d differs", i, j)
-			}
-		}
-	}
-}
-
 // The search must prune partitions: on spread data with a small τ, most
 // partitions are irrelevant.
 func TestGlobalPruning(t *testing.T) {
@@ -241,7 +218,10 @@ func TestWorkDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SearchBatch(gen.Queries(d, 50, 14), 0.05)
+	e.Cluster().Reset() // count the searches' work, not the build's
+	for _, q := range gen.Queries(d, 50, 14) {
+		e.Search(q, 0.05, nil)
+	}
 	m := e.Cluster().Metrics()
 	busyWorkers := 0
 	for _, b := range m.WorkerBusy {

@@ -165,7 +165,7 @@ func TestKNNFunnelOutliers(t *testing.T) {
 	var boxed, enveloped bool
 	for qi, q := range gen.OutlierQueries(d, 14) {
 		stats := SearchStats{Trace: obs.NewTrace("knn")}
-		got := e.SearchKNNStats(q, k, &stats)
+		got := must(e.SearchKNNContext(context.Background(), q, k, &stats))
 		checkKNNBitwise(t, "engine", got, d.Trajs, m, q, k)
 		f := stats.Funnel
 		if !f.Monotone() || f.Verified != f.AfterCoverage || f.Matched < k {

@@ -227,12 +227,7 @@ func (e *Engine) EnableIngest(cfg IngestConfig) (*ReplaySummary, error) {
 	if cfg.WAL != nil {
 		start := time.Now()
 		if err := e.openLogs(st, cfg, sum); err != nil {
-			for _, p := range e.parts {
-				if p.wlog != nil {
-					p.wlog.Close()
-					p.wlog = nil
-				}
-			}
+			closeLogs(e.parts, nil, "")
 			return nil, err
 		}
 		sum.Duration = time.Since(start)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -261,7 +262,7 @@ func TestIngestDifferential(t *testing.T) {
 	checkJoin(t, pairs, bruteJoin(vis, b, e.Measure(), 0.05), "ingest-join")
 
 	// kNN join from the mutated side: one probe per visible trajectory.
-	kj, err := e.KNNJoin(eb, 3)
+	kj, err := e.KNNJoinContext(context.Background(), eb, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

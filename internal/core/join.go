@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -102,42 +102,22 @@ type edge struct {
 	mirror, diagonal bool
 }
 
-// Join computes the distributed similarity join T ⋈_τ Q between two built
-// engines sharing a cluster (Algorithm 3). Both sides must use the same
-// measure. stats may be nil. A panic in an edge task propagates (legacy
-// crash semantics); lifecycle-aware callers use JoinContext.
+// Join is JoinPartialContext without a context, where a measure mismatch
+// or a skipped partition panics (legacy crash semantics).
 func (e *Engine) Join(other *Engine, tau float64, opts JoinOptions, stats *JoinStats) []Pair {
-	out, rep, err := e.JoinPartialContext(context.Background(), other, tau, opts, stats)
-	if err != nil {
-		panic(err) // unreachable with a background context
-	}
-	if rep.Partial() {
-		panic(rep.err("join"))
-	}
-	return out
+	return partial(e.JoinPartialContext(context.Background(), other, tau, opts, stats)).must(opJoin)
 }
 
-// JoinContext is Join with query-lifecycle control: the context is checked
-// while building and orienting the bi-graph, during trajectory selection,
-// and between local-join verification steps; a panic on any edge task is
-// isolated and surfaces as an error instead of crashing the process.
-func (e *Engine) JoinContext(ctx context.Context, other *Engine, tau float64, opts JoinOptions, stats *JoinStats) ([]Pair, error) {
-	out, rep, err := e.JoinPartialContext(ctx, other, tau, opts, stats)
-	if err != nil {
-		return nil, err
-	}
-	if rep.Partial() {
-		return nil, rep.err("join")
-	}
-	return out, nil
-}
-
-// JoinPartialContext is JoinContext plus partial-result semantics: an
-// edge whose selection or local-join task panics is dropped and its
-// destination partition recorded in the SkipReport — both partitions of a
-// self-join edge, whose pairs have their T in either — while pairs from
-// the surviving edges are still returned. Cancellation is never partial: a
-// done context returns ctx.Err().
+// JoinPartialContext computes the distributed similarity join T ⋈_τ Q
+// between two built engines (Algorithm 3). Both sides must use the same
+// measure. stats may be nil. The context is checked while building and
+// orienting the bi-graph, during trajectory selection, and between
+// local-join verification steps; a done context returns ctx.Err() —
+// cancellation is never partial. An edge whose selection or local-join task
+// panics is dropped and its destination partition recorded in the
+// SkipReport — both partitions of a self-join edge, whose pairs have their
+// T in either — while pairs from the surviving edges are still returned; a
+// strict caller turns the report into an error with SkipReport.Err.
 //
 // Joining an engine with itself is planned symmetrically: the bi-graph
 // holds each unordered partition pair once, an off-diagonal edge returns
@@ -148,7 +128,9 @@ func (e *Engine) JoinContext(ctx context.Context, other *Engine, tau float64, op
 // decides (a,b) and (b,a); every measure is bitwise symmetric (the Measure
 // contract), so the answer is the two-sided join's, pair for pair.
 func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau float64, opts JoinOptions, stats *JoinStats) ([]Pair, *SkipReport, error) {
-	report := &SkipReport{}
+	if err := e.checkPair(opJoin, other); err != nil {
+		return nil, nil, err
+	}
 	unlock := rlockPair(e, other)
 	defer unlock()
 	if opts.SampleRate <= 0 || opts.SampleRate > 1 {
@@ -162,14 +144,8 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 		// => one candidate pair "costs" the same as 250 bytes on the wire.
 		opts.Lambda = 1.0 / 250.0
 	}
-	var tr *obs.Trace
-	if stats != nil {
-		tr = stats.Trace
-	}
-	var qStart time.Time
-	if tr != nil || e.met != nil {
-		qStart = time.Now()
-	}
+	run := e.begin(opJoin, stats.trace())
+	tr := run.tr
 	planDone := tr.StartSpan("bigraph", -1)
 	jv := joinViews{e: e, other: other, left: e.partitionViews()}
 	jv.right = jv.left
@@ -179,64 +155,52 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 	edges, err := jv.buildBigraph(ctx, tau, opts)
 	planDone(err)
 	if err != nil {
-		return nil, report, err
+		return nil, nil, err
 	}
-	funnel := obs.Funnel{
+	run.funnel = obs.Funnel{
 		Partitions: int64(len(e.parts)) * int64(len(other.parts)),
 		Relevant:   int64(len(edges)),
 	}
 	if tr != nil {
 		tr.Add(obs.Span{Name: "global-prune", Partition: -1,
-			Funnel: &obs.Funnel{Partitions: funnel.Partitions, Relevant: funnel.Relevant}})
+			Funnel: &obs.Funnel{Partitions: run.funnel.Partitions, Relevant: run.funnel.Relevant}})
 	}
 	defer func() {
 		if stats != nil {
-			stats.Funnel = funnel
-			stats.CandPairs = int(funnel.TrieCands)
+			stats.Funnel = run.funnel
+			stats.CandPairs = int(run.funnel.TrieCands)
 		}
-		if e.met != nil {
-			e.met.joins.Inc()
-			e.met.joinLatency.Observe(time.Since(qStart).Microseconds())
-			e.met.joinFunnel.Record(funnel)
-		}
+		run.finish()
 	}()
 	if stats != nil {
 		stats.Edges = len(edges)
 	}
 	if len(edges) == 0 {
-		return nil, report, nil
+		return nil, &run.report, nil
 	}
 	orientDone := tr.StartSpan("orient", -1)
 	flips, err := orient(ctx, edges, e, other, opts)
 	orientDone(err)
 	if err != nil {
-		return nil, report, err
+		return nil, nil, err
 	}
 	divisions := balance(edges, e, other, opts)
 	if stats != nil {
 		stats.Oriented = flips
 		stats.Divisions = divisions
 	}
-	perEdge, err := jv.executeJoin(ctx, tau, edges, stats, tr, &funnel, report)
+	perEdge, err := jv.executeJoin(ctx, &run, tau, edges, stats)
 	if err != nil {
-		return nil, report, err
+		return nil, nil, err
 	}
 	mergeDone := tr.StartSpan("merge", -1)
-	n := 0
-	for _, ps := range perEdge {
-		n += len(ps)
-	}
-	pairs := make([]Pair, 0, n)
-	for _, ps := range perEdge {
-		pairs = append(pairs, ps...)
-	}
-	pairs = SortByIDPair(pairs, func(p *Pair) (int, int) { return p.T.ID, p.Q.ID })
+	pairs := SortByIDPair(slices.Concat(perEdge...), func(p *Pair) (int, int) { return p.T.ID, p.Q.ID })
 	mergeDone(nil)
 	if stats != nil {
 		stats.Results = len(pairs)
 		stats.LoadRatio = e.cl.LoadRatio()
 	}
-	return pairs, report, nil
+	return pairs, &run.report, nil
 }
 
 // partitionViews captures every live partition (nil for retired ones),
@@ -516,10 +480,10 @@ func balance(edges []*edge, e, other *Engine, opts JoinOptions) int {
 // partition via the global-index check; (2) shuffle them to the executing
 // worker and probe the destination's trie there. It returns each edge's
 // pairs, a mirror edge's in both orientations. An edge whose task panics
-// is recorded in report (attributed to its destination partition, and to
-// its source too when the edge is mirrored) and the other edges proceed.
-func (jv *joinViews) executeJoin(ctx context.Context, tau float64, edges []*edge, stats *JoinStats, tr *obs.Trace, funnel *obs.Funnel, report *SkipReport) ([][]Pair, error) {
-	e := jv.e
+// is skipped (attributed to its destination partition, and to its source
+// too when the edge is mirrored) and the other edges proceed.
+func (jv *joinViews) executeJoin(ctx context.Context, run *queryRun, tau float64, edges []*edge, stats *JoinStats) ([][]Pair, error) {
+	e, tr := jv.e, run.tr
 	trajsSent, bytesSent := 0, 0
 	tasks := make([]cluster.Task, 0, len(edges))
 	type edgeState struct {
@@ -540,11 +504,7 @@ func (jv *joinViews) executeJoin(ctx context.Context, tau float64, edges []*edge
 	for _, st := range states {
 		src, dst, dstEngine, _ := jv.edgeSides(st.ed)
 		tasks = append(tasks, cluster.Task{Worker: src.part.Worker, Fn: func() {
-			defer func() {
-				if r := recover(); r != nil {
-					st.err = fmt.Errorf("panic: %v", r)
-				}
-			}()
+			defer recoverTo(&st.err)
 			var slots []int
 			st.shipped, st.smeta, slots, st.err = src.Select(ctx, func(t *traj.T) bool {
 				return TrajRelevant(dstEngine.opts.Measure, t.Points, dst.part.MBRf, dst.part.MBRl, tau)
@@ -586,12 +546,8 @@ func (jv *joinViews) executeJoin(ctx context.Context, tau float64, edges []*edge
 		}
 		tasks = append(tasks, cluster.Task{Worker: st.ed.execWorker, Fn: func() {
 			t0 := time.Now()
-			defer func() {
-				if r := recover(); r != nil {
-					st.err = fmt.Errorf("panic: %v", r)
-				}
-				st.elapsed = time.Since(t0)
-			}()
+			defer func() { st.elapsed = time.Since(t0) }()
+			defer recoverTo(&st.err)
 			st.stats, st.err = JoinEdge(ctx, dstEngine.opts.Measure, dst, st.shipped, st.smeta, st.slots,
 				tau, dstEngine.opts.VerifyParallelism, func(hits []JoinHit) {
 					st.pairs = make([]Pair, 0, len(hits)*(1+boolToInt(st.ed.mirror)))
@@ -621,7 +577,7 @@ func (jv *joinViews) executeJoin(ctx context.Context, tau float64, edges []*edge
 	for _, st := range states {
 		src, dst, _, _ := jv.edgeSides(st.ed)
 		if st.err == nil {
-			funnel.Merge(st.stats.Funnel)
+			run.funnel.Merge(st.stats.Funnel)
 			perEdge = append(perEdge, st.pairs)
 			if tr != nil {
 				f := st.stats.Funnel
@@ -633,10 +589,9 @@ func (jv *joinViews) executeJoin(ctx context.Context, tau float64, edges []*edge
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		class := obs.Classify(st.err)
 		if tr != nil {
 			tr.Add(obs.Span{Name: "local-join", Partition: dst.part.ID,
-				Duration: st.elapsed, Err: st.err.Error(), Class: class})
+				Duration: st.elapsed, Err: st.err.Error(), Class: obs.Classify(st.err)})
 		}
 		lost := []int{dst.part.ID}
 		if st.ed.mirror {
@@ -646,9 +601,7 @@ func (jv *joinViews) executeJoin(ctx context.Context, tau float64, edges []*edge
 		for _, pid := range lost {
 			if !seen[pid] {
 				seen[pid] = true
-				report.Skipped = append(report.Skipped, SkippedPartition{
-					Partition: pid, Err: st.err.Error(), Elapsed: st.elapsed, Class: class})
-				e.met.recordSkip(class)
+				run.skip(pid, st.err, st.elapsed)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dita/internal/cluster"
@@ -278,4 +279,33 @@ func TestDivisionBalancesSkew(t *testing.T) {
 	if stats.LoadRatio < 1 || stats.Divisions != divisions {
 		t.Errorf("executed join: load ratio %v (want >= 1), %d divisions (planned %d)", stats.LoadRatio, stats.Divisions, divisions)
 	}
+}
+
+// TestJoinMeasureMismatch: a join prunes with the left engine's measure and
+// verifies with whichever side an edge is oriented into, so two engines
+// with different measures would return a mixture of both answers. The join
+// refuses them like the kNN join, and the pinned Join panics with the
+// refusal.
+func TestJoinMeasureMismatch(t *testing.T) {
+	d := smallDataset(120, 56)
+	opts := smallOpts(4)
+	dtw, err := NewEngine(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Measure = measure.Frechet{}
+	frechet, err := NewEngine(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, rep, err := dtw.JoinPartialContext(context.Background(), frechet, 0.01, DefaultJoinOptions(), nil)
+	if err == nil || !strings.Contains(err.Error(), "measure mismatch") || pairs != nil || rep != nil {
+		t.Fatalf("DTW ⋈ Fréchet: %d pairs, report %v, err %v; want a measure mismatch", len(pairs), rep, err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "measure mismatch") {
+			t.Fatalf("Join panicked with %v, want the measure mismatch", r)
+		}
+	}()
+	frechet.Join(dtw, 0.01, DefaultJoinOptions(), nil)
 }

@@ -11,8 +11,15 @@ import (
 	"dita/internal/traj"
 )
 
-// SearchKNN returns the k trajectories nearest to q under the engine's
-// measure, ordered by ascending distance (ties broken by trajectory ID).
+// SearchKNN is SearchKNNContext without a context or stats, where a failed
+// partition panics (legacy crash semantics).
+func (e *Engine) SearchKNN(q *traj.T, k int) []SearchResult {
+	return must(e.SearchKNNContext(context.Background(), q, k, nil))
+}
+
+// SearchKNNContext returns the k trajectories nearest to q under the
+// engine's measure, ordered by ascending distance (ties broken by
+// trajectory ID).
 //
 // kNN search is the paper's stated future work ("we plan to support
 // KNN-based search and join in DITA"); the implementation is an
@@ -25,66 +32,29 @@ import (
 // and the result is exact even when fewer than k trajectories are
 // reachable (finite-distance neighbors simply run out and every partition
 // is scanned once — there is no probe cap to trip).
-func (e *Engine) SearchKNN(q *traj.T, k int) []SearchResult {
-	return e.SearchKNNStats(q, k, nil)
-}
-
-// SearchKNNStats is SearchKNN with observability: the whole-query pruning
-// funnel lands in stats.Funnel, per-visit spans on stats.Trace when set.
-// A panic in a partition scan propagates (legacy crash semantics);
-// lifecycle-aware callers use SearchKNNContext.
-func (e *Engine) SearchKNNStats(q *traj.T, k int, stats *SearchStats) []SearchResult {
-	res, err := e.SearchKNNContext(context.Background(), q, k, stats)
-	if err != nil {
-		panic(err) // unreachable with a background context and no partition fault
-	}
-	return res
-}
-
-// SearchKNNContext is SearchKNN with query-lifecycle control: the context
-// is checked inside the trie descent, between verification steps, and
-// between partition visits. A panic in a partition scan surfaces as an
-// error. kNN has no partial-result variant — unlike a threshold search, a
-// top-k answer missing one partition's contribution is not a subset of
-// the true answer but potentially wrong everywhere, so any failed
-// partition fails the query.
-func (e *Engine) SearchKNNContext(ctx context.Context, q *traj.T, k int, stats *SearchStats) ([]SearchResult, error) {
+//
+// The context is checked inside the trie descent, between verification
+// steps, and between partition visits. stats may be nil; the whole-query
+// pruning funnel lands in stats.Funnel, per-visit spans on stats.Trace
+// when set. A panic in a partition scan surfaces as an error. kNN has no
+// partial-result variant — unlike a threshold search, a top-k answer
+// missing one partition's contribution is not a subset of the true answer
+// but potentially wrong everywhere, so any failed partition fails the
+// query.
+func (e *Engine) SearchKNNContext(ctx context.Context, q *traj.T, k int, stats *SearchStats) (res []SearchResult, err error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if q == nil || len(q.Points) == 0 || k <= 0 || e.visibleCount() == 0 {
 		return nil, ctx.Err()
 	}
-	if n := e.visibleCount(); k > n {
-		k = n
-	}
-	e.met.knnInc()
-	var tr *obs.Trace
-	if stats != nil {
-		tr = stats.Trace
-	}
-	timed := tr != nil || e.met != nil
-	var qStart time.Time
-	if timed {
-		qStart = time.Now()
-	}
-	funnel := obs.Funnel{Partitions: int64(len(e.parts))}
+	k = min(k, e.visibleCount())
+	run := e.begin(opKNN, stats.trace())
+	run.funnel.Partitions = int64(len(e.parts))
 	defer func() {
-		if stats != nil {
-			stats.Funnel = funnel
-			stats.RelevantPartitions = int(funnel.Relevant)
-			stats.Candidates = int(funnel.TrieCands)
-			stats.Verified = int(funnel.Verified)
-		}
-		if e.met != nil {
-			e.met.knnLatency.Observe(time.Since(qStart).Microseconds())
-			e.met.knnFunnel.Record(funnel)
-		}
+		stats.fill(run.funnel, len(res))
+		run.finish()
 	}()
-	res, err := e.knnBestFirst(ctx, q, k, nil, &funnel, tr)
-	if stats != nil {
-		stats.Results = len(res)
-	}
-	return res, err
+	return e.knnBestFirst(ctx, q, k, nil, &run.funnel, run.tr)
 }
 
 // knnBestFirst runs the incremental best-first top-k engine: visit
@@ -150,11 +120,7 @@ func (e *Engine) knnBestFirst(ctx context.Context, q *traj.T, k int, prime []*tr
 // knnVisit scans one partition's view (View.KNNScan) with panic isolation:
 // a poisoned partition surfaces as this visit's error, not a process crash.
 func (e *Engine) knnVisit(ctx context.Context, p *Partition, q []geom.Point, acc *KNNAcc) (f obs.Funnel, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
+	defer recoverTo(&err)
 	return p.view().KNNScan(ctx, e.opts.Measure, q, acc, math.Inf(1))
 }
 

@@ -106,7 +106,7 @@ func TestKNNJoinMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := 3
-	got, err := ea.KNNJoin(eb, k)
+	got, err := ea.KNNJoinContext(context.Background(), eb, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestKNNJoinDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := e.KNNJoin(e, 0); err != nil || got != nil {
+	if got, err := e.KNNJoinContext(context.Background(), e, 0, nil); err != nil || got != nil {
 		t.Errorf("k=0 should return nil, got %v (err %v)", got, err)
 	}
 	// k exceeding the right side clamps.
-	got, err := e.KNNJoin(e, 1000)
+	got, err := e.KNNJoinContext(context.Background(), e, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +424,8 @@ func TestKNNJoinValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ea.KNNJoin(eb, 2); err == nil {
-		t.Error("KNNJoin across clusters should fail")
+	if _, err := ea.KNNJoinContext(context.Background(), eb, 2, nil); err == nil {
+		t.Error("KNNJoinContext across clusters should fail")
 	}
 	// Same cluster, different measure.
 	opts := smallOpts(2)
@@ -435,8 +435,8 @@ func TestKNNJoinValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ea.KNNJoin(ec, 2); err == nil {
-		t.Error("KNNJoin across measures should fail")
+	if _, err := ea.KNNJoinContext(context.Background(), ec, 2, nil); err == nil {
+		t.Error("KNNJoinContext across measures should fail")
 	}
 	// Cancelled context aborts between probes.
 	opts2 := smallOpts(2)

@@ -9,24 +9,19 @@ import (
 	"dita/internal/traj"
 )
 
-// KNNJoin computes the k-nearest-neighbor join: for every trajectory T in
-// the receiver's dataset, the k trajectories of other's dataset nearest
-// to T under the engines' (shared) measure. This is the paper's stated
-// future work ("we plan to support KNN-based search and join in DITA"),
-// built on the incremental best-first kNN engine: each probe orders the
-// right engine's partitions by lower bound and stops when the bound
-// exceeds its live k-th distance. The result maps each left trajectory ID
-// to its neighbors in ascending (distance, ID) order.
-func (e *Engine) KNNJoin(other *Engine, k int) (map[int][]SearchResult, error) {
-	return e.KNNJoinContext(context.Background(), other, k, nil)
-}
-
-// KNNJoinContext is KNNJoin with query-lifecycle control (the context is
-// checked between per-trajectory probes and inside each probe's scan) and
-// observability (stats, when non-nil, accumulates every probe's pruning
-// funnel). Both engines must share a cluster — the join schedules left
-// partitions' probes on their owning workers, which is meaningless across
-// clusters — and a measure.
+// KNNJoinContext computes the k-nearest-neighbor join: for every
+// trajectory T in the receiver's dataset, the k trajectories of other's
+// dataset nearest to T under the engines' (shared) measure. This is the
+// paper's stated future work ("we plan to support KNN-based search and join
+// in DITA"), built on the incremental best-first kNN engine: each probe
+// orders the right engine's partitions by lower bound and stops when the
+// bound exceeds its live k-th distance. The result maps each left
+// trajectory ID to its neighbors in ascending (distance, ID) order. The
+// context is checked between per-trajectory probes and inside each probe's
+// scan; stats, when non-nil, accumulates every probe's pruning funnel. Both
+// engines must share a cluster — the join schedules left partitions' probes
+// on their owning workers, which is meaningless across clusters — and a
+// measure. Like kNN, a failed partition fails the whole join.
 //
 // Probes within one left partition run sequentially and warm-start from
 // their predecessor: trajectories of one STR partition start and end near
@@ -34,51 +29,31 @@ func (e *Engine) KNNJoin(other *Engine, k int) (map[int][]SearchResult, error) {
 // and usually pin τ near its final value before any right partition is
 // visited.
 func (e *Engine) KNNJoinContext(ctx context.Context, other *Engine, k int, stats *JoinStats) (map[int][]SearchResult, error) {
-	if e.cl != other.cl {
-		return nil, fmt.Errorf("core: knn join: engines do not share a cluster")
-	}
-	if e.opts.Measure.Name() != other.opts.Measure.Name() ||
-		e.opts.Measure.Epsilon() != other.opts.Measure.Epsilon() {
-		return nil, fmt.Errorf("core: knn join: measure mismatch: %s(ε=%g) vs %s(ε=%g)",
-			e.opts.Measure.Name(), e.opts.Measure.Epsilon(),
-			other.opts.Measure.Name(), other.opts.Measure.Epsilon())
+	if err := e.checkPair(opKNNJoin, other); err != nil {
+		return nil, err
 	}
 	unlock := rlockPair(e, other)
 	defer unlock()
 	if k <= 0 || e.visibleCount() == 0 || other.visibleCount() == 0 {
 		return nil, ctx.Err()
 	}
-	if n := other.visibleCount(); k > n {
-		k = n
-	}
-	out := make(map[int][]SearchResult, e.visibleCount())
-	var total obs.Funnel
-	results := int64(0)
+	k = min(k, other.visibleCount())
 	errs := make([]error, len(e.parts))
 	funnels := make([]obs.Funnel, len(e.parts))
 	locals := make([]map[int][]SearchResult, len(e.parts))
 	// Each left partition's worker resolves its own trajectories' kNN by
 	// probing the right engine's index, so the work parallelizes the same
 	// way the threshold join does.
-	tasks := make([]cluster.Task, 0, len(e.parts))
+	tasks := make([]cluster.Task, len(e.parts))
 	for i, p := range e.parts {
-		i, p := i, p
-		tasks = append(tasks, cluster.Task{Worker: p.Worker, Fn: func() {
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("left partition %d: panic: %v", p.ID, r)
-				}
-			}()
+		tasks[i] = cluster.Task{Worker: p.Worker, Fn: func() {
+			defer recoverTo(&errs[i])
 			// The probe set is the partition's visible members (masked base
 			// hidden, frozen+delta included).
 			probes := p.view().Visible()
-			local := make(map[int][]SearchResult, len(probes))
+			locals[i] = make(map[int][]SearchResult, len(probes))
 			var prime []*traj.T
 			for _, t := range probes {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
 				f := obs.Funnel{Partitions: int64(len(other.parts))}
 				res, err := other.knnBestFirst(ctx, t, k, prime, &f, nil)
 				if err != nil {
@@ -86,35 +61,37 @@ func (e *Engine) KNNJoinContext(ctx context.Context, other *Engine, k int, stats
 					return
 				}
 				funnels[i].Merge(f)
-				local[t.ID] = res
+				locals[i][t.ID] = res
 				// Warm-start the next probe from this answer set.
 				prime = make([]*traj.T, 0, len(res))
 				for _, r := range res {
 					prime = append(prime, r.Traj)
 				}
 			}
-			locals[i] = local
-		}})
+		}}
 	}
 	if err := e.cl.RunContext(ctx, tasks); err != nil {
 		return nil, err
 	}
+	out := make(map[int][]SearchResult, e.visibleCount())
+	var total obs.Funnel
+	results := 0
 	for i, err := range errs {
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
 			}
-			return nil, fmt.Errorf("core: knn join: %w", err)
+			return nil, fmt.Errorf("core: knn join: left partition %d: %w", e.parts[i].ID, err)
 		}
 		total.Merge(funnels[i])
 		for id, res := range locals[i] {
 			out[id] = res
-			results += int64(len(res))
+			results += len(res)
 		}
 	}
 	if stats != nil {
 		stats.Funnel = total
-		stats.Results = int(results)
+		stats.Results = results
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -74,9 +75,9 @@ func TestSearchPanicYieldsPartialThenExactRetry(t *testing.T) {
 			t.Error("hit from the poisoned partition leaked into results")
 		}
 	}
-	// The strict variant turns the same fault into an error, not a panic.
-	if _, err := e.SearchContext(context.Background(), q, tau, nil); err == nil {
-		t.Fatal("SearchContext returned nil error for a poisoned partition")
+	// A strict caller turns the same report into an error, not a panic.
+	if err := rep.Err("search"); err == nil || !strings.Contains(err.Error(), "search") {
+		t.Fatalf("SkipReport.Err = %v for a poisoned partition", err)
 	}
 
 	undo()
@@ -132,7 +133,7 @@ func TestJoinContextCancelPrompt(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = e1.JoinContext(ctx, e2, 0.05, DefaultJoinOptions(), nil)
+	_, _, err = e1.JoinPartialContext(ctx, e2, 0.05, DefaultJoinOptions(), nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -153,7 +154,7 @@ func TestSearchContextDeadline(t *testing.T) {
 	defer cancel()
 	<-ctx.Done() // let it expire so the abort point is deterministic
 	start := time.Now()
-	_, err = e.SearchContext(ctx, d.Trajs[0], 0.1, nil)
+	_, _, err = e.SearchPartialContext(ctx, d.Trajs[0], 0.1, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -163,8 +164,8 @@ func TestSearchContextDeadline(t *testing.T) {
 }
 
 // Join panic isolation: poisoning one side's verification yields a
-// partial join with a skip report, not a crash, and the strict variants
-// turn it into an error/panic respectively.
+// partial join with a skip report, not a crash, which a strict caller
+// turns into an error.
 func TestJoinPanicYieldsPartial(t *testing.T) {
 	d := smallDataset(200, 54)
 	e1, err := NewEngine(d, smallOpts(4))
@@ -196,8 +197,8 @@ func TestJoinPanicYieldsPartial(t *testing.T) {
 	if !found {
 		t.Fatalf("skip report not attributed to the panic: %+v", rep.Skipped)
 	}
-	if _, err := e1.JoinContext(context.Background(), e2, 0.05, DefaultJoinOptions(), nil); err == nil {
-		t.Fatal("JoinContext returned nil error for a poisoned partition")
+	if err := rep.Err("join"); err == nil {
+		t.Fatal("SkipReport.Err returned nil for a poisoned partition")
 	}
 
 	// Retry after the fault clears is exact.
@@ -207,4 +208,86 @@ func TestJoinPanicYieldsPartial(t *testing.T) {
 		t.Fatalf("retry after fault cleared: err=%v partial=%v", err, rep.Partial())
 	}
 	checkJoin(t, pairs, bruteJoin(d, d, measure.DTW{}, 0.05), "retry after fault")
+}
+
+// TestEngineQueryLifecycle holds the engine's four query bodies to one
+// contract: nil stats work; a pre-cancelled context returns ctx.Err() and
+// never a report; a poisoned partition is a SkipReport from a partial body,
+// which SkipReport.Err turns into an error naming the op and a pinned shim
+// into a panic, and an error from kNN and the kNN join, which have no
+// partial form.
+func TestEngineQueryLifecycle(t *testing.T) {
+	d := smallDataset(300, 55)
+	e, err := NewEngine(d, smallOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 0
+	q := e.Partitions()[victim].Trajs[0]
+	rows := []struct {
+		op      string
+		partial bool
+		// body runs the query over e (and e ⋈ e): its answer count, report
+		// (nil unless partial) and error.
+		body func(ctx context.Context) (int, *SkipReport, error)
+		// shim runs the pinned form; nil when there is none.
+		shim func() int
+	}{
+		{"search", true, func(ctx context.Context) (int, *SkipReport, error) {
+			out, rep, err := e.SearchPartialContext(ctx, q, 0.05, nil)
+			return len(out), rep, err
+		}, func() int { return len(e.Search(q, 0.05, nil)) }},
+		{"knn", false, func(ctx context.Context) (int, *SkipReport, error) {
+			out, err := e.SearchKNNContext(ctx, q, 3, nil)
+			return len(out), nil, err
+		}, func() int { return len(e.SearchKNN(q, 3)) }},
+		{"join", true, func(ctx context.Context) (int, *SkipReport, error) {
+			out, rep, err := e.JoinPartialContext(ctx, e, 0.02, DefaultJoinOptions(), nil)
+			return len(out), rep, err
+		}, func() int { return len(e.Join(e, 0.02, DefaultJoinOptions(), nil)) }},
+		{"knn join", false, func(ctx context.Context) (int, *SkipReport, error) {
+			out, err := e.KNNJoinContext(ctx, e, 3, nil)
+			return len(out), nil, err
+		}, nil},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	shimPanics := func(shim func() int) (v any) {
+		defer func() { v = recover() }()
+		shim()
+		return nil
+	}
+	for _, r := range rows {
+		t.Run(r.op, func(t *testing.T) {
+			n, rep, err := r.body(context.Background())
+			if err != nil || rep.Partial() || n == 0 {
+				t.Fatalf("nil stats: %d answers, partial=%v, err %v", n, rep.Partial(), err)
+			}
+			if r.shim != nil && r.shim() != n {
+				t.Fatal("the shim's answer differs from the body's")
+			}
+			if n, rep, err := r.body(cancelled); !errors.Is(err, context.Canceled) || rep != nil || n != 0 {
+				t.Fatalf("pre-cancelled: %d answers, report %v, err %v", n, rep, err)
+			}
+
+			defer poisonPartition(e, victim)()
+			_, rep, err = r.body(context.Background())
+			if r.partial {
+				named := rep.Partial() && slices.ContainsFunc(rep.Skipped, func(s SkippedPartition) bool { return s.Partition == victim })
+				if err != nil || !named {
+					t.Fatalf("poisoned: report %+v, err %v", rep, err)
+				}
+				if err := rep.Err(r.op); err == nil || !strings.Contains(err.Error(), "core: "+r.op+":") {
+					t.Fatalf("SkipReport.Err(%q) = %v", r.op, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), "injected verification fault") {
+				t.Fatalf("poisoned: err %v, want the partition's panic", err)
+			}
+			if r.shim != nil {
+				if v := shimPanics(r.shim); v == nil {
+					t.Fatal("the shim did not panic over a poisoned partition")
+				}
+			}
+		})
+	}
 }

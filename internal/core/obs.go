@@ -11,15 +11,7 @@ import (
 // importantly, the clock reads that feed the latency histograms).
 type engineMetrics struct {
 	reg           *obs.Registry
-	searches      *obs.Counter
-	joins         *obs.Counter
-	knns          *obs.Counter
-	searchLatency *obs.Histogram
-	joinLatency   *obs.Histogram
-	knnLatency    *obs.Histogram
-	searchFunnel  *obs.FunnelCounters
-	joinFunnel    *obs.FunnelCounters
-	knnFunnel     *obs.FunnelCounters
+	ops           [opKNNJoin]opMetrics // search, kNN, join
 	skips         *obs.Counter
 	inserts       *obs.Counter
 	deletes       *obs.Counter
@@ -32,21 +24,19 @@ type engineMetrics struct {
 	occupancySkew *obs.FloatGauge
 }
 
+// opMetrics is one query kind's count, latency and cumulative funnel.
+type opMetrics struct {
+	count   *obs.Counter
+	latency *obs.Histogram
+	funnel  *obs.FunnelCounters
+}
+
 func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	if r == nil {
 		return nil
 	}
-	return &engineMetrics{
+	m := &engineMetrics{
 		reg:           r,
-		searches:      r.Counter("engine_searches_total"),
-		joins:         r.Counter("engine_joins_total"),
-		knns:          r.Counter("engine_knn_total"),
-		searchLatency: r.Histogram("engine_search_latency_us"),
-		joinLatency:   r.Histogram("engine_join_latency_us"),
-		knnLatency:    r.Histogram("engine_knn_latency_us"),
-		searchFunnel:  obs.NewFunnelCounters(r, "engine_search_"),
-		joinFunnel:    obs.NewFunnelCounters(r, "engine_join_"),
-		knnFunnel:     obs.NewFunnelCounters(r, "engine_knn_"),
 		skips:         r.Counter("engine_partition_skips_total"),
 		inserts:       r.Counter("engine_inserts_total"),
 		deletes:       r.Counter("engine_deletes_total"),
@@ -58,6 +48,12 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		rebalanceMS:   r.Histogram("engine_rebalance_ms"),
 		occupancySkew: r.FloatGauge("engine_occupancy_skew"),
 	}
+	for op := range m.ops {
+		o := ops[op]
+		m.ops[op] = opMetrics{r.Counter(o.counter),
+			r.Histogram("engine_" + o.label + "_latency_us"), obs.NewFunnelCounters(r, "engine_"+o.label+"_")}
+	}
+	return m
 }
 
 // rebalanceObserve records one completed split/merge cutover and the
@@ -85,13 +81,6 @@ func (m *engineMetrics) replayObserve(sum *ReplaySummary) {
 	}
 	m.replayRecords.Add(int64(sum.Records))
 	m.replayLatency.Observe(sum.Duration.Microseconds())
-}
-
-// knnInc counts one kNN query.
-func (m *engineMetrics) knnInc() {
-	if m != nil {
-		m.knns.Inc()
-	}
 }
 
 // recordSkip counts a skipped partition, overall and by error class. The

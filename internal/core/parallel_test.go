@@ -74,7 +74,7 @@ func TestParallelKNNDifferential(t *testing.T) {
 		}
 		for qi, q := range qs {
 			var st SearchStats
-			res := e.SearchKNNStats(q, k, &st)
+			res := must(e.SearchKNNContext(context.Background(), q, k, &st))
 			got := outcome{res: res, funnel: fmt.Sprintf("%+v", st.Funnel)}
 			if li == 0 {
 				baseline[qi] = got

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"dita/internal/str"
 	"dita/internal/traj"
 	"dita/internal/trie"
+	"dita/internal/wal"
 )
 
 // This file implements online STR re-partitioning: splitting a hot
@@ -75,13 +77,22 @@ func crashPoint(stage string, pieces []*Partition) bool {
 	if rebalanceCrashHook == nil || !rebalanceCrashHook(stage) {
 		return false
 	}
-	for _, q := range pieces {
+	closeLogs(pieces, nil, "")
+	return true
+}
+
+// closeLogs closes the partitions' open WALs and, given their store,
+// removes the files too.
+func closeLogs(parts []*Partition, store *wal.Store, dataset string) {
+	for _, q := range parts {
 		if q.wlog != nil {
 			q.wlog.Close()
 			q.wlog = nil
+			if store != nil {
+				_ = store.Remove(dataset, q.ID)
+			}
 		}
 	}
-	return true
 }
 
 // RebalanceStats reports one split/merge cutover.
@@ -203,13 +214,7 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 			_ = st.cfg.WAL.Remove(name, p.ID)
 			l, _, err := st.cfg.WAL.Open(name, p.ID)
 			if err != nil {
-				for _, q := range pieces {
-					if q.wlog != nil {
-						q.wlog.Close()
-						_ = st.cfg.WAL.Remove(name, q.ID)
-						q.wlog = nil
-					}
-				}
+				closeLogs(pieces, st.cfg.WAL, name)
 				unlock()
 				return nil, fmt.Errorf("core: rebalance: piece %d wal: %w", p.ID, err)
 			}
@@ -233,13 +238,7 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 				for _, q := range pieces[:i+1] {
 					_ = st.cfg.Snap.Remove(name, q.ID)
 				}
-				for _, q := range pieces {
-					if q.wlog != nil {
-						q.wlog.Close()
-						_ = st.cfg.WAL.Remove(name, q.ID)
-						q.wlog = nil
-					}
-				}
+				closeLogs(pieces, st.cfg.WAL, name)
 				unlock()
 				return nil, fmt.Errorf("core: rebalance: seal piece %d: %w", p.ID, err)
 			}
@@ -271,13 +270,7 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 				continue // keep this partition's WAL: full snapshot + log stay recoverable
 			}
 		}
-		if p.wlog != nil {
-			p.wlog.Close()
-			p.wlog = nil
-			if st.cfg.WAL != nil {
-				_ = st.cfg.WAL.Remove(e.dataset.Name, p.ID)
-			}
-		}
+		closeLogs([]*Partition{p}, st.cfg.WAL, e.dataset.Name)
 	}
 
 	if crashPoint("tombstoned", pieces) {
@@ -308,7 +301,7 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 	e.buildGlobalIndex()
 	stats.Duration = time.Since(start)
 	if e.met != nil {
-		_, _, skew := e.occupancySkewLocked()
+		_, _, skew := Skew(e.liveLoads())
 		e.met.rebalanceObserve(stats.Duration, skew)
 	}
 	unlock()
@@ -367,32 +360,58 @@ func (e *Engine) buildPiece(id, workers int, members []*traj.T, watermark uint64
 }
 
 // OccupancySkew returns the live partitions' occupancy distribution:
-// max and mean bytes (base plus unmerged overlay) and their ratio. A
-// skew of 1 is perfectly balanced; 0 means no live partitions.
+// max and mean bytes (base plus unmerged overlay) and their ratio (Skew).
 func (e *Engine) OccupancySkew() (max, mean, skew float64) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.occupancySkewLocked()
+	return Skew(e.liveLoads())
 }
 
-func (e *Engine) occupancySkewLocked() (max, mean, skew float64) {
-	n := 0
-	total := 0.0
+// liveLoads is the engine's live partitions as the planner sees them: load
+// is bytes, base plus unmerged overlay, and members the visible count.
+// Callers hold mu.
+func (e *Engine) liveLoads() []PartLoad {
+	var live []PartLoad
 	for _, p := range e.parts {
 		if p.retired {
 			continue
 		}
-		occ := float64(p.bytes + p.overlayBytes())
-		total += occ
-		if occ > max {
-			max = occ
+		l := PartLoad{PID: p.ID, Load: float64(p.bytes + p.overlayBytes()), Members: len(p.view().Visible())}
+		if !p.MBRf.IsEmpty() {
+			l.Center = p.MBRf.Center()
 		}
-		n++
+		live = append(live, l)
 	}
-	if n == 0 || total == 0 {
+	return live
+}
+
+// PartLoad is one live partition as the rebalance planner sees it. Each
+// host fills it from its own state.
+type PartLoad struct {
+	PID int
+	// Load is what occupancy skew is taken over.
+	Load float64
+	// Members is the visible member count.
+	Members int
+	// Center is the center of the members' first-point MBR; a cold merge
+	// pairs the nearest.
+	Center geom.Point
+}
+
+// Skew returns the live partitions' max and mean load and their ratio. A
+// skew of 1 is perfectly balanced; 0 means no live partitions or no load.
+func Skew(live []PartLoad) (max, mean, skew float64) {
+	total := 0.0
+	for _, l := range live {
+		total += l.Load
+		if l.Load > max {
+			max = l.Load
+		}
+	}
+	if len(live) == 0 || total == 0 {
 		return max, 0, 0
 	}
-	mean = total / float64(n)
+	mean = total / float64(len(live))
 	return max, mean, max / mean
 }
 
@@ -435,20 +454,20 @@ func (pol RebalancePolicy) Sanitized() RebalancePolicy {
 	return pol
 }
 
-// RebalanceOnce runs one planner step: when occupancy skew exceeds the
-// bound it splits the hottest partition into about max/mean pieces; when
-// the byte layout is balanced but one partition's observed per-query
-// verify cost exceeds the policy's cost bound, it splits that read
-// hotspot instead; otherwise, when at least two cold partitions sit
-// below MergeFraction·mean, it merges the coldest with its spatially
-// nearest cold sibling. Returns nil when no action was needed.
+// RebalanceOnce runs one planner step (PlanRebalance) over the engine's
+// byte occupancy and observed read cost: it splits a hot partition or
+// merges a cold pair. Returns nil when no action was needed.
 func (e *Engine) RebalanceOnce(pol RebalancePolicy) (*RebalanceStats, error) {
 	pol = pol.Sanitized()
-	// hot and k come from ONE occupancy snapshot inside planRebalance: a
-	// second OccupancySkew() here would read fresh max/mean after
-	// concurrent ingest moved them, pairing a stale hot pid with a
-	// fan-out computed for a different layout.
-	hot, cold, k := e.planRebalance(pol)
+	// hot and k come from ONE occupancy snapshot: a second OccupancySkew()
+	// would read fresh max/mean after concurrent ingest moved them, pairing
+	// a stale hot pid with a fan-out computed for a different layout.
+	hot, cold, k := -1, []int(nil), 0
+	e.mu.RLock()
+	if e.ing != nil {
+		hot, cold, k = PlanRebalance(e.liveLoads(), e.cost, pol)
+	}
+	e.mu.RUnlock()
 	switch {
 	case hot >= 0:
 		return e.SplitPartition(hot, k)
@@ -458,118 +477,91 @@ func (e *Engine) RebalanceOnce(pol RebalancePolicy) (*RebalanceStats, error) {
 	return nil, nil
 }
 
-// rebalanceMaxSteps caps one Rebalance call's planner steps; a var so
-// the convergence-reporting tests can shrink the budget.
+// Rebalance runs planner steps (Converge) until the skew is within bound
+// and no cold merge remains.
+func (e *Engine) Rebalance(pol RebalancePolicy) ([]*RebalanceStats, bool, error) {
+	return Converge(func() (*RebalanceStats, error) { return e.RebalanceOnce(pol) })
+}
+
+// rebalanceMaxSteps caps one Converge call's steps; a var so the
+// convergence-reporting tests can shrink the budget.
 var rebalanceMaxSteps = 32
 
-// Rebalance runs planner steps until the skew is within bound and no
-// cold merge remains, or no further progress is possible. Returns the
-// steps taken and whether the planner converged: false means the step
-// budget ran out with work still planned — the layout may be thrashing
-// (e.g. a bound the data cannot satisfy) and callers should back off
-// rather than immediately retry.
-func (e *Engine) Rebalance(pol RebalancePolicy) ([]*RebalanceStats, bool, error) {
-	var steps []*RebalanceStats
-	for i := 0; i < rebalanceMaxSteps; i++ {
-		st, err := e.RebalanceOnce(pol)
-		if err != nil {
-			return steps, false, err
-		}
-		if st == nil {
-			return steps, true, nil
+// Converge runs a host's planner steps until one has nothing left to do (a
+// nil step), one fails, or the step budget runs out. converged is false in
+// the last case: work is still planned, the layout may be thrashing (e.g. a
+// bound the data cannot satisfy), and callers should back off rather than
+// immediately retry.
+func Converge[S any](step func() (*S, error)) (steps []*S, converged bool, err error) {
+	for range rebalanceMaxSteps {
+		st, err := step()
+		if err != nil || st == nil {
+			return steps, err == nil, err
 		}
 		steps = append(steps, st)
 	}
 	return steps, false, nil
 }
 
-// planRebalance picks the next action under one occupancy snapshot: the
-// hottest partition's id and split fan-out when byte skew exceeds the
-// bound (split), else a cost-hot partition when the policy enables
-// cost-driven splits, else a group of cold partitions to merge (the
-// coldest plus its nearest cold sibling), else (-1, nil, 0).
-func (e *Engine) planRebalance(pol RebalancePolicy) (hot int, cold []int, kSplit int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	hot = -1
-	if e.ing == nil {
-		return hot, nil, 0
+// PlanRebalance picks a host's next step over one snapshot of its live
+// partitions: the hottest partition and its split fan-out (about max/mean
+// pieces) when load skew exceeds the bound, else a cost-hot partition when
+// the policy enables cost-driven splits, else the coldest partition below
+// MergeFraction·mean and its spatially nearest sibling below that bar to
+// merge, else (-1, nil, 0). A partition of fewer than two members is never
+// split — its one piece would be itself, and the next step would plan the
+// same split again. The engine and the coordinator both plan with it.
+func PlanRebalance(live []PartLoad, ct *CostTracker, pol RebalancePolicy) (hot int, cold []int, k int) {
+	_, mean, skew := Skew(live)
+	if len(live) < 2 || mean == 0 {
+		return -1, nil, 0
 	}
-	type occ struct {
-		pid    int
-		bytes  float64
-		center geom.Point
-	}
-	var live []occ
-	total := 0.0
-	for _, p := range e.parts {
-		if p.retired {
-			continue
-		}
-		o := occ{pid: p.ID, bytes: float64(p.bytes + p.overlayBytes())}
-		if !p.MBRf.IsEmpty() {
-			o.center = p.MBRf.Center()
-		}
-		live = append(live, o)
-		total += o.bytes
-	}
-	if len(live) < 2 || total == 0 {
-		return hot, nil, 0
-	}
-	mean := total / float64(len(live))
-	maxOcc, maxPid := 0.0, -1
-	for _, o := range live {
-		if o.bytes > maxOcc {
-			maxOcc, maxPid = o.bytes, o.pid
-		}
-	}
-	if maxOcc/mean > pol.SkewBound {
-		k := int(math.Round(maxOcc / mean))
-		if k < 2 {
-			k = 2
-		}
-		if k > pol.MaxPieces {
-			k = pol.MaxPieces
-		}
-		return maxPid, nil, k
-	}
-	// Byte occupancy is balanced; consult the observed read cost. A
-	// single-member partition cannot be divided, so it never qualifies
-	// (promotion, in dnet, is the remedy there).
-	livePids := make([]int, len(live))
-	for i, o := range live {
-		livePids[i] = o.pid
-	}
-	if pid, k := CostHot(e.cost, livePids, pol); pid >= 0 && len(e.parts[pid].view().Visible()) > 1 {
-		return pid, nil, k
-	}
-	// Cold merge: the coldest partition plus its spatially nearest
-	// sibling below the cold bar. Merging raises the mean, which lowers
-	// the skew ratio and frees partition slots for future splits.
-	bar := pol.MergeFraction * mean
-	var coldest *occ
+	h := 0
 	for i := range live {
-		if live[i].bytes < bar && (coldest == nil || live[i].bytes < coldest.bytes) {
+		if live[i].Load > live[h].Load {
+			h = i
+		}
+	}
+	if skew > pol.SkewBound && live[h].Members > 1 {
+		return live[h].PID, nil, min(max(int(math.Round(skew)), 2), pol.MaxPieces)
+	}
+	// Load is balanced; a partition dominating the observed read cost is
+	// still split-worthy (a single-member one is dnet's to promote).
+	pids := make([]int, len(live))
+	for i, l := range live {
+		pids[i] = l.PID
+	}
+	if pid, k := CostHot(ct, pids, pol); pid >= 0 {
+		if i := slices.Index(pids, pid); live[i].Members > 1 {
+			return pid, nil, k
+		}
+	}
+	// Cold merge: the coldest partition plus its spatially nearest sibling
+	// below the cold bar. Merging raises the mean, which lowers the skew
+	// ratio and frees partition slots for future splits.
+	bar := pol.MergeFraction * mean
+	var coldest *PartLoad
+	for i := range live {
+		if live[i].Load < bar && (coldest == nil || live[i].Load < coldest.Load) {
 			coldest = &live[i]
 		}
 	}
 	if coldest == nil {
-		return hot, nil, 0
+		return -1, nil, 0
 	}
-	var buddy *occ
+	var buddy *PartLoad
 	bestD := math.Inf(1)
 	for i := range live {
-		o := &live[i]
-		if o.pid == coldest.pid || o.bytes >= bar {
+		l := &live[i]
+		if l.PID == coldest.PID || l.Load >= bar {
 			continue
 		}
-		d := o.center.Dist(coldest.center)
-		if d < bestD {
-			buddy, bestD = o, d
+		if d := l.Center.Dist(coldest.Center); d < bestD {
+			buddy, bestD = l, d
 		}
 	}
 	if buddy == nil {
-		return hot, nil, 0
+		return -1, nil, 0
 	}
-	return -1, []int{coldest.pid, buddy.pid}, 0
+	return -1, []int{coldest.PID, buddy.PID}, 0
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -803,5 +804,61 @@ func TestRebalanceValidation(t *testing.T) {
 	// After the fold completes, the split goes through.
 	if _, err := e.SplitPartition(pid, 2); err != nil {
 		t.Fatalf("split after merge: %v", err)
+	}
+}
+
+// TestRebalanceNeverSplitsOneMember: a partition deleted down to one long
+// member and merged carries the whole skew, but a split of it would cut
+// one identical piece, and the next step would plan it again until the
+// budget ran out. The planner leaves it alone and converges.
+func TestRebalanceNeverSplitsOneMember(t *testing.T) {
+	d := smallDataset(200, 801)
+	e, err := NewEngine(d, smallOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.EnableIngest(IngestConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	p := hottestLive(e)
+	keep := p.Trajs[0]
+	// As many points as the whole dataset, on keep's endpoints: its
+	// partition will hold about half the engine's bytes.
+	var pts []geom.Point
+	for len(pts) < d.Stats().TotalPoints {
+		pts = append(pts, keep.Points...)
+	}
+	long := &traj.T{ID: keep.ID, Points: pts}
+	if err := e.Insert(long); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range p.Trajs[1:] {
+		if ok, err := e.Delete(tr.ID); err != nil || !ok {
+			t.Fatalf("delete %d: ok=%v err=%v", tr.ID, ok, err)
+		}
+	}
+	if did, err := e.MergePartition(p.ID); err != nil || !did {
+		t.Fatalf("MergePartition: did=%v err=%v", did, err)
+	}
+	if len(p.Trajs) != 1 {
+		t.Fatalf("partition %d holds %d members after the merge, want 1", p.ID, len(p.Trajs))
+	}
+	if _, _, skew := e.OccupancySkew(); skew <= 2 {
+		t.Fatalf("skew %.2f, want the lone member above the default bound", skew)
+	}
+	steps, converged, err := e.Rebalance(RebalancePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range steps {
+		if slices.Contains(st.Retired, p.ID) {
+			t.Fatalf("a step re-cut the one-member partition %d: %+v", p.ID, st)
+		}
+	}
+	if !converged {
+		t.Fatalf("rebalance did not converge in %d steps", len(steps))
+	}
+	if got := e.Search(long, 0, nil); len(got) != 1 || got[0].Traj != long {
+		t.Fatalf("the long member searches as %v", got)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -145,26 +144,6 @@ func TestMoreWorkersThanPartitions(t *testing.T) {
 	}
 }
 
-// SearchBatch with nil/empty entries skips them without panicking.
-func TestSearchBatchNilEntries(t *testing.T) {
-	d := smallDataset(60, 46)
-	e, err := NewEngine(d, smallOpts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := []*traj.T{d.Trajs[0], nil, {}, d.Trajs[1]}
-	out := e.SearchBatch(qs, 0.03)
-	if len(out) != 4 {
-		t.Fatalf("batch returned %d slots", len(out))
-	}
-	if out[1] != nil || out[2] != nil {
-		t.Error("nil/empty queries should yield nil results")
-	}
-	if len(out[0]) == 0 {
-		t.Error("valid query lost its results")
-	}
-}
-
 // Engines over an empty dataset behave sanely.
 func TestEmptyDataset(t *testing.T) {
 	d := traj.NewDataset("empty", nil)
@@ -185,69 +164,5 @@ func TestEmptyDataset(t *testing.T) {
 	}
 	if pairs := e.Join(e2, 10, DefaultJoinOptions(), nil); len(pairs) != 0 {
 		t.Errorf("empty join = %d pairs", len(pairs))
-	}
-}
-
-// TestSearchBatchPoisonedPartition: one partition's verification panics;
-// SearchBatchContext must report the skip per affected query, keep the
-// survivors' hits, and be exact again after the fault clears.
-func TestSearchBatchPoisonedPartition(t *testing.T) {
-	d := smallDataset(300, 51)
-	e, err := NewEngine(d, smallOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := 1
-	// Query each partition with one of its own members so the poisoned
-	// partition is guaranteed relevant to at least one query.
-	var qs []*traj.T
-	for _, p := range e.Partitions() {
-		qs = append(qs, p.Trajs[0])
-	}
-	tau := 0.05
-	undo := poisonPartition(e, target)
-	out, reports, err := e.SearchBatchContext(context.Background(), qs, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(qs) || len(reports) != len(qs) {
-		t.Fatalf("batch shape: %d results, %d reports for %d queries", len(out), len(reports), len(qs))
-	}
-	sawSkip := false
-	for qi, rep := range reports {
-		for _, s := range rep.Skipped {
-			sawSkip = true
-			if s.Partition != target {
-				t.Errorf("q%d: skipped partition %d, want %d", qi, s.Partition, target)
-			}
-		}
-	}
-	if !sawSkip {
-		t.Fatal("no query reported the poisoned partition skipped")
-	}
-	// The poisoned partition's own query must still see survivors' hits
-	// and, critically, never a hit from the dead partition.
-	undo()
-	want, reports2, err := e.SearchBatchContext(context.Background(), qs, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, rep := range reports2 {
-		if rep.Partial() {
-			t.Fatalf("q%d: still partial after fault cleared: %+v", qi, rep.Skipped)
-		}
-		// Every hit from the faulted run must be in the exact answer.
-		exact := map[int]bool{}
-		for _, r := range want[qi] {
-			exact[r.Traj.ID] = true
-		}
-		for _, r := range out[qi] {
-			if !exact[r.Traj.ID] {
-				t.Errorf("q%d: faulted run invented hit %d", qi, r.Traj.ID)
-			}
-		}
-		if len(out[qi]) == 0 && len(want[qi]) > 1 {
-			t.Errorf("q%d: faulted run lost all %d hits", qi, len(want[qi]))
-		}
 	}
 }

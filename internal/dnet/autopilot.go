@@ -121,8 +121,8 @@ func (c *Coordinator) autopilotDataset(dd *dispatchedDataset, ap AutopilotConfig
 		n := c.apBackoff[dd.name]
 		c.apLast[dd.name] = time.Now()
 		c.apMu.Unlock()
-		ap.logf("autopilot: %s: planner hit the %d-step budget without converging; backing off (x%d)",
-			dd.name, netRebalanceMaxSteps, n)
+		ap.logf("autopilot: %s: planner hit its step budget without converging; backing off (x%d)",
+			dd.name, n)
 		return
 	}
 	c.apMu.Lock()

@@ -43,7 +43,6 @@ package dnet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -364,7 +363,7 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 	dd.mutated = true
 	dd.boundsEpoch++
 	rebuildTreesLocked(dd)
-	st.Skew = occupancySkewLocked(dd)
+	_, _, st.Skew = core.Skew(liveLoads(dd))
 	dd.mu.Unlock()
 	unlock()
 	// Retired pids never serve reads again; forget their cost EWMAs so
@@ -393,25 +392,21 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 	return st, nil
 }
 
-// occupancySkewLocked computes max/mean over the live partitions' visible
-// member counts. Caller holds dd.mu.
-func occupancySkewLocked(dd *dispatchedDataset) float64 {
-	n, total, max := 0, 0.0, 0.0
-	for pid := range dd.parts {
-		if dd.parts[pid].retired {
+// liveLoads is the dataset's live partitions as the planner sees them:
+// load and members are both the visible member count. Caller holds dd.mu.
+func liveLoads(dd *dispatchedDataset) []core.PartLoad {
+	var live []core.PartLoad
+	for pid, p := range dd.parts {
+		if p.retired {
 			continue
 		}
-		occ := float64(dd.live[pid])
-		total += occ
-		if occ > max {
-			max = occ
+		l := core.PartLoad{PID: pid, Load: float64(dd.live[pid]), Members: dd.live[pid]}
+		if !p.mbrF.IsEmpty() {
+			l.Center = p.mbrF.Center()
 		}
-		n++
+		live = append(live, l)
 	}
-	if n == 0 || total == 0 {
-		return 0
-	}
-	return max / (total / float64(n))
+	return live
 }
 
 // OccupancySkew reports the dataset's max/mean visible-member occupancy
@@ -424,22 +419,23 @@ func (c *Coordinator) OccupancySkew(name string) (float64, error) {
 	}
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
-	return occupancySkewLocked(dd), nil
+	_, _, skew := core.Skew(liveLoads(dd))
+	return skew, nil
 }
 
-// RebalanceOnce runs one planner step over the dataset's occupancy: when
-// skew exceeds the policy bound it splits the hottest partition into
-// about max/mean pieces; otherwise, when at least two partitions sit
-// below MergeFraction·mean, it merges the coldest with its spatially
-// nearest cold sibling. Returns nil when no action was needed. The
-// policy is shared with the in-process engine (core.RebalancePolicy).
+// RebalanceOnce runs one planner step (core.PlanRebalance, the engine's
+// planner) over the dataset's occupancy — the visible member counts — and
+// its observed read cost: it splits a hot partition or merges a cold pair.
+// Returns nil when no action was needed.
 func (c *Coordinator) RebalanceOnce(name string, pol core.RebalancePolicy) (*NetRebalanceStats, error) {
 	pol = pol.Sanitized()
 	dd, err := c.dataset(name)
 	if err != nil {
 		return nil, err
 	}
-	hot, cold, kSplit := planNetRebalance(dd, pol)
+	dd.mu.Lock()
+	hot, cold, kSplit := core.PlanRebalance(liveLoads(dd), dd.cost, pol)
+	dd.mu.Unlock()
 	switch {
 	case hot >= 0:
 		return c.SplitPartition(name, hot, kSplit)
@@ -449,118 +445,17 @@ func (c *Coordinator) RebalanceOnce(name string, pol core.RebalancePolicy) (*Net
 	return nil, nil
 }
 
-// netRebalanceMaxSteps caps one Rebalance call's planner steps; a var so
-// the convergence-reporting tests can shrink the budget.
-var netRebalanceMaxSteps = 32
-
-// Rebalance runs planner steps until the skew is within bound and no
-// cold merge remains, or no further progress is possible. The second
-// return reports convergence: false means the step budget ran out with
-// work still planned — callers (the autopilot in particular) should back
-// off instead of immediately retrying, and the condition is counted as
-// coord_rebalance_noconverge_total.
+// Rebalance runs planner steps (core.Converge) until the skew is within
+// bound and no cold merge remains. A run that spends the step budget
+// without converging is counted as coord_rebalance_noconverge_total;
+// callers (the autopilot in particular) should back off instead of
+// immediately retrying.
 func (c *Coordinator) Rebalance(name string, pol core.RebalancePolicy) ([]*NetRebalanceStats, bool, error) {
-	var steps []*NetRebalanceStats
-	for i := 0; i < netRebalanceMaxSteps; i++ {
-		st, err := c.RebalanceOnce(name, pol)
-		if err != nil {
-			return steps, false, err
-		}
-		if st == nil {
-			return steps, true, nil
-		}
-		steps = append(steps, st)
-	}
-	if c.met != nil {
+	steps, converged, err := core.Converge(func() (*NetRebalanceStats, error) { return c.RebalanceOnce(name, pol) })
+	if err == nil && !converged && c.met != nil {
 		c.met.rebalanceNoConverge.Inc()
 	}
-	return steps, false, nil
-}
-
-// planNetRebalance mirrors the engine planner over coordinator state:
-// occupancy is the per-partition visible member count (dd.live), spatial
-// nearness the first-point MBR centers; when byte occupancy is balanced
-// the observed per-partition read cost can nominate a split instead.
-// Returns the hot pid and split fan-out, or a cold pair to merge, or
-// (-1, nil, 0).
-func planNetRebalance(dd *dispatchedDataset, pol core.RebalancePolicy) (hot int, cold []int, kSplit int) {
-	dd.mu.Lock()
-	defer dd.mu.Unlock()
-	hot = -1
-	type occ struct {
-		pid    int
-		n      float64
-		center geom.Point
-	}
-	var live []occ
-	total := 0.0
-	for pid := range dd.parts {
-		if dd.parts[pid].retired {
-			continue
-		}
-		o := occ{pid: pid, n: float64(dd.live[pid])}
-		if !dd.parts[pid].mbrF.IsEmpty() {
-			o.center = dd.parts[pid].mbrF.Center()
-		}
-		live = append(live, o)
-		total += o.n
-	}
-	if len(live) < 2 || total == 0 {
-		return hot, nil, 0
-	}
-	mean := total / float64(len(live))
-	maxOcc, maxPid := 0.0, -1
-	for _, o := range live {
-		if o.n > maxOcc {
-			maxOcc, maxPid = o.n, o.pid
-		}
-	}
-	if maxOcc/mean > pol.SkewBound && maxOcc > 1 {
-		k := int(math.Round(maxOcc / mean))
-		if k < 2 {
-			k = 2
-		}
-		if k > pol.MaxPieces {
-			k = pol.MaxPieces
-		}
-		return maxPid, nil, k
-	}
-	// Byte occupancy is balanced; a partition dominating the observed
-	// read cost is still split-worthy. Single-member partitions cannot be
-	// divided — the autopilot promotes replicas of those instead.
-	livePids := make([]int, len(live))
-	for i, o := range live {
-		livePids[i] = o.pid
-	}
-	if pid, k := core.CostHot(dd.cost, livePids, pol); pid >= 0 && dd.live[pid] > 1 {
-		return pid, nil, k
-	}
-	bar := pol.MergeFraction * mean
-	var coldest *occ
-	for i := range live {
-		if live[i].n < bar && (coldest == nil || live[i].n < coldest.n) {
-			coldest = &live[i]
-		}
-	}
-	if coldest == nil {
-		return hot, nil, 0
-	}
-	var buddy *occ
-	bestD := math.Inf(1)
-	for i := range live {
-		o := &live[i]
-		if o.pid == coldest.pid || o.n >= bar {
-			continue
-		}
-		d := o.center.Dist(coldest.center)
-		if d < bestD {
-			buddy, bestD = o, d
-		}
-	}
-	if buddy == nil {
-		return hot, nil, 0
-	}
-	return -1, []int{coldest.pid, buddy.pid}, 0
+	return steps, converged, err
 }
 
 // RecoverReport summarizes a RecoverDataset pass.

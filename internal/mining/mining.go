@@ -3,12 +3,12 @@
 // of the DITA engine's similarity primitives — the "analytics" in
 // Distributed In-memory Trajectory Analytics.
 //
-// Both operations reduce to the engine's search/join:
+// Every operation reads the τ-similarity graph over the engine's dataset,
+// which one symmetric self-join of the engine computes (tauGraph):
 //
-//   - Cluster: density-peaks-flavored medoid clustering. Similarity
-//     neighborhoods come from threshold searches, medoids are chosen by
-//     descending neighborhood size, and members attach to the first medoid
-//     within τ — one pass over the τ-similarity graph, no iteration.
+//   - Cluster: density-peaks-flavored medoid clustering. Medoids are chosen
+//     by descending neighborhood size, and members attach to the first
+//     medoid within τ — one pass over the τ-similarity graph, no iteration.
 //   - FrequentRoutes: the connected components of the τ-similarity graph
 //     with at least MinSupport members, ranked by support, each summarized
 //     by its medoid — "frequent trajectory based navigation" (Section 1).
@@ -54,19 +54,7 @@ func Clusters(e *core.Engine, opts Options) []*Cluster {
 	if n == 0 {
 		return nil
 	}
-	// Neighborhoods via batched threshold search (the engine parallelizes
-	// across its workers).
-	results := e.SearchBatch(d.Trajs, opts.Tau)
-	idx := make(map[int]int, n) // traj ID -> position
-	for i, t := range d.Trajs {
-		idx[t.ID] = i
-	}
-	neighbors := make([][]int, n)
-	for i, res := range results {
-		for _, r := range res {
-			neighbors[i] = append(neighbors[i], idx[r.Traj.ID])
-		}
-	}
+	neighbors := tauGraph(e, opts.Tau)
 	// Candidate medoids by descending degree (deterministic tie-break).
 	order := make([]int, n)
 	for i := range order {
@@ -128,11 +116,6 @@ func FrequentRoutes(e *core.Engine, opts Options) []Route {
 	if n == 0 {
 		return nil
 	}
-	results := e.SearchBatch(d.Trajs, opts.Tau)
-	idx := make(map[int]int, n)
-	for i, t := range d.Trajs {
-		idx[t.ID] = i
-	}
 	// Union-find over the similarity edges.
 	parent := make([]int, n)
 	for i := range parent {
@@ -153,9 +136,8 @@ func FrequentRoutes(e *core.Engine, opts Options) []Route {
 		}
 	}
 	degree := make([]int, n)
-	for i, res := range results {
-		for _, r := range res {
-			j := idx[r.Traj.ID]
+	for i, nb := range tauGraph(e, opts.Tau) {
+		for _, j := range nb {
 			if j != i {
 				union(i, j)
 				degree[i]++
@@ -196,12 +178,11 @@ func FrequentRoutes(e *core.Engine, opts Options) []Route {
 // of the related work, reduced to neighborhood counting.
 func Outliers(e *core.Engine, tau float64, minNeighbors int) []*traj.T {
 	d := e.Dataset()
-	results := e.SearchBatch(d.Trajs, tau)
 	var out []*traj.T
-	for i, res := range results {
+	for i, nb := range tauGraph(e, tau) {
 		others := 0
-		for _, r := range res {
-			if r.Traj.ID != d.Trajs[i].ID {
+		for _, j := range nb {
+			if j != i {
 				others++
 			}
 		}
@@ -210,5 +191,29 @@ func Outliers(e *core.Engine, tau float64, minNeighbors int) []*traj.T {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	return out
+}
+
+// tauGraph is the τ-similarity graph over e.Dataset().Trajs as adjacency
+// lists of positions in that slice, each ascending by ID and holding the
+// member itself: one self-join, whose pairs come in both orientations plus
+// each member with itself, sorted by (T.ID, Q.ID). Only the dataset's
+// members are nodes: a pair with an end inserted since the build is
+// dropped, and a member deleted since is not visible, so it has no
+// neighbors — not even itself.
+func tauGraph(e *core.Engine, tau float64) [][]int {
+	d := e.Dataset()
+	pos := make(map[int]int, d.Len())
+	for i, t := range d.Trajs {
+		pos[t.ID] = i
+	}
+	out := make([][]int, d.Len())
+	for _, p := range e.Join(e, tau, core.DefaultJoinOptions(), nil) {
+		i, iok := pos[p.T.ID]
+		j, jok := pos[p.Q.ID]
+		if iok && jok {
+			out[i] = append(out[i], j)
+		}
+	}
 	return out
 }

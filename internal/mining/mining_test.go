@@ -2,12 +2,14 @@ package mining
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dita/internal/cluster"
 	"dita/internal/core"
 	"dita/internal/geom"
 	"dita/internal/traj"
+	"dita/internal/viewtest"
 )
 
 // plantedDataset builds trajectories with known cluster structure: k route
@@ -195,5 +197,99 @@ func TestClusterInvariants(t *testing.T) {
 	}
 	if len(seen) != d.Len() {
 		t.Fatalf("MinSupport=1 clustering covered %d of %d", len(seen), d.Len())
+	}
+}
+
+// The τ-graph's nodes are the built dataset: a member inserted since the
+// build links nothing to anything (it used to read as position 0, pairing
+// its near-copy's original with trajectory 0), and a member deleted since
+// has no neighbors.
+func TestMiningIgnoresMembersOutsideTheDataset(t *testing.T) {
+	d, truth := plantedDataset(4, 10, 2, 5)
+	e := buildEngine(t, d)
+	if _, err := e.EnableIngest(core.IngestConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	// k is in the third planted group, far from d.Trajs[0] in the first.
+	k := truth[2][3]
+	if err := e.Insert(&traj.T{ID: 10000, Points: d.Trajs[k].Points}); err != nil {
+		t.Fatal(err)
+	}
+	gone := truth[1][0]
+	if ok, err := e.Delete(d.Trajs[gone].ID); err != nil || !ok {
+		t.Fatalf("delete: ok=%v err=%v", ok, err)
+	}
+	together := func(ids ...int) bool {
+		has := map[int]bool{}
+		for _, id := range ids {
+			has[id] = true
+		}
+		return has[d.Trajs[0].ID] && has[d.Trajs[k].ID]
+	}
+	for _, r := range FrequentRoutes(e, Options{Tau: 0.5, MinSupport: 2}) {
+		if together(r.TripIDs...) {
+			t.Fatalf("route %v pairs trajectory %d with trajectory 0", r.TripIDs, d.Trajs[k].ID)
+		}
+	}
+	for _, c := range Clusters(e, Options{Tau: 0.5, MinSupport: 1}) {
+		var ids []int
+		for _, m := range c.Members {
+			ids = append(ids, m.ID)
+		}
+		if together(ids...) {
+			t.Fatalf("cluster %v pairs trajectory %d with trajectory 0", ids, d.Trajs[k].ID)
+		}
+	}
+	g := tauGraph(e, 0.5)
+	if len(g[gone]) != 0 {
+		t.Fatalf("deleted member %d has neighbors %v", gone, g[gone])
+	}
+	for i, nb := range g {
+		if slices.Contains(nb, gone) {
+			t.Fatalf("member %d neighbors the deleted member %d", i, gone)
+		}
+	}
+}
+
+// The τ-graph equals brute force over the dataset under every measure, at
+// a τ between two pairwise distances so no pair ties it.
+func TestTauGraphMatchesBruteForce(t *testing.T) {
+	d, _ := plantedDataset(5, 8, 3, 6)
+	for _, m := range viewtest.Measures(t) {
+		var ds []float64
+		for i, a := range d.Trajs {
+			for _, b := range d.Trajs[i+1:] {
+				ds = append(ds, m.Distance(a.Points, b.Points))
+			}
+		}
+		slices.Sort(ds)
+		ds = slices.Compact(ds)
+		i := len(ds) / 8
+		tau := (ds[i] + ds[i+1]) / 2
+		opts := core.DefaultOptions()
+		opts.NG = 3
+		opts.Trie.MinNode = 2
+		opts.Measure = m
+		opts.Cluster = cluster.New(cluster.DefaultConfig(4))
+		e, err := core.NewEngine(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := 0
+		for i, nb := range tauGraph(e, tau) {
+			var want []int
+			for j, b := range d.Trajs {
+				if m.Distance(d.Trajs[i].Points, b.Points) <= tau {
+					want = append(want, j)
+				}
+			}
+			if !slices.Equal(nb, want) {
+				t.Fatalf("%s τ=%v: member %d neighbors %v, brute force %v", m.Name(), tau, i, nb, want)
+			}
+			edges += len(nb) - 1
+		}
+		if edges == 0 {
+			t.Fatalf("%s τ=%v: no edges; the test checks nothing", m.Name(), tau)
+		}
 	}
 }

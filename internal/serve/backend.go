@@ -143,7 +143,10 @@ type EngineBackend struct {
 }
 
 func (b *EngineBackend) Search(ctx context.Context, q []geom.Point, tau float64) ([]Hit, error) {
-	res, err := b.E.SearchContext(ctx, &traj.T{ID: -1, Points: q}, tau, nil)
+	res, rep, err := b.E.SearchPartialContext(ctx, &traj.T{ID: -1, Points: q}, tau, nil)
+	if err == nil {
+		err = rep.Err("search")
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +173,10 @@ func (b *EngineBackend) Join(ctx context.Context, right string, tau float64) ([]
 	if right != b.Dataset {
 		return nil, fmt.Errorf("serve: engine backend only self-joins %q, not %q", b.Dataset, right)
 	}
-	pairs, err := b.E.JoinContext(ctx, b.E, tau, core.DefaultJoinOptions(), nil)
+	pairs, rep, err := b.E.JoinPartialContext(ctx, b.E, tau, core.DefaultJoinOptions(), nil)
+	if err == nil {
+		err = rep.Err("join")
+	}
 	if err != nil {
 		return nil, err
 	}

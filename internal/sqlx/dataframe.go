@@ -1,6 +1,7 @@
 package sqlx
 
 import (
+	"context"
 	"fmt"
 
 	"dita/internal/core"
@@ -55,7 +56,11 @@ func (df *DataFrame) SimilaritySearch(q *traj.T, measureName string, tau float64
 	if err != nil {
 		return nil, err
 	}
-	return e.Search(q, tau, nil), nil
+	res, rep, err := e.SearchPartialContext(context.Background(), q, tau, nil)
+	if err == nil {
+		err = rep.Err("search")
+	}
+	return res, err
 }
 
 // SimilarityJoin returns pairs (t, q) with t from df, q from other, within
@@ -78,7 +83,11 @@ func (df *DataFrame) SimilarityJoin(other *DataFrame, measureName string, tau fl
 	if err != nil {
 		return nil, err
 	}
-	return e1.Join(e2, tau, core.DefaultJoinOptions(), nil), nil
+	pairs, rep, err := e1.JoinPartialContext(context.Background(), e2, tau, core.DefaultJoinOptions(), nil)
+	if err == nil {
+		err = rep.Err("join")
+	}
+	return pairs, err
 }
 
 // KNNJoin returns, for every trajectory of df, its k nearest neighbors in
@@ -101,7 +110,7 @@ func (df *DataFrame) KNNJoin(other *DataFrame, measureName string, k int) (map[i
 	if err != nil {
 		return nil, err
 	}
-	return e1.KNNJoin(e2, k)
+	return e1.KNNJoinContext(context.Background(), e2, k, nil)
 }
 
 // KNN returns the k nearest trajectories to q under the named measure.
@@ -116,5 +125,5 @@ func (df *DataFrame) KNN(q *traj.T, measureName string, k int) ([]core.SearchRes
 	if err != nil {
 		return nil, err
 	}
-	return e.SearchKNN(q, k), nil
+	return e.SearchKNNContext(context.Background(), q, k, nil)
 }

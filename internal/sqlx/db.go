@@ -379,11 +379,8 @@ func (db *DB) execSelect(ctx context.Context, s *Select, params []*traj.T, planO
 		leftTrajs := append([]*traj.T(nil), t.data.Trajs...)
 		verifyPar = e1.VerifyParallelism()
 		unlock()
-		var js *core.JoinStats
-		if analyze {
-			js = &core.JoinStats{}
-		}
-		nn, err := e1.KNNJoinContext(ctx, e2, s.Limit, js)
+		var js core.JoinStats
+		nn, err := e1.KNNJoinContext(ctx, e2, s.Limit, &js)
 		if err != nil {
 			return nil, err
 		}
@@ -405,11 +402,7 @@ func (db *DB) execSelect(ctx context.Context, s *Select, params []*traj.T, planO
 		}
 		// The per-probe pruning funnels accumulate into the join stats;
 		// EXPLAIN ANALYZE reports their sum over every left trajectory.
-		var jf obs.Funnel
-		if js != nil {
-			jf = js.Funnel
-		}
-		return report(&Result{Pairs: pairs, Plan: plan}, jf), nil
+		return report(&Result{Pairs: pairs, Plan: plan}, js.Funnel), nil
 	}
 
 	// kNN: ORDER BY f(T, Q) LIMIT k.
@@ -432,20 +425,12 @@ func (db *DB) execSelect(ctx context.Context, s *Select, params []*traj.T, planO
 		}
 		verifyPar = e.VerifyParallelism()
 		unlock()
-		var st *core.SearchStats
-		if analyze {
-			st = &core.SearchStats{}
-		}
-		hits, err := e.SearchKNNContext(ctx, q, s.Limit, st)
+		var st core.SearchStats
+		hits, err := e.SearchKNNContext(ctx, q, s.Limit, &st)
 		if err != nil {
 			return nil, err
 		}
-		res := &Result{Trajs: hits, Plan: plan}
-		var f obs.Funnel
-		if st != nil {
-			f = st.Funnel
-		}
-		return report(res, f), nil
+		return report(&Result{Trajs: hits, Plan: plan}, st.Funnel), nil
 	}
 
 	// Join.
@@ -476,19 +461,15 @@ func (db *DB) execSelect(ctx context.Context, s *Select, params []*traj.T, planO
 		}
 		verifyPar = e1.VerifyParallelism()
 		unlock()
-		var js *core.JoinStats
-		if analyze {
-			js = &core.JoinStats{}
+		var js core.JoinStats
+		pairs, rep, err := e1.JoinPartialContext(ctx, e2, s.Where.Tau, core.DefaultJoinOptions(), &js)
+		if err == nil {
+			err = rep.Err("join")
 		}
-		pairs, err := e1.JoinContext(ctx, e2, s.Where.Tau, core.DefaultJoinOptions(), js)
 		if err != nil {
 			return nil, err
 		}
-		var f obs.Funnel
-		if js != nil {
-			f = js.Funnel
-		}
-		return report(&Result{Pairs: pairs, Plan: plan}, f), nil
+		return report(&Result{Pairs: pairs, Plan: plan}, js.Funnel), nil
 	}
 
 	// Plain scan.
@@ -534,19 +515,15 @@ func (db *DB) execSelect(ctx context.Context, s *Select, params []*traj.T, planO
 		}
 		verifyPar = e.VerifyParallelism()
 		unlock()
-		var st *core.SearchStats
-		if analyze {
-			st = &core.SearchStats{}
+		var st core.SearchStats
+		trajs, rep, err := e.SearchPartialContext(ctx, q, s.Where.Tau, &st)
+		if err == nil {
+			err = rep.Err("search")
 		}
-		trajs, err := e.SearchContext(ctx, q, s.Where.Tau, st)
 		if err != nil {
 			return nil, err
 		}
-		var f obs.Funnel
-		if st != nil {
-			f = st.Funnel
-		}
-		return report(&Result{Trajs: trajs, Plan: plan}, f), nil
+		return report(&Result{Trajs: trajs, Plan: plan}, st.Funnel), nil
 	}
 	plan := fmt.Sprintf("FullScanFilter(%s, τ=%g, %s)", t.name, s.Where.Tau, m.Name())
 	trajs := append([]*traj.T(nil), t.data.Trajs...)
