@@ -69,13 +69,14 @@ snap:
 	$(GO) test -race -run 'Snap|Snapshot|ColdStart|RetainPayloads|Serial' -count=2 \
 		./internal/snap ./internal/trie ./internal/core ./internal/dnet
 
-# Streaming-ingest tests: WAL append/replay/torn-tail handling, engine
+# Streaming-ingest tests: WAL append/replay/torn-tail handling, the
+# partition store both hosts hold (apply, fold, view), engine
 # insert/delete/merge differential checks, and the dnet ingest paths
 # (replication-before-ack, kill-restart replay, backpressure, seq
-# seeding) — rerun under the race detector, -count=2 to defeat the
-# cache.
+# seeding, a search beside a parked fold) — rerun under the race detector,
+# -count=2 to defeat the cache.
 ingest:
-	$(GO) test -race -run 'Ingest|WAL|Replay|Merge|Backpressure' -count=2 \
+	$(GO) test -race -run 'Ingest|WAL|Replay|Merge|Backpressure|Store|Fold|View|Route' -count=2 \
 		./internal/wal ./internal/core ./internal/dnet
 
 # Serving-layer tests: the result-cache/coalescing/shedding stack plus

@@ -133,7 +133,7 @@ func TestAutopilotCostSplit(t *testing.T) {
 	hot := -1
 	var cold []int
 	for _, p := range e.parts {
-		if p.retired || len(p.view().Visible()) < 2 {
+		if p.retired || len(p.View().Visible()) < 2 {
 			continue
 		}
 		if hot < 0 {

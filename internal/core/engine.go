@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"dita/internal/str"
 	"dita/internal/traj"
 	"dita/internal/trie"
-	"dita/internal/wal"
 )
 
 // Options configures an Engine.
@@ -58,17 +58,16 @@ func DefaultOptions() Options {
 	return Options{NG: 8, Trie: trie.DefaultConfig(), Measure: measure.DTW{}}
 }
 
-// Partition is one data partition: its trajectories, local trie index, and
-// the first/last-point MBRs the global index stores.
+// Partition is one data partition: its store — the members, the local trie
+// (Trajs and Index are the store's base), the ingest overlay and the log —
+// and the first/last-point MBRs the global index stores, which the engine
+// keeps covering every visible member.
 type Partition struct {
 	ID     int
 	Worker int
-	Trajs  []*traj.T
-	Index  *trie.Trie
 	MBRf   geom.MBR // MBR of members' first points
 	MBRl   geom.MBR // MBR of members' last points
-	meta   []trajMeta
-	bytes  int
+	*Store
 
 	// retired marks a partition whose contents were moved to newer
 	// partitions by a split/merge (see rebalance.go). Retired partitions
@@ -76,34 +75,7 @@ type Partition struct {
 	// snapshot filenames, location maps, and the dnet replica lists) —
 	// but hold no data and are skipped by every query and routing path.
 	retired bool
-
-	// Streaming-ingest overlay (all nil/zero until EnableIngest; see
-	// ingest.go): delta holds live inserts since the last merge, frozen
-	// the rotated delta an in-flight merge is folding, tomb the ids whose
-	// base/frozen copies are masked by deletes or upserts, frozenTomb the
-	// pre-rotation masks the fold consumes (they mask base only),
-	// baseIdx an id → Trajs index for partition-local upsert detection,
-	// watermark the highest WAL sequence folded into Trajs, and wlog the
-	// partition's write-ahead log.
-	delta      *Delta
-	frozen     *Delta
-	tomb       map[int]bool
-	frozenTomb map[int]bool
-	baseIdx    map[int]int
-	watermark  uint64
-	wlog       *wal.Log
-
-	// imu serializes this partition's WAL appends with their in-memory
-	// application, so the fsync can run outside Engine.mu (queries and
-	// other partitions' mutations proceed during the disk wait) while the
-	// log's record order still equals the apply order. Lock order: imu
-	// before Engine.mu, never the reverse.
-	imu sync.Mutex
 }
-
-// Bytes returns the approximate wire size of the partition's trajectory
-// data.
-func (p *Partition) Bytes() int { return p.bytes }
 
 // Retired reports whether the partition was emptied by a split/merge.
 func (p *Partition) Retired() bool { return p.retired }
@@ -122,10 +94,11 @@ type Engine struct {
 	met     *engineMetrics // nil when Options.Obs is nil
 	cost    *CostTracker   // per-partition read-cost EWMAs (timed paths only)
 
-	// mu serializes mutations (Insert/Delete/merge rotation) against
-	// queries: every public query path holds the read side for its whole
-	// run, so overlay state and partition MBRs are stable per query.
-	// serial orders lock acquisition when a join spans two engines.
+	// mu is the host lock of the partitions' stores (Store): every public
+	// query path holds the read side for its whole run, and every applied
+	// mutation and installed fold is published under the write side, so what
+	// a query sees of every partition and of the partition MBRs is one
+	// instant. serial orders lock acquisition when a join spans two engines.
 	mu     sync.RWMutex
 	serial uint64
 	ing    *ingestState // nil until EnableIngest
@@ -189,9 +162,13 @@ func NewEngine(d *traj.Dataset, opts Options) (*Engine, error) {
 	if e.cellD <= 0 {
 		e.cellD = defaultCellD(d)
 	}
-	e.partition()
+	groups := e.partition()
+	W := e.cl.Workers()
+	for _, g := range groups {
+		e.addPartition(g, W)
+	}
 	e.buildGlobalIndex()
-	e.buildLocalIndexes()
+	e.buildStores(func(pid int) *Store { return NewStore(opts.Trie, groups[pid], nil, 0) })
 	e.BuildTime = time.Since(start)
 	return e, nil
 }
@@ -214,10 +191,11 @@ func defaultCellD(d *traj.Dataset) float64 {
 }
 
 // partition implements Section 4.2.1: STR by first point into NG buckets,
-// then STR by last point into NG sub-buckets per bucket.
-func (e *Engine) partition() {
+// then STR by last point into NG sub-buckets per bucket. It returns the
+// partitions' member groups in partition id order.
+func (e *Engine) partition() [][]*traj.T {
 	trajs := e.dataset.Trajs
-	W := e.cl.Workers()
+	var groups [][]*traj.T
 	if e.opts.RandomPartition {
 		n := e.opts.NG * e.opts.NG
 		if n > len(trajs) {
@@ -226,17 +204,11 @@ func (e *Engine) partition() {
 		if n < 1 {
 			n = 1
 		}
-		groups := make([][]*traj.T, n)
+		groups = make([][]*traj.T, n)
 		for i, t := range trajs {
 			groups[i%n] = append(groups[i%n], t)
 		}
-		for _, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			e.addPartition(g, W)
-		}
-		return
+		return slices.DeleteFunc(groups, func(g []*traj.T) bool { return len(g) == 0 })
 	}
 	firsts := make([]geom.Point, len(trajs))
 	for i, t := range trajs {
@@ -252,20 +224,18 @@ func (e *Engine) partition() {
 			for j, k := range sub {
 				group[j] = trajs[bucket[k]]
 			}
-			e.addPartition(group, W)
+			groups = append(groups, group)
 		}
 	}
+	return groups
 }
 
+// addPartition appends a partition over group, its bounds computed and its
+// store left to buildStores.
 func (e *Engine) addPartition(group []*traj.T, workers int) {
-	p := &Partition{ID: len(e.parts), Trajs: group}
+	p := &Partition{ID: len(e.parts)}
 	p.Worker = p.ID % workers
-	p.MBRf, p.MBRl = geom.EmptyMBR(), geom.EmptyMBR()
-	for _, t := range group {
-		p.MBRf = p.MBRf.Extend(t.First())
-		p.MBRl = p.MBRl.Extend(t.Last())
-		p.bytes += t.Bytes()
-	}
+	p.MBRf, p.MBRl = EndpointBounds(group)
 	e.parts = append(e.parts, p)
 }
 
@@ -291,19 +261,12 @@ func (e *Engine) buildGlobalIndex() {
 	e.rtL = rtree.New(el)
 }
 
-// buildLocalIndexes builds each partition's trie and verification metadata
-// in parallel on the owning workers.
-func (e *Engine) buildLocalIndexes() {
+// buildStores makes each partition's store — its trie, unless build brings
+// one, and its verification metadata — in parallel on the owning workers.
+func (e *Engine) buildStores(build func(pid int) *Store) {
 	tasks := make([]cluster.Task, 0, len(e.parts))
 	for _, p := range e.parts {
-		p := p
-		tasks = append(tasks, cluster.Task{Worker: p.Worker, Fn: func() {
-			p.Index = trie.Build(p.Trajs, e.opts.Trie)
-			p.meta = make([]trajMeta, len(p.Trajs))
-			for i, t := range p.Trajs {
-				p.meta[i] = newTrajMeta(t)
-			}
-		}})
+		tasks = append(tasks, cluster.Task{Worker: p.Worker, Fn: func() { p.Store = build(p.ID) }})
 	}
 	e.cl.Run(tasks)
 }

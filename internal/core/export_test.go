@@ -8,16 +8,10 @@ import "dita/internal/geom"
 // PartitionView captures partition pid's view and returns the partition's
 // own metadata slice beside it; the caller runs no concurrent mutation.
 func PartitionView(e *Engine, pid int) (*View, []VerifyMeta) {
-	return e.parts[pid].view(), e.parts[pid].meta
+	return e.parts[pid].View(), e.parts[pid].meta
 }
 
 // RelevantPartitionsOf is the engine's global prune.
 func RelevantPartitionsOf(e *Engine, q []geom.Point, tau float64) []int {
 	return e.relevantPartitions(q, tau)
-}
-
-// SetMergeFoldHook installs mergeFoldHook and returns its removal.
-func SetMergeFoldHook(f func(*Engine, int)) (restore func()) {
-	mergeFoldHook = f
-	return func() { mergeFoldHook = nil }
 }

@@ -12,6 +12,7 @@ import (
 
 	"dita/internal/gen"
 	"dita/internal/geom"
+	"dita/internal/obs"
 	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/wal"
@@ -197,7 +198,7 @@ func TestIngestDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range e.parts {
-				if p.frozen != nil || len(p.tomb) != 0 || len(p.delta.Live) != 0 {
+				if p.frozen != nil || len(p.tomb) != 0 || len(p.delta.live) != 0 {
 					t.Fatalf("partition %d still has overlay after MergeAll", p.ID)
 				}
 			}
@@ -310,7 +311,7 @@ func TestIngestMergeWindow(t *testing.T) {
 		}
 		want[pool[i].ID] = pool[i]
 	}
-	pid := e.ing.loc[pool[0].ID].pid
+	pid := e.ing.loc[pool[0].ID]
 	p := e.parts[pid]
 	frozenID := pool[0].ID // will be in the frozen delta after rotation
 	var baseID int         // a base member of pid, untouched so far
@@ -322,8 +323,8 @@ func TestIngestMergeWindow(t *testing.T) {
 	}
 
 	hookRan := false
-	mergeFoldHook = func(he *Engine, hpid int) {
-		if hpid != pid {
+	restore := SetFoldHook(func(s *Store) {
+		if s != p.Store {
 			return
 		}
 		hookRan = true
@@ -353,11 +354,11 @@ func TestIngestMergeWindow(t *testing.T) {
 		}
 		want[pool[61].ID] = pool[61]
 		checkVisible(t, e, want, queries, "window-post")
-	}
-	defer func() { mergeFoldHook = nil }()
+	})
+	defer restore()
 
 	did, err := e.MergePartition(pid)
-	mergeFoldHook = nil // one shot: MergeAll below must not re-run it
+	restore() // one shot: MergeAll below must not re-run it
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,9 +625,9 @@ func TestIngestReplayReinsertAcrossPartitions(t *testing.T) {
 			const id = 424242
 			var hi, lo *traj.T
 			for _, a := range d.Trajs {
-				pa := e.routePartition(a).ID
+				pa := Route(len(e.bounds), func(pid int) PartBounds { return e.bounds[pid] }, a)
 				for _, b := range d.Trajs {
-					if e.routePartition(b).ID < pa {
+					if Route(len(e.bounds), func(pid int) PartBounds { return e.bounds[pid] }, b) < pa {
 						hi, lo = a, b
 						break
 					}
@@ -641,7 +642,7 @@ func TestIngestReplayReinsertAcrossPartitions(t *testing.T) {
 			if err := e.Insert(&traj.T{ID: id, Points: hi.Points}); err != nil {
 				t.Fatal(err)
 			}
-			first := e.ing.loc[id].pid
+			first := e.ing.loc[id]
 			if ok, err := e.Delete(id); err != nil || !ok {
 				t.Fatalf("delete: ok=%v err=%v", ok, err)
 			}
@@ -650,7 +651,7 @@ func TestIngestReplayReinsertAcrossPartitions(t *testing.T) {
 				t.Fatal(err)
 			}
 			want[id] = again
-			second := e.ing.loc[id].pid
+			second := e.ing.loc[id]
 			if second >= first {
 				t.Fatalf("re-insert landed in partition %d, first home was %d", second, first)
 			}
@@ -664,7 +665,7 @@ func TestIngestReplayReinsertAcrossPartitions(t *testing.T) {
 
 			cold, _ := coldStart(t, snapStore, walStore, smallOpts(4))
 			checkVisible(t, cold, want, queries, "recovered")
-			if le, ok := cold.ing.loc[id]; !ok || le.pid != second {
+			if le, ok := cold.ing.loc[id]; !ok || le != second {
 				t.Fatalf("recovered location of %d = %+v (found=%v), want partition %d", id, le, ok, second)
 			}
 			if ok, err := cold.Delete(id); err != nil || !ok {
@@ -789,7 +790,7 @@ func TestIngestTornTail(t *testing.T) {
 	// Tear the last record of the last-written partition's log: chop a
 	// few bytes off the file, as a crash mid-write would.
 	lastID := pool[len(pool)-1].ID
-	victim := e.ing.loc[lastID].pid
+	victim := e.ing.loc[lastID]
 	if err := e.CloseIngest(); err != nil {
 		t.Fatal(err)
 	}
@@ -813,8 +814,7 @@ func TestIngestTornTail(t *testing.T) {
 		t.Fatal("torn mutation resurrected")
 	}
 	for _, tr := range pool[:len(pool)-1] {
-		le, ok := cold.ing.loc[tr.ID]
-		if !ok || le.t.ID != tr.ID {
+		if _, ok := cold.ing.loc[tr.ID]; !ok {
 			t.Fatalf("durable insert %d lost", tr.ID)
 		}
 	}
@@ -1007,5 +1007,116 @@ func TestIngestDisabled(t *testing.T) {
 	}
 	if _, err := e.EnableIngest(IngestConfig{}); err == nil {
 		t.Fatal("double enable accepted")
+	}
+}
+
+// TestIngestMergesItself: a partition merges itself once its delta reaches
+// MergeBytes, AutoMerge or not — the one merge policy of both hosts. (An
+// engine enabled without AutoMerge, as dita-serve -dev enables it, never
+// merged and never bounded its backlog.)
+func TestIngestMergesItself(t *testing.T) {
+	d := smallDataset(120, 97)
+	opts := smallOpts(2)
+	opts.Obs = obs.New()
+	e, err := NewEngine(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.EnableIngest(IngestConfig{MergeBytes: 4 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]*traj.T{}
+	for _, tr := range d.Trajs {
+		want[tr.ID] = tr
+	}
+	inserted := 0
+	for _, tr := range mutPool(60, 98) {
+		if err := e.Insert(tr); err != nil {
+			t.Fatal(err)
+		}
+		want[tr.ID] = tr
+		inserted += tr.Bytes()
+	}
+	merges := opts.Obs.Counter("engine_merges_total").Value()
+	if merges == 0 || e.DeltaBytes() >= inserted {
+		t.Fatalf("%d merges, %d overlay bytes after inserting %d: no partition merged itself", merges, e.DeltaBytes(), inserted)
+	}
+	for _, p := range e.parts {
+		if p.delta.bytes >= 4<<10 {
+			t.Fatalf("partition %d holds a %d-byte delta past the 4 KiB threshold", p.ID, p.delta.bytes)
+		}
+	}
+	checkVisible(t, e, want, gen.Queries(d, 3, 99), "self-merged")
+}
+
+// TestIngestSealFailureKeepsWrite: an Insert whose delta crosses MergeBytes
+// merges the partition, and a merge whose seal fails is counted — never
+// the error of a write that is already durable and visible. The log keeps
+// the record (it is truncated only after a successful seal), so a cold
+// restart replays it.
+func TestIngestSealFailureKeepsWrite(t *testing.T) {
+	dir := t.TempDir()
+	snapStore, err := snap.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walStore, err := wal.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := smallDataset(100, 111)
+	opts := smallOpts(2)
+	opts.Obs = obs.New()
+	e, err := NewEngine(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealAll(t, e, snapStore)
+	if _, err := e.EnableIngest(IngestConfig{WAL: walStore, Snap: snapStore, MergeBytes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	snapStore.Faults = &snap.FaultPlan{FailRate: 1}
+	tr := mutPool(1, 112)[0]
+	if err := e.Insert(tr); err != nil {
+		t.Fatalf("insert whose merge could not seal: %v", err)
+	}
+	if n := opts.Obs.Counter("engine_merges_total").Value(); n != 1 {
+		t.Fatalf("%d merges, want the one the insert made due", n)
+	}
+	if n := opts.Obs.Counter("engine_seal_errors_total").Value(); n != 1 {
+		t.Fatalf("%d seal errors counted, want 1", n)
+	}
+	if got := e.Search(tr, 0, nil); len(got) != 1 || got[0].Traj.ID != tr.ID {
+		t.Fatalf("the insert searches as %v", got)
+	}
+	pid := e.ing.loc[tr.ID]
+	if e.parts[pid].LastSeq() != 1 {
+		t.Fatalf("partition %d last seq %d, want 1", pid, e.parts[pid].LastSeq())
+	}
+	if err := e.CloseIngest(); err != nil {
+		t.Fatal(err)
+	}
+	snapStore.Faults = nil
+	cold, sum := coldStart(t, snapStore, walStore, smallOpts(2))
+	if sum.Records != 1 {
+		t.Fatalf("replayed %d records, want the insert's", sum.Records)
+	}
+	if got := cold.Search(tr, 0, nil); len(got) != 1 || got[0].Traj.ID != tr.ID {
+		t.Fatalf("after a cold restart the insert searches as %v", got)
+	}
+}
+
+// Routing a new member reads the bounds through a closure and allocates
+// nothing.
+func TestRouteAllocatesNothing(t *testing.T) {
+	e, err := NewEngine(smallDataset(100, 113), smallOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := mutPool(1, 114)[0]
+	if n := testing.AllocsPerRun(100, func() {
+		Route(len(e.bounds), func(pid int) PartBounds { return e.bounds[pid] }, tr)
+	}); n != 0 {
+		t.Fatalf("Route allocates %v times a call", n)
 	}
 }

@@ -203,13 +203,20 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 	return pairs, &run.report, nil
 }
 
-// partitionViews captures every live partition (nil for retired ones),
-// indexed like e.parts, once per join rather than once per edge.
-func (e *Engine) partitionViews() []*View {
-	vs := make([]*View, len(e.parts))
+// side is one partition of a join side and the view the join reads it
+// through.
+type side struct {
+	*View
+	p *Partition
+}
+
+// partitionViews captures every live partition (no view for retired
+// ones), indexed like e.parts, once per join rather than once per edge.
+func (e *Engine) partitionViews() []side {
+	vs := make([]side, len(e.parts))
 	for i, p := range e.parts {
 		if !p.retired {
-			vs[i] = p.view()
+			vs[i] = side{p.View(), p}
 		}
 	}
 	return vs
@@ -219,7 +226,7 @@ func (e *Engine) partitionViews() []*View {
 // right[j] other.parts[j]; for a self-join they are the same slice.
 type joinViews struct {
 	e, other    *Engine
-	left, right []*View
+	left, right []side
 }
 
 // buildBigraph finds candidate partition pairs and estimates edge weights
@@ -232,17 +239,17 @@ func (jv *joinViews) buildBigraph(ctx context.Context, tau float64, opts JoinOpt
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var edges []*edge
 	for ti, vt := range jv.left {
-		if vt == nil {
+		if vt.View == nil {
 			continue
 		}
 		for qj, vq := range jv.right {
-			if vq == nil || (self && qj < ti) {
+			if vq.View == nil || (self && qj < ti) {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			pt, pq := vt.part, vq.part
+			pt, pq := vt.p, vq.p
 			if !PairRelevant(m, pt.MBRf, pt.MBRl, pq.MBRf, pq.MBRl, tau) {
 				continue
 			}
@@ -268,7 +275,7 @@ func (jv *joinViews) buildBigraph(ctx context.Context, tau float64, opts JoinOpt
 // estimate unbiased over the visible members however few of the slots they
 // fill. comp counts what the local join will verify: unmasked trie
 // candidates plus dst's unindexed overlay.
-func estimateDirection(m measure.Measure, src, dst *View, tau float64, rate float64, rng *rand.Rand) (trans, comp float64) {
+func estimateDirection(m measure.Measure, src, dst side, tau float64, rate float64, rng *rand.Rand) (trans, comp float64) {
 	n := src.Len()
 	if n == 0 {
 		return 0, 0
@@ -284,7 +291,7 @@ func estimateDirection(m measure.Measure, src, dst *View, tau float64, rate floa
 	for s := 0; s < k; s++ {
 		i := rng.Intn(n)
 		t, _ := src.At(i)
-		if !src.visible(i) || !TrajRelevant(m, t.Points, dst.part.MBRf, dst.part.MBRl, tau) {
+		if !src.visible(i) || !TrajRelevant(m, t.Points, dst.p.MBRf, dst.p.MBRl, tau) {
 			continue
 		}
 		trans += float64(t.Bytes()) * scale
@@ -503,11 +510,11 @@ func (jv *joinViews) executeJoin(ctx context.Context, run *queryRun, tau float64
 	selectDone := tr.StartSpan("select", -1)
 	for _, st := range states {
 		src, dst, dstEngine, _ := jv.edgeSides(st.ed)
-		tasks = append(tasks, cluster.Task{Worker: src.part.Worker, Fn: func() {
+		tasks = append(tasks, cluster.Task{Worker: src.p.Worker, Fn: func() {
 			defer recoverTo(&st.err)
 			var slots []int
 			st.shipped, st.smeta, slots, st.err = src.Select(ctx, func(t *traj.T) bool {
-				return TrajRelevant(dstEngine.opts.Measure, t.Points, dst.part.MBRf, dst.part.MBRl, tau)
+				return TrajRelevant(dstEngine.opts.Measure, t.Points, dst.p.MBRf, dst.p.MBRl, tau)
 			})
 			if st.ed.diagonal {
 				st.slots = slots
@@ -534,21 +541,21 @@ func (jv *joinViews) executeJoin(ctx context.Context, run *queryRun, tau float64
 		for _, t := range st.shipped {
 			bytes += t.Bytes()
 		}
-		e.cl.Transfer(src.part.Worker, st.ed.execWorker, bytes)
+		e.cl.Transfer(src.p.Worker, st.ed.execWorker, bytes)
 		trajsSent += len(st.shipped)
 		bytesSent += bytes
-		if st.ed.execWorker != dst.part.Worker {
-			key := [2]int{boolToInt(flip)*1_000_000 + dst.part.ID, st.ed.execWorker}
+		if st.ed.execWorker != dst.p.Worker {
+			key := [2]int{boolToInt(flip)*1_000_000 + dst.p.ID, st.ed.execWorker}
 			if !replicated[key] {
 				replicated[key] = true
-				e.cl.Transfer(dst.part.Worker, st.ed.execWorker, dst.part.Bytes()+dst.Index.SizeBytes())
+				e.cl.Transfer(dst.p.Worker, st.ed.execWorker, dst.p.Bytes()+dst.Index.SizeBytes())
 			}
 		}
 		tasks = append(tasks, cluster.Task{Worker: st.ed.execWorker, Fn: func() {
 			t0 := time.Now()
 			defer func() { st.elapsed = time.Since(t0) }()
 			defer recoverTo(&st.err)
-			st.stats, st.err = JoinEdge(ctx, dstEngine.opts.Measure, dst, st.shipped, st.smeta, st.slots,
+			st.stats, st.err = JoinEdge(ctx, dstEngine.opts.Measure, dst.View, st.shipped, st.smeta, st.slots,
 				tau, dstEngine.opts.VerifyParallelism, func(hits []JoinHit) {
 					st.pairs = make([]Pair, 0, len(hits)*(1+boolToInt(st.ed.mirror)))
 					for _, h := range hits {
@@ -581,7 +588,7 @@ func (jv *joinViews) executeJoin(ctx context.Context, run *queryRun, tau float64
 			perEdge = append(perEdge, st.pairs)
 			if tr != nil {
 				f := st.stats.Funnel
-				tr.Add(obs.Span{Name: "local-join", Partition: dst.part.ID, Duration: st.elapsed,
+				tr.Add(obs.Span{Name: "local-join", Partition: dst.p.ID, Duration: st.elapsed,
 					Probe: st.stats.Probe, Verify: st.stats.Verify, Funnel: &f})
 			}
 			continue
@@ -590,13 +597,13 @@ func (jv *joinViews) executeJoin(ctx context.Context, run *queryRun, tau float64
 			return nil, err
 		}
 		if tr != nil {
-			tr.Add(obs.Span{Name: "local-join", Partition: dst.part.ID,
+			tr.Add(obs.Span{Name: "local-join", Partition: dst.p.ID,
 				Duration: st.elapsed, Err: st.err.Error(), Class: obs.Classify(st.err)})
 		}
-		lost := []int{dst.part.ID}
+		lost := []int{dst.p.ID}
 		if st.ed.mirror {
 			// The edge's pairs have their T in either partition.
-			lost = append(lost, src.part.ID)
+			lost = append(lost, src.p.ID)
 		}
 		for _, pid := range lost {
 			if !seen[pid] {
@@ -615,7 +622,7 @@ func (jv *joinViews) executeJoin(ctx context.Context, run *queryRun, tau float64
 // edgeSides resolves an edge's (source view, destination view,
 // destination engine, flip) given its orientation. flip reports that the
 // shipped trajectories are Q-side (so result pairs are (dstTraj, shipped)).
-func (jv *joinViews) edgeSides(ed *edge) (src, dst *View, dstEngine *Engine, flip bool) {
+func (jv *joinViews) edgeSides(ed *edge) (src, dst side, dstEngine *Engine, flip bool) {
 	if ed.dirTQ {
 		return jv.left[ed.ti], jv.right[ed.qj], jv.other, false
 	}

@@ -121,7 +121,7 @@ func (e *Engine) knnBestFirst(ctx context.Context, q *traj.T, k int, prime []*tr
 // a poisoned partition surfaces as this visit's error, not a process crash.
 func (e *Engine) knnVisit(ctx context.Context, p *Partition, q []geom.Point, acc *KNNAcc) (f obs.Funnel, err error) {
 	defer recoverTo(&err)
-	return p.view().KNNScan(ctx, e.opts.Measure, q, acc, math.Inf(1))
+	return p.View().KNNScan(ctx, e.opts.Measure, q, acc, math.Inf(1))
 }
 
 // knnPrime warm-starts the accumulator from trajectories the caller

@@ -92,18 +92,18 @@ func TestKNNEnvelopeLifecycle(t *testing.T) {
 			}
 			check(e, "unmerged overlay")
 
-			pid := e.ing.loc[pool[0].ID].pid
+			pid := e.ing.loc[pool[0].ID]
 			hookRan := false
-			mergeFoldHook = func(_ *Engine, hpid int) {
-				if hpid != pid || e.parts[pid].frozen == nil {
+			restore := SetFoldHook(func(s *Store) {
+				if s != e.parts[pid].Store || s.frozen == nil {
 					return
 				}
 				hookRan = true
 				insert(pool[31]) // a fresh delta beside the frozen one
 				check(e, "frozen delta")
-			}
+			})
 			did, err := e.MergePartition(pid)
-			mergeFoldHook = nil
+			restore()
 			if err != nil || !did || !hookRan {
 				t.Fatalf("MergePartition: did=%v hookRan=%v err=%v", did, hookRan, err)
 			}

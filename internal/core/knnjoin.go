@@ -50,7 +50,7 @@ func (e *Engine) KNNJoinContext(ctx context.Context, other *Engine, k int, stats
 			defer recoverTo(&errs[i])
 			// The probe set is the partition's visible members (masked base
 			// hidden, frozen+delta included).
-			probes := p.view().Visible()
+			probes := p.View().Visible()
 			locals[i] = make(map[int][]SearchResult, len(probes))
 			var prime []*traj.T
 			for _, t := range probes {

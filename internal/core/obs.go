@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dita/internal/obs"
+	"dita/internal/wal"
 )
 
 // engineMetrics holds the engine's registry handles, resolved once at
@@ -16,6 +17,7 @@ type engineMetrics struct {
 	inserts       *obs.Counter
 	deletes       *obs.Counter
 	merges        *obs.Counter
+	sealErrs      *obs.Counter
 	deltaBytes    *obs.Gauge
 	replayRecords *obs.Counter
 	replayLatency *obs.Histogram
@@ -41,6 +43,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		inserts:       r.Counter("engine_inserts_total"),
 		deletes:       r.Counter("engine_deletes_total"),
 		merges:        r.Counter("engine_merges_total"),
+		sealErrs:      r.Counter("engine_seal_errors_total"),
 		deltaBytes:    r.Gauge("engine_delta_bytes"),
 		replayRecords: r.Counter("engine_wal_replayed_records_total"),
 		replayLatency: r.Histogram("engine_wal_replay_us"),
@@ -71,6 +74,24 @@ func (m *engineMetrics) rebalanceObserve(d time.Duration, skew float64) {
 func (m *engineMetrics) setDeltaBytes(n int64) {
 	if m != nil {
 		m.deltaBytes.Set(n)
+	}
+}
+
+// mutated counts one applied insert or delete and publishes the overlay
+// size after it.
+func (m *engineMetrics) mutated(op byte, deltaBytes int64) {
+	if op == wal.OpDelete {
+		m.deletes.Inc()
+	} else {
+		m.inserts.Inc()
+	}
+	m.setDeltaBytes(deltaBytes)
+}
+
+// sealFailed counts a merge whose base could not be sealed.
+func (m *engineMetrics) sealFailed() {
+	if m != nil {
+		m.sealErrs.Inc()
 	}
 }
 

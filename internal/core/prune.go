@@ -7,6 +7,7 @@ import (
 	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/rtree"
+	"dita/internal/traj"
 )
 
 // The global pruning of Section 5.2, for the engine and the network-mode
@@ -112,6 +113,37 @@ func PairRelevant(m measure.Measure, aF, aL, bF, bL geom.MBR, tau float64) bool 
 type PartBounds struct {
 	MBRf, MBRl geom.MBR
 	Retired    bool
+}
+
+// EndpointBounds returns the boxes over members' first points and over
+// their last points: a partition's global-index entry, computed over what it
+// holds.
+func EndpointBounds(members []*traj.T) (mbrF, mbrL geom.MBR) {
+	mbrF, mbrL = geom.EmptyMBR(), geom.EmptyMBR()
+	for _, t := range members {
+		mbrF, mbrL = mbrF.Extend(t.First()), mbrL.Extend(t.Last())
+	}
+	return mbrF, mbrL
+}
+
+// Route picks the partition a trajectory no partition holds yet joins: of
+// the n partitions, bounds(pid) describing each, the live one whose boxes
+// are jointly nearest its endpoints — the STR cell it would have landed in
+// at partitioning, distance 0 inside both boxes — ties to the lower id; -1
+// when none is live. The engine and the coordinator both route with it.
+func Route(n int, bounds func(pid int) PartBounds, t *traj.T) int {
+	first, last := t.First(), t.Last()
+	best, bestD := -1, math.Inf(1)
+	for pid := range n {
+		b := bounds(pid)
+		if b.Retired {
+			continue
+		}
+		if d := b.MBRf.MinDist(first) + b.MBRl.MinDist(last); best < 0 || d < bestD {
+			best, bestD = pid, d
+		}
+	}
+	return best
 }
 
 // RelevantPartitions returns, ascending, the partitions a threshold search

@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"dita/internal/geom"
-	"dita/internal/snap"
 	"dita/internal/str"
 	"dita/internal/traj"
-	"dita/internal/trie"
 	"dita/internal/wal"
 )
 
@@ -29,8 +27,8 @@ import (
 // flagged retired, and the pieces take fresh ids appended at the end.
 //
 // Durability ordering (the crash matrix; DESIGN.md §14). All steps run
-// under the group's ingest locks and the engine write lock, so no write
-// lands and no query runs mid-cutover:
+// under the group's fold holds and append locks and the engine write lock,
+// so no fold or write lands and no query runs mid-cutover:
 //
 //  1. Build the pieces in memory and open their fresh WALs.
 //  2. Seal the pieces' snapshots, ascending pid. A crash here leaves
@@ -81,16 +79,13 @@ func crashPoint(stage string, pieces []*Partition) bool {
 	return true
 }
 
-// closeLogs closes the partitions' open WALs and, given their store,
-// removes the files too.
+// closeLogs closes the partitions' WALs and, given their store, removes the
+// files too.
 func closeLogs(parts []*Partition, store *wal.Store, dataset string) {
 	for _, q := range parts {
-		if q.wlog != nil {
-			q.wlog.Close()
-			q.wlog = nil
-			if store != nil {
-				_ = store.Remove(dataset, q.ID)
-			}
+		_ = q.CloseLog()
+		if store != nil {
+			_ = store.Remove(dataset, q.ID)
 		}
 	}
 }
@@ -135,21 +130,35 @@ func (e *Engine) MergePartitions(pids []int) (*RebalanceStats, error) {
 // the locking and durability ordering.
 func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 	start := time.Now()
-	group, err := e.validateGroup(pids)
+	group, stores, err := e.validateGroup(pids)
 	if err != nil {
 		return nil, err
 	}
-	// Ingest locks in ascending pid order (the same single-partition
-	// order Insert/Delete/Merge use), then the engine write lock.
-	for _, p := range group {
-		p.imu.Lock()
+	// The store lock order, in ascending pid order: every fold hold (a fold
+	// in flight makes the group busy), then every append lock, then the
+	// engine write lock.
+	var held []func()
+	release := func() {
+		for i := len(held) - 1; i >= 0; i-- {
+			held[i]()
+		}
+	}
+	for _, s := range stores {
+		r, ok := s.TryHoldFolds()
+		if !ok {
+			release()
+			return nil, ErrRebalanceBusy
+		}
+		held = append(held, r)
+	}
+	for _, s := range stores {
+		s.LockAppend()
+		held = append(held, s.UnlockAppend)
 	}
 	e.mu.Lock()
 	unlock := func() {
 		e.mu.Unlock()
-		for i := len(group) - 1; i >= 0; i-- {
-			group[i].imu.Unlock()
-		}
+		release()
 	}
 	st := e.ing
 	if st == nil {
@@ -161,20 +170,16 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 			unlock()
 			return nil, fmt.Errorf("core: rebalance: partition %d already retired", p.ID)
 		}
-		if p.frozen != nil {
-			unlock()
-			return nil, ErrRebalanceBusy
-		}
 	}
 
 	// The cut sequence: every record in the group's logs is <= st.seq
-	// (imu held, so no append is in flight), and every piece starts its
-	// life at this watermark — a leftover old-WAL suffix replayed over a
-	// tombstone snapshot skips entirely.
+	// (the append locks are held, so no append is in flight), and every
+	// piece starts its life at this watermark — a leftover old-WAL suffix
+	// replayed over a tombstone snapshot skips entirely.
 	cutSeq := st.seq
 	var visible []*traj.T
 	for _, p := range group {
-		visible = append(visible, p.view().Visible()...)
+		visible = append(visible, p.View().Visible()...)
 	}
 
 	// Re-run the STR boundary cut over the current first points. The
@@ -218,7 +223,7 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 				unlock()
 				return nil, fmt.Errorf("core: rebalance: piece %d wal: %w", p.ID, err)
 			}
-			p.wlog = l
+			p.Recover(l, nil)
 		}
 	}
 
@@ -232,9 +237,7 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 	if st.cfg.Snap != nil {
 		name := e.dataset.Name
 		for i, p := range pieces {
-			s := e.ExportSnapshot(name, p)
-			s.Watermark = cutSeq
-			if _, err := st.cfg.Snap.Save(s); err != nil {
+			if _, err := st.cfg.Snap.Save(e.ExportSnapshot(name, p)); err != nil {
 				for _, q := range pieces[:i+1] {
 					_ = st.cfg.Snap.Remove(name, q.ID)
 				}
@@ -250,27 +253,23 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 		return nil, errRebalanceCrashed
 	}
 
-	// Step 3: tombstone the old partitions (empty snapshot at cutSeq),
-	// then drop their WALs. Failures roll forward; see file comment.
+	// Step 3: tombstone the old partitions (an empty store's image at
+	// cutSeq, which each becomes at the install), then drop their WALs.
+	// Failures roll forward; see file comment.
 	var sealErr error
-	emptyIdx := trie.Build(nil, e.opts.Trie)
-	for _, p := range group {
+	empties := make([]*Store, len(group))
+	for i, p := range group {
+		empties[i] = NewStore(e.opts.Trie, nil, nil, cutSeq)
+		drop := st.cfg.WAL
 		if st.cfg.Snap != nil {
-			tomb := &snap.Snapshot{
-				Dataset:   e.dataset.Name,
-				Partition: p.ID,
-				Opts:      e.SnapshotOptions(),
-				Index:     emptyIdx,
-				Watermark: cutSeq,
-			}
-			if _, err := st.cfg.Snap.Save(tomb); err != nil {
+			if _, err := st.cfg.Snap.Save(e.named(empties[i].BaseImage(), e.dataset.Name, p.ID)); err != nil {
 				if sealErr == nil {
 					sealErr = fmt.Errorf("core: rebalance: tombstone partition %d: %w", p.ID, err)
 				}
-				continue // keep this partition's WAL: full snapshot + log stay recoverable
+				drop = nil // keep this partition's WAL: full snapshot + log stay recoverable
 			}
 		}
-		closeLogs([]*Partition{p}, st.cfg.WAL, e.dataset.Name)
+		closeLogs([]*Partition{p}, drop, e.dataset.Name)
 	}
 
 	if crashPoint("tombstoned", pieces) {
@@ -280,21 +279,16 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 
 	// Step 4: memory install — the single atomic commit point for
 	// queries and writers.
-	for _, p := range group {
+	for i, p := range group {
 		p.retired = true
-		p.Trajs, p.Index, p.meta = nil, emptyIdx, nil
-		p.baseIdx = nil
-		p.delta, p.frozen = &Delta{}, nil
-		p.tomb, p.frozenTomb = make(map[int]bool), nil
-		p.bytes = 0
-		p.watermark = cutSeq
+		p.Store = empties[i]
 		p.MBRf, p.MBRl = geom.EmptyMBR(), geom.EmptyMBR()
 		stats.Retired = append(stats.Retired, p.ID)
 	}
 	for _, p := range pieces {
 		e.parts = append(e.parts, p)
 		for _, t := range p.Trajs {
-			st.loc[t.ID] = locEntry{pid: p.ID, t: t}
+			st.loc[t.ID] = p.ID
 		}
 		stats.Created = append(stats.Created, p.ID)
 	}
@@ -311,51 +305,40 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 	return stats, sealErr
 }
 
-// validateGroup resolves and sanity-checks the group under the read
-// lock (re-validated under the write lock by the caller).
-func (e *Engine) validateGroup(pids []int) ([]*Partition, error) {
+// validateGroup resolves and sanity-checks the group, and the stores it
+// holds now, under the read lock (re-validated under the write lock by the
+// caller: a partition retired since holds another store).
+func (e *Engine) validateGroup(pids []int) ([]*Partition, []*Store, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.ing == nil {
-		return nil, fmt.Errorf("core: rebalance: ingest not enabled")
+		return nil, nil, fmt.Errorf("core: rebalance: ingest not enabled")
 	}
 	sorted := append([]int(nil), pids...)
 	sort.Ints(sorted)
 	group := make([]*Partition, 0, len(sorted))
+	stores := make([]*Store, 0, len(sorted))
 	for i, pid := range sorted {
 		if pid < 0 || pid >= len(e.parts) {
-			return nil, fmt.Errorf("core: rebalance: no partition %d", pid)
+			return nil, nil, fmt.Errorf("core: rebalance: no partition %d", pid)
 		}
 		if i > 0 && pid == sorted[i-1] {
-			return nil, fmt.Errorf("core: rebalance: duplicate partition %d", pid)
+			return nil, nil, fmt.Errorf("core: rebalance: duplicate partition %d", pid)
 		}
 		if e.parts[pid].retired {
-			return nil, fmt.Errorf("core: rebalance: partition %d is retired", pid)
+			return nil, nil, fmt.Errorf("core: rebalance: partition %d is retired", pid)
 		}
-		group = append(group, e.parts[pid])
+		group, stores = append(group, e.parts[pid]), append(stores, e.parts[pid].Store)
 	}
-	return group, nil
+	return group, stores, nil
 }
 
-// buildPiece constructs one fully-indexed piece: trie build re-runs
-// pivot selection over the members' current geometry, metadata and
-// MBRs are exact.
+// buildPiece constructs one fully-indexed piece: its store's trie build
+// re-runs pivot selection over the members' current geometry, and the
+// metadata and MBRs are exact.
 func (e *Engine) buildPiece(id, workers int, members []*traj.T, watermark uint64) *Partition {
-	p := &Partition{ID: id, Worker: id % workers, Trajs: members}
-	p.Index = trie.Build(members, e.opts.Trie)
-	p.meta = make([]trajMeta, len(members))
-	p.baseIdx = make(map[int]int, len(members))
-	p.MBRf, p.MBRl = geom.EmptyMBR(), geom.EmptyMBR()
-	for i, t := range members {
-		p.meta[i] = newTrajMeta(t)
-		p.baseIdx[t.ID] = i
-		p.bytes += t.Bytes()
-		p.MBRf = p.MBRf.Extend(t.First())
-		p.MBRl = p.MBRl.Extend(t.Last())
-	}
-	p.delta = &Delta{}
-	p.tomb = make(map[int]bool)
-	p.watermark = watermark
+	p := &Partition{ID: id, Worker: id % workers, Store: NewStore(e.opts.Trie, members, nil, watermark)}
+	p.MBRf, p.MBRl = EndpointBounds(members)
 	return p
 }
 
@@ -376,7 +359,7 @@ func (e *Engine) liveLoads() []PartLoad {
 		if p.retired {
 			continue
 		}
-		l := PartLoad{PID: p.ID, Load: float64(p.bytes + p.overlayBytes()), Members: len(p.view().Visible())}
+		l := PartLoad{PID: p.ID, Load: float64(p.Bytes() + p.OverlayBytes()), Members: len(p.View().Visible())}
 		if !p.MBRf.IsEmpty() {
 			l.Center = p.MBRf.Center()
 		}

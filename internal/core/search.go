@@ -152,7 +152,7 @@ type partitionSearch struct {
 // search leaves its error on the first and no verify span.
 func (e *Engine) searchPartition(ctx context.Context, p *Partition, q []geom.Point, tau float64, tr *obs.Trace, t0 time.Time) (_ []SearchResult, _ obs.Funnel, err error) {
 	defer recoverTo(&err)
-	out, st, err := p.view().Search(ctx, e.opts.Measure, q, tau, e.opts.VerifyParallelism, tr != nil)
+	out, st, err := p.View().Search(ctx, e.opts.Measure, q, tau, e.opts.VerifyParallelism, tr != nil)
 	if tr != nil {
 		f := st.Funnel
 		span := obs.Span{Name: "trie-descend", Partition: p.ID,

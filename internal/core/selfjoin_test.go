@@ -10,6 +10,7 @@ import (
 	"dita/internal/gen"
 	"dita/internal/measure"
 	"dita/internal/traj"
+	"dita/internal/wal"
 )
 
 // sixMeasures is every registered measure, with edit tolerances at the
@@ -265,7 +266,7 @@ func TestEstimateDirectionSeesOverlay(t *testing.T) {
 	p := e.parts[0]
 	members := append([]*traj.T{}, p.Trajs...)
 	estimate := func() (trans, comp float64) {
-		v := e.parts[0].view()
+		v := side{e.parts[0].View(), e.parts[0]}
 		return estimateDirection(e.opts.Measure, v, v, 0.05, 1, rand.New(rand.NewSource(1)))
 	}
 	baseTrans, baseComp := estimate()
@@ -287,11 +288,13 @@ func TestEstimateDirectionSeesOverlay(t *testing.T) {
 		t.Errorf("empty partition estimated at trans=%v comp=%v, want 0", trans, comp)
 	}
 	// The same members again, now in the overlay of an empty base.
-	e.mu.Lock()
 	for _, tr := range members {
-		e.applyInsertLocal(e.ing, e.parts[0], tr)
+		r := wal.Record{Seq: e.parts[0].LastSeq() + 1, Op: wal.OpInsert, ID: tr.ID, Points: tr.Points}
+		if _, err := e.parts[0].Apply(MergePolicy{}, []wal.Record{r}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e.mu.Unlock()
+	e.parts[0].MBRf, e.parts[0].MBRl = EndpointBounds(members)
 	trans, comp := estimate()
 	if math.IsNaN(trans) || math.IsNaN(comp) || trans != baseTrans || comp < baseComp {
 		t.Errorf("overlay-only partition estimated at trans=%v comp=%v; as a base it was trans=%v comp=%v",

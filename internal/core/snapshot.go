@@ -48,14 +48,13 @@ func (e *Engine) SnapshotOptions() snap.BuildOptions {
 // ingest.go) lives in the partition's WAL, which the snapshot's
 // watermark delimits.
 func (e *Engine) ExportSnapshot(dataset string, p *Partition) *snap.Snapshot {
-	return &snap.Snapshot{
-		Dataset:   dataset,
-		Partition: p.ID,
-		Opts:      e.SnapshotOptions(),
-		Trajs:     p.Trajs,
-		Index:     p.Index,
-		Watermark: p.watermark,
-	}
+	return e.named(p.BaseImage(), dataset, p.ID)
+}
+
+// named labels a store's image as this engine's partition pid of dataset.
+func (e *Engine) named(img *snap.Snapshot, dataset string, pid int) *snap.Snapshot {
+	img.Dataset, img.Partition, img.Opts = dataset, pid, e.SnapshotOptions()
+	return img
 }
 
 // NewEngineFromSnapshots cold-starts an engine from decoded partition
@@ -126,26 +125,15 @@ func NewEngineFromSnapshots(snaps []*snap.Snapshot, opts Options) (*Engine, erro
 	W := e.cl.Workers()
 	for _, s := range sorted {
 		e.addPartition(s.Trajs, W)
-		p := e.parts[len(e.parts)-1]
-		p.Index = s.Index
-		p.watermark = s.Watermark
 	}
 	e.buildGlobalIndex()
-
-	// Verification metadata is derived state (it is not serialized, by
-	// design: core may not be imported by snap); recompute it in parallel
-	// like a fresh build does.
-	tasks := make([]cluster.Task, 0, len(e.parts))
-	for _, p := range e.parts {
-		p := p
-		tasks = append(tasks, cluster.Task{Worker: p.Worker, Fn: func() {
-			p.meta = make([]trajMeta, len(p.Trajs))
-			for i, t := range p.Trajs {
-				p.meta[i] = newTrajMeta(t)
-			}
-		}})
-	}
-	e.cl.Run(tasks)
+	// The stores take the snapshots' tries and recompute the verification
+	// metadata, which is derived state (not serialized, by design: core may
+	// not be imported by snap), in parallel like a fresh build does.
+	e.buildStores(func(pid int) *Store {
+		s := sorted[pid]
+		return NewStore(opts.Trie, s.Trajs, s.Index, s.Watermark)
+	})
 	e.BuildTime = time.Since(start)
 	return e, nil
 }

@@ -21,11 +21,10 @@ import (
 //
 // Every read of a partition (Search, KNNScan, Select, JoinEdge) is a
 // function over a View, and the engine and the network-mode worker both
-// run them: a host only captures the view, under the lock it already takes
-// for reads, and shapes the reply. A view never copies the base. The
-// engine's aliases the delta too (its queries hold the engine's read lock
-// for their whole run); the worker's copies the delta and the tombstones
-// (its overlay mutates in place under a lock the query does not keep).
+// run them. Both capture it the one way, Store.View: the base aliased, the
+// overlay and the masks copied under the store's read lock — O(overlay),
+// never O(base) — so a view is one instant of the partition for as long as
+// its query keeps it, whatever the store applies or installs meanwhile.
 type View struct {
 	Index       *trie.Trie
 	Base        []*traj.T
@@ -33,8 +32,6 @@ type View struct {
 	Overlay     []*traj.T
 	OverlayMeta []VerifyMeta
 	Masked      func(id int) bool
-
-	part *Partition // the engine partition viewed; nil on a worker
 }
 
 // Len is the number of slots, masked base members included.

@@ -95,32 +95,34 @@ func TestViewAcrossHosts(t *testing.T) {
 	}
 }
 
-// The engine's own overlay shape, mid-merge: a frozen delta being folded
+// The overlay mid-merge (viewtest.MidMerge): a frozen delta being folded
 // (one member of it superseded since, one deleted), the masks the fold
-// consumes, and behind them a new delta and new tombstones.
+// consumes, and behind them a new delta and new tombstones — held open by
+// the store's fold hook. internal/dnet runs the same shape on a worker.
 func TestViewMidMerge(t *testing.T) {
 	base, fresh, queries := viewtest.Fixture()
 	for _, m := range viewtest.Measures(t) {
 		e, base := onePartition(t, m, base)
-		pre := append(viewtest.Upserts(fresh[:3]...), viewtest.Op{ID: base[0].ID})
+		pre, window := viewtest.MidMerge(base, fresh)
 		apply(t, e, pre)
-		window := []viewtest.Op{{T: &traj.T{ID: fresh[0].ID, Points: fresh[4].Points}, ID: fresh[0].ID},
-			{ID: fresh[1].ID}, {ID: base[3].ID}, {T: fresh[5], ID: fresh[5].ID}}
+		want := viewtest.History{Ops: append(pre, window...)}.Visible(base)
 		ran := false
-		restore := core.SetMergeFoldHook(func(*core.Engine, int) {
+		restore := core.SetFoldHook(func(s *core.Store) {
 			ran = true
 			apply(t, e, window)
 			v, _ := core.PartitionView(e, 0)
 			if len(v.Overlay) != 3 || v.Masked == nil {
 				t.Errorf("%s: mid-merge view has %d overlay members, want fresh[2] of the frozen delta and two of the new", m.Name(), len(v.Overlay))
 			}
-			viewtest.Check(t, m, v, viewtest.History{Ops: append(pre, window...)}.Visible(base), queries)
+			viewtest.Check(t, m, v, want, queries)
 		})
 		_, err := e.MergePartition(0)
 		restore()
 		if err != nil || !ran {
 			t.Fatalf("%s: merge err=%v, fold window ran=%v", m.Name(), err, ran)
 		}
+		v, _ := core.PartitionView(e, 0)
+		viewtest.Check(t, m, v, want, queries)
 	}
 }
 

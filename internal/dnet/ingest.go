@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/rpc"
 	"strings"
 	"sync"
@@ -24,166 +23,38 @@ import (
 	"dita/internal/rtree"
 	"dita/internal/snap"
 	"dita/internal/traj"
-	"dita/internal/trie"
 	"dita/internal/wal"
 )
 
 // overloadedPrefix starts the application error Worker.Ingest returns
-// when the partition's delta buffer is at the backpressure bound. It
-// crosses the wire as the rpc.ServerError string; the coordinator's
-// isOverloaded matches it with an exact prefix check (the
-// peerUnreachablePrefix pattern) and surfaces ErrOverloaded so callers
-// can back off and retry — keep the two in sync when rewording.
+// when the partition's overlay is at the backpressure bound. It crosses the
+// wire as the rpc.ServerError string; the coordinator's isOverloaded
+// matches it with an exact prefix check (the peerUnreachablePrefix
+// pattern) and surfaces ErrOverloaded so callers can back off and retry —
+// keep the two in sync when rewording.
 const overloadedPrefix = "dnet: ingest overloaded: "
 
-const (
-	// defaultMergeBytes is the delta size that triggers folding the
-	// overlay into a fresh base when Worker.MergeBytes is unset.
-	defaultMergeBytes = 1 << 20
-	// defaultMaxDeltaBytes is the backpressure bound when
-	// Worker.MaxDeltaBytes is unset: batches arriving at or past it are
-	// rejected until a merge drains the buffer.
-	defaultMaxDeltaBytes = 8 << 20
-)
-
-// view captures the partition for one query: the base slices as they are
-// (never mutated in place — a merge installs fresh ones) plus private
-// copies of the delta and the tombstones, taken under the overlay lock.
-// The mutual exclusion during the copy makes the in-place overlay mutation
-// on the ingest path safe for the rest of the query's life.
-func (p *workerPartition) view() *core.View {
-	p.omu.RLock()
-	defer p.omu.RUnlock()
-	v := &core.View{Index: p.index, Base: p.trajs, BaseMeta: p.meta}
-	if len(p.tomb) > 0 {
-		tomb := make(map[int]bool, len(p.tomb))
-		for id := range p.tomb {
-			tomb[id] = true
-		}
-		v.Masked = func(id int) bool { return tomb[id] }
-	}
-	if len(p.delta) > 0 {
-		v.Overlay = append([]*traj.T(nil), p.delta...)
-		v.OverlayMeta = append([]core.VerifyMeta(nil), p.deltaMeta...)
-	}
-	return v
-}
-
-// DeltaBytes returns the partition's current un-merged delta size.
-func (p *workerPartition) DeltaBytes() int {
-	p.omu.RLock()
-	defer p.omu.RUnlock()
-	return p.deltaBytes
-}
-
-// baseStats returns the base footprint under the overlay lock (a merge
-// replaces both fields together).
-func (p *workerPartition) baseStats() (trajs, indexBytes int) {
-	p.omu.RLock()
-	defer p.omu.RUnlock()
-	return len(p.trajs), p.index.SizeBytes()
-}
-
-// identity returns the partition's content identity and durability
-// flags, which merges rewrite under the overlay lock.
+// identity returns the partition's content identity and durability flags,
+// which merges rewrite, and the highest sequence number it applied.
 func (p *workerPartition) identity() (fp uint64, snapped bool, snapBytes int64, lastSeq uint64) {
-	p.omu.RLock()
-	defer p.omu.RUnlock()
-	return p.fingerprint, p.snapped, p.snapBytes, p.lastSeq
+	p.idMu.Lock()
+	fp, snapped, snapBytes = p.fingerprint, p.snapped, p.snapBytes
+	p.idMu.Unlock()
+	return fp, snapped, snapBytes, p.store.LastSeq()
 }
 
-// closeLog detaches and closes the partition's WAL. Serialized against
-// appends by the overlay lock: a racing Ingest either appended before
-// the close (the record is durable and applied) or fails its append
-// afterwards (the batch is never acked) — exactly crash semantics.
-func (p *workerPartition) closeLog() {
-	p.omu.Lock()
-	l := p.wlog
-	p.wlog = nil
-	p.omu.Unlock()
-	if l != nil {
-		l.Close()
-	}
-}
-
-// ensureBaseIDsLocked lazily builds the base id set the tombstone
-// decisions need. Built once per base epoch; a merge clears it.
-func (p *workerPartition) ensureBaseIDsLocked() {
-	if p.baseIDs != nil {
-		return
-	}
-	p.baseIDs = make(map[int]bool, len(p.trajs))
-	for _, t := range p.trajs {
-		p.baseIDs[t.ID] = true
-	}
-}
-
-// applyLocked folds one logged record into the overlay. Caller holds
-// the overlay write lock (or owns the partition exclusively, as WAL
-// replay before Serve does). An insert is an upsert by id: it replaces
-// a live delta member in place, and tombstones the base member it
-// supersedes. A delete removes the delta member (swap-remove) and
-// tombstones the base member. Deletes do not grow deltaBytes — the
-// buffer tracks payload held, not log volume.
-func (p *workerPartition) applyLocked(r WireRecord) {
-	switch r.Op {
-	case wal.OpInsert:
-		t := &traj.T{ID: r.ID, Points: r.Points}
-		if i, ok := p.deltaIdx[r.ID]; ok {
-			p.deltaBytes += t.Bytes() - p.delta[i].Bytes()
-			p.delta[i] = t
-			p.deltaMeta[i] = core.NewVerifyMeta(t, 0)
-			return
-		}
-		if p.deltaIdx == nil {
-			p.deltaIdx = map[int]int{}
-		}
-		p.deltaIdx[r.ID] = len(p.delta)
-		p.delta = append(p.delta, t)
-		p.deltaMeta = append(p.deltaMeta, core.NewVerifyMeta(t, 0))
-		p.deltaBytes += t.Bytes()
-		p.ensureBaseIDsLocked()
-		if p.baseIDs[r.ID] {
-			if p.tomb == nil {
-				p.tomb = map[int]bool{}
-			}
-			p.tomb[r.ID] = true
-		}
-	case wal.OpDelete:
-		if i, ok := p.deltaIdx[r.ID]; ok {
-			p.deltaBytes -= p.delta[i].Bytes()
-			last := len(p.delta) - 1
-			moved := p.delta[last]
-			p.delta[i] = moved
-			p.deltaMeta[i] = p.deltaMeta[last]
-			p.delta = p.delta[:last]
-			p.deltaMeta = p.deltaMeta[:last]
-			delete(p.deltaIdx, r.ID)
-			if i != last {
-				p.deltaIdx[moved.ID] = i
-			}
-		}
-		p.ensureBaseIDsLocked()
-		if p.baseIDs[r.ID] {
-			if p.tomb == nil {
-				p.tomb = map[int]bool{}
-			}
-			p.tomb[r.ID] = true
-		}
-	}
-}
-
-// Ingest implements the streamed-mutation RPC: WAL append (fsync)
-// strictly before the in-memory apply, so an acked batch is durable at
-// every instant afterwards. Records at or below the partition's dedupe
-// floor are skipped — a retransmission of an acked batch is a cheap
-// no-op, which is what makes rpc-layer retries safe. The floor is sound
-// only because the coordinator serializes a partition's writes end to
-// end (dispatchedDataset.pmu): first delivery is always in seq order, so
-// anything at or below the floor is a retransmission, never a fresh
-// write that lost a race. A delta at the backpressure bound rejects the
-// whole batch with the overloaded error and kicks a background merge so
-// a later retry finds room.
+// Ingest implements the streamed-mutation RPC: the partition's store
+// validates the batch, appends it to the WAL (fsync) and only then applies
+// it (core.Store.Apply), so an acked batch is durable at every instant
+// afterwards. Records at or below the store's dedupe floor are skipped — a
+// retransmission of an acked batch is a cheap no-op, which is what makes
+// rpc-layer retries safe. The floor is sound only because the coordinator
+// serializes a partition's writes end to end (dispatchedDataset.pmu):
+// first delivery is always in seq order, so anything at or below the floor
+// is a retransmission, never a fresh write that lost a race. An overlay at
+// the backpressure bound rejects the whole batch with the overloaded error
+// and kicks a background merge so a later retry finds room; a delta at the
+// merge threshold is merged before the reply.
 func (s *workerService) Ingest(args *IngestArgs, reply *IngestReply) (err error) {
 	if !s.w.beginRPC() {
 		return errDraining
@@ -197,181 +68,86 @@ func (s *workerService) Ingest(args *IngestArgs, reply *IngestReply) (err error)
 	}
 	bytes := 0
 	for _, r := range args.Records {
-		switch r.Op {
-		case wal.OpInsert:
-			if len(r.Points) == 0 {
-				return fmt.Errorf("dnet: ingest %s/%d: insert %d has no points",
-					args.Dataset, args.Partition, r.ID)
-			}
-		case wal.OpDelete:
-		default:
-			return fmt.Errorf("dnet: ingest %s/%d: unknown op %d",
-				args.Dataset, args.Partition, r.Op)
-		}
 		bytes += 16*len(r.Points) + 16
 	}
 	s.w.bytesIn.Add(int64(bytes))
 
-	mergeAt := s.w.MergeBytes
-	if mergeAt <= 0 {
-		mergeAt = defaultMergeBytes
-	}
-	maxDelta := s.w.MaxDeltaBytes
-	if maxDelta <= 0 {
-		maxDelta = defaultMaxDeltaBytes
-	}
-
-	p.omu.Lock()
-	floor := p.lastSeq
-	if p.watermark > floor {
-		floor = p.watermark
-	}
-	fresh := make([]WireRecord, 0, len(args.Records))
-	for _, r := range args.Records {
-		if r.Seq <= floor {
-			reply.Deduped++
-			continue
-		}
-		floor = r.Seq
-		fresh = append(fresh, r)
-	}
-	if reply.Deduped > 0 {
-		s.w.ingestDeduped.Add(int64(reply.Deduped))
-	}
-	if len(fresh) == 0 {
-		reply.LastSeq = p.lastSeq
-		reply.DeltaBytes = p.deltaBytes
-		p.omu.Unlock()
-		return nil
-	}
-	if p.deltaBytes >= maxDelta {
-		deltaBytes := p.deltaBytes
-		p.omu.Unlock()
+	p.store.LockAppend()
+	a, err := p.store.Apply(core.MergePolicy{MergeBytes: s.w.MergeBytes, MaxDeltaBytes: s.w.MaxDeltaBytes}, args.Records, nil)
+	p.store.UnlockAppend()
+	reply.Applied, reply.Deduped, reply.LastSeq, reply.DeltaBytes = a.Fresh, a.Deduped, a.LastSeq, a.OverlayBytes
+	s.w.ingestDeduped.Add(int64(a.Deduped))
+	if errors.Is(err, core.ErrDeltaBacklog) {
 		s.w.ingestRejected.Add(1)
-		// Kick a merge so the buffer drains; the caller's retry after
-		// backoff then finds room. mergePartition serializes with itself.
+		// Kick a merge so the overlay drains; the caller's retry after
+		// backoff then finds room. A merge already in flight makes this a
+		// no-op.
 		go s.w.mergePartition(args.Dataset, args.Partition, p)
-		return fmt.Errorf("%spartition %s/%d delta %d bytes (max %d)",
-			overloadedPrefix, args.Dataset, args.Partition, deltaBytes, maxDelta)
+		return fmt.Errorf("%spartition %s/%d: %v", overloadedPrefix, args.Dataset, args.Partition, err)
 	}
-	if p.wlog != nil {
-		recs := make([]wal.Record, len(fresh))
-		for i, r := range fresh {
-			recs[i] = wal.Record{Seq: r.Seq, Op: r.Op, ID: r.ID, Points: r.Points}
-		}
-		if err := p.wlog.Append(recs...); err != nil {
-			// Nothing is applied: the log restored its prior valid length
-			// (or holds a torn tail the next Open truncates), memory never
-			// saw the batch, and the caller gets no ack.
-			p.omu.Unlock()
-			return fmt.Errorf("dnet: ingest %s/%d: wal append: %w",
-				args.Dataset, args.Partition, err)
-		}
+	if err != nil {
+		return fmt.Errorf("dnet: ingest %s/%d: %w", args.Dataset, args.Partition, err)
 	}
-	for _, r := range fresh {
-		p.applyLocked(r)
-		if r.Seq > p.lastSeq {
-			p.lastSeq = r.Seq
-		}
-	}
-	reply.Applied = len(fresh)
-	reply.LastSeq = p.lastSeq
-	reply.DeltaBytes = p.deltaBytes
-	needMerge := p.deltaBytes >= mergeAt
-	p.omu.Unlock()
-	s.w.ingestRecords.Add(int64(len(fresh)))
-	if needMerge {
-		if s.w.mergePartition(args.Dataset, args.Partition, p) {
-			reply.Merged = true
-			reply.DeltaBytes = p.DeltaBytes()
-		}
+	s.w.ingestRecords.Add(int64(a.Fresh))
+	if a.MergeDue && s.w.mergePartition(args.Dataset, args.Partition, p) {
+		reply.Merged = true
+		reply.DeltaBytes = p.store.OverlayBytes()
 	}
 	return nil
 }
 
-// mergePartition folds the partition's overlay into a fresh base:
-// visible members (base minus tombstones, plus delta) get a rebuilt
-// trie and verification metadata, installed as new slices so captured
-// views stay consistent; then the new base is sealed as a snapshot
-// carrying watermark = lastSeq, and only after a successful seal is the
-// WAL truncated through that watermark. If the seal fails the log keeps
-// its full suffix past the old on-disk watermark — replay still
-// reconstructs exactly this state, the log is merely longer. Merges on
-// one partition are serialized (mergeMu) so a slow seal can never
-// overwrite a newer image and then truncate the log past it.
+// mergePartition folds the partition's overlay into a fresh base
+// (core.Store.Fold): the rebuilt base is installed with its new content
+// fingerprint, then sealed as a snapshot carrying the fold's watermark, and
+// only after a successful seal does the store truncate the WAL through it.
+// If the seal fails the log keeps its full suffix past the old on-disk
+// watermark — replay still reconstructs exactly this state, the log is
+// merely longer. It reports whether anything was folded.
 func (w *Worker) mergePartition(dataset string, pid int, p *workerPartition) bool {
-	p.mergeMu.Lock()
-	defer p.mergeMu.Unlock()
-	p.omu.Lock()
-	if len(p.delta) == 0 && len(p.tomb) == 0 {
-		p.omu.Unlock()
-		return false
-	}
-	visible := make([]*traj.T, 0, len(p.trajs)+len(p.delta))
-	for _, t := range p.trajs {
-		if !p.tomb[t.ID] {
-			visible = append(visible, t)
+	var fp uint64
+	h := core.FoldHooks{Publish: func(base *snap.Snapshot, install func()) {
+		fp = snap.Fingerprint(p.opts, base.Trajs)
+		install()
+		p.idMu.Lock()
+		p.fingerprint, p.snapped, p.snapBytes = fp, false, 0
+		p.idMu.Unlock()
+		w.merges.Add(1)
+	}}
+	if w.SnapStore != nil {
+		h.Seal = func(base *snap.Snapshot) error {
+			// The partition may have been unloaded while we folded; sealing
+			// now would resurrect a snapshot the coordinator rolled back. The
+			// check alone is racy — Unload can run right after it — but Unload
+			// (and the epoch resets in Load/Replicate) holds the store's folds
+			// before touching the durable pair, so a teardown that loses the
+			// race deletes whatever this merge writes once it finishes.
+			w.mu.RLock()
+			installed := w.parts[partKey{dataset, pid}] == p
+			w.mu.RUnlock()
+			if !installed {
+				return errUnloaded
+			}
+			base.Dataset, base.Partition, base.Opts = dataset, pid, p.opts
+			size, err := w.SnapStore.Save(base)
+			if err != nil {
+				w.snapWriteErr.Add(1)
+				return err
+			}
+			w.snapWriteOK.Add(1)
+			p.idMu.Lock()
+			if p.fingerprint == fp {
+				p.snapped, p.snapBytes = true, size
+			}
+			p.idMu.Unlock()
+			return nil
 		}
 	}
-	visible = append(visible, p.delta...)
-	idx := trie.Build(visible, trieConfig(p.opts))
-	meta := make([]core.VerifyMeta, len(visible))
-	for i, t := range visible {
-		meta[i] = core.NewVerifyMeta(t, 0)
-	}
-	fp := snap.Fingerprint(p.opts, visible)
-	opts := p.opts
-	p.trajs, p.index, p.meta = visible, idx, meta
-	p.fingerprint = fp
-	p.delta, p.deltaMeta, p.deltaIdx = nil, nil, nil
-	p.tomb, p.baseIDs = nil, nil
-	p.deltaBytes = 0
-	p.watermark = p.lastSeq
-	watermark := p.watermark
-	wlog := p.wlog
-	p.snapped = false
-	p.snapBytes = 0
-	p.omu.Unlock()
-	w.merges.Add(1)
-	if w.SnapStore == nil {
-		return true
-	}
-	// The partition may have been unloaded while we folded; sealing now
-	// would resurrect a snapshot the coordinator rolled back. The check
-	// alone is racy — Unload can run right after it — but Unload (and the
-	// epoch resets in Load/Replicate) waits on this partition's mergeMu
-	// before touching the durable pair, so a teardown that loses the race
-	// deletes whatever this merge writes once it finishes.
-	w.mu.RLock()
-	installed := w.parts[partKey{dataset, pid}] == p
-	w.mu.RUnlock()
-	if !installed {
-		return true
-	}
-	sn := &snap.Snapshot{
-		Dataset: dataset, Partition: pid, Opts: opts,
-		Trajs: visible, Index: idx, Watermark: watermark,
-	}
-	size, err := w.SnapStore.Save(sn)
-	if err != nil {
-		w.snapWriteErr.Add(1)
-		return true
-	}
-	w.snapWriteOK.Add(1)
-	p.omu.Lock()
-	if p.fingerprint == fp {
-		p.snapped = true
-		p.snapBytes = size
-	}
-	p.omu.Unlock()
-	if wlog != nil {
-		// Records past the watermark (ingested during the seal) survive
-		// the truncation; they are exactly the ones the new snapshot does
-		// not cover.
-		wlog.TruncateThrough(watermark)
-	}
-	return true
+	folded, _ := p.store.Fold(h)
+	return folded
 }
+
+// errUnloaded keeps a merge that lost a race with Unload from sealing.
+var errUnloaded = errors.New("dnet: merge: partition unloaded")
 
 // --- coordinator side ---
 
@@ -384,22 +160,12 @@ func isOverloaded(err error) bool {
 }
 
 // routeLocked picks the partition for a trajectory the dataset has not
-// seen before: the one whose endpoint MBRs are nearest the trajectory's
-// endpoints — the STR cell it would have landed in at dispatch
-// (distance 0 when it falls inside both boxes). Caller holds dd.mu.
+// seen before, by the engine's rule (core.Route). Caller holds dd.mu.
 func routeLocked(dd *dispatchedDataset, t *traj.T) int {
-	first, last := t.First(), t.Last()
-	best, bestD := -1, math.Inf(1)
-	for i := range dd.parts {
-		if dd.parts[i].retired {
-			continue
-		}
-		d := dd.parts[i].mbrF.MinDist(first) + dd.parts[i].mbrL.MinDist(last)
-		if best < 0 || d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
+	return core.Route(len(dd.parts), func(pid int) core.PartBounds {
+		p := &dd.parts[pid]
+		return core.PartBounds{MBRf: p.mbrF, MBRl: p.mbrL, Retired: p.retired}
+	}, t)
 }
 
 // Ingest streams one trajectory into a dispatched dataset: an upsert by
@@ -416,10 +182,12 @@ func (c *Coordinator) Ingest(name string, t *traj.T) error {
 	return c.IngestContext(context.Background(), name, t)
 }
 
-// IngestContext is Ingest under query-lifecycle control.
+// IngestContext is Ingest under query-lifecycle control. A trajectory the
+// index cannot hold (traj.Validate: fewer than two points, a non-finite
+// coordinate) is refused before a sequence number is reserved.
 func (c *Coordinator) IngestContext(ctx context.Context, name string, t *traj.T) error {
-	if t == nil || len(t.Points) == 0 {
-		return fmt.Errorf("dnet: ingest: empty trajectory")
+	if err := t.Validate(); err != nil {
+		return fmt.Errorf("dnet: ingest: %w", err)
 	}
 	dd, err := c.dataset(name)
 	if err != nil {

@@ -2,13 +2,16 @@ package dnet
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"dita/internal/gen"
+	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/snap"
 	"dita/internal/traj"
@@ -360,7 +363,7 @@ func visibleState(w *Worker) map[int]*traj.T {
 	}
 	w.mu.RUnlock()
 	for _, p := range parts {
-		for _, tr := range p.view().Visible() {
+		for _, tr := range p.store.View().Visible() {
 			out[tr.ID] = tr
 		}
 	}
@@ -811,6 +814,73 @@ func TestUnloadDuringMergeRemovesDurablePair(t *testing.T) {
 		}
 		if _, err := os.Stat(w.WALStore.Path("trips", pid)); !os.IsNotExist(err) {
 			t.Fatalf("partition %d: wal resurrected after unload: stat err = %v", pid, err)
+		}
+	}
+}
+
+// TestIngestRefusesInvalidTrajectories: the network ingest edge refuses
+// what the engine's Insert refuses (traj.Validate) — a one-point
+// trajectory, a NaN and an infinite coordinate — at the coordinator before
+// a sequence number is reserved, and in the worker's Ingest handler before
+// the WAL append: no log grows, no number is burned, nothing is visible.
+func TestIngestRefusesInvalidTrajectories(t *testing.T) {
+	d := gen.Generate(gen.BeijingLike(60, 391))
+	workers, _, dirs, c := ingestCluster(t, 1, testConfig(), 1<<30, 0)
+	if err := c.Dispatch("trips", d); err != nil {
+		t.Fatal(err)
+	}
+	with := func(id int, p geom.Point) *traj.T {
+		return &traj.T{ID: id, Points: append(slices.Clone(d.Trajs[1].Points), p)}
+	}
+	bad := []*traj.T{
+		{ID: 900001, Points: d.Trajs[0].Points[:1]},
+		with(900002, geom.Point{X: math.NaN(), Y: 0}),
+		with(900003, geom.Point{X: 0, Y: math.Inf(1)}),
+	}
+	logBytes := func() (n int64) {
+		logs, err := filepath.Glob(filepath.Join(dirs[0], "*.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range logs {
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += fi.Size()
+		}
+		return n
+	}
+	dd, err := c.dataset("trips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := func() []uint64 {
+		dd.mu.Lock()
+		defer dd.mu.Unlock()
+		return slices.Clone(dd.nextSeq)
+	}
+	logs0, seqs0 := logBytes(), seqs()
+	s := &workerService{w: workers[0]}
+	for i, tr := range bad {
+		if err := c.Ingest("trips", tr); err == nil {
+			t.Errorf("coordinator acked trajectory %d (%d points)", tr.ID, len(tr.Points))
+		}
+		rec := WireRecord{Seq: 1<<40 + uint64(i), Op: wal.OpInsert, ID: tr.ID, Points: tr.Points}
+		if err := s.Ingest(&IngestArgs{Dataset: "trips", Records: []WireRecord{rec}}, &IngestReply{}); err == nil {
+			t.Errorf("worker applied trajectory %d (%d points)", tr.ID, len(tr.Points))
+		}
+	}
+	if got := seqs(); !slices.Equal(got, seqs0) {
+		t.Errorf("sequence numbers %v, were %v: a refused write burned one", got, seqs0)
+	}
+	if n := logBytes(); n != logs0 {
+		t.Errorf("logs hold %d bytes, held %d before the refused writes", n, logs0)
+	}
+	vis := visibleState(workers[0])
+	for _, tr := range bad {
+		if vis[tr.ID] != nil {
+			t.Errorf("refused trajectory %d is visible", tr.ID)
 		}
 	}
 }

@@ -20,6 +20,7 @@ package dnet
 import (
 	"dita/internal/geom"
 	"dita/internal/obs"
+	"dita/internal/wal"
 )
 
 // WireTrajectory is the gob wire form of a trajectory.
@@ -119,13 +120,9 @@ type ManifestReply struct {
 // wal.OpInsert, Points set) or a delete (Op = wal.OpDelete, Points empty)
 // of one trajectory id. Seq is the partition-scoped sequence number the
 // coordinator assigned; workers append records to their WAL under it and
-// dedupe retransmissions by it.
-type WireRecord struct {
-	Seq    uint64
-	Op     byte
-	ID     int
-	Points []geom.Point
-}
+// dedupe retransmissions by it. It is the WAL's own record: what a worker
+// logs is what crossed the wire.
+type WireRecord = wal.Record
 
 // IngestArgs applies a batch of mutations to one partition. Records must
 // be in ascending Seq order; the worker appends them to the partition's

@@ -68,25 +68,15 @@ func (s *workerService) Manifest(args *ManifestArgs, reply *ManifestReply) (err 
 	if err != nil {
 		return err
 	}
-	p.omu.RLock()
-	mbrF, mbrL := geom.EmptyMBR(), geom.EmptyMBR()
-	for _, t := range p.trajs {
-		if p.tomb[t.ID] {
-			continue
-		}
-		reply.IDs = append(reply.IDs, t.ID)
-		mbrF = mbrF.Extend(t.First())
-		mbrL = mbrL.Extend(t.Last())
+	members, lastSeq := p.store.Visible()
+	reply.IDs = make([]int, len(members))
+	for i, t := range members {
+		reply.IDs[i] = t.ID
 	}
-	for _, t := range p.delta {
-		reply.IDs = append(reply.IDs, t.ID)
-		mbrF = mbrF.Extend(t.First())
-		mbrL = mbrL.Extend(t.Last())
-	}
-	reply.MBRf, reply.MBRl = mbrF, mbrL
-	reply.Fingerprint, reply.Snapshotted, reply.LastSeq = p.fingerprint, p.snapped, p.lastSeq
-	p.omu.RUnlock()
 	sort.Ints(reply.IDs)
+	reply.MBRf, reply.MBRl = core.EndpointBounds(members)
+	reply.Fingerprint, reply.Snapshotted, _, _ = p.identity()
+	reply.LastSeq = lastSeq
 	return nil
 }
 
@@ -249,11 +239,7 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 	for pi := range pieces {
 		pc := &pieces[pi]
 		pc.pid = basePid + pi
-		pc.mbrF, pc.mbrL = geom.EmptyMBR(), geom.EmptyMBR()
-		for _, t := range pc.members {
-			pc.mbrF = pc.mbrF.Extend(t.First())
-			pc.mbrL = pc.mbrL.Extend(t.Last())
-		}
+		pc.mbrF, pc.mbrL = core.EndpointBounds(pc.members)
 		pc.fingerprint = snap.Fingerprint(opts, pc.members)
 	}
 

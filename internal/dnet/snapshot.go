@@ -43,28 +43,21 @@ func sealPartition(name string, pid int, opts snap.BuildOptions, members []*traj
 }
 
 // partitionFromSnapshot rebuilds the in-memory partition state from a
-// verified snapshot: measure by name, verification metadata recomputed
-// (it is derived state, deliberately not serialized).
+// verified snapshot: measure by name, a store over the image's members and
+// trie (verification metadata recomputed: it is derived state, deliberately
+// not serialized) whose ingest floor is the image's watermark — every
+// logged record at or below it is already folded into the members.
 func partitionFromSnapshot(s *snap.Snapshot) (*workerPartition, error) {
 	m, err := measure.ByName(s.Opts.Measure, s.Opts.Eps, s.Opts.Delta)
 	if err != nil {
 		return nil, err
 	}
-	p := &workerPartition{
-		trajs:       s.Trajs,
-		index:       s.Index,
+	return &workerPartition{
+		store:       core.NewStore(trieConfig(s.Opts), s.Trajs, s.Index, s.Watermark),
 		m:           m,
 		opts:        s.Opts,
 		fingerprint: s.Fingerprint,
-	}
-	p.meta = make([]core.VerifyMeta, len(s.Trajs))
-	for i, t := range s.Trajs {
-		p.meta[i] = core.NewVerifyMeta(t, 0)
-	}
-	// The image's watermark is the ingest floor: every logged record at or
-	// below it is already folded into Trajs.
-	p.watermark, p.lastSeq = s.Watermark, s.Watermark
-	return p, nil
+	}, nil
 }
 
 // holding returns the partition held at (dataset, pid) when its content is
@@ -111,21 +104,20 @@ func (w *Worker) installImage(dataset string, pid int, fp uint64, image []byte) 
 	// The image starts a new WAL epoch: any log this worker kept extends a
 	// base the install replaces wholesale, so replaying it would resurrect
 	// deltas from a dead epoch. (The image's watermark already covers every
-	// mutation folded into it.) Waiting on the old partition's mergeMu fences
-	// any in-flight merge: its seal and WAL truncation land before the epoch
+	// mutation folded into it.) Holding the old partition's folds fences any
+	// in-flight merge: its seal and WAL truncation land before the epoch
 	// reset below, never on top of the new epoch's files.
 	w.mu.RLock()
 	held := w.parts[partKey{dataset, pid}]
 	w.mu.RUnlock()
 	if held != nil {
-		held.closeLog()
-		held.mergeMu.Lock()
-		defer held.mergeMu.Unlock()
+		held.store.CloseLog()
+		defer held.store.HoldFolds()()
 	}
 	if w.WALStore != nil {
 		w.WALStore.Remove(dataset, pid)
 		if l, _, err := w.WALStore.Open(dataset, pid); err == nil {
-			p.wlog = l
+			p.store.Recover(l, nil)
 		}
 	}
 	if w.SnapStore != nil {
@@ -255,15 +247,14 @@ func (w *Worker) LoadSnapshots() (*SnapshotLoadReport, error) {
 	return rep, nil
 }
 
-// replayWAL opens the partition's write-ahead log, replays the suffix
-// past the snapshot's watermark onto the restored partition, and leaves
-// the log open for the partition's future appends. The open itself
+// replayWAL opens the partition's write-ahead log and has the store replay
+// the suffix past the snapshot's watermark and keep the log for the
+// partition's future appends (core.Store.Recover). The open itself
 // truncates any torn tail from a crashed append — expected, counted,
 // never an error. A mangled header leaves no trustworthy suffix: the
 // file is discarded (classified in the skip report) and a fresh log
 // opened; mutations it held past the watermark are restored from
-// replica peers, not this disk. Runs before the partition is installed,
-// so no lock is needed.
+// replica peers, not this disk.
 func (w *Worker) replayWAL(p *workerPartition, loaded *SnapshotLoaded, rep *SnapshotLoadReport) {
 	if w.WALStore == nil {
 		return
@@ -277,24 +268,11 @@ func (w *Worker) replayWAL(p *workerPartition, loaded *SnapshotLoaded, rep *Snap
 		})
 		w.WALStore.Remove(ds, pid)
 		if l2, _, err2 := w.WALStore.Open(ds, pid); err2 == nil {
-			p.wlog = l2
+			p.store.Recover(l2, nil)
 		}
 		return
 	}
-	p.wlog = l
-	for _, r := range wrep.Records {
-		if r.Seq <= p.watermark {
-			// Already folded into the snapshot (a crash between seal and
-			// truncate leaves the full log behind — replay just skips the
-			// covered prefix).
-			continue
-		}
-		p.applyLocked(WireRecord{Seq: r.Seq, Op: r.Op, ID: r.ID, Points: r.Points})
-		if r.Seq > p.lastSeq {
-			p.lastSeq = r.Seq
-		}
-		loaded.WALRecords++
-	}
+	loaded.WALRecords = len(p.store.Recover(l, wrep.Records))
 	loaded.WALTruncatedBytes = wrep.TruncatedBytes
 	w.walReplayed.Add(int64(loaded.WALRecords))
 	w.walTruncated.Add(wrep.TruncatedBytes)
@@ -363,11 +341,12 @@ func (s *workerService) Inventory(args *InventoryArgs, reply *InventoryReply) er
 	return nil
 }
 
-// Export implements the healing transfer source: the sealed snapshot
-// image of one held partition, encoded from live memory (so it works even
-// on workers running without a snapshot directory). A live ingest overlay
-// is folded into the image — the transfer must carry every acked write,
-// or healing onto a new replica would silently roll them back.
+// Export implements the healing transfer source: the snapshot image of one
+// held partition's visible state (core.Store.Export), encoded from live
+// memory (so it works even on workers running without a snapshot
+// directory). A live ingest overlay is folded into the image — the
+// transfer must carry every acked write, or healing onto a new replica
+// would silently roll them back.
 func (s *workerService) Export(args *ExportArgs, reply *ExportReply) (err error) {
 	if !s.w.beginRPC() {
 		return errDraining
@@ -378,42 +357,10 @@ func (s *workerService) Export(args *ExportArgs, reply *ExportReply) (err error)
 	if err != nil {
 		return err
 	}
-	reply.Data = exportImage(args.Dataset, args.Partition, p)
+	img := p.store.Export()
+	img.Dataset, img.Partition, img.Opts = args.Dataset, args.Partition, p.opts
+	reply.Data = snap.Encode(img)
 	return nil
-}
-
-// exportImage encodes the partition's visible state. Without an overlay
-// this is the base verbatim; with one, the visible members (base minus
-// tombstones, plus delta) get a freshly built trie, and the image's
-// watermark advances to lastSeq so a receiver restoring it replays
-// nothing the image already covers.
-func exportImage(dataset string, pid int, p *workerPartition) []byte {
-	p.omu.RLock()
-	if len(p.delta) == 0 && len(p.tomb) == 0 {
-		sn := &snap.Snapshot{
-			Dataset: dataset, Partition: pid, Opts: p.opts,
-			Trajs: p.trajs, Index: p.index, Watermark: p.lastSeq,
-		}
-		p.omu.RUnlock()
-		return snap.Encode(sn)
-	}
-	visible := make([]*traj.T, 0, len(p.trajs)+len(p.delta))
-	for _, t := range p.trajs {
-		if !p.tomb[t.ID] {
-			visible = append(visible, t)
-		}
-	}
-	visible = append(visible, p.delta...)
-	opts := p.opts
-	watermark := p.lastSeq
-	p.omu.RUnlock()
-	// The trie build runs off-lock: visible is a private slice, and the
-	// trajectories it points to are immutable.
-	idx := trie.Build(visible, trieConfig(opts))
-	return snap.Encode(&snap.Snapshot{
-		Dataset: dataset, Partition: pid, Opts: opts,
-		Trajs: visible, Index: idx, Watermark: watermark,
-	})
 }
 
 // Replicate implements snapshot-based healing: fetch the partition's
@@ -445,7 +392,7 @@ func (s *workerService) Replicate(args *ReplicateArgs, reply *ReplicateReply) (e
 			return fmt.Errorf("dnet: replicate %s/%d from %s: %w", args.Dataset, args.Partition, args.SrcAddr, err)
 		}
 	}
-	reply.Trajs, reply.IndexBytes = p.baseStats()
+	reply.Trajs, reply.IndexBytes = p.store.BaseSize()
 	_, reply.Snapshotted, _, _ = p.identity()
 	return nil
 }

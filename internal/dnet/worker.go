@@ -16,7 +16,6 @@ import (
 	"dita/internal/obs"
 	"dita/internal/snap"
 	"dita/internal/traj"
-	"dita/internal/trie"
 	"dita/internal/wal"
 )
 
@@ -64,16 +63,16 @@ type Worker struct {
 	// Its Faults field is the WAL-side chaos plan (`dita-worker -wal-chaos`).
 	WALStore *wal.Store
 
-	// MergeBytes is the per-partition delta size that triggers folding the
-	// overlay into a fresh base (rebuild trie, seal snapshot, truncate WAL).
-	// <= 0 uses defaultMergeBytes. Set before Serve.
+	// MergeBytes is core.MergePolicy.MergeBytes: the per-partition delta
+	// size that triggers folding the overlay into a fresh base (rebuild
+	// trie, seal snapshot, truncate WAL). Set before Serve.
 	MergeBytes int
 
-	// MaxDeltaBytes is the per-partition backpressure bound: an ingest
-	// batch arriving while the delta holds at least this many bytes is
-	// rejected with an overloaded error (the coordinator surfaces
-	// ErrOverloaded) and a merge is kicked to drain the buffer. <= 0 uses
-	// defaultMaxDeltaBytes. Set before Serve.
+	// MaxDeltaBytes is core.MergePolicy.MaxDeltaBytes, the per-partition
+	// backpressure bound: an ingest batch arriving while the overlay holds
+	// at least this many bytes is rejected with an overloaded error (the
+	// coordinator surfaces ErrOverloaded) and a merge is kicked to drain
+	// it. Set before Serve.
 	MaxDeltaBytes int
 
 	snapLoadOK      atomic.Int64
@@ -141,44 +140,22 @@ type partKey struct {
 	id      int
 }
 
+// workerPartition is one held partition: its store (core.Store: base,
+// overlay, WAL, folds — the engine's own) plus what only the worker keeps,
+// the measure its RPCs run and its content identity.
 type workerPartition struct {
-	trajs []*traj.T
-	index *trie.Trie
-	meta  []core.VerifyMeta
+	store *core.Store
 	m     measure.Measure
-	// opts and fingerprint are the partition's content identity
-	// (snap.BuildOptions plus the hash over it and the trajectories);
-	// snapped/snapBytes record whether a durable snapshot of exactly this
-	// content exists in the worker's store.
-	opts        snap.BuildOptions
+	opts  snap.BuildOptions
+
+	// fingerprint is the base's content identity (snap.Fingerprint over
+	// opts and the members); snapped/snapBytes record whether a durable
+	// snapshot of exactly this content exists in the worker's store. A
+	// fold rewrites all three under idMu.
+	idMu        sync.Mutex
 	fingerprint uint64
 	snapped     bool
 	snapBytes   int64
-
-	// Ingest overlay, all guarded by omu. The base fields above are never
-	// mutated in place: a merge installs fresh slices and a fresh trie, so
-	// a view captured under omu.RLock stays consistent for the rest of its
-	// query. delta holds inserted/updated members (deltaIdx maps id →
-	// delta index); tomb masks base members that were deleted or
-	// superseded; lastSeq is the durable dedupe floor; watermark is the
-	// highest sequence folded into the base (what the sealed snapshot
-	// records); wlog is the partition's open WAL, nil when the worker runs
-	// without a WAL store.
-	// mergeMu serializes merges on this partition end to end (fold, seal,
-	// truncate) so a slow seal can never overwrite a newer image and then
-	// truncate the log past it. Taken before omu, never while holding it.
-	mergeMu sync.Mutex
-
-	omu        sync.RWMutex
-	delta      []*traj.T
-	deltaMeta  []core.VerifyMeta
-	deltaIdx   map[int]int
-	tomb       map[int]bool
-	baseIDs    map[int]bool
-	deltaBytes int
-	lastSeq    uint64
-	watermark  uint64
-	wlog       *wal.Log
 }
 
 // NewWorker creates an unstarted worker.
@@ -326,7 +303,7 @@ func (w *Worker) Instrument(r *obs.Registry) {
 		defer w.mu.RUnlock()
 		var total int64
 		for _, p := range w.parts {
-			total += int64(p.DeltaBytes())
+			total += int64(p.store.OverlayBytes())
 		}
 		return total
 	})
@@ -398,7 +375,7 @@ func (w *Worker) Close() error {
 		// tail (if any) is truncated on the next Open.
 		w.mu.RLock()
 		for _, p := range w.parts {
-			p.closeLog()
+			p.store.CloseLog()
 		}
 		w.mu.RUnlock()
 	})
@@ -489,7 +466,7 @@ func (s *workerService) Load(args *LoadArgs, reply *LoadReply) (err error) {
 			return fmt.Errorf("dnet: load %s/%d: %w", args.Dataset, args.Partition, err)
 		}
 	}
-	reply.Trajs, reply.IndexBytes = p.baseStats()
+	reply.Trajs, reply.IndexBytes = p.store.BaseSize()
 	_, reply.Snapshotted, reply.SnapshotBytes, _ = p.identity()
 	return nil
 }
@@ -507,15 +484,13 @@ func (s *workerService) Unload(args *UnloadArgs, reply *UnloadReply) error {
 	delete(s.w.parts, key)
 	s.w.mu.Unlock()
 	if held {
-		p.closeLog()
+		p.store.CloseLog()
 		// An in-flight merge may already have passed its installed check
 		// (taken before sealing) and be about to rewrite the snapshot and
 		// truncate the WAL — state that must not outlive this rollback.
-		// mergePartition holds mergeMu end to end, so waiting on it here
-		// guarantees the removals below run after any such merge finished
-		// writing.
-		p.mergeMu.Lock()
-		defer p.mergeMu.Unlock()
+		// Holding the store's folds waits it out, so the removals below run
+		// after any such merge finished writing.
+		defer p.store.HoldFolds()()
 	}
 	// The durable pair must go with the partition: a surviving snapshot
 	// would resurrect data the coordinator rolled back, and a surviving
@@ -568,7 +543,7 @@ func (s *workerService) Search(args *SearchArgs, reply *SearchReply) (err error)
 	if err != nil {
 		return err
 	}
-	res, st, err := p.view().Search(ctx, p.m, args.Query, args.Tau, s.w.VerifyParallelism, false)
+	res, st, err := p.store.View().Search(ctx, p.m, args.Query, args.Tau, s.w.VerifyParallelism, false)
 	if err != nil {
 		return err
 	}
@@ -609,7 +584,7 @@ func (s *workerService) KNN(args *KNNArgs, reply *SearchReply) (err error) {
 		return err
 	}
 	acc := core.NewKNNAcc(args.K)
-	f, err := p.view().KNNScan(ctx, p.m, args.Query, acc, args.Tau)
+	f, err := p.store.View().KNNScan(ctx, p.m, args.Query, acc, args.Tau)
 	if err != nil {
 		return err
 	}
@@ -636,7 +611,7 @@ func (s *workerService) Fetch(args *FetchArgs, reply *FetchReply) error {
 	}
 	ctx, cancel := s.w.queryCtx(0)
 	defer cancel()
-	ts, _, _, err := p.view().Select(ctx, func(t *traj.T) bool { return want[t.ID] })
+	ts, _, _, err := p.store.View().Select(ctx, func(t *traj.T) bool { return want[t.ID] })
 	for _, t := range ts {
 		reply.Trajs = append(reply.Trajs, WireTrajectory{ID: t.ID, Points: t.Points})
 	}
@@ -673,7 +648,7 @@ func (s *workerService) Ship(args *ShipArgs, reply *JoinReply) (err error) {
 	}
 	ctx, cancel := s.w.queryCtx(args.TimeoutMillis)
 	defer cancel()
-	ts, _, _, err := p.view().Select(ctx, func(t *traj.T) bool {
+	ts, _, _, err := p.store.View().Select(ctx, func(t *traj.T) bool {
 		return core.TrajRelevant(p.m, t.Points, args.DstMBRf, args.DstMBRl, args.Tau)
 	})
 	if err != nil || len(ts) == 0 {
@@ -742,7 +717,7 @@ func (s *workerService) Join(args *JoinArgs, reply *JoinReply) (err error) {
 	defer cancel()
 	// One view for both sides of a diagonal edge: every pair of members is
 	// decided against a single instant of the partition.
-	dst := p.view()
+	dst := p.store.View()
 	var (
 		shipped []*traj.T
 		smeta   []core.VerifyMeta
@@ -793,10 +768,10 @@ func (s *workerService) Stats(args *StatsArgs, reply *StatsReply) error {
 	defer s.w.mu.RUnlock()
 	reply.Partitions = len(s.w.parts)
 	for _, p := range s.w.parts {
-		nt, ib := p.baseStats()
+		nt, ib := p.store.BaseSize()
 		reply.Trajs += nt
 		reply.IndexBytes += ib
-		reply.DeltaBytes += p.DeltaBytes()
+		reply.DeltaBytes += p.store.OverlayBytes()
 	}
 	reply.SearchCalls = s.w.searchCalls.Load()
 	reply.JoinCalls = s.w.joinCalls.Load()

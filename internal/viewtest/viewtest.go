@@ -1,8 +1,8 @@
 // Package viewtest checks every read over a core.View against brute force
 // over the members the view must show. It is one test body for both hosts
-// of the scan layer: internal/core runs it over Partition.view(),
-// internal/dnet over workerPartition.view(), each after applying the same
-// mutation histories through its own write path.
+// of the partition store: internal/core runs it over an engine partition's
+// view, internal/dnet over a worker partition's, each after applying the
+// same mutation histories through its own write path.
 package viewtest
 
 import (
@@ -75,19 +75,36 @@ type History struct {
 
 // Histories returns the overlay shapes every host must read correctly, as
 // mutations of base (at least 3 members) drawing new members from fresh (at
-// least 4, ids disjoint from base's). The delta member deleted is the
-// middle one of three: the hosts compact a delta differently (the engine
-// shifts, the worker swaps the last member in), and that is the one
-// deletion after which the two orders still agree.
+// least 5, ids disjoint from base's). Both hosts apply them through one
+// store, so any delta member may be deleted or updated: the delta keeps
+// apply order, and an update moves its member to the end.
 func Histories(base, fresh []*traj.T) []History {
 	update := &traj.T{ID: base[1].ID, Points: fresh[3].Points}
+	again := &traj.T{ID: base[2].ID, Points: fresh[4].Points}
+	moved := &traj.T{ID: fresh[0].ID, Points: fresh[3].Points}
 	return []History{
 		{"no overlay", nil},
 		{"delta only", Upserts(fresh[:3]...)},
 		{"tombstones only", []Op{{ID: base[0].ID}, {ID: base[2].ID}}},
 		{"upsert supersedes base", Upserts(update)},
 		{"delete of a delta member", append(Upserts(fresh[:3]...), Op{ID: fresh[1].ID})},
+		{"delete of the first and last delta members", append(Upserts(fresh[:3]...), Op{ID: fresh[0].ID}, Op{ID: fresh[2].ID})},
+		{"base delete then re-insert", []Op{{ID: again.ID}, {T: again, ID: again.ID}}},
+		{"upsert of a delta member", append(Upserts(fresh[:3]...), Upserts(moved)...)},
 	}
+}
+
+// MidMerge is the overlay a fold leaves while it runs: pre is applied
+// before the fold rotates it into the frozen pair (three fresh members and
+// a base delete), window while the fold is held open — an upsert and a
+// delete of frozen members, another base delete and a fresh insert — so
+// the view shows the frozen member neither touched, then the two members
+// of the new delta (fresh needs at least 6 members).
+func MidMerge(base, fresh []*traj.T) (pre, window []Op) {
+	pre = append(Upserts(fresh[:3]...), Op{ID: base[0].ID})
+	window = []Op{{T: &traj.T{ID: fresh[0].ID, Points: fresh[4].Points}, ID: fresh[0].ID},
+		{ID: fresh[1].ID}, {ID: base[3].ID}, {T: fresh[5], ID: fresh[5].ID}}
+	return pre, window
 }
 
 // Visible replays the history over base: the members a view must show, in
