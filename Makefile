@@ -136,17 +136,21 @@ bench-smoke:
 	$(GO) test -C bench .
 
 # Micro-benchmarks of the verification hot path on pairs shaped like its
-# real input (gen.VerifyWorkloads): the four threshold-DTW kernels and the
-# Verifier cascade around the one in production — and of the join that runs
-# it most, the repository benchmark's 12 k self-join, with the symmetric
-# plan (self) and without (twoEngines). EXPERIMENTS.md records the numbers
-# per kernel change.
+# real input (gen.VerifyWorkloads): exact DTW beside the pruned threshold
+# kernel in production, and the Verifier cascade around it — of the join
+# that runs it most, the repository benchmark's 12 k self-join, with the
+# symmetric plan (self) and without (twoEngines) — and of where a search's
+# points lie: one search pool on a built engine and on that engine restored
+# from its own images (EngineSearchLayout). EXPERIMENTS.md records the
+# numbers per kernel or layout change.
 KERNEL_BENCHTIME ?= 20000x
 JOIN_BENCHTIME ?= 10x
+LAYOUT_BENCHTIME ?= 10000x
 bench-kernels:
 	$(GO) test -run='^$$' -bench='DTWThreshold' -benchmem -benchtime=$(KERNEL_BENCHTIME) ./internal/measure
 	$(GO) test -run='^$$' -bench='VerifyFullCascade' -benchmem -benchtime=$(KERNEL_BENCHTIME) ./internal/core
 	$(GO) test -run='^$$' -bench='SelfJoin' -benchmem -benchtime=$(JOIN_BENCHTIME) ./internal/core
+	$(GO) test -run='^$$' -bench='EngineSearchLayout' -benchmem -benchtime=$(LAYOUT_BENCHTIME) ./internal/core
 
 # The measurement behind a performance claim: N alternating pairs of the
 # repository benchmark on two refs, each extracted into its own tree under

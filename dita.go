@@ -215,6 +215,9 @@ const (
 )
 
 // NewEngine partitions and indexes a dataset (CREATE INDEX ... USE TRIE).
+// The engine adopts d's members: it moves each partition's points into one
+// slab and re-points the members' Points at it, with the same values. Do
+// not read the members concurrently with NewEngine, nor write them after.
 func NewEngine(d *Dataset, opts Options) (*Engine, error) { return core.NewEngine(d, opts) }
 
 // DefaultOptions returns laptop-scale engine defaults (NG=8, DTW).

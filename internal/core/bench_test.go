@@ -9,6 +9,7 @@ import (
 	"dita/internal/cluster"
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/snap"
 	"dita/internal/traj"
 )
 
@@ -205,4 +206,45 @@ func BenchmarkSelfJoin(b *testing.B) {
 	}
 	b.Run("self", func(b *testing.B) { run(b, e) })
 	b.Run("twoEngines", func(b *testing.B) { run(b, build()) })
+}
+
+// BenchmarkEngineSearchLayout runs one fixed pool of searches, shaped like
+// the repository benchmark's (100 k BeijingLike members, τ = 0.01,
+// sequential verification, one virtual worker), on a built engine and on
+// that engine restored from its own images. The two hold the same tries and
+// give the same answers; only where the members' points lie can differ, so
+// the gap between the rows is what the built engine's layout costs.
+func BenchmarkEngineSearchLayout(b *testing.B) {
+	d := gen.Generate(gen.BeijingLike(100_000, 1))
+	opts := DefaultOptions()
+	opts.VerifyParallelism = 1
+	opts.Cluster = cluster.New(cluster.DefaultConfig(1))
+	built, err := NewEngine(d, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var snaps []*snap.Snapshot
+	for _, p := range built.Partitions() {
+		s, err := snap.Decode(snap.Encode(built.ExportSnapshot("layout", p)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		snaps = append(snaps, s)
+	}
+	restored, err := NewEngineFromSnapshots(snaps, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := gen.Queries(d, 2000, 11)
+	for _, c := range []struct {
+		name string
+		e    *Engine
+	}{{"built", built}, {"restored", restored}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.e.Search(qs[i%len(qs)], 0.01, nil)
+			}
+		})
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dita/internal/cluster"
 	"dita/internal/geom"
@@ -142,6 +143,17 @@ func (e *Engine) visibleCount() int {
 
 // NewEngine partitions and indexes the dataset (Algorithm 1). It is the
 // CREATE INDEX ... USE TRIE operation.
+//
+// The engine adopts d's members, as a worker adopts the members of an image
+// it decodes: before a partition's trie is built, its members' points are
+// moved into one slab in slot order, and each member's Points is re-pointed
+// at its own window of it — the same values, capped at its own length. The
+// caller's scattered arrays become garbage; there is never a second copy.
+// Members whose points already lie back-to-back in slot order are not
+// written, so a second engine over the same members and grouping, or over
+// a decoded image, writes nothing. The caller therefore must not read or
+// write a member's Points concurrently with NewEngine, and must not write
+// it afterwards (members are immutable from the build on, DESIGN.md §10).
 func NewEngine(d *traj.Dataset, opts Options) (*Engine, error) {
 	if d == nil {
 		return nil, fmt.Errorf("core: nil dataset")
@@ -168,7 +180,10 @@ func NewEngine(d *traj.Dataset, opts Options) (*Engine, error) {
 		e.addPartition(g, W)
 	}
 	e.buildGlobalIndex()
-	e.buildStores(func(pid int) *Store { return NewStore(opts.Trie, groups[pid], nil, 0) })
+	e.buildStores(func(pid int) *Store {
+		adopt(groups[pid])
+		return NewStore(opts.Trie, groups[pid], nil, 0)
+	})
 	e.BuildTime = time.Since(start)
 	return e, nil
 }
@@ -269,6 +284,47 @@ func (e *Engine) buildStores(build func(pid int) *Store) {
 		tasks = append(tasks, cluster.Task{Worker: p.Worker, Fn: func() { p.Store = build(p.ID) }})
 	}
 	e.cl.Run(tasks)
+}
+
+// adopt lays members' points out in one slab in slot order, as
+// snap.decodeTrajs carves an image: each member's Points becomes its own
+// window of the slab, a three-index slice capped at its length. A verifier
+// then walks one partition's points in one allocation instead of wherever
+// the caller's allocator put them. It writes nothing when the points
+// already lie back-to-back in slot order. Only NewEngine adopts: a fold or
+// a rebalance piece aliases members a live base still serves.
+func adopt(members []*traj.T) {
+	if packed(members) {
+		return
+	}
+	n := 0
+	for _, t := range members {
+		n += len(t.Points)
+	}
+	slab := make([]geom.Point, n)
+	for _, t := range members {
+		k := copy(slab, t.Points)
+		t.Points, slab = slab[:k:k], slab[k:]
+	}
+}
+
+// packed reports whether every member's Points is capped at its length and
+// ends where the next member's begins.
+func packed(members []*traj.T) bool {
+	const size = unsafe.Sizeof(geom.Point{})
+	for i, t := range members {
+		if len(t.Points) == 0 || cap(t.Points) != len(t.Points) {
+			return false
+		}
+		if i > 0 {
+			prev := members[i-1].Points
+			end := uintptr(unsafe.Pointer(unsafe.SliceData(prev))) + uintptr(len(prev))*size
+			if end != uintptr(unsafe.Pointer(unsafe.SliceData(t.Points))) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Partitions returns the engine's partitions (read-only use).

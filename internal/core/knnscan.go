@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"dita/internal/geom"
 	"dita/internal/measure"
@@ -140,11 +141,8 @@ func (a *KNNAcc) Results() []SearchResult {
 	for _, e := range a.heap {
 		out = append(out, SearchResult{Traj: e.t, Distance: e.d})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
-		}
-		return out[i].Traj.ID < out[j].Traj.ID
+	slices.SortFunc(out, func(a, b SearchResult) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.Traj.ID, b.Traj.ID))
 	})
 	return out
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"dita/internal/geom"
@@ -199,11 +201,8 @@ func KNNOrder(m measure.Measure, bounds []PartBounds, q []geom.Point) []KNNVisit
 			order = append(order, KNNVisit{PID: pid, LB: PartitionLowerBound(m, q, b.MBRf, b.MBRl)})
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].LB != order[b].LB {
-			return order[a].LB < order[b].LB
-		}
-		return order[a].PID < order[b].PID
+	slices.SortFunc(order, func(a, b KNNVisit) int {
+		return cmp.Or(cmp.Compare(a.LB, b.LB), cmp.Compare(a.PID, b.PID))
 	})
 	return order
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"dita/internal/cluster"
@@ -130,7 +131,7 @@ func (e *Engine) SearchPartialContext(ctx context.Context, q *traj.T, tau float6
 			e.cl.Transfer(ps.p.Worker, driver, bytes)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Traj.ID < out[b].Traj.ID })
+	slices.SortFunc(out, func(a, b SearchResult) int { return cmp.Compare(a.Traj.ID, b.Traj.ID) })
 	mergeDone(nil)
 	return out, &run.report, nil
 }

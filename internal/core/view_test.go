@@ -33,7 +33,8 @@ func onePartition(t *testing.T, m measure.Measure, members []*traj.T) (*core.Eng
 }
 
 // decodedPartition is onePartition cold-started from its own sealed image:
-// the base members alias one decoded slab instead of the caller's slices.
+// the base members are the image's, not the caller's members the build
+// adopted.
 func decodedPartition(t *testing.T, m measure.Measure, members []*traj.T) (*core.Engine, []*traj.T) {
 	t.Helper()
 	built, _ := onePartition(t, m, members)
@@ -69,7 +70,7 @@ func apply(t *testing.T, e *core.Engine, ops []viewtest.Op) {
 // TestViewAcrossHosts, engine half (internal/dnet has the worker's): after
 // each history the partition's view shows exactly the model's members in
 // the model's slot order, and every read over it is brute force's — over a
-// base built from the caller's slices and over one decoded from an image,
+// base built from the caller's members and over one decoded from an image,
 // before the overlay is merged into it and after.
 func TestViewAcrossHosts(t *testing.T) {
 	base, fresh, queries := viewtest.Fixture()

@@ -1,9 +1,10 @@
 package dnet
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"dita/internal/core"
@@ -79,11 +80,8 @@ func (g *knnMerger) offer(h SearchHit) {
 // results returns the merged top-k in ascending (distance, ID) order.
 func (g *knnMerger) results() []SearchHit {
 	out := append([]SearchHit(nil), g.heap...)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Distance != out[b].Distance {
-			return out[a].Distance < out[b].Distance
-		}
-		return out[a].ID < out[b].ID
+	slices.SortFunc(out, func(a, b SearchHit) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.ID, b.ID))
 	})
 	return out
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/rpc"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -387,7 +386,7 @@ func (c *Coordinator) SearchTraced(ctx context.Context, name string, q *traj.T, 
 			run.funnel.Merge(calls[i].reply.Funnel)
 			out = append(out, calls[i].reply.Hits...)
 		}
-		sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+		slices.SortFunc(out, func(a, b SearchHit) int { return cmp.Compare(a.ID, b.ID) })
 		mergeDone(nil)
 		return run.allSkippedRetired(dd), nil
 	})

@@ -1,12 +1,13 @@
 package dnet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -551,7 +552,7 @@ func (s *workerService) Search(args *SearchArgs, reply *SearchReply) (err error)
 		reply.Hits = append(reply.Hits, SearchHit{ID: r.Traj.ID, Distance: r.Distance})
 	}
 	reply.Candidates, reply.Verified, reply.Funnel = int(st.Funnel.TrieCands), int(st.Funnel.Verified), st.Funnel
-	sort.Slice(reply.Hits, func(a, b int) bool { return reply.Hits[a].ID < reply.Hits[b].ID })
+	slices.SortFunc(reply.Hits, func(a, b SearchHit) int { return cmp.Compare(a.ID, b.ID) })
 	return nil
 }
 

@@ -8,12 +8,9 @@ import (
 	"dita/internal/geom"
 )
 
-// Ablation benchmarks for the Section 5.3.3 verification optimizations:
-// exact DTW vs single-direction early abandoning vs double-direction vs the
-// pruned DP that DistanceThreshold runs.
-
-// BenchmarkDTWThreshold runs the four kernels over what a search's verifier
-// is really handed (gen.VerifyWorkloads), not over unrelated random walks.
+// BenchmarkDTWThreshold runs exact DTW and the pruned DP DistanceThreshold
+// runs (Section 5.3.3) over what a search's verifier is really handed
+// (gen.VerifyWorkloads), not over unrelated random walks.
 func BenchmarkDTWThreshold(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -23,8 +20,6 @@ func BenchmarkDTWThreshold(b *testing.B) {
 			d := DTW{}.Distance(t, q)
 			return d, d <= tau
 		}},
-		{"earlyAbandon", dtwEarlyAbandon},
-		{"doubleDirection", dtwDoubleDirection},
 		{"pruned", dtwPruned},
 	}
 	for _, w := range gen.VerifyWorkloads {

@@ -283,164 +283,6 @@ func dtwPruned(t, q []geom.Point, tau float64) (float64, bool) {
 	return prev[n], true
 }
 
-// dtwEarlyAbandon is the classic single-direction threshold DTW: every cell
-// of every row, abandoning when an entire row exceeds tau. Not on any query
-// path: kept as the reference the pruned kernel's differential tests and
-// the §5.3.3 ablation benchmarks compare against.
-func dtwEarlyAbandon(t, q []geom.Point, tau float64) (float64, bool) {
-	m, n := len(t), len(q)
-	if m == 0 || n == 0 {
-		return math.Inf(1), false
-	}
-	prev, cur, scratch := twoRows(n)
-	defer scratch.Release()
-	inf := math.Inf(1)
-	for j := 0; j <= n; j++ {
-		prev[j] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= m; i++ {
-		cur[0] = inf
-		ti := t[i-1]
-		rowMin := inf
-		for j := 1; j <= n; j++ {
-			d := ti.Dist(q[j-1])
-			best := prev[j-1]
-			if prev[j] < best {
-				best = prev[j]
-			}
-			if cur[j-1] < best {
-				best = cur[j-1]
-			}
-			cur[j] = d + best
-			if cur[j] < rowMin {
-				rowMin = cur[j]
-			}
-		}
-		if rowMin > tau {
-			return rowMin, false
-		}
-		prev, cur = cur, prev
-	}
-	return prev[n], prev[n] <= tau
-}
-
-// dtwDoubleDirection computes threshold DTW from both ends at once — the
-// paper's §5.3.3 kernel, and like dtwEarlyAbandon a reference for tests and
-// ablation benchmarks only: it fills all m·n cells, and its join sums in
-// another order than Distance, so its accepted value may differ in the last
-// ulp.
-//
-// Let F[i][j] = DTW(T^i, Q^j) (prefixes, inclusive) and
-// B[i][j] = DTW(T_{i..m}, Q_{j..n}) (suffixes, inclusive). A warping path
-// crosses from row mid to row mid+1 moving (mid, j) -> (mid+1, j') with
-// j' in {j, j+1}, so
-//
-//	DTW(T, Q) = min_j F[mid][j] + min(B[mid+1][j], B[mid+1][j+1]).
-//
-// We advance the forward DP down to row mid and the backward DP up to row
-// mid+1, interleaved; after each pair of rows, if minF + minB > tau, no
-// path can be within tau and we abandon — the double-direction pruning of
-// Section 5.3.3.
-func dtwDoubleDirection(t, q []geom.Point, tau float64) (float64, bool) {
-	m, n := len(t), len(q)
-	if m == 0 || n == 0 {
-		return math.Inf(1), false
-	}
-	if m == 1 || n == 1 {
-		// Degenerate shapes: fall back to the single-direction DP.
-		return dtwEarlyAbandon(t, q, tau)
-	}
-	mid := m / 2
-	inf := math.Inf(1)
-
-	// All four DP rows share one pooled buffer: forward rows are n+1 wide,
-	// backward rows n+2 (the extra out-of-range guard cell).
-	scratch := dppool.GetFloats(4*n + 6)
-	defer scratch.Release()
-	buf := scratch.S
-
-	// Forward DP over rows 1..mid.
-	fprev := buf[:n+1]
-	fcur := buf[n+1 : 2*n+2]
-	for j := 0; j <= n; j++ {
-		fprev[j] = inf
-	}
-	fprev[0] = 0
-	// Backward DP over rows m..mid+1. bprev[j] corresponds to B[i][j] for
-	// 1-based j; bprev[n+1] is the out-of-range guard.
-	bprev := buf[2*n+2 : 3*n+4]
-	bcur := buf[3*n+4:]
-	for j := 0; j <= n+1; j++ {
-		bprev[j] = inf
-	}
-	bprev[n+1] = 0 // virtual start below-right of (m, n)
-
-	fi, bi := 1, m // next rows to compute
-	minF, minB := 0.0, 0.0
-	for fi <= mid || bi > mid {
-		if fi <= mid {
-			ti := t[fi-1]
-			fcur[0] = inf
-			rowMin := inf
-			for j := 1; j <= n; j++ {
-				d := ti.Dist(q[j-1])
-				best := fprev[j-1]
-				if fprev[j] < best {
-					best = fprev[j]
-				}
-				if fcur[j-1] < best {
-					best = fcur[j-1]
-				}
-				fcur[j] = d + best
-				if fcur[j] < rowMin {
-					rowMin = fcur[j]
-				}
-			}
-			fprev, fcur = fcur, fprev
-			minF = rowMin
-			fi++
-		}
-		if bi > mid {
-			ti := t[bi-1]
-			bcur[n+1] = inf
-			rowMin := inf
-			for j := n; j >= 1; j-- {
-				d := ti.Dist(q[j-1])
-				best := bprev[j+1]
-				if bprev[j] < best {
-					best = bprev[j]
-				}
-				if bcur[j+1] < best {
-					best = bcur[j+1]
-				}
-				bcur[j] = d + best
-				if bcur[j] < rowMin {
-					rowMin = bcur[j]
-				}
-			}
-			bprev, bcur = bcur, bprev
-			minB = rowMin
-			bi--
-		}
-		if minF+minB > tau {
-			return minF + minB, false
-		}
-	}
-	// Join: fprev holds F[mid][·], bprev holds B[mid+1][·].
-	best := inf
-	for j := 1; j <= n; j++ {
-		b := bprev[j]
-		if j+1 <= n && bprev[j+1] < b {
-			b = bprev[j+1]
-		}
-		if v := fprev[j] + b; v < best {
-			best = v
-		}
-	}
-	return best, best <= tau
-}
-
 // AMD computes the accumulated minimum distance lower bound of Lemma 4.1:
 //
 //	AMD(T,Q) = dist(t1,q1) + dist(tm,qn) + Σ_{i=2}^{m-1} min_j dist(ti,qj).

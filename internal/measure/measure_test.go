@@ -237,24 +237,6 @@ func TestThresholdAgreesWithExact(t *testing.T) {
 	}
 }
 
-// The double-direction DTW must agree with single-direction early abandon.
-func TestDoubleDirectionMatchesEarlyAbandon(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	for i := 0; i < 500; i++ {
-		a := randTraj(rng, 2+rng.Intn(15))
-		b := randTraj(rng, 2+rng.Intn(15))
-		tau := rng.Float64() * 30
-		d1, ok1 := dtwDoubleDirection(a, b, tau)
-		d2, ok2 := dtwEarlyAbandon(a, b, tau)
-		if ok1 != ok2 {
-			t.Fatalf("decision mismatch: dd=%v ea=%v tau=%v", ok1, ok2, tau)
-		}
-		if ok1 && math.Abs(d1-d2) > 1e-9 {
-			t.Fatalf("value mismatch on accept: dd=%v ea=%v", d1, d2)
-		}
-	}
-}
-
 // AMD (Lemma 4.1) must lower-bound DTW.
 func TestAMDLowerBoundsDTW(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))

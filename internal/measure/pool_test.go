@@ -47,8 +47,8 @@ func TestPooledKernelsConcurrent(t *testing.T) {
 					t.Errorf("concurrent DTW = %g, want %g", d, p.dtw)
 					return
 				}
-				// The double-direction join sums in a different order than
-				// the plain DP, so the boundary needs a float-width margin.
+				// A threshold a float-width above the distance must accept,
+				// with the distance as the value.
 				if d, ok := (DTW{}).DistanceThreshold(p.t, p.q, p.dtw*(1+1e-12)); !ok || math.Abs(d-p.dtw) > 1e-9*(1+p.dtw) {
 					t.Errorf("concurrent DTWThreshold = %g/%v, want %g", d, ok, p.dtw)
 					return

@@ -28,27 +28,9 @@ func checkThresholdContract(t testing.TB, m Measure, a, b []geom.Point, tau floa
 	return got, ok
 }
 
-// checkDTWThreshold holds the pruned kernel to the contract and to the two
-// §5.3.3 reference kernels: early abandoning must agree exactly (it runs
-// Distance's recurrence), double direction away from ties (its join sums in
-// another order).
-func checkDTWThreshold(t testing.TB, a, b []geom.Point, tau float64) {
-	t.Helper()
-	got, ok := checkThresholdContract(t, DTW{}, a, b, tau)
-	if d, ok2 := dtwEarlyAbandon(a, b, tau); ok2 != ok || (ok && d != got) {
-		t.Fatalf("m=%d n=%d tau=%v: pruned %v/%v, early abandon %v/%v", len(a), len(b), tau, got, ok, d, ok2)
-	}
-	exact := DTW{}.Distance(a, b)
-	if math.Abs(exact-tau) > 1e-9*(1+exact) {
-		if d, ok3 := dtwDoubleDirection(a, b, tau); ok3 != ok || (ok && math.Abs(d-got) > 1e-9*(1+exact)) {
-			t.Fatalf("m=%d n=%d tau=%v: pruned %v/%v, double direction %v/%v", len(a), len(b), tau, got, ok, d, ok3)
-		}
-	}
-}
-
-// checkDTWThresholdTaus runs checkDTWThreshold at the thresholds where a
-// band-limited DP can go wrong: zero, the distance itself and the floats on
-// either side of it, and values well inside and outside.
+// checkDTWThresholdTaus holds the DTW kernel to the contract at the
+// thresholds where a band-limited DP can go wrong: zero, the distance itself
+// and the floats on either side of it, and values well inside and outside.
 func checkDTWThresholdTaus(t testing.TB, a, b []geom.Point, extra ...float64) {
 	t.Helper()
 	exact := DTW{}.Distance(a, b)
@@ -58,7 +40,7 @@ func checkDTWThresholdTaus(t testing.TB, a, b []geom.Point, extra ...float64) {
 	}, extra...)
 	for _, tau := range taus {
 		if tau >= 0 {
-			checkDTWThreshold(t, a, b, tau)
+			checkThresholdContract(t, DTW{}, a, b, tau)
 		}
 	}
 }

@@ -32,10 +32,18 @@ func (db *DB) Table(name string) (*DataFrame, error) {
 func (df *DataFrame) Name() string { return df.t.name }
 
 // Count returns the number of trajectories.
-func (df *DataFrame) Count() int { return df.t.data.Len() }
+func (df *DataFrame) Count() int { return df.data().Len() }
 
-// Collect returns the table's trajectories.
-func (df *DataFrame) Collect() []*traj.T { return df.t.data.Trajs }
+// Collect returns the table's trajectories: its current generation, which
+// an INSERT replaces rather than grows.
+func (df *DataFrame) Collect() []*traj.T { return df.data().Trajs }
+
+// data returns the table's current generation.
+func (df *DataFrame) data() *traj.Dataset {
+	df.db.mu.Lock()
+	defer df.db.mu.Unlock()
+	return df.t.data
+}
 
 // CreateTrieIndex builds the DITA index (CREATE INDEX ... USE TRIE).
 func (df *DataFrame) CreateTrieIndex() error {

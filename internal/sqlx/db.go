@@ -12,6 +12,7 @@ import (
 	"dita/internal/admit"
 	"dita/internal/cluster"
 	"dita/internal/core"
+	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/obs"
 	"dita/internal/traj"
@@ -70,7 +71,14 @@ func (db *DB) Cluster() *cluster.Cluster { return db.cl }
 // with ErrOverloaded. DDL and EXPLAIN are never gated.
 func (db *DB) SetAdmission(p admit.Policy) { db.adm = admit.New(p) }
 
-// Register adds (or replaces) a table backed by the dataset.
+// Register adds (or replaces) a table backed by the dataset. The table
+// adopts d's members as core.NewEngine does: the first engine built over
+// them re-points each member's Points at its partition's slab (the same
+// values), under the DB's lock. So once registered, d's members — and the
+// members a scan over them returns before that build — are read only
+// through the DB's statements or between them, and written never. An INSERT
+// starts a new generation of fresh headers, so a later build never
+// re-points a member that an earlier engine or Result still reads.
 func (db *DB) Register(name string, d *traj.Dataset) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -217,7 +225,16 @@ func (db *DB) ExecuteContext(ctx context.Context, st Statement, params ...*traj.
 				return nil, fmt.Errorf("sqlx: trajectory id %d already exists in %s", s.ID, t.name)
 			}
 		}
-		t.data.Trajs = append(t.data.Trajs, nt)
+		// The next generation is fresh headers sharing the points: the engine
+		// the next SELECT builds adopts them, while the last generation's
+		// engines and the Results they returned keep theirs untouched.
+		next := make([]traj.T, len(t.data.Trajs))
+		trajs := make([]*traj.T, len(next), len(next)+1)
+		for i, tr := range t.data.Trajs {
+			next[i] = *tr
+			trajs[i] = &next[i]
+		}
+		t.data = traj.NewDataset(t.data.Name, append(trajs, nt))
 		// Built engines no longer reflect the data; rebuild lazily.
 		t.engines = map[string]*core.Engine{}
 		return &Result{Message: fmt.Sprintf("inserted trajectory %d into %s", s.ID, t.name)}, nil
@@ -526,9 +543,15 @@ func (db *DB) execSelect(ctx context.Context, s *Select, params []*traj.T, planO
 		return report(&Result{Trajs: trajs, Plan: plan}, st.Funnel), nil
 	}
 	plan := fmt.Sprintf("FullScanFilter(%s, τ=%g, %s)", t.name, s.Where.Tau, m.Name())
+	// The points are read under the lock: a build that adopts these members
+	// re-points their Points, but never writes the arrays read here.
 	trajs := append([]*traj.T(nil), t.data.Trajs...)
+	pts := make([][]geom.Point, len(trajs))
+	for i, tr := range trajs {
+		pts[i] = tr.Points
+	}
 	unlock()
-	out, err := db.fullScan(ctx, trajs, m, q, s.Where.Tau)
+	out, err := db.fullScan(ctx, trajs, pts, m, q, s.Where.Tau)
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +572,7 @@ func flatFunnel(n, matched int) obs.Funnel {
 
 // fullScan verifies every trajectory in parallel across the workers,
 // checking the context before each threshold-distance computation.
-func (db *DB) fullScan(ctx context.Context, trajs []*traj.T, m measure.Measure, q *traj.T, tau float64) ([]core.SearchResult, error) {
+func (db *DB) fullScan(ctx context.Context, trajs []*traj.T, pts [][]geom.Point, m measure.Measure, q *traj.T, tau float64) ([]core.SearchResult, error) {
 	W := db.cl.Workers()
 	results := make([][]core.SearchResult, W)
 	var tasks []cluster.Task
@@ -560,9 +583,8 @@ func (db *DB) fullScan(ctx context.Context, trajs []*traj.T, m measure.Measure, 
 				if ctx.Err() != nil {
 					return
 				}
-				tr := trajs[i]
-				if d, ok := m.DistanceThreshold(tr.Points, q.Points, tau); ok {
-					results[w] = append(results[w], core.SearchResult{Traj: tr, Distance: d})
+				if d, ok := m.DistanceThreshold(pts[i], q.Points, tau); ok {
+					results[w] = append(results[w], core.SearchResult{Traj: trajs[i], Distance: d})
 				}
 			}
 		}})
