@@ -70,13 +70,14 @@ snap:
 		./internal/snap ./internal/trie ./internal/core ./internal/dnet
 
 # Streaming-ingest tests: WAL append/replay/torn-tail handling, the
-# partition store both hosts hold (apply, fold, view), engine
+# partition store both hosts hold (apply, fold, view), the dataset
+# layout and its write epochs, engine
 # insert/delete/merge differential checks, and the dnet ingest paths
 # (replication-before-ack, kill-restart replay, backpressure, seq
 # seeding, a search beside a parked fold) — rerun under the race detector,
 # -count=2 to defeat the cache.
 ingest:
-	$(GO) test -race -run 'Ingest|WAL|Replay|Merge|Backpressure|Store|Fold|View|Route' -count=2 \
+	$(GO) test -race -run 'Ingest|WAL|Replay|Merge|Backpressure|Store|Fold|View|Route|Layout|Epoch' -count=2 \
 		./internal/wal ./internal/core ./internal/dnet
 
 # Serving-layer tests: the result-cache/coalescing/shedding stack plus
@@ -88,11 +89,12 @@ serve:
 
 # Online re-partitioning tests: the engine split/merge/planner
 # differential suite, the dnet live-cluster cutover suite (all five
-# measures, concurrent writes racing cutovers, abort-never-a-mix), and
+# measures, concurrent writes racing cutovers, abort-never-a-mix, the
+# partition count read beside a cutover), the layout and epoch tests, and
 # the coordinator-recovery regressions — rerun under the race detector,
 # -count=2 to defeat the cache.
 rebalance:
-	$(GO) test -race -run 'Rebalance|Repartition|Recover|CutoverAbort' -count=2 \
+	$(GO) test -race -run 'Rebalance|Repartition|Recover|Cutover|Layout|Epoch' -count=2 \
 		./internal/str ./internal/core ./internal/dnet
 
 # Rebalancing-autopilot differential suite: the cost tracker/planner

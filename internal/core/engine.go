@@ -12,7 +12,6 @@ import (
 	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/obs"
-	"dita/internal/rtree"
 	"dita/internal/str"
 	"dita/internal/traj"
 	"dita/internal/trie"
@@ -60,9 +59,9 @@ func DefaultOptions() Options {
 }
 
 // Partition is one data partition: its store — the members, the local trie
-// (Trajs and Index are the store's base), the ingest overlay and the log —
-// and the first/last-point MBRs the global index stores, which the engine
-// keeps covering every visible member.
+// (Trajs and Index are the store's base), the ingest overlay and the log.
+// MBRf, MBRl and Retired are read-only mirrors of its Layout entry, kept for
+// callers outside core.
 type Partition struct {
 	ID     int
 	Worker int
@@ -70,15 +69,11 @@ type Partition struct {
 	MBRl   geom.MBR // MBR of members' last points
 	*Store
 
-	// retired marks a partition whose contents were moved to newer
-	// partitions by a split/merge (see rebalance.go). Retired partitions
-	// stay in the slice — partition ids are stable (they key WAL and
-	// snapshot filenames, location maps, and the dnet replica lists) —
-	// but hold no data and are skipped by every query and routing path.
 	retired bool
 }
 
-// Retired reports whether the partition was emptied by a split/merge.
+// Retired reports whether the partition was emptied by a split/merge: it
+// keeps its slot (ids key WAL and snapshot files) and holds nothing.
 func (p *Partition) Retired() bool { return p.retired }
 
 // Engine is a built DITA index over one dataset, ready to serve searches
@@ -88,18 +83,17 @@ type Engine struct {
 	cl      *cluster.Cluster
 	dataset *traj.Dataset
 	parts   []*Partition
-	rtF     *rtree.Tree  // global index over partition MBRf
-	rtL     *rtree.Tree  // global index over partition MBRl
-	bounds  []PartBounds // what rtF and rtL were built over, indexed like parts
+	lay     *Layout // the global index, routing, seq and epochs, indexed like parts
 	cellD   float64
 	met     *engineMetrics // nil when Options.Obs is nil
 	cost    *CostTracker   // per-partition read-cost EWMAs (timed paths only)
 
-	// mu is the host lock of the partitions' stores (Store): every public
-	// query path holds the read side for its whole run, and every applied
-	// mutation and installed fold is published under the write side, so what
-	// a query sees of every partition and of the partition MBRs is one
-	// instant. serial orders lock acquisition when a join spans two engines.
+	// mu is the host lock of the partitions' stores (Store) and of lay:
+	// every public query path holds the read side for its whole run, and
+	// every applied mutation, installed fold and layout change is published
+	// under the write side, so what a query sees of every partition and of
+	// the layout is one instant. serial orders lock acquisition when a join
+	// spans two engines.
 	mu     sync.RWMutex
 	serial uint64
 	ing    *ingestState // nil until EnableIngest
@@ -129,16 +123,6 @@ func rlockPair(a, b *Engine) func() {
 		b.mu.RUnlock()
 		a.mu.RUnlock()
 	}
-}
-
-// visibleCount is the number of currently visible trajectories: the
-// dataset size until ingest is enabled, the live location map after.
-// Callers hold mu.
-func (e *Engine) visibleCount() int {
-	if e.ing == nil {
-		return e.dataset.Len()
-	}
-	return len(e.ing.loc)
 }
 
 // NewEngine partitions and indexes the dataset (Algorithm 1). It is the
@@ -175,11 +159,7 @@ func NewEngine(d *traj.Dataset, opts Options) (*Engine, error) {
 		e.cellD = defaultCellD(d)
 	}
 	groups := e.partition()
-	W := e.cl.Workers()
-	for _, g := range groups {
-		e.addPartition(g, W)
-	}
-	e.buildGlobalIndex()
+	e.addPartitions(groups)
 	e.buildStores(func(pid int) *Store {
 		adopt(groups[pid])
 		return NewStore(opts.Trie, groups[pid], nil, 0)
@@ -245,35 +225,31 @@ func (e *Engine) partition() [][]*traj.T {
 	return groups
 }
 
-// addPartition appends a partition over group, its bounds computed and its
-// store left to buildStores.
-func (e *Engine) addPartition(group []*traj.T, workers int) {
-	p := &Partition{ID: len(e.parts)}
-	p.Worker = p.ID % workers
-	p.MBRf, p.MBRl = EndpointBounds(group)
-	e.parts = append(e.parts, p)
+// addPartitions makes one partition per group, their stores left to
+// buildStores, and the layout over them (Section 4.2.2). The global index is
+// small (Table 5: ≤ 65 MB even at NG=128) and conceptually replicated to
+// every worker; the engine keeps one copy.
+func (e *Engine) addPartitions(groups [][]*traj.T) {
+	W := e.cl.Workers()
+	for pid := range groups {
+		e.parts = append(e.parts, &Partition{ID: pid, Worker: pid % W})
+	}
+	e.lay = LayoutOf(groups)
+	e.mirror()
 }
 
-// buildGlobalIndex builds the two R-trees over partition MBRs
-// (Section 4.2.2) and the bounds they index. The global index is small
-// (Table 5: ≤ 65 MB even at NG=128) and conceptually replicated to every
-// worker; it lives on the driver here. Every change to a partition's boxes
-// or to the partition list is followed by a rebuild under mu, so queries
-// prune against one consistent snapshot.
-func (e *Engine) buildGlobalIndex() {
-	ef := make([]rtree.Entry, 0, len(e.parts))
-	el := make([]rtree.Entry, 0, len(e.parts))
-	e.bounds = make([]PartBounds, len(e.parts))
-	for i, p := range e.parts {
-		e.bounds[i] = PartBounds{MBRf: p.MBRf, MBRl: p.MBRl, Retired: p.retired}
-		if p.retired {
-			continue
+// mirror rewrites the partitions' mirrors of the layout, writing only what
+// changed. Callers hold mu for writing (or own the engine alone).
+func (e *Engine) mirror() {
+	for pid, p := range e.parts {
+		b := e.lay.bounds[pid]
+		if p.MBRf != b.MBRf || p.MBRl != b.MBRl {
+			p.MBRf, p.MBRl = b.MBRf, b.MBRl
 		}
-		ef = append(ef, rtree.Entry{MBR: p.MBRf, ID: p.ID})
-		el = append(el, rtree.Entry{MBR: p.MBRl, ID: p.ID})
+		if p.retired != b.Retired {
+			p.retired = b.Retired
+		}
 	}
-	e.rtF = rtree.New(ef)
-	e.rtL = rtree.New(el)
 }
 
 // buildStores makes each partition's store — its trie, unless build brings
@@ -350,7 +326,10 @@ func (e *Engine) VerifyParallelism() int { return ResolveParallelism(e.opts.Veri
 // IndexSizeBytes returns (globalBytes, localBytes) — Table 5's "Global
 // Size" and "Local Size".
 func (e *Engine) IndexSizeBytes() (global, local int) {
-	global = e.rtF.SizeBytes() + e.rtL.SizeBytes()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	v := e.lay.View()
+	global = v.RtF.SizeBytes() + v.RtL.SizeBytes()
 	for _, p := range e.parts {
 		if p.Index != nil {
 			local += p.Index.SizeBytes()
@@ -359,8 +338,20 @@ func (e *Engine) IndexSizeBytes() (global, local int) {
 	return global, local
 }
 
-// relevantPartitions is the global pruning of a threshold search over the
-// engine's global index. Callers hold mu.
-func (e *Engine) relevantPartitions(q []geom.Point, tau float64) []int {
-	return RelevantPartitions(e.opts.Measure, e.rtF, e.rtL, e.bounds, q, tau)
+// RelevantPartitions reports, ascending, the partitions the engine's global
+// pruning cannot exclude for a threshold search at tau — the touched set a
+// cached search answer depends on (see Epochs).
+func (e *Engine) RelevantPartitions(q []geom.Point, tau float64) []int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.lay.View().Relevant(e.opts.Measure, q, tau)
+}
+
+// Epochs snapshots the engine's write epochs (EpochView). A caller caching
+// a query's answer takes them BEFORE running the query: a write landing in
+// between then makes the entry look stale (safe), never fresh.
+func (e *Engine) Epochs() EpochView {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.lay.View().Epochs
 }

@@ -40,7 +40,7 @@ func TestSearchFunnelMatchesBruteForce(t *testing.T) {
 			t.Errorf("q%d: Partitions=%d, engine has %d", qi, f.Partitions, len(e.parts))
 		}
 		// Stage 1: relevant set from the global index, re-derived directly.
-		rel := e.relevantPartitions(q.Points, tau)
+		rel := e.RelevantPartitions(q.Points, tau)
 		if f.Relevant != int64(len(rel)) {
 			t.Errorf("q%d: Relevant=%d, global index says %d", qi, f.Relevant, len(rel))
 		}

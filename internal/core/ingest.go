@@ -27,8 +27,9 @@ import (
 // routing decisions (which partition an insert lands in) are recorded by
 // *where* the record was appended, not re-derived at replay.
 //
-// What the engine keeps of its own: the location map, the global sequence
-// counter, the partitions' MBRs and the global index over them.
+// The location map, the sequence counter, the partitions' MBRs and the global
+// index over them are the engine's Layout (layout.go), which the network
+// coordinator holds one of per dataset too.
 
 // IngestConfig wires mutation support into a built engine.
 type IngestConfig struct {
@@ -79,16 +80,11 @@ type ReplaySummary struct {
 	DupsMasked int
 }
 
-// ingestState is the engine-wide mutable-ingest bookkeeping, nil until
-// EnableIngest. Guarded by Engine.mu.
+// ingestState is the engine's ingest configuration, nil until EnableIngest.
+// Guarded by Engine.mu.
 type ingestState struct {
 	cfg IngestConfig
 	pol MergePolicy
-	loc map[int]int // trajectory id -> the partition showing it
-	// seq is the last assigned WAL sequence number. A failed append burns
-	// its number (a retry gets a fresh, higher one), so per-log sequences
-	// may gap but never regress or reorder.
-	seq uint64
 }
 
 // IngestEnabled reports whether the engine accepts mutations.
@@ -112,7 +108,7 @@ func (e *Engine) LastSeq() uint64 {
 	if e.ing == nil {
 		return 0
 	}
-	return e.ing.seq
+	return e.lay.Seq()
 }
 
 // EnableIngest makes a built engine mutable: it locates current members
@@ -127,30 +123,31 @@ func (e *Engine) EnableIngest(cfg IngestConfig) (*ReplaySummary, error) {
 	if e.ing != nil {
 		return nil, fmt.Errorf("core: ingest already enabled")
 	}
-	st := &ingestState{cfg: cfg, pol: MergePolicy{MergeBytes: cfg.MergeBytes, MaxDeltaBytes: cfg.MaxDeltaBytes},
-		loc: make(map[int]int, e.dataset.Len())}
+	st := &ingestState{cfg: cfg, pol: MergePolicy{MergeBytes: cfg.MergeBytes, MaxDeltaBytes: cfg.MaxDeltaBytes}}
+	loc := make(map[int]int, e.dataset.Len())
 	sum := &ReplaySummary{}
 	for _, p := range e.parts {
 		// A durable cross-partition move severed by media corruption can
 		// leave the same id visible in two bases; keep the first
 		// (lowest-pid) copy and mask the rest deterministically.
 		for _, t := range p.Trajs {
-			if _, dup := st.loc[t.ID]; dup {
+			if _, dup := loc[t.ID]; dup {
 				p.MaskBase(t.ID)
 				sum.DupsMasked++
 				continue
 			}
-			st.loc[t.ID] = p.ID
+			loc[t.ID] = p.ID
 		}
 	}
 	if cfg.WAL != nil {
 		start := time.Now()
-		if err := e.openLogs(st, cfg, sum); err != nil {
+		if err := e.openLogs(loc, cfg, sum); err != nil {
 			closeLogs(e.parts, nil, "")
 			return nil, err
 		}
 		sum.Duration = time.Since(start)
 	}
+	e.lay.Track(loc)
 	e.ing = st
 	if e.met != nil {
 		e.met.replayObserve(sum)
@@ -162,8 +159,8 @@ func (e *Engine) EnableIngest(cfg IngestConfig) (*ReplaySummary, error) {
 // openLogs opens every partition's log and, when replaying, has its store
 // re-apply the records past its watermark. Replay is partition-local
 // (records are partition-local operations), so partitions recover
-// independently in id order.
-func (e *Engine) openLogs(st *ingestState, cfg IngestConfig, sum *ReplaySummary) error {
+// independently in id order. Replayed ids are re-located in loc.
+func (e *Engine) openLogs(loc map[int]int, cfg IngestConfig, sum *ReplaySummary) error {
 	name := e.dataset.Name
 	// Logs for partitions this engine does not have belong to a previous
 	// epoch (a different partitioning of the same dataset): delete them.
@@ -199,17 +196,17 @@ func (e *Engine) openLogs(st *ingestState, cfg IngestConfig, sum *ReplaySummary)
 		if len(recs) > 0 {
 			// A replayed insert must be inside its partition's boxes, or
 			// global pruning and the kNN visit bound would miss it.
-			p.MBRf, p.MBRl = EndpointBounds(p.View().Visible())
+			e.lay.SetBounds(p.ID, p.View().Visible())
 		}
 		// A merge truncates the log through its snapshot's watermark, so
 		// after a clean merge the log is empty: fresh seqs must exceed every
 		// watermark as well as every logged record, or the next replay's
 		// watermark skip would silently drop acked writes.
-		st.seq = max(st.seq, p.LastSeq())
+		e.lay.RaiseSeq(p.LastSeq())
 	}
+	e.mirror()
 	if sum.Records > 0 {
-		e.relocateReplayed(st, replayed)
-		e.buildGlobalIndex()
+		e.relocateReplayed(loc, replayed)
 	}
 	return nil
 }
@@ -227,9 +224,9 @@ func (e *Engine) openLogs(st *ingestState, cfg IngestConfig, sum *ReplaySummary)
 // it). The two copies are the same version and the old (snapshot, log)
 // pair is authoritative, so the overlay copy stays and the base copy is
 // masked.
-func (e *Engine) relocateReplayed(st *ingestState, ids map[int]struct{}) {
+func (e *Engine) relocateReplayed(loc map[int]int, ids map[int]struct{}) {
 	for id := range ids {
-		delete(st.loc, id)
+		delete(loc, id)
 	}
 	// At cold start the overlays hold replayed inserts and nothing else.
 	views := make([]*View, len(e.parts))
@@ -237,7 +234,7 @@ func (e *Engine) relocateReplayed(st *ingestState, ids map[int]struct{}) {
 	for i, p := range e.parts {
 		views[i] = p.View()
 		for _, t := range views[i].Overlay {
-			st.loc[t.ID], inOverlay[t.ID] = p.ID, true
+			loc[t.ID], inOverlay[t.ID] = p.ID, true
 		}
 	}
 	for i, p := range e.parts {
@@ -249,7 +246,7 @@ func (e *Engine) relocateReplayed(st *ingestState, ids map[int]struct{}) {
 			if inOverlay[t.ID] {
 				p.MaskBase(t.ID)
 			} else {
-				st.loc[t.ID] = p.ID
+				loc[t.ID] = p.ID
 			}
 		}
 	}
@@ -258,7 +255,7 @@ func (e *Engine) relocateReplayed(st *ingestState, ids map[int]struct{}) {
 // Insert adds (or, for an existing id, replaces) a trajectory. The
 // partition's store appends the record to its WAL before the in-memory
 // overlay changes; an append error leaves the visible state exactly as it
-// was (see unreserveSeq for the sequence number). An upsert stays in the
+// was (see Layout.Unreserve for the sequence number). An upsert stays in the
 // partition that already holds the id — the partition's endpoint MBRs are
 // extended to keep global pruning sound — so the id's whole history lives
 // in one log. New ids go where Route sends them. A partition whose delta
@@ -269,11 +266,8 @@ func (e *Engine) Insert(t *traj.T) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("core: insert: %w", err)
 	}
-	return e.mutate("insert", wal.Record{Op: wal.OpInsert, ID: t.ID, Points: t.Points}, func(st *ingestState) int {
-		if pid, ok := st.loc[t.ID]; ok {
-			return pid
-		}
-		return Route(len(e.bounds), func(pid int) PartBounds { return e.bounds[pid] }, t)
+	return e.mutate("insert", wal.Record{Op: wal.OpInsert, ID: t.ID, Points: t.Points}, func() int {
+		return e.lay.Route(t)
 	})
 }
 
@@ -283,8 +277,8 @@ func (e *Engine) Insert(t *traj.T) error {
 // appends nothing.
 func (e *Engine) Delete(id int) (bool, error) {
 	missing := false
-	err := e.mutate("delete", wal.Record{Op: wal.OpDelete, ID: id}, func(st *ingestState) int {
-		pid, ok := st.loc[id]
+	err := e.mutate("delete", wal.Record{Op: wal.OpDelete, ID: id}, func() int {
+		pid, ok := e.lay.Locate(id)
 		if !ok {
 			missing = true
 			return -1
@@ -296,11 +290,11 @@ func (e *Engine) Delete(id int) (bool, error) {
 
 // mutate applies one record to the partition route picks (-1: nothing to
 // do): under the partition's append lock it reserves the record's sequence
-// number, has the store log and apply it, and publishes the engine's
-// bookkeeping — the location map, the MBRs, the global index — under the
-// same write lock the store's apply takes. A merge the record made due runs
-// once the append lock is released.
-func (e *Engine) mutate(op string, r wal.Record, route func(*ingestState) int) error {
+// number, has the store log and apply it, and acks it to the layout under
+// the same write lock the store's apply takes. A failed apply hands its
+// number back (Layout.Unreserve): nothing reached the log. A merge the record
+// made due runs once the append lock is released.
+func (e *Engine) mutate(op string, r wal.Record, route func() int) error {
 	st, p, s, err := e.lockMutationTarget(op, route)
 	if err != nil || p == nil {
 		if err == nil && r.Op == wal.OpInsert {
@@ -309,8 +303,7 @@ func (e *Engine) mutate(op string, r wal.Record, route func(*ingestState) int) e
 		return err
 	}
 	// Holding s's append lock and e.mu.
-	st.seq++
-	r.Seq = st.seq
+	r.Seq = e.lay.Reserve()
 	e.mu.Unlock()
 	// The fsync runs off the engine lock: queries and mutations on other
 	// partitions proceed during the disk wait; the append lock keeps this
@@ -319,22 +312,19 @@ func (e *Engine) mutate(op string, r wal.Record, route func(*ingestState) int) e
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		apply()
-		if r.Op == wal.OpDelete {
-			delete(st.loc, r.ID)
-		} else {
-			st.loc[r.ID] = p.ID
-			first, last := r.Points[0], r.Points[len(r.Points)-1]
-			if nf, nl := p.MBRf.Extend(first), p.MBRl.Extend(last); nf != p.MBRf || nl != p.MBRl {
-				p.MBRf, p.MBRl = nf, nl
-				e.buildGlobalIndex()
-			}
+		if e.lay.Ack(p.ID, r) {
+			e.mirror()
 		}
 		if e.met != nil {
 			e.met.mutated(r.Op, e.overlayBytesLocked())
 		}
 	})
 	if err != nil {
-		e.unreserveSeq(st, r.Seq)
+		// The append lock is still held, so the number cannot race its own
+		// partition's next append.
+		e.mu.Lock()
+		e.lay.Unreserve(r.Seq)
+		e.mu.Unlock()
 	}
 	s.UnlockAppend()
 	if err != nil {
@@ -346,20 +336,6 @@ func (e *Engine) mutate(op string, r wal.Record, route func(*ingestState) int) e
 	return nil
 }
 
-// unreserveSeq returns a reserved sequence number after a failed apply.
-// When nothing was reserved past it the counter rolls back (a sequential
-// caller observes no state change at all); otherwise the number is
-// burned — gaps in a log are fine, regressions and reorders are not.
-// Caller still holds the partition's append lock, so the number cannot
-// race its own partition's next append.
-func (e *Engine) unreserveSeq(st *ingestState, seq uint64) {
-	e.mu.Lock()
-	if st.seq == seq {
-		st.seq = seq - 1
-	}
-	e.mu.Unlock()
-}
-
 // lockMutationTarget resolves the partition a mutation lands in and takes
 // the ingest locks in order (its store's append lock, then e.mu): route
 // under the read lock, lock the store, then re-check the route under the
@@ -369,7 +345,7 @@ func (e *Engine) unreserveSeq(st *ingestState, seq uint64) {
 // route returns -1 to abort (no partition holds the id a delete names);
 // the locks are then released and a nil partition returned. On success the
 // caller holds s's append lock and e.mu and must release both.
-func (e *Engine) lockMutationTarget(op string, route func(*ingestState) int) (*ingestState, *Partition, *Store, error) {
+func (e *Engine) lockMutationTarget(op string, route func() int) (*ingestState, *Partition, *Store, error) {
 	for {
 		e.mu.RLock()
 		st := e.ing
@@ -377,7 +353,7 @@ func (e *Engine) lockMutationTarget(op string, route func(*ingestState) int) (*i
 			e.mu.RUnlock()
 			return nil, nil, nil, fmt.Errorf("core: %s: ingest not enabled", op)
 		}
-		pid := route(st)
+		pid := route()
 		if pid < 0 {
 			e.mu.RUnlock()
 			return nil, nil, nil, nil
@@ -387,7 +363,7 @@ func (e *Engine) lockMutationTarget(op string, route func(*ingestState) int) (*i
 		e.mu.RUnlock()
 		s.LockAppend()
 		e.mu.Lock()
-		if route(st) == pid && p.Store == s {
+		if route() == pid && p.Store == s {
 			return st, p, s, nil
 		}
 		e.mu.Unlock()
@@ -396,8 +372,8 @@ func (e *Engine) lockMutationTarget(op string, route func(*ingestState) int) (*i
 }
 
 // merge folds p's overlay (Store.Fold): the rebuilt base is installed under
-// e.mu together with p's MBRs recomputed over what it shows (deletes may
-// shrink them) and the global index, then — given a snapshot store — sealed.
+// e.mu together with p's layout bounds recomputed over what it shows (deletes
+// may shrink them), then — given a snapshot store — sealed.
 // A seal that fails is counted and returned; the merge itself stands, and
 // the intact log still reconstructs its state.
 func (e *Engine) merge(st *ingestState, p *Partition, s *Store) (bool, error) {
@@ -413,8 +389,8 @@ func (e *Engine) merge(st *ingestState, p *Partition, s *Store) (bool, error) {
 		if live = p.Store == s; !live {
 			return
 		}
-		p.MBRf, p.MBRl = EndpointBounds(s.View().Visible())
-		e.buildGlobalIndex()
+		e.lay.SetBounds(p.ID, s.View().Visible())
+		e.mirror()
 		if e.met != nil {
 			e.met.merges.Inc()
 			e.met.setDeltaBytes(e.overlayBytesLocked())
@@ -466,8 +442,11 @@ func (e *Engine) MergePartition(pid int) (bool, error) {
 // MergeAll merges every partition with outstanding overlay state,
 // stopping at the first error.
 func (e *Engine) MergeAll() error {
-	for pid, p := range e.parts {
-		if p.retired {
+	e.mu.RLock()
+	v := e.lay.View()
+	e.mu.RUnlock()
+	for pid, b := range v.Bounds {
+		if b.Retired {
 			continue
 		}
 		if _, err := e.MergePartition(pid); err != nil {

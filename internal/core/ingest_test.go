@@ -48,6 +48,7 @@ func visibleDataset(want map[int]*traj.T) *traj.Dataset {
 // repo has (a rebuilt engine is itself tested against brute force).
 func checkVisible(t *testing.T, e *Engine, want map[int]*traj.T, queries []*traj.T, label string) {
 	t.Helper()
+	layoutOK(t, e, want)
 	vis := visibleDataset(want)
 	m := e.Measure()
 	checkVisibleJoins(t, e, vis, label)
@@ -311,7 +312,7 @@ func TestIngestMergeWindow(t *testing.T) {
 		}
 		want[pool[i].ID] = pool[i]
 	}
-	pid := e.ing.loc[pool[0].ID]
+	pid := e.lay.loc[pool[0].ID]
 	p := e.parts[pid]
 	frozenID := pool[0].ID // will be in the frozen delta after rotation
 	var baseID int         // a base member of pid, untouched so far
@@ -625,9 +626,9 @@ func TestIngestReplayReinsertAcrossPartitions(t *testing.T) {
 			const id = 424242
 			var hi, lo *traj.T
 			for _, a := range d.Trajs {
-				pa := Route(len(e.bounds), func(pid int) PartBounds { return e.bounds[pid] }, a)
+				pa := e.lay.nearest(a)
 				for _, b := range d.Trajs {
-					if Route(len(e.bounds), func(pid int) PartBounds { return e.bounds[pid] }, b) < pa {
+					if e.lay.nearest(b) < pa {
 						hi, lo = a, b
 						break
 					}
@@ -642,7 +643,7 @@ func TestIngestReplayReinsertAcrossPartitions(t *testing.T) {
 			if err := e.Insert(&traj.T{ID: id, Points: hi.Points}); err != nil {
 				t.Fatal(err)
 			}
-			first := e.ing.loc[id]
+			first := e.lay.loc[id]
 			if ok, err := e.Delete(id); err != nil || !ok {
 				t.Fatalf("delete: ok=%v err=%v", ok, err)
 			}
@@ -651,7 +652,7 @@ func TestIngestReplayReinsertAcrossPartitions(t *testing.T) {
 				t.Fatal(err)
 			}
 			want[id] = again
-			second := e.ing.loc[id]
+			second := e.lay.loc[id]
 			if second >= first {
 				t.Fatalf("re-insert landed in partition %d, first home was %d", second, first)
 			}
@@ -665,7 +666,7 @@ func TestIngestReplayReinsertAcrossPartitions(t *testing.T) {
 
 			cold, _ := coldStart(t, snapStore, walStore, smallOpts(4))
 			checkVisible(t, cold, want, queries, "recovered")
-			if le, ok := cold.ing.loc[id]; !ok || le != second {
+			if le, ok := cold.lay.loc[id]; !ok || le != second {
 				t.Fatalf("recovered location of %d = %+v (found=%v), want partition %d", id, le, ok, second)
 			}
 			if ok, err := cold.Delete(id); err != nil || !ok {
@@ -790,7 +791,7 @@ func TestIngestTornTail(t *testing.T) {
 	// Tear the last record of the last-written partition's log: chop a
 	// few bytes off the file, as a crash mid-write would.
 	lastID := pool[len(pool)-1].ID
-	victim := e.ing.loc[lastID]
+	victim := e.lay.loc[lastID]
 	if err := e.CloseIngest(); err != nil {
 		t.Fatal(err)
 	}
@@ -810,11 +811,11 @@ func TestIngestTornTail(t *testing.T) {
 	if sum.Records != len(pool)-1 {
 		t.Fatalf("replayed %d records, want %d (all but the torn one)", sum.Records, len(pool)-1)
 	}
-	if _, ok := cold.ing.loc[lastID]; ok {
+	if _, ok := cold.lay.loc[lastID]; ok {
 		t.Fatal("torn mutation resurrected")
 	}
 	for _, tr := range pool[:len(pool)-1] {
-		if _, ok := cold.ing.loc[tr.ID]; !ok {
+		if _, ok := cold.lay.loc[tr.ID]; !ok {
 			t.Fatalf("durable insert %d lost", tr.ID)
 		}
 	}
@@ -867,7 +868,7 @@ func TestIngestAppendFaults(t *testing.T) {
 	if e.LastSeq() != 0 || e.DeltaBytes() != 0 {
 		t.Fatalf("failed append mutated state: seq=%d delta=%d", e.LastSeq(), e.DeltaBytes())
 	}
-	if _, ok := e.ing.loc[tr.ID]; ok {
+	if _, ok := e.lay.loc[tr.ID]; ok {
 		t.Fatal("unacked insert visible")
 	}
 
@@ -896,7 +897,7 @@ func TestIngestAppendFaults(t *testing.T) {
 	if sum.Records != 1 {
 		t.Fatalf("replayed %d records, want 1", sum.Records)
 	}
-	if _, ok := cold.ing.loc[tr.ID]; !ok {
+	if _, ok := cold.lay.loc[tr.ID]; !ok {
 		t.Fatal("durable insert lost after faults")
 	}
 }
@@ -982,7 +983,7 @@ func TestIngestAutoMerge(t *testing.T) {
 		t.Fatalf("replayed %d records after full auto-merge, want 0", sum.Records)
 	}
 	for _, tr := range pool {
-		if _, ok := cold.ing.loc[tr.ID]; !ok {
+		if _, ok := cold.lay.loc[tr.ID]; !ok {
 			t.Fatalf("insert %d lost across auto-merge cold start", tr.ID)
 		}
 	}
@@ -1089,7 +1090,7 @@ func TestIngestSealFailureKeepsWrite(t *testing.T) {
 	if got := e.Search(tr, 0, nil); len(got) != 1 || got[0].Traj.ID != tr.ID {
 		t.Fatalf("the insert searches as %v", got)
 	}
-	pid := e.ing.loc[tr.ID]
+	pid := e.lay.loc[tr.ID]
 	if e.parts[pid].LastSeq() != 1 {
 		t.Fatalf("partition %d last seq %d, want 1", pid, e.parts[pid].LastSeq())
 	}
@@ -1106,8 +1107,7 @@ func TestIngestSealFailureKeepsWrite(t *testing.T) {
 	}
 }
 
-// Routing a new member reads the bounds through a closure and allocates
-// nothing.
+// Routing a new member allocates nothing.
 func TestRouteAllocatesNothing(t *testing.T) {
 	e, err := NewEngine(smallDataset(100, 113), smallOpts(2))
 	if err != nil {
@@ -1115,7 +1115,7 @@ func TestRouteAllocatesNothing(t *testing.T) {
 	}
 	tr := mutPool(1, 114)[0]
 	if n := testing.AllocsPerRun(100, func() {
-		Route(len(e.bounds), func(pid int) PartBounds { return e.bounds[pid] }, tr)
+		e.lay.nearest(tr)
 	}); n != 0 {
 		t.Fatalf("Route allocates %v times a call", n)
 	}

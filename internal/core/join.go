@@ -203,20 +203,22 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 	return pairs, &run.report, nil
 }
 
-// side is one partition of a join side and the view the join reads it
-// through.
+// side is one partition of a join side, the view the join reads it through
+// and its global-index entry.
 type side struct {
 	*View
 	p *Partition
+	b PartBounds
 }
 
 // partitionViews captures every live partition (no view for retired
 // ones), indexed like e.parts, once per join rather than once per edge.
 func (e *Engine) partitionViews() []side {
+	bounds := e.lay.View().Bounds
 	vs := make([]side, len(e.parts))
 	for i, p := range e.parts {
-		if !p.retired {
-			vs[i] = side{p.View(), p}
+		if !bounds[i].Retired {
+			vs[i] = side{p.View(), p, bounds[i]}
 		}
 	}
 	return vs
@@ -249,7 +251,7 @@ func (jv *joinViews) buildBigraph(ctx context.Context, tau float64, opts JoinOpt
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			pt, pq := vt.p, vq.p
+			pt, pq := vt.b, vq.b
 			if !PairRelevant(m, pt.MBRf, pt.MBRl, pq.MBRf, pq.MBRl, tau) {
 				continue
 			}
@@ -291,7 +293,7 @@ func estimateDirection(m measure.Measure, src, dst side, tau float64, rate float
 	for s := 0; s < k; s++ {
 		i := rng.Intn(n)
 		t, _ := src.At(i)
-		if !src.visible(i) || !TrajRelevant(m, t.Points, dst.p.MBRf, dst.p.MBRl, tau) {
+		if !src.visible(i) || !TrajRelevant(m, t.Points, dst.b.MBRf, dst.b.MBRl, tau) {
 			continue
 		}
 		trans += float64(t.Bytes()) * scale
@@ -514,7 +516,7 @@ func (jv *joinViews) executeJoin(ctx context.Context, run *queryRun, tau float64
 			defer recoverTo(&st.err)
 			var slots []int
 			st.shipped, st.smeta, slots, st.err = src.Select(ctx, func(t *traj.T) bool {
-				return TrajRelevant(dstEngine.opts.Measure, t.Points, dst.p.MBRf, dst.p.MBRl, tau)
+				return TrajRelevant(dstEngine.opts.Measure, t.Points, dst.b.MBRf, dst.b.MBRl, tau)
 			})
 			if st.ed.diagonal {
 				st.slots = slots

@@ -44,10 +44,11 @@ func (e *Engine) SearchKNN(q *traj.T, k int) []SearchResult {
 func (e *Engine) SearchKNNContext(ctx context.Context, q *traj.T, k int, stats *SearchStats) (res []SearchResult, err error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if q == nil || len(q.Points) == 0 || k <= 0 || e.visibleCount() == 0 {
+	visible := e.lay.View().Visible
+	if q == nil || len(q.Points) == 0 || k <= 0 || visible == 0 {
 		return nil, ctx.Err()
 	}
-	k = min(k, e.visibleCount())
+	k = min(k, visible)
 	run := e.begin(opKNN, stats.trace())
 	run.funnel.Partitions = int64(len(e.parts))
 	defer func() {
@@ -70,7 +71,7 @@ func (e *Engine) SearchKNNContext(ctx context.Context, q *traj.T, k int, stats *
 func (e *Engine) knnBestFirst(ctx context.Context, q *traj.T, k int, prime []*traj.T, funnel *obs.Funnel, tr *obs.Trace) ([]SearchResult, error) {
 	acc := NewKNNAcc(k)
 	planDone := tr.StartSpan("knn-plan", -1)
-	order := KNNOrder(e.opts.Measure, e.bounds, q.Points)
+	order := KNNOrder(e.opts.Measure, e.lay.View().Bounds, q.Points)
 	planDone(nil)
 	if len(prime) > 0 {
 		if err := e.knnPrime(ctx, q, prime, acc, funnel); err != nil {

@@ -92,7 +92,7 @@ func TestKNNEnvelopeLifecycle(t *testing.T) {
 			}
 			check(e, "unmerged overlay")
 
-			pid := e.ing.loc[pool[0].ID]
+			pid := e.lay.loc[pool[0].ID]
 			hookRan := false
 			restore := SetFoldHook(func(s *Store) {
 				if s != e.parts[pid].Store || s.frozen == nil {

@@ -34,10 +34,11 @@ func (e *Engine) KNNJoinContext(ctx context.Context, other *Engine, k int, stats
 	}
 	unlock := rlockPair(e, other)
 	defer unlock()
-	if k <= 0 || e.visibleCount() == 0 || other.visibleCount() == 0 {
+	visible, otherVisible := e.lay.View().Visible, other.lay.View().Visible
+	if k <= 0 || visible == 0 || otherVisible == 0 {
 		return nil, ctx.Err()
 	}
-	k = min(k, other.visibleCount())
+	k = min(k, otherVisible)
 	errs := make([]error, len(e.parts))
 	funnels := make([]obs.Funnel, len(e.parts))
 	locals := make([]map[int][]SearchResult, len(e.parts))
@@ -73,7 +74,7 @@ func (e *Engine) KNNJoinContext(ctx context.Context, other *Engine, k int, stats
 	if err := e.cl.RunContext(ctx, tasks); err != nil {
 		return nil, err
 	}
-	out := make(map[int][]SearchResult, e.visibleCount())
+	out := make(map[int][]SearchResult, visible)
 	var total obs.Funnel
 	results := 0
 	for i, err := range errs {

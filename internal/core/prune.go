@@ -4,11 +4,9 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"dita/internal/geom"
 	"dita/internal/measure"
-	"dita/internal/rtree"
 	"dita/internal/traj"
 )
 
@@ -126,63 +124,6 @@ func EndpointBounds(members []*traj.T) (mbrF, mbrL geom.MBR) {
 		mbrF, mbrL = mbrF.Extend(t.First()), mbrL.Extend(t.Last())
 	}
 	return mbrF, mbrL
-}
-
-// Route picks the partition a trajectory no partition holds yet joins: of
-// the n partitions, bounds(pid) describing each, the live one whose boxes
-// are jointly nearest its endpoints — the STR cell it would have landed in
-// at partitioning, distance 0 inside both boxes — ties to the lower id; -1
-// when none is live. The engine and the coordinator both route with it.
-func Route(n int, bounds func(pid int) PartBounds, t *traj.T) int {
-	first, last := t.First(), t.Last()
-	best, bestD := -1, math.Inf(1)
-	for pid := range n {
-		b := bounds(pid)
-		if b.Retired {
-			continue
-		}
-		if d := b.MBRf.MinDist(first) + b.MBRl.MinDist(last); best < 0 || d < bestD {
-			best, bestD = pid, d
-		}
-	}
-	return best
-}
-
-// RelevantPartitions returns, ascending, the partitions a threshold search
-// at tau cannot exclude: the live ones whose PartitionLowerBound is within
-// tau. For an endpoint-anchored measure the two R-trees over the bounds'
-// boxes narrow the partitions the bound is computed for — a sum or a
-// maximum of two distances within tau has both within tau — and never
-// decide; a tree older than the bounds it is paired with only narrows less
-// or names a partition retired since.
-func RelevantPartitions(m measure.Measure, rtF, rtL *rtree.Tree, bounds []PartBounds, q []geom.Point, tau float64) []int {
-	if len(q) == 0 {
-		return nil
-	}
-	var out []int
-	relevant := func(pid int) bool {
-		b := &bounds[pid]
-		return !b.Retired && PartitionLowerBound(m, q, b.MBRf, b.MBRl) <= tau
-	}
-	if !m.AlignsEndpoints() {
-		for pid := range bounds {
-			if relevant(pid) {
-				out = append(out, pid)
-			}
-		}
-		return out
-	}
-	nearF := make([]bool, len(bounds))
-	for _, en := range rtF.WithinDist(q[0], tau, nil) {
-		nearF[en.ID] = true
-	}
-	for _, en := range rtL.WithinDist(q[len(q)-1], tau, nil) {
-		if nearF[en.ID] && relevant(en.ID) {
-			out = append(out, en.ID)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // KNNVisit is one partition of a kNN plan with its lower bound on the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"dita/internal/geom"
@@ -43,11 +42,12 @@ import (
 //     a no-op), then remove its WAL. A crash between tombstones leaves
 //     some groups old, some new — but per partition group the layout is
 //     one or the other, never a mix of visible copies.
-//  4. Install the new layout in memory: retire the old partitions,
-//     append the pieces, rewrite the location map, rebuild the global
-//     R-trees. Only after this can a write route to a piece, so a
-//     piece's WAL can never hold records while an old full snapshot is
-//     still live.
+//  4. Install the new layout in memory: swap the old partitions' stores
+//     for the empty ones, append the pieces, and publish both to the
+//     Layout (Layout.Install: retire, re-point the location map, rebuild
+//     the global R-trees). Only after this can a write route to a piece,
+//     so a piece's WAL can never hold records while an old full snapshot
+//     is still live.
 //
 // An error in step 2 aborts the cutover (pieces removed, old layout
 // untouched). An error in step 3 rolls forward — the memory cutover
@@ -166,17 +166,17 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 		return nil, fmt.Errorf("core: rebalance: ingest not enabled")
 	}
 	for _, p := range group {
-		if p.retired {
+		if e.lay.Retired(p.ID) {
 			unlock()
 			return nil, fmt.Errorf("core: rebalance: partition %d already retired", p.ID)
 		}
 	}
 
-	// The cut sequence: every record in the group's logs is <= st.seq
+	// The cut sequence: every record in the group's logs is <= the layout's
 	// (the append locks are held, so no append is in flight), and every
 	// piece starts its life at this watermark — a leftover old-WAL suffix
 	// replayed over a tombstone snapshot skips entirely.
-	cutSeq := st.seq
+	cutSeq := e.lay.Seq()
 	var visible []*traj.T
 	for _, p := range group {
 		visible = append(visible, p.View().Visible()...)
@@ -194,7 +194,7 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 
 	stats := &RebalanceStats{Plan: plan, Trajs: len(visible)}
 	var pieces []*Partition
-	nextID := len(e.parts)
+	nextID := e.lay.Len()
 	W := e.cl.Workers()
 	for _, g := range groups {
 		if len(g) == 0 && len(pieces) > 0 {
@@ -280,19 +280,16 @@ func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
 	// Step 4: memory install — the single atomic commit point for
 	// queries and writers.
 	for i, p := range group {
-		p.retired = true
 		p.Store = empties[i]
-		p.MBRf, p.MBRl = geom.EmptyMBR(), geom.EmptyMBR()
 		stats.Retired = append(stats.Retired, p.ID)
 	}
-	for _, p := range pieces {
-		e.parts = append(e.parts, p)
-		for _, t := range p.Trajs {
-			st.loc[t.ID] = p.ID
-		}
-		stats.Created = append(stats.Created, p.ID)
+	members := make([][]*traj.T, len(pieces))
+	for i, p := range pieces {
+		members[i] = p.Trajs
 	}
-	e.buildGlobalIndex()
+	e.parts = append(e.parts, pieces...)
+	stats.Created = e.lay.Install(stats.Retired, members)
+	e.mirror()
 	stats.Duration = time.Since(start)
 	if e.met != nil {
 		_, _, skew := Skew(e.liveLoads())
@@ -314,20 +311,13 @@ func (e *Engine) validateGroup(pids []int) ([]*Partition, []*Store, error) {
 	if e.ing == nil {
 		return nil, nil, fmt.Errorf("core: rebalance: ingest not enabled")
 	}
-	sorted := append([]int(nil), pids...)
-	sort.Ints(sorted)
-	group := make([]*Partition, 0, len(sorted))
-	stores := make([]*Store, 0, len(sorted))
-	for i, pid := range sorted {
-		if pid < 0 || pid >= len(e.parts) {
-			return nil, nil, fmt.Errorf("core: rebalance: no partition %d", pid)
-		}
-		if i > 0 && pid == sorted[i-1] {
-			return nil, nil, fmt.Errorf("core: rebalance: duplicate partition %d", pid)
-		}
-		if e.parts[pid].retired {
-			return nil, nil, fmt.Errorf("core: rebalance: partition %d is retired", pid)
-		}
+	sorted, err := e.lay.Group(pids)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: rebalance: %w", err)
+	}
+	var group []*Partition
+	var stores []*Store
+	for _, pid := range sorted {
 		group, stores = append(group, e.parts[pid]), append(stores, e.parts[pid].Store)
 	}
 	return group, stores, nil
@@ -335,11 +325,9 @@ func (e *Engine) validateGroup(pids []int) ([]*Partition, []*Store, error) {
 
 // buildPiece constructs one fully-indexed piece: its store's trie build
 // re-runs pivot selection over the members' current geometry, and the
-// metadata and MBRs are exact.
+// metadata is exact. Its bounds are the layout's, at the install.
 func (e *Engine) buildPiece(id, workers int, members []*traj.T, watermark uint64) *Partition {
-	p := &Partition{ID: id, Worker: id % workers, Store: NewStore(e.opts.Trie, members, nil, watermark)}
-	p.MBRf, p.MBRl = EndpointBounds(members)
-	return p
+	return &Partition{ID: id, Worker: id % workers, Store: NewStore(e.opts.Trie, members, nil, watermark)}
 }
 
 // OccupancySkew returns the live partitions' occupancy distribution:
@@ -351,21 +339,14 @@ func (e *Engine) OccupancySkew() (max, mean, skew float64) {
 }
 
 // liveLoads is the engine's live partitions as the planner sees them: load
-// is bytes, base plus unmerged overlay, and members the visible count.
-// Callers hold mu.
+// is bytes, base plus unmerged overlay. Callers hold mu.
 func (e *Engine) liveLoads() []PartLoad {
-	var live []PartLoad
-	for _, p := range e.parts {
-		if p.retired {
-			continue
-		}
-		l := PartLoad{PID: p.ID, Load: float64(p.Bytes() + p.OverlayBytes()), Members: len(p.View().Visible())}
-		if !p.MBRf.IsEmpty() {
-			l.Center = p.MBRf.Center()
-		}
-		live = append(live, l)
+	loads := e.lay.Loads()
+	for i := range loads {
+		p := e.parts[loads[i].PID]
+		loads[i].Load = float64(p.Bytes() + p.OverlayBytes())
 	}
-	return live
+	return loads
 }
 
 // PartLoad is one live partition as the rebalance planner sees it. Each

@@ -485,7 +485,7 @@ func TestRebalanceCrashWindows(t *testing.T) {
 			// insert suffix replays as upserts over the pieces' copies.
 			baseDups := 0
 			for _, tr := range hot.Trajs {
-				if _, ok := e.ing.loc[tr.ID]; ok {
+				if _, ok := e.lay.loc[tr.ID]; ok {
 					baseDups++
 				}
 			}
@@ -506,9 +506,9 @@ func TestRebalanceCrashWindows(t *testing.T) {
 			if csum.DupsMasked != wantDups {
 				t.Fatalf("recovery masked %d duplicates, want %d", csum.DupsMasked, wantDups)
 			}
-			if len(cold.ing.loc) != len(want) {
+			if len(cold.lay.loc) != len(want) {
 				t.Fatalf("recovered %d visible trajectories, want %d (mixed layout?)",
-					len(cold.ing.loc), len(want))
+					len(cold.lay.loc), len(want))
 			}
 			checkVisible(t, cold, want, queries, "post-crash")
 
@@ -623,8 +623,8 @@ func TestRebalanceSealFaults(t *testing.T) {
 	// Recovery over the mixed disk state (old full snapshot + old WAL +
 	// pieces): duplicates masked, visible set exact.
 	cold, _ := coldStart(t, snapStore, walStore, smallOpts(2))
-	if len(cold.ing.loc) != len(want) {
-		t.Fatalf("recovered %d visible trajectories, want %d", len(cold.ing.loc), len(want))
+	if len(cold.lay.loc) != len(want) {
+		t.Fatalf("recovered %d visible trajectories, want %d", len(cold.lay.loc), len(want))
 	}
 	checkVisible(t, cold, want, queries, "post-roll-forward-recovery")
 }
@@ -786,7 +786,7 @@ func TestRebalanceValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pid := e.ing.loc[pool[0].ID]
+	pid := e.lay.loc[pool[0].ID]
 	var busyErr error
 	restore := SetFoldHook(func(s *Store) {
 		if s == e.parts[pid].Store {

@@ -69,7 +69,7 @@ func (e *Engine) SearchPartialContext(ctx context.Context, q *traj.T, tau float6
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	run := e.begin(opSearch, stats.trace())
-	rel := e.relevantPartitions(q.Points, tau)
+	rel := e.lay.View().Relevant(e.opts.Measure, q.Points, tau)
 	run.funnel = obs.Funnel{Partitions: int64(len(e.parts)), Relevant: int64(len(rel))}
 	if run.tr != nil {
 		run.tr.Add(obs.Span{Name: "global-prune", Partition: -1,

@@ -266,7 +266,7 @@ func TestEstimateDirectionSeesOverlay(t *testing.T) {
 	p := e.parts[0]
 	members := append([]*traj.T{}, p.Trajs...)
 	estimate := func() (trans, comp float64) {
-		v := side{e.parts[0].View(), e.parts[0]}
+		v := side{e.parts[0].View(), e.parts[0], e.lay.bounds[0]}
 		return estimateDirection(e.opts.Measure, v, v, 0.05, 1, rand.New(rand.NewSource(1)))
 	}
 	baseTrans, baseComp := estimate()
@@ -294,7 +294,7 @@ func TestEstimateDirectionSeesOverlay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.parts[0].MBRf, e.parts[0].MBRl = EndpointBounds(members)
+	e.lay.SetBounds(0, members)
 	trans, comp := estimate()
 	if math.IsNaN(trans) || math.IsNaN(comp) || trans != baseTrans || comp < baseComp {
 		t.Errorf("overlay-only partition estimated at trans=%v comp=%v; as a base it was trans=%v comp=%v",

@@ -122,11 +122,11 @@ func NewEngineFromSnapshots(snaps []*snap.Snapshot, opts Options) (*Engine, erro
 		cost:    NewCostTracker(),
 		serial:  engineSerial.Add(1),
 	}
-	W := e.cl.Workers()
-	for _, s := range sorted {
-		e.addPartition(s.Trajs, W)
+	groups := make([][]*traj.T, len(sorted))
+	for i, s := range sorted {
+		groups[i] = s.Trajs
 	}
-	e.buildGlobalIndex()
+	e.addPartitions(groups)
 	// The stores take the snapshots' tries and recompute the verification
 	// metadata, which is derived state (not serialized, by design: core may
 	// not be imported by snap), in parallel like a fresh build does.

@@ -12,6 +12,13 @@ import (
 	"dita/internal/viewtest"
 )
 
+func init() {
+	core.SetLayoutCheck(func(t testing.TB, v *core.LayoutView, loc map[int]int, shows [][]int, mirrors []core.PartBounds, visible map[int]*traj.T) {
+		t.Helper()
+		viewtest.CheckLayout(t, viewtest.Layout{View: v, Loc: loc, Shows: shows, Mirrors: mirrors}, visible)
+	})
+}
+
 // onePartition builds an ingest-enabled engine holding members as its only
 // partition, and returns the partition's base in the engine's order.
 func onePartition(t *testing.T, m measure.Measure, members []*traj.T) (*core.Engine, []*traj.T) {

@@ -158,9 +158,9 @@ func (c *Coordinator) autopilotDataset(dd *dispatchedDataset, ap AutopilotConfig
 // the promotion cap. Returns -1 when nothing qualifies.
 func (c *Coordinator) promoteCandidate(dd *dispatchedDataset, ap AutopilotConfig) int {
 	dd.mu.Lock()
-	live := make([]int, 0, len(dd.parts))
-	for pid := range dd.parts {
-		if !dd.parts[pid].retired {
+	live := make([]int, 0, dd.lay.Len())
+	for pid := range dd.lay.Len() {
+		if !dd.lay.Retired(pid) {
 			live = append(live, pid)
 		}
 	}
@@ -171,7 +171,7 @@ func (c *Coordinator) promoteCandidate(dd *dispatchedDataset, ap AutopilotConfig
 	}
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
-	if dd.parts[pid].retired || len(dd.replicas[pid]) >= ap.PromoteReplicas {
+	if dd.lay.Retired(pid) || len(dd.replicas[pid]) >= ap.PromoteReplicas {
 		return -1
 	}
 	return pid
@@ -192,7 +192,7 @@ func (c *Coordinator) PromoteReplica(name string, pid int) (int, error) {
 	}
 	states := c.health.snapshot()
 	dd.mu.Lock()
-	if pid < 0 || pid >= len(dd.parts) || dd.parts[pid].retired {
+	if pid < 0 || pid >= dd.lay.Len() || dd.lay.Retired(pid) {
 		dd.mu.Unlock()
 		return -1, fmt.Errorf("dnet: promote %s/%d: no such live partition", name, pid)
 	}
@@ -205,25 +205,7 @@ func (c *Coordinator) PromoteReplica(name string, pid int) (int, error) {
 		}
 	}
 	dd.mu.Unlock()
-	target := -1
-	for w := range c.addrs {
-		if states[w] == Dead {
-			continue
-		}
-		already := false
-		for _, r := range owners {
-			if r == w {
-				already = true
-				break
-			}
-		}
-		if already {
-			continue
-		}
-		if target < 0 || loads[w] < loads[target] {
-			target = w
-		}
-	}
+	target := leastLoaded(states, loads, owners)
 	if target < 0 {
 		return -1, fmt.Errorf("dnet: promote %s/%d: no live non-owner to hold the copy", name, pid)
 	}
@@ -231,7 +213,7 @@ func (c *Coordinator) PromoteReplica(name string, pid int) (int, error) {
 		return -1, fmt.Errorf("dnet: promote %s/%d: shipping to worker %d failed", name, pid, target)
 	}
 	dd.mu.Lock()
-	if !dd.parts[pid].retired {
+	if !dd.lay.Retired(pid) {
 		for _, w := range dd.replicas[pid] {
 			if w == target {
 				// A concurrent heal registered this worker already; our

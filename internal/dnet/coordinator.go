@@ -3,6 +3,7 @@ package dnet
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/obs"
-	"dita/internal/rtree"
 	"dita/internal/snap"
 	"dita/internal/str"
 	"dita/internal/traj"
@@ -141,16 +141,12 @@ type Coordinator struct {
 	datasets map[string]*dispatchedDataset
 }
 
-// dispatchedDataset records where a dataset's partitions live plus the
-// global index over their endpoint MBRs. The parts slice only ever
-// GROWS, and only under a rebalance cutover (repartitionGroup) holding
-// both the group's write locks and mu; partition ids are never reused —
-// a split or merge retires the old pids in place (empty bounds, no
-// replicas) and appends the pieces at fresh ids, so WAL and snapshot
-// filenames, loc entries, and replica lists never alias across layouts.
-// Ingest grows a partition's bounds in place (and replaces the R-trees)
-// under mu, so query paths read the global index through boundsView,
-// never directly.
+// dispatchedDataset records where a dataset's partitions live beside its
+// core.Layout. The parts slice only ever GROWS, and only under a rebalance
+// cutover (repartitionGroup) holding both the group's write locks and mu;
+// partition ids are never reused — a split or merge retires the old pids
+// in place and appends the pieces at fresh ids, so WAL and snapshot
+// filenames, routing entries, and replica lists never alias across layouts.
 type dispatchedDataset struct {
 	name string
 	// opts are the build options Dispatch sealed every partition with — what
@@ -158,41 +154,16 @@ type dispatchedDataset struct {
 	// no payloads.
 	opts  snap.BuildOptions
 	parts []dispatchedPartition
-	rtF   *rtree.Tree
-	rtL   *rtree.Tree
 
-	// mu guards replicas and the partitions' mutable payload fields:
-	// replicas[pid] lists the partition's owners (indexes into
-	// Coordinator.addrs), preferred first. It also guards the ingest
-	// state below and the partitions' mbrF/mbrL/trajs plus the R-trees.
-	mu       sync.Mutex
-	replicas [][]int
-
-	// Ingest state: loc maps trajectory id → owning partition (routing
-	// stickiness for upserts, lookup for deletes); nextSeq[pid] is the
-	// last sequence number assigned to the partition (reserved before the
-	// RPC, burned on failure); live[pid] is the partition's current
-	// visible member count (dispatch size, corrected by acked inserts and
-	// deletes) — the occupancy the rebalance planner reads and the term
-	// the dataset's visible total sums; mutated records that any write
+	// mu guards the layout, replicas and the partitions' mutable payload
+	// fields: replicas[pid] lists the partition's owners (indexes into
+	// Coordinator.addrs), preferred first. mutated records that any write
 	// was acked — healing must then never fall back to the stale dispatch
 	// payloads.
-	loc     map[int]int
-	nextSeq []uint64
-	live    []int
-	mutated bool
-
-	// Epoch counters for cache invalidation (internal/serve).
-	// writeMark[pid] counts ACKED writes to the partition — bumped in the
-	// post-ack bookkeeping under mu, after the replica fan-out succeeded,
-	// unlike nextSeq which advances at reservation time and may be burned
-	// by a failed write. boundsEpoch bumps whenever a write grows a
-	// partition's MBR (the same writes that call rebuildTreesLocked): a
-	// cached answer's touched-partition set is computed from the bounds,
-	// so growth can make a partition newly relevant and must invalidate
-	// even answers that never touched it.
-	writeMark   []uint64
-	boundsEpoch uint64
+	mu       sync.Mutex
+	lay      *core.Layout
+	replicas [][]int
+	mutated  bool
 
 	// pmu[pid] serializes writes to one partition end to end: held from
 	// sequence reservation through the replica fan-out and the post-ack
@@ -219,46 +190,31 @@ type dispatchedDataset struct {
 	cost *core.CostTracker
 }
 
-// ddView is a query's consistent picture of the dataset's global index:
-// bounds[pid] is the partition's entry (a retired one keeps its slot, with
-// empty boxes and the flag set), trajs[pid] its dispatch-time size and
-// live[pid] its visible member count (dd.live) — how many answers a kNN
-// pilot can expect from it. The R-tree pointers are safe to use off-lock:
-// ingest replaces the trees, never mutates them.
-type ddView struct {
-	bounds      []core.PartBounds
-	trajs, live []int
-	rtF, rtL    *rtree.Tree
-	// visible is the dataset's live member count: dispatch-time totals
-	// corrected by the acked inserts and deletes since.
-	visible int
-}
-
-// boundsView snapshots the global index under the dataset lock.
-func (dd *dispatchedDataset) boundsView() ddView {
+// view is the dataset's layout as it is now, for a query to plan on off
+// the lock.
+func (dd *dispatchedDataset) view() *core.LayoutView {
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
-	n := len(dd.parts)
-	v := ddView{bounds: make([]core.PartBounds, n), trajs: make([]int, n),
-		live: append([]int(nil), dd.live...), rtF: dd.rtF, rtL: dd.rtL}
-	for i := range dd.parts {
-		p := &dd.parts[i]
-		v.bounds[i] = core.PartBounds{MBRf: p.mbrF, MBRl: p.mbrL, Retired: p.retired}
-		v.trajs[i] = p.trajs
-		v.visible += dd.live[i]
-	}
-	return v
+	return dd.lay.View()
 }
 
+// joinView is view plus each partition's shipped size, indexed alike.
+func (dd *dispatchedDataset) joinView() (*core.LayoutView, []int) {
+	dd.mu.Lock()
+	defer dd.mu.Unlock()
+	trajs := make([]int, len(dd.parts))
+	for pid, p := range dd.parts {
+		trajs[pid] = p.trajs
+	}
+	return dd.lay.View(), trajs
+}
+
+// dispatchedPartition is what the coordinator keeps of one partition beside
+// its layout entry. A partition a cutover retired keeps its slot, zeroed.
 type dispatchedPartition struct {
-	mbrF, mbrL geom.MBR
-	trajs      int
-	// retired marks a partition replaced by a rebalance cutover. Its id is
-	// never reused; it keeps its slot (empty MBRs, zero trajs, nil
-	// replicas) so existing pids, WAL/snapshot names, and loc entries stay
-	// unambiguous across layouts. Query, routing, and healing paths all
-	// skip it.
-	retired bool
+	// trajs is the partition's size when it was shipped, which orients a
+	// join's shipments.
+	trajs int
 	// fingerprint is the partition's content hash (snap.Fingerprint over
 	// build options and trajectories) — how the coordinator recognizes a
 	// worker already holding this exact partition.
@@ -450,7 +406,9 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 		Strategy: int(c.cfg.Trie.Strategy),
 		CellD:    cellD,
 	}
-	dd := &dispatchedDataset{name: name, opts: opts, loc: map[int]int{}, cost: core.NewCostTracker()}
+	dd := &dispatchedDataset{name: name, opts: opts, cost: core.NewCostTracker()}
+	loc := map[int]int{}
+	var groups [][]*traj.T
 	trajs := d.Trajs
 	firsts := make([]geom.Point, len(trajs))
 	for i, t := range trajs {
@@ -460,11 +418,11 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 	var jobs []sealJob
 	rep := &DispatchReport{}
 	// durable[pid] counts owners that already hold the partition durably;
-	// seqFloor[pid] is the highest ingest sequence any worker reports for
-	// the partition — a restarted coordinator must assign numbers past it
-	// or workers would dedupe fresh writes as retransmissions.
+	// seqFloor is the highest ingest sequence any worker reports for any
+	// partition — a restarted coordinator must assign numbers past it or
+	// workers would dedupe fresh writes as retransmissions.
 	var durable []int
-	var seqFloor []uint64
+	var seqFloor uint64
 	inv := c.workerInventories()
 	for _, bucket := range str.Tile(firsts, c.cfg.NG) {
 		if len(bucket) == 0 {
@@ -481,36 +439,32 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 				continue
 			}
 			pid := len(dd.parts)
-			mbrF, mbrL := geom.EmptyMBR(), geom.EmptyMBR()
 			members := make([]*traj.T, 0, len(sub))
 			for _, k := range sub {
 				t := trajs[bucket[k]]
 				members = append(members, t)
-				mbrF = mbrF.Extend(t.First())
-				mbrL = mbrL.Extend(t.Last())
-				if _, dup := dd.loc[t.ID]; dup {
+				if _, dup := loc[t.ID]; dup {
 					// Nothing has been sent yet. The routing table, Fetch and
 					// the self-join's mirrored pairs all identify a member
 					// by its id alone.
 					return nil, fmt.Errorf("dnet: dataset %q: duplicate trajectory id %d", name, t.ID)
 				}
-				dd.loc[t.ID] = pid
+				loc[t.ID] = pid
 			}
 			fp := snap.Fingerprint(opts, members)
 			owners := replicaOwners(pid, c.cfg.Replicas, len(c.clients))
 			dd.parts = append(dd.parts, dispatchedPartition{
-				mbrF: mbrF, mbrL: mbrL,
 				trajs: len(members), fingerprint: fp, payload: members,
 			})
+			groups = append(groups, members)
 			dd.replicas = append(dd.replicas, owners)
 			durable = append(durable, 0)
-			seqFloor = append(seqFloor, 0)
 			// Every worker's inventory raises the sequence floor, owner or
 			// not — a copy left behind by healing still pins numbers its
 			// dedupe floor would swallow.
 			for w := range inv {
-				if held, ok := inv[w][partKey{name, pid}]; ok && held.LastSeq > seqFloor[pid] {
-					seqFloor[pid] = held.LastSeq
+				if held, ok := inv[w][partKey{name, pid}]; ok {
+					seqFloor = max(seqFloor, held.LastSeq)
 				}
 			}
 			job := sealJob{pid: pid, members: members}
@@ -552,15 +506,13 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 			}
 		}
 	}
-	dd.nextSeq = seqFloor
+	dd.lay = core.LayoutOf(groups)
+	dd.lay.Track(loc)
+	dd.lay.RaiseSeq(seqFloor)
 	dd.pmu = make([]*sync.Mutex, len(dd.parts))
-	dd.live = make([]int, len(dd.parts))
 	for pid := range dd.parts {
 		dd.pmu[pid] = new(sync.Mutex)
-		dd.live[pid] = dd.parts[pid].trajs
 	}
-	dd.writeMark = make([]uint64, len(dd.parts))
-	rebuildTreesLocked(dd)
 	c.mu.Lock()
 	c.datasets[name] = dd
 	c.mu.Unlock()
@@ -791,6 +743,18 @@ func (c *Coordinator) shipReplica(dd *dispatchedDataset, pid int, payload []*tra
 	return false
 }
 
+// leastLoaded returns the live worker holding the fewest replicas (loads)
+// that owners does not name, or -1 when there is none.
+func leastLoaded(states []WorkerState, loads, owners []int) int {
+	target := -1
+	for w := range loads {
+		if states[w] != Dead && !slices.Contains(owners, w) && (target < 0 || loads[w] < loads[target]) {
+			target = w
+		}
+	}
+	return target
+}
+
 // rereplicate scans every dispatched partition and rebuilds missing
 // replicas onto the least-loaded eligible live workers until each is back
 // at the configured replication factor (or no eligible worker remains —
@@ -827,7 +791,7 @@ func (c *Coordinator) rereplicate() {
 	for _, dd := range dds {
 		dd.mu.Lock()
 		for pid := range dd.replicas {
-			if dd.parts[pid].retired {
+			if dd.lay.Retired(pid) {
 				// Retired partitions have no replicas and nothing to heal;
 				// without this skip the planner would emit entries that can
 				// never succeed (no payload, no sources) every scan.
@@ -836,26 +800,7 @@ func (c *Coordinator) rereplicate() {
 			owners := append([]int(nil), dd.replicas[pid]...)
 			srcs := append([]int(nil), owners...)
 			for len(owners) < c.cfg.Replicas {
-				// Pick the least-loaded live worker not already a replica.
-				target := -1
-				for w := range c.addrs {
-					if states[w] == Dead {
-						continue
-					}
-					already := false
-					for _, r := range owners {
-						if r == w {
-							already = true
-							break
-						}
-					}
-					if already {
-						continue
-					}
-					if target < 0 || loads[w] < loads[target] {
-						target = w
-					}
-				}
+				target := leastLoaded(states, loads, owners)
 				if target < 0 {
 					break
 				}

@@ -7,19 +7,9 @@ import (
 	"dita/internal/geom"
 )
 
-// EpochView is a point-in-time snapshot of a dataset's write epochs,
-// the coordinator-side currency for result-cache invalidation
-// (internal/serve). Parts[pid] counts acked writes to the partition;
-// Bounds counts the writes that grew any partition's MBR. Both only
-// ever advance, and only after the replica fan-out succeeded, so a
-// cached answer computed at epochs E is provably current while the
-// live epochs still equal E on every partition the answer's touched
-// set covers AND Bounds is unchanged (growth can make a partition
-// newly relevant to a query that previously pruned it).
-type EpochView struct {
-	Bounds uint64
-	Parts  []uint64
-}
+// EpochView is a dataset's write epochs (core.EpochView): a write is
+// counted once its replica fan-out succeeded.
+type EpochView = core.EpochView
 
 // Epochs snapshots the dataset's write epochs under the dataset lock.
 // Callers caching a query result must take the snapshot BEFORE running
@@ -30,12 +20,7 @@ func (c *Coordinator) Epochs(name string) (EpochView, error) {
 	if err != nil {
 		return EpochView{}, err
 	}
-	dd.mu.Lock()
-	defer dd.mu.Unlock()
-	return EpochView{
-		Bounds: dd.boundsEpoch,
-		Parts:  append([]uint64(nil), dd.writeMark...),
-	}, nil
+	return dd.view().Epochs, nil
 }
 
 // RelevantPartitions reports which partitions the dataset's global
@@ -53,8 +38,7 @@ func (c *Coordinator) RelevantPartitions(name string, q []geom.Point, tau float6
 	if err != nil {
 		return nil, err
 	}
-	v := dd.boundsView()
-	return core.RelevantPartitions(c.m, v.rtF, v.rtL, v.bounds, q, tau), nil
+	return dd.view().Relevant(c.m, q, tau), nil
 }
 
 // NumPartitions reports the dataset's partition count, retired slots
@@ -67,7 +51,7 @@ func (c *Coordinator) NumPartitions(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(dd.parts), nil
+	return len(dd.view().Bounds), nil
 }
 
 // Ready reports whether the coordinator can serve queries: at least one

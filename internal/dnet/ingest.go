@@ -1,6 +1,7 @@
 // Streaming ingest for the network mode: the coordinator routes single-
 // trajectory upserts and deletes to the owning partition by the global
-// index, assigns each mutation a partition-scoped sequence number, and
+// index, assigns each mutation a number from the dataset's one sequence
+// counter (core.Layout: monotone across partitions, so per partition), and
 // fans it out to every replica; a worker appends the record to the
 // partition's write-ahead log (fsync) before touching memory, so a
 // positive ack means the write survives any crash. Mutations accumulate
@@ -20,7 +21,6 @@ import (
 	"sync"
 
 	"dita/internal/core"
-	"dita/internal/rtree"
 	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/wal"
@@ -159,15 +159,6 @@ func isOverloaded(err error) bool {
 	return errors.As(err, &se) && strings.HasPrefix(string(se), overloadedPrefix)
 }
 
-// routeLocked picks the partition for a trajectory the dataset has not
-// seen before, by the engine's rule (core.Route). Caller holds dd.mu.
-func routeLocked(dd *dispatchedDataset, t *traj.T) int {
-	return core.Route(len(dd.parts), func(pid int) core.PartBounds {
-		p := &dd.parts[pid]
-		return core.PartBounds{MBRf: p.mbrF, MBRl: p.mbrL, Retired: p.retired}
-	}, t)
-}
-
 // Ingest streams one trajectory into a dispatched dataset: an upsert by
 // id, routed to the partition that already holds the id (so updates
 // never fork a trajectory across partitions) or, for a new id, to the
@@ -194,41 +185,20 @@ func (c *Coordinator) IngestContext(ctx context.Context, name string, t *traj.T)
 		return err
 	}
 	dd.mu.Lock()
-	pid, known := dd.loc[t.ID]
-	if !known {
-		pid = routeLocked(dd, t)
-	}
+	pid := dd.lay.Route(t)
 	dd.mu.Unlock()
 	pid, pmu := dd.lockPartitionWrite(pid, t.ID, t)
 	// Holding the partition's write lock and dd.mu: reserve the sequence
 	// number. It is burned on failure — a retry gets a fresh, higher
 	// number, so the workers' per-record dedupe floor only ever absorbs
 	// retransmissions of the same already-acked call.
-	dd.nextSeq[pid]++
-	seq := dd.nextSeq[pid]
+	rec := WireRecord{Seq: dd.lay.Reserve(), Op: wal.OpInsert, ID: t.ID, Points: t.Points}
 	dd.mu.Unlock()
-	rec := WireRecord{Seq: seq, Op: wal.OpInsert, ID: t.ID, Points: t.Points}
 	if err := c.ingestReplicas(ctx, dd, pid, rec); err != nil {
 		pmu.Unlock()
 		return err
 	}
-	dd.mu.Lock()
-	if _, ok := dd.loc[t.ID]; !ok {
-		dd.live[pid]++
-	}
-	dd.loc[t.ID] = pid
-	dd.mutated = true
-	dd.writeMark[pid]++
-	pb := &dd.parts[pid]
-	nf, nl := pb.mbrF.Extend(t.First()), pb.mbrL.Extend(t.Last())
-	if nf != pb.mbrF || nl != pb.mbrL {
-		// The partition's bounds grew: the global index must cover the new
-		// member or searches would prune the partition it lives in.
-		pb.mbrF, pb.mbrL = nf, nl
-		dd.boundsEpoch++
-		rebuildTreesLocked(dd)
-	}
-	dd.mu.Unlock()
+	dd.ack(pid, rec)
 	pmu.Unlock()
 	if c.met != nil {
 		c.met.ingests.Inc()
@@ -237,19 +207,16 @@ func (c *Coordinator) IngestContext(ctx context.Context, name string, t *traj.T)
 }
 
 // lockPartitionWrite takes the per-partition write lock for a mutation
-// headed to pid, re-checking under the dataset lock that the id still
-// belongs there — a concurrent write may have created or moved it while
-// we waited, and a write serialized on the wrong partition's lock would
-// reintroduce the out-of-order arrival the lock exists to prevent. A
-// rebalance cutover can also retire pid while we waited; a known id is
-// then re-routed through loc (the cutover rewrote it to the live piece)
-// and an unknown one re-routed over the live layout (t non-nil only for
-// inserts — deletes of unknown ids bail out in the caller's re-check).
-// The pmu pointer is resolved under dd.mu because the slice grows at
-// cutover. Returns the partition actually locked and its mutex; the
-// caller holds that mutex AND dd.mu, and must release both (the mutex
-// via the returned pointer — re-indexing pmu off-lock would race the
-// slice growth).
+// headed to pid and re-checks under the dataset lock that it still routes
+// there, by the engine's rule (core.Layout.Route; a delete, t nil, follows
+// the id's location and an unknown id bails out in the caller's re-check):
+// a concurrent write may have created or moved the id, or a cutover retired
+// pid, while we waited, and a write serialized on the wrong partition's
+// lock would reintroduce the out-of-order arrival the lock exists to
+// prevent. The pmu pointer is resolved under dd.mu because the slice grows
+// at cutover. Returns the partition actually locked and its mutex; the
+// caller holds that mutex AND dd.mu, and must release both (the mutex via
+// the returned pointer — re-indexing pmu off-lock would race the growth).
 func (dd *dispatchedDataset) lockPartitionWrite(pid, id int, t *traj.T) (int, *sync.Mutex) {
 	for {
 		dd.mu.Lock()
@@ -257,15 +224,12 @@ func (dd *dispatchedDataset) lockPartitionWrite(pid, id int, t *traj.T) (int, *s
 		dd.mu.Unlock()
 		mu.Lock()
 		dd.mu.Lock()
-		cur, ok := dd.loc[id]
-		if ok {
-			if cur == pid {
-				return pid, mu
-			}
-		} else if t == nil || !dd.parts[pid].retired {
+		cur, ok := dd.lay.Locate(id)
+		if t != nil {
+			cur, ok = dd.lay.Route(t), true
+		}
+		if !ok || cur == pid {
 			return pid, mu
-		} else {
-			cur = routeLocked(dd, t)
 		}
 		dd.mu.Unlock()
 		mu.Unlock()
@@ -287,33 +251,25 @@ func (c *Coordinator) DeleteContext(ctx context.Context, name string, id int) (b
 		return false, err
 	}
 	dd.mu.Lock()
-	pid, known := dd.loc[id]
+	pid, known := dd.lay.Locate(id)
+	dd.mu.Unlock()
 	if !known {
-		dd.mu.Unlock()
 		return false, nil
 	}
-	dd.mu.Unlock()
 	pid, pmu := dd.lockPartitionWrite(pid, id, nil)
-	if _, still := dd.loc[id]; !still {
+	if _, still := dd.lay.Locate(id); !still {
 		// Deleted by a concurrent call while we waited for the lock.
 		dd.mu.Unlock()
 		pmu.Unlock()
 		return false, nil
 	}
-	dd.nextSeq[pid]++
-	seq := dd.nextSeq[pid]
+	rec := WireRecord{Seq: dd.lay.Reserve(), Op: wal.OpDelete, ID: id}
 	dd.mu.Unlock()
-	rec := WireRecord{Seq: seq, Op: wal.OpDelete, ID: id}
 	if err := c.ingestReplicas(ctx, dd, pid, rec); err != nil {
 		pmu.Unlock()
 		return false, err
 	}
-	dd.mu.Lock()
-	delete(dd.loc, id)
-	dd.live[pid]--
-	dd.mutated = true
-	dd.writeMark[pid]++
-	dd.mu.Unlock()
+	dd.ack(pid, rec)
 	pmu.Unlock()
 	if c.met != nil {
 		c.met.deletes.Inc()
@@ -321,24 +277,15 @@ func (c *Coordinator) DeleteContext(ctx context.Context, name string, id int) (b
 	return true, nil
 }
 
-// rebuildTreesLocked rebuilds the dataset's global R-trees from the
-// current partition bounds. Caller holds dd.mu; readers are unaffected
-// because the trees are replaced, never mutated — a view captured
-// earlier keeps its (older, smaller) trees, which at worst misses a
-// member ingested after the view was taken, never one before.
-func rebuildTreesLocked(dd *dispatchedDataset) {
-	ef := make([]rtree.Entry, 0, len(dd.parts))
-	el := make([]rtree.Entry, 0, len(dd.parts))
-	for i := range dd.parts {
-		p := &dd.parts[i]
-		if p.retired {
-			continue
-		}
-		ef = append(ef, rtree.Entry{MBR: p.mbrF, ID: i})
-		el = append(el, rtree.Entry{MBR: p.mbrL, ID: i})
-	}
-	dd.rtF = rtree.New(ef)
-	dd.rtL = rtree.New(el)
+// ack records a write every replica acked: the layout's routing, counts,
+// marks and — for an insert outside the partition's boxes — grown bounds,
+// which the global index must cover or searches would prune the partition
+// the member lives in. The caller holds the partition's write lock.
+func (dd *dispatchedDataset) ack(pid int, rec WireRecord) {
+	dd.mu.Lock()
+	dd.lay.Ack(pid, rec)
+	dd.mutated = true
+	dd.mu.Unlock()
 }
 
 // ingestReplicas fans the records out to every current owner of the

@@ -15,6 +15,7 @@ import (
 	"dita/internal/measure"
 	"dita/internal/snap"
 	"dita/internal/traj"
+	"dita/internal/viewtest"
 	"dita/internal/wal"
 )
 
@@ -83,11 +84,46 @@ func oracleDataset(oracle map[int]*traj.T) *traj.Dataset {
 	return d
 }
 
+// layoutOK runs viewtest.CheckLayout over the coordinator's layout of the
+// dataset, with what each live partition shows taken from the manifest of
+// its first replica that answers.
+func layoutOK(t *testing.T, c *Coordinator, name string, oracle map[int]*traj.T) {
+	t.Helper()
+	dd, err := c.dataset(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dd.mu.Lock()
+	v, loc := dd.lay.View(), dd.lay.Locations()
+	dd.mu.Unlock()
+	shows := make([][]int, len(v.Bounds))
+	for pid, b := range v.Bounds {
+		if b.Retired {
+			continue
+		}
+		var reply ManifestReply
+		answered := false
+		for _, w := range c.replicaOrder(dd, pid) {
+			if c.clients[w].Call("Worker.Manifest", &ManifestArgs{Dataset: name, Partition: pid}, &reply) == nil {
+				answered = true
+				break
+			}
+		}
+		if !answered {
+			t.Fatalf("layout: no replica of partition %d answered a manifest", pid)
+		}
+		shows[pid] = reply.IDs
+	}
+	viewtest.CheckLayout(t, viewtest.Layout{View: v, Loc: loc, Shows: shows}, oracle)
+}
+
 // checkDifferential asserts the cluster answers threshold search, kNN and
 // the self-join exactly as brute force over the oracle does — the
-// differential contract for a mutated dataset.
+// differential contract for a mutated dataset — and that the layout
+// agrees with what the partitions show.
 func checkDifferential(t *testing.T, c *Coordinator, name string, oracle map[int]*traj.T, qs []*traj.T, tau float64) {
 	t.Helper()
+	layoutOK(t, c, name, oracle)
 	od := oracleDataset(oracle)
 	m := measure.DTW{}
 	checkNetSelfJoin(t, c, name, oracle, tau, m)
@@ -593,7 +629,7 @@ func TestUnloadRemovesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	dd.mu.Lock()
-	pid := dd.loc[nt.ID]
+	pid, _ := dd.lay.Locate(nt.ID)
 	dd.mu.Unlock()
 	wpath := workers[0].WALStore.Path("trips", pid)
 	if _, err := os.Stat(wpath); err != nil {
@@ -687,7 +723,7 @@ func TestIngestSeqSurvivesCoordinatorRestart(t *testing.T) {
 	}
 	dd2.mu.Lock()
 	victim := -1
-	for id, pid := range dd2.loc {
+	for id, pid := range dd2.lay.Locations() {
 		if pid == hot.id {
 			victim = id
 			break
@@ -783,7 +819,7 @@ func TestUnloadDuringMergeRemovesDurablePair(t *testing.T) {
 	// a direct merge against Unload, one partition per round.
 	dd.mu.Lock()
 	byPid := map[int]int{}
-	for id, pid := range dd.loc {
+	for id, pid := range dd.lay.Locations() {
 		byPid[pid] = id
 	}
 	dd.mu.Unlock()
@@ -855,10 +891,10 @@ func TestIngestRefusesInvalidTrajectories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs := func() []uint64 {
+	seqs := func() uint64 {
 		dd.mu.Lock()
 		defer dd.mu.Unlock()
-		return slices.Clone(dd.nextSeq)
+		return dd.lay.Seq()
 	}
 	logs0, seqs0 := logBytes(), seqs()
 	s := &workerService{w: workers[0]}
@@ -871,7 +907,7 @@ func TestIngestRefusesInvalidTrajectories(t *testing.T) {
 			t.Errorf("worker applied trajectory %d (%d points)", tr.ID, len(tr.Points))
 		}
 	}
-	if got := seqs(); !slices.Equal(got, seqs0) {
+	if got := seqs(); got != seqs0 {
 		t.Errorf("sequence numbers %v, were %v: a refused write burned one", got, seqs0)
 	}
 	if n := logBytes(); n != logs0 {

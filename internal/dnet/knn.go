@@ -117,15 +117,15 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 		// The view pins the global index for the whole pass: bounds grown by
 		// concurrent ingests (and the visible-count correction from acked
 		// inserts and deletes) land in the next query's plan, not mid-plan.
-		v := dd.boundsView()
-		kq := min(k, v.visible)
+		v := dd.view()
+		kq := min(k, v.Visible)
 		merger = newKNNMerger(kq)
-		run.funnel = obs.Funnel{Partitions: int64(len(v.bounds))}
+		run.funnel = obs.Funnel{Partitions: int64(len(v.Bounds))}
 		if kq <= 0 {
 			return false, nil
 		}
 		planDone := run.tr.StartSpan("knn-plan", -1)
-		order := core.KNNOrder(c.m, v.bounds, q.Points)
+		order := core.KNNOrder(c.m, v.Bounds, q.Points)
 		planDone(nil)
 
 		next := 0
@@ -147,7 +147,7 @@ func (c *Coordinator) SearchKNNTraced(ctx context.Context, name string, q *traj.
 				// round pilots the next partition in its place.
 				for need := kq - len(merger.heap); next < len(order) && need > 0; next++ {
 					batch = append(batch, order[next])
-					need -= v.live[order[next].PID]
+					need -= v.Live[order[next].PID]
 				}
 			} else {
 				// Fan-out: everything the pilot's τ cannot rule out, at once.

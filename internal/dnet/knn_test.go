@@ -256,14 +256,14 @@ func tracedKNN(t *testing.T, c *Coordinator, name string, q *traj.T, k int) ([]S
 
 // knnPlan is the coordinator's own visit order for q, for tests that need
 // to know which partition a query pilots.
-func knnPlan(t *testing.T, c *Coordinator, name string, q *traj.T) (ddView, []core.KNNVisit) {
+func knnPlan(t *testing.T, c *Coordinator, name string, q *traj.T) (*core.LayoutView, []core.KNNVisit) {
 	t.Helper()
 	dd, err := c.dataset(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := dd.boundsView()
-	return v, core.KNNOrder(c.m, v.bounds, q.Points)
+	v := dd.view()
+	return v, core.KNNOrder(c.m, v.Bounds, q.Points)
 }
 
 // TestNetKNNPilotRounds pins the round protocol on a healthy cluster against
@@ -281,7 +281,7 @@ func TestNetKNNPilotRounds(t *testing.T) {
 	m := measure.DTW{}
 	for qi, q := range gen.Queries(d, 4, 121) {
 		v, order := knnPlan(t, c, "trips", q)
-		home := v.live[order[0].PID]
+		home := v.Live[order[0].PID]
 		for _, tc := range []struct {
 			k     int
 			pilot int // partitions in the first round
@@ -302,7 +302,7 @@ func TestNetKNNPilotRounds(t *testing.T) {
 			if tc.k == home+1 {
 				// The second-nearest partition may be empty; the prefix then
 				// runs on to the first that covers the missing answer.
-				for tc.pilot < len(order) && v.live[order[tc.pilot-1].PID] == 0 {
+				for tc.pilot < len(order) && v.Live[order[tc.pilot-1].PID] == 0 {
 					tc.pilot++
 				}
 			}
@@ -416,7 +416,7 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 	inPilot := func(id int) bool {
 		dd.mu.Lock()
 		defer dd.mu.Unlock()
-		pid, ok := dd.loc[id]
+		pid, ok := dd.lay.Locate(id)
 		return ok && pid == pilot
 	}
 	// Tombstones: delete every other one of q's nearest neighbours that

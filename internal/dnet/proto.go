@@ -85,7 +85,7 @@ type InventoryPart struct {
 	Snapshotted bool
 	// LastSeq is the highest ingest sequence number applied to the
 	// partition (snapshot watermark plus replayed WAL suffix). The
-	// coordinator seeds its per-partition sequence counter past it so a
+	// coordinator seeds the dataset's sequence counter past it so a
 	// restarted coordinator never reissues a number a worker would dedupe.
 	LastSeq uint64
 }

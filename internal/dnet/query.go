@@ -161,7 +161,7 @@ func (run *queryRun) finish(left, right string) error {
 func (dd *dispatchedDataset) retired(pid int) bool {
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
-	return pid >= 0 && pid < len(dd.parts) && dd.parts[pid].retired
+	return dd.lay.Retired(pid)
 }
 
 // allSkippedRetired is a search or kNN pass's staleness: it skipped
@@ -357,11 +357,11 @@ func (c *Coordinator) SearchTraced(ctx context.Context, name string, q *traj.T, 
 	var out []SearchHit
 	rep, err := c.query(ctx, opSearch, qs, name, "", func(run *queryRun, dd, _ *dispatchedDataset) (bool, error) {
 		gStart := time.Now()
-		// The partition count comes from the view too: dd.parts grows under
+		// The partition count comes from the view too: the layout grows under
 		// dd.mu at a rebalance cutover.
-		view := dd.boundsView()
-		rel := core.RelevantPartitions(c.m, view.rtF, view.rtL, view.bounds, q.Points, tau)
-		run.funnel = obs.Funnel{Partitions: int64(len(view.bounds)), Relevant: int64(len(rel))}
+		view := dd.view()
+		rel := view.Relevant(c.m, q.Points, tau)
+		run.funnel = obs.Funnel{Partitions: int64(len(view.Bounds)), Relevant: int64(len(rel))}
 		run.pruned(gStart)
 		calls := make([]searchCall, len(rel))
 		var wg sync.WaitGroup
@@ -447,23 +447,23 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 	rep, err := c.query(ctx, opJoin, qs, left, right, func(run *queryRun, lt, rt *dispatchedDataset) (bool, error) {
 		gStart := time.Now()
 		self := lt == rt
-		ltV := lt.boundsView()
-		rtV := ltV
+		ltV, ltTrajs := lt.joinView()
+		rtV, rtTrajs := ltV, ltTrajs
 		if !self {
-			rtV = rt.boundsView()
+			rtV, rtTrajs = rt.joinView()
 		}
 		var edges []joinCall
-		for i, pt := range ltV.bounds {
+		for i, pt := range ltV.Bounds {
 			if pt.Retired {
 				continue
 			}
-			for j, pq := range rtV.bounds {
+			for j, pq := range rtV.Bounds {
 				if pq.Retired || (self && j < i) || !core.PairRelevant(c.m, pt.MBRf, pt.MBRl, pq.MBRf, pq.MBRl, tau) {
 					continue
 				}
 				e := joinCall{mirror: self, args: ShipArgs{Tau: tau}}
 				// Orientation: ship the smaller side.
-				if ltV.trajs[i] <= rtV.trajs[j] {
+				if ltTrajs[i] <= rtTrajs[j] {
 					e.src, e.dst, e.diagonal = lt, rt, self && i == j
 					e.args.SrcPartition, e.args.DstPartition = i, j
 					e.args.DstMBRf, e.args.DstMBRl = pq.MBRf, pq.MBRl
@@ -476,7 +476,7 @@ func (c *Coordinator) JoinTraced(ctx context.Context, left, right string, tau fl
 				edges = append(edges, e)
 			}
 		}
-		run.funnel = obs.Funnel{Partitions: int64(len(ltV.bounds)) * int64(len(rtV.bounds)), Relevant: int64(len(edges))}
+		run.funnel = obs.Funnel{Partitions: int64(len(ltV.Bounds)) * int64(len(rtV.Bounds)), Relevant: int64(len(edges))}
 		run.pruned(gStart)
 		var wg sync.WaitGroup
 		wg.Add(len(edges))

@@ -156,13 +156,12 @@ func TestNetJoinCutoverReplan(t *testing.T) {
 	for _, sides := range [][2]string{{"T", "Q"}, {"T", "T"}} {
 		// The largest live partition of T: it joins at least its twin.
 		victim := -1
-		dd.mu.Lock()
-		for pid, n := range dd.live {
-			if !dd.parts[pid].retired && (victim < 0 || n > dd.live[victim]) {
+		v := dd.view()
+		for pid, n := range v.Live {
+			if !v.Bounds[pid].Retired && (victim < 0 || n > v.Live[victim]) {
 				victim = pid
 			}
 		}
-		dd.mu.Unlock()
 		qs := &QueryStats{Trace: obs.NewTrace("join")}
 		var splitErr error
 		ctx := &cutoverCtx{Context: context.Background(), tr: qs.Trace, span: "global-prune", hook: func() {

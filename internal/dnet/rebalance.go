@@ -4,8 +4,8 @@
 // minus tombstones plus delta, exported from live replicas) with fresh
 // STR boundaries. Partition ids are never reused — the cutover appends
 // the pieces at fresh ids and retires the old ones in place — so WAL
-// and snapshot filenames, sequence-number spaces, and serve-layer epoch
-// indices never alias across layouts.
+// and snapshot filenames and serve-layer epoch indices never alias
+// across layouts.
 //
 // Cutover ordering (repartitionGroup):
 //
@@ -22,14 +22,16 @@
 //     with the old layout fully intact — a worker death
 //     mid-cutover can only ever produce old-or-new, never a
 //     mix.
-//  5. install   — under dd.mu: append piece entries, retire the old
-//     pids (empty bounds, nil replicas, bumped write marks),
-//     rewrite loc, bump boundsEpoch, rebuild the R-trees.
+//  5. install   — under dd.mu: append piece entries, drop the old
+//     pids' replicas, and publish to the layout
+//     (core.Layout.Install: retire the old pids with bumped
+//     write marks, re-point routing, bump the bounds epoch,
+//     rebuild the R-trees).
 //  6. release   — drop the write locks; unload the old pids from their
 //     former owners, best-effort (a failed unload leaves a
 //     stale copy that inventory-driven recovery skips).
 //
-// Queries that captured a boundsView before step 5 may still contact an
+// Queries that captured a layout view before step 5 may still contact an
 // old pid after its unload in step 6 and see "partition not loaded";
 // that is the same transient the replica-failover/AllowPartial machinery
 // already absorbs for worker deaths, and the next view routes cleanly.
@@ -129,25 +131,14 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 	dd.rebalMu.Lock()
 	defer dd.rebalMu.Unlock()
 
-	group := append([]int(nil), pids...)
-	sort.Ints(group)
 	dd.mu.Lock()
-	inGroup := make(map[int]bool, len(group))
+	group, err := dd.lay.Group(pids)
+	if err != nil {
+		dd.mu.Unlock()
+		return nil, fmt.Errorf("dnet: rebalance %s: %w", name, err)
+	}
 	pmus := make([]*sync.Mutex, len(group))
 	for i, pid := range group {
-		if pid < 0 || pid >= len(dd.parts) {
-			dd.mu.Unlock()
-			return nil, fmt.Errorf("dnet: rebalance %s: partition %d out of range", name, pid)
-		}
-		if dd.parts[pid].retired {
-			dd.mu.Unlock()
-			return nil, fmt.Errorf("dnet: rebalance %s: partition %d already retired", name, pid)
-		}
-		if inGroup[pid] {
-			dd.mu.Unlock()
-			return nil, fmt.Errorf("dnet: rebalance %s: duplicate partition %d", name, pid)
-		}
-		inGroup[pid] = true
 		pmus[i] = dd.pmu[pid]
 	}
 	dd.mu.Unlock()
@@ -171,7 +162,7 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 	for _, pid := range group {
 		oldOwners[pid] = append([]int(nil), dd.replicas[pid]...)
 	}
-	basePid := len(dd.parts)
+	basePid := dd.lay.Len()
 	dd.mu.Unlock()
 
 	// Export each member's visible image from a live replica. The held
@@ -219,7 +210,6 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 		pid         int
 		members     []*traj.T
 		owners      []int
-		mbrF, mbrL  geom.MBR
 		fingerprint uint64
 	}
 	var pieces []piece
@@ -239,7 +229,6 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 	for pi := range pieces {
 		pc := &pieces[pi]
 		pc.pid = basePid + pi
-		pc.mbrF, pc.mbrL = core.EndpointBounds(pc.members)
 		pc.fingerprint = snap.Fingerprint(opts, pc.members)
 	}
 
@@ -255,25 +244,7 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 	dd.mu.Unlock()
 	for pi := range pieces {
 		for len(pieces[pi].owners) < c.cfg.Replicas {
-			target := -1
-			for w := range c.addrs {
-				if states[w] == Dead {
-					continue
-				}
-				already := false
-				for _, o := range pieces[pi].owners {
-					if o == w {
-						already = true
-						break
-					}
-				}
-				if already {
-					continue
-				}
-				if target < 0 || loads[w] < loads[target] {
-					target = w
-				}
-			}
+			target := leastLoaded(states, loads, pieces[pi].owners)
 			if target < 0 {
 				break
 			}
@@ -301,55 +272,30 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 
 	// Install the new layout atomically under dd.mu.
 	st := &NetRebalanceStats{Retired: group, Trajs: len(members), Plan: plan}
+	installed := make([][]*traj.T, len(pieces))
 	dd.mu.Lock()
-	for pi := range pieces {
-		pc := &pieces[pi]
+	for pi, pc := range pieces {
 		// No payload is kept: the cutover marks the dataset mutated below,
 		// and a mutated dataset heals worker-to-worker only.
-		dd.parts = append(dd.parts, dispatchedPartition{
-			mbrF: pc.mbrF, mbrL: pc.mbrL,
-			trajs: len(pc.members), fingerprint: pc.fingerprint,
-		})
+		dd.parts = append(dd.parts, dispatchedPartition{trajs: len(pc.members), fingerprint: pc.fingerprint})
 		dd.replicas = append(dd.replicas, pc.owners)
-		dd.nextSeq = append(dd.nextSeq, 0)
-		dd.live = append(dd.live, len(pc.members))
-		dd.writeMark = append(dd.writeMark, 0)
 		dd.pmu = append(dd.pmu, new(sync.Mutex))
-		st.Created = append(st.Created, pc.pid)
+		installed[pi] = pc.members
 	}
 	for _, pid := range group {
-		p := &dd.parts[pid]
-		p.retired = true
-		p.trajs = 0
-		p.mbrF, p.mbrL = geom.EmptyMBR(), geom.EmptyMBR()
-		p.fingerprint = 0
-		p.payload = nil
+		dd.parts[pid] = dispatchedPartition{}
 		dd.replicas[pid] = nil
-		dd.live[pid] = 0
-		// Cached answers that touched the old pid are now stale.
-		dd.writeMark[pid]++
 	}
-	// Routing: drop every id the retired group tracked, then point the
+	// Routing drops every id the retired group showed and points the
 	// exported visible ids at their pieces. Ids the coordinator tracked
 	// but the export lacked (a partially-applied delete that was never
 	// acked) fall out of the table — the installed content is now the
 	// authority. Ids the export carried that the table lacked (a
 	// partially-applied insert) become tracked, like any surfaced
 	// unacked-but-durable write.
-	for id, pid := range dd.loc {
-		if inGroup[pid] {
-			delete(dd.loc, id)
-		}
-	}
-	for _, pc := range pieces {
-		for _, t := range pc.members {
-			dd.loc[t.ID] = pc.pid
-		}
-	}
+	st.Created = dd.lay.Install(group, installed)
 	dd.mutated = true
-	dd.boundsEpoch++
-	rebuildTreesLocked(dd)
-	_, _, st.Skew = core.Skew(liveLoads(dd))
+	_, _, st.Skew = core.Skew(dd.lay.Loads())
 	dd.mu.Unlock()
 	unlock()
 	// Retired pids never serve reads again; forget their cost EWMAs so
@@ -378,23 +324,6 @@ func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetReba
 	return st, nil
 }
 
-// liveLoads is the dataset's live partitions as the planner sees them:
-// load and members are both the visible member count. Caller holds dd.mu.
-func liveLoads(dd *dispatchedDataset) []core.PartLoad {
-	var live []core.PartLoad
-	for pid, p := range dd.parts {
-		if p.retired {
-			continue
-		}
-		l := core.PartLoad{PID: pid, Load: float64(dd.live[pid]), Members: dd.live[pid]}
-		if !p.mbrF.IsEmpty() {
-			l.Center = p.mbrF.Center()
-		}
-		live = append(live, l)
-	}
-	return live
-}
-
 // OccupancySkew reports the dataset's max/mean visible-member occupancy
 // over live partitions — the imbalance signal the rebalance planner acts
 // on (0 when the dataset is empty).
@@ -405,7 +334,7 @@ func (c *Coordinator) OccupancySkew(name string) (float64, error) {
 	}
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
-	_, _, skew := core.Skew(liveLoads(dd))
+	_, _, skew := core.Skew(dd.lay.Loads())
 	return skew, nil
 }
 
@@ -420,7 +349,7 @@ func (c *Coordinator) RebalanceOnce(name string, pol core.RebalancePolicy) (*Net
 		return nil, err
 	}
 	dd.mu.Lock()
-	hot, cold, kSplit := core.PlanRebalance(liveLoads(dd), dd.cost, pol)
+	hot, cold, kSplit := core.PlanRebalance(dd.lay.Loads(), dd.cost, pol)
 	dd.mu.Unlock()
 	switch {
 	case hot >= 0:
@@ -491,6 +420,7 @@ func (c *Coordinator) RecoverDataset(name string) (*RecoverReport, error) {
 	}
 	holders := map[int][]holder{}
 	seqFloor := map[int]uint64{}
+	var maxSeq uint64
 	for w := range inv {
 		for k, p := range inv[w] {
 			if k.dataset != name {
@@ -500,6 +430,7 @@ func (c *Coordinator) RecoverDataset(name string) (*RecoverReport, error) {
 			if p.LastSeq > seqFloor[k.id] {
 				seqFloor[k.id] = p.LastSeq
 			}
+			maxSeq = max(maxSeq, p.LastSeq)
 		}
 	}
 	if len(holders) == 0 {
@@ -620,38 +551,35 @@ func (c *Coordinator) RecoverDataset(name string) (*RecoverReport, error) {
 	// Rebuild the dataset. Unheld pid slots below maxPid (retired by
 	// completed cutovers whose unloads all landed) stay retired
 	// placeholders, preserving the never-renumber invariant.
-	dd := &dispatchedDataset{name: name, loc: map[int]int{}, cost: core.NewCostTracker()}
+	dd := &dispatchedDataset{name: name, cost: core.NewCostTracker()}
 	dd.parts = make([]dispatchedPartition, maxPid+1)
 	dd.replicas = make([][]int, maxPid+1)
-	dd.nextSeq = make([]uint64, maxPid+1)
-	dd.live = make([]int, maxPid+1)
-	dd.writeMark = make([]uint64, maxPid+1)
 	dd.pmu = make([]*sync.Mutex, maxPid+1)
+	bounds := make([]core.PartBounds, maxPid+1)
+	loc := map[int]int{}
 	for pid := 0; pid <= maxPid; pid++ {
 		dd.pmu[pid] = new(sync.Mutex)
-		dd.parts[pid] = dispatchedPartition{mbrF: geom.EmptyMBR(), mbrL: geom.EmptyMBR(), retired: true}
+		bounds[pid] = core.PartBounds{MBRf: geom.EmptyMBR(), MBRl: geom.EmptyMBR(), Retired: true}
 	}
 	for _, pid := range kept {
 		man := manifests[pid]
-		dd.parts[pid] = dispatchedPartition{
-			mbrF: man.MBRf, mbrL: man.MBRl,
-			trajs: len(man.IDs), fingerprint: man.Fingerprint,
-		}
+		dd.parts[pid] = dispatchedPartition{trajs: len(man.IDs), fingerprint: man.Fingerprint}
+		bounds[pid] = core.PartBounds{MBRf: man.MBRf, MBRl: man.MBRl}
 		dd.replicas[pid] = c.health.order(fresh[pid])
-		dd.nextSeq[pid] = seqFloor[pid]
-		dd.live[pid] = len(man.IDs)
 		for _, id := range man.IDs {
-			dd.loc[id] = pid
+			loc[id] = pid
 		}
 		rep.Partitions++
 		rep.Trajs += len(man.IDs)
 	}
 	rep.Recovered = kept
+	dd.lay = core.NewLayout(bounds, make([]int, maxPid+1))
+	dd.lay.Track(loc)
+	dd.lay.RaiseSeq(maxSeq)
 	// The manifests already fold every acked overlay, but the content no
 	// longer matches any dispatch payload: healing must go worker-to-
 	// worker, unpinned.
 	dd.mutated = true
-	rebuildTreesLocked(dd)
 	c.mu.Lock()
 	// Recovering over a live dataset (rather than after a restart) must
 	// not rewind the epoch clock: recovery can surface unacked-but-
@@ -659,7 +587,7 @@ func (c *Coordinator) RecoverDataset(name string) (*RecoverReport, error) {
 	// suspect. Advancing past the old bounds epoch stales them all.
 	if old, ok := c.datasets[name]; ok {
 		old.mu.Lock()
-		dd.boundsEpoch = old.boundsEpoch + 1
+		dd.lay.Follow(old.lay.View().Epochs)
 		old.mu.Unlock()
 	}
 	c.datasets[name] = dd

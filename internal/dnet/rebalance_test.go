@@ -1,6 +1,7 @@
 package dnet
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -22,6 +23,7 @@ import (
 // measure m.
 func checkNetDifferentialM(t *testing.T, c *Coordinator, name string, oracle map[int]*traj.T, qs []*traj.T, tau float64, m measure.Measure) {
 	t.Helper()
+	layoutOK(t, c, name, oracle)
 	od := oracleDataset(oracle)
 	checkNetSelfJoin(t, c, name, oracle, tau, m)
 	for qi, q := range qs {
@@ -61,7 +63,7 @@ func livePartIDs(c *Coordinator, name string) []int {
 	defer dd.mu.Unlock()
 	var out []int
 	for pid := range dd.parts {
-		if !dd.parts[pid].retired {
+		if !dd.lay.Retired(pid) {
 			out = append(out, pid)
 		}
 	}
@@ -236,6 +238,57 @@ func TestNetRebalanceConcurrentWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkNetDifferentialM(t, c, "trips", oracle, gen.Queries(d, 3, 483), 0.01, measure.DTW{})
+}
+
+// TestNumPartitionsDuringCutover: NumPartitions reads the layout under the
+// dataset lock, so polling it beside cutovers is race-free (run under
+// -race), and the count it reports only ever grows.
+func TestNumPartitionsDuringCutover(t *testing.T) {
+	d := gen.Generate(gen.BeijingLike(100, 484))
+	c, stop := startCluster(t, 3, testConfig())
+	defer stop()
+	if err := c.Dispatch("trips", d); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		last := 0
+		for {
+			n, err := c.NumPartitions("trips")
+			if err == nil && n < last {
+				err = fmt.Errorf("partition count fell from %d to %d", last, n)
+			}
+			if err != nil {
+				polled <- err
+				return
+			}
+			last = n
+			select {
+			case <-done:
+				polled <- nil
+				return
+			default:
+			}
+		}
+	}()
+	for round := 0; round < 3; round++ {
+		live := liveParts(t, c, "trips")
+		if _, err := c.SplitPartition("trips", live[round%len(live)], 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	n, err := c.NumPartitions("trips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(livePartIDs(c, "trips")) + 3; n != want {
+		t.Fatalf("NumPartitions = %d after three splits, want %d", n, want)
+	}
 }
 
 // TestNetRebalanceJoinDifferential: the join shuffle must read the

@@ -251,6 +251,7 @@ func TestChaosSelfJoinPartialNamesBothPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loc := dd.lay.Locations()
 	check := func(label string, pairs []WirePair, rep *PartialReport) {
 		t.Helper()
 		named := map[int]bool{}
@@ -266,9 +267,9 @@ func TestChaosSelfJoinPartialNamesBothPartitions(t *testing.T) {
 			kept[[2]int{p.TID, p.QID}] = true
 		}
 		for _, p := range full {
-			if !kept[[2]int{p.TID, p.QID}] && !(named[dd.loc[p.TID]] && named[dd.loc[p.QID]]) {
+			if !kept[[2]int{p.TID, p.QID}] && !(named[loc[p.TID]] && named[loc[p.QID]]) {
 				t.Fatalf("%s: pair (%d,%d) of partitions (%d,%d) is missing, but the report names only %v",
-					label, p.TID, p.QID, dd.loc[p.TID], dd.loc[p.QID], named)
+					label, p.TID, p.QID, loc[p.TID], loc[p.QID], named)
 			}
 		}
 	}
@@ -320,7 +321,7 @@ func TestChaosSelfJoinPartialNamesBothPartitions(t *testing.T) {
 	// edge between two live partitions is.
 	want := 0
 	for _, p := range full {
-		if !dead[dd.loc[p.TID]] && !dead[dd.loc[p.QID]] {
+		if !dead[loc[p.TID]] && !dead[loc[p.QID]] {
 			want++
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"dita/internal/core"
 	"dita/internal/dnet"
@@ -34,12 +33,9 @@ type JoinPair struct {
 }
 
 // EpochView snapshots a dataset's write epochs: Parts[pid] counts
-// acked writes to partition pid, Bounds the writes that grew any
-// partition's MBR. See dnet.EpochView for the invalidation argument.
-type EpochView struct {
-	Bounds uint64
-	Parts  []uint64
-}
+// acked writes to partition pid, Bounds the changes that grew any
+// partition's MBR. See core.EpochView for the invalidation argument.
+type EpochView = core.EpochView
 
 // Backend abstracts the query engine the server fronts: the network
 // coordinator (production) or a single-process core.Engine (dev mode).
@@ -116,13 +112,7 @@ func (b *CoordBackend) Delete(ctx context.Context, id int) (bool, error) {
 	return b.C.DeleteContext(ctx, b.Dataset, id)
 }
 
-func (b *CoordBackend) Epochs() (EpochView, error) {
-	v, err := b.C.Epochs(b.Dataset)
-	if err != nil {
-		return EpochView{}, err
-	}
-	return EpochView{Bounds: v.Bounds, Parts: v.Parts}, nil
-}
+func (b *CoordBackend) Epochs() (EpochView, error) { return b.C.Epochs(b.Dataset) }
 
 func (b *CoordBackend) Touched(q []geom.Point, tau float64) ([]int, error) {
 	return b.C.RelevantPartitions(b.Dataset, q, tau)
@@ -130,16 +120,13 @@ func (b *CoordBackend) Touched(q []geom.Point, tau float64) ([]int, error) {
 
 func (b *CoordBackend) Ready() error { return b.C.Ready() }
 
-// EngineBackend serves a single-process core.Engine — dev mode. The
-// serving layer is the engine's only writer, so one process-local
-// epoch counter (bumped after each acked write) is a sound watermark:
-// the whole engine is one "partition".
+// EngineBackend serves a single-process core.Engine — dev mode. Epochs
+// and touched partitions come from the engine's layout, as the
+// coordinator's do, so a write to one partition leaves a cached answer
+// that never touched it current, whoever wrote it.
 type EngineBackend struct {
 	E       *core.Engine
 	Dataset string
-
-	mu    sync.Mutex
-	epoch uint64
 }
 
 func (b *EngineBackend) Search(ctx context.Context, q []geom.Point, tau float64) ([]Hit, error) {
@@ -191,42 +178,21 @@ func (b *EngineBackend) Ingest(ctx context.Context, t *traj.T) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := b.E.Insert(t); err != nil {
-		return err
-	}
-	b.bump()
-	return nil
+	return b.E.Insert(t)
 }
 
 func (b *EngineBackend) Delete(ctx context.Context, id int) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	existed, err := b.E.Delete(id)
-	if err != nil {
-		return false, err
-	}
-	if existed {
-		b.bump()
-	}
-	return existed, nil
+	return b.E.Delete(id)
 }
 
-func (b *EngineBackend) bump() {
-	b.mu.Lock()
-	b.epoch++
-	b.mu.Unlock()
-}
+func (b *EngineBackend) Epochs() (EpochView, error) { return b.E.Epochs(), nil }
 
-func (b *EngineBackend) Epochs() (EpochView, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return EpochView{Parts: []uint64{b.epoch}}, nil
+func (b *EngineBackend) Touched(q []geom.Point, tau float64) ([]int, error) {
+	return b.E.RelevantPartitions(q, tau), nil
 }
-
-// Touched returns nil ("all partitions"): with a single global epoch
-// there is nothing finer to depend on.
-func (b *EngineBackend) Touched([]geom.Point, float64) ([]int, error) { return nil, nil }
 
 func (b *EngineBackend) Ready() error {
 	if b.E == nil {

@@ -299,9 +299,10 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, op Op, tau flo
 		// Epoch snapshot BEFORE execution: a write landing after it
 		// makes the answer look stale, never fresh. The dependency set
 		// is computed AFTER the snapshot — bounds growth in between
-		// bumps Bounds and fails validation anyway, and a touched set
-		// computed at later bounds is a superset of the snapshot-time
-		// set (bounds only grow), so it can only over-invalidate. A
+		// bumps Bounds and fails validation anyway, and a box that
+		// shrank in between (an engine merge, which bumps nothing) is
+		// exact over what its partition shows, so the partitions it
+		// prunes hold no answer until a write grows it again. A
 		// Touched error degrades to nil ("all partitions") — sound,
 		// just coarser.
 		if res.epochs, err = s.cfg.Backend.Epochs(); err == nil {

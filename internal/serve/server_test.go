@@ -521,3 +521,63 @@ func TestServerIngestBacklog503(t *testing.T) {
 		t.Fatalf("retries = %d, want 1", retries)
 	}
 }
+
+// TestEngineBackendCacheTouchedPartitions: under the engine backend a
+// cached search depends only on the partitions global pruning could not
+// exclude. A write to another partition that stays inside its boxes leaves
+// the answer a hit; a write that grows that partition's boxes makes it
+// stale, since growth can make the partition relevant.
+func TestEngineBackendCacheTouchedPartitions(t *testing.T) {
+	ts, srv, d := devServer(t, Config{})
+	e := srv.cfg.Backend.(*EngineBackend).E
+	q, tau := d.Trajs[3], 0.05
+	req := searchRequest{Query: rawPoints(q.Points), Tau: tau}
+	touched := map[int]bool{}
+	for _, pid := range e.RelevantPartitions(q.Points, tau) {
+		touched[pid] = true
+	}
+	var other *traj.T // a member of a partition the search does not touch
+	for pid, p := range e.Partitions() {
+		if !touched[pid] && !p.Retired() && len(p.Trajs) > 0 {
+			other = p.Trajs[0]
+			break
+		}
+	}
+	if other == nil {
+		t.Fatal("every partition is touched; the test needs a pruned one")
+	}
+	search := func(label, want string) queryResponse {
+		t.Helper()
+		status, hdr, body := post(t, ts.URL+"/v1/search", req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: %d %s", label, status, body)
+		}
+		if got := hdr.Get("X-Dita-Cache"); got != want {
+			t.Fatalf("%s: cache %q, want %q", label, got, want)
+		}
+		return decodeQuery(t, body)
+	}
+	first := search("first search", "miss")
+	search("repeat", "hit")
+
+	// An upsert of other with its own points: a write to its partition
+	// that grows no box.
+	if status, _, body := post(t, ts.URL+"/v1/ingest", ingestRequest{ID: other.ID, Points: rawPoints(other.Points)}); status != http.StatusOK {
+		t.Fatalf("ingest: %d %s", status, body)
+	}
+	if got := search("after a write to an untouched partition", "hit"); got.Count != first.Count {
+		t.Fatalf("cached answer has %d hits, first had %d", got.Count, first.Count)
+	}
+
+	// The same member moved far outside its partition's boxes.
+	far := make([]geom.Point, len(other.Points))
+	for i, p := range other.Points {
+		far[i] = geom.Point{X: p.X + 50, Y: p.Y + 50}
+	}
+	if status, _, body := post(t, ts.URL+"/v1/ingest", ingestRequest{ID: other.ID, Points: rawPoints(far)}); status != http.StatusOK {
+		t.Fatalf("ingest: %d %s", status, body)
+	}
+	if got := search("after a write that grew an untouched partition", "miss"); got.Count != first.Count {
+		t.Fatalf("re-executed answer has %d hits, first had %d", got.Count, first.Count)
+	}
+}
