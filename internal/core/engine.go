@@ -185,39 +185,43 @@ func defaultCellD(d *traj.Dataset) float64 {
 	return w / 100
 }
 
-// partition implements Section 4.2.1: STR by first point into NG buckets,
-// then STR by last point into NG sub-buckets per bucket. It returns the
-// partitions' member groups in partition id order.
+// partition returns the partitions' member groups in partition id order:
+// STRGroups, or round-robin for the Random ablation.
 func (e *Engine) partition() [][]*traj.T {
 	trajs := e.dataset.Trajs
-	var groups [][]*traj.T
-	if e.opts.RandomPartition {
-		n := e.opts.NG * e.opts.NG
-		if n > len(trajs) {
-			n = len(trajs)
-		}
-		if n < 1 {
-			n = 1
-		}
-		groups = make([][]*traj.T, n)
-		for i, t := range trajs {
-			groups[i%n] = append(groups[i%n], t)
-		}
-		return slices.DeleteFunc(groups, func(g []*traj.T) bool { return len(g) == 0 })
+	if !e.opts.RandomPartition {
+		return STRGroups(trajs, e.opts.NG)
 	}
+	n := min(e.opts.NG*e.opts.NG, len(trajs))
+	if n < 1 {
+		n = 1
+	}
+	groups := make([][]*traj.T, n)
+	for i, t := range trajs {
+		groups[i%n] = append(groups[i%n], t)
+	}
+	return slices.DeleteFunc(groups, func(g []*traj.T) bool { return len(g) == 0 })
+}
+
+// STRGroups is Algorithm 1's partitioning (Section 4.2.1): STR by first
+// point into ng tiles, then STR by last point into ng sub-tiles per tile.
+// It returns the non-empty groups in partition id order, each in tile
+// order. Both hosts partition a dataset with it.
+func STRGroups(trajs []*traj.T, ng int) [][]*traj.T {
 	firsts := make([]geom.Point, len(trajs))
 	for i, t := range trajs {
 		firsts[i] = t.First()
 	}
-	for _, bucket := range str.Tile(firsts, e.opts.NG) {
-		lasts := make([]geom.Point, len(bucket))
-		for j, i := range bucket {
+	var groups [][]*traj.T
+	for _, tile := range str.Tile(firsts, ng) {
+		lasts := make([]geom.Point, len(tile))
+		for j, i := range tile {
 			lasts[j] = trajs[i].Last()
 		}
-		for _, sub := range str.Tile(lasts, e.opts.NG) {
+		for _, sub := range str.Tile(lasts, ng) {
 			group := make([]*traj.T, len(sub))
 			for j, k := range sub {
-				group[j] = trajs[bucket[k]]
+				group[j] = trajs[tile[k]]
 			}
 			groups = append(groups, group)
 		}

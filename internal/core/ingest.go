@@ -466,8 +466,10 @@ func (e *Engine) overlayBytesLocked() int64 {
 
 // CloseIngest closes the partition logs (fsync'd appends mean there is
 // nothing to flush). The engine remains queryable; further mutations
-// are applied in memory only.
+// are applied in memory only. It waits out a cutover, which opens logs.
 func (e *Engine) CloseIngest() error {
+	e.lay.cut.Lock()
+	defer e.lay.cut.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var first error

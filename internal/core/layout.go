@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"dita/internal/geom"
@@ -20,9 +21,10 @@ import (
 // first- and last-point boxes and the R-trees over them), visible counts,
 // write epochs, where each trajectory lives and one sequence counter —
 // monotone across partitions, hence per partition, which is all a store's
-// dedupe floor and watermark skip need. It has no lock: every method runs
-// under the host's (Engine.mu, a dispatched dataset's mu), the exclusive
+// dedupe floor and watermark skip need. Its methods take no lock: every one
+// runs under the host's (Engine.mu, a dispatched dataset's mu), the exclusive
 // side to change it, and a query reads the View it took there off the lock.
+// The one lock it holds is Cutover's, one cutover per dataset at a time.
 type Layout struct {
 	bounds      []PartBounds
 	live        []int    // visible members per partition
@@ -34,6 +36,7 @@ type Layout struct {
 	// view is built by the first View after a change; readers under a
 	// shared lock may race to build the same value.
 	view atomic.Pointer[LayoutView]
+	cut  sync.Mutex
 }
 
 // LayoutView is one immutable instant of a Layout, indexed by partition id.

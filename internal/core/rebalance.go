@@ -13,21 +13,13 @@ import (
 	"dita/internal/wal"
 )
 
-// This file implements online STR re-partitioning: splitting a hot
-// partition into several pieces and merging cold siblings into one,
-// re-running the STR boundary cuts and per-trajectory pivot selection
-// (the trie rebuild) over the group's *current visible* members — base
-// minus tombstones plus delta — so sustained skewed ingest cannot pin
-// occupancy onto a few dispatch-time partitions.
+// This file is the engine's host of a cutover (Cutover, cutover.go) and
+// the rebalance planner both hosts share.
 //
-// Partition identity is retire-in-place: ids are stable (they key WAL
-// and snapshot filenames, the location map, and dnet replica lists), so
-// a split/merge never renumbers — the old partitions are emptied and
-// flagged retired, and the pieces take fresh ids appended at the end.
-//
-// Durability ordering (the crash matrix; DESIGN.md §14). All steps run
-// under the group's fold holds and append locks and the engine write lock,
-// so no fold or write lands and no query runs mid-cutover:
+// Durability ordering (the crash matrix; DESIGN.md §14). The engine's Stage
+// runs under the group's fold holds and append locks, not the engine lock,
+// so no fold or write lands in the group while queries and writes to other
+// partitions proceed:
 //
 //  1. Build the pieces in memory and open their fresh WALs.
 //  2. Seal the pieces' snapshots, ascending pid. A crash here leaves
@@ -42,14 +34,12 @@ import (
 //     a no-op), then remove its WAL. A crash between tombstones leaves
 //     some groups old, some new — but per partition group the layout is
 //     one or the other, never a mix of visible copies.
-//  4. Install the new layout in memory: swap the old partitions' stores
-//     for the empty ones, append the pieces, and publish both to the
-//     Layout (Layout.Install: retire, re-point the location map, rebuild
-//     the global R-trees). Only after this can a write route to a piece,
-//     so a piece's WAL can never hold records while an old full snapshot
-//     is still live.
+//  4. Publish: swap the old partitions' stores for the empty ones and
+//     append the pieces, under the engine lock with the Layout's Install.
+//     Only after this can a write route to a piece, so a piece's WAL can
+//     never hold records while an old full snapshot is still live.
 //
-// An error in step 2 aborts the cutover (pieces removed, old layout
+// An error in step 1 or 2 aborts the cutover (pieces removed, old layout
 // untouched). An error in step 3 rolls forward — the memory cutover
 // installs anyway and the error is reported — because the first
 // tombstone seal already made the new layout durable for part of the
@@ -59,25 +49,6 @@ import (
 // ErrRebalanceBusy is returned when a group member has a merge fold in
 // flight; the caller should retry after the merge completes.
 var ErrRebalanceBusy = errors.New("core: rebalance: merge in flight")
-
-// rebalanceCrashHook, when non-nil, is consulted at the named durability
-// boundaries of a cutover ("wals-open", "pieces-sealed", "tombstoned").
-// Returning true simulates a crash at that instant: the cutover stops
-// with the disk in exactly the state a power cut would leave, no memory
-// install happens, and errRebalanceCrashed is returned. Test-only.
-var rebalanceCrashHook func(stage string) bool
-
-var errRebalanceCrashed = errors.New("core: rebalance: simulated crash")
-
-// crashPoint closes the pieces' log handles (their files stay, as they
-// would across a real crash) when the hook asks for a crash.
-func crashPoint(stage string, pieces []*Partition) bool {
-	if rebalanceCrashHook == nil || !rebalanceCrashHook(stage) {
-		return false
-	}
-	closeLogs(pieces, nil, "")
-	return true
-}
 
 // closeLogs closes the partitions' WALs and, given their store, removes the
 // files too.
@@ -90,7 +61,7 @@ func closeLogs(parts []*Partition, store *wal.Store, dataset string) {
 	}
 }
 
-// RebalanceStats reports one split/merge cutover.
+// RebalanceStats reports one split/merge cutover, on either host.
 type RebalanceStats struct {
 	// Retired are the partition ids emptied by the cutover.
 	Retired []int
@@ -101,233 +72,155 @@ type RebalanceStats struct {
 	// Plan is the STR boundary plan the cut used (one tile per piece
 	// requested; empty tiles are dropped from Created).
 	Plan str.Plan
-	// Duration is the wall-clock cutover time, sealing included.
+	// Skew is the dataset's occupancy skew after the cutover.
+	Skew float64
+	// Duration is the wall-clock cutover time, sealing or shipping
+	// included.
 	Duration time.Duration
 }
 
 // SplitPartition re-cuts one partition's visible members into up to k
 // pieces with fresh STR boundaries and freshly selected pivots,
-// retiring the original. Returns the new partition ids.
+// retiring the original. A split whose members all share one piece is a
+// no-op and returns nil stats.
 func (e *Engine) SplitPartition(pid, k int) (*RebalanceStats, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("core: split: k=%d, need >= 2", k)
-	}
-	return e.repartitionGroup([]int{pid}, k)
+	return e.cutover([]int{pid}, k)
 }
 
 // MergePartitions folds several partitions' visible members into one
 // fresh partition (re-built trie, re-selected pivots, exact MBRs),
 // retiring the originals.
 func (e *Engine) MergePartitions(pids []int) (*RebalanceStats, error) {
-	if len(pids) < 2 {
-		return nil, fmt.Errorf("core: merge partitions: need >= 2 pids, got %d", len(pids))
-	}
-	return e.repartitionGroup(pids, 1)
+	return e.cutover(pids, 1)
 }
 
-// repartitionGroup is the unified cutover: the visible members of pids
-// are re-cut into up to k pieces (k=1 merges). See the file comment for
-// the locking and durability ordering.
-func (e *Engine) repartitionGroup(pids []int, k int) (*RebalanceStats, error) {
-	start := time.Now()
-	group, stores, err := e.validateGroup(pids)
-	if err != nil {
-		return nil, err
-	}
-	// The store lock order, in ascending pid order: every fold hold (a fold
-	// in flight makes the group busy), then every append lock, then the
-	// engine write lock.
-	var held []func()
-	release := func() {
-		for i := len(held) - 1; i >= 0; i-- {
-			held[i]()
+// cutover runs Cutover with the engine's hooks; see the file comment for
+// the durability ordering.
+func (e *Engine) cutover(pids []int, k int) (*RebalanceStats, error) {
+	var (
+		st      *ingestState
+		retired []*Partition
+		stores  []*Store
+		built   []*Partition
+		empties []*Store
+	)
+	name := e.dataset.Name
+	crash := func(stage string) error {
+		err := CutoverCrash(stage)
+		if err != nil {
+			closeLogs(built, nil, "") // the files stay, as across a real crash
 		}
+		return err
 	}
-	for _, s := range stores {
-		r, ok := s.TryHoldFolds()
-		if !ok {
-			release()
-			return nil, ErrRebalanceBusy
-		}
-		held = append(held, r)
-	}
-	for _, s := range stores {
-		s.LockAppend()
-		held = append(held, s.UnlockAppend)
-	}
-	e.mu.Lock()
-	unlock := func() {
-		e.mu.Unlock()
-		release()
-	}
-	st := e.ing
-	if st == nil {
-		unlock()
-		return nil, fmt.Errorf("core: rebalance: ingest not enabled")
-	}
-	for _, p := range group {
-		if e.lay.Retired(p.ID) {
-			unlock()
-			return nil, fmt.Errorf("core: rebalance: partition %d already retired", p.ID)
-		}
-	}
-
-	// The cut sequence: every record in the group's logs is <= the layout's
-	// (the append locks are held, so no append is in flight), and every
-	// piece starts its life at this watermark — a leftover old-WAL suffix
-	// replayed over a tombstone snapshot skips entirely.
-	cutSeq := e.lay.Seq()
-	var visible []*traj.T
-	for _, p := range group {
-		visible = append(visible, p.View().Visible()...)
-	}
-
-	// Re-run the STR boundary cut over the current first points. The
-	// plan is total, so trajectories ingested after the cut (routed by
-	// nearest-MBR) and the pieces' exact MBRs stay consistent.
-	firsts := make([]geom.Point, len(visible))
-	for i, t := range visible {
-		firsts[i] = t.First()
-	}
-	plan := str.Cut(firsts, k)
-	groups := plan.Assign(firsts)
-
-	stats := &RebalanceStats{Plan: plan, Trajs: len(visible)}
-	var pieces []*Partition
-	nextID := e.lay.Len()
-	W := e.cl.Workers()
-	for _, g := range groups {
-		if len(g) == 0 && len(pieces) > 0 {
-			continue // drop empty tiles, but always create at least one piece
-		}
-		members := make([]*traj.T, len(g))
-		for i, j := range g {
-			members[i] = visible[j]
-		}
-		pieces = append(pieces, e.buildPiece(nextID, W, members, cutSeq))
-		nextID++
-	}
-	if len(pieces) == 0 {
-		pieces = append(pieces, e.buildPiece(nextID, W, nil, cutSeq))
-	}
-
-	// Fresh WALs for the pieces before anything becomes visible; a
-	// failure here aborts with no state change.
-	if st.cfg.WAL != nil {
-		name := e.dataset.Name
-		for _, p := range pieces {
-			_ = st.cfg.WAL.Remove(name, p.ID)
-			l, _, err := st.cfg.WAL.Open(name, p.ID)
-			if err != nil {
-				closeLogs(pieces, st.cfg.WAL, name)
-				unlock()
-				return nil, fmt.Errorf("core: rebalance: piece %d wal: %w", p.ID, err)
+	stats, err := Cutover(e.lay, &e.mu, e.cost, pids, k, CutoverHooks{
+		Freeze: func(group []int) ([]*traj.T, func(), error) {
+			e.mu.RLock()
+			st = e.ing
+			for _, pid := range group {
+				retired, stores = append(retired, e.parts[pid]), append(stores, e.parts[pid].Store)
 			}
-			p.Recover(l, nil)
-		}
-	}
-
-	if crashPoint("wals-open", pieces) {
-		unlock()
-		return nil, errRebalanceCrashed
-	}
-
-	// Step 2: seal the pieces (ascending pid, so a crash leaves a
-	// contiguous id space). Abort on failure — old layout intact.
-	if st.cfg.Snap != nil {
-		name := e.dataset.Name
-		for i, p := range pieces {
-			if _, err := st.cfg.Snap.Save(e.ExportSnapshot(name, p)); err != nil {
-				for _, q := range pieces[:i+1] {
-					_ = st.cfg.Snap.Remove(name, q.ID)
+			e.mu.RUnlock()
+			if st == nil {
+				return nil, nil, fmt.Errorf("core: rebalance: ingest not enabled")
+			}
+			// The store lock order, ascending pid: every fold hold (a fold in
+			// flight makes the group busy), then every append lock.
+			var held []func()
+			release := func() {
+				for i := len(held) - 1; i >= 0; i-- {
+					held[i]()
 				}
-				closeLogs(pieces, st.cfg.WAL, name)
-				unlock()
-				return nil, fmt.Errorf("core: rebalance: seal piece %d: %w", p.ID, err)
 			}
-		}
-	}
-
-	if crashPoint("pieces-sealed", pieces) {
-		unlock()
-		return nil, errRebalanceCrashed
-	}
-
-	// Step 3: tombstone the old partitions (an empty store's image at
-	// cutSeq, which each becomes at the install), then drop their WALs.
-	// Failures roll forward; see file comment.
-	var sealErr error
-	empties := make([]*Store, len(group))
-	for i, p := range group {
-		empties[i] = NewStore(e.opts.Trie, nil, nil, cutSeq)
-		drop := st.cfg.WAL
-		if st.cfg.Snap != nil {
-			if _, err := st.cfg.Snap.Save(e.named(empties[i].BaseImage(), e.dataset.Name, p.ID)); err != nil {
-				if sealErr == nil {
-					sealErr = fmt.Errorf("core: rebalance: tombstone partition %d: %w", p.ID, err)
+			for _, s := range stores {
+				r, ok := s.TryHoldFolds()
+				if !ok {
+					release()
+					return nil, nil, ErrRebalanceBusy
 				}
-				drop = nil // keep this partition's WAL: full snapshot + log stay recoverable
+				held = append(held, r)
 			}
-		}
-		closeLogs([]*Partition{p}, drop, e.dataset.Name)
+			for _, s := range stores {
+				s.LockAppend()
+				held = append(held, s.UnlockAppend)
+			}
+			var visible []*traj.T
+			for _, s := range stores {
+				members, _ := s.Visible()
+				visible = append(visible, members...)
+			}
+			return visible, release, nil
+		},
+		Stage: func(pieces []Piece, cutSeq uint64) (error, error) {
+			// Step 1: each piece's store re-runs pivot selection over its
+			// members' current geometry; its bounds are the layout's.
+			W := e.cl.Workers()
+			for _, pc := range pieces {
+				built = append(built, &Partition{ID: pc.PID, Worker: pc.PID % W,
+					Store: NewStore(e.opts.Trie, pc.Members, nil, cutSeq)})
+			}
+			if w := st.cfg.WAL; w != nil {
+				for _, p := range built {
+					_ = w.Remove(name, p.ID)
+					l, _, err := w.Open(name, p.ID)
+					if err != nil {
+						closeLogs(built, w, name)
+						return nil, fmt.Errorf("core: rebalance: piece %d wal: %w", p.ID, err)
+					}
+					p.Recover(l, nil)
+				}
+			}
+			if err := crash("wals-open"); err != nil {
+				return nil, err
+			}
+			// Step 2, ascending pid so a crash leaves a contiguous id space.
+			if s := st.cfg.Snap; s != nil {
+				for i, p := range built {
+					if _, err := s.Save(e.ExportSnapshot(name, p)); err != nil {
+						for _, q := range built[:i+1] {
+							_ = s.Remove(name, q.ID)
+						}
+						closeLogs(built, st.cfg.WAL, name)
+						return nil, fmt.Errorf("core: rebalance: seal piece %d: %w", p.ID, err)
+					}
+				}
+			}
+			if err := crash("pieces-sealed"); err != nil {
+				return nil, err
+			}
+			// Step 3: an empty store's image at cutSeq, which each old
+			// partition becomes at the publish; then drop its WAL.
+			var sealErr error
+			for i, p := range retired {
+				empties = append(empties, NewStore(e.opts.Trie, nil, nil, cutSeq))
+				drop := st.cfg.WAL
+				if s := st.cfg.Snap; s != nil {
+					if _, err := s.Save(e.named(empties[i].BaseImage(), name, p.ID)); err != nil {
+						if sealErr == nil {
+							sealErr = fmt.Errorf("core: rebalance: tombstone partition %d: %w", p.ID, err)
+						}
+						drop = nil // keep this partition's WAL: full snapshot + log stay recoverable
+					}
+				}
+				_ = stores[i].CloseLog()
+				if drop != nil {
+					_ = drop.Remove(name, p.ID)
+				}
+			}
+			return sealErr, crash("tombstoned")
+		},
+		Publish: func([]int, []Piece) []PartLoad {
+			for i, p := range retired {
+				p.Store = empties[i]
+			}
+			e.parts = append(e.parts, built...)
+			e.mirror()
+			return e.liveLoads()
+		},
+	})
+	if stats != nil {
+		e.met.rebalanceObserve(stats.Duration, stats.Skew)
 	}
-
-	if crashPoint("tombstoned", pieces) {
-		unlock()
-		return nil, errRebalanceCrashed
-	}
-
-	// Step 4: memory install — the single atomic commit point for
-	// queries and writers.
-	for i, p := range group {
-		p.Store = empties[i]
-		stats.Retired = append(stats.Retired, p.ID)
-	}
-	members := make([][]*traj.T, len(pieces))
-	for i, p := range pieces {
-		members[i] = p.Trajs
-	}
-	e.parts = append(e.parts, pieces...)
-	stats.Created = e.lay.Install(stats.Retired, members)
-	e.mirror()
-	stats.Duration = time.Since(start)
-	if e.met != nil {
-		_, _, skew := Skew(e.liveLoads())
-		e.met.rebalanceObserve(stats.Duration, skew)
-	}
-	unlock()
-	// Retired pids never serve reads again; forget their cost EWMAs so
-	// the planner sees only the fresh pieces' signal.
-	e.cost.Drop(stats.Retired...)
-	return stats, sealErr
-}
-
-// validateGroup resolves and sanity-checks the group, and the stores it
-// holds now, under the read lock (re-validated under the write lock by the
-// caller: a partition retired since holds another store).
-func (e *Engine) validateGroup(pids []int) ([]*Partition, []*Store, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.ing == nil {
-		return nil, nil, fmt.Errorf("core: rebalance: ingest not enabled")
-	}
-	sorted, err := e.lay.Group(pids)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: rebalance: %w", err)
-	}
-	var group []*Partition
-	var stores []*Store
-	for _, pid := range sorted {
-		group, stores = append(group, e.parts[pid]), append(stores, e.parts[pid].Store)
-	}
-	return group, stores, nil
-}
-
-// buildPiece constructs one fully-indexed piece: its store's trie build
-// re-runs pivot selection over the members' current geometry, and the
-// metadata is exact. Its bounds are the layout's, at the install.
-func (e *Engine) buildPiece(id, workers int, members []*traj.T, watermark uint64) *Partition {
-	return &Partition{ID: id, Worker: id % workers, Store: NewStore(e.opts.Trie, members, nil, watermark)}
+	return stats, err
 }
 
 // OccupancySkew returns the live partitions' occupancy distribution:
@@ -422,23 +315,21 @@ func (pol RebalancePolicy) Sanitized() RebalancePolicy {
 // byte occupancy and observed read cost: it splits a hot partition or
 // merges a cold pair. Returns nil when no action was needed.
 func (e *Engine) RebalanceOnce(pol RebalancePolicy) (*RebalanceStats, error) {
-	pol = pol.Sanitized()
-	// hot and k come from ONE occupancy snapshot: a second OccupancySkew()
-	// would read fresh max/mean after concurrent ingest moved them, pairing
-	// a stale hot pid with a fan-out computed for a different layout.
-	hot, cold, k := -1, []int(nil), 0
+	// The group and k come from ONE occupancy snapshot: a second
+	// OccupancySkew() would read fresh max/mean after concurrent ingest
+	// moved them, pairing a stale hot pid with a fan-out computed for a
+	// different layout.
+	var pids []int
+	k := 0
 	e.mu.RLock()
 	if e.ing != nil {
-		hot, cold, k = PlanRebalance(e.liveLoads(), e.cost, pol)
+		pids, k = PlanRebalance(e.liveLoads(), e.cost, pol.Sanitized())
 	}
 	e.mu.RUnlock()
-	switch {
-	case hot >= 0:
-		return e.SplitPartition(hot, k)
-	case len(cold) >= 2:
-		return e.MergePartitions(cold)
+	if pids == nil {
+		return nil, nil
 	}
-	return nil, nil
+	return e.cutover(pids, k)
 }
 
 // Rebalance runs planner steps (Converge) until the skew is within bound
@@ -456,7 +347,7 @@ var rebalanceMaxSteps = 32
 // the last case: work is still planned, the layout may be thrashing (e.g. a
 // bound the data cannot satisfy), and callers should back off rather than
 // immediately retry.
-func Converge[S any](step func() (*S, error)) (steps []*S, converged bool, err error) {
+func Converge(step func() (*RebalanceStats, error)) (steps []*RebalanceStats, converged bool, err error) {
 	for range rebalanceMaxSteps {
 		st, err := step()
 		if err != nil || st == nil {
@@ -467,18 +358,18 @@ func Converge[S any](step func() (*S, error)) (steps []*S, converged bool, err e
 	return steps, false, nil
 }
 
-// PlanRebalance picks a host's next step over one snapshot of its live
-// partitions: the hottest partition and its split fan-out (about max/mean
-// pieces) when load skew exceeds the bound, else a cost-hot partition when
-// the policy enables cost-driven splits, else the coldest partition below
-// MergeFraction·mean and its spatially nearest sibling below that bar to
-// merge, else (-1, nil, 0). A partition of fewer than two members is never
-// split — its one piece would be itself, and the next step would plan the
-// same split again. The engine and the coordinator both plan with it.
-func PlanRebalance(live []PartLoad, ct *CostTracker, pol RebalancePolicy) (hot int, cold []int, k int) {
+// PlanRebalance picks a host's next cutover (Cutover's pids and k) over one
+// snapshot of its live partitions: the hottest partition and its split
+// fan-out (about max/mean pieces) when load skew exceeds the bound, else a
+// cost-hot partition when the policy enables cost-driven splits, else the
+// coldest partition below MergeFraction·mean and its spatially nearest
+// sibling below that bar to merge (k = 1), else (nil, 0). A partition of
+// fewer than two members is never split — its one piece would be itself.
+// The engine and the coordinator both plan with it.
+func PlanRebalance(live []PartLoad, ct *CostTracker, pol RebalancePolicy) (pids []int, k int) {
 	_, mean, skew := Skew(live)
 	if len(live) < 2 || mean == 0 {
-		return -1, nil, 0
+		return nil, 0
 	}
 	h := 0
 	for i := range live {
@@ -487,17 +378,17 @@ func PlanRebalance(live []PartLoad, ct *CostTracker, pol RebalancePolicy) (hot i
 		}
 	}
 	if skew > pol.SkewBound && live[h].Members > 1 {
-		return live[h].PID, nil, min(max(int(math.Round(skew)), 2), pol.MaxPieces)
+		return []int{live[h].PID}, min(max(int(math.Round(skew)), 2), pol.MaxPieces)
 	}
 	// Load is balanced; a partition dominating the observed read cost is
 	// still split-worthy (a single-member one is dnet's to promote).
-	pids := make([]int, len(live))
+	all := make([]int, len(live))
 	for i, l := range live {
-		pids[i] = l.PID
+		all[i] = l.PID
 	}
-	if pid, k := CostHot(ct, pids, pol); pid >= 0 {
-		if i := slices.Index(pids, pid); live[i].Members > 1 {
-			return pid, nil, k
+	if pid, k := CostHot(ct, all, pol); pid >= 0 {
+		if i := slices.Index(all, pid); live[i].Members > 1 {
+			return []int{pid}, k
 		}
 	}
 	// Cold merge: the coldest partition plus its spatially nearest sibling
@@ -511,7 +402,7 @@ func PlanRebalance(live []PartLoad, ct *CostTracker, pol RebalancePolicy) (hot i
 		}
 	}
 	if coldest == nil {
-		return -1, nil, 0
+		return nil, 0
 	}
 	var buddy *PartLoad
 	bestD := math.Inf(1)
@@ -525,7 +416,7 @@ func PlanRebalance(live []PartLoad, ct *CostTracker, pol RebalancePolicy) (hot i
 		}
 	}
 	if buddy == nil {
-		return -1, nil, 0
+		return nil, 0
 	}
-	return -1, []int{coldest.PID, buddy.PID}, 0
+	return []int{coldest.PID, buddy.PID}, 1
 }

@@ -489,10 +489,10 @@ func TestRebalanceCrashWindows(t *testing.T) {
 					baseDups++
 				}
 			}
-			rebalanceCrashHook = func(s string) bool { return s == stage }
+			restore := SetCutoverHook(func(s string) bool { return s == stage })
 			_, err = e.SplitPartition(hot.ID, 3)
-			rebalanceCrashHook = nil
-			if !errors.Is(err, errRebalanceCrashed) {
+			restore()
+			if !errors.Is(err, ErrCutoverCrashed) {
 				t.Fatalf("want simulated crash, got %v", err)
 			}
 
@@ -588,14 +588,14 @@ func TestRebalanceSealFaults(t *testing.T) {
 
 	// Tombstone-seal failure: injected after the pieces seal, via the
 	// stage hook. The cutover rolls forward and reports the error.
-	rebalanceCrashHook = func(s string) bool {
+	restore := SetCutoverHook(func(s string) bool {
 		if s == "pieces-sealed" {
 			snapStore.Faults = &snap.FaultPlan{Seed: 10, FailRate: 1}
 		}
 		return false
-	}
+	})
 	st, err := e.SplitPartition(hot.ID, 3)
-	rebalanceCrashHook = nil
+	restore()
 	snapStore.Faults = nil
 	if !errors.As(err, &inj) {
 		t.Fatalf("want injected tombstone fault, got %v", err)

@@ -198,12 +198,7 @@ func (c *Coordinator) PromoteReplica(name string, pid int) (int, error) {
 	}
 	owners := append([]int(nil), dd.replicas[pid]...)
 	payload, fp := healSourceLocked(dd, pid)
-	loads := make([]int, len(c.addrs))
-	for _, ows := range dd.replicas {
-		for _, w := range ows {
-			loads[w]++
-		}
-	}
+	loads := dd.countReplicas(make([]int, len(c.addrs)))
 	dd.mu.Unlock()
 	target := leastLoaded(states, loads, owners)
 	if target < 0 {
@@ -229,8 +224,6 @@ func (c *Coordinator) PromoteReplica(name string, pid int) (int, error) {
 	dd.mu.Unlock()
 	// A cutover retired the partition mid-promotion; the copy is
 	// unroutable now, drop it.
-	var ur UnloadReply
-	c.clients[target].CallOnce("Worker.Unload",
-		&UnloadArgs{Dataset: name, Partition: pid}, &ur, c.cfg.Retry.CallTimeout)
+	c.unload(name, partCopy{pid, target})
 	return -1, fmt.Errorf("dnet: promote %s/%d: partition retired during promotion", name, pid)
 }

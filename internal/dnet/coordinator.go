@@ -10,11 +10,9 @@ import (
 
 	"dita/internal/admit"
 	"dita/internal/core"
-	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/obs"
 	"dita/internal/snap"
-	"dita/internal/str"
 	"dita/internal/traj"
 	"dita/internal/trie"
 )
@@ -143,7 +141,7 @@ type Coordinator struct {
 
 // dispatchedDataset records where a dataset's partitions live beside its
 // core.Layout. The parts slice only ever GROWS, and only under a rebalance
-// cutover (repartitionGroup) holding both the group's write locks and mu;
+// cutover (core.Cutover) holding both the group's write locks and mu;
 // partition ids are never reused — a split or merge retires the old pids
 // in place and appends the pieces at fresh ids, so WAL and snapshot
 // filenames, routing entries, and replica lists never alias across layouts.
@@ -178,16 +176,22 @@ type dispatchedDataset struct {
 	// Each pmu is taken before mu, never while holding it.
 	pmu []*sync.Mutex
 
-	// rebalMu serializes rebalance cutovers on this dataset (they lock
-	// multiple pmu entries; two concurrent cutovers over overlapping
-	// groups would deadlock).
-	rebalMu sync.Mutex
-
 	// cost holds the per-partition read-cost EWMAs the query paths feed
 	// (verified candidates and partition-probe wall time per query) and
 	// the cost-aware planner and autopilot read. Internally synchronized;
 	// never nil after construction.
 	cost *core.CostTracker
+}
+
+// countReplicas adds to loads[w] the number of the dataset's replicas
+// worker w holds, and returns loads. Callers hold mu.
+func (dd *dispatchedDataset) countReplicas(loads []int) []int {
+	for _, owners := range dd.replicas {
+		for _, w := range owners {
+			loads[w]++
+		}
+	}
+	return loads
 }
 
 // view is the dataset's layout as it is now, for a query to plan on off
@@ -408,12 +412,7 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 	}
 	dd := &dispatchedDataset{name: name, opts: opts, cost: core.NewCostTracker()}
 	loc := map[int]int{}
-	var groups [][]*traj.T
-	trajs := d.Trajs
-	firsts := make([]geom.Point, len(trajs))
-	for i, t := range trajs {
-		firsts[i] = t.First()
-	}
+	groups := core.STRGroups(d.Trajs, c.cfg.NG)
 	// jobs[pid] names the owners partition pid must be shipped to.
 	var jobs []sealJob
 	rep := &DispatchReport{}
@@ -421,69 +420,49 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 	// seqFloor is the highest ingest sequence any worker reports for any
 	// partition — a restarted coordinator must assign numbers past it or
 	// workers would dedupe fresh writes as retransmissions.
-	var durable []int
+	durable := make([]int, len(groups))
 	var seqFloor uint64
 	inv := c.workerInventories()
-	for _, bucket := range str.Tile(firsts, c.cfg.NG) {
-		if len(bucket) == 0 {
-			continue
+	for pid, members := range groups {
+		for _, t := range members {
+			if _, dup := loc[t.ID]; dup {
+				// Nothing has been sent yet. The routing table, Fetch and
+				// the self-join's mirrored pairs all identify a member by
+				// its id alone.
+				return nil, fmt.Errorf("dnet: dataset %q: duplicate trajectory id %d", name, t.ID)
+			}
+			loc[t.ID] = pid
 		}
-		lasts := make([]geom.Point, len(bucket))
-		for j, i := range bucket {
-			lasts[j] = trajs[i].Last()
+		fp := snap.Fingerprint(opts, members)
+		owners := replicaOwners(pid, c.cfg.Replicas, len(c.clients))
+		dd.parts = append(dd.parts, dispatchedPartition{
+			trajs: len(members), fingerprint: fp, payload: members,
+		})
+		dd.replicas = append(dd.replicas, owners)
+		// Every worker's inventory raises the sequence floor, owner or
+		// not — a copy left behind by healing still pins numbers its
+		// dedupe floor would swallow.
+		for w := range inv {
+			if held, ok := inv[w][partKey{name, pid}]; ok {
+				seqFloor = max(seqFloor, held.LastSeq)
+			}
 		}
-		for _, sub := range str.Tile(lasts, c.cfg.NG) {
-			// Zero-trajectory sub-buckets would pollute the global
-			// R-trees with empty MBRs and cost a useless RPC; skip them.
-			if len(sub) == 0 {
+		job := sealJob{pid: pid, members: members}
+		for _, w := range owners {
+			if held, ok := inv[w][partKey{name, pid}]; ok && held.Fingerprint == fp {
+				// The worker already holds exactly this content
+				// (cold-started from a snapshot, or surviving from an
+				// earlier dispatch): nothing to ship.
+				rep.Reused++
+				if held.Snapshotted {
+					durable[pid]++
+				}
 				continue
 			}
-			pid := len(dd.parts)
-			members := make([]*traj.T, 0, len(sub))
-			for _, k := range sub {
-				t := trajs[bucket[k]]
-				members = append(members, t)
-				if _, dup := loc[t.ID]; dup {
-					// Nothing has been sent yet. The routing table, Fetch and
-					// the self-join's mirrored pairs all identify a member
-					// by its id alone.
-					return nil, fmt.Errorf("dnet: dataset %q: duplicate trajectory id %d", name, t.ID)
-				}
-				loc[t.ID] = pid
-			}
-			fp := snap.Fingerprint(opts, members)
-			owners := replicaOwners(pid, c.cfg.Replicas, len(c.clients))
-			dd.parts = append(dd.parts, dispatchedPartition{
-				trajs: len(members), fingerprint: fp, payload: members,
-			})
-			groups = append(groups, members)
-			dd.replicas = append(dd.replicas, owners)
-			durable = append(durable, 0)
-			// Every worker's inventory raises the sequence floor, owner or
-			// not — a copy left behind by healing still pins numbers its
-			// dedupe floor would swallow.
-			for w := range inv {
-				if held, ok := inv[w][partKey{name, pid}]; ok {
-					seqFloor = max(seqFloor, held.LastSeq)
-				}
-			}
-			job := sealJob{pid: pid, members: members}
-			for _, w := range owners {
-				if held, ok := inv[w][partKey{name, pid}]; ok && held.Fingerprint == fp {
-					// The worker already holds exactly this content
-					// (cold-started from a snapshot, or surviving from an
-					// earlier dispatch): nothing to ship.
-					rep.Reused++
-					if held.Snapshotted {
-						durable[pid]++
-					}
-					continue
-				}
-				job.workers = append(job.workers, w)
-			}
-			rep.Loads += len(job.workers)
-			jobs = append(jobs, job)
+			job.workers = append(job.workers, w)
 		}
+		rep.Loads += len(job.workers)
+		jobs = append(jobs, job)
 	}
 	rep.Partitions = len(dd.parts)
 	// Reused partitions are left in place by a failed load's roll-back —
@@ -542,11 +521,10 @@ type sealJob struct {
 // caller's previous layout stays the only one and a retry starts from a
 // clean slate, and the first error is returned.
 func (c *Coordinator) loadSealed(name string, opts snap.BuildOptions, jobs []sealJob) ([]int, error) {
-	type landedLoad struct{ pid, worker int }
 	var (
 		mu       sync.Mutex
 		firstErr error
-		landed   []landedLoad
+		landed   []partCopy
 		snapped  = make([]int, len(jobs))
 		wg       sync.WaitGroup
 		seals    = make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -582,7 +560,7 @@ func (c *Coordinator) loadSealed(name string, opts snap.BuildOptions, jobs []sea
 						}
 						return
 					}
-					landed = append(landed, landedLoad{job.pid, w})
+					landed = append(landed, partCopy{job.pid, w})
 					if reply.Snapshotted {
 						snapped[ji]++
 					}
@@ -594,17 +572,27 @@ func (c *Coordinator) loadSealed(name string, opts snap.BuildOptions, jobs []sea
 	if firstErr == nil {
 		return snapped, nil
 	}
-	for _, l := range landed {
+	c.unload(name, landed...)
+	return nil, firstErr
+}
+
+// partCopy is one worker's copy of one partition.
+type partCopy struct{ pid, worker int }
+
+// unload drops the copies of dataset name's partitions, concurrently and
+// best-effort.
+func (c *Coordinator) unload(name string, copies ...partCopy) {
+	var wg sync.WaitGroup
+	for _, pc := range copies {
 		wg.Add(1)
-		go func(l landedLoad) {
+		go func() {
 			defer wg.Done()
-			var reply UnloadReply
-			c.clients[l.worker].CallOnce("Worker.Unload",
-				&UnloadArgs{Dataset: name, Partition: l.pid}, &reply, c.cfg.Retry.CallTimeout)
-		}(l)
+			var ur UnloadReply
+			c.clients[pc.worker].CallOnce("Worker.Unload",
+				&UnloadArgs{Dataset: name, Partition: pc.pid}, &ur, c.cfg.Retry.CallTimeout)
+		}()
 	}
 	wg.Wait()
-	return nil, firstErr
 }
 
 func (c *Coordinator) dataset(name string) (*dispatchedDataset, error) {
@@ -779,11 +767,7 @@ func (c *Coordinator) rereplicate() {
 	loads := make([]int, len(c.addrs))
 	for _, dd := range dds {
 		dd.mu.Lock()
-		for _, owners := range dd.replicas {
-			for _, w := range owners {
-				loads[w]++
-			}
-		}
+		dd.countReplicas(loads)
 		dd.mu.Unlock()
 	}
 	states := c.health.snapshot()
@@ -848,10 +832,7 @@ func (c *Coordinator) rereplicate() {
 			h.dd.mu.Unlock()
 			// A concurrent heal already restored full replication through
 			// other workers; drop the surplus copy.
-			var ur UnloadReply
-			c.clients[h.target].CallOnce("Worker.Unload",
-				&UnloadArgs{Dataset: h.dd.name, Partition: h.pid}, &ur,
-				c.cfg.Retry.CallTimeout)
+			c.unload(h.dd.name, partCopy{h.pid, h.target})
 		}(h)
 	}
 	wg.Wait()

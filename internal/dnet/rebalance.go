@@ -1,40 +1,30 @@
 // Online STR re-partitioning for the network mode: the coordinator can
 // split a hot partition or merge cold siblings while ingest and queries
-// keep running, re-cutting the group's CURRENT visible members (base
-// minus tombstones plus delta, exported from live replicas) with fresh
-// STR boundaries. Partition ids are never reused — the cutover appends
-// the pieces at fresh ids and retires the old ones in place — so WAL
-// and snapshot filenames and serve-layer epoch indices never alias
-// across layouts.
+// keep running. The protocol is core.Cutover; this file is its dnet host:
 //
-// Cutover ordering (repartitionGroup):
+//   - Freeze takes every group member's write lock (pmu), ascending,
+//     WITHOUT holding dd.mu, captures the former owners and exports each
+//     member's visible image from a live replica (Worker.Export,
+//     snap.Decode-verified). The all-replica write ack plus the held locks
+//     make any one replica's visible set authoritative.
+//   - Stage places each piece on Replicas least-loaded live workers and
+//     loads it sealed (loadSealed). ANY failure unloads the loaded pieces
+//     and aborts with the old layout fully intact — a worker death
+//     mid-cutover can only ever produce old-or-new, never a mix.
+//   - Publish appends the pieces' entries and clears the group's. Routing
+//     now follows the exported content: an id the table tracked but the
+//     export lacked (a partially-applied delete that was never acked)
+//     falls out, and one the export carried that the table lacked (a
+//     partially-applied insert) becomes tracked, like any surfaced
+//     unacked-but-durable write.
 //
-//  1. quiesce   — take every group member's write lock (pmu), in
-//     ascending pid order, WITHOUT holding dd.mu. Writes to
-//     the group now block; writes elsewhere proceed.
-//  2. export    — pull each member's visible image from a live replica
-//     (Worker.Export, snap.Decode-verified). The all-replica
-//     write ack plus the held locks make any one replica's
-//     visible set authoritative.
-//  3. cut       — str.Cut over the members' first points; assign.
-//  4. load      — ship each piece to Replicas live workers at fresh
-//     pids. ANY failure unloads the loaded pieces and aborts
-//     with the old layout fully intact — a worker death
-//     mid-cutover can only ever produce old-or-new, never a
-//     mix.
-//  5. install   — under dd.mu: append piece entries, drop the old
-//     pids' replicas, and publish to the layout
-//     (core.Layout.Install: retire the old pids with bumped
-//     write marks, re-point routing, bump the bounds epoch,
-//     rebuild the R-trees).
-//  6. release   — drop the write locks; unload the old pids from their
-//     former owners, best-effort (a failed unload leaves a
-//     stale copy that inventory-driven recovery skips).
-//
-// Queries that captured a layout view before step 5 may still contact an
-// old pid after its unload in step 6 and see "partition not loaded";
-// that is the same transient the replica-failover/AllowPartial machinery
-// already absorbs for worker deaths, and the next view routes cleanly.
+// After Cutover returns, the old pids are unloaded from their former
+// owners, best-effort (a failed unload leaves a stale copy that
+// inventory-driven recovery skips). Queries that captured a layout view
+// before the publish may still contact an old pid after its unload and see
+// "partition not loaded"; that is the same transient the replica-failover/
+// AllowPartial machinery already absorbs for worker deaths, and the next
+// view routes cleanly.
 //
 // RecoverDataset closes the two restart gaps the serving design doc
 // documented: a restarted coordinator rebuilds its routing table from
@@ -45,14 +35,13 @@ package dnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"dita/internal/core"
 	"dita/internal/geom"
 	"dita/internal/snap"
-	"dita/internal/str"
 	"dita/internal/traj"
 )
 
@@ -82,246 +71,137 @@ func (s *workerService) Manifest(args *ManifestArgs, reply *ManifestReply) (err 
 	return nil
 }
 
-// NetRebalanceStats accounts one distributed cutover.
-type NetRebalanceStats struct {
-	// Retired are the partition ids emptied by the cutover; Created the
-	// fresh ids holding the re-cut pieces.
-	Retired []int
-	Created []int
-	// Trajs is the number of visible trajectories moved.
-	Trajs int
-	// Plan is the STR boundary plan the cut used.
-	Plan str.Plan
-	// Skew is the dataset's occupancy skew after the cutover.
-	Skew float64
-	// Duration is the wall-clock cutover time, shipping included.
-	Duration time.Duration
-}
-
 // SplitPartition re-cuts one partition's current visible members into up
 // to k pieces with fresh STR boundaries, shipping each piece to Replicas
 // workers and retiring the original, while ingest and queries keep
-// running against the rest of the dataset.
-func (c *Coordinator) SplitPartition(name string, pid, k int) (*NetRebalanceStats, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("dnet: split: k=%d, need >= 2", k)
-	}
-	return c.repartitionGroup(name, []int{pid}, k)
+// running against the rest of the dataset. A split whose members all
+// share one piece is a no-op and returns nil stats.
+func (c *Coordinator) SplitPartition(name string, pid, k int) (*core.RebalanceStats, error) {
+	return c.cutover(name, []int{pid}, k)
 }
 
 // MergePartitions folds several partitions' current visible members into
 // one fresh partition, retiring the originals.
-func (c *Coordinator) MergePartitions(name string, pids []int) (*NetRebalanceStats, error) {
-	if len(pids) < 2 {
-		return nil, fmt.Errorf("dnet: merge partitions: need >= 2 pids, got %d", len(pids))
-	}
-	return c.repartitionGroup(name, pids, 1)
+func (c *Coordinator) MergePartitions(name string, pids []int) (*core.RebalanceStats, error) {
+	return c.cutover(name, pids, 1)
 }
 
-// repartitionGroup is the unified cutover (k=1 merges). See the file
-// comment for the ordering and crash-behavior argument.
-func (c *Coordinator) repartitionGroup(name string, pids []int, k int) (*NetRebalanceStats, error) {
-	start := time.Now()
+// cutover runs core.Cutover with the coordinator's hooks; see the file
+// comment.
+func (c *Coordinator) cutover(name string, pids []int, k int) (*core.RebalanceStats, error) {
 	dd, err := c.dataset(name)
 	if err != nil {
 		return nil, err
 	}
-	// One cutover at a time per dataset: cutovers take several pmu
-	// entries, and two over overlapping groups would deadlock.
-	dd.rebalMu.Lock()
-	defer dd.rebalMu.Unlock()
-
-	dd.mu.Lock()
-	group, err := dd.lay.Group(pids)
-	if err != nil {
-		dd.mu.Unlock()
-		return nil, fmt.Errorf("dnet: rebalance %s: %w", name, err)
-	}
-	pmus := make([]*sync.Mutex, len(group))
-	for i, pid := range group {
-		pmus[i] = dd.pmu[pid]
-	}
-	dd.mu.Unlock()
-
-	// Quiesce the group. Ascending order matches the lock order every
-	// writer uses (one pmu at a time, never while holding dd.mu), so
-	// this cannot deadlock with in-flight ingest.
-	for _, mu := range pmus {
-		mu.Lock()
-	}
-	unlock := func() {
-		for _, mu := range pmus {
-			mu.Unlock()
-		}
-	}
-
-	// Former owners, captured before the install rewrites the replica
-	// lists; they serve the exports and receive the final unloads.
-	oldOwners := make(map[int][]int, len(group))
-	dd.mu.Lock()
-	for _, pid := range group {
-		oldOwners[pid] = append([]int(nil), dd.replicas[pid]...)
-	}
-	basePid := dd.lay.Len()
-	dd.mu.Unlock()
-
-	// Export each member's visible image from a live replica. The held
-	// write locks mean no new acked writes can land; the all-replica ack
-	// rule means every replica already holds every acked write, so any
-	// one replica's export is the partition's full visible state.
-	var members []*traj.T
-	var opts snap.BuildOptions
-	for _, pid := range group {
-		var sn *snap.Snapshot
-		var lastErr error
-		for _, w := range c.health.order(oldOwners[pid]) {
-			var ex ExportReply
-			if err := c.clients[w].Call("Worker.Export", &ExportArgs{Dataset: name, Partition: pid}, &ex); err != nil {
-				lastErr = err
-				continue
+	var (
+		// The group's copies, captured before the publish rewrites the
+		// replica lists; they serve the exports and are unloaded after.
+		retired []partCopy
+		opts    snap.BuildOptions
+		jobs    []sealJob
+		fps     []uint64
+	)
+	st, err := core.Cutover(dd.lay, &dd.mu, dd.cost, pids, k, core.CutoverHooks{
+		Freeze: func(group []int) ([]*traj.T, func(), error) {
+			dd.mu.Lock()
+			pmus := make([]*sync.Mutex, len(group))
+			owners := make([][]int, len(group))
+			for i, pid := range group {
+				pmus[i], owners[i] = dd.pmu[pid], slices.Clone(dd.replicas[pid])
+				for _, w := range owners[i] {
+					retired = append(retired, partCopy{pid, w})
+				}
 			}
-			dec, err := snap.Decode(ex.Data)
-			if err != nil || dec.Dataset != name || dec.Partition != pid {
-				lastErr = fmt.Errorf("dnet: rebalance %s/%d: bad export from %s: %v", name, pid, c.addrs[w], err)
-				continue
+			dd.mu.Unlock()
+			// Ascending order matches the lock order every writer uses (one
+			// pmu at a time, never while holding dd.mu).
+			for _, mu := range pmus {
+				mu.Lock()
 			}
-			sn = dec
-			break
-		}
-		if sn == nil {
-			unlock()
-			if lastErr == nil {
-				lastErr = fmt.Errorf("no replicas")
+			release := func() {
+				for _, mu := range pmus {
+					mu.Unlock()
+				}
 			}
-			return nil, fmt.Errorf("dnet: rebalance %s/%d: export failed: %w", name, pid, lastErr)
-		}
-		opts = sn.Opts
-		members = append(members, sn.Trajs...)
-	}
-
-	// Cut fresh STR boundaries over the members' first points and group.
-	firsts := make([]geom.Point, len(members))
-	for i, t := range members {
-		firsts[i] = t.First()
-	}
-	plan := str.Cut(firsts, k)
-	groups := plan.Assign(firsts)
-	type piece struct {
-		pid         int
-		members     []*traj.T
-		owners      []int
-		fingerprint uint64
-	}
-	var pieces []piece
-	for _, idxs := range groups {
-		if len(idxs) > 0 {
-			pieces = append(pieces, piece{members: make([]*traj.T, len(idxs))})
-			for j, i := range idxs {
-				pieces[len(pieces)-1].members[j] = members[i]
+			var members []*traj.T
+			for i, pid := range group {
+				sn, err := c.exportVisible(name, pid, owners[i])
+				if err != nil {
+					release()
+					return nil, nil, err
+				}
+				opts = sn.Opts
+				members = append(members, sn.Trajs...)
 			}
-		}
-	}
-	if len(pieces) == 0 {
-		// Every visible member was deleted; install one empty piece so
-		// the dataset keeps at least one live partition to route to.
-		pieces = []piece{{}}
-	}
-	for pi := range pieces {
-		pc := &pieces[pi]
-		pc.pid = basePid + pi
-		pc.fingerprint = snap.Fingerprint(opts, pc.members)
-	}
-
-	// Place each piece on the Replicas least-loaded live workers.
-	states := c.health.snapshot()
-	loads := make([]int, len(c.addrs))
-	dd.mu.Lock()
-	for _, owners := range dd.replicas {
-		for _, w := range owners {
-			loads[w]++
-		}
-	}
-	dd.mu.Unlock()
-	for pi := range pieces {
-		for len(pieces[pi].owners) < c.cfg.Replicas {
-			target := leastLoaded(states, loads, pieces[pi].owners)
-			if target < 0 {
-				break
+			return members, release, nil
+		},
+		Stage: func(pieces []core.Piece, _ uint64) (error, error) {
+			states := c.health.snapshot()
+			dd.mu.Lock()
+			loads := dd.countReplicas(make([]int, len(c.addrs)))
+			dd.mu.Unlock()
+			for _, pc := range pieces {
+				job := sealJob{pid: pc.PID, members: pc.Members}
+				for len(job.workers) < c.cfg.Replicas {
+					target := leastLoaded(states, loads, job.workers)
+					if target < 0 {
+						break
+					}
+					loads[target]++
+					job.workers = append(job.workers, target)
+				}
+				if len(job.workers) == 0 {
+					return nil, fmt.Errorf("dnet: rebalance %s: no live workers to place piece %d", name, pc.PID)
+				}
+				jobs, fps = append(jobs, job), append(fps, snap.Fingerprint(opts, pc.Members))
 			}
-			loads[target]++
-			pieces[pi].owners = append(pieces[pi].owners, target)
-		}
-		if len(pieces[pi].owners) == 0 {
-			unlock()
-			return nil, fmt.Errorf("dnet: rebalance %s: no live workers to place piece %d", name, pieces[pi].pid)
-		}
+			if _, err := c.loadSealed(name, opts, jobs); err != nil {
+				return nil, fmt.Errorf("dnet: rebalance %s: piece load failed, cutover aborted: %w", name, err)
+			}
+			return nil, core.CutoverCrash("pieces-loaded")
+		},
+		Publish: func(group []int, pieces []core.Piece) []core.PartLoad {
+			for i, pc := range pieces {
+				// No payload is kept: a mutated dataset heals
+				// worker-to-worker only.
+				dd.parts = append(dd.parts, dispatchedPartition{trajs: len(pc.Members), fingerprint: fps[i]})
+				dd.replicas = append(dd.replicas, jobs[i].workers)
+				dd.pmu = append(dd.pmu, new(sync.Mutex))
+			}
+			for _, pid := range group {
+				dd.parts[pid] = dispatchedPartition{}
+				dd.replicas[pid] = nil
+			}
+			dd.mutated = true
+			return dd.lay.Loads()
+		},
+	})
+	if st == nil {
+		return nil, err
 	}
-
-	// Ship the pieces, each sealed once for all its owners. Any failure
-	// aborts with the old layout intact: loaded pieces are unloaded, nothing
-	// was installed, the write locks drop, and ingest/queries continue
-	// against the old partitions.
-	jobs := make([]sealJob, len(pieces))
-	for pi, pc := range pieces {
-		jobs[pi] = sealJob{pid: pc.pid, members: pc.members, workers: pc.owners}
-	}
-	if _, err := c.loadSealed(name, opts, jobs); err != nil {
-		unlock()
-		return nil, fmt.Errorf("dnet: rebalance %s: piece load failed, cutover aborted: %w", name, err)
-	}
-
-	// Install the new layout atomically under dd.mu.
-	st := &NetRebalanceStats{Retired: group, Trajs: len(members), Plan: plan}
-	installed := make([][]*traj.T, len(pieces))
-	dd.mu.Lock()
-	for pi, pc := range pieces {
-		// No payload is kept: the cutover marks the dataset mutated below,
-		// and a mutated dataset heals worker-to-worker only.
-		dd.parts = append(dd.parts, dispatchedPartition{trajs: len(pc.members), fingerprint: pc.fingerprint})
-		dd.replicas = append(dd.replicas, pc.owners)
-		dd.pmu = append(dd.pmu, new(sync.Mutex))
-		installed[pi] = pc.members
-	}
-	for _, pid := range group {
-		dd.parts[pid] = dispatchedPartition{}
-		dd.replicas[pid] = nil
-	}
-	// Routing drops every id the retired group showed and points the
-	// exported visible ids at their pieces. Ids the coordinator tracked
-	// but the export lacked (a partially-applied delete that was never
-	// acked) fall out of the table — the installed content is now the
-	// authority. Ids the export carried that the table lacked (a
-	// partially-applied insert) become tracked, like any surfaced
-	// unacked-but-durable write.
-	st.Created = dd.lay.Install(group, installed)
-	dd.mutated = true
-	_, _, st.Skew = core.Skew(dd.lay.Loads())
-	dd.mu.Unlock()
-	unlock()
-	// Retired pids never serve reads again; forget their cost EWMAs so
-	// the planner sees only the fresh pieces' signal.
-	dd.cost.Drop(group...)
-
-	// Retired pids leave their former owners; a failed unload leaves a
-	// stale copy behind that inventory-driven recovery skips (its ids
-	// fully overlap the live layout) and the next Load/Replicate at that
-	// key resets.
-	var uwg sync.WaitGroup
-	for _, pid := range group {
-		for _, w := range oldOwners[pid] {
-			uwg.Add(1)
-			go func(pid, w int) {
-				defer uwg.Done()
-				var ur UnloadReply
-				c.clients[w].CallOnce("Worker.Unload",
-					&UnloadArgs{Dataset: name, Partition: pid}, &ur, c.cfg.Retry.CallTimeout)
-			}(pid, w)
-		}
-	}
-	uwg.Wait()
-	st.Duration = time.Since(start)
+	c.unload(name, retired...)
 	c.met.rebalanceObserve(st.Duration, st.Skew)
 	return st, nil
+}
+
+// exportVisible pulls partition pid's visible image from the first of its
+// owners, in health order, that serves one that decodes.
+func (c *Coordinator) exportVisible(name string, pid int, owners []int) (*snap.Snapshot, error) {
+	lastErr := fmt.Errorf("no replicas")
+	for _, w := range c.health.order(owners) {
+		var ex ExportReply
+		if err := c.clients[w].Call("Worker.Export", &ExportArgs{Dataset: name, Partition: pid}, &ex); err != nil {
+			lastErr = err
+			continue
+		}
+		sn, err := snap.Decode(ex.Data)
+		if err != nil || sn.Dataset != name || sn.Partition != pid {
+			lastErr = fmt.Errorf("bad export from %s: %v", c.addrs[w], err)
+			continue
+		}
+		return sn, nil
+	}
+	return nil, fmt.Errorf("dnet: rebalance %s/%d: export failed: %w", name, pid, lastErr)
 }
 
 // OccupancySkew reports the dataset's max/mean visible-member occupancy
@@ -342,22 +222,18 @@ func (c *Coordinator) OccupancySkew(name string) (float64, error) {
 // planner) over the dataset's occupancy — the visible member counts — and
 // its observed read cost: it splits a hot partition or merges a cold pair.
 // Returns nil when no action was needed.
-func (c *Coordinator) RebalanceOnce(name string, pol core.RebalancePolicy) (*NetRebalanceStats, error) {
-	pol = pol.Sanitized()
+func (c *Coordinator) RebalanceOnce(name string, pol core.RebalancePolicy) (*core.RebalanceStats, error) {
 	dd, err := c.dataset(name)
 	if err != nil {
 		return nil, err
 	}
 	dd.mu.Lock()
-	hot, cold, kSplit := core.PlanRebalance(dd.lay.Loads(), dd.cost, pol)
+	pids, k := core.PlanRebalance(dd.lay.Loads(), dd.cost, pol.Sanitized())
 	dd.mu.Unlock()
-	switch {
-	case hot >= 0:
-		return c.SplitPartition(name, hot, kSplit)
-	case len(cold) >= 2:
-		return c.MergePartitions(name, cold)
+	if pids == nil {
+		return nil, nil
 	}
-	return nil, nil
+	return c.cutover(name, pids, k)
 }
 
 // Rebalance runs planner steps (core.Converge) until the skew is within
@@ -365,8 +241,8 @@ func (c *Coordinator) RebalanceOnce(name string, pol core.RebalancePolicy) (*Net
 // without converging is counted as coord_rebalance_noconverge_total;
 // callers (the autopilot in particular) should back off instead of
 // immediately retrying.
-func (c *Coordinator) Rebalance(name string, pol core.RebalancePolicy) ([]*NetRebalanceStats, bool, error) {
-	steps, converged, err := core.Converge(func() (*NetRebalanceStats, error) { return c.RebalanceOnce(name, pol) })
+func (c *Coordinator) Rebalance(name string, pol core.RebalancePolicy) ([]*core.RebalanceStats, bool, error) {
+	steps, converged, err := core.Converge(func() (*core.RebalanceStats, error) { return c.RebalanceOnce(name, pol) })
 	if err == nil && !converged && c.met != nil {
 		c.met.rebalanceNoConverge.Inc()
 	}
@@ -437,14 +313,11 @@ func (c *Coordinator) RecoverDataset(name string) (*RecoverReport, error) {
 		return nil, fmt.Errorf("dnet: recover %q: no worker holds any partition", name)
 	}
 	pids := make([]int, 0, len(holders))
-	maxPid := 0
 	for pid := range holders {
 		pids = append(pids, pid)
-		if pid > maxPid {
-			maxPid = pid
-		}
 	}
 	sort.Ints(pids)
+	maxPid := pids[len(pids)-1]
 
 	// Manifest each partition from its freshest holders: a copy behind
 	// the max last-seq is missing acked writes and must not define the
@@ -503,10 +376,8 @@ func (c *Coordinator) RecoverDataset(name string) (*RecoverReport, error) {
 		}
 		return kept, len(claimed) == len(universe)
 	}
-	desc := make([]int, len(pids))
-	for i, pid := range pids {
-		desc[len(pids)-1-i] = pid
-	}
+	desc := slices.Clone(pids)
+	slices.Reverse(desc)
 	kept, covered := tryKeep(desc)
 	if !covered {
 		kept, covered = tryKeep(pids)
@@ -524,29 +395,18 @@ func (c *Coordinator) RecoverDataset(name string) (*RecoverReport, error) {
 	// of kept partitions, so nothing stale can resurface. Best-effort:
 	// a copy that survives a failed unload loses the next overlap
 	// resolution the same way it lost this one.
-	var uwg sync.WaitGroup
+	var stale []partCopy
 	for _, pid := range pids {
-		freshSet := make(map[int]bool, len(fresh[pid]))
-		for _, w := range fresh[pid] {
-			freshSet[w] = true
-		}
 		for _, h := range holders[pid] {
-			if keptSet[pid] && freshSet[h.w] {
-				continue
+			if !keptSet[pid] || !slices.Contains(fresh[pid], h.w) {
+				stale = append(stale, partCopy{pid, h.w})
 			}
-			uwg.Add(1)
-			go func(pid, w int) {
-				defer uwg.Done()
-				var ur UnloadReply
-				c.clients[w].CallOnce("Worker.Unload",
-					&UnloadArgs{Dataset: name, Partition: pid}, &ur, c.cfg.Retry.CallTimeout)
-			}(pid, h.w)
 		}
 		if !keptSet[pid] {
 			rep.Dropped = append(rep.Dropped, pid)
 		}
 	}
-	uwg.Wait()
+	c.unload(name, stale...)
 
 	// Rebuild the dataset. Unheld pid slots below maxPid (retired by
 	// completed cutovers whose unloads all landed) stay retired
