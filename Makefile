@@ -111,8 +111,8 @@ autopilot:
 # Short coverage-guided fuzz smoke of every parser that takes untrusted
 # input (CSV trajectory loader, SQL lexer/parser, snapshot decoder, WAL
 # replay), of the threshold-DTW kernel's accept ⇔ Distance <= tau contract
-# and of the kNN envelope bound's bound <= Distance one. -run='^$$' skips the
-# unit tests so only the fuzz engine runs.
+# and of the kNN envelope and point bounds' bound <= Distance one.
+# -run='^$$' skips the unit tests so only the fuzz engine runs.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/traj
@@ -124,6 +124,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRepartitionPlan -fuzztime=$(FUZZTIME) ./internal/str
 	$(GO) test -run='^$$' -fuzz=FuzzDTWThreshold -fuzztime=$(FUZZTIME) ./internal/measure
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeBound -fuzztime=$(FUZZTIME) ./internal/trie
+	$(GO) test -run='^$$' -fuzz=FuzzKNNPointBound -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinary -fuzztime=$(FUZZTIME) ./internal/trie
 
 bench:
@@ -141,10 +142,13 @@ bench-smoke:
 # real input (gen.VerifyWorkloads): exact DTW beside the pruned threshold
 # kernel in production, and the Verifier cascade around it — of the join
 # that runs it most, the repository benchmark's 12 k self-join, with the
-# symmetric plan (self) and without (twoEngines) — and of where a search's
+# symmetric plan (self) and without (twoEngines) — of where a search's
 # points lie: one search pool on a built engine and on that engine restored
-# from its own images (EngineSearchLayout). EXPERIMENTS.md records the
-# numbers per kernel or layout change.
+# from its own images (EngineSearchLayout) — and of the kNN tail: the
+# benchmark pool's ten outliers on its 100 k corpus (KNNOutlier) and one
+# partition's scan in both network roles (KNNScanPartition), each reporting
+# verified/op. EXPERIMENTS.md records the numbers per kernel or layout
+# change.
 KERNEL_BENCHTIME ?= 20000x
 JOIN_BENCHTIME ?= 10x
 LAYOUT_BENCHTIME ?= 10000x
@@ -153,6 +157,7 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='VerifyFullCascade' -benchmem -benchtime=$(KERNEL_BENCHTIME) ./internal/core
 	$(GO) test -run='^$$' -bench='SelfJoin' -benchmem -benchtime=$(JOIN_BENCHTIME) ./internal/core
 	$(GO) test -run='^$$' -bench='EngineSearchLayout' -benchmem -benchtime=$(LAYOUT_BENCHTIME) ./internal/core
+	$(GO) test -run='^$$' -bench='KNNOutlier|KNNScanPartition' -benchmem -benchtime=640x ./internal/core
 
 # The measurement behind a performance claim: N alternating pairs of the
 # repository benchmark on two refs, each extracted into its own tree under

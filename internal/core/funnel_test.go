@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"dita/internal/gen"
+	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/obs"
+	"dita/internal/traj"
 )
 
 // Funnel correctness against brute force: each stage of the search
@@ -145,9 +148,12 @@ func TestJoinFunnelMatchesBruteForce(t *testing.T) {
 
 // The kNN funnel on outlier queries, where the whole-trajectory bounds do
 // the pruning: no new stage — the envelope shows as fewer trie candidates
-// than members considered, the box bound is counted under coverage, every
-// coverage survivor reached a distance kernel — and the chain stays
-// monotone, in the engine's scan and in the overlay's brute-force one.
+// than members considered, the box and point bounds are counted under
+// coverage, every coverage survivor reached a distance kernel — and the
+// chain stays monotone, in the engine's scan and in the overlay's
+// brute-force one. On every measure with a box bound, the point bound
+// rejects members the box bound let through, and the answers stay brute
+// force's.
 func TestKNNFunnelOutliers(t *testing.T) {
 	const k = 10
 	d := smallDataset(400, 13)
@@ -193,4 +199,74 @@ func TestKNNFunnelOutliers(t *testing.T) {
 	if !enveloped || !boxed {
 		t.Errorf("outlier queries never pruned by envelope (%v) or box (%v)", enveloped, boxed)
 	}
+	for _, m := range []measure.Measure{measure.DTW{}, measure.Frechet{}, measure.Hausdorff{}} {
+		var pointed int64
+		for qi, q := range gen.OutlierQueries(d, 14) {
+			acc := NewKNNAcc(k)
+			s := scanAll(m, q.Points, d.Trajs, meta, acc, math.Inf(1))
+			checkKNNBitwise(t, m.Name()+" scan", acc.Results(), d.Trajs, m, q, k)
+			n := int64(d.Len())
+			if f := s.funnel(obs.Funnel{Considered: n, TrieCands: n}); !f.Monotone() || f.Verified != f.AfterCoverage {
+				t.Errorf("%s q%d: funnel %+v does not count %d point rejections under coverage", m.Name(), qi, f, s.pointPruned)
+			}
+			pointed += s.pointPruned
+		}
+		if pointed == 0 {
+			t.Errorf("%s: the point bound rejected no member of %d on outlier queries", m.Name(), d.Len())
+		}
+	}
+}
+
+// The point bound runs only when τ reaches the query box's diagonal, where
+// the DP's band is wide. A scan handed a τ_k below the diagonal up front —
+// a fan-out visit's cap — never evaluates it, and still finds brute force's
+// answer; one handed the same query with τ at the diagonal does evaluate it.
+func TestKNNPointBoundGate(t *testing.T) {
+	const k = 10
+	d := smallDataset(300, 17)
+	meta := make([]VerifyMeta, d.Len())
+	for i, tr := range d.Trajs {
+		meta[i] = NewVerifyMeta(tr, 0)
+	}
+	for _, m := range []measure.Measure{measure.DTW{}, measure.Frechet{}, measure.Hausdorff{}} {
+		narrow := 0
+		for qi, q := range gen.Queries(d, 12, 18) {
+			want := bruteKNN(d, m, q, k)
+			tauK := math.Inf(1)
+			for _, tr := range d.Trajs {
+				if tr.ID == want[k-1] {
+					tauK = m.Distance(tr.Points, q.Points)
+				}
+			}
+			qm := q.MBR()
+			diag := qm.Min.Dist(qm.Max)
+			if tauK >= diag {
+				continue
+			}
+			narrow++
+			acc := NewKNNAcc(k)
+			s := scanAll(m, q.Points, d.Trajs, meta, acc, tauK)
+			checkKNNBitwise(t, fmt.Sprintf("%s q%d at τ_k", m.Name(), qi), acc.Results(), d.Trajs, m, q, k)
+			if s.pointRuns != 0 {
+				t.Errorf("%s q%d: τ_k %v below the query box's diagonal %v, yet the point bound ran %d times",
+					m.Name(), qi, tauK, diag, s.pointRuns)
+			}
+			if s = scanAll(m, q.Points, d.Trajs, meta, NewKNNAcc(k), diag); s.pointRuns == 0 {
+				t.Errorf("%s q%d: the point bound never ran at τ = the diagonal %v", m.Name(), qi, diag)
+			}
+		}
+		if narrow == 0 {
+			t.Errorf("%s: no query's τ_k fell below its box diagonal; the gate went untested", m.Name())
+		}
+	}
+}
+
+// scanAll runs one kNN scan over members in slot order, as KNNScanLive does,
+// and returns it, so a test can read the counts funnel folds together.
+func scanAll(m measure.Measure, q []geom.Point, members []*traj.T, meta []VerifyMeta, acc *KNNAcc, capTau float64) *knnScan {
+	s := newKNNScan(m, q, acc, capTau)
+	for i, tr := range members {
+		s.verify(tr, meta[i], s.tau())
+	}
+	return &s
 }

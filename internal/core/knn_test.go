@@ -254,7 +254,9 @@ func stationary(id, n int, p geom.Point) *traj.T {
 // same d, and the rounded product can exceed the rounded sum. Groups of
 // stationary members that tie exactly, stored with the larger ids first, so
 // the smaller ids must enter a full heap through the tie at the k-th
-// distance — which a bound an ulp above that distance would prune.
+// distance — which a bound an ulp above that distance would prune. The
+// point bound's larger side is the kernel's own sum there, so a scan capped
+// at an exact member distance pins that a bound equal to τ never rejects.
 func TestKNNStationaryDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const groups, copies = 24, 5
@@ -270,7 +272,12 @@ func TestKNNStationaryDuplicates(t *testing.T) {
 		tr.ID = len(trajs) - 1 - i // slot order is descending id order
 	}
 	d := traj.NewDataset("stationary", trajs)
+	meta := make([]VerifyMeta, len(trajs))
+	for i, tr := range trajs {
+		meta[i] = NewVerifyMeta(tr, 0)
+	}
 	for _, m := range []measure.Measure{measure.DTW{}, measure.Frechet{}, measure.Hausdorff{}} {
+		var ran, tied int64
 		opts := smallOpts(2)
 		opts.Measure = m
 		e, err := NewEngine(d, opts)
@@ -285,6 +292,27 @@ func TestKNNStationaryDuplicates(t *testing.T) {
 			for k := 1; k <= len(trajs); k++ {
 				checkKNNBitwise(t, fmt.Sprintf("%s query %d", m.Name(), qi), e.SearchKNN(q, k), trajs, m, q, k)
 			}
+			// τ handed over up front at an exact member distance, as a
+			// fan-out visit's cap is: between stationary trajectories the
+			// point bound's larger side is the kernel's own sum, so it
+			// equals τ on every member tying there, and each must survive.
+			for _, k := range []int{1, copies, 2*copies + 1} {
+				want := bruteKNN(d, m, q, k)
+				tau := m.Distance(trajs[len(trajs)-1-want[k-1]].Points, q.Points)
+				acc := NewKNNAcc(k)
+				s := scanAll(m, q.Points, trajs, meta, acc, tau)
+				checkKNNBitwise(t, fmt.Sprintf("%s query %d at τ = %v", m.Name(), qi, tau), acc.Results(), trajs, m, q, k)
+				ran += s.pointRuns
+				b := boxBoundOf(m)
+				for _, tr := range trajs {
+					if m.Distance(tr.Points, q.Points) == tau && max(b.pointSide(q.Points, tr.MBR(), tau), b.pointSide(tr.Points, q.MBR(), tau)) == tau {
+						tied++
+					}
+				}
+			}
+		}
+		if ran == 0 || tied == 0 {
+			t.Errorf("%s: at τ = a member distance the point bound ran %d times and equalled τ %d times", m.Name(), ran, tied)
 		}
 	}
 }

@@ -166,20 +166,24 @@ type knnScan struct {
 	m      measure.Measure
 	q      []geom.Point
 	qMBR   geom.MBR
+	qDiag  float64 // qMBR's diagonal: the point bound's gate
 	acc    *KNNAcc
 	capTau float64
 	box    boxBound
 
 	v    *Verifier
 	vTau float64
-	// The exact-Distance path and the box bound bypass the Verifier, so
-	// their counts are tracked by hand and merged with the verifier's in
-	// funnel.
-	exactVerified, boxPruned, matched int64
+	// The exact-Distance path, the box bound and the point bound bypass
+	// the Verifier, so their counts are tracked by hand and merged with the
+	// verifier's in funnel. pointPruned counts the point bound's
+	// rejections; pointRuns counts its evaluations and only tests read it
+	// (funnel does not report it).
+	exactVerified, boxPruned, pointRuns, pointPruned, matched int64
 }
 
 func newKNNScan(m measure.Measure, q []geom.Point, acc *KNNAcc, capTau float64) knnScan {
-	return knnScan{m: m, q: q, qMBR: geom.MBROf(q), acc: acc, capTau: capTau, box: boxBoundOf(m)}
+	qMBR := geom.MBROf(q)
+	return knnScan{m: m, q: q, qMBR: qMBR, qDiag: qMBR.Min.Dist(qMBR.Max), acc: acc, capTau: capTau, box: boxBoundOf(m)}
 }
 
 func (s *knnScan) tau() float64 { return math.Min(s.capTau, s.acc.Tau()) }
@@ -235,6 +239,56 @@ func (b boxBound) lowerBound(qMBR, tMBR geom.MBR, qLen, tLen int) float64 {
 	return n * d * (1 - n*0x1p-52)
 }
 
+// pointSide is one side of the point bound: MinDist from every point of pts
+// to box, summed (boxSum) or maxed (boxMax) in pts' order, and abandoned at
+// the first partial value above tau — a partial value is at most the full
+// one, so the result exceeds tau exactly when the full side does.
+//
+// It is AMD (Lemma 4.1) with each inner minimum over the other side's
+// points relaxed to the distance to that side's box, and it is a lower
+// bound in floating point with no tolerance:
+//   - MinDist(p, MBR) is at most p's distance to every point in the box as
+//     geom.Point.Dist computes it: the coordinate gaps round monotonically
+//     in their operands, and squares, their sum and the square root are
+//     monotone too;
+//   - a warping path visits every point of each side, in order, and the DP
+//     adds its steps' distances one by one along the path. Float addition
+//     is monotone and the terms are non-negative, so replacing the first
+//     step at each point by a smaller term and dropping the other steps
+//     never raises the rounded sum (trie.BestFirst's envelope argument).
+//     The kernel's minimum over paths is then at least this sum;
+//   - a maximum is exact: Fréchet takes its maximum over a path's steps,
+//     and Hausdorff over each point's distance to its nearest point of
+//     the other side, so either is at least every point's MinDist.
+func (b boxBound) pointSide(pts []geom.Point, box geom.MBR, tau float64) float64 {
+	var acc float64
+	for _, p := range pts {
+		d := box.MinDist(p)
+		if b == boxSum {
+			acc += d
+		} else if d > acc {
+			acc = d
+		}
+		if acc > tau {
+			break
+		}
+	}
+	return acc
+}
+
+// pointPrunes reports whether the two-sided point bound of a candidate
+// exceeds tau: the query's points against the candidate's box, then the
+// candidate's against the query's, the larger side deciding. It costs
+// O(m+n), which a banded DP only repays when its band is wide, so it runs
+// only when tau is at least the query box's diagonal (DESIGN.md §9).
+func (s *knnScan) pointPrunes(t []geom.Point, tMBR geom.MBR, tau float64) bool {
+	if s.box == boxNone || tau < s.qDiag {
+		return false
+	}
+	s.pointRuns++
+	return s.box.pointSide(s.q, tMBR, tau) > tau || s.box.pointSide(t, s.qMBR, tau) > tau
+}
+
 // verify resolves one candidate at threshold tau and offers it to acc.
 // Every threshold kernel accepts exactly when Distance <= tau and returns
 // Distance's bits (the Measure contract), so what enters the heap is the
@@ -256,6 +310,11 @@ func (s *knnScan) verify(t *traj.T, meta VerifyMeta, tau float64) {
 		s.acc.Resolve(t)
 		return
 	}
+	if s.pointPrunes(t.Points, meta.mbr, tau) {
+		s.pointPruned++ // the same stage: each point against a box
+		s.acc.Resolve(t)
+		return
+	}
 	if s.v == nil {
 		s.v = new(Verifier)
 		s.v.init(s.m, s.q, tau, trajMeta{mbr: s.qMBR})
@@ -271,8 +330,8 @@ func (s *knnScan) verify(t *traj.T, meta VerifyMeta, tau float64) {
 }
 
 // funnel completes f (Considered and TrieCands set by the caller) from the
-// verifier's cascade counters plus the exact-Distance path's and the box
-// bound's counts.
+// verifier's cascade counters plus the exact-Distance path's and the two
+// whole-trajectory bounds' counts.
 func (s *knnScan) funnel(f obs.Funnel) obs.Funnel {
 	var lenPruned, covPruned, verified int64
 	if s.v != nil {
@@ -281,7 +340,7 @@ func (s *knnScan) funnel(f obs.Funnel) obs.Funnel {
 		verified = s.v.Verified.Load()
 	}
 	f.AfterLength = f.TrieCands - lenPruned
-	f.AfterCoverage = f.AfterLength - covPruned - s.boxPruned
+	f.AfterCoverage = f.AfterLength - covPruned - s.boxPruned - s.pointPruned
 	f.Verified = verified + s.exactVerified
 	f.Matched = s.matched
 	return f

@@ -59,25 +59,38 @@ func sameHits(a, b []SearchHit) bool {
 
 // TestNetKNNMatchesLocal: network-mode kNN over a live 3-worker TCP
 // cluster must return exactly what the local engine's SearchKNN returns
-// over the same data — which in turn must be the brute-force top-k.
-// The traced variant must assemble knn-plan / knn-round / partition-knn
-// spans with a monotone whole-query funnel.
+// over the same data — which in turn must be the brute-force top-k — on
+// every measure whose scan prunes with the box and point bounds: DTW's sum
+// and Fréchet's and Hausdorff's max, run by the workers' scans too.
+// On the DTW cluster the traced variant must assemble knn-plan /
+// knn-round / partition-knn spans with a monotone whole-query funnel.
 func TestNetKNNMatchesLocal(t *testing.T) {
 	d := gen.Generate(gen.BeijingLike(400, 110))
-	c, stop := startCluster(t, 3, testConfig())
+	for _, m := range []measure.Measure{measure.DTW{}, measure.Frechet{}, measure.Hausdorff{}} {
+		checkNetKNNMatchesLocal(t, d, m)
+	}
+}
+
+// checkNetKNNMatchesLocal runs TestNetKNNMatchesLocal's checks for one
+// measure on a cluster of its own, stopped before it returns.
+func checkNetKNNMatchesLocal(t *testing.T, d *traj.Dataset, m measure.Measure) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.Measure = MeasureSpec{Name: m.Name()}
+	c, stop := startCluster(t, 3, cfg)
 	defer stop()
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
 	opts := core.DefaultOptions()
 	opts.NG = 3
+	opts.Measure = m
 	opts.Trie = trie.DefaultConfig()
 	opts.Trie.MinNode = 2
 	e, err := core.NewEngine(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := measure.DTW{}
 	for qi, q := range append(gen.Queries(d, 5, 111), gen.OutlierQueries(d, 113)...) {
 		for _, k := range []int{1, 3, 10, d.Len() + 5} {
 			want := bruteKNNHits(d, m, q, k)
@@ -87,20 +100,24 @@ func TestNetKNNMatchesLocal(t *testing.T) {
 				lhits[i] = SearchHit{ID: r.Traj.ID, Distance: r.Distance}
 			}
 			if !sameHits(lhits, want) {
-				t.Fatalf("query %d k=%d: local engine disagrees with brute force", qi, k)
+				t.Fatalf("%s query %d k=%d: local engine disagrees with brute force", m.Name(), qi, k)
 			}
 			got, err := c.SearchKNN("trips", q, k)
 			if err != nil {
-				t.Fatalf("query %d k=%d: %v", qi, k, err)
+				t.Fatalf("%s query %d k=%d: %v", m.Name(), qi, k, err)
 			}
 			if !sameHits(got, want) {
-				t.Fatalf("query %d k=%d: net kNN disagrees with brute force:\ngot  %v\nwant %v",
-					qi, k, got, want)
+				t.Fatalf("%s query %d k=%d: net kNN disagrees with brute force:\ngot  %v\nwant %v",
+					m.Name(), qi, k, got, want)
 			}
 		}
 	}
 
-	// Traced run: per-round spans must be visible in the assembled trace.
+	if m.Name() != (measure.DTW{}).Name() {
+		return
+	}
+	// Traced run on the DTW cluster: per-round spans must be visible in the
+	// assembled trace.
 	q := gen.Queries(d, 1, 112)[0]
 	qs := &QueryStats{Trace: obs.NewTrace("knn")}
 	hits, report, err := c.SearchKNNTraced(context.Background(), "trips", q, 7, qs)
