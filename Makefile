@@ -59,7 +59,7 @@ chaos:
 # kill) rerun under the race detector; -count=2 defeats the cache like the
 # chaos target.
 knn:
-	$(GO) test -race -run 'KNN|BestFirst|Envelope' -count=2 ./internal/trie ./internal/core ./internal/dnet
+	$(GO) test -race -run 'KNN|BestFirst|Envelope|PathBound' -count=2 ./internal/trie ./internal/core ./internal/dnet
 
 # Snapshot persistence tests: format round-trip/corruption detection,
 # serialized-trie integrity, engine cold start, and the dnet

@@ -187,7 +187,11 @@ func (e *Engine) openLogs(loc map[int]int, cfg IngestConfig, sum *ReplaySummary)
 		if cfg.Replay {
 			logged = rep.Records
 		}
-		recs := p.Recover(l, logged)
+		recs, err := p.Recover(l, logged)
+		if err != nil {
+			l.Close()
+			return fmt.Errorf("core: ingest: partition %d wal: %w", p.ID, err)
+		}
 		for _, r := range recs {
 			replayed[r.ID] = struct{}{}
 			sum.MaxSeq = max(sum.MaxSeq, r.Seq)

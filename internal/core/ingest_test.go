@@ -392,6 +392,17 @@ func sealAll(t *testing.T, e *Engine, st *snap.Store) {
 // replays the WAL suffixes.
 func coldStart(t *testing.T, snapStore *snap.Store, walStore *wal.Store, opts Options) (*Engine, *ReplaySummary) {
 	t.Helper()
+	e := fromSnapshots(t, snapStore, opts)
+	sum, err := e.EnableIngest(IngestConfig{WAL: walStore, Snap: snapStore, Replay: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, sum
+}
+
+// fromSnapshots reassembles an engine from the directory's snapshots.
+func fromSnapshots(t *testing.T, snapStore *snap.Store, opts Options) *Engine {
+	t.Helper()
 	ents, err := snapStore.Scan()
 	if err != nil {
 		t.Fatal(err)
@@ -408,11 +419,7 @@ func coldStart(t *testing.T, snapStore *snap.Store, walStore *wal.Store, opts Op
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := e.EnableIngest(IngestConfig{WAL: walStore, Snap: snapStore, Replay: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, sum
+	return e
 }
 
 // TestIngestWALRecovery is the crash-recovery contract: after a hard stop
@@ -587,6 +594,45 @@ func TestIngestReplayExtendsBounds(t *testing.T) {
 		t.Fatalf("replayed %d records, want 1", csum.Records)
 	}
 	check("recovered", cold)
+}
+
+// TestIngestReplayRefusesInvalidRecord: a logged insert Apply would have
+// refused — one point, whose first and last indexing point coincide, or a
+// non-finite coordinate — that passed the log's checksums is never
+// installed. Replay refuses the log with a wal.CorruptError, which
+// EnableIngest returns.
+func TestIngestReplayRefusesInvalidRecord(t *testing.T) {
+	for name, pts := range map[string][]geom.Point{
+		"one point": {{X: 116.4, Y: 39.9}},
+		"a NaN":     {{X: 116.4, Y: 39.9}, {X: math.NaN(), Y: 39.9}},
+	} {
+		dir := t.TempDir()
+		snapStore, err := snap.NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walStore, err := wal.NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(smallDataset(250, 57), smallOpts(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealAll(t, e, snapStore)
+		l, _, err := walStore.Open(e.dataset.Name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(wal.Record{Seq: 1, Op: wal.OpInsert, ID: 99999, Points: pts}); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		cold := fromSnapshots(t, snapStore, smallOpts(4))
+		if sum, err := cold.EnableIngest(IngestConfig{WAL: walStore, Snap: snapStore, Replay: true}); !wal.IsCorrupt(err) {
+			t.Errorf("%s: replay of a log holding it: summary %+v, err %v, want a wal.CorruptError", name, sum, err)
+		}
+	}
 }
 
 // TestIngestReplayReinsertAcrossPartitions: logs replay in pid order, not

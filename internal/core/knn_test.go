@@ -256,7 +256,8 @@ func stationary(id, n int, p geom.Point) *traj.T {
 // the smaller ids must enter a full heap through the tie at the k-th
 // distance — which a bound an ulp above that distance would prune. The
 // point bound's larger side is the kernel's own sum there, so a scan capped
-// at an exact member distance pins that a bound equal to τ never rejects.
+// at an exact member distance pins that a bound equal to τ never rejects,
+// and a threshold search at that τ must keep every member tying there.
 func TestKNNStationaryDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const groups, copies = 24, 5
@@ -303,6 +304,17 @@ func TestKNNStationaryDuplicates(t *testing.T) {
 				s := scanAll(m, q.Points, trajs, meta, acc, tau)
 				checkKNNBitwise(t, fmt.Sprintf("%s query %d at τ = %v", m.Name(), qi, tau), acc.Results(), trajs, m, q, k)
 				ran += s.pointRuns
+				// The threshold search at the same τ keeps every member tying
+				// there: the trie's path bound equals τ on them.
+				hits, match := e.Search(q, tau, nil), bruteSearch(d, m, q, tau)
+				for _, h := range hits {
+					if !match[h.Traj.ID] || h.Distance != m.Distance(h.Traj.Points, q.Points) {
+						t.Fatalf("%s query %d at τ = %v: hit %d at %v is not within τ", m.Name(), qi, tau, h.Traj.ID, h.Distance)
+					}
+				}
+				if len(hits) != len(match) {
+					t.Fatalf("%s query %d at τ = %v: search found %d members, brute force %d", m.Name(), qi, tau, len(hits), len(match))
+				}
 				b := boxBoundOf(m)
 				for _, tr := range trajs {
 					if m.Distance(tr.Points, q.Points) == tau && max(b.pointSide(q.Points, tr.MBR(), tau), b.pointSide(tr.Points, q.MBR(), tau)) == tau {

@@ -180,10 +180,3 @@ func TestBalanceDisabled(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"dita/internal/geom"
@@ -17,53 +16,29 @@ import (
 
 // PartitionLowerBound returns a lower bound on the distance from query q
 // to any trajectory in a partition described by its first/last-point MBRs
-// (the quantitative form of the global pruning of Section 5.2), generalized
-// per measure:
-//
-//   - Endpoint-anchored, sum-accumulating (DTW):
-//     MinDist(q1, MBRf) + MinDist(qn, MBRl).
-//   - Endpoint-anchored, max-accumulating (Fréchet):
-//     max(MinDist(q1, MBRf), MinDist(qn, MBRl)).
-//   - Edit measures: the number of endpoint MBRs farther than ε from every
-//     query point (each costs at least one edit).
-//   - ERP: like DTW but each term may be satisfied by the gap point, and
-//     any query point may align with the partition's endpoints.
-//   - Hausdorff: like Fréchet, but any query point may be the one nearest
-//     an endpoint.
+// (the quantitative form of the global pruning of Section 5.2): the bounds
+// on a member's first- and last-point terms, folded as the trie's first
+// two levels fold them (measure.PathBound) — summed for DTW and ERP, maxed
+// for Fréchet and Hausdorff, counted as edits past ε for EDR and LCSS. An
+// endpoint-anchored measure (DTW, Fréchet) matches the endpoints against
+// q₁ and qₙ; every other one against the nearest query point, or the gap
+// point under ERP.
 func PartitionLowerBound(m measure.Measure, q []geom.Point, mbrF, mbrL geom.MBR) float64 {
 	if m.AlignsEndpoints() {
-		df := mbrF.MinDist(q[0])
-		dl := mbrL.MinDist(q[len(q)-1])
-		if m.Accumulation() == measure.AccumMax {
-			return math.Max(df, dl)
-		}
-		return df + dl
+		return endpointBound(m, mbrF.MinDist(q[0]), mbrL.MinDist(q[len(q)-1]))
 	}
-	gap, hasGap := m.GapPoint()
-	df := minDistTrajMBR(q, mbrF)
-	dl := minDistTrajMBR(q, mbrL)
-	if hasGap {
-		if d := mbrF.MinDist(gap); d < df {
-			df = d
-		}
-		if d := mbrL.MinDist(gap); d < dl {
-			dl = d
-		}
+	df, dl := minDistTrajMBR(q, mbrF), minDistTrajMBR(q, mbrL)
+	if gap, ok := m.GapPoint(); ok {
+		df, dl = min(df, mbrF.MinDist(gap)), min(dl, mbrL.MinDist(gap))
 	}
-	if m.Accumulation() == measure.AccumEdit {
-		cost := 0.0
-		if df > m.Epsilon() {
-			cost++
-		}
-		if dl > m.Epsilon() {
-			cost++
-		}
-		return cost
-	}
-	if m.Accumulation() == measure.AccumMax {
-		return math.Max(df, dl)
-	}
-	return df + dl
+	return endpointBound(m, df, dl)
+}
+
+// endpointBound folds the bounds df and dl on a member's first- and
+// last-point terms into one value.
+func endpointBound(m measure.Measure, df, dl float64) float64 {
+	a, eps := m.Accumulation(), m.Epsilon()
+	return a.Fold(a.Fold(measure.PathBound{}, df, eps, false), dl, eps, true).Value()
 }
 
 func minDistTrajMBR(q []geom.Point, m geom.MBR) float64 {
@@ -99,11 +74,7 @@ func PairRelevant(m measure.Measure, aF, aL, bF, bL geom.MBR, tau float64) bool 
 	if !m.AlignsEndpoints() {
 		return true
 	}
-	df, dl := aF.MinDistMBR(bF), aL.MinDistMBR(bL)
-	if m.Accumulation() == measure.AccumMax {
-		return df <= tau && dl <= tau
-	}
-	return df+dl <= tau
+	return endpointBound(m, aF.MinDistMBR(bF), aL.MinDistMBR(bL)) <= tau
 }
 
 // PartBounds is one partition's entry in a global index, indexed by

@@ -259,16 +259,8 @@ type Applied struct {
 // the host's lock, beside the host's own bookkeeping. A call that fails
 // applies nothing. The caller holds the append lock.
 func (s *Store) Apply(pol MergePolicy, recs []wal.Record, publish func(apply func())) (Applied, error) {
-	for _, r := range recs {
-		switch r.Op {
-		case wal.OpInsert:
-			if err := (&traj.T{ID: r.ID, Points: r.Points}).Validate(); err != nil {
-				return Applied{}, err
-			}
-		case wal.OpDelete:
-		default:
-			return Applied{}, fmt.Errorf("core: record %d: unknown op %d", r.Seq, r.Op)
-		}
+	if err := checkRecords(recs); err != nil {
+		return Applied{}, err
 	}
 	pol = pol.withDefaults()
 	s.mu.RLock()
@@ -349,10 +341,38 @@ func (s *Store) MaskBase(id int) {
 	s.mu.Unlock()
 }
 
+// checkRecords refuses a batch holding an insert traj.Validate refuses or
+// an op it does not know: the check on every record a store applies,
+// whether Apply takes it from a client or Recover reads it back.
+func checkRecords(recs []wal.Record) error {
+	for _, r := range recs {
+		switch r.Op {
+		case wal.OpInsert:
+			if err := (&traj.T{ID: r.ID, Points: r.Points}).Validate(); err != nil {
+				return err
+			}
+		case wal.OpDelete:
+		default:
+			return fmt.Errorf("core: record %d: unknown op %d", r.Seq, r.Op)
+		}
+	}
+	return nil
+}
+
 // Recover attaches the partition's log (nil: none) and replays the records
 // it held before a restart that lie past the watermark — nil for a fresh
 // log. It returns the records it replayed.
-func (s *Store) Recover(l *wal.Log, logged []wal.Record) (replayed []wal.Record) {
+//
+// A log holding a record Apply would have refused (checkRecords: a
+// one-point or non-finite trajectory, an unknown op) passed its checksums
+// but was not written by Apply, so no part of it is trusted: Recover
+// attaches and applies nothing and returns a wal.CorruptError, and the
+// caller closes the log and treats it as a log with a mangled header.
+// Attaching a fresh log (no records) cannot fail.
+func (s *Store) Recover(l *wal.Log, logged []wal.Record) (replayed []wal.Record, err error) {
+	if err = checkRecords(logged); err != nil {
+		return nil, &wal.CorruptError{Reason: err.Error()}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.wlog = l
@@ -363,7 +383,7 @@ func (s *Store) Recover(l *wal.Log, logged []wal.Record) (replayed []wal.Record)
 		s.applyRecord(r)
 		replayed = append(replayed, r)
 	}
-	return replayed
+	return replayed, nil
 }
 
 // CloseLog detaches and closes the log. An Apply racing it either appended

@@ -95,8 +95,8 @@ func TestStoreFoldTruncatesAfterSeal(t *testing.T) {
 	}
 	defer l2.Close()
 	cold := NewStore(trie.DefaultConfig(), img.Trajs, img.Index, img.Watermark)
-	if n := len(cold.Recover(l2, rep.Records)); n != 1 {
-		t.Fatalf("replayed %d records past the seal, want 1", n)
+	if recs, err := cold.Recover(l2, rep.Records); err != nil || len(recs) != 1 {
+		t.Fatalf("replayed %d records past the seal (err %v), want 1", len(recs), err)
 	}
 	got, _ := cold.Visible()
 	want, _ := s.Visible()

@@ -1,6 +1,7 @@
 package dnet
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -53,7 +54,9 @@ func searchResults(t *testing.T, c *Coordinator, qs []*traj.T, tau float64) [][]
 // TestReadSpreadAcrossReplicas: with every partition on every worker,
 // the rotated replica order must spread repeated reads across the whole
 // fleet instead of pinning them to the stable-sort head — the built-in
-// hotspot the rotation exists to remove.
+// hotspot the rotation exists to remove. Each partition rotates on its own
+// reads, so every owner of a probed partition serves it within R
+// consecutive probes of it, whatever the probes of other partitions did.
 func TestReadSpreadAcrossReplicas(t *testing.T) {
 	cfg := testConfig()
 	cfg.Replicas = 3
@@ -63,10 +66,29 @@ func TestReadSpreadAcrossReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := gen.Queries(d, 8, 502)
+	served := map[int][]string{} // pid → the worker of each of its probes, in order
 	for round := 0; round < 10; round++ {
 		for _, q := range qs {
-			if _, err := c.Search("trips", q, 0.01); err != nil {
+			st := &QueryStats{Trace: obs.NewTrace("search")}
+			if _, _, err := c.SearchTraced(context.Background(), "trips", q, 0.01, st); err != nil {
 				t.Fatal(err)
+			}
+			for _, s := range st.Trace.Spans() {
+				if s.Name == "partition-search" {
+					served[s.Partition] = append(served[s.Partition], s.Worker)
+				}
+			}
+		}
+	}
+	for pid, ws := range served {
+		for i := 0; i+cfg.Replicas <= len(ws); i++ {
+			window := ws[i : i+cfg.Replicas]
+			owners := map[string]bool{}
+			for _, w := range window {
+				owners[w] = true
+			}
+			if len(owners) != cfg.Replicas {
+				t.Fatalf("partition %d: probes %d..%d went to %v, not to each of its %d owners", pid, i, i+cfg.Replicas-1, window, cfg.Replicas)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dita/internal/admit"
@@ -124,10 +123,6 @@ type Coordinator struct {
 	hbOnce   sync.Once
 	hbClosed sync.WaitGroup
 
-	// readTick drives orderRotated's spreading of reads across
-	// equally-healthy replicas; one bump per replica-ordered probe.
-	readTick atomic.Uint64
-
 	// Autopilot pacing, keyed by dataset name (stable across the
 	// RecoverDataset pointer swap): last action time and consecutive
 	// non-convergence count.
@@ -231,6 +226,10 @@ type dispatchedPartition struct {
 	// durable snapshots; healing then transfers snapshots worker-to-worker
 	// instead. Guarded by the dataset's mu after dispatch.
 	payload []*traj.T
+	// reads counts the partition's replica-ordered probes: the tick its
+	// equally-healthy owners rotate by (replicaOrder). Guarded by the
+	// dataset's mu.
+	reads uint64
 }
 
 // DispatchReport accounts one dispatch: how many partitions the dataset
@@ -607,15 +606,20 @@ func (c *Coordinator) dataset(name string) (*dispatchedDataset, error) {
 
 // replicaOrder copies a partition's replica list (under the lock healing
 // takes to rewrite it) and orders it live-first, rotating each run of
-// equally-healthy replicas so repeated reads spread across them instead
-// of pinning every probe for a partition to the same first live worker.
-// Failover ordering is preserved: suspect replicas still come after
-// every healthy one, dead ones last.
+// equally-healthy replicas by the partition's own read count, so every
+// owner leads once in any R consecutive probes of the partition instead of
+// every probe pinning to the same first live worker. A counter shared by
+// all partitions would not do: when a round of probes is a multiple of R,
+// each partition draws the same residue every round. Failover ordering is
+// preserved: suspect replicas still come after every healthy one, dead
+// ones last.
 func (c *Coordinator) replicaOrder(dd *dispatchedDataset, pid int) []int {
 	dd.mu.Lock()
 	ws := append([]int(nil), dd.replicas[pid]...)
+	dd.parts[pid].reads++
+	tick := dd.parts[pid].reads
 	dd.mu.Unlock()
-	return c.health.orderRotated(ws, c.readTick.Add(1))
+	return c.health.orderRotated(ws, tick)
 }
 
 // CheckHealth probes every worker once (Worker.Ping over the dedicated

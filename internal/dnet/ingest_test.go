@@ -496,72 +496,96 @@ func TestIngestWALTornTailTruncated(t *testing.T) {
 }
 
 // TestIngestWALCorruptHeaderDiscarded: external damage to a log's header
-// (not crash semantics — the magic never tears) is classified "corrupt",
-// the log is discarded and re-created, and the partition still serves its
-// sealed snapshot.
+// (not crash semantics — the magic never tears), or a checksummed record
+// that Apply would have refused (a one-point insert), is classified
+// "corrupt", the log is discarded and re-created, and the partition still
+// serves its sealed snapshot.
 func TestIngestWALCorruptHeaderDiscarded(t *testing.T) {
-	d := gen.Generate(gen.BeijingLike(60, 331))
-	extra := gen.Generate(gen.BeijingLike(20, 332))
-	workers, _, dirs, c := ingestCluster(t, 1, testConfig(), 1<<30, 0)
-	if err := c.Dispatch("trips", d); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		nt := &traj.T{ID: 500000 + i, Points: extra.Trajs[i].Points}
-		if err := c.Ingest("trips", nt); err != nil {
-			t.Fatalf("insert %d: %v", nt.ID, err)
-		}
-	}
-	workers[0].Close()
-
-	logs, err := filepath.Glob(filepath.Join(dirs[0], "*.wal"))
-	if err != nil || len(logs) == 0 {
-		t.Fatalf("no wal files in %s (err=%v)", dirs[0], err)
-	}
-	f, err := os.OpenFile(logs[0], os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte("XXXXXXXX"), 0); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	w, rep := durableWorker(t, dirs[0], 1<<30, 0)
-	t.Cleanup(func() { w.Close() })
-	found := false
-	for _, s := range rep.Skipped {
-		if s.Path == logs[0] && s.Class == "corrupt" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("corrupt WAL header not classified: %+v", rep.Skipped)
-	}
-	// The base snapshot is intact: every partition still loads.
-	ds, pid, ok := wal.ParseFilename(filepath.Base(logs[0]))
-	if !ok {
-		t.Fatalf("unparseable wal filename %s", logs[0])
-	}
-	loaded := false
-	for _, l := range rep.Loaded {
-		if l.Dataset == ds && l.Partition == pid {
-			loaded = true
-			if l.WALRecords != 0 {
-				t.Fatalf("partition %s/%d replayed %d records from a corrupt log", ds, pid, l.WALRecords)
+	damages := map[string]func(t *testing.T, path string){
+		"header": func(t *testing.T, path string) {
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if _, err := f.WriteAt([]byte("XXXXXXXX"), 0); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		},
+		"one-point record": func(t *testing.T, path string) {
+			l, _, err := wal.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			one := []geom.Point{{X: 116.4, Y: 39.9}}
+			if err := l.Append(wal.Record{Seq: l.LastSeq() + 1, Op: wal.OpInsert, ID: 599999, Points: one}); err != nil {
+				t.Fatal(err)
+			}
+		},
 	}
-	if !loaded {
-		t.Fatalf("partition %s/%d did not load from its snapshot", ds, pid)
-	}
-	// The discarded log was replaced by a fresh one (header only).
-	fi, err := os.Stat(logs[0])
-	if err != nil {
-		t.Fatalf("corrupt log was not re-created: %v", err)
-	}
-	if fi.Size() >= 100 {
-		t.Fatalf("re-created log still holds %d bytes", fi.Size())
+	for name, damage := range damages {
+		t.Run(name, func(t *testing.T) {
+			d := gen.Generate(gen.BeijingLike(60, 331))
+			extra := gen.Generate(gen.BeijingLike(20, 332))
+			workers, _, dirs, c := ingestCluster(t, 1, testConfig(), 1<<30, 0)
+			if err := c.Dispatch("trips", d); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				nt := &traj.T{ID: 500000 + i, Points: extra.Trajs[i].Points}
+				if err := c.Ingest("trips", nt); err != nil {
+					t.Fatalf("insert %d: %v", nt.ID, err)
+				}
+			}
+			workers[0].Close()
+
+			logs, err := filepath.Glob(filepath.Join(dirs[0], "*.wal"))
+			if err != nil || len(logs) == 0 {
+				t.Fatalf("no wal files in %s (err=%v)", dirs[0], err)
+			}
+			damage(t, logs[0])
+
+			w, rep := durableWorker(t, dirs[0], 1<<30, 0)
+			t.Cleanup(func() { w.Close() })
+			found := false
+			for _, s := range rep.Skipped {
+				if s.Path == logs[0] && s.Class == "corrupt" {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("damaged WAL not classified corrupt: %+v", rep.Skipped)
+			}
+			// The base snapshot is intact: every partition still loads.
+			ds, pid, ok := wal.ParseFilename(filepath.Base(logs[0]))
+			if !ok {
+				t.Fatalf("unparseable wal filename %s", logs[0])
+			}
+			loaded := false
+			for _, l := range rep.Loaded {
+				if l.Dataset == ds && l.Partition == pid {
+					loaded = true
+					if l.WALRecords != 0 {
+						t.Fatalf("partition %s/%d replayed %d records from a corrupt log", ds, pid, l.WALRecords)
+					}
+				}
+			}
+			if !loaded {
+				t.Fatalf("partition %s/%d did not load from its snapshot", ds, pid)
+			}
+			if _, ok := visibleState(w)[599999]; ok {
+				t.Fatal("the one-point record was installed")
+			}
+			// The discarded log was replaced by a fresh one (header only).
+			fi, err := os.Stat(logs[0])
+			if err != nil {
+				t.Fatalf("corrupt log was not re-created: %v", err)
+			}
+			if fi.Size() >= 100 {
+				t.Fatalf("re-created log still holds %d bytes", fi.Size())
+			}
+		})
 	}
 }
 

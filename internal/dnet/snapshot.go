@@ -251,10 +251,10 @@ func (w *Worker) LoadSnapshots() (*SnapshotLoadReport, error) {
 // the suffix past the snapshot's watermark and keep the log for the
 // partition's future appends (core.Store.Recover). The open itself
 // truncates any torn tail from a crashed append — expected, counted,
-// never an error. A mangled header leaves no trustworthy suffix: the
-// file is discarded (classified in the skip report) and a fresh log
-// opened; mutations it held past the watermark are restored from
-// replica peers, not this disk.
+// never an error. A mangled header, or a record the store refuses, leaves
+// no trustworthy suffix: the file is discarded (classified in the skip
+// report) and a fresh log opened; mutations it held past the watermark
+// are restored from replica peers, not this disk.
 func (w *Worker) replayWAL(p *workerPartition, loaded *SnapshotLoaded, rep *SnapshotLoadReport) {
 	if w.WALStore == nil {
 		return
@@ -262,6 +262,12 @@ func (w *Worker) replayWAL(p *workerPartition, loaded *SnapshotLoaded, rep *Snap
 	ds, pid := loaded.Dataset, loaded.Partition
 	start := time.Now()
 	l, wrep, err := w.WALStore.Open(ds, pid)
+	var recs []wal.Record
+	if err == nil {
+		if recs, err = p.store.Recover(l, wrep.Records); err != nil {
+			l.Close()
+		}
+	}
 	if err != nil {
 		rep.Skipped = append(rep.Skipped, SnapshotSkipped{
 			Path: w.WALStore.Path(ds, pid), Class: wal.Classify(err), Err: err.Error(),
@@ -272,7 +278,7 @@ func (w *Worker) replayWAL(p *workerPartition, loaded *SnapshotLoaded, rep *Snap
 		}
 		return
 	}
-	loaded.WALRecords = len(p.store.Recover(l, wrep.Records))
+	loaded.WALRecords = len(recs)
 	loaded.WALTruncatedBytes = wrep.TruncatedBytes
 	w.walReplayed.Add(int64(loaded.WALRecords))
 	w.walTruncated.Add(wrep.TruncatedBytes)

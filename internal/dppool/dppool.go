@@ -1,5 +1,5 @@
 // Package dppool provides pooled scratch buffers for the dynamic-program
-// rows the distance kernels (internal/measure, internal/ndim) allocate on
+// rows the distance kernels (internal/measure) allocate on
 // every call. Verification dominates query time once pruning is done
 // (Section 5.3), and a verification-heavy query computes thousands of
 // threshold distances; without pooling, every one of them allocates and

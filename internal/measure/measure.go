@@ -11,9 +11,9 @@
 // limited to the band of cells still within τ).
 //
 // The Measure interface abstracts what the DITA index needs to know about a
-// function: how thresholds accumulate down the trie levels (sum for
-// DTW/ERP, max for Fréchet, edit-count for EDR/LCSS) and which verification
-// filters are sound for it.
+// function: how per-level lower bounds accumulate down the trie levels (sum
+// for DTW/ERP, max for Fréchet, edit-count for EDR/LCSS; PathBound) and
+// which verification filters are sound for it.
 package measure
 
 import (
@@ -25,24 +25,71 @@ import (
 )
 
 // Accumulation describes how a measure combines per-level MinDist values
-// during trie descent, which determines how the remaining threshold is
-// updated level by level (Section 5.3 and Appendix A).
+// during trie descent into a lower bound on its distance (Section 5.3 and
+// Appendix A). PathBound is that bound and Fold its one rule.
 type Accumulation int
 
 const (
 	// AccumSum: the distance is a sum of per-alignment point distances
-	// (DTW, ERP). Each trie level's MinDist is subtracted from the
-	// remaining threshold.
+	// (DTW, ERP). Each trie level's MinDist is added to the bound.
 	AccumSum Accumulation = iota
 	// AccumMax: the distance is a maximum over the alignment (Fréchet).
-	// The threshold is not consumed; every level must independently be
-	// within τ.
+	// The bound is the largest level MinDist: every level must
+	// independently be within τ.
 	AccumMax
 	// AccumEdit: the distance counts edit operations (EDR, LCSS). A level
-	// whose MinDist exceeds the matching tolerance ε costs one edit; the
-	// remaining (integer) threshold is decremented.
+	// whose MinDist exceeds the matching tolerance ε costs one edit.
 	AccumEdit
 )
+
+// PathBound is a lower bound on a distance folded from one term per
+// indexing point of a member (first, last, pivots): the trie's accumulated
+// threshold and the global pruning's endpoint bound. Fold is the one place
+// a level bound is summed, maxed or counted, and every test of a PathBound
+// against τ is Value() > τ.
+//
+// Under AccumSum the terms are added in the order the DP adds the point
+// distances they bound: the first point's, then each pivot's in index
+// order, and the last point's at the end, held aside until then. That
+// makes the bound sound in floating point and not only in exact
+// arithmetic: each term is at most the point distance the DP adds for its
+// point (MinDist to a box holding it), the DP's value is a left-to-right
+// sum along its warping path, which meets those points in that order and
+// adds only non-negative terms besides them, and float addition is
+// monotone. A maximum is exact and an edit count is a small integer, so
+// their order does not matter. The argument needs first and last to be
+// two points: a one-point member would count its one term twice, so every
+// edge that admits a trajectory refuses one (traj.Validate).
+type PathBound struct {
+	head float64 // the first point's and the pivots' terms, in index order
+	last float64 // the last point's term (AccumSum), added by Value
+}
+
+// Fold returns p with the lower bound d on one indexing point's term
+// folded in: added under AccumSum (held aside when last marks the last
+// point's term), maxed under AccumMax, and counted as one edit past eps
+// under AccumEdit.
+func (a Accumulation) Fold(p PathBound, d, eps float64, last bool) PathBound {
+	switch a {
+	case AccumMax:
+		p.head = max(p.head, d)
+	case AccumEdit:
+		if d > eps {
+			p.head++
+		}
+	default:
+		if last {
+			p.last = d
+		} else {
+			p.head += d
+		}
+	}
+	return p
+}
+
+// Value returns the bound: the terms folded so far, the last point's added
+// at the end.
+func (p PathBound) Value() float64 { return p.head + p.last }
 
 // Measure is a trajectory distance function together with the metadata the
 // DITA index and verifier need.
@@ -62,7 +109,7 @@ type Measure interface {
 	// symmetry this makes DistanceThreshold(t, q, tau) and
 	// DistanceThreshold(q, t, tau) accept together, with the same bits.
 	DistanceThreshold(t, q []geom.Point, tau float64) (float64, bool)
-	// Accumulation reports the trie threshold-accumulation semantics.
+	// Accumulation reports how the trie's level bounds fold (PathBound).
 	Accumulation() Accumulation
 	// Epsilon returns the point-matching tolerance for edit-based measures
 	// and 0 for the others.

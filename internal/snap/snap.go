@@ -322,6 +322,11 @@ func decodeTrajs(data []byte) ([]*traj.T, error) {
 		}
 		ts[i] = traj.T{ID: id, Points: pts}
 		out[i] = &ts[i]
+		// A member every ingest edge would refuse (one point, a non-finite
+		// coordinate) breaks the trie's bounds: refuse the image instead.
+		if err := ts[i].Validate(); err != nil {
+			return nil, &CorruptError{Reason: err.Error()}
+		}
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -277,6 +278,26 @@ func TestDecodeRefusesMalformedTrie(t *testing.T) {
 		"a member in no leaf":            chainTrieSection(s, 1, perm[:5]),
 	} {
 		got, err := Decode(sealImage(Version, s, section))
+		if got != nil || !IsCorrupt(err) {
+			t.Errorf("%s: snapshot %v, err %v, want a CorruptError", name, got != nil, err)
+		}
+	}
+}
+
+// TestDecodeRefusesInvalidMember: an image whose checksums hold but that
+// holds a member traj.Validate refuses — one point, whose first and last
+// indexing point coincide, or a non-finite coordinate — is corrupt, as
+// the same member is at every ingest edge.
+func TestDecodeRefusesInvalidMember(t *testing.T) {
+	for name, pts := range map[string][]geom.Point{
+		"one point":   {{X: 0.5, Y: 0.5}},
+		"a NaN":       {{X: 0.5, Y: 0.5}, {X: math.NaN(), Y: 0.5}},
+		"an infinity": {{X: math.Inf(1), Y: 0.5}, {X: 0.5, Y: 0.5}},
+	} {
+		s := testSnapshot(t, 20, 9)
+		s.Trajs[3] = &traj.T{ID: s.Trajs[3].ID, Points: pts}
+		s.Index = trie.Build(s.Trajs, trie.Config{K: s.Opts.K, NLAlign: s.Opts.NLAlign, NLPivot: s.Opts.NLPivot, MinNode: s.Opts.MinNode})
+		got, err := Decode(Encode(s))
 		if got != nil || !IsCorrupt(err) {
 			t.Errorf("%s: snapshot %v, err %v, want a CorruptError", name, got != nil, err)
 		}

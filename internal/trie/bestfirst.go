@@ -39,13 +39,13 @@ type BestFirst struct {
 
 // bfItem is a frontier node with its heap key — the largest bound met on
 // the way down, envelopes included —, the path bound accumulated beside it
-// (the sum semantics' remaining budget is τ minus this, never the key) and
-// the Lemma 5.1 query-suffix start that path narrowed to.
+// (which the next level folds into, never the key) and the Lemma 5.1
+// query-suffix start that path narrowed to.
 type bfItem struct {
 	n     uint32 // index into Trie.nodes
 	level int32  // its level: the tie-break reads nothing else of the node
 	key   float64
-	path  float64
+	path  measure.PathBound
 	suf   int
 }
 
@@ -98,67 +98,34 @@ func (b *BestFirst) Err() error { return b.s.ctx.Err() }
 
 // envBound is the envelope bound of the query against env, abandoned at the
 // first partial value above tau (a partial sum or max of non-negative terms
-// is itself a lower bound).
+// is itself a lower bound). The query's points fold in the order a warping
+// path meets them.
 func (b *BestFirst) envBound(env *geom.MBR, tau float64) float64 {
-	var lb float64
-	sum := b.s.accum == measure.AccumSum
+	var lb measure.PathBound
 	for _, p := range b.s.q {
-		d := env.MinDist(p)
-		if sum {
-			lb += d
-		} else if d > lb {
-			lb = d
-		}
-		if lb > tau {
+		if lb = b.s.accum.Fold(lb, env.MinDist(p), 0, false); lb.Value() > tau {
 			break
 		}
 	}
-	return lb
+	return lb.Value()
 }
 
 // expand pushes the children of it whose bound is within tau — the
-// per-level tests of searcher.visitChild with the remaining budget derived
-// from the live tau instead of threaded down a recursion, then, on an
-// internal child that passed them, the envelope bound.
+// descent's per-level step (searcher.step) at the live tau, then, on an
+// internal child that passed it, the envelope bound.
 func (b *BestFirst) expand(it bfItem, tau float64) {
 	s := &b.s
-	q, t := s.q, s.t
+	t := s.t
 	for ci, end := it.n+1, t.nodes[it.n].link; ci < end; ci = t.after(ci) {
-		c, mbr := t.nodes[ci], t.mbrs[ci]
-		if c.isLeaf() && mbr.IsEmpty() {
+		c := t.nodes[ci]
+		if c.isLeaf() && t.mbrs[ci].IsEmpty() {
 			// Exhausted bucket: no level point to test; its members stay
 			// candidates at the bound accumulated so far.
 			b.push(bfItem{n: ci, level: c.level, key: it.key, path: it.path, suf: it.suf})
 			continue
 		}
-		path, nsuf := it.path, it.suf
-		if s.accum == measure.AccumEdit {
-			// Every level is matched against the whole query; one farther
-			// than ε from every query point costs one edit.
-			if d, _ := s.pivotMinDist(mbr, math.Inf(1), 0); d > s.eps {
-				path++
-			}
-			nsuf = 0
-		} else {
-			rem := tau // max semantics: the budget is not consumed
-			if s.accum == measure.AccumSum {
-				rem = tau - it.path
-			}
-			var d float64
-			if s.anchored && c.level == 0 {
-				d = mbr.MinDist(q[0])
-			} else if s.anchored && c.level == 1 {
-				d = mbr.MinDist(q[len(q)-1])
-			} else {
-				d, nsuf = s.pivotMinDist(mbr, rem, it.suf)
-			}
-			if s.accum == measure.AccumSum {
-				path += d
-			} else {
-				path = math.Max(path, d)
-			}
-		}
-		key := math.Max(it.key, path)
+		path, nsuf := s.step(ci, it.path, it.suf, tau)
+		key := math.Max(it.key, path.Value())
 		if key <= tau && b.env && !c.isLeaf() {
 			key = math.Max(key, b.envBound(t.env(c), tau))
 		}

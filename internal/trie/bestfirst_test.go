@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -247,6 +248,54 @@ func TestBestFirstSoundAllMeasures(t *testing.T) {
 		}
 		if _, _, ok := Build(world, cfgs[0]).BestFirst(ctx, nil, m).Next(math.Inf(1)); ok {
 			t.Fatalf("%s: empty query yielded a bucket", m.Name())
+		}
+	}
+}
+
+// The bounds hold at a tie with no tolerance, for every measure: over
+// thousands of small seeded tries on a 0.1 grid — deep enough to reach
+// pivot levels, full of duplicate points and sums that round — a threshold
+// search at τ = a member's own Distance keeps that member, and the
+// best-first traversal yields every member at a key no larger than its
+// Distance. A sum folded in another order than the DP's drops members
+// here (ROADMAP item 1).
+func TestPathBoundAtDistance(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	grid := func() geom.Point {
+		return geom.Point{X: float64(rng.Intn(7)-3) * 0.1, Y: float64(rng.Intn(7)-3) * 0.1}
+	}
+	ms := registryMeasures(t)
+	for it := 0; it < 2000; it++ {
+		world := make([]*traj.T, 4+rng.Intn(16))
+		for i := range world {
+			pts := make([]geom.Point, traj.MinLen+rng.Intn(6))
+			for j := range pts {
+				pts[j] = grid()
+			}
+			world[i] = &traj.T{ID: i, Points: pts}
+		}
+		q := make([]geom.Point, 1+rng.Intn(6))
+		for j := range q {
+			q[j] = grid()
+		}
+		tr := Build(world, Config{K: 1 + rng.Intn(3), NLAlign: 2, NLPivot: 2, MinNode: 1})
+		for _, m := range ms {
+			got, ok := drain(tr.BestFirst(ctx, q, m), func(int) float64 { return math.Inf(1) })
+			if at, sound := sound(world, q, m, got); !ok || !sound || len(at) != len(world) {
+				t.Fatalf("try %d, %s: best-first yielded %d of %d members, in order %v, every key within Distance %v",
+					it, m.Name(), len(at), len(world), ok, sound)
+			}
+			for i, c := range world {
+				tau := m.Distance(c.Points, q)
+				cands, err := tr.SearchContext(ctx, q, m, tau, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Contains(cands, i) {
+					t.Fatalf("try %d, %s: search at τ = %v, member %d's own Distance, dropped it", it, m.Name(), tau, i)
+				}
+			}
 		}
 	}
 }

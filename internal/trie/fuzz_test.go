@@ -10,16 +10,14 @@ import (
 	"dita/internal/traj"
 )
 
-// FuzzEnvelopeBound checks the envelope bound against the kernels it guards,
-// for every registered measure: the bound of every internal node is at most
-// Distance — in floating point, not up to rounding — to every member below
-// it, a yielded key exceeds a member's Distance only where it is the
-// descent's own path bound (which sums its levels first, last, pivots — not
-// in the DP's order — and so can sit an ulp above a tight Distance; ROADMAP
-// item 1), and a measure that may leave a point unmatched (ERP, EDR, LCSS)
-// gets no envelope bound at all: its keys are the path bounds. Coordinates
-// are small multiples of 0.1, so inputs are full of exact duplicates,
-// stationary stretches and ties whose sums round.
+// FuzzEnvelopeBound checks the trie's bounds against the kernels they guard,
+// for every registered measure, in floating point and not up to rounding:
+// the envelope bound of every internal node and the path bound of every
+// member are at most Distance to every member below them, so is every
+// yielded key, and a measure that may leave a point unmatched (ERP, EDR,
+// LCSS) gets no envelope bound at all: its keys are the path bounds.
+// Coordinates are small multiples of 0.1, so inputs are full of exact
+// duplicates, stationary stretches and ties whose sums round.
 func FuzzEnvelopeBound(f *testing.F) {
 	f.Add([]byte{3, 4, 1, 1, 2, 2, 3, 3, 10, 10, 11, 10, 12, 11, 13, 11, 250, 250, 251, 250, 252, 251, 253, 251})
 	f.Add([]byte{1, 2, 7, 7, 7, 7, 7, 7, 9, 9, 9, 9, 9, 9, 9, 9}) // stationary query and members
@@ -77,6 +75,9 @@ func FuzzEnvelopeBound(f *testing.F) {
 			}
 			path := make([]float64, len(world))
 			for _, c := range want {
+				if c.LB > dist[c.Idx] {
+					t.Fatalf("%s: path bound %v of member %d above Distance %v", m.Name(), c.LB, c.Idx, dist[c.Idx])
+				}
 				path[c.Idx] = c.LB
 			}
 			got, ok := drain(b, func(int) float64 { return math.Inf(1) })
@@ -89,7 +90,7 @@ func FuzzEnvelopeBound(f *testing.F) {
 					t.Fatalf("%s: member %d yielded twice", m.Name(), c.Idx)
 				}
 				seen[c.Idx] = true
-				if c.LB != path[c.Idx] && (!b.env || c.LB > dist[c.Idx] || c.LB < path[c.Idx]) {
+				if c.LB > dist[c.Idx] || (c.LB != path[c.Idx] && (!b.env || c.LB < path[c.Idx])) {
 					t.Fatalf("%s: member %d yielded at %g: path bound %g, Distance %g, envelope %v",
 						m.Name(), c.Idx, c.LB, path[c.Idx], dist[c.Idx], b.env)
 				}

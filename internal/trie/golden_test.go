@@ -87,7 +87,10 @@ func walkHash(t *testing.T, tr *Trie, m measure.Measure, tau, jitter float64, se
 // partitions × the five measures, walkHash on the built trie and on its
 // decoded image. The hashes were taken on the pointer-node trie (commit
 // 7eb5df3); a change of layout must not move a candidate, a bound, a counter
-// or the order of a bucket.
+// or the order of a bucket. Three were re-pinned when the sum bound began
+// adding its terms in the DP's order (first, pivots, last): "pivot levels"
+// ERP, "exhausted buckets" DTW and ERP. Each moved only keys, by at most
+// three ulps — no candidate, counter or bucket order changed.
 func TestGoldenWalk(t *testing.T) {
 	parts := []struct {
 		name  string
@@ -101,10 +104,10 @@ func TestGoldenWalk(t *testing.T) {
 			[5]uint64{0xa22310412d7baf8f, 0xb3fa3b0d0ab3405, 0x39b7675a05627977, 0x2581ca0841249fd2, 0xb8100814863e9aa5}},
 		{"pivot levels", Config{K: 4, NLAlign: 2, NLPivot: 3, MinNode: 4},
 			goldenWalks(29, 2000, func(rng *rand.Rand) int { return 8 + rng.Intn(25) }), 1, 3,
-			[5]uint64{0xf3ff7bfc5514abe9, 0xf85bb6126fa0bf78, 0xdcb6c626f07d0786, 0x558a8fa38134f741, 0x9eb3338d04208064}},
+			[5]uint64{0xf3ff7bfc5514abe9, 0xf85bb6126fa0bf78, 0xdcb6c626f07d0786, 0x558a8fa38134f741, 0xbee8c9c584ac54b5}},
 		{"exhausted buckets", Config{K: 5, NLAlign: 3, NLPivot: 2, MinNode: 2},
 			goldenWalks(31, 2000, func(rng *rand.Rand) int { return 1 + rng.Intn(8) }), 1, 3,
-			[5]uint64{0x68b0b96d69b70de5, 0x1691f1500b565b31, 0x56ffd54e9b772ef0, 0xd567ddaf9b40d4e3, 0x17d2b1b99de10dc6}},
+			[5]uint64{0xa1b51c7dcada429e, 0x1691f1500b565b31, 0x56ffd54e9b772ef0, 0xd567ddaf9b40d4e3, 0x87273511dd5bc17b}},
 	}
 	for _, p := range parts {
 		built := Build(p.trajs, p.cfg)

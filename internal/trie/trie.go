@@ -10,9 +10,10 @@
 // paper contrasts with DFT's non-clustered segment index).
 //
 // Search descends the trie accumulating per-level lower bounds
-// (Section 5.3): the remaining threshold shrinks level by level for
-// sum-accumulating measures (DTW, ERP), stays fixed for max-accumulating
-// ones (Fréchet), and counts edits for EDR/LCSS. The ordered-suffix
+// (Section 5.3): each level's bound is folded into a value accumulated along
+// the path — summed for DTW and ERP in the order their DP adds the terms,
+// maxed for Fréchet, counted as edits for EDR and LCSS (measure.PathBound)
+// — and a subtree is cut once that value exceeds τ. The ordered-suffix
 // optimization of Lemma 5.1 narrows the query suffix a pivot may align
 // with for endpoint-anchored measures.
 package trie
@@ -290,8 +291,8 @@ func (t *Trie) SizeBytes() int {
 type Stats struct {
 	// NodesVisited counts trie nodes whose MBR was distance-tested.
 	NodesVisited int
-	// Pruned counts subtrees cut because their level lower bound exceeded
-	// the remaining threshold budget — the trie's direct pruning power
+	// Pruned counts subtrees cut because the path bound accumulated down to
+	// them exceeded the threshold — the trie's direct pruning power
 	// (NodesVisited = Pruned + descended).
 	Pruned int
 	// Candidates counts trajectories surviving the filter.
@@ -317,7 +318,7 @@ func (t *Trie) SearchContext(ctx context.Context, q []geom.Point, m measure.Meas
 	}
 	s := newSearcher(ctx, t, q, m, tau, stats)
 	var out []int
-	out = s.descend(0, tau, 0, 0, out)
+	out = s.descend(0, measure.PathBound{}, 0, out)
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -343,14 +344,14 @@ type Cand struct {
 // verify candidates in bound order and stop at the first bound exceeding
 // its live threshold. tau may be +Inf (no pruning: every trajectory is a
 // candidate at its path bound) — the descent is pure float comparison and
-// handles an infinite budget exactly.
+// handles an infinite threshold exactly.
 func (t *Trie) SearchBoundsContext(ctx context.Context, q []geom.Point, m measure.Measure, tau float64, stats *Stats) ([]Cand, error) {
 	if len(q) == 0 || len(t.nodes) == 0 {
 		return nil, ctx.Err()
 	}
 	s := newSearcher(ctx, t, q, m, tau, stats)
 	s.bounds = true
-	s.descend(0, tau, 0, 0, nil)
+	s.descend(0, measure.PathBound{}, 0, nil)
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -391,8 +392,7 @@ type searcher struct {
 	err    error
 
 	// bounds mode: emit (index, accumulated lower bound) pairs instead of
-	// bare indices. acc threads the path's level-bound accumulation down
-	// the descent (sum / max / edit count, mirroring how rem is consumed).
+	// bare indices.
 	bounds bool
 	bcands []Cand
 }
@@ -409,12 +409,10 @@ func (s *searcher) emit(idxs []uint32, lb float64, out []int) []int {
 	return out
 }
 
-// descend visits the children of node i; rem is the remaining threshold
-// budget (for AccumSum), the full tau (AccumMax), or the remaining edit
-// budget (AccumEdit). suf is the query suffix start for the Lemma 5.1
-// optimization. acc is the lower bound accumulated along the path so far
-// (only consumed in bounds mode).
-func (s *searcher) descend(i uint32, rem float64, suf int, acc float64, out []int) []int {
+// descend visits the children of node i. p is the bound accumulated along
+// the path down to i, and suf the query suffix start for the Lemma 5.1
+// optimization.
+func (s *searcher) descend(i uint32, p measure.PathBound, suf int, out []int) []int {
 	if s.err != nil {
 		return out
 	}
@@ -427,7 +425,7 @@ func (s *searcher) descend(i uint32, rem float64, suf int, acc float64, out []in
 	t := s.t
 	n := t.nodes[i]
 	if n.isLeaf() {
-		return s.emit(t.members(n), acc, out)
+		return s.emit(t.members(n), p.Value(), out)
 	}
 	for ci := i + 1; ci < n.link; ci = t.after(ci) {
 		if s.err != nil {
@@ -436,92 +434,63 @@ func (s *searcher) descend(i uint32, rem float64, suf int, acc float64, out []in
 		if c := t.nodes[ci]; c.isLeaf() && t.mbrs[ci].IsEmpty() {
 			// Exhausted bucket: no level point to test; all members stay
 			// candidates at the bound accumulated so far.
-			out = s.emit(t.members(c), acc, out)
+			out = s.emit(t.members(c), p.Value(), out)
 			continue
 		}
 		if s.stats != nil {
 			s.stats.NodesVisited++
 		}
-		out = s.visitChild(ci, rem, suf, acc, out)
+		cp, csuf := s.step(ci, p, suf, s.tau)
+		if cp.Value() > s.tau {
+			if s.stats != nil {
+				s.stats.Pruned++
+			}
+			continue
+		}
+		out = s.descend(ci, cp, csuf, out)
 	}
 	return out
 }
 
-// visitChild applies the level-appropriate lower bound to child ci and
-// recurses when it survives.
-func (s *searcher) visitChild(ci uint32, rem float64, suf int, acc float64, out []int) []int {
-	q, level, mbr := s.q, s.t.nodes[ci].level, s.t.mbrs[ci]
-	switch s.accum {
-	case measure.AccumSum:
-		var d float64
-		nsuf := suf
-		if s.anchored && level == 0 {
-			d = mbr.MinDist(q[0])
-		} else if s.anchored && level == 1 {
-			d = mbr.MinDist(q[len(q)-1])
-		} else {
-			d, nsuf = s.pivotMinDist(mbr, rem, suf)
-		}
-		if d > rem {
-			if s.stats != nil {
-				s.stats.Pruned++
-			}
-			return out
-		}
-		return s.descend(ci, rem-d, nsuf, acc+d, out)
-
-	case measure.AccumMax:
-		var d float64
-		nsuf := suf
-		if s.anchored && level == 0 {
-			d = mbr.MinDist(q[0])
-		} else if s.anchored && level == 1 {
-			d = mbr.MinDist(q[len(q)-1])
-		} else {
-			d, nsuf = s.pivotMinDist(mbr, rem, suf)
-		}
-		if d > s.tau {
-			if s.stats != nil {
-				s.stats.Pruned++
-			}
-			return out
-		}
-		// Max semantics: the budget is not consumed (Appendix A).
-		return s.descend(ci, rem, nsuf, math.Max(acc, d), out)
-
-	default: // AccumEdit
-		// Every level (endpoints included — they may be edited away) is
-		// matched against the whole query; a level farther than ε from
-		// every query point costs one edit.
-		d, _ := s.pivotMinDist(mbr, math.Inf(1), 0)
-		nrem := rem
-		nacc := acc
-		if d > s.eps {
-			nrem = rem - 1
-			nacc = acc + 1
-			if nrem < 0 {
-				if s.stats != nil {
-					s.stats.Pruned++
-				}
-				return out
-			}
-		}
-		return s.descend(ci, nrem, 0, nacc, out)
+// step folds child ci's level bound into the path bound p and returns the
+// query suffix start it narrowed to: the one per-level step of the
+// recursive descent and the best-first walk. The level bound is the
+// MinDist from the query to the child's MBR — from q₁ to a first-point box
+// and from qₙ to a last-point box under an endpoint-anchored measure, else
+// from the nearest point of q[suf:] or the gap point. Lemma 5.1's trim
+// tests the folded value against tau, as the caller then does.
+func (s *searcher) step(ci uint32, p measure.PathBound, suf int, tau float64) (measure.PathBound, int) {
+	level, mbr := s.t.nodes[ci].level, s.t.mbrs[ci]
+	var d float64
+	switch {
+	case s.anchored && level == 0:
+		d = mbr.MinDist(s.q[0])
+	case s.anchored && level == 1:
+		d = mbr.MinDist(s.q[len(s.q)-1])
+	default:
+		// Every level of a measure that may skip endpoints (ERP, EDR, LCSS)
+		// is matched against the whole query: suf advances only when
+		// anchored.
+		d, suf = s.pivotMinDist(mbr, p, suf, tau)
 	}
+	return s.accum.Fold(p, d, s.eps, level == 1), suf
 }
 
 // pivotMinDist returns the minimum distance from the query suffix q[suf:]
 // to the MBR, honoring the measure's gap point, plus the advanced suffix
-// start per Lemma 5.1 (only advanced for endpoint-anchored measures; the
-// ordering argument needs anchored, monotone alignments).
-func (s *searcher) pivotMinDist(m geom.MBR, rem float64, suf int) (float64, int) {
+// start per Lemma 5.1: a leading query point whose MinDist, folded into
+// the path bound p, exceeds tau can align with neither this pivot nor a
+// later one. It advances only for endpoint-anchored measures (the ordering
+// argument needs anchored, monotone alignments), which reach here on pivot
+// levels only.
+func (s *searcher) pivotMinDist(m geom.MBR, p measure.PathBound, suf int, tau float64) (float64, int) {
 	q := s.q
 	best := math.Inf(1)
 	nsuf := suf
 	advancing := s.anchored
 	for i := suf; i < len(q); i++ {
 		d := m.MinDist(q[i])
-		if advancing && d > rem {
+		if advancing && s.accum.Fold(p, d, s.eps, false).Value() > tau {
 			if i == nsuf {
 				// Still in the prefix of points that cannot align with
 				// this or any later pivot: drop them permanently.

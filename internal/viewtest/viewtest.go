@@ -128,10 +128,9 @@ func (h History) Visible(base []*traj.T) []*traj.T {
 
 // Check holds v to want (ids unique), member for member and in slot order,
 // and every read over it to brute force over want under m: Select and
-// Visible, Search at τ = 0, between two members' distances and past every
-// member's, KNNScan at k = 1 and k past the visible count. τ is never a
-// member's own nonzero distance: a bound one ulp above a tie is ROADMAP
-// item 1's open bug, not this test's subject.
+// Visible, Search at τ = 0, at a member's own nonzero distance (the member
+// must survive the tie), between two members' distances and past every
+// member's, KNNScan at k = 1 and k past the visible count.
 func Check(t *testing.T, m measure.Measure, v *core.View, want, queries []*traj.T) {
 	t.Helper()
 	ctx := context.Background()
@@ -167,7 +166,14 @@ func Check(t *testing.T, m measure.Measure, v *core.View, want, queries []*traj.
 				break
 			}
 		}
-		for _, tau := range []float64{0, mid, 2*far + 1} {
+		tie := far
+		for _, w := range order[len(order)/3:] {
+			if d := dist[w.ID]; d > 0 {
+				tie = d
+				break
+			}
+		}
+		for _, tau := range []float64{0, tie, mid, 2*far + 1} {
 			res, st, err := v.Search(ctx, m, q.Points, tau, 1, false)
 			if err != nil {
 				t.Fatal(err)
