@@ -62,11 +62,12 @@ knn:
 	$(GO) test -race -run 'KNN|BestFirst|Envelope|PathBound' -count=2 ./internal/trie ./internal/core ./internal/dnet
 
 # Snapshot persistence tests: format round-trip/corruption detection,
-# serialized-trie integrity, engine cold start, and the dnet
-# cold-restart/heal chaos paths — rerun under the race detector,
-# -count=2 to defeat the cache.
+# the content fingerprint (golden value, sensitivity, recompute on
+# decode), the decode's member refusals, serialized-trie integrity, engine
+# cold start, and the dnet cold-restart/heal chaos paths — rerun under the
+# race detector, -count=2 to defeat the cache.
 snap:
-	$(GO) test -race -run 'Snap|Snapshot|ColdStart|RetainPayloads|Serial' -count=2 \
+	$(GO) test -race -run 'Snap|Snapshot|ColdStart|RetainPayloads|Serial|Fingerprint|DecodeRefuses' -count=2 \
 		./internal/snap ./internal/trie ./internal/core ./internal/dnet
 
 # Streaming-ingest tests: WAL append/replay/torn-tail handling, the
@@ -147,7 +148,9 @@ bench-smoke:
 # from its own images (EngineSearchLayout) — and of the kNN tail: the
 # benchmark pool's ten outliers on its 100 k corpus (KNNOutlier) and one
 # partition's scan in both network roles (KNNScanPartition), each reporting
-# verified/op. EXPERIMENTS.md records the numbers per kernel or layout
+# verified/op — and of a cold start: one benchmark-shaped partition image
+# decoded (SnapDecode) and its content fingerprinted (Fingerprint), each
+# with bytes/op. EXPERIMENTS.md records the numbers per kernel or layout
 # change.
 KERNEL_BENCHTIME ?= 20000x
 JOIN_BENCHTIME ?= 10x
@@ -158,6 +161,7 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='SelfJoin' -benchmem -benchtime=$(JOIN_BENCHTIME) ./internal/core
 	$(GO) test -run='^$$' -bench='EngineSearchLayout' -benchmem -benchtime=$(LAYOUT_BENCHTIME) ./internal/core
 	$(GO) test -run='^$$' -bench='KNNOutlier|KNNScanPartition' -benchmem -benchtime=640x ./internal/core
+	$(GO) test -run='^$$' -bench='SnapDecode|Fingerprint' -benchmem -benchtime=2000x ./internal/snap
 
 # The measurement behind a performance claim: N alternating pairs of the
 # repository benchmark on two refs, each extracted into its own tree under

@@ -28,11 +28,6 @@ type Options struct {
 	Trie trie.Config
 	// Measure is the similarity function; DTW when nil.
 	Measure measure.Measure
-	// CellD is the cell side length of the retired Lemma 5.6 filter; <= 0
-	// derives it from the data extent (1% of the larger dimension).
-	// Nothing reads it on a query path any more: it is carried because
-	// the snapshot format and fingerprint record it (ROADMAP item 4c).
-	CellD float64
 	// Cluster is the execution substrate; a fresh 4-worker cluster is
 	// created when nil.
 	Cluster *cluster.Cluster
@@ -83,8 +78,7 @@ type Engine struct {
 	cl      *cluster.Cluster
 	dataset *traj.Dataset
 	parts   []*Partition
-	lay     *Layout // the global index, routing, seq and epochs, indexed like parts
-	cellD   float64
+	lay     *Layout        // the global index, routing, seq and epochs, indexed like parts
 	met     *engineMetrics // nil when Options.Obs is nil
 	cost    *CostTracker   // per-partition read-cost EWMAs (timed paths only)
 
@@ -154,10 +148,6 @@ func NewEngine(d *traj.Dataset, opts Options) (*Engine, error) {
 	e := &Engine{opts: opts, cl: opts.Cluster, dataset: d, met: newEngineMetrics(opts.Obs),
 		cost: NewCostTracker(), serial: engineSerial.Add(1)}
 	start := time.Now()
-	e.cellD = opts.CellD
-	if e.cellD <= 0 {
-		e.cellD = defaultCellD(d)
-	}
 	groups := e.partition()
 	e.addPartitions(groups)
 	e.buildStores(func(pid int) *Store {
@@ -166,23 +156,6 @@ func NewEngine(d *traj.Dataset, opts Options) (*Engine, error) {
 	})
 	e.BuildTime = time.Since(start)
 	return e, nil
-}
-
-// defaultCellD picks a cell side length from the data extent: 1% of the
-// larger dimension.
-func defaultCellD(d *traj.Dataset) float64 {
-	ext := d.Stats().Extent
-	if ext.IsEmpty() {
-		return 0.01
-	}
-	w := ext.Max.X - ext.Min.X
-	if h := ext.Max.Y - ext.Min.Y; h > w {
-		w = h
-	}
-	if w <= 0 {
-		return 0.01
-	}
-	return w / 100
 }
 
 // partition returns the partitions' member groups in partition id order:
@@ -319,9 +292,11 @@ func (e *Engine) Measure() measure.Measure { return e.opts.Measure }
 // Dataset returns the indexed dataset.
 func (e *Engine) Dataset() *traj.Dataset { return e.dataset }
 
-// CellD returns the cell side length recorded in the engine's snapshots
-// (see Options.CellD).
-func (e *Engine) CellD() float64 { return e.cellD }
+// CellD returns 0. It stays for callers compiled against the surface of the
+// retired Lemma 5.6 filter, which pass it on to NewVerifyMeta and
+// NewVerifier; both ignore it, and neither the engine nor its snapshots
+// record a cell side any more.
+func (e *Engine) CellD() float64 { return 0 }
 
 // VerifyParallelism returns the engine's resolved verification fan-out
 // (Options.VerifyParallelism with 0 mapped to runtime.GOMAXPROCS).

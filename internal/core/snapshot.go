@@ -38,7 +38,6 @@ func (e *Engine) SnapshotOptions() snap.BuildOptions {
 		NLPivot:  e.opts.Trie.NLPivot,
 		MinNode:  e.opts.Trie.MinNode,
 		Strategy: int(e.opts.Trie.Strategy),
-		CellD:    e.cellD,
 	}
 }
 
@@ -66,7 +65,7 @@ func (e *Engine) named(img *snap.Snapshot, dataset string, pid int) *snap.Snapsh
 // partitions.
 //
 // opts supplies the runtime environment (Cluster, Obs, VerifyParallelism);
-// the indexing configuration (measure, trie shape, cell size) is taken
+// the indexing configuration (measure, trie shape) is taken
 // from the snapshots so the cold-started engine answers queries exactly
 // like the engine that wrote them. BuildTime records the cold-start time.
 func NewEngineFromSnapshots(snaps []*snap.Snapshot, opts Options) (*Engine, error) {
@@ -103,7 +102,6 @@ func NewEngineFromSnapshots(snaps []*snap.Snapshot, opts Options) (*Engine, erro
 		MinNode:  ref.Opts.MinNode,
 		Strategy: pivot.Strategy(ref.Opts.Strategy),
 	}
-	opts.CellD = ref.Opts.CellD
 	if opts.Cluster == nil {
 		opts.Cluster = cluster.New(cluster.DefaultConfig(4))
 	}
@@ -117,7 +115,6 @@ func NewEngineFromSnapshots(snaps []*snap.Snapshot, opts Options) (*Engine, erro
 		opts:    opts,
 		cl:      opts.Cluster,
 		dataset: traj.NewDataset(ref.Dataset, all),
-		cellD:   ref.Opts.CellD,
 		met:     newEngineMetrics(opts.Obs),
 		cost:    NewCostTracker(),
 		serial:  engineSerial.Add(1),

@@ -38,9 +38,8 @@ func TestColdStartMatchesFreshBuild(t *testing.T) {
 	if cold.BuildTime <= 0 {
 		t.Error("cold start BuildTime not recorded")
 	}
-	if cold.Measure().Name() != "LCSS" || cold.CellD() != fresh.CellD() {
-		t.Fatalf("cold engine config drifted: measure=%s cellD=%v (want LCSS, %v)",
-			cold.Measure().Name(), cold.CellD(), fresh.CellD())
+	if cold.Measure().Name() != "LCSS" {
+		t.Fatalf("cold engine config drifted: measure=%s, want LCSS", cold.Measure().Name())
 	}
 	if l, ok := cold.Measure().(measure.LCSS); !ok || l.Delta != 5 || l.Eps != 0.002 {
 		t.Fatalf("LCSS parameters lost: %+v", cold.Measure())
@@ -104,7 +103,7 @@ func TestColdStartValidation(t *testing.T) {
 	}
 	mixed := append([]*snap.Snapshot(nil), snaps...)
 	clone := *mixed[1]
-	clone.Opts.CellD *= 2
+	clone.Opts.NLPivot++
 	mixed[1] = &clone
 	if _, err := NewEngineFromSnapshots(mixed, smallOpts(2)); err == nil {
 		t.Error("mixed build options accepted")

@@ -24,8 +24,8 @@ func newTrajMeta(t *traj.T) trajMeta { return trajMeta{mbr: t.MBR()} }
 type VerifyMeta = trajMeta
 
 // NewVerifyMeta computes a trajectory's verification metadata. The cell
-// side length is unused: it is part of the signature the benchmark and the
-// worker compile against, like Options.CellD in the snapshot format.
+// side length of the retired Lemma 5.6 filter is unused: it is part of the
+// signature the benchmark compiles against, like Engine.CellD.
 func NewVerifyMeta(t *traj.T, _ float64) VerifyMeta { return newTrajMeta(t) }
 
 // Verifier runs the verification cascade for one query: length filter

@@ -24,10 +24,6 @@ type Config struct {
 	Trie trie.Config
 	// Measure names the similarity function.
 	Measure MeasureSpec
-	// CellD is the cell side length recorded in snapshots (see
-	// core.Options.CellD); <= 0 derives it from the data extent like the
-	// in-process engine.
-	CellD float64
 	// Replicas is the partition replication factor: each partition is
 	// shipped to this many distinct workers (default 2, clamped to the
 	// worker count). Searches route to the preferred replica and fail
@@ -394,10 +390,6 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 	if d == nil || d.Len() == 0 {
 		return nil, fmt.Errorf("dnet: empty dataset %q", name)
 	}
-	cellD := c.cfg.CellD
-	if cellD <= 0 {
-		cellD = defaultCellD(d)
-	}
 	opts := snap.BuildOptions{
 		Measure:  c.cfg.Measure.Name,
 		Eps:      c.cfg.Measure.Eps,
@@ -407,7 +399,6 @@ func (c *Coordinator) DispatchStats(name string, d *traj.Dataset) (*DispatchRepo
 		NLPivot:  c.cfg.Trie.NLPivot,
 		MinNode:  c.cfg.Trie.MinNode,
 		Strategy: int(c.cfg.Trie.Strategy),
-		CellD:    cellD,
 	}
 	dd := &dispatchedDataset{name: name, opts: opts, cost: core.NewCostTracker()}
 	loc := map[int]int{}
@@ -851,19 +842,4 @@ func (c *Coordinator) WorkerStats() ([]StatsReply, error) {
 		}
 	}
 	return out, nil
-}
-
-func defaultCellD(d *traj.Dataset) float64 {
-	ext := d.Stats().Extent
-	if ext.IsEmpty() {
-		return 0.01
-	}
-	w := ext.Max.X - ext.Min.X
-	if h := ext.Max.Y - ext.Min.Y; h > w {
-		w = h
-	}
-	if w <= 0 {
-		return 0.01
-	}
-	return w / 100
 }

@@ -408,7 +408,7 @@ func TestWorkerSnapshotLifecycle(t *testing.T) {
 	svc := &workerService{w: w}
 
 	d := gen.Generate(gen.BeijingLike(40, 210))
-	opts := snap.BuildOptions{Measure: "DTW", K: 2, NLAlign: 3, NLPivot: 2, MinNode: 2, CellD: 0.01}
+	opts := snap.BuildOptions{Measure: "DTW", K: 2, NLAlign: 3, NLPivot: 2, MinNode: 2}
 	args := sealPartition("trips", 3, opts, d.Trajs)
 
 	// An image that is not the content the coordinator named is refused

@@ -24,9 +24,11 @@ func FuzzSnapshot(f *testing.F) {
 		mut[len(mut)/3] ^= 0x40
 		f.Add(mut)
 	}
-	// Format 1 — and its trie layout under a current container — are refused.
+	// Formats 1 and 2 — and format 1's trie layout under a current
+	// container — are refused.
 	old := testSnapshot(f, 8, 3)
 	f.Add(sealImage(1, old, format1TrieSection(old)))
+	f.Add(sealImage(2, old, old.Index.AppendBinary(nil)))
 	f.Add(sealImage(Version, old, format1TrieSection(old)))
 	// So are a trie nested past K+2 levels and leaves that are not a
 	// permutation of the members, however well the container checksums.

@@ -28,8 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"math"
+	"math/bits"
 
 	"dita/internal/geom"
 	"dita/internal/traj"
@@ -42,10 +42,13 @@ import (
 // land behind the same file format later.
 //
 // Version 2 dropped the per-trajectory indexing points from the trie
-// section (trie/serial.go): only Build reads them. There is one reader and
-// one writer; a version-1 file is refused with VersionError like any other
-// foreign version, and its owner re-ships or heals the partition.
-const Version = 2
+// section (trie/serial.go): only Build reads them. Version 3 changed what a
+// sealed fingerprint means: the content hash went from FNV-1a over bytes to
+// a word-wise hash the decoder computes in its copy loop, and the unread
+// cell side of the retired Lemma 5.6 filter left the meta section and the
+// hash. There is one reader and one writer; a file of any other version is
+// refused with VersionError, and its owner re-ships or heals the partition.
+const Version = 3
 
 const (
 	magic     = "DITASNP1" // header magic, 8 bytes
@@ -85,9 +88,6 @@ type BuildOptions struct {
 	Delta   int
 	// Trie configuration (trie.Config with Strategy as an int).
 	K, NLAlign, NLPivot, MinNode, Strategy int
-	// CellD is the cell side length of the retired Lemma 5.6 filter; the
-	// field stays because the format and the fingerprint include it.
-	CellD float64
 }
 
 // Snapshot is the in-memory form of one partition snapshot.
@@ -228,7 +228,6 @@ func encodeMeta(s *Snapshot, fp uint64) []byte {
 	b = appendU32(b, uint32(int32(s.Opts.NLPivot)))
 	b = appendU32(b, uint32(int32(s.Opts.MinNode)))
 	b = appendU32(b, uint32(int32(s.Opts.Strategy)))
-	b = appendF64(b, s.Opts.CellD)
 	b = appendU64(b, uint64(len(s.Trajs)))
 	return b
 }
@@ -246,7 +245,6 @@ func decodeMeta(data []byte, s *Snapshot) (trajCount int, err error) {
 	s.Opts.NLPivot = int(int32(r.u32()))
 	s.Opts.MinNode = int(int32(r.u32()))
 	s.Opts.Strategy = int(int32(r.u32()))
-	s.Opts.CellD = r.f64()
 	trajCount = int(r.u64())
 	if r.err != nil {
 		return 0, r.err
@@ -281,88 +279,171 @@ func encodeTrajs(trajs []*traj.T) []byte {
 // is carved from, and the pointer slice the trie indexes. Each Points is
 // capped at its own length, so an append to one copies it out instead of
 // running into its neighbour; nobody writes through them (DESIGN.md §10).
-func decodeTrajs(data []byte) ([]*traj.T, error) {
+//
+// Every point is read once: one loop copies a member into the slab, checks
+// it as traj.Validate does and feeds each decoded word to the trajectory
+// half of the content fingerprint, which decodeTrajs returns.
+func decodeTrajs(data []byte) ([]*traj.T, uint64, error) {
 	r := &reader{data: data}
 	n := int(r.u64())
 	if r.err != nil {
-		return nil, r.err
+		return nil, 0, r.err
 	}
 	// Each trajectory costs at least 16 bytes of headers.
 	if n < 0 || n > (len(data)-r.off)/16 {
-		return nil, corruptf("trajectory count %d exceeds buffer", n)
+		return nil, 0, corruptf("trajectory count %d exceeds buffer", n)
 	}
 	// The headers fix the slab's size: whatever they leave of the section is
-	// points. Walk them first; the second pass then cannot run out of slab.
+	// points. Walk them first; the copy loop then cannot run out of slab or
+	// of section.
 	start := r.off
 	for i := 0; i < n; i++ {
 		r.u64()
 		np := int(r.u64())
 		if r.err == nil && (np < 0 || np > (len(data)-r.off)/16) {
-			return nil, corruptf("point count %d exceeds buffer", np)
+			return nil, 0, corruptf("point count %d exceeds buffer", np)
 		}
 		r.take(16 * np)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, 0, r.err
 	}
 	if r.off != len(data) {
-		return nil, corruptf("trajectory section: %d trailing bytes", len(data)-r.off)
+		return nil, 0, corruptf("trajectory section: %d trailing bytes", len(data)-r.off)
 	}
 	slab := make([]geom.Point, (len(data)-start-16*n)/16)
 	ts := make([]traj.T, n)
 	out := make([]*traj.T, n)
-	r.off = start
+	h := newWordHash()
+	h.word(uint64(n))
+	b := data[start:]
 	for i := range ts {
-		id := int(int64(r.u64()))
-		np := int(r.u64())
+		id := binary.LittleEndian.Uint64(b[0:8])
+		np := int(binary.LittleEndian.Uint64(b[8:16]))
+		h.word(id)
+		h.word(uint64(np))
+		src := b[16 : 16+16*np]
+		b = b[16+16*np:]
 		pts := slab[:np:np]
 		slab = slab[np:]
+		ok := np >= traj.MinLen
 		for j := range pts {
-			pts[j] = geom.Point{X: r.f64(), Y: r.f64()}
+			x := binary.LittleEndian.Uint64(src[0:8])
+			y := binary.LittleEndian.Uint64(src[8:16])
+			src = src[16:]
+			h.word(x)
+			h.word(y)
+			if !finiteBits(x) || !finiteBits(y) {
+				ok = false
+			}
+			pts[j] = geom.Point{X: math.Float64frombits(x), Y: math.Float64frombits(y)}
 		}
-		ts[i] = traj.T{ID: id, Points: pts}
+		ts[i] = traj.T{ID: int(int64(id)), Points: pts}
 		out[i] = &ts[i]
 		// A member every ingest edge would refuse (one point, a non-finite
-		// coordinate) breaks the trie's bounds: refuse the image instead.
-		if err := ts[i].Validate(); err != nil {
-			return nil, &CorruptError{Reason: err.Error()}
+		// coordinate) breaks the trie's bounds: refuse the image instead, in
+		// Validate's words.
+		if !ok {
+			return nil, 0, &CorruptError{Reason: ts[i].Validate().Error()}
 		}
 	}
-	return out, nil
+	return out, h.sum(), nil
 }
 
+// maxAbsBits is math.Float64bits(1e308), traj.Validate's bound on |x|. For
+// a float with its sign bit cleared, bit order is value order and every NaN
+// sorts above +Inf, so finiteBits(b) is traj.Validate's test on the value.
+const maxAbsBits = 0x7FE1CCF385EBC8A0
+
+func finiteBits(b uint64) bool { return b&^(1<<63) < maxAbsBits }
+
 // Fingerprint hashes the partition content — build options plus every
-// trajectory — with FNV-1a 64. Equal fingerprints mean "a snapshot or an
-// in-memory index built from this exact data with these exact options is
-// interchangeable", which is what lets the coordinator skip re-shipping a
-// partition a worker already holds.
+// trajectory — into a 64-bit content identity. Equal fingerprints mean "a
+// snapshot or an in-memory index built from this exact data with these
+// exact options is interchangeable", which is what lets the coordinator
+// skip re-shipping a partition a worker already holds.
+//
+// The options and the trajectory stream are hashed apart and then combined,
+// so Decode hashes the stream in its copy loop whichever section comes
+// first. The stream is the member count, then per member its id, its point
+// count and the bits of each point's x and y — the trajectory section's
+// words, in order.
 func Fingerprint(opts BuildOptions, trajs []*traj.T) uint64 {
-	h := fnv.New64a()
-	var scratch [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		h.Write(scratch[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	h.Write([]byte(opts.Measure))
-	f64(opts.Eps)
-	u64(uint64(int64(opts.Delta)))
-	u64(uint64(int64(opts.K)))
-	u64(uint64(int64(opts.NLAlign)))
-	u64(uint64(int64(opts.NLPivot)))
-	u64(uint64(int64(opts.MinNode)))
-	u64(uint64(int64(opts.Strategy)))
-	f64(opts.CellD)
-	u64(uint64(len(trajs)))
+	h := newWordHash()
+	h.word(uint64(len(trajs)))
 	for _, t := range trajs {
-		u64(uint64(int64(t.ID)))
-		u64(uint64(len(t.Points)))
+		h.word(uint64(int64(t.ID)))
+		h.word(uint64(len(t.Points)))
 		for _, p := range t.Points {
-			f64(p.X)
-			f64(p.Y)
+			h.word(math.Float64bits(p.X))
+			h.word(math.Float64bits(p.Y))
 		}
 	}
-	return h.Sum64()
+	return contentHash(opts, h.sum())
+}
+
+// contentHash combines the options' hash with a trajectory stream's.
+func contentHash(opts BuildOptions, stream uint64) uint64 {
+	o := newWordHash()
+	o.str(opts.Measure)
+	o.word(math.Float64bits(opts.Eps))
+	for _, v := range [...]int{opts.Delta, opts.K, opts.NLAlign, opts.NLPivot, opts.MinNode, opts.Strategy} {
+		o.word(uint64(int64(v)))
+	}
+	h := newWordHash()
+	h.word(o.sum())
+	h.word(stream)
+	return h.sum()
+}
+
+// xxHash64's primes (github.com/Cyan4973/xxHash, xxhash.h).
+const (
+	prime1 uint64 = 0x9E3779B185EBCA87
+	prime2 uint64 = 0xC2B2AE3D27D4EB4F
+	prime3 uint64 = 0x165667B19E3779F9
+	prime5 uint64 = 0x27D4EB2F165667C5
+)
+
+// wordHash is the content fingerprint's hash over a stream of u64 words:
+// each word goes through xxHash64's lane round (multiply, rotate, multiply)
+// on one lane, the word count is folded in, and xxHash64's avalanche
+// finishes the value. For a fixed word every round is a bijection of the
+// state, and so are the fold and the avalanche: two streams of equal length
+// that differ in one word never collide. It is not xxHash64 itself, which
+// runs four lanes over bytes.
+type wordHash struct {
+	acc, n uint64
+}
+
+func newWordHash() wordHash { return wordHash{acc: prime5} }
+
+func (h *wordHash) word(w uint64) {
+	h.acc = bits.RotateLeft64(h.acc+w*prime2, 31) * prime1
+	h.n++
+}
+
+// str feeds a string as its length, then its bytes eight to a word,
+// little-endian, the last word zero-padded.
+func (h *wordHash) str(s string) {
+	h.word(uint64(len(s)))
+	for len(s) > 0 {
+		var w uint64
+		for i := 0; i < 8 && i < len(s); i++ {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		h.word(w)
+		s = s[min(8, len(s)):]
+	}
+}
+
+func (h *wordHash) sum() uint64 {
+	v := h.acc + h.n
+	v ^= v >> 33
+	v *= prime2
+	v ^= v >> 29
+	v *= prime3
+	v ^= v >> 32
+	return v
 }
 
 // appendSection appends one framed section: kind, length, payload, CRC.
@@ -444,6 +525,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	var (
 		metaSeen, trajsSeen, trieSeen bool
 		trajCount                     int
+		trajsHash                     uint64
 		triePayload                   []byte
 	)
 	r := &reader{data: body, off: headerLen}
@@ -477,7 +559,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			}
 			trajsSeen = true
 			var err error
-			if s.Trajs, err = decodeTrajs(payload); err != nil {
+			if s.Trajs, trajsHash, err = decodeTrajs(payload); err != nil {
 				return nil, err
 			}
 		case kindTrie:
@@ -520,9 +602,10 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, &CorruptError{Reason: err.Error()}
 	}
 	s.Index = index
-	// Recomputed fingerprint must match the sealed one: catches any
-	// logical drift between encoder and decoder that the CRCs cannot.
-	if fp := Fingerprint(s.Opts, s.Trajs); fp != s.Fingerprint {
+	// The fingerprint recomputed from the decoded values must match the
+	// sealed one: catches any logical drift between encoder and decoder that
+	// the CRCs cannot. decodeTrajs hashed the members as it copied them.
+	if fp := contentHash(s.Opts, trajsHash); fp != s.Fingerprint {
 		return nil, corruptf("content fingerprint mismatch (sealed %016x, recomputed %016x)",
 			s.Fingerprint, fp)
 	}

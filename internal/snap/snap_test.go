@@ -2,14 +2,17 @@ package snap
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dita/internal/gen"
@@ -45,7 +48,6 @@ func testSnapshot(t testing.TB, n int, seed int64) *Snapshot {
 		Opts: BuildOptions{
 			Measure: "DTW",
 			K:       cfg.K, NLAlign: cfg.NLAlign, NLPivot: cfg.NLPivot, MinNode: cfg.MinNode,
-			CellD: 0.01,
 		},
 		Trajs: trajs,
 		Index: trie.Build(trajs, cfg),
@@ -163,31 +165,41 @@ func TestSnapshotEveryTruncationDetected(t *testing.T) {
 	}
 }
 
+// TestSnapshotVersionBumpRefused: an image of any version but Version is
+// refused as a foreign version, which Classify reports as "version" and the
+// owner heals or rebuilds — a future one (the footer patched), and a
+// version-2 image, sealed before the content hash and the meta section
+// changed.
 func TestSnapshotVersionBumpRefused(t *testing.T) {
 	s := testSnapshot(t, 8, 4)
-	data := Encode(s)
-	// Patch the footer version (offset len-16..len-12) to a future one.
-	mut := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(mut[len(mut)-16:], Version+1)
-	_, err := Decode(mut)
-	var ve *VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("want VersionError, got %v", err)
-	}
-	if ve.Got != Version+1 {
-		t.Fatalf("VersionError.Got = %d, want %d", ve.Got, Version+1)
-	}
-	if Classify(err) != "version" {
-		t.Fatalf("Classify(version bump) = %q, want %q", Classify(err), "version")
+	future := Encode(s)
+	binary.LittleEndian.PutUint32(future[len(future)-16:], Version+1)
+	for want, img := range map[uint32][]byte{
+		Version + 1: future,
+		2:           sealImage(2, s, s.Index.AppendBinary(nil)),
+	} {
+		got, err := Decode(img)
+		var ve *VersionError
+		if got != nil || !errors.As(err, &ve) || ve.Got != want || Classify(err) != "version" {
+			t.Errorf("version-%d image: snapshot %v, err %v (class %q), want VersionError{%d}",
+				want, got != nil, err, Classify(err), want)
+		}
 	}
 }
 
 // sealImage frames the three required sections into a sealed image of the
 // given format version, as Encode does for Version.
 func sealImage(version uint32, s *Snapshot, trieSection []byte) []byte {
+	return sealWith(version, s, Fingerprint(s.Opts, s.Trajs), encodeTrajs(s.Trajs), trieSection)
+}
+
+// sealWith frames s's meta section with fingerprint fp, the given
+// trajectory and trie sections, and seals them: every CRC holds whatever
+// the sections say.
+func sealWith(version uint32, s *Snapshot, fp uint64, trajSection, trieSection []byte) []byte {
 	body := append([]byte(magic), appendU32(appendU32(nil, version), 3)...)
-	body = appendSection(body, kindMeta, encodeMeta(s, Fingerprint(s.Opts, s.Trajs)))
-	body = appendSection(body, kindTrajs, encodeTrajs(s.Trajs))
+	body = appendSection(body, kindMeta, encodeMeta(s, fp))
+	body = appendSection(body, kindTrajs, trajSection)
 	body = appendSection(body, kindTrie, trieSection)
 	out := append(append([]byte(nil), body...), sealMagic...)
 	out = appendU32(out, version)
@@ -284,22 +296,84 @@ func TestDecodeRefusesMalformedTrie(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesInvalidMember: an image whose checksums hold but that
-// holds a member traj.Validate refuses — one point, whose first and last
-// indexing point coincide, or a non-finite coordinate — is corrupt, as
-// the same member is at every ingest edge.
+// TestDecodeRefusesInvalidMember: an image whose checksums and fingerprint
+// hold but that holds a member traj.Validate refuses is corrupt, as the same
+// member is at every ingest edge, and the refusal says what Validate says.
+// The cases are 0 and 1 points, and NaN, ±Inf and ±1e308 — the first
+// magnitude Validate refuses — in x or in y at the first, a middle and the
+// last point. The member's neighbours keep the trie section valid, so only
+// the member check can refuse the image.
 func TestDecodeRefusesInvalidMember(t *testing.T) {
-	for name, pts := range map[string][]geom.Point{
-		"one point":   {{X: 0.5, Y: 0.5}},
-		"a NaN":       {{X: 0.5, Y: 0.5}, {X: math.NaN(), Y: 0.5}},
-		"an infinity": {{X: math.Inf(1), Y: 0.5}, {X: 0.5, Y: 0.5}},
+	s := testSnapshot(t, 20, 9)
+	trieSection := s.Index.AppendBinary(nil)
+	cases := map[string][]geom.Point{
+		"no points": {},
+		"one point": {{X: 0.5, Y: 0.5}},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1e308} {
+		for _, at := range []int{0, 2, 4} {
+			for _, axis := range []string{"x", "y"} {
+				pts := []geom.Point{{X: 0.1, Y: 0.2}, {X: 0.3, Y: 0.4}, {X: 0.5, Y: 0.6}, {X: 0.7, Y: 0.8}, {X: 0.9, Y: 1.0}}
+				if axis == "x" {
+					pts[at].X = bad
+				} else {
+					pts[at].Y = bad
+				}
+				cases[fmt.Sprintf("%v in %s at point %d", bad, axis, at)] = pts
+			}
+		}
+	}
+	if maxAbsBits != math.Float64bits(1e308) {
+		t.Fatalf("maxAbsBits = %#x, want Float64bits(1e308) = %#x", maxAbsBits, math.Float64bits(1e308))
+	}
+	for name, pts := range cases {
+		trajs := append([]*traj.T(nil), s.Trajs...)
+		trajs[3] = &traj.T{ID: trajs[3].ID, Points: pts}
+		want := trajs[3].Validate()
+		if want == nil {
+			t.Fatalf("%s: traj.Validate accepts the member", name)
+		}
+		img := sealWith(Version, s, Fingerprint(s.Opts, trajs), encodeTrajs(trajs), trieSection)
+		got, err := Decode(img)
+		if got != nil || !IsCorrupt(err) || err.Error() != (&CorruptError{Reason: want.Error()}).Error() {
+			t.Errorf("%s: snapshot %v, err %v, want a CorruptError saying %q", name, got != nil, err, want)
+		}
+	}
+	// The largest magnitude below the bound is a coordinate like any other.
+	trajs := append([]*traj.T(nil), s.Trajs...)
+	edge := math.Nextafter(1e308, 0)
+	trajs[3] = &traj.T{ID: trajs[3].ID, Points: []geom.Point{{X: edge, Y: -edge}, {X: -edge, Y: edge}}}
+	if _, err := Decode(sealWith(Version, s, Fingerprint(s.Opts, trajs), encodeTrajs(trajs), trieSection)); err != nil {
+		t.Errorf("a member at ±nextafter(1e308, 0): %v", err)
+	}
+}
+
+// TestDecodeRefusesFingerprintMismatch: the fingerprint is checked against a
+// recompute from the decoded values, not taken from the image. An image whose
+// CRCs all hold is still refused when its sealed fingerprint is one bit off,
+// or when its trajectory section was changed and every CRC sealed again.
+func TestDecodeRefusesFingerprintMismatch(t *testing.T) {
+	s := testSnapshot(t, 20, 10)
+	fp := Fingerprint(s.Opts, s.Trajs)
+	trieSection := s.Index.AppendBinary(nil)
+	if _, err := Decode(sealWith(Version, s, fp, encodeTrajs(s.Trajs), trieSection)); err != nil {
+		t.Fatalf("the unchanged image: %v", err)
+	}
+	nudged := append([]*traj.T(nil), s.Trajs...)
+	m := nudged[5]
+	pts := append([]geom.Point(nil), m.Points...)
+	pts[len(pts)/2].Y = math.Nextafter(pts[len(pts)/2].Y, 2)
+	nudged[5] = &traj.T{ID: m.ID, Points: pts}
+	swapped := append([]*traj.T(nil), s.Trajs...)
+	swapped[2], swapped[3] = swapped[3], swapped[2]
+	for name, img := range map[string][]byte{
+		"sealed fingerprint one bit off":   sealWith(Version, s, fp^1<<17, encodeTrajs(s.Trajs), trieSection),
+		"a coordinate one ulp off":         sealWith(Version, s, fp, encodeTrajs(nudged), trieSection),
+		"two members in each other's slot": sealWith(Version, s, fp, encodeTrajs(swapped), trieSection),
 	} {
-		s := testSnapshot(t, 20, 9)
-		s.Trajs[3] = &traj.T{ID: s.Trajs[3].ID, Points: pts}
-		s.Index = trie.Build(s.Trajs, trie.Config{K: s.Opts.K, NLAlign: s.Opts.NLAlign, NLPivot: s.Opts.NLPivot, MinNode: s.Opts.MinNode})
-		got, err := Decode(Encode(s))
-		if got != nil || !IsCorrupt(err) {
-			t.Errorf("%s: snapshot %v, err %v, want a CorruptError", name, got != nil, err)
+		got, err := Decode(img)
+		if got != nil || !IsCorrupt(err) || !strings.Contains(err.Error(), "fingerprint") {
+			t.Errorf("%s: snapshot %v, err %v, want a fingerprint CorruptError", name, got != nil, err)
 		}
 	}
 }
@@ -377,22 +451,103 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// TestFingerprintSensitivity: every field of the content moves the
+// fingerprint — each build option, a member's id and point count, x and y
+// of its first, a middle and its last point, the order of two members, and
+// a point moved across a member boundary, which keeps every coordinate
+// word and changes only two counts.
 func TestFingerprintSensitivity(t *testing.T) {
 	s := testSnapshot(t, 10, 5)
 	base := Fingerprint(s.Opts, s.Trajs)
 	if base != Fingerprint(s.Opts, s.Trajs) {
 		t.Fatal("fingerprint unstable")
 	}
-	opts := s.Opts
-	opts.CellD += 1e-9
-	if Fingerprint(opts, s.Trajs) == base {
-		t.Fatal("fingerprint ignores CellD")
+	for name, edit := range map[string]func(*BuildOptions){
+		"Measure":  func(o *BuildOptions) { o.Measure = "DTW2" },
+		"Eps":      func(o *BuildOptions) { o.Eps += 1e-9 },
+		"Delta":    func(o *BuildOptions) { o.Delta++ },
+		"K":        func(o *BuildOptions) { o.K++ },
+		"NLAlign":  func(o *BuildOptions) { o.NLAlign++ },
+		"NLPivot":  func(o *BuildOptions) { o.NLPivot++ },
+		"MinNode":  func(o *BuildOptions) { o.MinNode++ },
+		"Strategy": func(o *BuildOptions) { o.Strategy++ },
+	} {
+		opts := s.Opts
+		edit(&opts)
+		if Fingerprint(opts, s.Trajs) == base {
+			t.Errorf("fingerprint ignores option %s", name)
+		}
 	}
-	mut := append([]*traj.T(nil), s.Trajs...)
-	mut[3] = &traj.T{ID: mut[3].ID, Points: append([]geom.Point(nil), mut[3].Points...)}
-	mut[3].Points[0].X += 1e-12
-	if Fingerprint(s.Opts, mut) == base {
-		t.Fatal("fingerprint ignores point perturbation")
+	// members copies the members and lets edit change them.
+	members := func(edit func([]*traj.T)) []*traj.T {
+		out := make([]*traj.T, len(s.Trajs))
+		for i, m := range s.Trajs {
+			out[i] = &traj.T{ID: m.ID, Points: append([]geom.Point(nil), m.Points...)}
+		}
+		edit(out)
+		return out
+	}
+	cases := map[string]func([]*traj.T){
+		"an id":          func(ts []*traj.T) { ts[3].ID++ },
+		"a point count":  func(ts []*traj.T) { ts[3].Points = ts[3].Points[:len(ts[3].Points)-1] },
+		"a member order": func(ts []*traj.T) { ts[3], ts[4] = ts[4], ts[3] },
+		"a point moved across a member boundary": func(ts []*traj.T) {
+			a, b := ts[3], ts[4]
+			last := a.Points[len(a.Points)-1]
+			a.Points = a.Points[:len(a.Points)-1]
+			b.Points = append([]geom.Point{last}, b.Points...)
+		},
+	}
+	for _, at := range []string{"first", "middle", "last"} {
+		point := func(ts []*traj.T) *geom.Point {
+			pts := ts[3].Points
+			return &pts[map[string]int{"first": 0, "middle": len(pts) / 2, "last": len(pts) - 1}[at]]
+		}
+		cases["x of the "+at+" point"] = func(ts []*traj.T) { point(ts).X += 1e-12 }
+		cases["y of the "+at+" point"] = func(ts []*traj.T) { point(ts).Y += 1e-12 }
+	}
+	for name, edit := range cases {
+		if Fingerprint(s.Opts, members(edit)) == base {
+			t.Errorf("fingerprint ignores %s", name)
+		}
+	}
+	if Fingerprint(s.Opts, members(func([]*traj.T) {})) != base {
+		t.Fatal("the fingerprint of an equal copy differs")
+	}
+}
+
+// TestFingerprintGolden pins the content fingerprint, and the sha256 of the
+// whole image Encode writes, of a fixed three-member snapshot: the
+// definition cannot drift between hosts or commits unnoticed. A change to
+// either is a format change and takes a Version bump.
+func TestFingerprintGolden(t *testing.T) {
+	trajs := []*traj.T{
+		{ID: 1, Points: []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0.5}}},
+		{ID: -7, Points: []geom.Point{{X: 116.25, Y: 39.875}, {X: 116.5, Y: 39.75}, {X: math.Copysign(0, -1), Y: 1e-300}}},
+		{ID: 1 << 40, Points: []geom.Point{{X: 3, Y: 4}, {X: 3, Y: 4}, {X: 5, Y: 12}, {X: -8, Y: 15}}},
+	}
+	opts := BuildOptions{Measure: "EDR", Eps: 0.25, Delta: 3, K: 2, NLAlign: 3, NLPivot: 2, MinNode: 1, Strategy: 1}
+	s := &Snapshot{
+		Dataset: "golden", Partition: 2, Opts: opts, Trajs: trajs,
+		Index: trie.Build(trajs, trie.Config{K: opts.K, NLAlign: opts.NLAlign, NLPivot: opts.NLPivot, MinNode: opts.MinNode, Strategy: pivot.Strategy(opts.Strategy)}),
+	}
+	// wantFP was also reproduced outside Go from the definition alone
+	// (wordHash's round, fold and avalanche over the words Fingerprint
+	// documents); the member at ID -7 holds a negative zero, whose sign bit
+	// is content.
+	const (
+		wantFP  = uint64(0x83863aa41e3f7e0a)
+		wantSHA = "13665fd77f51b8766b8e9c94141d8a8b468fd3ecb37907a0d18b19e1ca41666a"
+	)
+	img := Encode(s)
+	if s.Fingerprint != wantFP {
+		t.Errorf("Fingerprint = %#016x, want %#016x", s.Fingerprint, wantFP)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != wantSHA {
+		t.Errorf("sha256(Encode) = %s, want %s", got, wantSHA)
+	}
+	if got, err := Decode(img); err != nil || got.Fingerprint != s.Fingerprint {
+		t.Fatalf("Decode of the golden image: %v", err)
 	}
 }
 
