@@ -113,20 +113,23 @@ autopilot:
 # input (CSV trajectory loader, SQL lexer/parser, snapshot decoder, WAL
 # replay), of the threshold-DTW kernel's accept ⇔ Distance <= tau contract
 # and of the kNN envelope and point bounds' bound <= Distance one.
-# -run='^$$' skips the unit tests so only the fuzz engine runs.
+# -run='^$$' skips the unit tests so only the fuzz engine runs. Go's fuzz
+# engine stops executing while it minimizes a new interesting input, for up
+# to a minute by default: -fuzzminimizetime=2s keeps a short run fuzzing for
+# the time it says instead of minimizing.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/traj
-	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sqlx
-	$(GO) test -run='^$$' -fuzz=FuzzLexer -fuzztime=$(FUZZTIME) ./internal/sqlx
-	$(GO) test -run='^$$' -fuzz=FuzzSnapshot -fuzztime=$(FUZZTIME) ./internal/snap
-	$(GO) test -run='^$$' -fuzz='FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/wal
-	$(GO) test -run='^$$' -fuzz='FuzzWALReplayRaw$$' -fuzztime=$(FUZZTIME) ./internal/wal
-	$(GO) test -run='^$$' -fuzz=FuzzRepartitionPlan -fuzztime=$(FUZZTIME) ./internal/str
-	$(GO) test -run='^$$' -fuzz=FuzzDTWThreshold -fuzztime=$(FUZZTIME) ./internal/measure
-	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeBound -fuzztime=$(FUZZTIME) ./internal/trie
-	$(GO) test -run='^$$' -fuzz=FuzzKNNPointBound -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinary -fuzztime=$(FUZZTIME) ./internal/trie
+	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/traj
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/sqlx
+	$(GO) test -run='^$$' -fuzz=FuzzLexer -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/sqlx
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/snap
+	$(GO) test -run='^$$' -fuzz='FuzzWALReplay$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/wal
+	$(GO) test -run='^$$' -fuzz='FuzzWALReplayRaw$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzRepartitionPlan -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/str
+	$(GO) test -run='^$$' -fuzz=FuzzDTWThreshold -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/measure
+	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/trie
+	$(GO) test -run='^$$' -fuzz=FuzzKNNPointBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinary -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/trie
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -1,42 +1,25 @@
 package baseline
 
 import (
+	"slices"
 	"testing"
 
 	"dita/internal/cluster"
 	"dita/internal/core"
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
-func bruteSearch(d *traj.Dataset, m measure.Measure, q *traj.T, tau float64) map[int]bool {
-	out := map[int]bool{}
-	for _, t := range d.Trajs {
-		if m.Distance(t.Points, q.Points) <= tau {
-			out[t.ID] = true
-		}
+// pairsOf is the adapter from a baseline's join answer, in no order, to the
+// oracle's.
+func pairsOf(ps []core.Pair) []oracle.Pair {
+	out := make([]oracle.Pair, len(ps))
+	for i, p := range ps {
+		out[i] = oracle.Pair{T: p.T.ID, Q: p.Q.ID, Distance: p.Distance}
 	}
-	return out
-}
-
-func checkSearch(t *testing.T, name string, got []*traj.T, want map[int]bool) {
-	t.Helper()
-	ids := map[int]bool{}
-	for _, tr := range got {
-		if ids[tr.ID] {
-			t.Fatalf("%s: duplicate result %d", name, tr.ID)
-		}
-		ids[tr.ID] = true
-	}
-	if len(ids) != len(want) {
-		t.Fatalf("%s: got %d results, want %d", name, len(ids), len(want))
-	}
-	for id := range want {
-		if !ids[id] {
-			t.Fatalf("%s: missing %d", name, id)
-		}
-	}
+	return oracle.SortPairs(out)
 }
 
 // All three baselines must return exactly the brute-force answers — they
@@ -57,10 +40,16 @@ func TestBaselinesExact(t *testing.T) {
 			tau = 0.05
 		}
 		for _, q := range gen.Queries(d, 10, 2) {
-			want := bruteSearch(d, m, q, tau)
+			// A baseline's answer carries no distance: ids, ascending.
+			want := oracle.IDs(oracle.Search(d.Trajs, m, q, tau))
 			for _, s := range systems {
-				got := s.Search(q, tau)
-				checkSearch(t, m.Name()+"/"+s.Name(), got, want)
+				var got []int
+				for _, tr := range s.Search(q, tau) {
+					got = append(got, tr.ID)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s/%s q=%d: ids %v, the oracle's %v", m.Name(), s.Name(), q.ID, got, want)
+				}
 			}
 		}
 	}
@@ -95,26 +84,8 @@ func TestSimbaJoinExact(t *testing.T) {
 	cl := cluster.New(cluster.DefaultConfig(4))
 	sa := NewSimba(a, measure.DTW{}, cl, 6)
 	sb := NewSimba(b, measure.DTW{}, cl, 6)
-	pairs := sa.Join(sb, 0.04)
-	want := map[[2]int]bool{}
-	for _, t1 := range a.Trajs {
-		for _, t2 := range b.Trajs {
-			if (measure.DTW{}).Distance(t1.Points, t2.Points) <= 0.04 {
-				want[[2]int{t1.ID, t2.ID}] = true
-			}
-		}
-	}
-	got := map[[2]int]bool{}
-	for _, p := range pairs {
-		got[[2]int{p.T.ID, p.Q.ID}] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Simba join: %d pairs, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("Simba join missing %v", k)
-		}
+	if err := oracle.DiffJoin(pairsOf(sa.Join(sb, 0.04)), oracle.Join(a.Trajs, b.Trajs, measure.DTW{}, 0.04)); err != nil {
+		t.Fatalf("Simba join: %v", err)
 	}
 }
 
@@ -126,19 +97,9 @@ func TestNaiveJoinExact(t *testing.T) {
 	}
 	cl := cluster.New(cluster.DefaultConfig(2))
 	n := NewNaive(a, measure.DTW{}, cl)
-	pairs := n.Join(b, 0.04)
-	count := 0
-	for _, t1 := range a.Trajs {
-		for _, t2 := range b.Trajs {
-			if (measure.DTW{}).Distance(t1.Points, t2.Points) <= 0.04 {
-				count++
-			}
-		}
+	if err := oracle.DiffJoin(pairsOf(n.Join(b, 0.04)), oracle.Join(a.Trajs, b.Trajs, measure.DTW{}, 0.04)); err != nil {
+		t.Fatalf("Naive join: %v", err)
 	}
-	if len(pairs) != count {
-		t.Fatalf("Naive join: %d pairs, want %d", len(pairs), count)
-	}
-	var _ []core.Pair = pairs
 }
 
 // DFT's defining costs must be visible: bitmap sizes, barrier traffic, and

@@ -5,35 +5,19 @@ import (
 
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
-func brute(d *traj.Dataset, m measure.Measure, q *traj.T, tau float64) map[int]bool {
-	out := map[int]bool{}
-	for _, t := range d.Trajs {
-		if m.Distance(t.Points, q.Points) <= tau {
-			out[t.ID] = true
-		}
-	}
-	return out
-}
-
-func check(t *testing.T, name string, got []Result, want map[int]bool) {
+// checkSearch fails unless got is the oracle's search answer over d.
+func checkSearch(t *testing.T, name string, got []Result, d *traj.Dataset, m measure.Measure, q *traj.T, tau float64) {
 	t.Helper()
-	ids := map[int]bool{}
-	for _, r := range got {
-		if ids[r.Traj.ID] {
-			t.Fatalf("%s: duplicate %d", name, r.Traj.ID)
-		}
-		ids[r.Traj.ID] = true
+	hits := make([]oracle.Hit, len(got))
+	for i, r := range got {
+		hits[i] = oracle.Hit{ID: r.Traj.ID, Distance: r.Distance}
 	}
-	if len(ids) != len(want) {
-		t.Fatalf("%s: %d results, want %d", name, len(ids), len(want))
-	}
-	for id := range want {
-		if !ids[id] {
-			t.Fatalf("%s: missing %d", name, id)
-		}
+	if err := oracle.DiffSearch(hits, oracle.Search(d.Trajs, m, q, tau)); err != nil {
+		t.Fatalf("%s: q=%d τ=%v: %v", name, q.ID, tau, err)
 	}
 }
 
@@ -43,7 +27,7 @@ func TestMBEExactDTW(t *testing.T) {
 	for _, q := range gen.Queries(d, 10, 2) {
 		var st Stats
 		got := e.Search(q, 0.05, &st)
-		check(t, "MBE/DTW", got, brute(d, measure.DTW{}, q, 0.05))
+		checkSearch(t, "MBE/DTW", got, d, measure.DTW{}, q, 0.05)
 		if st.Candidates+st.Pruned != d.Len() {
 			t.Fatalf("stats don't cover dataset: %+v", st)
 		}
@@ -55,7 +39,7 @@ func TestMBEExactFrechet(t *testing.T) {
 	e := NewMBE(d, measure.Frechet{}, 8)
 	for _, q := range gen.Queries(d, 8, 4) {
 		got := e.Search(q, 0.01, nil)
-		check(t, "MBE/Frechet", got, brute(d, measure.Frechet{}, q, 0.01))
+		checkSearch(t, "MBE/Frechet", got, d, measure.Frechet{}, q, 0.01)
 	}
 }
 
@@ -79,7 +63,7 @@ func TestVPTreeExact(t *testing.T) {
 	for _, q := range gen.Queries(d, 10, 8) {
 		var st Stats
 		got := v.Search(q, 0.01, &st)
-		check(t, "VPTree", got, brute(d, measure.Frechet{}, q, 0.01))
+		checkSearch(t, "VPTree", got, d, measure.Frechet{}, q, 0.01)
 		if st.Candidates == 0 {
 			t.Error("no distance evaluations counted")
 		}
@@ -133,15 +117,7 @@ func TestMBEJoinCount(t *testing.T) {
 	d := gen.Generate(gen.BeijingLike(60, 13))
 	e := NewMBE(d, measure.DTW{}, 8)
 	got := e.Join(d, 0.02)
-	want := 0
-	for _, a := range d.Trajs {
-		for _, b := range d.Trajs {
-			if (measure.DTW{}).Distance(a.Points, b.Points) <= 0.02 {
-				want++
-			}
-		}
-	}
-	if got != want {
+	if want := len(oracle.Join(d.Trajs, d.Trajs, measure.DTW{}, 0.02)); got != want {
 		t.Errorf("MBE join count %d, want %d", got, want)
 	}
 }

@@ -143,15 +143,7 @@ func TestCutoverDoesNotBlockReads(t *testing.T) {
 	}
 	var got []SearchResult
 	within("a search", func() { got = e.Search(queries[0], 0.05, nil) })
-	bs := bruteSearch(visibleDataset(want), e.Measure(), queries[0], 0.05)
-	if len(got) != len(bs) {
-		t.Fatalf("search during the cutover: %d results, brute force %d", len(got), len(bs))
-	}
-	for _, r := range got {
-		if !bs[r.Traj.ID] {
-			t.Fatalf("search during the cutover returned %d, not in brute force", r.Traj.ID)
-		}
-	}
+	checkSearch(t, "during the cutover", got, visibleDataset(want).Trajs, e.Measure(), queries[0], 0.05)
 	var insErr error
 	within("an insert outside the group", func() { insErr = e.Insert(upsert) })
 	if insErr != nil {

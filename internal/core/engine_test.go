@@ -7,6 +7,7 @@ import (
 	"dita/internal/cluster"
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 	"dita/internal/trie"
 )
@@ -23,14 +24,30 @@ func smallOpts(workers int) Options {
 	return o
 }
 
-func bruteSearch(d *traj.Dataset, m measure.Measure, q *traj.T, tau float64) map[int]bool {
-	out := map[int]bool{}
-	for _, t := range d.Trajs {
-		if m.Distance(t.Points, q.Points) <= tau {
-			out[t.ID] = true
-		}
+// hitsOf and pairsOf are the adapters from the engine's answers to the
+// oracle's.
+func hitsOf(rs []SearchResult) []oracle.Hit {
+	out := make([]oracle.Hit, len(rs))
+	for i, r := range rs {
+		out[i] = oracle.Hit{ID: r.Traj.ID, Distance: r.Distance}
 	}
 	return out
+}
+
+func pairsOf(ps []Pair) []oracle.Pair {
+	out := make([]oracle.Pair, len(ps))
+	for i, p := range ps {
+		out[i] = oracle.Pair{T: p.T.ID, Q: p.Q.ID, Distance: p.Distance}
+	}
+	return out
+}
+
+// checkSearch fails unless got is the oracle's search answer over members.
+func checkSearch(t testing.TB, label string, got []SearchResult, members []*traj.T, m measure.Measure, q *traj.T, tau float64) {
+	t.Helper()
+	if err := oracle.DiffSearch(hitsOf(got), oracle.Search(members, m, q, tau)); err != nil {
+		t.Fatalf("%s: q=%d τ=%v: search: %v", label, q.ID, tau, err)
+	}
 }
 
 func TestEngineBuild(t *testing.T) {
@@ -74,15 +91,7 @@ func TestEngineBuild(t *testing.T) {
 // measures.
 func TestSearchMatchesBruteForce(t *testing.T) {
 	d := smallDataset(400, 2)
-	measures := []measure.Measure{
-		measure.DTW{},
-		measure.Frechet{},
-		measure.EDR{Eps: 0.002},
-		measure.LCSS{Eps: 0.002, Delta: 5},
-		measure.ERP{},
-		measure.Hausdorff{},
-	}
-	for _, m := range measures {
+	for _, m := range sixMeasures() {
 		opts := smallOpts(4)
 		opts.Measure = m
 		e, err := NewEngine(d, opts)
@@ -100,24 +109,9 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			default:
 				tau = 0.05
 			}
-			want := bruteSearch(d, m, q, tau)
 			var stats SearchStats
 			got := e.Search(q, tau, &stats)
-			gotIDs := map[int]bool{}
-			for _, r := range got {
-				if gotIDs[r.Traj.ID] {
-					t.Fatalf("%s: duplicate result %d", m.Name(), r.Traj.ID)
-				}
-				gotIDs[r.Traj.ID] = true
-			}
-			if len(gotIDs) != len(want) {
-				t.Fatalf("%s: got %d results, want %d (q=%d tau=%v)", m.Name(), len(gotIDs), len(want), q.ID, tau)
-			}
-			for id := range want {
-				if !gotIDs[id] {
-					t.Fatalf("%s: missing result %d", m.Name(), id)
-				}
-			}
+			checkSearch(t, m.Name(), got, d.Trajs, m, q, tau)
 			if stats.Results != len(got) {
 				t.Errorf("stats.Results = %d, want %d", stats.Results, len(got))
 			}
@@ -161,11 +155,7 @@ func TestRandomPartitionExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range gen.Queries(d, 8, 9) {
-		want := bruteSearch(d, measure.DTW{}, q, 0.03)
-		got := e.Search(q, 0.03, nil)
-		if len(got) != len(want) {
-			t.Fatalf("random partitioning broke correctness: %d vs %d", len(got), len(want))
-		}
+		checkSearch(t, "random partitioning", e.Search(q, 0.03, nil), d.Trajs, measure.DTW{}, q, 0.03)
 	}
 }
 
@@ -203,10 +193,7 @@ func TestCentralizedMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := gen.Queries(d, 1, 12)[0]
-	want := bruteSearch(d, measure.DTW{}, q, 0.05)
-	if got := e.Search(q, 0.05, nil); len(got) != len(want) {
-		t.Fatalf("centralized search: %d vs %d", len(got), len(want))
-	}
+	checkSearch(t, "centralized", e.Search(q, 0.05, nil), d.Trajs, measure.DTW{}, q, 0.05)
 }
 
 // Workers must actually share the search workload.
@@ -244,8 +231,5 @@ func TestTrieConfigRespected(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(0))
 	q := d.Trajs[rng.Intn(d.Len())]
-	want := bruteSearch(d, measure.DTW{}, q, 0.04)
-	if got := e.Search(q, 0.04, nil); len(got) != len(want) {
-		t.Fatalf("custom trie config broke search: %d vs %d", len(got), len(want))
-	}
+	checkSearch(t, "custom trie config", e.Search(q, 0.04, nil), d.Trajs, measure.DTW{}, q, 0.04)
 }

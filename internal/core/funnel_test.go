@@ -10,6 +10,7 @@ import (
 	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/obs"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
@@ -28,15 +29,15 @@ func TestSearchFunnelMatchesBruteForce(t *testing.T) {
 	}
 	for qi, q := range gen.Queries(d, 8, 9) {
 		tau := 0.05
-		want := bruteSearch(d, m, q, tau)
 		stats := SearchStats{Trace: obs.NewTrace("search")}
 		got := e.Search(q, tau, &stats)
+		checkSearch(t, "funnel", got, d.Trajs, m, q, tau)
 		f := stats.Funnel
 		if !f.Monotone() {
 			t.Fatalf("q%d: funnel not monotone: %+v", qi, f)
 		}
-		if len(got) != len(want) || f.Matched != int64(len(want)) {
-			t.Fatalf("q%d: matched=%d results=%d, brute force wants %d", qi, f.Matched, len(got), len(want))
+		if f.Matched != int64(len(got)) {
+			t.Fatalf("q%d: matched=%d, %d results", qi, f.Matched, len(got))
 		}
 		// Stage 0: every partition of the engine is counted.
 		if f.Partitions != int64(len(e.parts)) {
@@ -57,8 +58,8 @@ func TestSearchFunnelMatchesBruteForce(t *testing.T) {
 		}
 		// The lower-bound filters must never prune a true match, so every
 		// brute-force match survives to (and through) verification.
-		if f.Verified < int64(len(want)) {
-			t.Errorf("q%d: Verified=%d < %d true matches", qi, f.Verified, len(want))
+		if f.Verified < int64(len(got)) {
+			t.Errorf("q%d: Verified=%d < %d true matches", qi, f.Verified, len(got))
 		}
 		// Legacy counters mirror the funnel.
 		if stats.Candidates != int(f.TrieCands) || stats.Verified != int(f.Verified) || stats.Results != int(f.Matched) {
@@ -120,7 +121,7 @@ func TestJoinFunnelMatchesBruteForce(t *testing.T) {
 	tau := 0.05
 	stats := JoinStats{Trace: obs.NewTrace("join")}
 	pairs := ea.Join(eb, tau, DefaultJoinOptions(), &stats)
-	want := bruteJoin(a, b, m, tau)
+	want := oracle.Join(a.Trajs, b.Trajs, m, tau)
 	checkJoin(t, pairs, want, "funnel join")
 	f := stats.Funnel
 	if !f.Monotone() {
@@ -172,7 +173,7 @@ func TestKNNFunnelOutliers(t *testing.T) {
 	for qi, q := range gen.OutlierQueries(d, 14) {
 		stats := SearchStats{Trace: obs.NewTrace("knn")}
 		got := must(e.SearchKNNContext(context.Background(), q, k, &stats))
-		checkKNNBitwise(t, "engine", got, d.Trajs, m, q, k)
+		checkKNN(t, "engine", got, d.Trajs, m, q, k)
 		f := stats.Funnel
 		if !f.Monotone() || f.Verified != f.AfterCoverage || f.Matched < k {
 			t.Fatalf("q%d: engine funnel %+v", qi, f)
@@ -188,7 +189,7 @@ func TestKNNFunnelOutliers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkKNNBitwise(t, "live scan", acc.Results(), d.Trajs, m, q, k)
+		checkKNN(t, "live scan", acc.Results(), d.Trajs, m, q, k)
 		if !lf.Monotone() || lf.Verified != lf.AfterCoverage || lf.TrieCands != int64(d.Len()) {
 			t.Fatalf("q%d: live-scan funnel %+v", qi, lf)
 		}
@@ -204,7 +205,7 @@ func TestKNNFunnelOutliers(t *testing.T) {
 		for qi, q := range gen.OutlierQueries(d, 14) {
 			acc := NewKNNAcc(k)
 			s := scanAll(m, q.Points, d.Trajs, meta, acc, math.Inf(1))
-			checkKNNBitwise(t, m.Name()+" scan", acc.Results(), d.Trajs, m, q, k)
+			checkKNN(t, m.Name()+" scan", acc.Results(), d.Trajs, m, q, k)
 			n := int64(d.Len())
 			if f := s.funnel(obs.Funnel{Considered: n, TrieCands: n}); !f.Monotone() || f.Verified != f.AfterCoverage {
 				t.Errorf("%s q%d: funnel %+v does not count %d point rejections under coverage", m.Name(), qi, f, s.pointPruned)
@@ -231,13 +232,7 @@ func TestKNNPointBoundGate(t *testing.T) {
 	for _, m := range []measure.Measure{measure.DTW{}, measure.Frechet{}, measure.Hausdorff{}} {
 		narrow := 0
 		for qi, q := range gen.Queries(d, 12, 18) {
-			want := bruteKNN(d, m, q, k)
-			tauK := math.Inf(1)
-			for _, tr := range d.Trajs {
-				if tr.ID == want[k-1] {
-					tauK = m.Distance(tr.Points, q.Points)
-				}
-			}
+			tauK := oracle.KNN(d.Trajs, m, q, k)[k-1].Distance
 			qm := q.MBR()
 			diag := qm.Min.Dist(qm.Max)
 			if tauK >= diag {
@@ -246,7 +241,7 @@ func TestKNNPointBoundGate(t *testing.T) {
 			narrow++
 			acc := NewKNNAcc(k)
 			s := scanAll(m, q.Points, d.Trajs, meta, acc, tauK)
-			checkKNNBitwise(t, fmt.Sprintf("%s q%d at τ_k", m.Name(), qi), acc.Results(), d.Trajs, m, q, k)
+			checkKNN(t, fmt.Sprintf("%s q%d at τ_k", m.Name(), qi), acc.Results(), d.Trajs, m, q, k)
 			if s.pointRuns != 0 {
 				t.Errorf("%s q%d: τ_k %v below the query box's diagonal %v, yet the point bound ran %d times",
 					m.Name(), qi, tauK, diag, s.pointRuns)

@@ -13,6 +13,7 @@ import (
 	"dita/internal/gen"
 	"dita/internal/geom"
 	"dita/internal/obs"
+	"dita/internal/oracle"
 	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/wal"
@@ -43,89 +44,57 @@ func visibleDataset(want map[int]*traj.T) *traj.Dataset {
 	return traj.NewDataset("visible", trajs)
 }
 
-// checkVisible compares the engine's search, kNN and join answers against
-// brute force over the model's visible set — the strongest oracle the
-// repo has (a rebuilt engine is itself tested against brute force).
+// checkVisible holds the engine's search, kNN and join answers to the
+// oracle's over the model's visible set.
 func checkVisible(t *testing.T, e *Engine, want map[int]*traj.T, queries []*traj.T, label string) {
 	t.Helper()
 	layoutOK(t, e, want)
-	vis := visibleDataset(want)
+	vis := visibleDataset(want).Trajs
 	m := e.Measure()
 	checkVisibleJoins(t, e, vis, label)
 	for _, q := range queries {
-		bs := bruteSearch(vis, m, q, 0.05)
-		got := e.Search(q, 0.05, nil)
-		ids := map[int]bool{}
-		for _, r := range got {
-			if ids[r.Traj.ID] {
-				t.Fatalf("%s: q=%d: duplicate search result %d", label, q.ID, r.Traj.ID)
-			}
-			ids[r.Traj.ID] = true
-		}
-		if len(ids) != len(bs) {
-			t.Fatalf("%s: q=%d: search got %d results, brute force %d", label, q.ID, len(ids), len(bs))
-		}
-		for id := range bs {
-			if !ids[id] {
-				t.Fatalf("%s: q=%d: search missing %d", label, q.ID, id)
-			}
-		}
-		k := 7
-		if k > vis.Len() {
-			k = vis.Len()
-		}
-		wantK := bruteKNN(vis, m, q, k)
-		gotK := idsOf(e.SearchKNN(q, k))
-		if len(gotK) != len(wantK) {
-			t.Fatalf("%s: q=%d: knn got %d results, want %d", label, q.ID, len(gotK), len(wantK))
-		}
-		for i := range wantK {
-			if gotK[i] != wantK[i] {
-				t.Fatalf("%s: q=%d: knn[%d] = %d, want %d (got %v want %v)",
-					label, q.ID, i, gotK[i], wantK[i], gotK, wantK)
-			}
-		}
+		checkSearch(t, label, e.Search(q, 0.05, nil), vis, m, q, 0.05)
+		k := min(7, len(vis))
+		checkKNN(t, label, e.SearchKNN(q, k), vis, m, q, k)
 	}
 }
 
 // checkVisibleJoins joins the engine with itself and, in both orientations,
 // with a static engine holding clones of its highest-id visible members
 // (ingested ones have the highest ids, so an unmerged overlay is hit from
-// both sides), and compares each pair set against brute force.
-func checkVisibleJoins(t *testing.T, e *Engine, vis *traj.Dataset, label string) {
+// both sides), and holds each answer to the oracle's.
+func checkVisibleJoins(t *testing.T, e *Engine, vis []*traj.T, label string) {
 	t.Helper()
 	const tau = 0.05
 	m, jo := e.Measure(), DefaultJoinOptions()
 	var clones []*traj.T
-	for i := vis.Len() - 1; i >= 0 && len(clones) < 10; i-- {
-		c := vis.Trajs[i].Clone()
+	for i := len(vis) - 1; i >= 0 && len(clones) < 10; i-- {
+		c := vis[i].Clone()
 		c.ID += 1 << 20
 		clones = append(clones, c)
 	}
-	static := traj.NewDataset("static", clones)
-	se, err := NewEngine(static, e.opts)
+	se, err := NewEngine(traj.NewDataset("static", clones), e.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The self-join oracle is bruteJoin(vis, vis) minus the pairs an
-	// endpoint-anchored measure cannot accept (distance >= dist of the first
-	// points): all n² exact DPs at every round would be most of the suite's time.
-	self := map[[2]int]bool{}
-	for _, a := range vis.Trajs {
-		for _, b := range vis.Trajs {
-			if m.AlignsEndpoints() && a.First().Dist(b.First()) > tau {
-				continue
-			}
-			if m.Distance(a.Points, b.Points) <= tau {
-				self[[2]int{a.ID, b.ID}] = true
-			}
+	checkJoin(t, e.Join(e, tau, jo, nil), oracle.SelfJoin(vis, m, tau), label+": self-join")
+	checkJoin(t, e.Join(se, tau, jo, nil), oracle.Join(vis, clones, m, tau), label+": join with static")
+	checkJoin(t, se.Join(e, tau, jo, nil), oracle.Join(clones, vis, m, tau), label+": static join with")
+}
+
+// checkRebuilt holds e and rebuilt, an engine built afresh over e's visible
+// members vis, to the oracle's search and kNN answers.
+func checkRebuilt(t *testing.T, e, rebuilt *Engine, vis, queries []*traj.T) {
+	t.Helper()
+	for _, q := range queries {
+		for _, x := range []struct {
+			name string
+			e    *Engine
+		}{{"live", e}, {"rebuilt", rebuilt}} {
+			checkSearch(t, "final "+x.name, x.e.Search(q, 0.05, nil), vis, e.Measure(), q, 0.05)
+			checkKNN(t, "final "+x.name, x.e.SearchKNN(q, 7), vis, e.Measure(), q, 7)
 		}
 	}
-	selfPairs := e.Join(e, tau, jo, nil)
-	checkJoin(t, selfPairs, self, label+": self-join")
-	checkSelfJoinExact(t, selfPairs, m, label+": self-join")
-	checkJoin(t, e.Join(se, tau, jo, nil), bruteJoin(vis, static, m, tau), label+": join with static")
-	checkJoin(t, se.Join(e, tau, jo, nil), bruteJoin(static, vis, m, tau), label+": static join with")
 }
 
 // TestIngestDifferential is the tentpole's core contract: an engine
@@ -217,36 +186,14 @@ func TestIngestDifferential(t *testing.T) {
 	}
 
 	// Final differential: a fresh engine over exactly the visible set
-	// must agree answer-for-answer, distances included.
+	// answers as the mutated one does and as the oracle does, distances
+	// bit for bit.
 	vis := visibleDataset(want)
-	oracle, err := NewEngine(vis, opts)
+	rebuilt, err := NewEngine(vis, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range queries {
-		if !sameResults(oracle.Search(q, 0.05, nil), e.Search(q, 0.05, nil)) {
-			t.Fatalf("final search differs from rebuilt engine for query %d", q.ID)
-		}
-		// kNN distances may differ by an ulp between the two engines: a
-		// candidate is resolved by the exact kernel or the threshold
-		// kernel depending on the live τ when it is reached, and the two
-		// DPs are mathematically — not bitwise — equal. IDs and order
-		// must still agree exactly.
-		wk, gk := oracle.SearchKNN(q, 7), e.SearchKNN(q, 7)
-		if len(wk) != len(gk) {
-			t.Fatalf("final knn count differs for query %d: %d vs %d", q.ID, len(wk), len(gk))
-		}
-		for i := range wk {
-			rel := wk[i].Distance - gk[i].Distance
-			if rel < 0 {
-				rel = -rel
-			}
-			if wk[i].Traj.ID != gk[i].Traj.ID || rel > 1e-12*(1+wk[i].Distance) {
-				t.Fatalf("final knn[%d] differs for query %d: oracle=(%d,%g) live=(%d,%g)",
-					i, q.ID, wk[i].Traj.ID, wk[i].Distance, gk[i].Traj.ID, gk[i].Distance)
-			}
-		}
-	}
+	checkRebuilt(t, e, rebuilt, vis.Trajs, queries)
 
 	// Join: the mutated engine joined against a static side must produce
 	// the brute-force pair set over (visible, static).
@@ -261,7 +208,7 @@ func TestIngestDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := e.Join(eb, 0.05, DefaultJoinOptions(), nil)
-	checkJoin(t, pairs, bruteJoin(vis, b, e.Measure(), 0.05), "ingest-join")
+	checkJoin(t, pairs, oracle.Join(vis.Trajs, b.Trajs, e.Measure(), 0.05), "ingest-join")
 
 	// kNN join from the mutated side: one probe per visible trajectory.
 	kj, err := e.KNNJoinContext(context.Background(), eb, 3, nil)
@@ -272,13 +219,7 @@ func TestIngestDifferential(t *testing.T) {
 		t.Fatalf("knn join answered %d probes, visible set has %d", len(kj), len(want))
 	}
 	for id, res := range kj {
-		wk := bruteKNN(b, e.Measure(), want[id], 3)
-		gk := idsOf(res)
-		for i := range wk {
-			if gk[i] != wk[i] {
-				t.Fatalf("knn join probe %d: got %v want %v", id, gk, wk)
-			}
-		}
+		checkKNN(t, "knn join", res, b.Trajs, e.Measure(), want[id], 3)
 	}
 }
 

@@ -10,38 +10,16 @@ import (
 	"dita/internal/cluster"
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
-func bruteJoin(a, b *traj.Dataset, m measure.Measure, tau float64) map[[2]int]bool {
-	out := map[[2]int]bool{}
-	for _, t := range a.Trajs {
-		for _, q := range b.Trajs {
-			if m.Distance(t.Points, q.Points) <= tau {
-				out[[2]int{t.ID, q.ID}] = true
-			}
-		}
-	}
-	return out
-}
-
-func checkJoin(t *testing.T, pairs []Pair, want map[[2]int]bool, label string) {
+// checkJoin fails unless got is want, an oracle join answer: pair for pair
+// in (T.ID, Q.ID) order, distances bit for bit.
+func checkJoin(t testing.TB, got []Pair, want []oracle.Pair, label string) {
 	t.Helper()
-	got := map[[2]int]bool{}
-	for _, p := range pairs {
-		key := [2]int{p.T.ID, p.Q.ID}
-		if got[key] {
-			t.Fatalf("%s: duplicate pair %v", label, key)
-		}
-		got[key] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d pairs, want %d", label, len(got), len(want))
-	}
-	for key := range want {
-		if !got[key] {
-			t.Fatalf("%s: missing pair %v", label, key)
-		}
+	if err := oracle.DiffJoin(pairsOf(got), want); err != nil {
+		t.Fatalf("%s: join: %v", label, err)
 	}
 }
 
@@ -85,7 +63,7 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		ea, eb := buildPair(t, a, b, m, 4)
 		var stats JoinStats
 		pairs := ea.Join(eb, tau, DefaultJoinOptions(), &stats)
-		want := bruteJoin(a, b, m, tau)
+		want := oracle.Join(a.Trajs, b.Trajs, m, tau)
 		checkJoin(t, pairs, want, m.Name())
 		if stats.Results != len(pairs) {
 			t.Errorf("stats.Results = %d, want %d", stats.Results, len(pairs))
@@ -110,7 +88,7 @@ func TestSelfJoin(t *testing.T) {
 	if len(self) != d.Len() {
 		t.Errorf("self-join found %d self pairs, want %d", len(self), d.Len())
 	}
-	want := bruteJoin(d, d, measure.DTW{}, 0.02)
+	want := oracle.Join(d.Trajs, d.Trajs, measure.DTW{}, 0.02)
 	checkJoin(t, pairs, want, "self-join")
 }
 
@@ -132,7 +110,7 @@ func TestJoinEditMeasures(t *testing.T) {
 		}
 		ea, eb := buildPair(t, a, b, m, 2)
 		pairs := ea.Join(eb, tau, DefaultJoinOptions(), nil)
-		want := bruteJoin(a, b, m, tau)
+		want := oracle.Join(a.Trajs, b.Trajs, m, tau)
 		checkJoin(t, pairs, want, m.Name())
 	}
 }
@@ -144,7 +122,7 @@ func TestJoinAblationsExact(t *testing.T) {
 	for _, tr := range b.Trajs {
 		tr.ID += 10000
 	}
-	want := bruteJoin(a, b, measure.DTW{}, 0.04)
+	want := oracle.Join(a.Trajs, b.Trajs, measure.DTW{}, 0.04)
 	for _, mode := range []struct {
 		name string
 		opts JoinOptions
@@ -167,7 +145,7 @@ func TestJoinWorkerCounts(t *testing.T) {
 	for _, tr := range b.Trajs {
 		tr.ID += 10000
 	}
-	want := bruteJoin(a, b, measure.DTW{}, 0.03)
+	want := oracle.Join(a.Trajs, b.Trajs, measure.DTW{}, 0.03)
 	for _, w := range []int{1, 2, 8} {
 		ea, eb := buildPair(t, a, b, measure.DTW{}, w)
 		pairs := ea.Join(eb, 0.03, DefaultJoinOptions(), nil)

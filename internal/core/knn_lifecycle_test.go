@@ -41,7 +41,7 @@ func TestKNNEnvelopeLifecycle(t *testing.T) {
 				vis := visibleDataset(want).Trajs
 				for qi, q := range queries {
 					for _, k := range []int{1, 7, len(vis) + 3} {
-						checkKNNBitwise(t, fmt.Sprintf("%s: query %d", label, qi), e.SearchKNN(q, k), vis, m, q, k)
+						checkKNN(t, fmt.Sprintf("%s: query %d", label, qi), e.SearchKNN(q, k), vis, m, q, k)
 					}
 				}
 			}

@@ -5,38 +5,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"dita/internal/gen"
 	"dita/internal/geom"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
-func bruteKNN(d *traj.Dataset, m measure.Measure, q *traj.T, k int) []int {
-	type dr struct {
-		id int
-		d  float64
+// checkKNN fails unless got is the oracle's kNN answer over members, in
+// (distance, ID) order with the exact kernel's bits.
+func checkKNN(t testing.TB, label string, got []SearchResult, members []*traj.T, m measure.Measure, q *traj.T, k int) {
+	t.Helper()
+	if err := oracle.DiffKNN(hitsOf(got), oracle.KNN(members, m, q, k)); err != nil {
+		t.Fatalf("%s: q=%d k=%d: knn: %v", label, q.ID, k, err)
 	}
-	ds := make([]dr, 0, d.Len())
-	for _, t := range d.Trajs {
-		ds = append(ds, dr{t.ID, m.Distance(t.Points, q.Points)})
-	}
-	sort.Slice(ds, func(a, b int) bool {
-		if ds[a].d != ds[b].d {
-			return ds[a].d < ds[b].d
-		}
-		return ds[a].id < ds[b].id
-	})
-	if k > len(ds) {
-		k = len(ds)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = ds[i].id
-	}
-	return out
 }
 
 func TestKNNMatchesBruteForce(t *testing.T) {
@@ -47,22 +31,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 	}
 	for _, q := range gen.Queries(d, 6, 21) {
 		for _, k := range []int{1, 5, 20} {
-			want := bruteKNN(d, measure.DTW{}, q, k)
-			got := e.SearchKNN(q, k)
-			if len(got) != len(want) {
-				t.Fatalf("k=%d: got %d results, want %d", k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Traj.ID != want[i] {
-					t.Fatalf("k=%d: result %d = traj %d, want %d", k, i, got[i].Traj.ID, want[i])
-				}
-			}
-			// Distances ascending.
-			for i := 1; i < len(got); i++ {
-				if got[i].Distance < got[i-1].Distance {
-					t.Fatalf("k=%d: results not sorted by distance", k)
-				}
-			}
+			checkKNN(t, "engine", e.SearchKNN(q, k), d.Trajs, measure.DTW{}, q, k)
 		}
 	}
 }
@@ -114,16 +83,7 @@ func TestKNNJoinMatchesBruteForce(t *testing.T) {
 		t.Fatalf("KNNJoin covered %d of %d left trajectories", len(got), a.Len())
 	}
 	for _, tr := range a.Trajs {
-		want := bruteKNN(b, measure.DTW{}, tr, k)
-		res := got[tr.ID]
-		if len(res) != len(want) {
-			t.Fatalf("traj %d: got %d neighbors, want %d", tr.ID, len(res), len(want))
-		}
-		for i := range want {
-			if res[i].Traj.ID != want[i] {
-				t.Fatalf("traj %d neighbor %d = %d, want %d", tr.ID, i, res[i].Traj.ID, want[i])
-			}
-		}
+		checkKNN(t, "knn join", got[tr.ID], b.Trajs, measure.DTW{}, tr, k)
 	}
 }
 
@@ -154,7 +114,7 @@ func TestKNNAllMeasuresMatchesBruteForce(t *testing.T) {
 	d := smallDataset(200, 40)
 	for _, m := range []measure.Measure{
 		measure.DTW{}, measure.Frechet{}, measure.ERP{},
-		measure.EDR{Eps: 0.01}, measure.LCSS{Eps: 0.01, Delta: 8},
+		measure.EDR{Eps: 0.01}, measure.LCSS{Eps: 0.01, Delta: 8}, measure.Hausdorff{},
 	} {
 		opts := smallOpts(4)
 		opts.Measure = m
@@ -164,23 +124,7 @@ func TestKNNAllMeasuresMatchesBruteForce(t *testing.T) {
 		}
 		for qi, q := range gen.Queries(d, 4, 41) {
 			for _, k := range []int{1, 7, 50, d.Len(), d.Len() + 17} {
-				want := bruteKNN(d, m, q, k)
-				got := e.SearchKNN(q, k)
-				if len(got) != len(want) {
-					t.Fatalf("%s q%d k=%d: got %d results, want %d",
-						m.Name(), qi, k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Traj.ID != want[i] {
-						t.Fatalf("%s q%d k=%d: result %d = traj %d, want %d",
-							m.Name(), qi, k, i, got[i].Traj.ID, want[i])
-					}
-				}
-				for i := 1; i < len(got); i++ {
-					if got[i].Distance < got[i-1].Distance {
-						t.Fatalf("%s q%d k=%d: results not sorted", m.Name(), qi, k)
-					}
-				}
+				checkKNN(t, fmt.Sprintf("%s q%d", m.Name(), qi), e.SearchKNN(q, k), d.Trajs, m, q, k)
 			}
 		}
 	}
@@ -217,25 +161,7 @@ func TestKNNTiesAtKth(t *testing.T) {
 	m := measure.DTW{}
 	for qi, q := range []*traj.T{member, shifted} {
 		for k := 1; k <= len(trajs); k++ {
-			checkKNNBitwise(t, fmt.Sprintf("query %d", qi), e.SearchKNN(q, k), trajs, m, q, k)
-		}
-	}
-}
-
-// checkKNNBitwise compares one kNN answer with brute force over the visible
-// members in (distance, ID) order, distances bit for bit.
-func checkKNNBitwise(t *testing.T, label string, got []SearchResult, visible []*traj.T, m measure.Measure, q *traj.T, k int) {
-	t.Helper()
-	want := bruteKNN(traj.NewDataset("visible", visible), m, q, k)
-	if len(got) != len(want) {
-		t.Fatalf("%s k=%d: got %d results, want %d", label, k, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Traj.ID != want[i] {
-			t.Fatalf("%s k=%d: result %d = traj %d, want %d", label, k, i, got[i].Traj.ID, want[i])
-		}
-		if exact := m.Distance(got[i].Traj.Points, q.Points); math.Float64bits(got[i].Distance) != math.Float64bits(exact) {
-			t.Fatalf("%s k=%d: result %d distance %v, exact kernel %v", label, k, i, got[i].Distance, exact)
+			checkKNN(t, fmt.Sprintf("query %d", qi), e.SearchKNN(q, k), trajs, m, q, k)
 		}
 	}
 }
@@ -291,33 +217,26 @@ func TestKNNStationaryDuplicates(t *testing.T) {
 				q = stationary(-1, 1+rng.Intn(30), trajs[rng.Intn(len(trajs))].Points[0]) // on a member
 			}
 			for k := 1; k <= len(trajs); k++ {
-				checkKNNBitwise(t, fmt.Sprintf("%s query %d", m.Name(), qi), e.SearchKNN(q, k), trajs, m, q, k)
+				checkKNN(t, fmt.Sprintf("%s query %d", m.Name(), qi), e.SearchKNN(q, k), trajs, m, q, k)
 			}
 			// τ handed over up front at an exact member distance, as a
 			// fan-out visit's cap is: between stationary trajectories the
 			// point bound's larger side is the kernel's own sum, so it
 			// equals τ on every member tying there, and each must survive.
 			for _, k := range []int{1, copies, 2*copies + 1} {
-				want := bruteKNN(d, m, q, k)
-				tau := m.Distance(trajs[len(trajs)-1-want[k-1]].Points, q.Points)
+				tau := oracle.KNN(trajs, m, q, k)[k-1].Distance
 				acc := NewKNNAcc(k)
 				s := scanAll(m, q.Points, trajs, meta, acc, tau)
-				checkKNNBitwise(t, fmt.Sprintf("%s query %d at τ = %v", m.Name(), qi, tau), acc.Results(), trajs, m, q, k)
+				label := fmt.Sprintf("%s query %d at τ = %v", m.Name(), qi, tau)
+				checkKNN(t, label, acc.Results(), trajs, m, q, k)
 				ran += s.pointRuns
 				// The threshold search at the same τ keeps every member tying
 				// there: the trie's path bound equals τ on them.
-				hits, match := e.Search(q, tau, nil), bruteSearch(d, m, q, tau)
-				for _, h := range hits {
-					if !match[h.Traj.ID] || h.Distance != m.Distance(h.Traj.Points, q.Points) {
-						t.Fatalf("%s query %d at τ = %v: hit %d at %v is not within τ", m.Name(), qi, tau, h.Traj.ID, h.Distance)
-					}
-				}
-				if len(hits) != len(match) {
-					t.Fatalf("%s query %d at τ = %v: search found %d members, brute force %d", m.Name(), qi, tau, len(hits), len(match))
-				}
+				checkSearch(t, label, e.Search(q, tau, nil), trajs, m, q, tau)
 				b := boxBoundOf(m)
-				for _, tr := range trajs {
-					if m.Distance(tr.Points, q.Points) == tau && max(b.pointSide(q.Points, tr.MBR(), tau), b.pointSide(tr.Points, q.MBR(), tau)) == tau {
+				for _, h := range oracle.Search(trajs, m, q, tau) {
+					tr := trajs[len(trajs)-1-h.ID]
+					if h.Distance == tau && max(b.pointSide(q.Points, tr.MBR(), tau), b.pointSide(tr.Points, q.MBR(), tau)) == tau {
 						tied++
 					}
 				}
@@ -400,13 +319,9 @@ func TestKNNUnreachableNeighbors(t *testing.T) {
 	d := smallDataset(80, 43)
 	q := gen.Queries(d, 1, 44)[0]
 	// Pick r so only a handful of trajectories are reachable.
-	dtw := make([]float64, 0, d.Len())
-	for _, tr := range d.Trajs {
-		dtw = append(dtw, measure.DTW{}.Distance(tr.Points, q.Points))
-	}
-	sort.Float64s(dtw)
+	dtw := oracle.KNN(d.Trajs, measure.DTW{}, q, d.Len())
 	reach := 5
-	r := (dtw[reach-1] + dtw[reach]) / 2
+	r := (dtw[reach-1].Distance + dtw[reach].Distance) / 2
 	m := radiusMeasure{r: r}
 	opts := smallOpts(4)
 	opts.Measure = m
@@ -415,18 +330,11 @@ func TestKNNUnreachableNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{3, reach, reach + 1, 20, d.Len()} {
-		want := bruteKNN(d, m, q, k)
 		got := e.SearchKNN(q, k)
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: got %d results, want %d (silent truncation?)",
-				k, len(got), len(want))
-		}
+		checkKNN(t, "unreachable tail", got, d.Trajs, m, q, k)
 		infs := 0
-		for i := range want {
-			if got[i].Traj.ID != want[i] {
-				t.Fatalf("k=%d: result %d = traj %d, want %d", k, i, got[i].Traj.ID, want[i])
-			}
-			if math.IsInf(got[i].Distance, 1) {
+		for _, r := range got {
+			if math.IsInf(r.Distance, 1) {
 				infs++
 			}
 		}

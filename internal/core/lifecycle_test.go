@@ -10,6 +10,7 @@ import (
 
 	"dita/internal/geom"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 )
 
 // panicMeasure is DTW that blows up when verifying a chosen set of data
@@ -85,15 +86,7 @@ func TestSearchPanicYieldsPartialThenExactRetry(t *testing.T) {
 	if err != nil || rep.Partial() {
 		t.Fatalf("retry after fault cleared: err=%v partial=%v", err, rep.Partial())
 	}
-	want := bruteSearch(d, measure.DTW{}, q, tau)
-	if len(got) != len(want) {
-		t.Fatalf("retry: %d hits, want %d", len(got), len(want))
-	}
-	for _, h := range got {
-		if !want[h.Traj.ID] {
-			t.Fatalf("retry: spurious hit %d", h.Traj.ID)
-		}
-	}
+	checkSearch(t, "retry", got, d.Trajs, measure.DTW{}, q, tau)
 }
 
 // An already-cancelled context aborts Search before any work, and never
@@ -207,7 +200,7 @@ func TestJoinPanicYieldsPartial(t *testing.T) {
 	if err != nil || rep.Partial() {
 		t.Fatalf("retry after fault cleared: err=%v partial=%v", err, rep.Partial())
 	}
-	checkJoin(t, pairs, bruteJoin(d, d, measure.DTW{}, 0.05), "retry after fault")
+	checkJoin(t, pairs, oracle.Join(d.Trajs, d.Trajs, measure.DTW{}, 0.05), "retry after fault")
 }
 
 // TestEngineQueryLifecycle holds the engine's four query bodies to one

@@ -9,8 +9,8 @@ import (
 
 	"dita/internal/gen"
 	"dita/internal/geom"
-	"dita/internal/measure"
 	"dita/internal/obs"
+	"dita/internal/oracle"
 	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/wal"
@@ -74,39 +74,13 @@ func skewPool(n int, idBase int, c geom.Point, seed int64) []*traj.T {
 	return out
 }
 
-// sameKNNApprox asserts two kNN answers agree in ids and order, with the
-// ulp-level distance tolerance the exact/threshold kernel split allows.
-func sameKNNApprox(t *testing.T, label string, want, got []SearchResult) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: knn count %d vs %d", label, len(got), len(want))
-	}
-	for i := range want {
-		rel := want[i].Distance - got[i].Distance
-		if rel < 0 {
-			rel = -rel
-		}
-		if want[i].Traj.ID != got[i].Traj.ID || rel > 1e-12*(1+want[i].Distance) {
-			t.Fatalf("%s: knn[%d] = (%d,%g), want (%d,%g)",
-				label, i, got[i].Traj.ID, got[i].Distance, want[i].Traj.ID, want[i].Distance)
-		}
-	}
-}
-
 // TestRebalanceDifferential is the tentpole contract, once per measure:
 // an engine mutated by interleaved inserts, upserts, deletes, splits,
 // and merges answers every query exactly like brute force over the
 // visible set — and, at the end, exactly like an engine rebuilt from
 // scratch over that set, for Search, kNN, and Join.
 func TestRebalanceDifferential(t *testing.T) {
-	measures := []measure.Measure{
-		measure.DTW{},
-		measure.Frechet{},
-		measure.EDR{Eps: 0.002},
-		measure.LCSS{Eps: 0.002, Delta: 5},
-		measure.ERP{},
-	}
-	for mi, m := range measures {
+	for mi, m := range sixMeasures() {
 		m := m
 		seed := int64(100 + 10*mi)
 		t.Run(m.Name(), func(t *testing.T) {
@@ -219,16 +193,11 @@ func TestRebalanceDifferential(t *testing.T) {
 
 			// Final differential: rebuilt engine over the visible corpus.
 			vis := visibleDataset(want)
-			oracle, err := NewEngine(vis, opts)
+			rebuilt, err := NewEngine(vis, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, q := range queries {
-				if !sameResults(oracle.Search(q, 0.05, nil), e.Search(q, 0.05, nil)) {
-					t.Fatalf("final search differs from rebuilt engine for query %d", q.ID)
-				}
-				sameKNNApprox(t, "final", oracle.SearchKNN(q, 7), e.SearchKNN(q, 7))
-			}
+			checkRebuilt(t, e, rebuilt, vis.Trajs, queries)
 			bcfg := gen.BeijingLike(60, seed+4)
 			bcfg.Name = "B"
 			b := gen.Generate(bcfg)
@@ -240,7 +209,7 @@ func TestRebalanceDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			pairs := e.Join(eb, 0.05, DefaultJoinOptions(), nil)
-			checkJoin(t, pairs, bruteJoin(vis, b, m, 0.05), "rebalance-join")
+			checkJoin(t, pairs, oracle.Join(vis.Trajs, b.Trajs, m, 0.05), "rebalance-join")
 		})
 	}
 }
@@ -309,34 +278,16 @@ func TestRebalanceQuick(t *testing.T) {
 				}
 			}
 		}
-		vis := visibleDataset(want)
+		vis := visibleDataset(want).Trajs
 		m := e.Measure()
 		for _, q := range gen.Queries(d, 2, seed+1) {
-			bs := bruteSearch(vis, m, q, 0.05)
-			got := map[int]bool{}
-			for _, r := range e.Search(q, 0.05, nil) {
-				if got[r.Traj.ID] {
-					return false // duplicate answer
-				}
-				got[r.Traj.ID] = true
-			}
-			if len(got) != len(bs) {
+			if err := oracle.DiffSearch(hitsOf(e.Search(q, 0.05, nil)), oracle.Search(vis, m, q, 0.05)); err != nil {
+				t.Logf("seed %d q=%d: search: %v", seed, q.ID, err)
 				return false
 			}
-			for id := range bs {
-				if !got[id] {
-					return false
-				}
-			}
-			wk := bruteKNN(vis, m, q, 5)
-			gk := idsOf(e.SearchKNN(q, 5))
-			if len(wk) != len(gk) {
+			if err := oracle.DiffKNN(hitsOf(e.SearchKNN(q, 5)), oracle.KNN(vis, m, q, 5)); err != nil {
+				t.Logf("seed %d q=%d: knn: %v", seed, q.ID, err)
 				return false
-			}
-			for i := range wk {
-				if wk[i] != gk[i] {
-					return false
-				}
 			}
 		}
 		return true

@@ -8,6 +8,7 @@ import (
 	"dita/internal/gen"
 	"dita/internal/geom"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
@@ -27,28 +28,13 @@ func TestDegenerateGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := d.Trajs[0]
-	got := e.Search(q, 0.5, nil)
-	want := bruteSearch(d, measure.DTW{}, q, 0.5)
-	if len(got) != len(want) {
-		t.Fatalf("degenerate search: %d results, want %d", len(got), len(want))
-	}
+	checkSearch(t, "degenerate", e.Search(q, 0.5, nil), d.Trajs, measure.DTW{}, q, 0.5)
 	// Self-join on degenerate data.
 	e2, err := NewEngine(d, smallOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := e.Join(e2, 0.5, DefaultJoinOptions(), nil)
-	wantPairs := 0
-	for _, a := range d.Trajs {
-		for _, b := range d.Trajs {
-			if (measure.DTW{}).Distance(a.Points, b.Points) <= 0.5 {
-				wantPairs++
-			}
-		}
-	}
-	if len(pairs) != wantPairs {
-		t.Fatalf("degenerate join: %d pairs, want %d", len(pairs), wantPairs)
-	}
+	checkJoin(t, e.Join(e2, 0.5, DefaultJoinOptions(), nil), oracle.Join(d.Trajs, d.Trajs, measure.DTW{}, 0.5), "degenerate")
 }
 
 // NG=1 (single partition) must behave like a centralized index.
@@ -64,10 +50,7 @@ func TestSinglePartition(t *testing.T) {
 		t.Fatalf("NG=1 produced %d partitions", got)
 	}
 	q := gen.Queries(d, 1, 41)[0]
-	want := bruteSearch(d, measure.DTW{}, q, 0.03)
-	if got := e.Search(q, 0.03, nil); len(got) != len(want) {
-		t.Fatalf("single-partition search: %d vs %d", len(got), len(want))
-	}
+	checkSearch(t, "single partition", e.Search(q, 0.03, nil), d.Trajs, measure.DTW{}, q, 0.03)
 }
 
 // A huge tau returns everything exactly once.
@@ -107,7 +90,7 @@ func TestNegativeTau(t *testing.T) {
 // Extreme join options must not break correctness.
 func TestJoinOptionExtremes(t *testing.T) {
 	d := smallDataset(80, 44)
-	want := bruteJoin(d, d, measure.DTW{}, 0.02)
+	want := oracle.Join(d.Trajs, d.Trajs, measure.DTW{}, 0.02)
 	for _, opts := range []JoinOptions{
 		{SampleRate: 1.0, Lambda: 1e9, DivisionQuantile: 0.5, Seed: 1},    // network-cost dominated
 		{SampleRate: 0.01, Lambda: 1e-9, DivisionQuantile: 0.99, Seed: 2}, // compute dominated, tiny sample
@@ -138,10 +121,7 @@ func TestMoreWorkersThanPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := d.Trajs[0]
-	want := bruteSearch(d, measure.DTW{}, q, 0.05)
-	if got := e.Search(q, 0.05, nil); len(got) != len(want) {
-		t.Fatalf("search with 16 workers 1 partition: %d vs %d", len(got), len(want))
-	}
+	checkSearch(t, "16 workers, 1 partition", e.Search(q, 0.05, nil), d.Trajs, measure.DTW{}, q, 0.05)
 }
 
 // Engines over an empty dataset behave sanely.

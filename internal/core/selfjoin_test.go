@@ -9,6 +9,7 @@ import (
 
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 	"dita/internal/wal"
 )
@@ -35,28 +36,31 @@ func joinTauFor(m measure.Measure) float64 {
 	}
 }
 
-// checkSelfJoinExact holds a self-join's answer to what its symmetric plan
-// must not change: the contractual (T.ID, Q.ID) order with no pair twice,
-// Distance's bits on every pair, and (b,a) beside every (a,b) with the same
-// bits. Which pairs belong in the answer is checkJoin's half.
-func checkSelfJoinExact(t *testing.T, pairs []Pair, m measure.Measure, label string) {
+// checkMirrored holds a partial self-join answer to full, the complete one:
+// the contractual (T.ID, Q.ID) order with no pair twice, every pair in full
+// with its bits, and beside its mirror.
+func checkMirrored(t *testing.T, got, full []Pair, label string) {
 	t.Helper()
-	got := make(map[[2]int]float64, len(pairs))
-	for i, p := range pairs {
+	at := make(map[[2]int]uint64, len(full))
+	for _, p := range full {
+		at[[2]int{p.T.ID, p.Q.ID}] = math.Float64bits(p.Distance)
+	}
+	kept := make(map[[2]int]bool, len(got))
+	for i, p := range got {
 		if i > 0 {
-			prev := pairs[i-1]
+			prev := got[i-1]
 			if prev.T.ID > p.T.ID || (prev.T.ID == p.T.ID && prev.Q.ID >= p.Q.ID) {
 				t.Fatalf("%s: pair %d (%d,%d) does not follow (%d,%d)", label, i, p.T.ID, p.Q.ID, prev.T.ID, prev.Q.ID)
 			}
 		}
-		if want := m.Distance(p.T.Points, p.Q.Points); math.Float64bits(p.Distance) != math.Float64bits(want) {
-			t.Fatalf("%s: pair (%d,%d) distance %v, brute force %v", label, p.T.ID, p.Q.ID, p.Distance, want)
+		if b, ok := at[[2]int{p.T.ID, p.Q.ID}]; !ok || b != math.Float64bits(p.Distance) {
+			t.Fatalf("%s: pair (%d,%d) at %v is not in the full answer with those bits", label, p.T.ID, p.Q.ID, p.Distance)
 		}
-		got[[2]int{p.T.ID, p.Q.ID}] = p.Distance
+		kept[[2]int{p.T.ID, p.Q.ID}] = true
 	}
-	for k, d := range got {
-		if r, ok := got[[2]int{k[1], k[0]}]; !ok || math.Float64bits(r) != math.Float64bits(d) {
-			t.Fatalf("%s: (%d,%d) at %v but its mirror at %v (present %v)", label, k[0], k[1], d, r, ok)
+	for k := range kept {
+		if !kept[[2]int{k[1], k[0]}] {
+			t.Fatalf("%s: (%d,%d) kept without its mirror", label, k[0], k[1])
 		}
 	}
 }
@@ -65,15 +69,7 @@ func checkSelfJoinExact(t *testing.T, pairs []Pair, m measure.Measure, label str
 // the same order, distances bit for bit.
 func samePairs(t *testing.T, got, want []Pair, label string) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d pairs, want %d", label, len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if g.T.ID != w.T.ID || g.Q.ID != w.Q.ID || math.Float64bits(g.Distance) != math.Float64bits(w.Distance) {
-			t.Fatalf("%s: pair %d = (%d,%d,%v), want (%d,%d,%v)", label, i, g.T.ID, g.Q.ID, g.Distance, w.T.ID, w.Q.ID, w.Distance)
-		}
-	}
+	checkJoin(t, got, pairsOf(want), label)
 }
 
 // A self-join is brute force pair for pair, and the join of the engine with
@@ -101,8 +97,10 @@ func TestSelfJoinAllMeasures(t *testing.T) {
 				vis := visibleDataset(want)
 				var js JoinStats
 				pairs := e.Join(e, tau, DefaultJoinOptions(), &js)
-				checkJoin(t, pairs, bruteJoin(vis, vis, m, tau), label)
-				checkSelfJoinExact(t, pairs, m, label)
+				checkJoin(t, pairs, oracle.SelfJoin(vis.Trajs, m, tau), label)
+				// Each orientation measured on its own: the mirrored bits are
+				// Distance's in that orientation too.
+				checkJoin(t, pairs, oracle.Join(vis.Trajs, vis.Trajs, m, tau), label+": two-sided")
 				if len(pairs) <= vis.Len() {
 					t.Fatalf("%s: %d pairs over %d members: nothing but self pairs to mirror", label, len(pairs), vis.Len())
 				}
@@ -181,18 +179,19 @@ func TestSelfJoinDuplicateIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		const tau = 0.02
-		got := e.Join(e, tau, DefaultJoinOptions(), nil)
-		want := e.Join(clone, tau, DefaultJoinOptions(), nil)
-		// Pairs under one (T.ID, Q.ID) may come in either order.
-		for _, ps := range [][]Pair{got, want} {
-			sort.SliceStable(ps, func(a, b int) bool {
-				return ps[a].T.ID == ps[b].T.ID && ps[a].Q.ID == ps[b].Q.ID && ps[a].Distance < ps[b].Distance
-			})
+		// Pairs under one (T.ID, Q.ID) may come in either order; the
+		// oracle's is by distance.
+		got := oracle.SortPairs(pairsOf(e.Join(e, tau, DefaultJoinOptions(), nil)))
+		if err := oracle.DiffJoin(got, oracle.SelfJoin(dup.Trajs, e.Measure(), tau)); err != nil {
+			t.Fatalf("NG=%d: self-join: %v", ng, err)
 		}
-		samePairs(t, got, want, "duplicate ids")
+		two := oracle.SortPairs(pairsOf(e.Join(clone, tau, DefaultJoinOptions(), nil)))
+		if err := oracle.DiffJoin(two, oracle.Join(dup.Trajs, dup.Trajs, e.Measure(), tau)); err != nil {
+			t.Fatalf("NG=%d: two-engine join: %v", ng, err)
+		}
 		n := map[[2]int]int{}
 		for _, p := range got {
-			n[[2]int{p.T.ID, p.Q.ID}]++
+			n[[2]int{p.T, p.Q}]++
 		}
 		id5, id40 := d.Trajs[5].ID, d.Trajs[40].ID
 		if n[[2]int{id5, id5}] != 9 || n[[2]int{id40, id40}] != 4 {
@@ -212,6 +211,7 @@ func TestSelfJoinPartialNamesBothPartitions(t *testing.T) {
 	}
 	const tau = 0.05
 	full := e.Join(e, tau, DefaultJoinOptions(), nil)
+	checkJoin(t, full, oracle.SelfJoin(d.Trajs, e.Measure(), tau), "full")
 	// Poison one partition: every edge verifying against its members panics.
 	victim := e.parts[len(e.parts)/2]
 	defer poisonPartition(e, victim.ID)()
@@ -231,7 +231,7 @@ func TestSelfJoinPartialNamesBothPartitions(t *testing.T) {
 	}
 	// Every pair with a member of a named partition on either side is
 	// missing or kept as a whole: no (a,b) without (b,a).
-	checkSelfJoinExact(t, pairs, e.Measure(), "partial")
+	checkMirrored(t, pairs, full, "partial")
 	home := map[int]int{}
 	for _, p := range e.parts {
 		for _, tr := range p.Trajs {

@@ -6,6 +6,7 @@ import (
 
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/snap"
 )
 
@@ -52,36 +53,16 @@ func TestColdStartMatchesFreshBuild(t *testing.T) {
 		if !sameResults(want, got) {
 			t.Fatalf("search differs for query %d: fresh %d results, cold %d", q.ID, len(want), len(got))
 		}
-		wantK := fresh.SearchKNN(q, 5)
-		gotK := cold.SearchKNN(q, 5)
-		if !reflect.DeepEqual(idsOf(wantK), idsOf(gotK)) {
-			t.Fatalf("kNN differs for query %d: fresh %v, cold %v", q.ID, idsOf(wantK), idsOf(gotK))
+		if err := oracle.DiffKNN(hitsOf(cold.SearchKNN(q, 5)), hitsOf(fresh.SearchKNN(q, 5))); err != nil {
+			t.Fatalf("kNN differs for query %d, cold against fresh: %v", q.ID, err)
 		}
 	}
 }
 
-func idsOf(rs []SearchResult) []int {
-	out := make([]int, len(rs))
-	for i, r := range rs {
-		out[i] = r.Traj.ID
-	}
-	return out
-}
-
+// sameResults reports whether two search answers are the same, hit for hit
+// and bit for bit.
 func sameResults(a, b []SearchResult) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	am := map[int]float64{}
-	for _, r := range a {
-		am[r.Traj.ID] = r.Distance
-	}
-	for _, r := range b {
-		if d, ok := am[r.Traj.ID]; !ok || d != r.Distance {
-			return false
-		}
-	}
-	return true
+	return oracle.DiffSearch(hitsOf(a), hitsOf(b)) == nil
 }
 
 func TestColdStartValidation(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"dita/internal/core"
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/viewtest"
@@ -166,12 +167,8 @@ func TestRelevantPartitionsSound(t *testing.T) {
 					if core.PairRelevant(m, a.MBRf, a.MBRl, b.MBRf, b.MBRl, tau) {
 						continue
 					}
-					for _, x := range a.Trajs {
-						for _, y := range b.Trajs {
-							if m.Distance(x.Points, y.Points) <= tau {
-								t.Fatalf("%s τ=%v: partition pair (%d,%d) pruned, members (%d,%d) are a join pair", m.Name(), tau, i, j, x.ID, y.ID)
-							}
-						}
+					if ps := oracle.Join(a.Trajs, b.Trajs, m, tau); len(ps) > 0 {
+						t.Fatalf("%s τ=%v: partition pair (%d,%d) pruned, its members hold join pair %v", m.Name(), tau, i, j, ps[0])
 					}
 				}
 			}
@@ -186,10 +183,8 @@ func TestRelevantPartitionsSound(t *testing.T) {
 					if rel[pid] != core.TrajRelevant(m, q.Points, p.MBRf, p.MBRl, tau) {
 						t.Fatalf("%s τ=%v: partition %d relevant=%v, its lower bound says otherwise", m.Name(), tau, pid, rel[pid])
 					}
-					for _, tr := range p.Trajs {
-						if !rel[pid] && m.Distance(tr.Points, q.Points) <= tau {
-							t.Fatalf("%s τ=%v: partition %d pruned, member %d is an answer", m.Name(), tau, pid, tr.ID)
-						}
+					if hs := oracle.Search(p.Trajs, m, q, tau); !rel[pid] && len(hs) > 0 {
+						t.Fatalf("%s τ=%v: partition %d pruned, member %v is an answer", m.Name(), tau, pid, hs[0])
 					}
 				}
 			}

@@ -9,6 +9,7 @@ import (
 
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
@@ -52,26 +53,45 @@ func chaosConfig() Config {
 	return cfg
 }
 
-func bruteSearch(d *traj.Dataset, q *traj.T, tau float64) map[int]bool {
-	m := measure.DTW{}
-	want := map[int]bool{}
-	for _, tr := range d.Trajs {
-		if m.Distance(tr.Points, q.Points) <= tau {
-			want[tr.ID] = true
-		}
+// hitsOf and pairsOf are the adapters from the coordinator's answers to the
+// oracle's.
+func hitsOf(hs []SearchHit) []oracle.Hit {
+	out := make([]oracle.Hit, len(hs))
+	for i, h := range hs {
+		out[i] = oracle.Hit(h)
 	}
-	return want
+	return out
 }
 
-func assertExactHits(t *testing.T, hits []SearchHit, want map[int]bool) {
-	t.Helper()
-	if len(hits) != len(want) {
-		t.Fatalf("got %d hits, want %d", len(hits), len(want))
+func pairsOf(ps []WirePair) []oracle.Pair {
+	out := make([]oracle.Pair, len(ps))
+	for i, p := range ps {
+		out[i] = oracle.Pair{T: p.TID, Q: p.QID, Distance: p.Distance}
 	}
-	for _, h := range hits {
-		if !want[h.ID] {
-			t.Fatalf("spurious hit %d", h.ID)
-		}
+	return out
+}
+
+// checkSearch fails unless hits is the oracle's search answer over members.
+func checkSearch(t testing.TB, hits []SearchHit, members []*traj.T, m measure.Measure, q *traj.T, tau float64) {
+	t.Helper()
+	if err := oracle.DiffSearch(hitsOf(hits), oracle.Search(members, m, q, tau)); err != nil {
+		t.Fatalf("%s q=%d τ=%v: search: %v", m.Name(), q.ID, tau, err)
+	}
+}
+
+// checkKNN fails unless hits is the oracle's kNN answer over members.
+func checkKNN(t testing.TB, label string, hits []SearchHit, members []*traj.T, m measure.Measure, q *traj.T, k int) {
+	t.Helper()
+	if err := oracle.DiffKNN(hitsOf(hits), oracle.KNN(members, m, q, k)); err != nil {
+		t.Fatalf("%s: %s q=%d k=%d: knn: %v", label, m.Name(), q.ID, k, err)
+	}
+}
+
+// checkJoin fails unless pairs is want, an oracle join answer.
+func checkJoin(t testing.TB, pairs []WirePair, want []oracle.Pair) {
+	t.Helper()
+	if err := oracle.DiffJoin(pairsOf(pairs), want); err != nil {
+		t.Fatalf("join: %v", err)
 	}
 }
 
@@ -97,7 +117,7 @@ func TestChaosSearchFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		assertExactHits(t, hits, bruteSearch(d, q, tau))
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
 	}
 	// Drive the failure detector: DeadAfter=2 consecutive missed checks.
 	c.CheckHealth()
@@ -133,7 +153,7 @@ func TestChaosSearchFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactHits(t, hits, bruteSearch(d, q, tau))
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
 	}
 }
 
@@ -154,37 +174,13 @@ func TestChaosJoinFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	tau := 0.01
-	m := measure.DTW{}
-	want := map[[2]int]bool{}
-	for _, x := range a.Trajs {
-		for _, y := range b.Trajs {
-			if m.Distance(x.Points, y.Points) <= tau {
-				want[[2]int{x.ID, y.ID}] = true
-			}
-		}
-	}
 	// Crash a worker between dispatch and the join shuffle.
 	workers[0].Close()
 	pairs, err := c.Join("T", "Q", tau)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[[2]int]bool{}
-	for _, p := range pairs {
-		key := [2]int{p.TID, p.QID}
-		if got[key] {
-			t.Fatalf("duplicate pair %v", key)
-		}
-		got[key] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d pairs, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("missing pair %v", k)
-		}
-	}
+	checkJoin(t, pairs, oracle.Join(a.Trajs, b.Trajs, measure.DTW{}, tau))
 }
 
 // A worker that crashes and restarts at the same address must be
@@ -205,7 +201,7 @@ func TestChaosWorkerRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactHits(t, hits, bruteSearch(d, q, tau))
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
 	}
 	c.CheckHealth()
 	if states := c.CheckHealth(); states[1] != Dead {
@@ -239,7 +235,7 @@ func TestChaosWorkerRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactHits(t, hits, bruteSearch(d2, q, tau))
+		checkSearch(t, hits, d2.Trajs, measure.DTW{}, q, tau)
 	}
 }
 
@@ -602,7 +598,7 @@ func TestChaosFaultInjectionSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactHits(t, hits, bruteSearch(d, q, tau))
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
 	}
 }
 

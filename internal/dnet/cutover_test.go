@@ -25,9 +25,9 @@ func TestCutoverCloneHotspot(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	rng := rand.New(rand.NewSource(422))
 	for i := 0; i < 200; i++ {
@@ -39,7 +39,7 @@ func TestCutoverCloneHotspot(t *testing.T) {
 		if err := c.Ingest("trips", clone); err != nil {
 			t.Fatalf("clone %d: %v", i, err)
 		}
-		oracle[clone.ID] = clone
+		model[clone.ID] = clone
 	}
 	steps, converged, err := c.Rebalance("trips", core.RebalancePolicy{})
 	if err != nil {
@@ -58,7 +58,7 @@ func TestCutoverCloneHotspot(t *testing.T) {
 			t.Fatalf("live partition %d is empty after %d steps", pid, len(steps))
 		}
 	}
-	checkNetDifferentialM(t, c, "trips", oracle, gen.Queries(d, 2, 423), 0.01, measure.DTW{})
+	checkNetDifferentialM(t, c, "trips", model, gen.Queries(d, 2, 423), 0.01, measure.DTW{})
 }
 
 // TestCutoverDoesNotBlockReads holds a split after its pieces are loaded:
@@ -70,9 +70,9 @@ func TestCutoverDoesNotBlockReads(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	qs := gen.Queries(d, 2, 492)
 	victim := liveParts(t, c, "trips")[0]
@@ -147,20 +147,20 @@ func TestCutoverDoesNotBlockReads(t *testing.T) {
 	if searchErr != nil {
 		t.Fatal(searchErr)
 	}
-	assertExactHits(t, hits, bruteSearch(oracleDataset(oracle), qs[0], 0.01))
+	checkSearch(t, hits, visibleOf(model), measure.DTW{}, qs[0], 0.01)
 	var insErr error
 	within("an insert outside the group", func() { insErr = c.Ingest("trips", upsert) })
 	if insErr != nil {
 		t.Fatal(insErr)
 	}
-	oracle[upsert.ID] = upsert
+	model[upsert.ID] = upsert
 
 	release()
 	res := <-split
 	if res.err != nil || res.st == nil {
 		t.Fatalf("held split: stats %+v, err %v", res.st, res.err)
 	}
-	checkNetDifferentialM(t, c, "trips", oracle, qs, 0.01, measure.DTW{})
+	checkNetDifferentialM(t, c, "trips", model, qs, 0.01, measure.DTW{})
 }
 
 // TestCutoverCrashRecover crashes a split with its pieces loaded on the
@@ -176,16 +176,16 @@ func TestCutoverCrashRecover(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	for i, tr := range extra.Trajs {
 		nt := &traj.T{ID: 500000 + i, Points: tr.Points}
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatal(err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 	}
 	live := liveParts(t, c, "trips")
 	restore := core.SetCutoverHook(func(stage string) bool { return stage == "pieces-loaded" })
@@ -211,8 +211,8 @@ func TestCutoverCrashRecover(t *testing.T) {
 	if len(rep.Dropped) == 0 {
 		t.Fatalf("recovery dropped nothing over an overlapping layout: %+v", rep)
 	}
-	if rep.Trajs != len(oracle) {
-		t.Fatalf("recovery found %d visible trajectories, oracle has %d", rep.Trajs, len(oracle))
+	if rep.Trajs != len(model) {
+		t.Fatalf("recovery found %d visible trajectories, model has %d", rep.Trajs, len(model))
 	}
-	checkNetDifferentialM(t, c2, "trips", oracle, gen.Queries(d, 3, 483), 0.01, measure.DTW{})
+	checkNetDifferentialM(t, c2, "trips", model, gen.Queries(d, 3, 483), 0.01, measure.DTW{})
 }

@@ -7,6 +7,7 @@ import (
 
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
@@ -60,27 +61,13 @@ func TestNetSearchMatchesBruteForce(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	m := measure.DTW{}
 	for _, q := range gen.Queries(d, 8, 81) {
 		tau := 0.01
-		want := map[int]bool{}
-		for _, tr := range d.Trajs {
-			if m.Distance(tr.Points, q.Points) <= tau {
-				want[tr.ID] = true
-			}
-		}
 		hits, err := c.Search("trips", q, tau)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(hits) != len(want) {
-			t.Fatalf("got %d hits, want %d", len(hits), len(want))
-		}
-		for _, h := range hits {
-			if !want[h.ID] {
-				t.Fatalf("spurious hit %d", h.ID)
-			}
-		}
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
 	}
 }
 
@@ -104,31 +91,7 @@ func TestNetJoinMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := measure.DTW{}
-	want := map[[2]int]bool{}
-	for _, x := range a.Trajs {
-		for _, y := range b.Trajs {
-			if m.Distance(x.Points, y.Points) <= tau {
-				want[[2]int{x.ID, y.ID}] = true
-			}
-		}
-	}
-	got := map[[2]int]bool{}
-	for _, p := range pairs {
-		key := [2]int{p.TID, p.QID}
-		if got[key] {
-			t.Fatalf("duplicate pair %v", key)
-		}
-		got[key] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d pairs, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("missing pair %v", k)
-		}
-	}
+	checkJoin(t, pairs, oracle.Join(a.Trajs, b.Trajs, measure.DTW{}, tau))
 }
 
 // Data must actually be spread across workers, and search work must reach
@@ -258,19 +221,13 @@ func TestNetFrechet(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	m := measure.Frechet{}
 	q := gen.Queries(d, 1, 88)[0]
 	tau := 0.005
-	want := 0
-	for _, tr := range d.Trajs {
-		if m.Distance(tr.Points, q.Points) <= tau {
-			want++
-		}
-	}
 	hits, err := c.Search("trips", q, tau)
-	if err != nil || len(hits) != want {
-		t.Fatalf("Fréchet search: %v, %d hits, want %d", err, len(hits), want)
+	if err != nil {
+		t.Fatalf("Fréchet search: %v", err)
 	}
+	checkSearch(t, hits, d.Trajs, measure.Frechet{}, q, tau)
 }
 
 // Self-join over the network: every trajectory pairs with itself.

@@ -13,6 +13,7 @@ import (
 	"dita/internal/gen"
 	"dita/internal/geom"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/snap"
 	"dita/internal/traj"
 	"dita/internal/viewtest"
@@ -73,21 +74,20 @@ func ingestCluster(t *testing.T, n int, cfg Config, mergeBytes, maxDelta int) ([
 	return workers, addrs, dirs, c
 }
 
-// oracleDataset wraps the logical reference state (the mutations the
-// cluster acked, applied to a plain map) as a dataset for the brute-force
-// helpers.
-func oracleDataset(oracle map[int]*traj.T) *traj.Dataset {
-	d := &traj.Dataset{Name: "oracle"}
-	for _, tr := range oracle {
-		d.Trajs = append(d.Trajs, tr)
+// visibleOf is the logical reference state (the mutations the cluster
+// acked, applied to a plain map) as the members the oracle answers over.
+func visibleOf(model map[int]*traj.T) []*traj.T {
+	out := make([]*traj.T, 0, len(model))
+	for _, tr := range model {
+		out = append(out, tr)
 	}
-	return d
+	return out
 }
 
 // layoutOK runs viewtest.CheckLayout over the coordinator's layout of the
 // dataset, with what each live partition shows taken from the manifest of
 // its first replica that answers.
-func layoutOK(t *testing.T, c *Coordinator, name string, oracle map[int]*traj.T) {
+func layoutOK(t *testing.T, c *Coordinator, name string, model map[int]*traj.T) {
 	t.Helper()
 	dd, err := c.dataset(name)
 	if err != nil {
@@ -114,44 +114,21 @@ func layoutOK(t *testing.T, c *Coordinator, name string, oracle map[int]*traj.T)
 		}
 		shows[pid] = reply.IDs
 	}
-	viewtest.CheckLayout(t, viewtest.Layout{View: v, Loc: loc, Shows: shows}, oracle)
+	viewtest.CheckLayout(t, viewtest.Layout{View: v, Loc: loc, Shows: shows}, model)
 }
 
-// checkDifferential asserts the cluster answers threshold search, kNN and
-// the self-join exactly as brute force over the oracle does — the
-// differential contract for a mutated dataset — and that the layout
-// agrees with what the partitions show.
-func checkDifferential(t *testing.T, c *Coordinator, name string, oracle map[int]*traj.T, qs []*traj.T, tau float64) {
+// checkDifferential is checkNetDifferentialM under DTW: the differential
+// contract for a mutated dataset.
+func checkDifferential(t *testing.T, c *Coordinator, name string, model map[int]*traj.T, qs []*traj.T, tau float64) {
 	t.Helper()
-	layoutOK(t, c, name, oracle)
-	od := oracleDataset(oracle)
-	m := measure.DTW{}
-	checkNetSelfJoin(t, c, name, oracle, tau, m)
-	for qi, q := range qs {
-		hits, err := c.Search(name, q, tau)
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
-		}
-		assertExactHits(t, hits, bruteSearch(od, q, tau))
-		for _, k := range []int{1, 5, 17, len(od.Trajs) + 5} {
-			want := bruteKNNHits(od, m, q, k)
-			got, err := c.SearchKNN(name, q, k)
-			if err != nil {
-				t.Fatalf("knn query %d k=%d: %v", qi, k, err)
-			}
-			if !sameHits(got, want) {
-				t.Fatalf("knn query %d k=%d: got %d hits, want %d — cluster disagrees with brute force over the mutated oracle",
-					qi, k, len(got), len(want))
-			}
-		}
-	}
+	checkNetDifferentialM(t, c, name, model, qs, tau, measure.DTW{})
 }
 
 // TestNetIngestDifferential streams inserts, upserts and deletes into a
 // live replicated 3-worker cluster with a merge threshold small enough
 // that bases are folded repeatedly mid-stream, and asserts after every
 // phase that search, kNN and join all agree exactly with brute force over
-// the logical oracle.
+// the logical model.
 func TestNetIngestDifferential(t *testing.T) {
 	d := gen.Generate(gen.BeijingLike(260, 301))
 	extra := gen.Generate(gen.BeijingLike(140, 302))
@@ -159,9 +136,9 @@ func TestNetIngestDifferential(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	qs := gen.Queries(d, 4, 303)
 	tau := 0.01
@@ -172,9 +149,9 @@ func TestNetIngestDifferential(t *testing.T) {
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatalf("insert %d: %v", nt.ID, err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 	}
-	checkDifferential(t, c, "trips", oracle, qs, tau)
+	checkDifferential(t, c, "trips", model, qs, tau)
 
 	// Phase 2: upserts replace the geometry of dispatched members.
 	for j := 0; j < 30; j++ {
@@ -183,9 +160,9 @@ func TestNetIngestDifferential(t *testing.T) {
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatalf("upsert %d: %v", id, err)
 		}
-		oracle[id] = nt
+		model[id] = nt
 	}
-	checkDifferential(t, c, "trips", oracle, qs, tau)
+	checkDifferential(t, c, "trips", model, qs, tau)
 
 	// Phase 3: deletes of both dispatched and ingested members.
 	for j := 30; j < 50; j++ {
@@ -194,7 +171,7 @@ func TestNetIngestDifferential(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("delete %d: ok=%v err=%v", id, ok, err)
 		}
-		delete(oracle, id)
+		delete(model, id)
 	}
 	for i := 0; i < 20; i++ {
 		id := 500000 + i
@@ -202,12 +179,12 @@ func TestNetIngestDifferential(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("delete %d: ok=%v err=%v", id, ok, err)
 		}
-		delete(oracle, id)
+		delete(model, id)
 	}
 	if ok, err := c.Delete("trips", 999999999); err != nil || ok {
 		t.Fatalf("delete of unknown id: ok=%v err=%v, want false,nil", ok, err)
 	}
-	checkDifferential(t, c, "trips", oracle, qs, tau)
+	checkDifferential(t, c, "trips", model, qs, tau)
 
 	// The join shuffle must fold the overlays too: join the mutated
 	// dataset against a freshly dispatched static one.
@@ -222,31 +199,7 @@ func TestNetIngestDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := measure.DTW{}
-	want := map[[2]int]bool{}
-	for _, x := range oracle {
-		for _, y := range probes.Trajs {
-			if m.Distance(x.Points, y.Points) <= tau {
-				want[[2]int{x.ID, y.ID}] = true
-			}
-		}
-	}
-	got := map[[2]int]bool{}
-	for _, p := range pairs {
-		key := [2]int{p.TID, p.QID}
-		if got[key] {
-			t.Fatalf("duplicate pair %v", key)
-		}
-		got[key] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("join: got %d pairs, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("join: missing pair %v", k)
-		}
-	}
+	checkJoin(t, pairs, oracle.Join(visibleOf(model), probes.Trajs, measure.DTW{}, tau))
 
 	// The 1 KiB merge threshold must have forced base folds mid-stream,
 	// or this test never exercised merge + seal + truncate at all.
@@ -273,9 +226,9 @@ func TestChaosIngestKillRestartNoAckedLoss(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 
 	// Healthy phase: inserts, upserts and deletes, all of which must ack.
@@ -284,7 +237,7 @@ func TestChaosIngestKillRestartNoAckedLoss(t *testing.T) {
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatalf("healthy insert %d: %v", nt.ID, err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 	}
 	for j := 0; j < 10; j++ {
 		id := d.Trajs[j].ID
@@ -292,14 +245,14 @@ func TestChaosIngestKillRestartNoAckedLoss(t *testing.T) {
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatalf("healthy upsert %d: %v", id, err)
 		}
-		oracle[id] = nt
+		model[id] = nt
 	}
 	for j := 10; j < 20; j++ {
 		id := d.Trajs[j].ID
 		if ok, err := c.Delete("trips", id); err != nil || !ok {
 			t.Fatalf("healthy delete %d: ok=%v err=%v", id, ok, err)
 		}
-		delete(oracle, id)
+		delete(model, id)
 	}
 
 	// Kill worker 1 and keep streaming new ids. A write routed to a
@@ -315,7 +268,7 @@ func TestChaosIngestKillRestartNoAckedLoss(t *testing.T) {
 			limbo[nt.ID] = true
 			continue
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 		acked++
 	}
 	if len(limbo) == 0 {
@@ -346,20 +299,20 @@ func TestChaosIngestKillRestartNoAckedLoss(t *testing.T) {
 	// present; anything extra must be a known in-flight (unacked) write.
 	qs := gen.Queries(d, 6, 313)
 	tau := 0.01
-	od := oracleDataset(oracle)
+	od := visibleOf(model)
 	for qi, q := range qs {
 		hits, err := c.Search("trips", q, tau)
 		if err != nil {
 			t.Fatalf("query %d after restart: %v", qi, err)
 		}
-		want := bruteSearch(od, q, tau)
 		got := map[int]bool{}
 		for _, h := range hits {
 			got[h.ID] = true
 		}
-		for id := range want {
-			if !got[id] {
-				t.Fatalf("query %d: acked write %d lost after crash + replay", qi, id)
+		want := map[int]bool{}
+		for _, h := range oracle.Search(od, measure.DTW{}, q, tau) {
+			if want[h.ID] = true; !got[h.ID] {
+				t.Fatalf("query %d: acked write %d lost after crash + replay", qi, h.ID)
 			}
 		}
 		for id := range got {
@@ -383,9 +336,9 @@ func TestChaosIngestKillRestartNoAckedLoss(t *testing.T) {
 		if err != nil {
 			t.Fatalf("retrying unacked ingest %d: %v", id, err)
 		}
-		oracle[id] = nt
+		model[id] = nt
 	}
-	checkDifferential(t, c, "trips", oracle, qs, tau)
+	checkDifferential(t, c, "trips", model, qs, tau)
 }
 
 // visibleState folds a worker's partitions the way queries do (base minus
@@ -416,16 +369,16 @@ func TestIngestWALTornTailTruncated(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	for i := 0; i < 40; i++ {
 		nt := &traj.T{ID: 500000 + i, Points: extra.Trajs[i].Points}
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatalf("insert %d: %v", nt.ID, err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 	}
 	workers[0].Close()
 
@@ -476,10 +429,10 @@ func TestIngestWALTornTailTruncated(t *testing.T) {
 		t.Fatalf("replayed %d records, want all 40 acked inserts", replayed)
 	}
 	visible := visibleState(w)
-	if len(visible) != len(oracle) {
-		t.Fatalf("restart sees %d trajectories, oracle has %d", len(visible), len(oracle))
+	if len(visible) != len(model) {
+		t.Fatalf("restart sees %d trajectories, model has %d", len(visible), len(model))
 	}
-	for id, tr := range oracle {
+	for id, tr := range model {
 		got := visible[id]
 		if got == nil {
 			t.Fatalf("acked trajectory %d missing after torn-tail replay", id)
@@ -602,9 +555,9 @@ func TestIngestBackpressure(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	rejected := 0
 	for i := 0; i < 80; i++ {
@@ -621,7 +574,7 @@ func TestIngestBackpressure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("insert %d never drained: %v", nt.ID, err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 	}
 	if rejected == 0 {
 		t.Fatal("no ingest was refused; the backpressure bound never engaged")
@@ -632,7 +585,7 @@ func TestIngestBackpressure(t *testing.T) {
 	if got := workers[0].merges.Load(); got == 0 {
 		t.Fatal("rejections kicked no merges; the buffer could never drain")
 	}
-	checkDifferential(t, c, "trips", oracle, gen.Queries(d, 4, 343), 0.01)
+	checkDifferential(t, c, "trips", model, gen.Queries(d, 4, 343), 0.01)
 }
 
 // TestUnloadRemovesWAL: rolling back a partition must delete its log too,

@@ -2,6 +2,7 @@ package dnet
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -12,50 +13,10 @@ import (
 	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/obs"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 	"dita/internal/trie"
 )
-
-// bruteKNNHits is the reference answer: exact distances to every
-// trajectory, sorted by (distance, ID), trimmed to k.
-func bruteKNNHits(d *traj.Dataset, m measure.Measure, q *traj.T, k int) []SearchHit {
-	hits := make([]SearchHit, 0, d.Len())
-	for _, tr := range d.Trajs {
-		hits = append(hits, SearchHit{ID: tr.ID, Distance: m.Distance(tr.Points, q.Points)})
-	}
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Distance != hits[b].Distance {
-			return hits[a].Distance < hits[b].Distance
-		}
-		return hits[a].ID < hits[b].ID
-	})
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits
-}
-
-// sameHits compares IDs exactly and distances to within a relative
-// 1e-9: the threshold kernels (banded, early-abandoning) may differ from
-// the exact DP in the last ulp.
-func sameHits(a, b []SearchHit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			return false
-		}
-		da, db := a[i].Distance, b[i].Distance
-		if da == db {
-			continue
-		}
-		if math.Abs(da-db) > 1e-9*math.Max(math.Abs(da), math.Abs(db)) {
-			return false
-		}
-	}
-	return true
-}
 
 // TestNetKNNMatchesLocal: network-mode kNN over a live 3-worker TCP
 // cluster must return exactly what the local engine's SearchKNN returns
@@ -93,23 +54,16 @@ func checkNetKNNMatchesLocal(t *testing.T, d *traj.Dataset, m measure.Measure) {
 	}
 	for qi, q := range append(gen.Queries(d, 5, 111), gen.OutlierQueries(d, 113)...) {
 		for _, k := range []int{1, 3, 10, d.Len() + 5} {
-			want := bruteKNNHits(d, m, q, k)
-			local := e.SearchKNN(q, k)
-			lhits := make([]SearchHit, len(local))
-			for i, r := range local {
-				lhits[i] = SearchHit{ID: r.Traj.ID, Distance: r.Distance}
+			var lhits []SearchHit
+			for _, r := range e.SearchKNN(q, k) {
+				lhits = append(lhits, SearchHit{ID: r.Traj.ID, Distance: r.Distance})
 			}
-			if !sameHits(lhits, want) {
-				t.Fatalf("%s query %d k=%d: local engine disagrees with brute force", m.Name(), qi, k)
-			}
+			checkKNN(t, fmt.Sprintf("query %d: local engine", qi), lhits, d.Trajs, m, q, k)
 			got, err := c.SearchKNN("trips", q, k)
 			if err != nil {
 				t.Fatalf("%s query %d k=%d: %v", m.Name(), qi, k, err)
 			}
-			if !sameHits(got, want) {
-				t.Fatalf("%s query %d k=%d: net kNN disagrees with brute force:\ngot  %v\nwant %v",
-					m.Name(), qi, k, got, want)
-			}
+			checkKNN(t, fmt.Sprintf("query %d: net", qi), got, d.Trajs, m, q, k)
 		}
 	}
 
@@ -127,9 +81,7 @@ func checkNetKNNMatchesLocal(t *testing.T, d *traj.Dataset, m measure.Measure) {
 	if report.Partial() {
 		t.Fatalf("unexpected partial report: %+v", report.Skipped)
 	}
-	if !sameHits(hits, bruteKNNHits(d, m, q, 7)) {
-		t.Fatal("traced kNN disagrees with brute force")
-	}
+	checkKNN(t, "traced", hits, d.Trajs, m, q, 7)
 	names := map[string]int{}
 	partSpans := 0
 	for _, s := range qs.Trace.Spans() {
@@ -226,11 +178,7 @@ func TestNetKNNChaos(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		want := bruteKNNHits(d, m, q, k)
-		if !sameHits(hits, want) {
-			t.Fatalf("query %d: kNN after worker kill disagrees with brute force:\ngot  %v\nwant %v",
-				i, hits, want)
-		}
+		checkKNN(t, fmt.Sprintf("query %d after a worker kill", i), hits, d.Trajs, m, q, k)
 	}
 }
 
@@ -313,9 +261,7 @@ func TestNetKNNPilotRounds(t *testing.T) {
 			if rep.Partial() {
 				t.Fatalf("query %d k=%d: unexpected partial report %+v", qi, tc.k, rep.Skipped)
 			}
-			if !sameHits(hits, bruteKNNHits(d, m, q, tc.k)) {
-				t.Fatalf("query %d k=%d: kNN disagrees with brute force", qi, tc.k)
-			}
+			checkKNN(t, fmt.Sprintf("query %d", qi), hits, d.Trajs, m, q, tc.k)
 			if tc.k == home+1 {
 				// The second-nearest partition may be empty; the prefix then
 				// runs on to the first that covers the missing answer.
@@ -390,9 +336,7 @@ func TestNetKNNDeadPilot(t *testing.T) {
 		t.Fatalf("test setup: %d of %d members survive", len(survivors.Trajs), d.Len())
 	}
 	hits, rep, rounds := tracedKNN(t, c, "trips", q, k)
-	if !sameHits(hits, bruteKNNHits(survivors, measure.DTW{}, q, k)) {
-		t.Fatalf("partial kNN is not the exact top-%d of the surviving partitions:\ngot %v", k, hits)
-	}
+	checkKNN(t, "partial, over the surviving partitions", hits, survivors.Trajs, measure.DTW{}, q, k)
 	named := false
 	for _, s := range rep.Skipped {
 		named = named || (s.Dataset == "trips" && s.Partition == pilot && s.Err != "")
@@ -418,9 +362,9 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	m := measure.DTW{}
 	q := gen.Queries(d, 1, 124)[0]
@@ -440,9 +384,9 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 	// live in the pilot partition. Delta: upsert two of the rest with a
 	// shifted copy, and insert q's own points under fresh ids.
 	var near []SearchHit
-	for _, h := range bruteKNNHits(d, m, q, d.Len()) {
+	for _, h := range oracle.KNN(d.Trajs, m, q, d.Len()) {
 		if inPilot(h.ID) {
-			near = append(near, h)
+			near = append(near, SearchHit(h))
 		}
 	}
 	if len(near) < 8 {
@@ -454,9 +398,9 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 			if ok, err := c.Delete("trips", h.ID); err != nil || !ok {
 				t.Fatalf("delete %d: ok=%v err=%v", h.ID, ok, err)
 			}
-			delete(oracle, h.ID)
+			delete(model, h.ID)
 		case i < 4:
-			pts := append([]geom.Point(nil), oracle[h.ID].Points...)
+			pts := append([]geom.Point(nil), model[h.ID].Points...)
 			for j := range pts {
 				pts[j].X += 1e-4
 			}
@@ -464,7 +408,7 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 			if err := c.Ingest("trips", nt); err != nil {
 				t.Fatal(err)
 			}
-			oracle[h.ID] = nt
+			model[h.ID] = nt
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -472,7 +416,7 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatal(err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 		if !inPilot(nt.ID) {
 			t.Fatalf("test setup: clone %d of the query was not routed to its pilot partition", nt.ID)
 		}
@@ -484,15 +428,13 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 	if merges != 0 {
 		t.Fatalf("test setup: %d merges folded the overlay away", merges)
 	}
-	od := oracleDataset(oracle)
-	for _, k := range []int{1, 3, 4, 10, 40, len(oracle) + 2} {
+	od := visibleOf(model)
+	for _, k := range []int{1, 3, 4, 10, 40, len(model) + 2} {
 		hits, rep, rounds := tracedKNN(t, c, "trips", q, k)
 		if rep.Partial() {
 			t.Fatalf("k=%d: unexpected partial report %+v", k, rep.Skipped)
 		}
-		if !sameHits(hits, bruteKNNHits(od, m, q, k)) {
-			t.Fatalf("k=%d: kNN over the overlaid pilot disagrees with brute force over the oracle:\ngot %v", k, hits)
-		}
+		checkKNN(t, "over the overlaid pilot", hits, od, m, q, k)
 		if len(rounds) > 2 {
 			t.Fatalf("k=%d: %d rounds, want a pilot and at most one fan-out", k, len(rounds))
 		}
@@ -500,14 +442,12 @@ func TestNetKNNPilotOverlay(t *testing.T) {
 	// Outliers over the same overlay: overlay members get the box bound
 	// from KNNScanLive, masked base members must stay hidden from it.
 	for fi, fq := range gen.OutlierQueries(d, 127) {
-		for _, k := range []int{1, 10, len(oracle) + 2} {
+		for _, k := range []int{1, 10, len(model) + 2} {
 			hits, rep, _ := tracedKNN(t, c, "trips", fq, k)
 			if rep.Partial() {
 				t.Fatalf("far query %d k=%d: unexpected partial report %+v", fi, k, rep.Skipped)
 			}
-			if !sameHits(hits, bruteKNNHits(od, m, fq, k)) {
-				t.Fatalf("far query %d k=%d: kNN disagrees with brute force over the oracle:\ngot %v", fi, k, hits)
-			}
+			checkKNN(t, fmt.Sprintf("far query %d", fi), hits, od, m, fq, k)
 		}
 	}
 }
@@ -567,9 +507,7 @@ func TestNetKNNCutoverReplan(t *testing.T) {
 		if rep.Partial() {
 			t.Fatalf("query %d: report %+v, want nothing skipped after the re-plan", qi, rep.Skipped)
 		}
-		if !sameHits(hits, bruteKNNHits(d, m, q, k)) {
-			t.Fatalf("query %d: kNN across a cutover disagrees with brute force:\ngot %v", qi, hits)
-		}
+		checkKNN(t, fmt.Sprintf("query %d across a cutover", qi), hits, d.Trajs, m, q, k)
 		plans := 0
 		for _, s := range qs.Trace.Spans() {
 			if s.Name == "knn-plan" {

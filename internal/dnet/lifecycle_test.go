@@ -95,21 +95,7 @@ func TestChaosSearchPanicYieldsPartialThenExactRetry(t *testing.T) {
 	if err != nil || rep.Partial() {
 		t.Fatalf("retry: err=%v partial=%v", err, rep.Partial())
 	}
-	m := measure.DTW{}
-	want := map[int]bool{}
-	for _, tr := range d.Trajs {
-		if m.Distance(tr.Points, q.Points) <= tau {
-			want[tr.ID] = true
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("retry: %d hits, want %d", len(got), len(want))
-	}
-	for _, h := range got {
-		if !want[h.ID] {
-			t.Fatalf("retry: spurious hit %d", h.ID)
-		}
-	}
+	checkSearch(t, got, d.Trajs, measure.DTW{}, q, tau)
 }
 
 // Admission control on the coordinator: with MaxConcurrent=1 and

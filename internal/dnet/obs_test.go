@@ -8,6 +8,7 @@ import (
 	"dita/internal/gen"
 	"dita/internal/measure"
 	"dita/internal/obs"
+	"dita/internal/oracle"
 )
 
 // A traced network search must yield a coordinator-assembled trace with
@@ -25,15 +26,8 @@ func TestTracedSearchAssemblesClusterTrace(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	m := measure.DTW{}
 	q := gen.Queries(d, 1, 91)[0]
 	tau := 0.01
-	want := 0
-	for _, tr := range d.Trajs {
-		if m.Distance(tr.Points, q.Points) <= tau {
-			want++
-		}
-	}
 
 	qs := &QueryStats{Trace: obs.NewTrace("search")}
 	hits, report, err := c.SearchTraced(context.Background(), "trips", q, tau, qs)
@@ -43,9 +37,8 @@ func TestTracedSearchAssemblesClusterTrace(t *testing.T) {
 	if report.Partial() {
 		t.Fatalf("unexpected partial report: %+v", report.Skipped)
 	}
-	if len(hits) != want {
-		t.Fatalf("got %d hits, want %d", len(hits), want)
-	}
+	checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
+	want := len(hits)
 	f := qs.Funnel
 	if !f.Monotone() {
 		t.Fatalf("funnel not monotone: %s", f)
@@ -136,15 +129,6 @@ func TestTracedJoinFunnelMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	tau := 0.01
-	m := measure.DTW{}
-	want := 0
-	for _, x := range a.Trajs {
-		for _, y := range b.Trajs {
-			if m.Distance(x.Points, y.Points) <= tau {
-				want++
-			}
-		}
-	}
 
 	qs := &QueryStats{Trace: obs.NewTrace("join")}
 	pairs, report, err := c.JoinTraced(context.Background(), "T", "Q", tau, qs)
@@ -154,9 +138,8 @@ func TestTracedJoinFunnelMatchesBruteForce(t *testing.T) {
 	if report.Partial() {
 		t.Fatalf("unexpected partial report: %+v", report.Skipped)
 	}
-	if len(pairs) != want {
-		t.Fatalf("got %d pairs, want %d", len(pairs), want)
-	}
+	checkJoin(t, pairs, oracle.Join(a.Trajs, b.Trajs, measure.DTW{}, tau))
+	want := len(pairs)
 	f := qs.Funnel
 	if !f.Monotone() {
 		t.Fatalf("join funnel not monotone: %s", f)
@@ -238,20 +221,12 @@ func TestTracedSearchInjectedRetry(t *testing.T) {
 	sawRetry := false
 	for round := 0; round < 60 && !sawRetry; round++ {
 		for _, q := range gen.Queries(d, 4, int64(94+round)) {
-			want := 0
-			for _, tr := range d.Trajs {
-				if m.Distance(tr.Points, q.Points) <= tau {
-					want++
-				}
-			}
 			qs := &QueryStats{Trace: obs.NewTrace("search")}
 			hits, _, err := c.SearchTraced(context.Background(), "trips", q, tau, qs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(hits) != want {
-				t.Fatalf("got %d hits, want %d", len(hits), want)
-			}
+			checkSearch(t, hits, d.Trajs, m, q, tau)
 			if !qs.Funnel.Monotone() {
 				t.Fatalf("funnel not monotone under chaos: %s", qs.Funnel)
 			}

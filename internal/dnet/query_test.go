@@ -9,6 +9,7 @@ import (
 	"dita/internal/gen"
 	"dita/internal/measure"
 	"dita/internal/obs"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
@@ -140,15 +141,6 @@ func TestNetJoinCutoverReplan(t *testing.T) {
 		}
 	}
 	const tau = 0.02
-	m := measure.DTW{}
-	want := map[[2]int]bool{}
-	for _, x := range d.Trajs {
-		for _, y := range d.Trajs {
-			if m.Distance(x.Points, y.Points) <= tau {
-				want[[2]int{x.ID, y.ID}] = true
-			}
-		}
-	}
 	dd, err := c.dataset("T")
 	if err != nil {
 		t.Fatal(err)
@@ -178,13 +170,12 @@ func TestNetJoinCutoverReplan(t *testing.T) {
 		if rep.Partial() {
 			t.Fatalf("%s: report %+v, want nothing skipped after the re-plan", label, rep.Skipped)
 		}
-		if len(pairs) != len(want) {
-			t.Fatalf("%s: %d pairs, brute force %d", label, len(pairs), len(want))
+		want := oracle.Join(d.Trajs, d.Trajs, measure.DTW{}, tau)
+		if sides[0] == sides[1] {
+			want = oracle.SelfJoin(d.Trajs, measure.DTW{}, tau)
 		}
-		for _, p := range pairs {
-			if !want[[2]int{p.TID, p.QID}] {
-				t.Fatalf("%s: pair (%d,%d) is not brute force's", label, p.TID, p.QID)
-			}
+		if err := oracle.DiffJoin(pairsOf(pairs), want); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 		plans := 0
 		for _, s := range qs.Trace.Spans() {

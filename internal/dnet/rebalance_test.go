@@ -13,41 +13,31 @@ import (
 	"dita/internal/geom"
 	"dita/internal/measure"
 	"dita/internal/obs"
+	"dita/internal/oracle"
 	"dita/internal/snap"
 	"dita/internal/traj"
 )
 
-// checkNetDifferentialM is checkDifferential generalized over the
-// measure: threshold search, kNN and the self-join against the live cluster
-// must agree exactly with brute force over the logical oracle under
-// measure m.
-func checkNetDifferentialM(t *testing.T, c *Coordinator, name string, oracle map[int]*traj.T, qs []*traj.T, tau float64, m measure.Measure) {
+// checkNetDifferentialM holds the live cluster's threshold search, kNN and
+// self-join to the oracle's over the logical model under measure m, and the
+// layout to what the partitions show.
+func checkNetDifferentialM(t *testing.T, c *Coordinator, name string, model map[int]*traj.T, qs []*traj.T, tau float64, m measure.Measure) {
 	t.Helper()
-	layoutOK(t, c, name, oracle)
-	od := oracleDataset(oracle)
-	checkNetSelfJoin(t, c, name, oracle, tau, m)
+	layoutOK(t, c, name, model)
+	members := visibleOf(model)
+	checkNetSelfJoin(t, c, name, model, tau, m)
 	for qi, q := range qs {
 		hits, err := c.Search(name, q, tau)
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		want := map[int]bool{}
-		for _, tr := range od.Trajs {
-			if m.Distance(tr.Points, q.Points) <= tau {
-				want[tr.ID] = true
-			}
-		}
-		assertExactHits(t, hits, want)
-		for _, k := range []int{1, 7, len(od.Trajs) + 3} {
-			wantK := bruteKNNHits(od, m, q, k)
+		checkSearch(t, hits, members, m, q, tau)
+		for _, k := range []int{1, 5, 7, 17, len(members) + 3} {
 			got, err := c.SearchKNN(name, q, k)
 			if err != nil {
 				t.Fatalf("knn query %d k=%d: %v", qi, k, err)
 			}
-			if !sameHits(got, wantK) {
-				t.Fatalf("knn query %d k=%d: got %d hits, want %d — cluster disagrees with brute force after rebalance",
-					qi, k, len(got), len(wantK))
-			}
+			checkKNN(t, fmt.Sprintf("query %d", qi), got, members, m, q, k)
 		}
 	}
 }
@@ -84,7 +74,7 @@ func liveParts(t *testing.T, c *Coordinator, name string) []int {
 // interleave streamed inserts, upserts and deletes with an online split
 // and an online merge, and after every phase the mutated-and-recut
 // cluster must answer threshold search and kNN exactly as brute force
-// over the logical oracle — the rebalance may move data, never change
+// over the logical model — the rebalance may move data, never change
 // answers. Join is covered separately (TestNetRebalanceJoinDifferential)
 // to keep the five-way matrix fast.
 func TestNetRebalanceDifferentialAllMeasures(t *testing.T) {
@@ -111,9 +101,9 @@ func TestNetRebalanceDifferentialAllMeasures(t *testing.T) {
 			if err := c.Dispatch("trips", d); err != nil {
 				t.Fatal(err)
 			}
-			oracle := map[int]*traj.T{}
+			model := map[int]*traj.T{}
 			for _, tr := range d.Trajs {
-				oracle[tr.ID] = tr
+				model[tr.ID] = tr
 			}
 			qs := gen.Queries(d, 3, 403)
 
@@ -123,7 +113,7 @@ func TestNetRebalanceDifferentialAllMeasures(t *testing.T) {
 				if err := c.Ingest("trips", nt); err != nil {
 					t.Fatalf("insert %d: %v", nt.ID, err)
 				}
-				oracle[nt.ID] = nt
+				model[nt.ID] = nt
 			}
 			before := liveParts(t, c, "trips")
 			st, err := c.SplitPartition("trips", before[0], 3)
@@ -133,7 +123,7 @@ func TestNetRebalanceDifferentialAllMeasures(t *testing.T) {
 			if len(st.Created) == 0 || st.Trajs == 0 {
 				t.Fatalf("split moved nothing: %+v", st)
 			}
-			checkNetDifferentialM(t, c, "trips", oracle, qs, tc.tau, tc.m)
+			checkNetDifferentialM(t, c, "trips", model, qs, tc.tau, tc.m)
 
 			// Phase 2: upserts and deletes across old and new partitions,
 			// then merge two live partitions back together.
@@ -143,7 +133,7 @@ func TestNetRebalanceDifferentialAllMeasures(t *testing.T) {
 				if err := c.Ingest("trips", nt); err != nil {
 					t.Fatalf("upsert %d: %v", id, err)
 				}
-				oracle[id] = nt
+				model[id] = nt
 			}
 			for j := 20; j < 35; j++ {
 				id := d.Trajs[j].ID
@@ -151,7 +141,7 @@ func TestNetRebalanceDifferentialAllMeasures(t *testing.T) {
 				if err != nil || !ok {
 					t.Fatalf("delete %d: ok=%v err=%v", id, ok, err)
 				}
-				delete(oracle, id)
+				delete(model, id)
 			}
 			live := liveParts(t, c, "trips")
 			if len(live) < 2 {
@@ -160,7 +150,7 @@ func TestNetRebalanceDifferentialAllMeasures(t *testing.T) {
 			if _, err := c.MergePartitions("trips", live[:2]); err != nil {
 				t.Fatalf("merge: %v", err)
 			}
-			checkNetDifferentialM(t, c, "trips", oracle, qs, tc.tau, tc.m)
+			checkNetDifferentialM(t, c, "trips", model, qs, tc.tau, tc.m)
 
 			// Phase 3: writes AFTER the cutovers land in the re-cut layout.
 			for i := 40; i < 70; i++ {
@@ -168,9 +158,9 @@ func TestNetRebalanceDifferentialAllMeasures(t *testing.T) {
 				if err := c.Ingest("trips", nt); err != nil {
 					t.Fatalf("post-cutover insert %d: %v", nt.ID, err)
 				}
-				oracle[nt.ID] = nt
+				model[nt.ID] = nt
 			}
-			checkNetDifferentialM(t, c, "trips", oracle, qs, tc.tau, tc.m)
+			checkNetDifferentialM(t, c, "trips", model, qs, tc.tau, tc.m)
 		})
 	}
 }
@@ -178,7 +168,7 @@ func TestNetRebalanceDifferentialAllMeasures(t *testing.T) {
 // TestNetRebalanceConcurrentWrites races streamed writes against live
 // cutovers: writers blocked on a partition mid-cutover must re-route to
 // the piece that now owns their trajectory, every ack must stick, and
-// the final state must match the oracle exactly. This is the
+// the final state must match the model exactly. This is the
 // interleaving the per-partition write locks and the locked-then-
 // revalidate dance in lockPartitionWrite exist for; run under -race.
 func TestNetRebalanceConcurrentWrites(t *testing.T) {
@@ -188,10 +178,10 @@ func TestNetRebalanceConcurrentWrites(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	var omu sync.Mutex
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	var wg sync.WaitGroup
 	errc := make(chan error, 4)
@@ -206,7 +196,7 @@ func TestNetRebalanceConcurrentWrites(t *testing.T) {
 					return
 				}
 				omu.Lock()
-				oracle[nt.ID] = nt
+				model[nt.ID] = nt
 				omu.Unlock()
 			}
 		}(g)
@@ -237,7 +227,7 @@ func TestNetRebalanceConcurrentWrites(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	checkNetDifferentialM(t, c, "trips", oracle, gen.Queries(d, 3, 483), 0.01, measure.DTW{})
+	checkNetDifferentialM(t, c, "trips", model, gen.Queries(d, 3, 483), 0.01, measure.DTW{})
 }
 
 // TestNumPartitionsDuringCutover: NumPartitions reads the layout under the
@@ -294,7 +284,7 @@ func TestNumPartitionsDuringCutover(t *testing.T) {
 // TestNetRebalanceJoinDifferential: the join shuffle must read the
 // re-cut layout, not the dispatch-time one — join a split-and-merged
 // mutated dataset against a freshly dispatched probe set and compare
-// with brute force over the oracle.
+// with brute force over the model.
 func TestNetRebalanceJoinDifferential(t *testing.T) {
 	d := gen.Generate(gen.BeijingLike(130, 411))
 	extra := gen.Generate(gen.BeijingLike(80, 412))
@@ -302,23 +292,23 @@ func TestNetRebalanceJoinDifferential(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	for i := 0; i < 30; i++ {
 		nt := &traj.T{ID: 500000 + i, Points: extra.Trajs[i].Points}
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatal(err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 	}
 	for j := 0; j < 15; j++ {
 		id := d.Trajs[j].ID
 		if ok, err := c.Delete("trips", id); err != nil || !ok {
 			t.Fatalf("delete %d: ok=%v err=%v", id, ok, err)
 		}
-		delete(oracle, id)
+		delete(model, id)
 	}
 	live := liveParts(t, c, "trips")
 	if _, err := c.SplitPartition("trips", live[len(live)-1], 2); err != nil {
@@ -341,31 +331,7 @@ func TestNetRebalanceJoinDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := measure.DTW{}
-	want := map[[2]int]bool{}
-	for _, x := range oracle {
-		for _, y := range probes.Trajs {
-			if m.Distance(x.Points, y.Points) <= tau {
-				want[[2]int{x.ID, y.ID}] = true
-			}
-		}
-	}
-	got := map[[2]int]bool{}
-	for _, p := range pairs {
-		key := [2]int{p.TID, p.QID}
-		if got[key] {
-			t.Fatalf("duplicate pair %v", key)
-		}
-		got[key] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("join after rebalance: got %d pairs, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("join after rebalance: missing pair %v", k)
-		}
-	}
+	checkJoin(t, pairs, oracle.Join(visibleOf(model), probes.Trajs, measure.DTW{}, tau))
 }
 
 // TestNetRebalancePolicyReducesSkew drives the planner end to end: a
@@ -382,9 +348,9 @@ func TestNetRebalancePolicyReducesSkew(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	// Hotspot: every insert clones one dispatched trajectory's geometry
 	// with a tiny per-clone jitter, so endpoint routing lands them all in
@@ -401,7 +367,7 @@ func TestNetRebalancePolicyReducesSkew(t *testing.T) {
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatalf("hotspot insert %d: %v", nt.ID, err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 	}
 	skewBefore, err := c.OccupancySkew("trips")
 	if err != nil {
@@ -434,7 +400,7 @@ func TestNetRebalancePolicyReducesSkew(t *testing.T) {
 	if g := cfg.Obs.FloatGauge("coord_occupancy_skew").Value(); g != skewAfter {
 		t.Fatalf("coord_occupancy_skew gauge %.3f, want %.3f", g, skewAfter)
 	}
-	checkNetDifferentialM(t, c, "trips", oracle, gen.Queries(d, 3, 423), 0.01, measure.DTW{})
+	checkNetDifferentialM(t, c, "trips", model, gen.Queries(d, 3, 423), 0.01, measure.DTW{})
 
 	// Idempotence: a second pass over the balanced dataset is a no-op.
 	steps, converged, err = c.Rebalance("trips", pol)
@@ -494,16 +460,16 @@ func TestNetRebalanceEmptyMerge(t *testing.T) {
 	if hits, err := c.Search("trips", d.Trajs[0], 0.01); err != nil || len(hits) != 0 {
 		t.Fatalf("search over the empty layout: %d hits, err %v", len(hits), err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	extra := gen.Generate(gen.BeijingLike(10, 432))
 	for i, tr := range extra.Trajs {
 		nt := &traj.T{ID: 700000 + i, Points: tr.Points}
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatalf("insert into empty layout: %v", err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 	}
-	checkNetDifferentialM(t, c, "trips", oracle, gen.Queries(extra, 2, 433), 0.01, measure.DTW{})
+	checkNetDifferentialM(t, c, "trips", model, gen.Queries(extra, 2, 433), 0.01, measure.DTW{})
 }
 
 // TestChaosCutoverAbortNeverAMix is the crash-window contract: a worker
@@ -557,11 +523,11 @@ func TestChaosCutoverAbortNeverAMix(t *testing.T) {
 	}
 	workers[0].mu.RUnlock()
 	// Queries fail over to the survivor and stay exact.
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
-	checkNetDifferentialM(t, c, "trips", oracle, gen.Queries(d, 2, 442), 0.01, measure.DTW{})
+	checkNetDifferentialM(t, c, "trips", model, gen.Queries(d, 2, 442), 0.01, measure.DTW{})
 }
 
 // TestChaosCoordinatorRestartAfterMergeKeepsOverlays is the first gap
@@ -580,23 +546,23 @@ func TestChaosCoordinatorRestartAfterMergeKeepsOverlays(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	for i := 0; i < 50; i++ {
 		nt := &traj.T{ID: 500000 + i, Points: extra.Trajs[i].Points}
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatalf("insert %d: %v", nt.ID, err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 	}
 	for j := 0; j < 20; j++ {
 		id := d.Trajs[j].ID
 		if ok, err := c.Delete("trips", id); err != nil || !ok {
 			t.Fatalf("delete %d: ok=%v err=%v", id, ok, err)
 		}
-		delete(oracle, id)
+		delete(model, id)
 	}
 	// Make sure the overlay fold actually happened somewhere.
 	deadline := time.Now().Add(5 * time.Second)
@@ -624,15 +590,15 @@ func TestChaosCoordinatorRestartAfterMergeKeepsOverlays(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if rep.Trajs != len(oracle) {
-		t.Fatalf("recovery found %d visible trajectories, oracle has %d", rep.Trajs, len(oracle))
+	if rep.Trajs != len(model) {
+		t.Fatalf("recovery found %d visible trajectories, model has %d", rep.Trajs, len(model))
 	}
-	checkNetDifferentialM(t, c2, "trips", oracle, gen.Queries(d, 3, 453), 0.01, measure.DTW{})
+	checkNetDifferentialM(t, c2, "trips", model, gen.Queries(d, 3, 453), 0.01, measure.DTW{})
 
 	// Recovered datasets must keep taking writes with correct dedupe
 	// floors: a fresh upsert must apply, not be dropped as a replay.
 	victim := -1
-	for id := range oracle {
+	for id := range model {
 		victim = id
 		break
 	}
@@ -640,8 +606,8 @@ func TestChaosCoordinatorRestartAfterMergeKeepsOverlays(t *testing.T) {
 	if err := c2.Ingest("trips", up); err != nil {
 		t.Fatal(err)
 	}
-	oracle[victim] = up
-	checkNetDifferentialM(t, c2, "trips", oracle, gen.Queries(d, 2, 454), 0.01, measure.DTW{})
+	model[victim] = up
+	checkNetDifferentialM(t, c2, "trips", model, gen.Queries(d, 2, 454), 0.01, measure.DTW{})
 }
 
 // TestChaosRecoverFindsOutlierOutsideDispatchMBR is the second gap
@@ -657,9 +623,9 @@ func TestChaosRecoverFindsOutlierOutsideDispatchMBR(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	// The generator confines trajectories to a small lat/lon box; (50,50)
 	// is far outside every dispatch-time MBR.
@@ -667,7 +633,7 @@ func TestChaosRecoverFindsOutlierOutsideDispatchMBR(t *testing.T) {
 	if err := c.Ingest("trips", outlier); err != nil {
 		t.Fatal(err)
 	}
-	oracle[outlier.ID] = outlier
+	model[outlier.ID] = outlier
 
 	c.Close()
 	c2, err := Connect(addrs, cfg)
@@ -689,7 +655,7 @@ func TestChaosRecoverFindsOutlierOutsideDispatchMBR(t *testing.T) {
 	if len(hits) != 1 || hits[0].ID != outlier.ID {
 		t.Fatalf("outlier query got %v, want exactly id %d — stale dispatch MBRs pruned the ingested outlier", hits, outlier.ID)
 	}
-	checkNetDifferentialM(t, c2, "trips", oracle, gen.Queries(d, 2, 462), 0.01, measure.DTW{})
+	checkNetDifferentialM(t, c2, "trips", model, gen.Queries(d, 2, 462), 0.01, measure.DTW{})
 }
 
 // TestChaosRecoverAfterCutoverAndRestart: a rebalance cutover followed
@@ -703,16 +669,16 @@ func TestChaosRecoverAfterCutoverAndRestart(t *testing.T) {
 	if err := c.Dispatch("trips", d); err != nil {
 		t.Fatal(err)
 	}
-	oracle := map[int]*traj.T{}
+	model := map[int]*traj.T{}
 	for _, tr := range d.Trajs {
-		oracle[tr.ID] = tr
+		model[tr.ID] = tr
 	}
 	for i := 0; i < 30; i++ {
 		nt := &traj.T{ID: 500000 + i, Points: extra.Trajs[i].Points}
 		if err := c.Ingest("trips", nt); err != nil {
 			t.Fatal(err)
 		}
-		oracle[nt.ID] = nt
+		model[nt.ID] = nt
 	}
 	live := liveParts(t, c, "trips")
 	st, err := c.SplitPartition("trips", live[0], 2)
@@ -736,8 +702,8 @@ func TestChaosRecoverAfterCutoverAndRestart(t *testing.T) {
 			}
 		}
 	}
-	if rep.Trajs != len(oracle) {
-		t.Fatalf("recovery found %d visible trajectories, oracle has %d", rep.Trajs, len(oracle))
+	if rep.Trajs != len(model) {
+		t.Fatalf("recovery found %d visible trajectories, model has %d", rep.Trajs, len(model))
 	}
-	checkNetDifferentialM(t, c2, "trips", oracle, gen.Queries(d, 3, 473), 0.01, measure.DTW{})
+	checkNetDifferentialM(t, c2, "trips", model, gen.Queries(d, 3, 473), 0.01, measure.DTW{})
 }

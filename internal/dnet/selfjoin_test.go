@@ -12,50 +12,24 @@ import (
 	"dita/internal/gen"
 	"dita/internal/measure"
 	"dita/internal/obs"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
-// checkNetSelfJoin holds the cluster's self-join of a dataset to brute
-// force over the logical oracle, pair for pair: exactly the oracle's pairs,
-// in (TID, QID) order with none twice, Distance's bits on each, and (b,a)
-// beside every (a,b). It is the dnet twin of core's checkVisibleJoins and
-// rides every round of the ingest and rebalance differentials, so a member
-// visible in two partitions after a cutover or a replay shows up here as a
-// pair the oracle does not have.
-func checkNetSelfJoin(t *testing.T, c *Coordinator, name string, oracle map[int]*traj.T, tau float64, m measure.Measure) {
+// checkNetSelfJoin holds the cluster's self-join of a dataset to the
+// oracle's over the logical model, pair for pair and bit for bit. It is the
+// dnet twin of core's checkVisibleJoins and rides every round of the ingest
+// and rebalance differentials, so a member visible in two partitions after
+// a cutover or a replay shows up here as a pair the model does not have.
+func checkNetSelfJoin(t *testing.T, c *Coordinator, name string, model map[int]*traj.T, tau float64, m measure.Measure) {
 	t.Helper()
 	pairs, err := c.Join(name, name, tau)
 	if err != nil {
 		t.Fatalf("self-join %q: %v", name, err)
 	}
-	want := map[[2]int]float64{}
-	for _, a := range oracle {
-		for _, b := range oracle {
-			// An endpoint-anchored distance is at least the first points'.
-			if m.AlignsEndpoints() && a.First().Dist(b.First()) > tau {
-				continue
-			}
-			if d := m.Distance(a.Points, b.Points); d <= tau {
-				want[[2]int{a.ID, b.ID}] = d
-			}
-		}
+	if err := oracle.DiffJoin(pairsOf(pairs), oracle.SelfJoin(visibleOf(model), m, tau)); err != nil {
+		t.Fatalf("self-join %q: %v", name, err)
 	}
-	if len(pairs) != len(want) {
-		t.Fatalf("self-join %q: %d pairs, brute force %d", name, len(pairs), len(want))
-	}
-	for i, p := range pairs {
-		if i > 0 {
-			prev := pairs[i-1]
-			if prev.TID > p.TID || (prev.TID == p.TID && prev.QID >= p.QID) {
-				t.Fatalf("self-join %q: pair %d (%d,%d) does not follow (%d,%d)", name, i, p.TID, p.QID, prev.TID, prev.QID)
-			}
-		}
-		d, ok := want[[2]int{p.TID, p.QID}]
-		if !ok || math.Float64bits(d) != math.Float64bits(p.Distance) {
-			t.Fatalf("self-join %q: pair (%d,%d) at %v, brute force %v (present %v)", name, p.TID, p.QID, p.Distance, d, ok)
-		}
-	}
-	checkMirrored(t, pairs, name)
 }
 
 // checkMirrored fails unless every (a,b) has its (b,a), at the same bits.
@@ -111,25 +85,25 @@ func TestSelfJoinFourWays(t *testing.T) {
 		}
 		return ps
 	}
-	want := wire(e.Join(e, tau, core.DefaultJoinOptions(), nil))
+	want := oracle.SelfJoin(d.Trajs, measure.DTW{}, tau)
 	if len(want) <= d.Len() {
 		t.Fatalf("only %d pairs over %d members: nothing to mirror", len(want), d.Len())
 	}
+	// Each orientation measured on its own: the mirrored bits are
+	// Distance's in that orientation too.
+	if err := oracle.DiffJoin(want, oracle.Join(d.Trajs, d.Trajs, measure.DTW{}, tau)); err != nil {
+		t.Fatalf("self-join against the two-sided join: %v", err)
+	}
 	for label, got := range map[string][]WirePair{
+		"e.Join(e)":       wire(e.Join(e, tau, core.DefaultJoinOptions(), nil)),
 		"e.Join(clone)":   wire(e.Join(clone, tau, core.DefaultJoinOptions(), nil)),
 		"c.Join(x, x)":    netJoin("x", "x"),
 		"c.Join(x, x) #2": netJoin("x", "x"), // the replica rotation has moved on
 		"c.Join(x, copy)": netJoin("x", "copy"),
 		"c.Join(copy, x)": netJoin("copy", "x"),
 	} {
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d pairs, e.Join(e) has %d", label, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].TID != want[i].TID || got[i].QID != want[i].QID ||
-				math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) {
-				t.Fatalf("%s: pair %d = %+v, e.Join(e) has %+v", label, i, got[i], want[i])
-			}
+		if err := oracle.DiffJoin(pairsOf(got), want); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 	}
 }
@@ -247,6 +221,7 @@ func TestChaosSelfJoinPartialNamesBothPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkJoin(t, full, oracle.SelfJoin(d.Trajs, measure.DTW{}, tau))
 	dd, err := c.dataset("x")
 	if err != nil {
 		t.Fatal(err)

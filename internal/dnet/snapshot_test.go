@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dita/internal/gen"
+	"dita/internal/measure"
 	"dita/internal/snap"
 	"dita/internal/trie"
 )
@@ -105,7 +106,7 @@ func TestSnapshotColdStartZeroReship(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactHits(t, hits, bruteSearch(d, q, tau))
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
 		baseline = append(baseline, answer{hits})
 	}
 
@@ -233,7 +234,7 @@ func TestSnapshotCorruptionFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactHits(t, hits, bruteSearch(d, q, tau))
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
 	}
 }
 
@@ -265,7 +266,7 @@ func TestSnapshotWriteChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactHits(t, hits, bruteSearch(d, q, tau))
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
 	}
 	wrote := workers[0].snapWriteOK.Load()
 	failed := workers[0].snapWriteErr.Load()
@@ -304,7 +305,7 @@ func TestSnapshotWriteChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactHits(t, hits, bruteSearch(d, q, tau))
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
 	}
 }
 
@@ -364,7 +365,7 @@ func TestSnapshotHealAfterPayloadDrop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactHits(t, hits, bruteSearch(d, q, tau))
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, tau)
 	}
 }
 
@@ -691,6 +692,6 @@ func TestFormat1FileSkippedThenHealed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertExactHits(t, hits, bruteSearch(d, q, 0.01))
+		checkSearch(t, hits, d.Trajs, measure.DTW{}, q, 0.01)
 	}
 }

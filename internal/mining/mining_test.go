@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"dita/internal/cluster"
 	"dita/internal/core"
 	"dita/internal/geom"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 	"dita/internal/viewtest"
 )
@@ -251,15 +253,15 @@ func TestMiningIgnoresMembersOutsideTheDataset(t *testing.T) {
 	}
 }
 
-// The τ-graph equals brute force over the dataset under every measure, at
-// a τ between two pairwise distances so no pair ties it.
+// The τ-graph equals the oracle's self-join under every measure, at a τ
+// between two pairwise distances so no pair ties it.
 func TestTauGraphMatchesBruteForce(t *testing.T) {
 	d, _ := plantedDataset(5, 8, 3, 6)
 	for _, m := range viewtest.Measures(t) {
 		var ds []float64
-		for i, a := range d.Trajs {
-			for _, b := range d.Trajs[i+1:] {
-				ds = append(ds, m.Distance(a.Points, b.Points))
+		for _, p := range oracle.SelfJoin(d.Trajs, m, math.Inf(1)) {
+			if p.T < p.Q {
+				ds = append(ds, p.Distance)
 			}
 		}
 		slices.Sort(ds)
@@ -275,16 +277,16 @@ func TestTauGraphMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A member's id is its position, so the oracle's pairs with T = i
+		// are member i's neighbours, ascending.
+		want := make([][]int, d.Len())
+		for _, p := range oracle.SelfJoin(d.Trajs, m, tau) {
+			want[p.T] = append(want[p.T], p.Q)
+		}
 		edges := 0
 		for i, nb := range tauGraph(e, tau) {
-			var want []int
-			for j, b := range d.Trajs {
-				if m.Distance(d.Trajs[i].Points, b.Points) <= tau {
-					want = append(want, j)
-				}
-			}
-			if !slices.Equal(nb, want) {
-				t.Fatalf("%s τ=%v: member %d neighbors %v, brute force %v", m.Name(), tau, i, nb, want)
+			if !slices.Equal(nb, want[i]) {
+				t.Fatalf("%s τ=%v: member %d neighbors %v, the oracle's %v", m.Name(), tau, i, nb, want[i])
 			}
 			edges += len(nb) - 1
 		}

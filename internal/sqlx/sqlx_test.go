@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -12,6 +11,7 @@ import (
 	"dita/internal/gen"
 	"dita/internal/geom"
 	"dita/internal/measure"
+	"dita/internal/oracle"
 	"dita/internal/traj"
 )
 
@@ -23,6 +23,24 @@ func newTestDB(t *testing.T, n int) (*DB, *traj.Dataset) {
 	db := NewDB(nil, opts)
 	db.Register("T", d)
 	return db, d
+}
+
+// hitsOf and pairsOf are the adapters from the SQL layer's answers to the
+// oracle's.
+func hitsOf(rs []core.SearchResult) []oracle.Hit {
+	out := make([]oracle.Hit, len(rs))
+	for i, r := range rs {
+		out[i] = oracle.Hit{ID: r.Traj.ID, Distance: r.Distance}
+	}
+	return out
+}
+
+func pairsOf(ps []core.Pair) []oracle.Pair {
+	out := make([]oracle.Pair, len(ps))
+	for i, p := range ps {
+		out[i] = oracle.Pair{T: p.T.ID, Q: p.Q.ID, Distance: p.Distance}
+	}
+	return out
 }
 
 func TestParseStatements(t *testing.T) {
@@ -79,20 +97,14 @@ func TestParseStatements(t *testing.T) {
 func TestSQLSearchMatchesBruteForce(t *testing.T) {
 	db, d := newTestDB(t, 300)
 	q := gen.Queries(d, 1, 2)[0]
-	tau := 0.05
-	want := 0
-	for _, tr := range d.Trajs {
-		if (measure.DTW{}).Distance(tr.Points, q.Points) <= tau {
-			want++
-		}
-	}
+	want := oracle.Search(d.Trajs, measure.DTW{}, q, 0.05)
 	// Unindexed: full scan plan.
 	res, err := db.Exec("SELECT * FROM T WHERE DTW(T, ?) <= 0.05", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trajs) != want {
-		t.Fatalf("full scan: %d results, want %d", len(res.Trajs), want)
+	if err := oracle.DiffSearch(hitsOf(res.Trajs), want); err != nil {
+		t.Fatalf("full scan: %v", err)
 	}
 	if !strings.Contains(res.Plan, "FullScan") {
 		t.Errorf("plan = %q, want FullScan before CREATE INDEX", res.Plan)
@@ -105,8 +117,8 @@ func TestSQLSearchMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Trajs) != want {
-		t.Fatalf("index scan: %d results, want %d", len(res2.Trajs), want)
+	if err := oracle.DiffSearch(hitsOf(res2.Trajs), want); err != nil {
+		t.Fatalf("index scan: %v", err)
 	}
 	if !strings.Contains(res2.Plan, "TrieIndexSearch") {
 		t.Errorf("plan = %q, want TrieIndexSearch after CREATE INDEX", res2.Plan)
@@ -151,16 +163,8 @@ func TestSQLJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 0
-	for _, a := range d.Trajs {
-		for _, b := range d2.Trajs {
-			if (measure.DTW{}).Distance(a.Points, b.Points) <= 0.04 {
-				want++
-			}
-		}
-	}
-	if len(res.Pairs) != want {
-		t.Fatalf("join: %d pairs, want %d", len(res.Pairs), want)
+	if err := oracle.DiffJoin(pairsOf(res.Pairs), oracle.Join(d.Trajs, d2.Trajs, measure.DTW{}, 0.04)); err != nil {
+		t.Fatalf("join: %v", err)
 	}
 }
 
@@ -171,8 +175,8 @@ func TestSQLKNN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trajs) != 7 {
-		t.Fatalf("kNN returned %d, want 7", len(res.Trajs))
+	if err := oracle.DiffKNN(hitsOf(res.Trajs), oracle.KNN(d.Trajs, measure.DTW{}, q, 7)); err != nil {
+		t.Fatalf("kNN: %v", err)
 	}
 	if res.Trajs[0].Traj.ID != q.ID {
 		t.Errorf("nearest neighbor of a member should be itself, got %d", res.Trajs[0].Traj.ID)
@@ -261,14 +265,8 @@ func TestDataFrameAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 0
-	for _, tr := range d.Trajs {
-		if (measure.DTW{}).Distance(tr.Points, q.Points) <= 0.05 {
-			want++
-		}
-	}
-	if len(res) != want {
-		t.Fatalf("DataFrame search: %d, want %d", len(res), want)
+	if err := oracle.DiffSearch(hitsOf(res), oracle.Search(d.Trajs, measure.DTW{}, q, 0.05)); err != nil {
+		t.Fatalf("DataFrame search: %v", err)
 	}
 	knn, err := df.KNN(q, "DTW", 3)
 	if err != nil || len(knn) != 3 {
@@ -284,16 +282,8 @@ func TestDataFrameAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPairs := 0
-	for _, a := range d.Trajs {
-		for _, b := range d2.Trajs {
-			if (measure.DTW{}).Distance(a.Points, b.Points) <= 0.03 {
-				wantPairs++
-			}
-		}
-	}
-	if len(pairs) != wantPairs {
-		t.Fatalf("DataFrame join: %d, want %d", len(pairs), wantPairs)
+	if err := oracle.DiffJoin(pairsOf(pairs), oracle.Join(d.Trajs, d2.Trajs, measure.DTW{}, 0.03)); err != nil {
+		t.Fatalf("DataFrame join: %v", err)
 	}
 	if _, err := df.SimilaritySearch(q, "bogus", 1); err == nil {
 		t.Error("bogus measure accepted")
@@ -337,13 +327,7 @@ func TestExplain(t *testing.T) {
 func TestExplainAnalyze(t *testing.T) {
 	db, d := newTestDB(t, 200)
 	q := gen.Queries(d, 1, 3)[0]
-	tau := 0.05
-	want := 0
-	for _, tr := range d.Trajs {
-		if (measure.DTW{}).Distance(tr.Points, q.Points) <= tau {
-			want++
-		}
-	}
+	want := len(oracle.Search(d.Trajs, measure.DTW{}, q, 0.05))
 	check := func(res *Result, err error, plan string) *AnalyzeReport {
 		t.Helper()
 		if err != nil {
@@ -531,30 +515,14 @@ func TestSQLKNNJoin(t *testing.T) {
 	if len(res.Pairs) != 2*d.Len() {
 		t.Fatalf("kNN join returned %d pairs, want %d", len(res.Pairs), 2*d.Len())
 	}
-	// Each left trajectory's 2 nearest must match brute force.
-	byLeft := map[int][]int{}
+	// Each left trajectory's 2 nearest are the oracle's.
+	byLeft := map[int][]oracle.Hit{}
 	for _, p := range res.Pairs {
-		byLeft[p.T.ID] = append(byLeft[p.T.ID], p.Q.ID)
+		byLeft[p.T.ID] = append(byLeft[p.T.ID], oracle.Hit{ID: p.Q.ID, Distance: p.Distance})
 	}
-	m := measure.DTW{}
-	for _, tr := range d.Trajs[:10] { // spot check
-		type dr struct {
-			id int
-			d  float64
-		}
-		var ds []dr
-		for _, q := range d2.Trajs {
-			ds = append(ds, dr{q.ID, m.Distance(tr.Points, q.Points)})
-		}
-		sort.Slice(ds, func(a, b int) bool {
-			if ds[a].d != ds[b].d {
-				return ds[a].d < ds[b].d
-			}
-			return ds[a].id < ds[b].id
-		})
-		got := byLeft[tr.ID]
-		if got[0] != ds[0].id || got[1] != ds[1].id {
-			t.Fatalf("traj %d neighbors %v, want [%d %d]", tr.ID, got, ds[0].id, ds[1].id)
+	for _, tr := range d.Trajs {
+		if err := oracle.DiffKNN(byLeft[tr.ID], oracle.KNN(d2.Trajs, measure.DTW{}, tr, 2)); err != nil {
+			t.Fatalf("traj %d: %v", tr.ID, err)
 		}
 	}
 	// EXPLAIN path.
