@@ -113,23 +113,27 @@ autopilot:
 # input (CSV trajectory loader, SQL lexer/parser, snapshot decoder, WAL
 # replay), of the threshold-DTW kernel's accept ⇔ Distance <= tau contract
 # and of the kNN envelope and point bounds' bound <= Distance one.
-# -run='^$$' skips the unit tests so only the fuzz engine runs. Go's fuzz
-# engine stops executing while it minimizes a new interesting input, for up
-# to a minute by default: -fuzzminimizetime=2s keeps a short run fuzzing for
-# the time it says instead of minimizing.
+# scripts/fuzz.sh runs each target for FUZZTIME with -run='^$$' (only the
+# fuzz engine runs) and -fuzzminimizetime=2s (Go's fuzz engine stops
+# executing while it minimizes a new interesting input, for up to a minute
+# by default), prints its exec count, and fails a target whose exec counter
+# did not advance over the last third of its run — the fuzz engine itself
+# reports PASS however long it sat still.
 FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	FuzzReadCSV ./internal/traj \
+	FuzzParse ./internal/sqlx \
+	FuzzLexer ./internal/sqlx \
+	FuzzSnapshot ./internal/snap \
+	'FuzzWALReplay$$' ./internal/wal \
+	'FuzzWALReplayRaw$$' ./internal/wal \
+	FuzzRepartitionPlan ./internal/str \
+	FuzzDTWThreshold ./internal/measure \
+	FuzzEnvelopeBound ./internal/trie \
+	FuzzKNNPointBound ./internal/core \
+	FuzzDecodeBinary ./internal/trie
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/traj
-	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/sqlx
-	$(GO) test -run='^$$' -fuzz=FuzzLexer -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/sqlx
-	$(GO) test -run='^$$' -fuzz=FuzzSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/snap
-	$(GO) test -run='^$$' -fuzz='FuzzWALReplay$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/wal
-	$(GO) test -run='^$$' -fuzz='FuzzWALReplayRaw$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/wal
-	$(GO) test -run='^$$' -fuzz=FuzzRepartitionPlan -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/str
-	$(GO) test -run='^$$' -fuzz=FuzzDTWThreshold -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/measure
-	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/trie
-	$(GO) test -run='^$$' -fuzz=FuzzKNNPointBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinary -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/trie
+	GO=$(GO) ./scripts/fuzz.sh $(FUZZTIME) $(FUZZ_TARGETS)
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
@@ -153,8 +157,11 @@ bench-smoke:
 # partition's scan in both network roles (KNNScanPartition), each reporting
 # verified/op — and of a cold start: one benchmark-shaped partition image
 # decoded (SnapDecode) and its content fingerprinted (Fingerprint), each
-# with bytes/op. EXPERIMENTS.md records the numbers per kernel or layout
-# change.
+# with bytes/op — and of a write beside reads: single inserts into the
+# benchmark's 100 k engine alone and beside a search loop
+# (InsertBesideSearches), with their p50/p95 and the engine lock wait and
+# log append from its registry. EXPERIMENTS.md records the numbers per
+# kernel or layout change.
 KERNEL_BENCHTIME ?= 20000x
 JOIN_BENCHTIME ?= 10x
 LAYOUT_BENCHTIME ?= 10000x
@@ -165,6 +172,7 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='EngineSearchLayout' -benchmem -benchtime=$(LAYOUT_BENCHTIME) ./internal/core
 	$(GO) test -run='^$$' -bench='KNNOutlier|KNNScanPartition' -benchmem -benchtime=640x ./internal/core
 	$(GO) test -run='^$$' -bench='SnapDecode|Fingerprint' -benchmem -benchtime=2000x ./internal/snap
+	$(GO) test -run='^$$' -bench='InsertBesideSearches' -benchmem -benchtime=2000x ./internal/core
 
 # The measurement behind a performance claim: N alternating pairs of the
 # repository benchmark on two refs, each extracted into its own tree under

@@ -3,14 +3,19 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"dita/internal/cluster"
 	"dita/internal/gen"
 	"dita/internal/measure"
+	"dita/internal/obs"
 	"dita/internal/snap"
 	"dita/internal/traj"
+	"dita/internal/wal"
 )
 
 // Ablation benchmarks for the verification cascade (Section 5.3.3): raw
@@ -247,4 +252,91 @@ func BenchmarkEngineSearchLayout(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkInsertBesideSearches times single inserts into the engine the
+// repository benchmark's engine_mix runs (100 k BeijingLike members,
+// sequential verification, one virtual worker, a WAL and snapshot store in a
+// temporary directory): alone, and with one goroutine looping searches over
+// the 2 000-query pool of BenchmarkEngineSearchLayout (τ = 0.01) beside
+// them. It reports each insert's p50 and p95 and, from the engine's
+// registry, the p50 and mean of engine_write_lock_wait_us (a mutation's wait
+// for the engine lock) and of engine_wal_append_us (its log append, fsync
+// included); the histograms' percentiles are power-of-two bucket bounds.
+// allocs/op counts the search loop's allocations too.
+func BenchmarkInsertBesideSearches(b *testing.B) {
+	d := gen.Generate(gen.BeijingLike(100_000, 1))
+	qs := gen.Queries(d, 2000, 11)
+	pool := gen.Generate(gen.BeijingLike(4096, 2)).Trajs
+	dir := b.TempDir()
+	ws, err := wal.NewStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ss, err := snap.NewStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.VerifyParallelism = 1
+	opts.Cluster = cluster.New(cluster.DefaultConfig(1))
+	e, err := NewEngine(d, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.EnableIngest(IngestConfig{WAL: ws, Snap: ss}); err != nil {
+		b.Fatal(err)
+	}
+	defer e.CloseIngest()
+	next := 0
+	run := func(b *testing.B, searches bool) {
+		// A fresh registry per run, read only by this run's inserts.
+		reg := obs.New()
+		e.met = newEngineMetrics(reg)
+		defer func() { e.met = nil }()
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		if searches {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					e.Search(qs[i%len(qs)], 0.01, nil)
+				}
+			}()
+		}
+		lat := make([]time.Duration, b.N)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range lat {
+			t := pool[next%len(pool)].Clone()
+			t.ID = 1<<20 + next
+			next++
+			start := time.Now()
+			if err := e.Insert(t); err != nil {
+				b.Fatal(err)
+			}
+			lat[i] = time.Since(start)
+		}
+		b.StopTimer()
+		close(stop)
+		wg.Wait()
+		slices.Sort(lat)
+		us := func(p float64) float64 { return float64(lat[int(p*float64(len(lat)-1))].Nanoseconds()) / 1e3 }
+		b.ReportMetric(us(0.50), "p50_us")
+		b.ReportMetric(us(0.95), "p95_us")
+		hs := reg.Snapshot().Histograms
+		wait, appended := hs["engine_write_lock_wait_us"], hs["engine_wal_append_us"]
+		b.ReportMetric(float64(wait.P50), "lockwait_p50_us")
+		b.ReportMetric(wait.Mean(), "lockwait_mean_us")
+		b.ReportMetric(float64(appended.P50), "walappend_p50_us")
+		b.ReportMetric(appended.Mean(), "walappend_mean_us")
+	}
+	b.Run("alone", func(b *testing.B) { run(b, false) })
+	b.Run("searching", func(b *testing.B) { run(b, true) })
 }

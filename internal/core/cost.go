@@ -50,14 +50,17 @@ func (pc PartitionCost) cost() float64 {
 type CostTracker struct {
 	mu      sync.Mutex
 	entries map[int]*PartitionCost
+	dropped map[int]struct{} // retired pids, never observed again
 }
 
 // NewCostTracker creates an empty tracker.
 func NewCostTracker() *CostTracker {
-	return &CostTracker{entries: map[int]*PartitionCost{}}
+	return &CostTracker{entries: map[int]*PartitionCost{}, dropped: map[int]struct{}{}}
 }
 
-// Observe folds one query's per-partition verify cost into the EWMAs.
+// Observe folds one query's per-partition verify cost into the EWMAs. A
+// pid Drop retired is ignored: a query that captured the partition before
+// the cutover may report it after.
 func (ct *CostTracker) Observe(pid int, verified int64, elapsed time.Duration) {
 	if ct == nil {
 		return
@@ -65,6 +68,9 @@ func (ct *CostTracker) Observe(pid int, verified int64, elapsed time.Duration) {
 	us := float64(elapsed.Microseconds())
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
+	if _, gone := ct.dropped[pid]; gone {
+		return
+	}
 	e := ct.entries[pid]
 	if e == nil {
 		ct.entries[pid] = &PartitionCost{Pid: pid, Verified: float64(verified), VerifyUS: us, Queries: 1}
@@ -75,8 +81,9 @@ func (ct *CostTracker) Observe(pid int, verified int64, elapsed time.Duration) {
 	e.Queries++
 }
 
-// Drop forgets the given partitions — called when a cutover retires them
-// so their ids (never reused) cannot shadow the fresh pieces' signal.
+// Drop forgets the given partitions for good — called when a cutover
+// retires them so their ids (never reused) cannot shadow the fresh pieces'
+// signal.
 func (ct *CostTracker) Drop(pids ...int) {
 	if ct == nil {
 		return
@@ -85,6 +92,7 @@ func (ct *CostTracker) Drop(pids ...int) {
 	defer ct.mu.Unlock()
 	for _, pid := range pids {
 		delete(ct.entries, pid)
+		ct.dropped[pid] = struct{}{}
 	}
 }
 

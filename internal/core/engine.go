@@ -82,12 +82,15 @@ type Engine struct {
 	met     *engineMetrics // nil when Options.Obs is nil
 	cost    *CostTracker   // per-partition read-cost EWMAs (timed paths only)
 
-	// mu is the host lock of the partitions' stores (Store) and of lay:
-	// every public query path holds the read side for its whole run, and
-	// every applied mutation, installed fold and layout change is published
-	// under the write side, so what a query sees of every partition and of
-	// the layout is one instant. serial orders lock acquisition when a join
-	// spans two engines.
+	// mu is the host lock of parts, of the partitions' stores (Store) and
+	// of lay: every applied mutation, installed fold and layout change is
+	// published under the write side, and a query takes the read side only
+	// to capture its views (capture) — the layout, the partition slice and
+	// the view of every partition it may read, in one hold, so what it sees
+	// of every partition and of the layout is one instant. It plans,
+	// descends, verifies and merges off the lock, so a write waits for other
+	// captures, never for a query. serial orders lock acquisition when a
+	// join spans two engines.
 	mu     sync.RWMutex
 	serial uint64
 	ing    *ingestState // nil until EnableIngest
@@ -117,6 +120,58 @@ func rlockPair(a, b *Engine) func() {
 		b.mu.RUnlock()
 		a.mu.RUnlock()
 	}
+}
+
+// engineView is one query's capture of an engine: the layout, the
+// partition slice and the view of every partition the query may read, all
+// taken in one hold of mu's read side. The query reads the engine only
+// through it once the lock is released: of a Partition, its ID and Worker,
+// which never change, and never its Store, which a cutover swaps. Views
+// are immutable (Store.View copies the overlay and the masks; a fold or a
+// cutover installs new slices), so the capture stays one instant however
+// long the query runs.
+type engineView struct {
+	lay   *LayoutView
+	parts []*Partition
+	// views[i] is the view of partition pids[i] or, when pids is nil, of
+	// partition i: every live partition, a retired one's left empty.
+	pids  []int
+	views []View
+}
+
+// capture is the one place a query takes mu's read side: it captures e
+// and, for a join, other (rlockPair orders the two locks) in one hold.
+// pick, given e's layout, names the partitions of e to capture, ascending;
+// nil captures every live one, and other is always captured whole. For
+// other == e both results are the one capture. Planning that must agree
+// with the views (a search's global prune) runs in pick, under the lock.
+func (e *Engine) capture(other *Engine, pick func(*LayoutView) []int) (mine, theirs engineView) {
+	unlock := rlockPair(e, other)
+	defer unlock()
+	mine = e.captureLocked(pick)
+	if other == e {
+		return mine, mine
+	}
+	return mine, other.captureLocked(nil)
+}
+
+func (e *Engine) captureLocked(pick func(*LayoutView) []int) engineView {
+	ev := engineView{lay: e.lay.View(), parts: e.parts}
+	if pick != nil {
+		ev.pids = pick(ev.lay)
+		ev.views = make([]View, len(ev.pids))
+		for i, pid := range ev.pids {
+			ev.views[i] = e.parts[pid].view()
+		}
+		return ev
+	}
+	ev.views = make([]View, len(e.parts))
+	for pid, b := range ev.lay.Bounds {
+		if !b.Retired {
+			ev.views[pid] = e.parts[pid].view()
+		}
+	}
+	return ev
 }
 
 // NewEngine partitions and indexes the dataset (Algorithm 1). It is the

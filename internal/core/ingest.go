@@ -299,7 +299,7 @@ func (e *Engine) Delete(id int) (bool, error) {
 // number back (Layout.Unreserve): nothing reached the log. A merge the record
 // made due runs once the append lock is released.
 func (e *Engine) mutate(op string, r wal.Record, route func() int) error {
-	st, p, s, err := e.lockMutationTarget(op, route)
+	st, p, s, wait, err := e.lockMutationTarget(op, route)
 	if err != nil || p == nil {
 		if err == nil && r.Op == wal.OpInsert {
 			err = fmt.Errorf("core: insert: no live partition")
@@ -311,16 +311,26 @@ func (e *Engine) mutate(op string, r wal.Record, route func() int) error {
 	e.mu.Unlock()
 	// The fsync runs off the engine lock: queries and mutations on other
 	// partitions proceed during the disk wait; the append lock keeps this
-	// partition's append order equal to its seq order.
+	// partition's append order equal to its seq order. With metrics on,
+	// the time from here to the publish is the store's record check and
+	// log append.
+	var applyStart time.Time
+	if e.met != nil {
+		applyStart = time.Now()
+	}
 	a, err := s.Apply(st.pol, []wal.Record{r}, func(apply func()) {
-		e.mu.Lock()
+		var appended time.Duration
+		if e.met != nil {
+			appended = time.Since(applyStart)
+		}
+		wait += e.lockWrite()
 		defer e.mu.Unlock()
 		apply()
 		if e.lay.Ack(p.ID, r) {
 			e.mirror()
 		}
 		if e.met != nil {
-			e.met.mutated(r.Op, e.overlayBytesLocked())
+			e.met.mutated(r.Op, e.overlayBytesLocked(), wait, appended)
 		}
 	})
 	if err != nil {
@@ -348,31 +358,44 @@ func (e *Engine) mutate(op string, r wal.Record, route func() int) error {
 // to the wrong partition's log would fork the id's history across logs.
 // route returns -1 to abort (no partition holds the id a delete names);
 // the locks are then released and a nil partition returned. On success the
-// caller holds s's append lock and e.mu and must release both.
-func (e *Engine) lockMutationTarget(op string, route func() int) (*ingestState, *Partition, *Store, error) {
+// caller holds s's append lock and e.mu and must release both. wait is the
+// time spent acquiring e.mu's write side (lockWrite).
+func (e *Engine) lockMutationTarget(op string, route func() int) (st *ingestState, p *Partition, s *Store, wait time.Duration, err error) {
 	for {
 		e.mu.RLock()
-		st := e.ing
+		st = e.ing
 		if st == nil {
 			e.mu.RUnlock()
-			return nil, nil, nil, fmt.Errorf("core: %s: ingest not enabled", op)
+			return nil, nil, nil, wait, fmt.Errorf("core: %s: ingest not enabled", op)
 		}
 		pid := route()
 		if pid < 0 {
 			e.mu.RUnlock()
-			return nil, nil, nil, nil
+			return nil, nil, nil, wait, nil
 		}
-		p := e.parts[pid]
-		s := p.Store
+		p = e.parts[pid]
+		s = p.Store
 		e.mu.RUnlock()
 		s.LockAppend()
-		e.mu.Lock()
+		wait += e.lockWrite()
 		if route() == pid && p.Store == s {
-			return st, p, s, nil
+			return st, p, s, wait, nil
 		}
 		e.mu.Unlock()
 		s.UnlockAppend()
 	}
+}
+
+// lockWrite takes e.mu's write side for a mutation and returns how long it
+// waited — zero, and no clock read, without metrics.
+func (e *Engine) lockWrite() time.Duration {
+	if e.met == nil {
+		e.mu.Lock()
+		return 0
+	}
+	start := time.Now()
+	e.mu.Lock()
+	return time.Since(start)
 }
 
 // merge folds p's overlay (Store.Fold): the rebuilt base is installed under

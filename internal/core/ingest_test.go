@@ -1107,3 +1107,44 @@ func TestRouteAllocatesNothing(t *testing.T) {
 		t.Fatalf("Route allocates %v times a call", n)
 	}
 }
+
+// With a registry, every applied insert and delete records its wait for the
+// engine lock and its log append; an unknown id's delete records neither.
+func TestIngestWriteMetrics(t *testing.T) {
+	ws, err := wal.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := smallOpts(2)
+	opts.Obs = obs.New()
+	e, err := NewEngine(smallDataset(100, 115), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.EnableIngest(IngestConfig{WAL: ws}); err != nil {
+		t.Fatal(err)
+	}
+	defer e.CloseIngest()
+	counts := func() (wait, appended int64) {
+		hs := opts.Obs.Snapshot().Histograms
+		return hs["engine_write_lock_wait_us"].Count, hs["engine_wal_append_us"].Count
+	}
+	tr := mutPool(1, 116)[0]
+	steps := []struct {
+		name string
+		do   func() error
+		want int64
+	}{
+		{"insert", func() error { return e.Insert(tr) }, 1},
+		{"delete", func() error { _, err := e.Delete(tr.ID); return err }, 2},
+		{"delete of an unknown id", func() error { _, err := e.Delete(tr.ID); return err }, 2},
+	}
+	for _, s := range steps {
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if wait, appended := counts(); wait != s.want || appended != s.want {
+			t.Fatalf("after the %s: %d lock waits and %d log appends observed, want %d of each", s.name, wait, appended, s.want)
+		}
+	}
+}

@@ -81,8 +81,8 @@ type JoinStats struct {
 }
 
 // edge is one bi-graph edge between partition Ti (left, index into
-// e.parts) and Qj (right, index into other.parts), with its two weight
-// pairs (Section 6.2).
+// joinViews.left) and Qj (right, index into joinViews.right), with its two
+// weight pairs (Section 6.2).
 type edge struct {
 	ti, qj int
 	// transTQ/compTQ: weights if oriented Ti -> Qj (Ti's trajectories are
@@ -131,8 +131,6 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 	if err := e.checkPair(opJoin, other); err != nil {
 		return nil, nil, err
 	}
-	unlock := rlockPair(e, other)
-	defer unlock()
 	if opts.SampleRate <= 0 || opts.SampleRate > 1 {
 		opts.SampleRate = 0.05
 	}
@@ -147,10 +145,13 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 	run := e.begin(opJoin, stats.trace())
 	tr := run.tr
 	planDone := tr.StartSpan("bigraph", -1)
-	jv := joinViews{e: e, other: other, left: e.partitionViews()}
+	// Every live partition of both sides is captured once, at one instant
+	// (capture); the plan and the execution read only the captures.
+	left, right := e.capture(other, nil)
+	jv := joinViews{e: e, other: other, left: left.sides()}
 	jv.right = jv.left
 	if other != e {
-		jv.right = other.partitionViews()
+		jv.right = right.sides()
 	}
 	edges, err := jv.buildBigraph(ctx, tau, opts)
 	planDone(err)
@@ -158,7 +159,7 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 		return nil, nil, err
 	}
 	run.funnel = obs.Funnel{
-		Partitions: int64(len(e.parts)) * int64(len(other.parts)),
+		Partitions: int64(len(jv.left)) * int64(len(jv.right)),
 		Relevant:   int64(len(edges)),
 	}
 	if tr != nil {
@@ -179,12 +180,12 @@ func (e *Engine) JoinPartialContext(ctx context.Context, other *Engine, tau floa
 		return nil, &run.report, nil
 	}
 	orientDone := tr.StartSpan("orient", -1)
-	flips, err := orient(ctx, edges, e, other, opts)
+	flips, err := orient(ctx, edges, len(jv.left), len(jv.right), opts)
 	orientDone(err)
 	if err != nil {
 		return nil, nil, err
 	}
-	divisions := balance(edges, e, other, opts)
+	divisions := jv.balance(edges, opts)
 	if stats != nil {
 		stats.Oriented = flips
 		stats.Divisions = divisions
@@ -211,21 +212,21 @@ type side struct {
 	b PartBounds
 }
 
-// partitionViews captures every live partition (no view for retired
-// ones), indexed like e.parts, once per join rather than once per edge.
-func (e *Engine) partitionViews() []side {
-	bounds := e.lay.View().Bounds
-	vs := make([]side, len(e.parts))
-	for i, p := range e.parts {
-		if !bounds[i].Retired {
-			vs[i] = side{p.View(), p, bounds[i]}
+// sides is a capture of every live partition as join sides, indexed by
+// pid; a retired partition's side is empty.
+func (ev *engineView) sides() []side {
+	vs := make([]side, len(ev.parts))
+	for i, b := range ev.lay.Bounds {
+		if !b.Retired {
+			vs[i] = side{&ev.views[i], ev.parts[i], b}
 		}
 	}
 	return vs
 }
 
-// joinViews is one join's picture of both sides: left[i] views e.parts[i],
-// right[j] other.parts[j]; for a self-join they are the same slice.
+// joinViews is one join's picture of both sides: left[i] is e's partition
+// i, right[j] other's partition j, as the join captured them; for a
+// self-join they are the same slice.
 type joinViews struct {
 	e, other    *Engine
 	left, right []side
@@ -315,11 +316,10 @@ func estimateDirection(m measure.Measure, src, dst side, tau float64, rate float
 // current argmax partition. Returns the number of flips. Cancellation is
 // checked once per greedy iteration (each iteration scans all edges at
 // the argmax node — O(edges²) total in the worst case).
-func orient(ctx context.Context, edges []*edge, e, other *Engine, opts JoinOptions) (int, error) {
+func orient(ctx context.Context, edges []*edge, nT, nQ int, opts JoinOptions) (int, error) {
 	λ := opts.Lambda
-	// Node cost arrays: T partitions then Q partitions.
-	nT := len(e.parts)
-	tc := make([]float64, nT+len(other.parts))
+	// Node cost arrays: the nT T partitions, then the nQ Q partitions.
+	tc := make([]float64, nT+nQ)
 	nodeT := func(ed *edge) int { return ed.ti }
 	nodeQ := func(ed *edge) int { return nT + ed.qj }
 	// Cost contribution of an edge given its direction (Section 6.2):
@@ -393,13 +393,13 @@ func orient(ctx context.Context, edges []*edge, e, other *Engine, opts JoinOptio
 // distinct workers (the replica receives a copy of the partition's index
 // and data, accounted as network transfer at execution time). Returns
 // the number of replicas created.
-func balance(edges []*edge, e, other *Engine, opts JoinOptions) int {
+func (jv *joinViews) balance(edges []*edge, opts JoinOptions) int {
 	// Default execution worker: the receiving partition's worker.
 	for _, ed := range edges {
 		if ed.dirTQ {
-			ed.execWorker = other.parts[ed.qj].Worker
+			ed.execWorker = jv.right[ed.qj].p.Worker
 		} else {
-			ed.execWorker = e.parts[ed.ti].Worker
+			ed.execWorker = jv.left[ed.ti].p.Worker
 		}
 	}
 	if opts.DisableDivision {
@@ -407,7 +407,7 @@ func balance(edges []*edge, e, other *Engine, opts JoinOptions) int {
 	}
 	λ := opts.Lambda
 	// Receiving-side cost per partition node (the execution workload).
-	nT := len(e.parts)
+	nT := len(jv.left)
 	type nodeEdges struct {
 		cost  float64
 		edges []*edge
@@ -433,7 +433,7 @@ func balance(edges []*edge, e, other *Engine, opts JoinOptions) int {
 	// sorts P1..PN with N = |T partitions| + |Q partitions|), zero-cost
 	// ones included — otherwise a single dominating node would be its own
 	// percentile and never divide.
-	costs := make([]float64, nT+len(other.parts))
+	costs := make([]float64, nT+len(jv.right))
 	total := 0.0
 	for id, ne := range nodes {
 		if id < len(costs) {
@@ -452,7 +452,7 @@ func balance(edges []*edge, e, other *Engine, opts JoinOptions) int {
 	if tcq <= 0 {
 		return 0
 	}
-	W := e.cl.Workers()
+	W := jv.e.cl.Workers()
 	replicas := 0
 	// Deterministic iteration order over nodes.
 	ids := make([]int, 0, len(nodes))
@@ -550,7 +550,7 @@ func (jv *joinViews) executeJoin(ctx context.Context, run *queryRun, tau float64
 			key := [2]int{boolToInt(flip)*1_000_000 + dst.p.ID, st.ed.execWorker}
 			if !replicated[key] {
 				replicated[key] = true
-				e.cl.Transfer(dst.p.Worker, st.ed.execWorker, dst.p.Bytes()+dst.Index.SizeBytes())
+				e.cl.Transfer(dst.p.Worker, st.ed.execWorker, dst.baseBytes+dst.Index.SizeBytes())
 			}
 		}
 		tasks = append(tasks, cluster.Task{Worker: st.ed.execWorker, Fn: func() {

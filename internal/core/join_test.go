@@ -23,6 +23,12 @@ func checkJoin(t testing.TB, got []Pair, want []oracle.Pair, label string) {
 	}
 }
 
+// joinViewsOf captures two engines' sides as a join does.
+func joinViewsOf(a, b *Engine) *joinViews {
+	left, right := a.capture(b, nil)
+	return &joinViews{e: a, other: b, left: left.sides(), right: right.sides()}
+}
+
 // buildPair builds two engines on a shared cluster for joining.
 func buildPair(t *testing.T, a, b *traj.Dataset, m measure.Measure, workers int) (*Engine, *Engine) {
 	t.Helper()
@@ -212,17 +218,17 @@ func TestDivisionBalancesSkew(t *testing.T) {
 
 	opts := DefaultJoinOptions()
 	opts.Lambda = 1.0 / 250.0
-	jv := joinViews{e: ea, other: eb, left: ea.partitionViews(), right: eb.partitionViews()}
+	jv := joinViewsOf(ea, eb)
 	edges, err := jv.buildBigraph(context.Background(), 0.002, opts)
 	if err != nil || len(edges) == 0 {
 		t.Fatalf("bigraph: %d edges, err %v", len(edges), err)
 	}
-	if _, err := orient(context.Background(), edges, ea, eb, opts); err != nil {
+	if _, err := orient(context.Background(), edges, len(jv.left), len(jv.right), opts); err != nil {
 		t.Fatal(err)
 	}
 	imbalance := func(disable bool) (float64, int) {
 		opts.DisableDivision = disable
-		divisions := balance(edges, ea, eb, opts)
+		divisions := jv.balance(edges, opts)
 		load := make([]float64, ea.cl.Workers())
 		total := 0.0
 		for _, ed := range edges {

@@ -42,36 +42,40 @@ func (e *Engine) SearchKNN(q *traj.T, k int) []SearchResult {
 // but potentially wrong everywhere, so any failed partition fails the
 // query.
 func (e *Engine) SearchKNNContext(ctx context.Context, q *traj.T, k int, stats *SearchStats) (res []SearchResult, err error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	visible := e.lay.View().Visible
-	if q == nil || len(q.Points) == 0 || k <= 0 || visible == 0 {
+	if q == nil || len(q.Points) == 0 || k <= 0 {
+		return nil, ctx.Err()
+	}
+	// Any live partition may be visited, so the capture holds them all.
+	ev, _ := e.capture(e, nil)
+	visible := ev.lay.Visible
+	if visible == 0 {
 		return nil, ctx.Err()
 	}
 	k = min(k, visible)
 	run := e.begin(opKNN, stats.trace())
-	run.funnel.Partitions = int64(len(e.parts))
+	run.funnel.Partitions = int64(len(ev.parts))
 	defer func() {
 		stats.fill(run.funnel, len(res))
 		run.finish()
 	}()
-	return e.knnBestFirst(ctx, q, k, nil, &run.funnel, run.tr)
+	return e.knnBestFirst(ctx, &ev, q, k, nil, &run.funnel, run.tr)
 }
 
-// knnBestFirst runs the incremental best-first top-k engine: visit
-// partitions in ascending lower-bound order, each visit tightening τ
-// through the shared accumulator, until the next partition's bound exceeds
-// τ. The lowest-bound partition is the seed: its best-first scan fills the
+// knnBestFirst runs the incremental best-first top-k engine over ev, a
+// capture of every live partition of e: visit partitions in ascending
+// lower-bound order, each visit tightening τ through the shared
+// accumulator, until the next partition's bound exceeds τ. The
+// lowest-bound partition is the seed: its best-first scan fills the
 // accumulator from the leaves nearest the query, so every later visit
 // starts at a finite τ (the kNN join instead warm-starts from prime).
 // Visits run inline on the driver — the scan is inherently sequential (τ
 // mutates between candidates) — but query shipping is still charged to the
 // simulated cluster. funnel accumulates the whole query's pruning stages;
 // funnel.Relevant counts partitions actually visited.
-func (e *Engine) knnBestFirst(ctx context.Context, q *traj.T, k int, prime []*traj.T, funnel *obs.Funnel, tr *obs.Trace) ([]SearchResult, error) {
+func (e *Engine) knnBestFirst(ctx context.Context, ev *engineView, q *traj.T, k int, prime []*traj.T, funnel *obs.Funnel, tr *obs.Trace) ([]SearchResult, error) {
 	acc := NewKNNAcc(k)
 	planDone := tr.StartSpan("knn-plan", -1)
-	order := KNNOrder(e.opts.Measure, e.lay.View().Bounds, q.Points)
+	order := KNNOrder(e.opts.Measure, ev.lay.Bounds, q.Points)
 	planDone(nil)
 	if len(prime) > 0 {
 		if err := e.knnPrime(ctx, q, prime, acc, funnel); err != nil {
@@ -91,13 +95,13 @@ func (e *Engine) knnBestFirst(ctx context.Context, q *traj.T, k int, prime []*tr
 			break
 		}
 		funnel.Relevant++
-		p := e.parts[po.PID]
+		p := ev.parts[po.PID]
 		e.cl.Transfer(driver, p.Worker, q.Bytes())
 		var vStart time.Time
 		if tr != nil {
 			vStart = time.Now()
 		}
-		f, err := e.knnVisit(ctx, p, q.Points, acc)
+		f, err := e.knnVisit(ctx, &ev.views[po.PID], q.Points, acc)
 		if tr != nil {
 			ff := f
 			span := obs.Span{Name: "knn-visit", Partition: p.ID,
@@ -118,16 +122,17 @@ func (e *Engine) knnBestFirst(ctx context.Context, q *traj.T, k int, prime []*tr
 	return acc.Results(), nil
 }
 
-// knnVisit scans one partition's view (View.KNNScan) with panic isolation:
-// a poisoned partition surfaces as this visit's error, not a process crash.
-func (e *Engine) knnVisit(ctx context.Context, p *Partition, q []geom.Point, acc *KNNAcc) (f obs.Funnel, err error) {
+// knnVisit scans one partition's captured view (View.KNNScan) with panic
+// isolation: a poisoned partition surfaces as this visit's error, not a
+// process crash.
+func (e *Engine) knnVisit(ctx context.Context, v *View, q []geom.Point, acc *KNNAcc) (f obs.Funnel, err error) {
 	defer recoverTo(&err)
-	return p.View().KNNScan(ctx, e.opts.Measure, q, acc, math.Inf(1))
+	return v.KNNScan(ctx, e.opts.Measure, q, acc, math.Inf(1))
 }
 
 // knnPrime warm-starts the accumulator from trajectories the caller
 // expects to be near q (kNN join passes a partition neighbor's resolved
-// answer set, all still visible under the engines' read locks). The first
+// answer set, all visible in the engines' captured views). The first
 // k are verified with the exact kernel, the rest early-abandon against the
 // live τ and, like a scan's candidates, enter the heap at their exact
 // distance; τ is sound from the first partition visit on, and the resolved

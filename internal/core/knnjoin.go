@@ -32,31 +32,36 @@ func (e *Engine) KNNJoinContext(ctx context.Context, other *Engine, k int, stats
 	if err := e.checkPair(opKNNJoin, other); err != nil {
 		return nil, err
 	}
-	unlock := rlockPair(e, other)
-	defer unlock()
-	visible, otherVisible := e.lay.View().Visible, other.lay.View().Visible
-	if k <= 0 || visible == 0 || otherVisible == 0 {
+	if k <= 0 {
+		return nil, ctx.Err()
+	}
+	// Both sides are captured once, at one instant; every probe reads
+	// other's capture.
+	left, right := e.capture(other, nil)
+	visible, otherVisible := left.lay.Visible, right.lay.Visible
+	if visible == 0 || otherVisible == 0 {
 		return nil, ctx.Err()
 	}
 	k = min(k, otherVisible)
-	errs := make([]error, len(e.parts))
-	funnels := make([]obs.Funnel, len(e.parts))
-	locals := make([]map[int][]SearchResult, len(e.parts))
+	n := len(left.parts)
+	errs := make([]error, n)
+	funnels := make([]obs.Funnel, n)
+	locals := make([]map[int][]SearchResult, n)
 	// Each left partition's worker resolves its own trajectories' kNN by
 	// probing the right engine's index, so the work parallelizes the same
 	// way the threshold join does.
-	tasks := make([]cluster.Task, len(e.parts))
-	for i, p := range e.parts {
+	tasks := make([]cluster.Task, n)
+	for i, p := range left.parts {
 		tasks[i] = cluster.Task{Worker: p.Worker, Fn: func() {
 			defer recoverTo(&errs[i])
 			// The probe set is the partition's visible members (masked base
 			// hidden, frozen+delta included).
-			probes := p.View().Visible()
+			probes := left.views[i].Visible()
 			locals[i] = make(map[int][]SearchResult, len(probes))
 			var prime []*traj.T
 			for _, t := range probes {
-				f := obs.Funnel{Partitions: int64(len(other.parts))}
-				res, err := other.knnBestFirst(ctx, t, k, prime, &f, nil)
+				f := obs.Funnel{Partitions: int64(len(right.parts))}
+				res, err := other.knnBestFirst(ctx, &right, t, k, prime, &f, nil)
 				if err != nil {
 					errs[i] = err
 					return
@@ -82,7 +87,7 @@ func (e *Engine) KNNJoinContext(ctx context.Context, other *Engine, k int, stats
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
 			}
-			return nil, fmt.Errorf("core: knn join: left partition %d: %w", e.parts[i].ID, err)
+			return nil, fmt.Errorf("core: knn join: left partition %d: %w", left.parts[i].ID, err)
 		}
 		total.Merge(funnels[i])
 		for id, res := range locals[i] {

@@ -19,6 +19,8 @@ type engineMetrics struct {
 	merges        *obs.Counter
 	sealErrs      *obs.Counter
 	deltaBytes    *obs.Gauge
+	lockWait      *obs.Histogram
+	walAppend     *obs.Histogram
 	replayRecords *obs.Counter
 	replayLatency *obs.Histogram
 	rebalances    *obs.Counter
@@ -45,6 +47,8 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		merges:        r.Counter("engine_merges_total"),
 		sealErrs:      r.Counter("engine_seal_errors_total"),
 		deltaBytes:    r.Gauge("engine_delta_bytes"),
+		lockWait:      r.Histogram("engine_write_lock_wait_us"),
+		walAppend:     r.Histogram("engine_wal_append_us"),
 		replayRecords: r.Counter("engine_wal_replayed_records_total"),
 		replayLatency: r.Histogram("engine_wal_replay_us"),
 		rebalances:    r.Counter("engine_rebalance_total"),
@@ -77,15 +81,19 @@ func (m *engineMetrics) setDeltaBytes(n int64) {
 	}
 }
 
-// mutated counts one applied insert or delete and publishes the overlay
-// size after it.
-func (m *engineMetrics) mutated(op byte, deltaBytes int64) {
+// mutated counts one applied insert or delete, publishes the overlay size
+// after it and records where its time went: lockWait acquiring the engine
+// lock, both write sections summed, and appended in the store's log append,
+// fsync included.
+func (m *engineMetrics) mutated(op byte, deltaBytes int64, lockWait, appended time.Duration) {
 	if op == wal.OpDelete {
 		m.deletes.Inc()
 	} else {
 		m.inserts.Inc()
 	}
 	m.setDeltaBytes(deltaBytes)
+	m.lockWait.Observe(lockWait.Microseconds())
+	m.walAppend.Observe(appended.Microseconds())
 }
 
 // sealFailed counts a merge whose base could not be sealed.

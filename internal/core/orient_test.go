@@ -74,11 +74,11 @@ func TestOrientImproves(t *testing.T) {
 	}
 	// Initial local choice (what DisableOrientation keeps).
 	init := append([]*edge(nil), cloneEdges(edges)...)
-	orient(context.Background(), init, e1, e2, JoinOptions{Lambda: 1, DisableOrientation: true})
+	orient(context.Background(), init, len(e1.parts), len(e2.parts), JoinOptions{Lambda: 1, DisableOrientation: true})
 	initCost := maxTC(init, e1, e2, 1)
 
 	greedy := cloneEdges(edges)
-	orient(context.Background(), greedy, e1, e2, JoinOptions{Lambda: 1})
+	orient(context.Background(), greedy, len(e1.parts), len(e2.parts), JoinOptions{Lambda: 1})
 	greedyCost := maxTC(greedy, e1, e2, 1)
 
 	if greedyCost > initCost {
@@ -116,9 +116,9 @@ func TestOrientNeverWorsens(t *testing.T) {
 		}
 		lambda := rng.Float64() + 0.1
 		init := cloneEdges(edges)
-		orient(context.Background(), init, e1, e2, JoinOptions{Lambda: lambda, DisableOrientation: true})
+		orient(context.Background(), init, len(e1.parts), len(e2.parts), JoinOptions{Lambda: lambda, DisableOrientation: true})
 		greedy := cloneEdges(edges)
-		orient(context.Background(), greedy, e1, e2, JoinOptions{Lambda: lambda})
+		orient(context.Background(), greedy, len(e1.parts), len(e2.parts), JoinOptions{Lambda: lambda})
 		if maxTC(greedy, e1, e2, lambda) > maxTC(init, e1, e2, lambda)+1e-9 {
 			t.Fatalf("greedy worsened objective on iteration %d", iter)
 		}
@@ -137,7 +137,7 @@ func TestBalanceSpreadsHeavyNode(t *testing.T) {
 		ed.dirTQ = true
 		edges = append(edges, ed)
 	}
-	divisions := balance(edges, e1, e2, JoinOptions{Lambda: 1, DivisionQuantile: 0.5})
+	divisions := joinViewsOf(e1, e2).balance(edges, JoinOptions{Lambda: 1, DivisionQuantile: 0.5})
 	if divisions == 0 {
 		t.Fatal("division balancing never fired on a dominating node")
 	}
@@ -156,7 +156,7 @@ func TestBalanceSpreadsHeavyNode(t *testing.T) {
 		ed.dirTQ = true
 		flat = append(flat, ed)
 	}
-	if got := balance(flat, e1, e2, JoinOptions{Lambda: 1, DivisionQuantile: 0.98}); got != 0 {
+	if got := joinViewsOf(e1, e2).balance(flat, JoinOptions{Lambda: 1, DivisionQuantile: 0.98}); got != 0 {
 		t.Errorf("balanced instance divided %d times", got)
 	}
 }
@@ -170,7 +170,7 @@ func TestBalanceDisabled(t *testing.T) {
 		ed.dirTQ = true
 		edges = append(edges, ed)
 	}
-	if got := balance(edges, e1, e2, JoinOptions{Lambda: 1, DisableDivision: true, DivisionQuantile: 0.5}); got != 0 {
+	if got := joinViewsOf(e1, e2).balance(edges, JoinOptions{Lambda: 1, DisableDivision: true, DivisionQuantile: 0.5}); got != 0 {
 		t.Errorf("disabled division still created %d replicas", got)
 	}
 	home := e2.parts[0].Worker

@@ -63,17 +63,24 @@ func (e *Engine) SearchPartialContext(ctx context.Context, q *traj.T, tau float6
 	if q == nil || len(q.Points) == 0 {
 		return nil, &SkipReport{}, nil
 	}
-	// Queries hold the read side of the mutation lock for their whole
-	// run: overlay state, partition MBRs and the global R-trees are
-	// stable per query, and merges wait for in-flight queries.
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	// The query holds the engine lock only while it captures the layout
+	// and the views of the partitions global pruning keeps (capture): it
+	// sees them at one instant, and a write waits for the capture, not for
+	// the query.
 	run := e.begin(opSearch, stats.trace())
-	rel := e.lay.View().Relevant(e.opts.Measure, q.Points, tau)
-	run.funnel = obs.Funnel{Partitions: int64(len(e.parts)), Relevant: int64(len(rel))}
+	var pruned time.Time
+	ev, _ := e.capture(e, func(lv *LayoutView) []int {
+		rel := lv.Relevant(e.opts.Measure, q.Points, tau)
+		if run.tr != nil {
+			pruned = time.Now()
+		}
+		return rel
+	})
+	rel := ev.pids
+	run.funnel = obs.Funnel{Partitions: int64(len(ev.parts)), Relevant: int64(len(rel))}
 	if run.tr != nil {
 		run.tr.Add(obs.Span{Name: "global-prune", Partition: -1,
-			Start: run.start.Sub(run.tr.Begin), Duration: time.Since(run.start),
+			Start: run.start.Sub(run.tr.Begin), Duration: pruned.Sub(run.start),
 			Funnel: &obs.Funnel{Partitions: run.funnel.Partitions, Relevant: run.funnel.Relevant}})
 	}
 	var out []SearchResult
@@ -89,7 +96,7 @@ func (e *Engine) SearchPartialContext(ctx context.Context, q *traj.T, tau float6
 	const driver = 0
 	for i, pid := range rel {
 		ps := &parts[i]
-		ps.p = e.parts[pid]
+		ps.p, ps.v = ev.parts[pid], &ev.views[i]
 		// The driver ships the query to the partition's worker.
 		e.cl.Transfer(driver, ps.p.Worker, q.Bytes())
 		tasks[i] = cluster.Task{Worker: ps.p.Worker, Fn: func() {
@@ -97,7 +104,7 @@ func (e *Engine) SearchPartialContext(ctx context.Context, q *traj.T, tau float6
 			if run.timed {
 				t0 = time.Now()
 			}
-			ps.hits, ps.funnel, ps.err = e.searchPartition(ctx, ps.p, q.Points, tau, run.tr, t0)
+			ps.hits, ps.funnel, ps.err = e.searchPartition(ctx, ps.p.ID, ps.v, q.Points, tau, run.tr, t0)
 			if run.timed {
 				ps.elapsed = time.Since(t0)
 			}
@@ -136,10 +143,11 @@ func (e *Engine) SearchPartialContext(ctx context.Context, q *traj.T, tau float6
 	return out, &run.report, nil
 }
 
-// partitionSearch is one partition's task in a search: its hits, funnel,
-// error and run time.
+// partitionSearch is one partition's task in a search: the view it reads,
+// its hits, funnel, error and run time.
 type partitionSearch struct {
 	p       *Partition
+	v       *View
 	hits    []SearchResult
 	funnel  obs.Funnel
 	elapsed time.Duration
@@ -147,16 +155,16 @@ type partitionSearch struct {
 }
 
 // searchPartition runs one partition's local search (View.Search) over the
-// view of it this query holds the read lock for, under the panic guard.
+// view of it this query captured, under the panic guard.
 // When tr is non-nil the two phases, begun at t0, land on it as a
 // trie-descend and a verify span, each carrying its funnel stages; a failed
 // search leaves its error on the first and no verify span.
-func (e *Engine) searchPartition(ctx context.Context, p *Partition, q []geom.Point, tau float64, tr *obs.Trace, t0 time.Time) (_ []SearchResult, _ obs.Funnel, err error) {
+func (e *Engine) searchPartition(ctx context.Context, pid int, v *View, q []geom.Point, tau float64, tr *obs.Trace, t0 time.Time) (_ []SearchResult, _ obs.Funnel, err error) {
 	defer recoverTo(&err)
-	out, st, err := p.View().Search(ctx, e.opts.Measure, q, tau, e.opts.VerifyParallelism, tr != nil)
+	out, st, err := v.Search(ctx, e.opts.Measure, q, tau, e.opts.VerifyParallelism, tr != nil)
 	if tr != nil {
 		f := st.Funnel
-		span := obs.Span{Name: "trie-descend", Partition: p.ID,
+		span := obs.Span{Name: "trie-descend", Partition: pid,
 			Start: t0.Sub(tr.Begin), Duration: st.Probe,
 			Funnel: &obs.Funnel{Considered: f.Considered, TrieCands: f.TrieCands}}
 		if err != nil {
@@ -165,7 +173,7 @@ func (e *Engine) searchPartition(ctx context.Context, p *Partition, q []geom.Poi
 		tr.Add(span)
 		if err == nil && f.TrieCands > 0 {
 			f.Considered, f.TrieCands = 0, 0 // already on the trie span
-			tr.Add(obs.Span{Name: "verify", Partition: p.ID,
+			tr.Add(obs.Span{Name: "verify", Partition: pid,
 				Start: t0.Add(st.Probe).Sub(tr.Begin), Duration: st.Verify, Funnel: &f})
 		}
 	}

@@ -163,13 +163,19 @@ func (s *Store) LastSeq() uint64 {
 // never copied, so a view stays consistent for the rest of its query
 // whatever is applied or installed meanwhile.
 func (s *Store) View() *View {
+	v := s.view()
+	return &v
+}
+
+// view is View by value, for a caller that keeps many views in one slice.
+func (s *Store) view() View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.viewLocked()
 }
 
-func (s *Store) viewLocked() *View {
-	v := &View{Index: s.Index, Base: s.Trajs, BaseMeta: s.meta}
+func (s *Store) viewLocked() View {
+	v := View{Index: s.Index, Base: s.Trajs, BaseMeta: s.meta, baseBytes: s.bytes}
 	if len(s.tomb)+len(s.frozenTomb) > 0 {
 		masked := append(append(make(idSet, 0, len(s.tomb)+len(s.frozenTomb)), s.tomb...), s.frozenTomb...)
 		if len(s.tomb) > 0 && len(s.frozenTomb) > 0 {

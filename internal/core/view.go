@@ -32,6 +32,8 @@ type View struct {
 	Overlay     []*traj.T
 	OverlayMeta []VerifyMeta
 	Masked      func(id int) bool
+
+	baseBytes int // the base's size (Store.Bytes), what shipping it costs
 }
 
 // Len is the number of slots, masked base members included.
